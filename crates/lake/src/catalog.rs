@@ -90,7 +90,7 @@ impl LakeTrace {
 ///
 /// Opening the lake pairs every `<stem>.igmt` with its `<stem>.igmx`
 /// sidecar. A sidecar that is missing, directory-only (v1), corrupt, or
-/// stale (its frame directory points past the end of the trace file) is
+/// stale (its last frame does not end exactly where the trace file ends) is
 /// rebuilt by [`TraceIndex::scan_records_file`] and saved back — the
 /// offline build is byte-identical to the writer-inline one, so a lake
 /// heals its indexes without changing what queries see. Traces that fail
@@ -123,7 +123,7 @@ impl TraceLake {
             let sidecar = path.with_extension("igmx");
             let loaded = TraceIndex::load_file(&sidecar)
                 .ok()
-                .filter(|i| i.has_postings() && index_fits(i, trace_bytes));
+                .filter(|i| i.has_postings() && index_fits(i, &path, trace_bytes));
             let (index, rebuilt) = match loaded {
                 Some(i) => (i, false),
                 None => match TraceIndex::scan_records_file(&path) {
@@ -266,9 +266,11 @@ impl TraceLake {
     }
 }
 
-/// Whether a loaded sidecar is consistent with the trace file's current
-/// size (a stale sidecar from a prior capture must not silently answer
-/// for a rewritten trace).
-fn index_fits(index: &TraceIndex, trace_bytes: u64) -> bool {
-    index.entries().last().is_none_or(|e| e.offset < trace_bytes)
+/// Whether a loaded sidecar still describes the trace file beside it: its
+/// last frame must end exactly at the file's end (a stale sidecar from a
+/// prior capture must not silently answer for a trace since rewritten,
+/// appended to or truncated). An unreadable trace counts as a misfit, so
+/// the rescan that follows reports the real error.
+fn index_fits(index: &TraceIndex, path: &Path, trace_bytes: u64) -> bool {
+    File::open(path).and_then(|f| index.covers(f, trace_bytes)).unwrap_or(false)
 }

@@ -219,14 +219,14 @@ pub fn execute(
             let hi = (r.end - e.first_record).min(e.records as u64) as u32;
             acc.clamp_range(lo, hi);
         }
-        for v in acc.iter() {
-            out.matched += 1;
-            if out.hits.len() < limit {
-                out.hits.push(RecordId::new(tenant, trace, e.first_record + v as u64));
-            } else {
-                out.truncated = true;
-            }
-        }
+        // Count by popcount; walk set bits only for the hits still wanted.
+        let matched = acc.count() as usize;
+        let room = limit.saturating_sub(out.hits.len());
+        out.matched += matched as u64;
+        out.truncated |= matched > room;
+        out.hits.extend(
+            acc.iter().take(room).map(|v| RecordId::new(tenant, trace, e.first_record + v as u64)),
+        );
     }
 }
 

@@ -274,6 +274,65 @@ fn missing_or_damaged_sidecars_heal_byte_identically() {
     assert_eq!(lake.traces()[0].index.total_records(), 2_000);
 }
 
+/// A sidecar whose directory still points inside the trace file, but
+/// whose trace has since grown or lost its tail, is stale: the check is
+/// that the last indexed frame ends exactly at EOF.
+#[test]
+fn sidecars_of_rewritten_traces_are_stale() {
+    let dir = std::env::temp_dir().join(format!("igm-lake-stale-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let pool = MonitorPool::new(PoolConfig::with_workers(1));
+    let cfg = SessionConfig::new("grown", LifeguardKind::AddrCheck)
+        .synthetic()
+        .premark(&Benchmark::Gzip.profile().premark_regions());
+    let mut cap = capture_to_lake(&pool, cfg, &dir).unwrap();
+    cap.stream(Benchmark::Gzip.trace(5_000)).unwrap();
+    cap.finish().unwrap();
+    pool.shutdown();
+    let trace = dir.join("grown.igmt");
+    let sidecar = dir.join("grown.igmx");
+    let captured = std::fs::read(&trace).unwrap();
+    let captured_sidecar = std::fs::read(&sidecar).unwrap();
+    assert!(!TraceLake::open(&dir).unwrap().traces()[0].rebuilt);
+
+    // Appended frame (everything after another stream's file header):
+    // the old sidecar's offsets all still land inside the file, yet it
+    // no longer covers it.
+    let more = igm_trace::encode_to_vec(Benchmark::Mcf.trace(700), 4_096);
+    let mut grown = captured.clone();
+    grown.extend_from_slice(&more[8..]);
+    std::fs::write(&trace, &grown).unwrap();
+    let lake = TraceLake::open(&dir).unwrap();
+    let t = &lake.traces()[0];
+    assert!(t.rebuilt, "a sidecar beside a longer trace must be rebuilt");
+    assert_eq!(t.index.total_records(), 5_700);
+    assert_eq!(decode_all(&trace).len(), 5_700);
+    assert_ne!(std::fs::read(&sidecar).unwrap(), captured_sidecar, "the healed sidecar is saved");
+
+    // Cut inside the last frame, with the original sidecar put back: its
+    // last offset is still below the file size. The trace is either left
+    // out with a reason or re-indexed — never cataloged under record
+    // counts that do not decode.
+    let last = igm_trace::TraceIndex::load(&captured_sidecar[..]).unwrap();
+    let cut = last.entries().last().unwrap().offset as usize + 40;
+    assert!(cut < captured.len());
+    std::fs::write(&trace, &captured[..cut]).unwrap();
+    std::fs::write(&sidecar, &captured_sidecar).unwrap();
+    let lake = TraceLake::open(&dir).unwrap();
+    match lake.traces().first() {
+        None => assert_eq!(lake.skipped()[0].0, "grown"),
+        Some(t) => {
+            assert!(t.rebuilt);
+            let mut reader = TraceReader::new(BufReader::new(File::open(&trace).unwrap())).unwrap();
+            assert_eq!(
+                reader.read_all().map(|e| e.len() as u64).ok(),
+                Some(t.index.total_records())
+            );
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn violation_record_ids_join_the_lake() {
     let dir = std::env::temp_dir().join(format!("igm-lake-victim-{}", std::process::id()));

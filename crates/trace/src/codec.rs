@@ -1606,6 +1606,9 @@ pub struct TraceWriter<W: Write> {
     /// writers that never read it should not accumulate an entry per
     /// frame forever).
     index: Option<crate::index::TraceIndex>,
+    /// The index build's scratch buffers, reused frame to frame (empty
+    /// and allocation-free unless `index` is set).
+    posting_builder: crate::postings::PostingBuilder,
     /// Container format version being written (1 or 2).
     version: u32,
     /// Per-frame payload codec (always [`Codec::Delta`] for version 1).
@@ -1646,6 +1649,7 @@ impl<W: Write> TraceWriter<W> {
             records: 0,
             stream_bytes: 0,
             index: None,
+            posting_builder: Default::default(),
             version,
             codec,
             predictors: None,
@@ -1691,7 +1695,7 @@ impl<W: Write> TraceWriter<W> {
         self.w.write_all(&self.buf)?;
         self.metrics.count_frame(batch.len() as u64, self.buf.len() as u64);
         if let Some(index) = self.index.as_mut() {
-            index.push_frame_batch(8 + self.stream_bytes, batch);
+            index.push_frame_batch(8 + self.stream_bytes, batch, &mut self.posting_builder);
         }
         self.chunks += 1;
         self.records += batch.len() as u64;

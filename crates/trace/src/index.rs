@@ -29,10 +29,10 @@
 //! the prefix is never decoded.
 
 use crate::codec::{checksum, Codec, TraceError, FRAME_HEADER_BYTES, FRAME_HEADER_BYTES_V2, MAGIC};
-use crate::postings::FramePostings;
+use crate::postings::{FramePostings, PostingBuilder};
 use igm_lba::TraceBatch;
 use std::fs::File;
-use std::io::{self, BufReader, BufWriter, Read, Write};
+use std::io::{self, BufReader, BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::Path;
 
 /// The four magic bytes opening every index sidecar.
@@ -100,14 +100,19 @@ impl TraceIndex {
     /// extracted from the batch the frame encodes (the indexing writer
     /// and the decoding scan both land here, which is what makes their
     /// sidecars byte-identical).
-    pub(crate) fn push_frame_batch(&mut self, offset: u64, batch: &TraceBatch) {
+    pub(crate) fn push_frame_batch(
+        &mut self,
+        offset: u64,
+        batch: &TraceBatch,
+        builder: &mut PostingBuilder,
+    ) {
         debug_assert_eq!(self.postings.len(), self.entries.len(), "posting/frame misalignment");
         self.entries.push(IndexEntry {
             offset,
             first_record: self.total_records,
             records: batch.len() as u32,
         });
-        self.postings.push(FramePostings::from_batch(batch));
+        self.postings.push(builder.frame(batch));
         self.total_records += batch.len() as u64;
     }
 
@@ -160,6 +165,40 @@ impl TraceIndex {
             return None;
         }
         Some(self.entries.partition_point(|e| e.first_record + e.records as u64 <= record))
+    }
+
+    /// Whether this directory describes the whole of the trace stream in
+    /// `r`, `stream_len` bytes long: the frame header found at the last
+    /// entry's offset carries that entry's record count, and its payload
+    /// ends exactly at `stream_len` (an empty directory covers only an
+    /// empty stream — the file header alone). One frame-header read, no
+    /// payload touched: the cheap test that a sidecar still belongs to
+    /// the trace beside it, which a stream rewritten longer, appended to
+    /// or cut short inside its last frame fails.
+    pub fn covers<R: Read + Seek>(&self, mut r: R, stream_len: u64) -> io::Result<bool> {
+        let mut file_header = [0u8; 8];
+        if crate::codec::read_exact_or_eof(&mut r, &mut file_header)? < 8
+            || file_header[..4] != MAGIC
+        {
+            return Ok(false);
+        }
+        let hlen = match u32::from_le_bytes(file_header[4..8].try_into().unwrap()) {
+            crate::codec::FORMAT_VERSION_V1 => FRAME_HEADER_BYTES,
+            crate::FORMAT_VERSION => FRAME_HEADER_BYTES_V2,
+            _ => return Ok(false),
+        };
+        let Some(last) = self.entries.last() else {
+            return Ok(stream_len == 8);
+        };
+        let mut header = [0u8; FRAME_HEADER_BYTES_V2];
+        r.seek(SeekFrom::Start(last.offset))?;
+        if crate::codec::read_exact_or_eof(&mut r, &mut header[..hlen])? < hlen {
+            return Ok(false);
+        }
+        let records = u32::from_le_bytes(header[0..4].try_into().unwrap());
+        let len = u32::from_le_bytes(header[4..8].try_into().unwrap());
+        let frame_bytes = hlen as u64 + len as u64;
+        Ok(records == last.records && stream_len.checked_sub(last.offset) == Some(frame_bytes))
     }
 
     /// Builds the directory from a finished trace stream in one scan that
@@ -246,12 +285,13 @@ impl TraceIndex {
         let mut reader = crate::codec::TraceReader::new(r)?;
         let mut index = TraceIndex::new();
         let mut batch = TraceBatch::new();
+        let mut builder = PostingBuilder::default();
         loop {
             let offset = reader.offset();
             if !reader.read_chunk_into_batch(&mut batch)? {
                 return Ok(index);
             }
-            index.push_frame_batch(offset, &batch);
+            index.push_frame_batch(offset, &batch, &mut builder);
         }
     }
 

@@ -112,6 +112,305 @@ fn v2_posting_section_damage_is_rejected_structurally() {
     }
 }
 
+// --- hand-built sidecars: one per rejection reason -------------------
+
+fn varint(mut v: u64) -> Vec<u8> {
+    let mut out = Vec::new();
+    loop {
+        let b = (v & 0x7f) as u8;
+        v >>= 7;
+        if v == 0 {
+            out.push(b);
+            return out;
+        }
+        out.push(b | 0x80);
+    }
+}
+
+const RUNS: u8 = 0;
+const ARRAY: u8 = 1;
+const BITSET: u8 = 2;
+const PXOR: u8 = 3;
+
+/// One posting's wire bytes; `len` is the *declared* body length.
+fn posting_with_len(dim: u8, key: u64, card: u64, kind: u8, len: u64, body: &[u8]) -> Vec<u8> {
+    let mut out = vec![dim];
+    out.extend(varint(key));
+    out.extend(varint(card));
+    out.push(kind);
+    out.extend(varint(len));
+    out.extend_from_slice(body);
+    out
+}
+
+fn posting(dim: u8, key: u64, card: u64, kind: u8, body: &[u8]) -> Vec<u8> {
+    posting_with_len(dim, key, card, kind, body.len() as u64, body)
+}
+
+/// A frame section declaring `n` postings.
+fn section(n: u64, postings: &[Vec<u8>]) -> Vec<u8> {
+    let mut out = varint(n);
+    out.extend(postings.concat());
+    out
+}
+
+/// A v2 sidecar over frames of the given record counts, checksum valid,
+/// so only structural validation stands between it and the caller.
+fn sidecar(frames: &[u32], sections: &[u8]) -> Vec<u8> {
+    let mut body = Vec::new();
+    for (i, records) in frames.iter().enumerate() {
+        body.extend_from_slice(&(8 + 100 * i as u64).to_le_bytes());
+        body.extend_from_slice(&records.to_le_bytes());
+    }
+    body.extend_from_slice(&(sections.len() as u64).to_le_bytes());
+    body.extend_from_slice(sections);
+    let mut out = b"IGMX".to_vec();
+    out.extend_from_slice(&INDEX_VERSION_V2.to_le_bytes());
+    out.extend_from_slice(&(frames.len() as u64).to_le_bytes());
+    out.extend_from_slice(&body);
+    out.extend_from_slice(&checksum(&body).to_le_bytes());
+    out
+}
+
+fn rejection(sidecar: &[u8]) -> &'static str {
+    match TraceIndex::load(sidecar) {
+        Err(TraceError::Corrupt { reason, .. }) => reason,
+        Ok(_) => "(loaded)",
+        Err(e) => panic!("unexpected error kind: {e:?}"),
+    }
+}
+
+/// A bitset body over `records` records with the given bits set.
+fn bitset(records: u32, bits: &[u32]) -> Vec<u8> {
+    let mut body = vec![0u8; records.div_ceil(8) as usize];
+    for b in bits {
+        body[(b / 8) as usize] |= 1 << (b % 8);
+    }
+    body
+}
+
+/// A periodic-XOR body: the period, then the diff positions as gaps.
+fn pxor(period: u64, diffs: &[u64]) -> Vec<u8> {
+    let mut body = varint(period);
+    let mut next_min = 0;
+    for d in diffs {
+        body.extend(varint(d - next_min));
+        next_min = d + 1;
+    }
+    body
+}
+
+/// Every reason a posting section can be refused for, each reached by a
+/// sidecar built by hand for it (frames of 100 records; checksums
+/// valid). The reasons are part of the format's contract: the lake
+/// reports them for skipped artifacts, and the word-kernel validation
+/// must give the reason the element walk gave.
+#[test]
+fn every_posting_rejection_keeps_its_reason() {
+    const R: u32 = 100;
+    let one = |p: Vec<u8>| sidecar(&[R], &section(1, &[p]));
+    let cases: Vec<(&str, Vec<u8>, &str)> = vec![
+        // Section structure.
+        ("count varint cut short", sidecar(&[R], &[0x80]), "posting section truncated"),
+        (
+            "count past the section",
+            sidecar(&[R], &varint(1000)),
+            "posting count larger than section",
+        ),
+        (
+            "second posting missing",
+            sidecar(&[R], &section(2, &[posting(0, 1, 1, ARRAY, &[5])])),
+            "posting section truncated",
+        ),
+        ("dimension 9", one(posting(9, 1, 1, ARRAY, &[5])), "unknown posting dimension"),
+        ("key above u32", one(posting(0, 1 << 32, 1, ARRAY, &[5])), "posting key out of range"),
+        ("cardinality zero", one(posting(0, 1, 0, ARRAY, &[])), "posting cardinality out of range"),
+        (
+            "cardinality above records",
+            one(posting(0, 1, 101, ARRAY, &[5])),
+            "posting cardinality out of range",
+        ),
+        ("container kind 4", one(posting(0, 1, 1, 4, &[5])), "unknown posting container kind"),
+        (
+            "body length wraps",
+            one(posting_with_len(0, 1, 1, ARRAY, u64::MAX, &[5])),
+            "posting body length overflow",
+        ),
+        (
+            "body longer than the section",
+            one(posting_with_len(0, 1, 1, ARRAY, 50, &[5, 5])),
+            "posting body past section end",
+        ),
+        (
+            "same key twice",
+            sidecar(
+                &[R],
+                &section(2, &[posting(0, 1, 1, ARRAY, &[5]), posting(0, 1, 1, ARRAY, &[6])]),
+            ),
+            "postings not sorted by (dim, key)",
+        ),
+        // Varint containers: the element walk.
+        ("array runs dry", one(posting(0, 1, 3, ARRAY, &[1, 1])), "malformed posting container"),
+        (
+            "array gap cut short",
+            one(posting(0, 1, 1, ARRAY, &[0x80])),
+            "malformed posting container",
+        ),
+        (
+            "array index above u32",
+            one(posting(0, 1, 1, ARRAY, &varint(1 << 32))),
+            "malformed posting container",
+        ),
+        (
+            "array index past frame",
+            one(posting(0, 1, 1, ARRAY, &varint(100))),
+            "posting index past frame records",
+        ),
+        (
+            "array index u32::MAX",
+            one(posting(0, 1, 1, ARRAY, &varint(u32::MAX as u64))),
+            "posting index past frame records",
+        ),
+        ("runs cut short", one(posting(0, 1, 2, RUNS, &[5, 1])), "malformed posting container"),
+        (
+            "run walks past frame",
+            one(posting(0, 1, 3, RUNS, &[98, 2, 0])),
+            "posting index past frame records",
+        ),
+        (
+            "run step wraps below its start",
+            one(posting(0, 1, 2, RUNS, &[vec![5, 1], varint(u32::MAX as u64 - 3)].concat())),
+            "posting indices not strictly ascending",
+        ),
+        // Bitset: popcounts.
+        (
+            "bitset short of bits",
+            one(posting(0, 1, 3, BITSET, &bitset(R, &[4, 70]))),
+            "malformed posting container",
+        ),
+        (
+            "bitset bit past frame",
+            one(posting(0, 1, 1, BITSET, &bitset(R, &[101]))),
+            "posting index past frame records",
+        ),
+        (
+            "bitset past-frame bit before it runs dry",
+            one(posting(0, 1, 3, BITSET, &bitset(R, &[4, 102]))),
+            "posting index past frame records",
+        ),
+        // Periodic-XOR: header, diff list, reconstructed popcount.
+        (
+            "pxor period zero",
+            one(posting(0, 1, 1, PXOR, &pxor(0, &[3]))),
+            "malformed posting container",
+        ),
+        (
+            "pxor period not below records",
+            one(posting(0, 1, 1, PXOR, &pxor(100, &[3]))),
+            "malformed posting container",
+        ),
+        (
+            "pxor period above 4096",
+            sidecar(&[5000], &section(1, &[posting(0, 1, 1, PXOR, &pxor(4097, &[3]))])),
+            "malformed posting container",
+        ),
+        (
+            "pxor diff past frame",
+            one(posting(0, 1, 10, PXOR, &pxor(10, &[3, 100]))),
+            "malformed posting container",
+        ),
+        (
+            "pxor gap cut short",
+            one(posting(0, 1, 10, PXOR, &[10, 0x83])),
+            "malformed posting container",
+        ),
+        (
+            "pxor short of bits",
+            one(posting(0, 1, 11, PXOR, &pxor(10, &[3]))),
+            "malformed posting container",
+        ),
+        // Around the sections.
+        ("frame of zero records", sidecar(&[0], &section(0, &[])), "index entry with zero records"),
+        (
+            "bytes after the last section",
+            sidecar(&[R], &[section(0, &[]), vec![0]].concat()),
+            "trailing bytes after last posting section",
+        ),
+    ];
+    for (what, bytes, reason) in &cases {
+        assert_eq!(rejection(bytes), *reason, "{what}");
+    }
+    // Envelope damage, by cutting and flipping a sound sidecar.
+    let sound = one(posting(0, 1, 10, PXOR, &pxor(10, &[3])));
+    assert_eq!(rejection(&sound[..sound.len() - 2]), "index sidecar truncated");
+    assert_eq!(rejection(&sound[..30]), "index sidecar truncated");
+    let mut bad = sound.clone();
+    *bad.last_mut().unwrap() ^= 1;
+    assert_eq!(rejection(&bad), "index sidecar checksum mismatch");
+    bad = sound.clone();
+    bad[0] = b'Z';
+    assert_eq!(rejection(&bad), "not an igm trace index (bad magic)");
+
+    // Control: sound hand-built containers of every kind load, and
+    // iterate to the sets they were built from.
+    let every_tenth: Vec<u32> = (0..10).map(|i| 3 + 10 * i).collect();
+    let sections = section(
+        4,
+        &[
+            posting(0, 1, 10, PXOR, &pxor(10, &[3])),
+            posting(0, 2, 10, RUNS, &[3, 9, 9]),
+            posting(0, 3, 10, BITSET, &bitset(R, &every_tenth)),
+            posting(0, 4, 2, ARRAY, &[3, 9]),
+        ],
+    );
+    let index = TraceIndex::load(&sidecar(&[R], &sections)[..]).unwrap();
+    let postings = index.frame_postings()[0].postings();
+    for p in &postings[..3] {
+        assert_eq!(p.iter().map(|v| v.unwrap()).collect::<Vec<_>>(), every_tenth, "{}", p.key);
+    }
+    assert_eq!(postings[3].iter().map(|v| v.unwrap()).collect::<Vec<_>>(), vec![3, 13]);
+}
+
+/// Where the popcount validation is *stricter* than the element walk it
+/// replaced: the walk stopped after `cardinality` elements and never
+/// looked at the rest of a word-shaped body, so surplus bits and
+/// off-length bitsets loaded. No writer produces them; they are refused
+/// now, so a loaded bitmap always has exactly the declared bits.
+#[test]
+fn surplus_bits_and_off_length_bitsets_are_refused() {
+    const R: u32 = 100;
+    let one = |p: Vec<u8>| sidecar(&[R], &section(1, &[p]));
+    for (what, bytes, reason) in [
+        (
+            "bitset with a second bit",
+            one(posting(0, 1, 1, BITSET, &bitset(R, &[4, 70]))),
+            "posting cardinality mismatch",
+        ),
+        (
+            "bitset with a surplus bit past the frame",
+            one(posting(0, 1, 1, BITSET, &bitset(R, &[4, 101]))),
+            "posting index past frame records",
+        ),
+        (
+            "bitset a byte short",
+            one(posting(0, 1, 1, BITSET, &bitset(R, &[4])[..12])),
+            "malformed posting container",
+        ),
+        (
+            "bitset a byte long",
+            one(posting(0, 1, 1, BITSET, &bitset(R + 8, &[4]))),
+            "malformed posting container",
+        ),
+        (
+            "pxor with more bits than declared",
+            one(posting(0, 1, 9, PXOR, &pxor(10, &[3]))),
+            "posting cardinality mismatch",
+        ),
+    ] {
+        assert_eq!(rejection(&bytes), reason, "{what}");
+    }
+}
+
 /// A directory-only index still writes the v1 format, and v1 sidecars
 /// (whatever produced them) still load — read-compat for every sidecar
 /// written before postings existed.
