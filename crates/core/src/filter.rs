@@ -210,8 +210,21 @@ impl IdempotentFilter {
         }
     }
 
+    /// The set `key` lives in. A one-set filter (every fully associative
+    /// geometry, the paper's included) needs no hash at all; otherwise the
+    /// set count is a power of two whenever the geometry came through
+    /// [`IfGeometry::set_associative`] or the wire decoder, and the mask
+    /// then picks the same set the modulo would.
+    #[inline]
     fn set_index(&self, key: &LineKey) -> usize {
-        (key.hash() % self.sets.len() as u64) as usize
+        let sets = self.sets.len();
+        if sets == 1 {
+            0
+        } else if sets.is_power_of_two() {
+            (key.hash() & (sets as u64 - 1)) as usize
+        } else {
+            (key.hash() % sets as u64) as usize
+        }
     }
 
     /// Runs one event through the filter with its ETCT configuration.
@@ -385,6 +398,27 @@ mod tests {
             }
         }
         assert!(filtered <= 4);
+    }
+
+    #[test]
+    fn set_placement_equals_hash_modulo_sets() {
+        // Power-of-two set counts (masked), a hand-built non-power-of-two
+        // one (modulo) and the one-set geometries (no hash) all place a
+        // line where `hash % sets` would.
+        let geometries = [
+            IfGeometry::isca08(),
+            IfGeometry::fully_associative(48),
+            IfGeometry::set_associative(64, 4),
+            IfGeometry::set_associative(8, 1),
+            IfGeometry { entries: 48, ways: 4 },
+        ];
+        for g in geometries {
+            let f = IdempotentFilter::new(g);
+            for i in 0..512u32 {
+                let key = LineKey::build(i, &read(i.wrapping_mul(0x9e37_79b9)), &cfg_addr(i as u8));
+                assert_eq!(f.set_index(&key) as u64, key.hash() % g.sets() as u64, "{g}");
+            }
+        }
     }
 
     #[test]

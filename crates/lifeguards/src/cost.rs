@@ -26,16 +26,34 @@ pub const MISS_HANDLER_INSTRS: u32 = 20;
 pub const NLBA_INSTRS: u32 = 1;
 
 /// Per-event cost accumulator, reused across events.
+///
+/// Two kinds exist. A *recording* sink ([`CostSink::new`]) keeps the
+/// instruction count and every metadata virtual address: the timing model
+/// (`igm_sim::Simulator`), the figure binaries and the cost-comparing tests
+/// read them back. A *discarding* sink ([`CostSink::discarding`]) is for the
+/// functional paths that only want verdicts (`igm_sim::Monitor`, pool
+/// sessions, epoch spines and jobs, lake replay): [`CostSink::instr`] and
+/// [`CostSink::mem`] do nothing, and [`MetaMap::map`] skips the M-TLB lookup
+/// and the address arithmetic whose only consumer is the timing model. What
+/// the handlers *do* — shadow reads and writes, chunk allocation order,
+/// violations — is the same under both.
 #[derive(Debug, Default, Clone)]
 pub struct CostSink {
     instrs: u64,
     mem_vas: Vec<u32>,
+    discard: bool,
 }
 
 impl CostSink {
-    /// A fresh sink.
+    /// A fresh recording sink.
     pub fn new() -> CostSink {
         CostSink::default()
+    }
+
+    /// A sink that drops every charge: [`CostSink::instrs`] stays zero and
+    /// [`CostSink::mem_vas`] stays empty.
+    pub fn discarding() -> CostSink {
+        CostSink { discard: true, ..CostSink::default() }
     }
 
     /// Resets the sink for the next event.
@@ -47,7 +65,9 @@ impl CostSink {
     /// Charges `n` handler instructions.
     #[inline]
     pub fn instr(&mut self, n: u32) {
-        self.instrs += n as u64;
+        if !self.discard {
+            self.instrs += n as u64;
+        }
     }
 
     /// Records a metadata memory reference at lifeguard virtual address
@@ -55,7 +75,9 @@ impl CostSink {
     /// instruction itself must be charged separately).
     #[inline]
     pub fn mem(&mut self, va: u32) {
-        self.mem_vas.push(va);
+        if !self.discard {
+            self.mem_vas.push(va);
+        }
     }
 
     /// Instructions charged so far.
@@ -112,7 +134,16 @@ impl MetaMap {
     /// charging mapping cost: one `lma` instruction (plus the miss handler
     /// on a miss) with the M-TLB, or the five-instruction software walk
     /// with its level-1 table load without.
+    ///
+    /// Under a [discarding](CostSink::discarding) sink nobody reads the
+    /// translation, so the M-TLB and the element arithmetic are skipped: the
+    /// covering chunk is still touched (first-touch allocation order and
+    /// [`MetaMap::metadata_bytes`] stay exact) and the returned address is
+    /// the chunk's base, good only for handing back to [`CostSink::mem`].
     pub fn map(&mut self, app_addr: u32, cost: &mut CostSink) -> u32 {
+        if cost.discard {
+            return self.shadow.chunk_base_va(app_addr);
+        }
         match &mut self.mtlb {
             Some(tlb) => {
                 cost.instr(1); // the lma instruction itself
@@ -188,6 +219,38 @@ mod tests {
         let mut hw = map_with(Some(16));
         let _warm = handler(&mut hw); // cold
         assert_eq!(handler(&mut hw), 4); // Figure 7 right: 4 instructions
+    }
+
+    #[test]
+    fn discarding_sink_drops_charges_but_still_touches_chunks() {
+        for mtlb in [None, Some(16)] {
+            let mut recorded = map_with(mtlb);
+            let mut discarded = map_with(mtlb);
+            let mut rec = CostSink::new();
+            let mut dis = CostSink::discarding();
+            // Two chunks, first-touch order b3fb then 0804, one re-touch.
+            for addr in [0xb3fb_703a, 0x0804_8000, 0xb3fb_0000] {
+                let va = recorded.map(addr, &mut rec);
+                rec.mem(va);
+                let va = discarded.map(addr, &mut dis);
+                dis.instr(3);
+                dis.mem(va);
+            }
+            assert!(rec.instrs() > 0 && !rec.mem_vas().is_empty());
+            assert_eq!(dis.instrs(), 0);
+            assert!(dis.mem_vas().is_empty());
+            assert_eq!(discarded.metadata_bytes(), recorded.metadata_bytes());
+            for addr in [0xb3fb_703a, 0x0804_8000] {
+                assert_eq!(
+                    discarded.shadow().chunk_base_va_if_present(addr),
+                    recorded.shadow().chunk_base_va_if_present(addr),
+                    "chunks allocate in the same order under both sinks"
+                );
+            }
+            if let Some(tlb) = discarded.mtlb() {
+                assert_eq!(tlb.stats().lookups, 0, "the M-TLB is not consulted");
+            }
+        }
     }
 
     #[test]

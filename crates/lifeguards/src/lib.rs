@@ -14,7 +14,9 @@
 //! instruction counts and metadata memory references through a
 //! [`CostSink`], which is what the timing model consumes. Handler costs are
 //! calibrated against the paper's Figure 7 listing (8 instructions for the
-//! two-level TaintCheck handler, 4 with `LMA`).
+//! two-level TaintCheck handler, 4 with `LMA`). Callers that only want the
+//! verdicts hand the handlers a [`CostSink::discarding`] sink and skip the
+//! accounting.
 
 pub mod addrcheck;
 pub mod cost;
@@ -212,7 +214,9 @@ pub trait Lifeguard {
     /// lifeguard loads into the ETCT.
     fn etct(&self) -> Etct;
 
-    /// Handles one delivered event, accumulating handler cost into `cost`.
+    /// Handles one delivered event, accumulating handler cost into `cost`
+    /// (nothing, under a [`CostSink::discarding`] sink — verdicts and
+    /// metadata are the same either way).
     /// The `nlba` dispatch instruction is charged by the caller.
     fn handle(&mut self, ev: &DeliveredEvent, cost: &mut CostSink);
 

@@ -66,15 +66,27 @@ pub enum EventKind {
     },
     /// A hot session switched to intra-session epoch pipelining: the
     /// worker now runs an update-only spine and streams snapshot-check
-    /// epoch jobs to the pool.
+    /// epoch jobs to the pool. The fields after `tenant` are what the
+    /// decision saw.
     PipelineEnter {
         /// The session that went hot.
         session: u64,
         /// Tenant label.
         tenant: String,
+        /// Compressed-record bytes buffered in the session's log channel.
+        channel_used_bytes: u32,
+        /// The channel's capacity in the same unit.
+        channel_capacity_bytes: u32,
+        /// Consecutive pump turns the channel had been at least half full.
+        hot_turns: u32,
+        /// Other workers parked on their doorbells (idle capacity).
+        parked_workers: usize,
+        /// Records/s the session sustained on the plain path over those
+        /// hot turns (0 when entry was forced and nothing was measured).
+        plain_rate: u64,
     },
     /// A pipelined session's backlog drained; it returned to plain
-    /// sequential pumping.
+    /// sequential pumping, every shipped epoch merged.
     PipelineExit {
         /// The session.
         session: u64,
@@ -82,6 +94,10 @@ pub enum EventKind {
         tenant: String,
         /// Epoch jobs shipped during this pipelined stretch.
         epochs: u64,
+        /// Records/s emitted by the stretch's epoch jobs over its wall
+        /// time, entry to exit — to be read against the `plain_rate` of
+        /// the matching [`EventKind::PipelineEnter`].
+        stretch_rate: u64,
     },
     /// A lifeguard reported a violation.
     Violation {

@@ -293,14 +293,30 @@ impl EventsSnapshot {
                         json_str(reason)
                     );
                 }
-                EventKind::PipelineEnter { session, tenant } => {
-                    let _ =
-                        write!(out, ", \"session\": {session}, \"tenant\": {}", json_str(tenant));
-                }
-                EventKind::PipelineExit { session, tenant, epochs } => {
+                EventKind::PipelineEnter {
+                    session,
+                    tenant,
+                    channel_used_bytes,
+                    channel_capacity_bytes,
+                    hot_turns,
+                    parked_workers,
+                    plain_rate,
+                } => {
                     let _ = write!(
                         out,
-                        ", \"session\": {session}, \"tenant\": {}, \"epochs\": {epochs}",
+                        ", \"session\": {session}, \"tenant\": {}, \
+                         \"channel_used_bytes\": {channel_used_bytes}, \
+                         \"channel_capacity_bytes\": {channel_capacity_bytes}, \
+                         \"hot_turns\": {hot_turns}, \"parked_workers\": {parked_workers}, \
+                         \"plain_rate\": {plain_rate}",
+                        json_str(tenant)
+                    );
+                }
+                EventKind::PipelineExit { session, tenant, epochs, stretch_rate } => {
+                    let _ = write!(
+                        out,
+                        ", \"session\": {session}, \"tenant\": {}, \"epochs\": {epochs}, \
+                         \"stretch_rate\": {stretch_rate}",
                         json_str(tenant)
                     );
                 }

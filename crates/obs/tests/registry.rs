@@ -124,11 +124,33 @@ fn events_through_registry() {
         peer: "10.0.0.9:1234".into(),
         reason: "bad magic".into(),
     });
+    // A pipelining decision carries its inputs, an exit the stretch's rate.
+    registry.events().record(EventKind::PipelineEnter {
+        session: 7,
+        tenant: "hot".into(),
+        channel_used_bytes: 49_152,
+        channel_capacity_bytes: 65_536,
+        hot_turns: 3,
+        parked_workers: 2,
+        plain_rate: 21_000_000,
+    });
+    registry.events().record(EventKind::PipelineExit {
+        session: 7,
+        tenant: "hot".into(),
+        epochs: 5,
+        stretch_rate: 9_500_000,
+    });
     let snap = registry.events().since(0);
-    assert_eq!(snap.events.len(), 1);
+    assert_eq!(snap.events.len(), 3);
     let json = snap.to_json();
     assert!(json.contains("\"handshake_reject\""));
     assert!(json.contains("\"bad magic\""));
+    assert!(json.contains(
+        "\"kind\": \"pipeline_enter\", \"session\": 7, \"tenant\": \"hot\", \
+         \"channel_used_bytes\": 49152, \"channel_capacity_bytes\": 65536, \"hot_turns\": 3, \
+         \"parked_workers\": 2, \"plain_rate\": 21000000}"
+    ));
+    assert!(json.contains("\"epochs\": 5, \"stretch_rate\": 9500000}"));
 }
 
 proptest! {

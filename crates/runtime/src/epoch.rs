@@ -203,7 +203,7 @@ fn run_parallel(
     let mut spine = Spine {
         lifeguard,
         pipeline,
-        cost: CostSink::new(),
+        cost: CostSink::discarding(),
         events: EventBuf::new(),
         updates: Vec::new(),
     };

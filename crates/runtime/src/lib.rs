@@ -33,9 +33,10 @@
 //!   and park counters, a lifecycle-event ring, all scrapeable live via
 //!   [`MonitorPool::serve_stats`]. A single hot session no longer caps
 //!   out at one worker's throughput: when its channel stays
-//!   byte-saturated the pool switches it to **intra-session epoch
-//!   pipelining** ([`pool::PipelineMode`]) — the owning worker runs an
-//!   update-only spine (per-lifeguard check elision,
+//!   byte-saturated *and another worker sits parked*, the pool switches
+//!   it to **intra-session epoch pipelining** ([`pool::PipelineMode`]) —
+//!   the owning worker runs an update-only spine (per-lifeguard check
+//!   elision,
 //!   [`igm_lifeguards::LifeguardKind::spine_elides`]) and streams
 //!   snapshot-check epoch jobs through the shared injector, emitting
 //!   violations in epoch order so the observable sequence is identical
@@ -74,6 +75,7 @@
 //! ```
 
 pub mod epoch;
+mod gate;
 pub mod pool;
 pub mod spsc;
 pub mod stats;

@@ -33,8 +33,9 @@
 //!
 //! **Intra-session epoch pipelining** breaks the one-session-one-worker
 //! wall for a *hot* tenant: when a session's log channel stays at least
-//! half full for a few consecutive pump turns (or always, under
-//! [`PipelineMode::Always`]), its owner switches to an update-only spine —
+//! half full for a few consecutive pump turns while another worker sits
+//! parked (or always, under [`PipelineMode::Always`]), its owner switches
+//! to an update-only spine —
 //! events the lifeguard's [`LifeguardKind::spine_elides`] mask marks
 //! metadata-pure are skipped — and accumulates the drained record batches
 //! into epochs that ship through the shared injector as [`EpochJob`]s.
@@ -45,6 +46,7 @@
 //! backlog drains the session drops back to plain pumping.
 
 use crate::epoch::EpochConfig;
+use crate::gate::{self, Entry};
 use crate::spsc::{
     log_channel_with, ChannelObs, ChannelStatsSnapshot, LogConsumer, LogProducer, SendError,
 };
@@ -69,7 +71,10 @@ use std::time::{Duration, Instant};
 /// Pool construction parameters.
 #[derive(Debug, Clone)]
 pub struct PoolConfig {
-    /// Worker (lifeguard shard) threads.
+    /// Worker (lifeguard shard) threads. Defaults to the host's
+    /// [`available_parallelism`](std::thread::available_parallelism)
+    /// clamped to `1..=4`: workers beyond the cores only park, and a parked
+    /// worker reads as idle capacity to [`PipelineMode::Auto`].
     pub workers: usize,
     /// Per-session log channel capacity in compressed-record bytes
     /// (defaults to the paper's 64 KB buffer).
@@ -100,11 +105,22 @@ pub struct PoolConfig {
 /// When a session switches to intra-session epoch pipelining.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PipelineMode {
-    /// Pipeline a session while its log channel runs hot (at least half
-    /// full for [`HOT_TURNS_TO_PIPELINE`] consecutive pump turns) and its
-    /// lifeguard's spine can elide something
-    /// ([`LifeguardKind::spine_elides_any`]); drop back once the backlog
-    /// drains. The default.
+    /// Pipeline a hot session only into idle capacity. Pipelining replays
+    /// every record a second time, so it needs a worker that would
+    /// otherwise idle. A session whose lifeguard's spine can elide
+    /// something ([`LifeguardKind::spine_elides_any`]) and whose log
+    /// channel has been at least half full for a few consecutive pump
+    /// turns enters only if another worker is parked on its doorbell at
+    /// that moment — never on a one-worker pool, nor while every worker is
+    /// busy with its own tenants — and drops back once the backlog drains.
+    /// Whichever way the decision falls, the session's violations and
+    /// `DispatchStats` are those of sequential monitoring. The decision's
+    /// inputs and the two rates (plain just before entry, the stretch's
+    /// own) land in the event ring (`pipeline_enter`, `pipeline_exit`);
+    /// declined opportunities count into
+    /// `igm_epoch_pipeline_declined_total{reason}`. A stretch is not yet
+    /// ended early when it measures slower than plain pumping: no measured
+    /// workload supports such a rule. The default.
     #[default]
     Auto,
     /// Pipeline every session from its first record, whatever the
@@ -117,7 +133,7 @@ pub enum PipelineMode {
 impl Default for PoolConfig {
     fn default() -> PoolConfig {
         PoolConfig {
-            workers: 4,
+            workers: std::thread::available_parallelism().map_or(1, |n| n.get()).clamp(1, 4),
             channel_capacity_bytes: igm_lba::buffer::DEFAULT_CAPACITY_BYTES,
             // A quarter of the 64 KB buffer per producer-side chunk: on the
             // batch-grain hot path the per-chunk costs (channel lock, wake,
@@ -428,6 +444,13 @@ struct PoolShared {
     /// `igm_epoch_backlog_records`: records accepted by pipelined spines
     /// but not yet emitted by their epoch jobs.
     epoch_backlog: Gauge,
+    /// `igm_epoch_pipeline_declined_total{reason="no_idle_worker"}`: hot
+    /// sessions [`PipelineMode::Auto`] left on the plain path because no
+    /// other worker was parked.
+    declined_no_idle_worker: Counter,
+    /// `igm_pool_parked_workers`: workers parked on their doorbells — the
+    /// idle capacity [`PipelineMode::Auto`] pipelines into.
+    parked: Gauge,
     /// `igm_epoch_journal_checks_total{lifeguard=…}`, indexed in
     /// [`LifeguardKind::ALL`] order: spine-elided (journaled) events whose
     /// checks were deferred to epoch jobs.
@@ -483,6 +506,14 @@ impl PoolShared {
                 return;
             }
         }
+    }
+
+    /// Workers parked on their doorbells right now. Asked by a running
+    /// worker, so it counts *other* workers only. Racy by nature (a worker
+    /// may park or wake the next instant); the decision it feeds is
+    /// revisited every turn.
+    fn parked_workers(&self) -> usize {
+        usize::try_from(self.parked.value()).unwrap_or(0)
     }
 
     /// Wakes one worker, any worker (epoch jobs live in a shared injector
@@ -647,6 +678,12 @@ impl MonitorPool {
                 "igm_epoch_backlog_records",
                 "records accepted by pipelined spines but not yet emitted by epoch jobs",
             ),
+            declined_no_idle_worker: metrics.counter_with(
+                "igm_epoch_pipeline_declined_total",
+                "hot sessions the Auto gate left on the plain path",
+                &[("reason", gate::DECLINED_NO_IDLE_WORKER)],
+            ),
+            parked: metrics.gauge("igm_pool_parked_workers", "workers parked on their doorbells"),
             journal_counters,
             channel_obs,
             metrics,
@@ -716,7 +753,7 @@ impl MonitorPool {
             consumer,
             done: done_tx,
             opened: Instant::now(),
-            cost: CostSink::new(),
+            cost: CostSink::discarding(),
             events: EventBuf::new(),
             records: 0,
             violations: Vec::new(),
@@ -727,6 +764,7 @@ impl MonitorPool {
             pipeline_mode: self.pipeline_mode,
             epoch_cfg: self.epoch_cfg,
             hot_turns: 0,
+            hot_since: None,
             carried_budget: None,
             pipe: None,
         };
@@ -1068,6 +1106,10 @@ struct ActiveSession {
     /// Consecutive pump turns the log channel was at least half full (the
     /// [`PipelineMode::Auto`] trigger).
     hot_turns: u32,
+    /// When the current run of hot turns began and the record count then:
+    /// the plain rate `pipeline_enter` reports is measured from here to
+    /// the entry decision.
+    hot_since: Option<(Instant, u64)>,
     /// Last adaptive budget of the previous pipelined stretch, re-clamped
     /// on re-entry so a hot phase resumes near where it left off.
     carried_budget: Option<usize>,
@@ -1104,6 +1146,19 @@ struct PipelineState {
     rx: Receiver<EpochResult>,
     /// Reusable staging buffer for the spine's non-elided events.
     updates: Vec<igm_lba::DeliveredEvent>,
+    /// When the stretch began, and the records its epochs have emitted
+    /// since (the rate `pipeline_exit` reports).
+    entered: Instant,
+    emitted_records: u64,
+}
+
+/// What an entry decision saw (the payload of `pipeline_enter`).
+struct EntryInputs {
+    channel_used_bytes: u32,
+    channel_capacity_bytes: u32,
+    hot_turns: u32,
+    parked_workers: usize,
+    plain_rate: u64,
 }
 
 impl ActiveSession {
@@ -1120,8 +1175,10 @@ impl ActiveSession {
         worker: usize,
         ring: usize,
     ) -> usize {
-        if self.pipe.is_none() && self.should_enter_pipeline() {
-            self.enter_pipeline(shared);
+        if self.pipe.is_none() {
+            if let Some(inputs) = self.entry_decision(shared) {
+                self.enter_pipeline(shared, inputs);
+            }
         }
         if self.pipe.is_some() {
             self.pump_pipelined(max_batches, shared, stats)
@@ -1131,32 +1188,59 @@ impl ActiveSession {
     }
 
     /// Whether this pump turn should switch the session to the pipelined
-    /// path. Advances the [`PipelineMode::Auto`] hot-turn counter as a side
-    /// effect.
-    fn should_enter_pipeline(&mut self) -> bool {
-        match self.pipeline_mode {
-            PipelineMode::Never => false,
-            PipelineMode::Always => true,
-            PipelineMode::Auto => {
-                // Pipelining pays off only when the spine can elide work;
-                // a full-stream spine (LockSet) would just add replay on
-                // top of itself.
-                if !self.lifeguard_kind.spine_elides_any() {
-                    return false;
-                }
-                let used = u64::from(self.consumer.used_bytes());
-                let cap = u64::from(self.consumer.capacity_bytes());
-                if used * 2 >= cap {
-                    self.hot_turns += 1;
-                } else {
-                    self.hot_turns = 0;
-                }
-                self.hot_turns >= HOT_TURNS_TO_PIPELINE
+    /// path, and on what evidence. Under [`PipelineMode::Auto`] this
+    /// advances the hot-turn bookkeeping and counts declined opportunities
+    /// as a side effect; the verdict itself is [`gate::entry`]'s.
+    fn entry_decision(&mut self, shared: &PoolShared) -> Option<EntryInputs> {
+        if self.pipeline_mode == PipelineMode::Never {
+            return None;
+        }
+        let mut inputs = EntryInputs {
+            channel_used_bytes: self.consumer.used_bytes(),
+            channel_capacity_bytes: self.consumer.capacity_bytes(),
+            hot_turns: 0,
+            parked_workers: 0,
+            plain_rate: 0,
+        };
+        if self.pipeline_mode == PipelineMode::Always {
+            inputs.parked_workers = shared.parked_workers();
+            return Some(inputs);
+        }
+        // Pipelining pays off only when the spine can elide work; a
+        // full-stream spine (LockSet) would just add replay on top of
+        // itself.
+        if !self.lifeguard_kind.spine_elides_any() {
+            return None;
+        }
+        if u64::from(inputs.channel_used_bytes) * 2 < u64::from(inputs.channel_capacity_bytes) {
+            self.hot_turns = 0;
+            self.hot_since = None;
+            return None;
+        }
+        let (hot_from, records_then) =
+            *self.hot_since.get_or_insert_with(|| (Instant::now(), self.records));
+        self.hot_turns += 1;
+        inputs.hot_turns = self.hot_turns;
+        inputs.parked_workers = shared.parked_workers();
+        match gate::entry(inputs.hot_turns, inputs.parked_workers) {
+            Entry::Wait => None,
+            Entry::Decline => {
+                shared.declined_no_idle_worker.inc();
+                self.hot_turns = 0;
+                self.hot_since = None;
+                None
+            }
+            Entry::Enter => {
+                inputs.plain_rate = gate::records_per_sec(
+                    self.records - records_then,
+                    hot_from.elapsed().as_nanos() as u64,
+                );
+                Some(inputs)
             }
         }
     }
 
-    fn enter_pipeline(&mut self, shared: &PoolShared) {
+    fn enter_pipeline(&mut self, shared: &PoolShared, inputs: EntryInputs) {
         let budget = match self.carried_budget {
             // Re-entry: the carried budget must honor the configuration's
             // clamp from the very first epoch of the new stretch.
@@ -1183,25 +1267,36 @@ impl ActiveSession {
             tx,
             rx,
             updates: Vec::new(),
+            entered: Instant::now(),
+            emitted_records: 0,
         }));
         self.hot_turns = 0;
+        self.hot_since = None;
         shared.pipeline_active.add(1);
-        shared
-            .metrics
-            .events()
-            .record(EventKind::PipelineEnter { session: self.id, tenant: self.name.clone() });
+        shared.metrics.events().record(EventKind::PipelineEnter {
+            session: self.id,
+            tenant: self.name.clone(),
+            channel_used_bytes: inputs.channel_used_bytes,
+            channel_capacity_bytes: inputs.channel_capacity_bytes,
+            hot_turns: inputs.hot_turns,
+            parked_workers: inputs.parked_workers,
+            plain_rate: inputs.plain_rate,
+        });
     }
 
     fn exit_pipeline(&mut self, shared: &PoolShared) {
         let pipe = self.pipe.take().expect("exit_pipeline on a non-pipelined session");
         debug_assert_eq!(pipe.backlog, 0, "exited with unemitted records");
         self.carried_budget = Some(pipe.budget);
-        self.hot_turns = 0;
         shared.pipeline_active.sub(1);
         shared.metrics.events().record(EventKind::PipelineExit {
             session: self.id,
             tenant: self.name.clone(),
             epochs: pipe.next_index as u64,
+            stretch_rate: gate::records_per_sec(
+                pipe.emitted_records,
+                pipe.entered.elapsed().as_nanos() as u64,
+            ),
         });
     }
 
@@ -1345,6 +1440,7 @@ impl ActiveSession {
             let emitted: i64 = r.records.iter().map(|b| b.len() as i64).sum();
             pipe.backlog -= emitted;
             shared.epoch_backlog.sub(emitted);
+            pipe.emitted_records += emitted as u64;
             // Attribute record ids against the epoch's batches before
             // they recycle (the job echoed its first global sequence).
             let ids: Vec<Option<RecordId>> = r
@@ -1552,12 +1648,6 @@ impl ActiveSession {
 /// (fairness bound).
 const BATCHES_PER_TURN: usize = 4;
 
-/// Consecutive pump turns a session's log channel must be at least half
-/// full before [`PipelineMode::Auto`] switches it to the pipelined path —
-/// long enough that one bursty chunk train does not pay the snapshot cost,
-/// short enough that a genuinely hot tenant pipelines within a few turns.
-const HOT_TURNS_TO_PIPELINE: u32 = 3;
-
 /// How long an idle worker parks before re-polling anyway. Every
 /// producer-side state change rings the doorbell, so this is only a safety
 /// net and can be generous without adding latency.
@@ -1571,7 +1661,6 @@ const SPIN_PASSES: u32 = 8;
 /// Per-worker staging buffers for epoch jobs, allocated once per worker
 /// thread and reused across every job it serves (ROADMAP batch-path
 /// follow-on: no per-job `CostSink`/`EventBuf` reallocation).
-#[derive(Default)]
 struct EpochScratch {
     cost: CostSink,
     events: EventBuf,
@@ -1579,7 +1668,7 @@ struct EpochScratch {
 
 fn worker_main(idx: usize, shared: Arc<PoolShared>) {
     let mut idle_passes = 0u32;
-    let mut scratch = EpochScratch::default();
+    let mut scratch = EpochScratch { cost: CostSink::discarding(), events: EventBuf::new() };
     // This worker's counter clone: every handle claims its own stripe, so
     // the hot-path increments below never share a cache line with another
     // worker's.
@@ -1642,7 +1731,9 @@ fn worker_main(idx: usize, shared: Arc<PoolShared>) {
                 std::thread::yield_now();
             } else {
                 stats.parks.inc();
+                shared.parked.add(1);
                 shared.doorbells[idx].wait(seen, PARK_TIMEOUT);
+                shared.parked.sub(1);
             }
         }
     }
@@ -1859,3 +1950,6 @@ fn run_epoch_job(
         shared.ring_worker(home.load(Ordering::Relaxed));
     }
 }
+
+#[cfg(test)]
+mod tests;

@@ -34,7 +34,9 @@ impl<L: Lifeguard> Monitor<L> {
         Monitor {
             lifeguard,
             pipeline,
-            cost: CostSink::new(),
+            // Nothing here reads handler costs; `Simulator` is the path
+            // that feeds them to the timing model.
+            cost: CostSink::discarding(),
             events: EventBuf::new(),
             batch: TraceBatch::new(),
         }

@@ -5,7 +5,9 @@
 //! event sequence, identical `DispatchStats`, identical handler costs and
 //! identical violations as record-at-a-time `dispatch` (the PR 2 AoS
 //! path). The same property run also pins the `TraceBatch` round trip:
-//! `from_entries` → view iterator is the identity on every chunk.
+//! `from_entries` → view iterator is the identity on every chunk — and the
+//! discarding `CostSink`: the same batches handled under it yield the same
+//! violations and the same metadata footprint while recording nothing.
 
 use igm::accel::{AccelConfig, DispatchPipeline, ItConfig};
 use igm::isa::{Annotation, CtrlOp, JumpTarget, MemRef, MemSize, Reg, TraceEntry};
@@ -125,6 +127,10 @@ proptest! {
                 let mut events = EventBuf::new();
                 let mut delivered: Vec<DeliveredEvent> = Vec::new();
                 let mut columns = TraceBatch::new();
+                // The same delivered events again, costs discarded (what
+                // `Monitor` and the pool's sessions do).
+                let mut quiet_lifeguard = kind.build_any(&accel);
+                let mut quiet = CostSink::discarding();
                 for batch in trace.chunks(chunk) {
                     columns.clear();
                     columns.extend_entries(batch.iter().copied());
@@ -133,6 +139,7 @@ proptest! {
                     pipeline.dispatch_batch(&columns, &mut events);
                     prop_assert_eq!(events.records(), batch.len());
                     lifeguard.handle_batch(events.events(), &mut cost);
+                    quiet_lifeguard.handle_batch(events.events(), &mut quiet);
                     delivered.extend(events.events().iter().copied());
                 }
 
@@ -156,6 +163,16 @@ proptest! {
                     cost.mem_vas(), ref_cost.mem_vas(),
                     "{} / {}: handler metadata references diverged", kind, accel.label()
                 );
+                prop_assert_eq!(
+                    quiet_lifeguard.violations(), ref_lifeguard.violations(),
+                    "{} / {}: violations differ under the discarding sink", kind, accel.label()
+                );
+                prop_assert_eq!(
+                    quiet_lifeguard.metadata_bytes(), ref_lifeguard.metadata_bytes(),
+                    "{} / {}: metadata footprint differs under the discarding sink",
+                    kind, accel.label()
+                );
+                prop_assert!(quiet.instrs() == 0 && quiet.mem_vas().is_empty());
             }
         }
     }

@@ -5,11 +5,15 @@
 //! sequential `Monitor` over the same trace — for an elision-heavy
 //! lifeguard (AddrCheck), a cascade-suppressing one (MemCheck, whose
 //! check handlers mutate metadata) and one that elides nothing
-//! (LockSet) — across randomized worker counts and epoch budgets.
+//! (LockSet) — across randomized worker counts and epoch budgets. Under
+//! [`igm::runtime::PipelineMode::Auto`] the same holds whichever way the
+//! entry gate decides — and on a one-worker pool it must never decide to
+//! pipeline at all.
 
 use igm::accel::{AccelConfig, DispatchStats};
 use igm::isa::{Annotation, MemRef, OpClass, Reg, TraceEntry};
 use igm::lifeguards::{Lifeguard, LifeguardKind, Violation};
+use igm::obs::EventKind;
 use igm::runtime::{EpochConfig, MonitorPool, PipelineMode, PoolConfig, SessionConfig};
 use igm::sim::Monitor;
 use proptest::prelude::*;
@@ -65,6 +69,48 @@ fn sequential_reference(
     (violations, stats)
 }
 
+/// `(pipeline_enter, pipeline_exit)` events in the pool's ring.
+fn pipeline_events(pool: &MonitorPool) -> (usize, usize) {
+    let events = pool.events().since(0).events;
+    let count = |want: fn(&EventKind) -> bool| events.iter().filter(|e| want(&e.kind)).count();
+    (
+        count(|k| matches!(k, EventKind::PipelineEnter { .. })),
+        count(|k| matches!(k, EventKind::PipelineExit { .. })),
+    )
+}
+
+/// One worker has no idle capacity to pipeline into: however hot the
+/// channel runs, `Auto` must leave the session on the plain path — no
+/// `pipeline_enter`, no epoch job — and the report is the sequential
+/// monitor's.
+#[test]
+fn auto_never_pipelines_on_one_worker() {
+    for kind in [LifeguardKind::AddrCheck, LifeguardKind::MemCheck] {
+        let trace = planted_trace(kind, 40_000, 97, 7);
+        let (seq_violations, seq_dispatch) = sequential_reference(kind, &trace);
+        let pool = MonitorPool::new(PoolConfig {
+            workers: 1,
+            // A tiny channel and a producer that never pauses: the channel
+            // sits full, which is all the parent's `Auto` looked at.
+            channel_capacity_bytes: 2048,
+            chunk_bytes: 256,
+            pipeline: PipelineMode::Auto,
+            ..PoolConfig::default()
+        });
+        let session = pool.open_session(SessionConfig::new("hot", kind));
+        for chunk in trace.chunks(64) {
+            session.send_batch(chunk.to_vec()).unwrap();
+        }
+        let report = session.finish();
+        assert_eq!(pipeline_events(&pool), (0, 0), "{kind}: pipelined on a one-worker pool");
+        assert_eq!(pool.stats().epoch_jobs, 0, "{kind}");
+        assert_eq!(report.records, trace.len() as u64);
+        assert_eq!(report.violations, seq_violations, "{kind}");
+        assert_eq!(report.dispatch, seq_dispatch, "{kind}");
+        pool.shutdown();
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
@@ -117,10 +163,11 @@ proptest! {
         }
     }
 
-    /// Auto mode decides per session from live channel occupancy whether
-    /// to pipeline — and whichever way the race falls, results must equal
-    /// the sequential monitor, and the pipeline gauges must settle back
-    /// to zero once the session finishes.
+    /// Auto mode decides per session, from live channel occupancy and
+    /// parked workers, whether to pipeline — and whichever way the race
+    /// falls, results must equal the sequential monitor, every stretch
+    /// entered must have been exited, and the pipeline gauges must settle
+    /// back to zero once the session finishes.
     #[test]
     fn auto_mode_is_invisible_and_settles_gauges(
         workers in 1usize..=4,
@@ -147,6 +194,11 @@ proptest! {
         let report = session.finish();
         prop_assert_eq!(&report.violations, &seq_violations);
         prop_assert_eq!(&report.dispatch, &seq_dispatch);
+        let (entered, exited) = pipeline_events(&pool);
+        prop_assert_eq!(entered, exited, "a finished session has left every stretch it entered");
+        if workers == 1 {
+            prop_assert_eq!(entered, 0, "nothing is parked on a one-worker pool");
+        }
         for g in pool.metrics().snapshot().gauges {
             if g.name == "igm_epoch_pipeline_active" || g.name == "igm_epoch_backlog_records" {
                 prop_assert_eq!(g.value, 0, "{} must settle after finish", g.name);
