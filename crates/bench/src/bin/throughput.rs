@@ -436,7 +436,11 @@ fn run_dispatch_profile(n: u64) -> Vec<DispatchProfile> {
 
 /// One extraction-path comparison: records/sec through the AoS
 /// (`extract_batch_entries` / `dispatch_batch_entries`) and columnar
-/// (`extract_batch` / `dispatch_batch` over `TraceBatch`) pipelines.
+/// (`extract_batch` / `dispatch_batch` over `TraceBatch`) pipelines. For
+/// the dispatch stages the AoS column measures a front door, not a second
+/// pipeline: `dispatch_batch_entries` scatters the entries into a column
+/// arena and runs the columnar sweep, so the gap between the two columns
+/// is the cost of that scatter.
 struct ExtractionResult {
     stage: &'static str,
     aos_rec_per_sec: f64,
@@ -501,7 +505,8 @@ fn run_extraction(n: u64, reps: usize) -> Vec<ExtractionResult> {
         columnar_rec_per_sec: columnar,
     });
 
-    // Extraction + full dispatch (ETCT/IF gating) per lifeguard.
+    // Extraction + full dispatch (ETCT/IF gating) per lifeguard; the AoS
+    // side pays the entry → column scatter in front of the same sweep.
     for kind in [LifeguardKind::AddrCheck, LifeguardKind::TaintCheck] {
         let accel = igm_core::AccelConfig::baseline();
         let masked = kind.mask_config(&accel);

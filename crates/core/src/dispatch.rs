@@ -5,30 +5,43 @@
 //! `fetch & decompress` and `log record dispatch` components, extended with
 //! the IT and IF units proposed by the paper (dashed boxes).
 //!
-//! Stage order per record:
+//! The stages are one fused pass. [`igm_lba::sweep_batch`] walks a
+//! [`TraceBatch`]'s columns and hands each event to a sink at its emission
+//! site, where the event type is a compile-time constant and the payload is
+//! still unbuilt; the pipeline's sink runs every remaining stage right
+//! there, so nothing is staged between them. Per event, in order:
 //!
-//! 1. **Extraction** — the record expands into its events
-//!    ([`igm_lba::extract_events`]).
-//! 2. **Early gating** — check and annotation events whose type the
-//!    lifeguard never registered are dropped for free (`nlba` skips them).
-//!    Propagation events always enter IT (its table must observe every
-//!    data-flow instruction to stay coherent).
-//! 3. **Inheritance Tracking** — absorbs/transforms propagation events and
-//!    register-source checks; annotation records flush the table first
-//!    (their handlers may rewrite arbitrary metadata, invalidating lazy
-//!    inheritance).
-//! 4. **ETCT gating** — IT output events of unregistered types are dropped.
-//! 5. **Idempotent Filter** — invalidations and redundant-check filtering
+//! 1. **Extraction** — the sweep emits the record's events in canonical
+//!    order (checks before the propagation event).
+//! 2. **Inheritance Tracking**, when configured — propagation events always
+//!    enter IT (its table must observe every data-flow instruction to stay
+//!    coherent); source checks enter it only if the lifeguard registered
+//!    their type (the rest are dropped for free, as `nlba` skips them);
+//!    a registered annotation first flushes the table (its handler may
+//!    rewrite arbitrary metadata, invalidating lazy inheritance). IT
+//!    absorbs, transforms or multiplies events and emits what must go on
+//!    into the gate below, again naming each type statically.
+//! 3. **ETCT gating** — events of unregistered types are dropped, raw ones
+//!    before their payload is ever constructed.
+//! 4. **Idempotent Filter** — invalidations and redundant-check filtering
 //!    per the lifeguard's ETCT configuration.
-//! 6. **Delivery** — everything surviving reaches the lifeguard's handler.
+//! 5. **Delivery** — everything surviving is appended to the caller's
+//!    [`EventBuf`], one closed record per trace entry.
+//!
+//! [`DispatchPipeline::dispatch_batch`] is that pass.
+//! [`DispatchPipeline::dispatch_batch_entries`] and
+//! [`DispatchPipeline::dispatch`] are front doors for callers holding
+//! [`TraceEntry`] values (the co-simulator, the figure binaries, tests):
+//! they scatter the entries into a reused column arena and run the same
+//! pass, so there is one gate and one IT route whatever the caller holds.
 
 use crate::config::AccelConfig;
 use crate::filter::{IdempotentFilter, IfOutcome, IfStats};
 use crate::it::{InheritanceTracker, ItStats};
 use igm_isa::TraceEntry;
 use igm_lba::{
-    extract_batch, extract_batch_entries, sweep_batch, DeliveredEvent, Etct, EtctEntry, Event,
-    EventBuf, EventSink, EventType, TraceBatch, NUM_EVENT_TYPES,
+    sweep_batch, DeliveredEvent, Etct, Event, EventBuf, EventSink, EventType, TraceBatch,
+    NUM_EVENT_TYPES,
 };
 
 /// Aggregate pipeline counters.
@@ -96,8 +109,8 @@ pub struct DispatchPipeline {
     it: Option<InheritanceTracker>,
     filter: Option<IdempotentFilter>,
     stats: DispatchStats,
-    raw: EventBuf,
-    post_it: Vec<DeliveredEvent>,
+    /// Column arena the entry-slice front doors scatter into.
+    columns: TraceBatch,
     single: EventBuf,
 }
 
@@ -109,8 +122,7 @@ impl DispatchPipeline {
             it: cfg.it.map(InheritanceTracker::new),
             filter: cfg.if_geometry.map(IdempotentFilter::new),
             stats: DispatchStats::default(),
-            raw: EventBuf::with_capacity(8, 1),
-            post_it: Vec::with_capacity(8),
+            columns: TraceBatch::new(),
             single: EventBuf::with_capacity(8, 1),
         }
     }
@@ -136,142 +148,40 @@ impl DispatchPipeline {
     }
 
     /// Dispatches a whole columnar [`TraceBatch`] through
-    /// extraction → IT → ETCT gating → IF in one call, appending every
-    /// surviving event to `out` (cleared first; one closed [`EventBuf`]
-    /// record per trace entry).
+    /// extraction → IT → ETCT gating → IF in one fused column sweep,
+    /// appending every surviving event to `out` (cleared first; one closed
+    /// [`EventBuf`] record per trace entry).
     ///
-    /// This is the hot path: extraction sweeps the batch's columns
-    /// ([`igm_lba::extract_batch`]) and all staging buffers — the
-    /// extraction arena, the post-IT buffer and `out` itself — are reused
-    /// across batches, so steady-state dispatch performs no per-record heap
-    /// allocation.
+    /// This is the hot path, with or without accelerators: every stage runs
+    /// at the sweep's emission sites, where the event type is static, so
+    /// the ETCT test is one precomputed-row load per site, events nobody
+    /// registered are never constructed, and the only buffer written is
+    /// `out` itself — steady-state dispatch performs no heap allocation.
     pub fn dispatch_batch(&mut self, batch: &TraceBatch, out: &mut EventBuf) {
         out.clear();
         self.stats.records += batch.len() as u64;
-        if self.it.is_some() {
-            // Inheritance Tracking consumes the full raw event stream
-            // record-at-a-time (it may absorb, transform or flush), so the
-            // IT configurations extract into the staging arena first.
-            let mut raw = std::mem::take(&mut self.raw);
-            extract_batch(batch, &mut raw);
-            self.stats.events_extracted += raw.len() as u64;
-            self.gate_into(&raw, out);
-            self.raw = raw;
-        } else {
-            // Fused columnar path: ETCT gating (and the IF) run *inside*
-            // the column sweep. Every emission site knows its event type
-            // statically, so the gate is one precomputed-row test per
-            // site — no per-event type re-derivation, no staging arena,
-            // and events of unregistered types are dropped before their
-            // payloads are even constructed.
-            let mut sink = GateSink {
-                etct: &self.etct,
-                filter: self.filter.as_mut(),
-                stats: &mut self.stats,
-                out,
-            };
-            sweep_batch(batch, &mut sink);
+        let gate =
+            Gate { etct: &self.etct, filter: self.filter.as_mut(), stats: &mut self.stats, out };
+        match &mut self.it {
+            Some(it) => sweep_batch(batch, &mut ViaIt { it, gate }),
+            None => sweep_batch(batch, &mut Direct { gate }),
         }
     }
 
-    /// Dispatches a chunk still held as an array of structs — the
-    /// compatibility twin of [`DispatchPipeline::dispatch_batch`] for
-    /// callers without a [`TraceBatch`] at hand (and the AoS baseline the
-    /// throughput bench measures the columnar path against). Extraction
-    /// runs the per-record [`igm_lba::extract_batch_entries`] path; gating
-    /// and delivery are shared with the columnar path, so the two are
-    /// event-for-event and counter-for-counter identical.
+    /// Dispatches a chunk still held as an array of structs: the entries
+    /// are scattered into a reused column arena and take
+    /// [`DispatchPipeline::dispatch_batch`], so the two are event-for-event
+    /// and counter-for-counter identical.
     pub fn dispatch_batch_entries(&mut self, entries: &[TraceEntry], out: &mut EventBuf) {
-        out.clear();
-        self.stats.records += entries.len() as u64;
-        let mut raw = std::mem::take(&mut self.raw);
-        extract_batch_entries(entries, &mut raw);
-        self.stats.events_extracted += raw.len() as u64;
-        self.gate_into(&raw, out);
-        self.raw = raw;
-    }
-
-    /// The shared post-extraction stages: IT (when present), then ETCT
-    /// gating and the Idempotent Filter, record boundaries preserved.
-    fn gate_into(&mut self, raw: &EventBuf, out: &mut EventBuf) {
-        if self.it.is_some() {
-            let mut post_it = std::mem::take(&mut self.post_it);
-            for rec in raw.record_slices() {
-                post_it.clear();
-                for dev in rec.iter().copied() {
-                    match (&mut self.it, &dev.event) {
-                        (Some(it), Event::Annot(_)) => {
-                            if self.etct.is_registered(dev.event.event_type()) {
-                                // The annotation handler may rewrite metadata
-                                // arbitrarily: materialize all lazy inheritance
-                                // before it runs.
-                                it.flush_all(dev.pc, &mut post_it);
-                            }
-                            post_it.push(dev);
-                        }
-                        (Some(it), Event::Prop(_)) => it.process(dev.pc, dev.event, &mut post_it),
-                        (Some(it), Event::Check { .. }) => {
-                            // Register-source checks resolve through the IT
-                            // table, but only if the lifeguard cares about
-                            // this check kind.
-                            if self.etct.is_registered(dev.event.event_type()) {
-                                it.process(dev.pc, dev.event, &mut post_it);
-                            } else {
-                                self.stats.unregistered_dropped += 1;
-                            }
-                        }
-                        _ => post_it.push(dev),
-                    }
-                }
-                self.deliver(&post_it, out);
-                out.end_record();
-            }
-            self.post_it = post_it;
-        } else {
-            // Without IT the post-IT stage is the identity: gate straight
-            // off the extraction arena, no per-event copy through the
-            // staging buffer.
-            for rec in raw.record_slices() {
-                self.deliver(rec, out);
-                out.end_record();
-            }
-        }
-    }
-
-    /// ETCT gating + IF + delivery accounting for one record's events.
-    /// Extraction emits events of one type in runs (all of a record's
-    /// address checks, then its accesses, then its propagation event), so
-    /// the ETCT row is looked up once per run rather than once per event.
-    fn deliver(&mut self, evs: &[DeliveredEvent], out: &mut EventBuf) {
-        let mut run: Option<(EventType, EtctEntry)> = None;
-        for dev in evs.iter().copied() {
-            let et = dev.event.event_type();
-            let row = match run {
-                Some((run_et, row)) if run_et == et => row,
-                _ => {
-                    let row = *self.etct.entry(et);
-                    run = Some((et, row));
-                    row
-                }
-            };
-            if !row.registered {
-                self.stats.unregistered_dropped += 1;
-                continue;
-            }
-            if let Some(f) = &mut self.filter {
-                if f.process(dev.pc, &dev.event, &row.if_cfg) == IfOutcome::Filtered {
-                    self.stats.if_filtered += 1;
-                    continue;
-                }
-            }
-            self.stats.delivered += 1;
-            self.stats.delivered_by_type[et.index()] += 1;
-            out.push(dev);
-        }
+        let mut columns = std::mem::take(&mut self.columns);
+        columns.clear();
+        columns.extend_entries(entries.iter().copied());
+        self.dispatch_batch(&columns, out);
+        self.columns = columns;
     }
 
     /// Dispatches one log record, invoking `deliver` for every event that
-    /// survives the accelerators. Thin wrapper over the
+    /// survives the accelerators. Thin wrapper over
     /// [`DispatchPipeline::dispatch_batch_entries`] for record-at-a-time
     /// callers (the co-simulator, tests); streaming consumers should
     /// dispatch whole chunks instead.
@@ -285,22 +195,21 @@ impl DispatchPipeline {
     }
 }
 
-/// The fused ETCT/IF gate as a column-sweep sink (the no-IT hot path of
-/// [`DispatchPipeline::dispatch_batch`]): gating and delivery accounting
-/// happen at the emission sites of [`igm_lba::sweep_batch`], where the
-/// event type is a compile-time constant — the ETCT row lookup is a single
-/// indexed load per site and unregistered events are never constructed.
-struct GateSink<'a> {
+/// The ETCT gate, the Idempotent Filter and delivery accounting as an
+/// [`EventSink`]: what a raw event meets when there is no IT, and what IT
+/// emits into when there is. Its callers name the event type statically, so
+/// the ETCT row lookup is a single indexed load per emission site and
+/// unregistered events are never constructed.
+struct Gate<'a> {
     etct: &'a Etct,
     filter: Option<&'a mut IdempotentFilter>,
     stats: &'a mut DispatchStats,
     out: &'a mut EventBuf,
 }
 
-impl EventSink for GateSink<'_> {
+impl EventSink for Gate<'_> {
     #[inline(always)]
     fn event(&mut self, pc: u32, et: EventType, make: impl FnOnce() -> Event) {
-        self.stats.events_extracted += 1;
         let row = self.etct.entry(et);
         if !row.registered {
             self.stats.unregistered_dropped += 1;
@@ -321,6 +230,62 @@ impl EventSink for GateSink<'_> {
     #[inline(always)]
     fn end_record(&mut self) {
         self.out.end_record();
+    }
+}
+
+/// Sweep sink of the configurations without IT: every raw event goes
+/// straight to the gate.
+struct Direct<'a> {
+    gate: Gate<'a>,
+}
+
+impl EventSink for Direct<'_> {
+    #[inline(always)]
+    fn event(&mut self, pc: u32, et: EventType, make: impl FnOnce() -> Event) {
+        self.gate.stats.events_extracted += 1;
+        self.gate.event(pc, et, make);
+    }
+
+    #[inline(always)]
+    fn end_record(&mut self) {
+        self.gate.end_record();
+    }
+}
+
+/// Sweep sink of the IT configurations: raw events pass through
+/// Inheritance Tracking, which emits into the gate.
+struct ViaIt<'a> {
+    it: &'a mut InheritanceTracker,
+    gate: Gate<'a>,
+}
+
+impl EventSink for ViaIt<'_> {
+    #[inline(always)]
+    fn event(&mut self, pc: u32, et: EventType, make: impl FnOnce() -> Event) {
+        self.gate.stats.events_extracted += 1;
+        if et.is_propagation() {
+            self.it.process(pc, make(), &mut self.gate);
+        } else if et.is_annotation() {
+            if self.gate.etct.is_registered(et) {
+                // The annotation handler may rewrite metadata arbitrarily:
+                // materialize all lazy inheritance before it runs.
+                self.it.flush_all(pc, &mut self.gate);
+            }
+            self.gate.event(pc, et, make);
+        } else if matches!(et, EventType::MemRead | EventType::MemWrite) {
+            self.gate.event(pc, et, make);
+        } else if self.gate.etct.is_registered(et) {
+            // Register-source checks resolve through the IT table, but
+            // only if the lifeguard cares about this check kind.
+            self.it.process(pc, make(), &mut self.gate);
+        } else {
+            self.gate.stats.unregistered_dropped += 1;
+        }
+    }
+
+    #[inline(always)]
+    fn end_record(&mut self) {
+        self.gate.end_record();
     }
 }
 

@@ -111,42 +111,75 @@ impl IfStats {
     }
 }
 
-/// A cache line: the CC value plus the selected record-field values
-/// (unselected fields store as `None` and do not distinguish lines).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-struct LineKey {
-    cc: u8,
-    addr: Option<u32>,
-    size: Option<u8>,
-    pc: Option<u32>,
-    reg: Option<u8>,
-}
+/// A cache line's key packed into one integer: the CC value, the selected
+/// record-field values and one presence bit per field (an unselected field
+/// stores as zero with its presence bit clear, so it does not distinguish
+/// lines, while a selected field holding zero still does).
+///
+/// ```text
+///  bit 127   91..88     87..80  79..72  71..64  63..32  31..0
+/// +-------+----------+--------+-------+-------+-------+------+
+/// | empty | presence |   cc   |  reg  | size  |  pc   | addr |
+/// +-------+----------+--------+-------+-------+-------+------+
+/// ```
+///
+/// Two keys are the same line exactly when the integers are equal. Bit 127
+/// is never set in a real key; [`EMPTY`] uses it to mark a vacant way.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct LineKey(u128);
+
+/// The key stored in a way that holds no line.
+const EMPTY: LineKey = LineKey(1 << 127);
+
+const HAS_ADDR: u128 = 1 << 88;
+const HAS_SIZE: u128 = 1 << 89;
+const HAS_PC: u128 = 1 << 90;
+const HAS_REG: u128 = 1 << 91;
 
 impl LineKey {
+    #[inline]
     fn build(pc: u32, ev: &Event, cfg: &IfEventConfig) -> LineKey {
         let mref = ev.addr_field();
-        LineKey {
-            cc: cfg.cc,
-            addr: cfg.fields.addr.then(|| mref.map_or(0, |m| m.addr)),
-            size: cfg.fields.size.then(|| mref.map_or(0, |m| m.size.bytes() as u8)),
-            pc: cfg.fields.pc.then_some(pc),
-            reg: cfg.fields.reg.then(|| ev.reg_field().map_or(0xff, |r| r.index() as u8)),
+        let mut k = (cfg.cc as u128) << 80;
+        if cfg.fields.addr {
+            k |= HAS_ADDR | mref.map_or(0, |m| m.addr) as u128;
+        }
+        if cfg.fields.size {
+            k |= HAS_SIZE | (mref.map_or(0, |m| m.size.bytes() as u8) as u128) << 64;
+        }
+        if cfg.fields.pc {
+            k |= HAS_PC | (pc as u128) << 32;
+        }
+        if cfg.fields.reg {
+            k |= HAS_REG | (ev.reg_field().map_or(0xff, |r| r.index() as u8) as u128) << 72;
+        }
+        LineKey(k)
+    }
+
+    /// A selected field's value, or `u64::MAX` for an unselected one — the
+    /// words the line hash mixes.
+    #[inline]
+    fn field(self, has: u128, shift: u32, mask: u128) -> u64 {
+        if self.0 & has != 0 {
+            ((self.0 >> shift) & mask) as u64
+        } else {
+            u64::MAX
         }
     }
 
-    fn hash(&self) -> u64 {
-        // FNV-1a over the packed fields: a stand-in for the hardware's
-        // hash-of-the-entire-line indexing.
+    /// The hardware's hash of the entire line, which places a line in its
+    /// set: FNV-1a over the fields, then an avalanche.
+    fn hash(self) -> u64 {
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;
         let mut mix = |v: u64| {
             h ^= v;
             h = h.wrapping_mul(0x1000_0000_01b3);
         };
-        mix(self.cc as u64);
-        mix(self.addr.map_or(u64::MAX, |v| v as u64));
-        mix(self.size.map_or(u64::MAX, |v| v as u64));
-        mix(self.pc.map_or(u64::MAX, |v| v as u64));
-        mix(self.reg.map_or(u64::MAX, |v| v as u64));
+        mix(((self.0 >> 80) & 0xff) as u64);
+        mix(self.field(HAS_ADDR, 0, 0xffff_ffff));
+        mix(self.field(HAS_SIZE, 64, 0xff));
+        mix(self.field(HAS_PC, 32, 0xffff_ffff));
+        mix(self.field(HAS_REG, 72, 0xff));
         // Finalizer: FNV's low bits index the (few) sets, so avalanche
         // them (splitmix64 tail).
         h ^= h >> 30;
@@ -155,12 +188,33 @@ impl LineKey {
         h = h.wrapping_mul(0x94d0_49bb_1331_11eb);
         h ^ (h >> 31)
     }
+
+    /// Bucket of the key → way index (`shift` keeps the top
+    /// `log2(buckets)` bits of a multiplicative hash). Independent of the
+    /// set-placement hash: it only has to spread keys over buckets.
+    #[inline]
+    fn bucket(self, shift: u32) -> u32 {
+        // The high word holds 28 bits (size, reg, cc, presence): rotate it
+        // clear of the address before mixing.
+        let (lo, hi) = (self.0 as u64, (self.0 >> 64) as u64);
+        ((lo ^ hi.rotate_left(36)).wrapping_mul(0x9e37_79b9_7f4a_7c15) >> shift) as u32
+    }
 }
 
+/// "No way": the end of a bucket chain.
+const NIL: u32 = u32::MAX;
+
+/// One way of the cache, with its intrusive links.
 #[derive(Debug, Clone, Copy)]
-struct Line {
+struct Way {
     key: LineKey,
-    last_used: u64,
+    /// Index bucket the key hashes to (valid while occupied).
+    bucket: u32,
+    /// Next way in the same index bucket.
+    chain: u32,
+    /// Neighbours on the set's recency ring.
+    newer: u32,
+    older: u32,
 }
 
 /// The Idempotent Filter hardware.
@@ -178,19 +232,90 @@ struct Line {
 /// assert_eq!(f.process(0x1000, &ev, &cfg), IfOutcome::Deliver); // first time
 /// assert_eq!(f.process(0x1004, &ev, &cfg), IfOutcome::Filtered); // redundant
 /// ```
+///
+/// # Structure
+///
+/// One layout serves every geometry. The ways of all sets live in one
+/// array (set `s` owns ways `s * ways .. (s + 1) * ways`); each way holds
+/// its line's packed key and two intrusive links:
+///
+/// * a **key → way index** — a chained hash table over the packed key
+///   (twice as many buckets as ways), so finding a line is one bucket
+///   probe and an integer compare instead of a scan of the set. A key
+///   determines its set, so one table indexes all sets;
+/// * a **recency ring per set**, threaded through every way of the set,
+///   occupied or not: following `older` from the set's MRU way visits the
+///   ways from most to least recently used and then returns to the MRU
+///   way, so the LRU way is the MRU way's `newer` neighbour and promoting
+///   it is a move of the MRU pointer, not a relink.
+///
+/// Hit, miss, eviction and matching-entry invalidation are therefore O(1)
+/// (expected, for the chain walk); only whole-filter invalidation touches
+/// every way, and it returns at once when the filter is already empty.
+///
+/// # Why this is exactly LRU
+///
+/// The invariant is that a set's ring, read from its MRU way, lists *the
+/// occupied ways from most to least recently touched, then the vacant
+/// ways*. A hit or an insertion moves its way to the MRU end; a
+/// matching-entry invalidation vacates its way and moves it to the LRU
+/// end; whole-filter invalidation vacates everything (any order of vacant
+/// ways satisfies the invariant). The victim of an insertion is always the
+/// way at the LRU end — a vacant way while one exists, otherwise the least
+/// recently touched line, which is what a scan for the smallest last-use
+/// stamp (vacant counting as zero) would pick. Which *position* a line
+/// occupies within its set is not observable through this interface, so
+/// the two agree on every outcome and every counter.
 #[derive(Debug, Clone)]
 pub struct IdempotentFilter {
     geometry: IfGeometry,
-    sets: Vec<Vec<Option<Line>>>,
-    tick: u64,
+    ways: Box<[Way]>,
+    /// Most recently used way of each set.
+    mru: Box<[u32]>,
+    /// Index bucket heads.
+    buckets: Box<[u32]>,
+    bucket_shift: u32,
+    /// Occupied ways, so clearing an empty filter costs nothing.
+    live: u32,
     stats: IfStats,
 }
 
 impl IdempotentFilter {
     /// Creates an empty filter.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the geometry holds no complete set (`entries` smaller
+    /// than the associativity, or zero).
     pub fn new(geometry: IfGeometry) -> IdempotentFilter {
-        let sets = vec![vec![None; geometry.resolved_ways()]; geometry.sets()];
-        IdempotentFilter { geometry, sets, tick: 0, stats: IfStats::default() }
+        let per_set = geometry.resolved_ways();
+        assert!(per_set > 0 && geometry.entries >= per_set, "filter geometry holds no line");
+        let sets = geometry.sets();
+        let total = u32::try_from(sets * per_set).expect("filter too large");
+        let per_set = per_set as u32;
+        let bucket_count = (2 * total as usize).next_power_of_two();
+        // Each set's ways start out as one ring, all vacant.
+        let ways = (0..total)
+            .map(|w| {
+                let (first, i) = (w - w % per_set, w % per_set);
+                Way {
+                    key: EMPTY,
+                    bucket: 0,
+                    chain: NIL,
+                    newer: first + (i + per_set - 1) % per_set,
+                    older: first + (i + 1) % per_set,
+                }
+            })
+            .collect();
+        IdempotentFilter {
+            geometry,
+            ways,
+            mru: (0..sets as u32).map(|s| s * per_set).collect(),
+            buckets: vec![NIL; bucket_count].into_boxed_slice(),
+            bucket_shift: 64 - bucket_count.trailing_zeros(),
+            live: 0,
+            stats: IfStats::default(),
+        }
     }
 
     /// The configured geometry.
@@ -205,9 +330,14 @@ impl IdempotentFilter {
 
     /// Empties the filter (whole-cache invalidation).
     pub fn clear(&mut self) {
-        for set in &mut self.sets {
-            set.fill(None);
+        if self.live == 0 {
+            return;
         }
+        for w in self.ways.iter_mut() {
+            w.key = EMPTY;
+        }
+        self.buckets.fill(NIL);
+        self.live = 0;
     }
 
     /// The set `key` lives in. A one-set filter (every fully associative
@@ -216,8 +346,8 @@ impl IdempotentFilter {
     /// [`IfGeometry::set_associative`] or the wire decoder, and the mask
     /// then picks the same set the modulo would.
     #[inline]
-    fn set_index(&self, key: &LineKey) -> usize {
-        let sets = self.sets.len();
+    fn set_index(&self, key: LineKey) -> usize {
+        let sets = self.mru.len();
         if sets == 1 {
             0
         } else if sets.is_power_of_two() {
@@ -227,49 +357,138 @@ impl IdempotentFilter {
         }
     }
 
+    /// The way on `bucket`'s chain holding `key`, if any.
+    #[inline]
+    fn find(&self, key: LineKey, bucket: u32) -> Option<u32> {
+        let mut w = self.buckets[bucket as usize];
+        while w != NIL {
+            let way = &self.ways[w as usize];
+            if way.key == key {
+                return Some(w);
+            }
+            w = way.chain;
+        }
+        None
+    }
+
+    /// Puts `key` into way `w` and the way at the head of `bucket`.
+    #[inline]
+    fn occupy(&mut self, w: u32, key: LineKey, bucket: u32) {
+        let head = std::mem::replace(&mut self.buckets[bucket as usize], w);
+        let way = &mut self.ways[w as usize];
+        (way.key, way.bucket, way.chain) = (key, bucket, head);
+    }
+
+    /// Takes occupied way `w` off its bucket's chain and marks it vacant.
+    #[inline]
+    fn vacate(&mut self, w: u32) {
+        let Way { bucket, chain: after, .. } = self.ways[w as usize];
+        self.ways[w as usize].key = EMPTY;
+        let mut at = self.buckets[bucket as usize];
+        if at == w {
+            self.buckets[bucket as usize] = after;
+            return;
+        }
+        // `w` was occupied, hence on its bucket's chain.
+        while self.ways[at as usize].chain != w {
+            at = self.ways[at as usize].chain;
+        }
+        self.ways[at as usize].chain = after;
+    }
+
+    /// The least recently used way of set `si`.
+    #[inline]
+    fn lru(&self, si: usize) -> u32 {
+        self.ways[self.mru[si] as usize].newer
+    }
+
+    /// Moves way `w` (neither end of set `si`'s ring) to between the LRU
+    /// and the MRU way.
+    #[inline]
+    fn splice_between_ends(&mut self, si: usize, w: u32) {
+        let Way { newer, older, .. } = self.ways[w as usize];
+        self.ways[newer as usize].older = older;
+        self.ways[older as usize].newer = newer;
+        let (mru, lru) = (self.mru[si], self.lru(si));
+        (self.ways[w as usize].newer, self.ways[w as usize].older) = (lru, mru);
+        self.ways[lru as usize].older = w;
+        self.ways[mru as usize].newer = w;
+    }
+
+    /// Makes way `w` the most recently used of set `si`.
+    #[inline]
+    fn touch(&mut self, si: usize, w: u32) {
+        if w == self.mru[si] {
+            return;
+        }
+        if w != self.lru(si) {
+            self.splice_between_ends(si, w);
+        }
+        // `w` now sits just "newer" than the MRU way: step the pointer.
+        self.mru[si] = w;
+    }
+
+    /// Makes way `w` the least recently used of set `si`.
+    #[inline]
+    fn retire(&mut self, si: usize, w: u32) {
+        if w == self.lru(si) {
+            return;
+        }
+        if w == self.mru[si] {
+            // Stepping the pointer back leaves `w` just "newer" than the
+            // new MRU way, which is the LRU end.
+            self.mru[si] = self.ways[w as usize].older;
+        } else {
+            self.splice_between_ends(si, w);
+        }
+    }
+
     /// Runs one event through the filter with its ETCT configuration.
     ///
     /// Invalidation happens first (an updating event must evict stale
     /// checks even if it is itself cacheable under a different CC), then
     /// the lookup/insert.
+    #[inline]
     pub fn process(&mut self, pc: u32, ev: &Event, cfg: &IfEventConfig) -> IfOutcome {
-        self.tick += 1;
         if cfg.invalidate_all {
             self.stats.invalidate_all += 1;
             self.clear();
         }
+        if !(cfg.invalidate_match || cfg.cacheable) {
+            return IfOutcome::Deliver;
+        }
         let key = LineKey::build(pc, ev, cfg);
+        let bucket = key.bucket(self.bucket_shift);
+        let si = self.set_index(key);
+        let mut found = self.find(key, bucket);
         if cfg.invalidate_match {
-            let si = self.set_index(&key);
-            for way in &mut self.sets[si] {
-                if way.map(|l| l.key) == Some(key) {
-                    *way = None;
-                    self.stats.invalidate_match += 1;
-                }
+            if let Some(w) = found.take() {
+                self.vacate(w);
+                self.retire(si, w);
+                self.live -= 1;
+                self.stats.invalidate_match += 1;
             }
         }
         if !cfg.cacheable {
             return IfOutcome::Deliver;
         }
         self.stats.lookups += 1;
-        let si = self.set_index(&key);
-        let tick = self.tick;
-        let set = &mut self.sets[si];
-        // Hit?
-        for line in set.iter_mut().flatten() {
-            if line.key == key {
-                line.last_used = tick;
-                self.stats.hits += 1;
-                return IfOutcome::Filtered;
-            }
+        if let Some(w) = found {
+            self.touch(si, w);
+            self.stats.hits += 1;
+            return IfOutcome::Filtered;
         }
-        // Miss: insert with LRU replacement.
+        // Miss: the LRU end of the set is a vacant way while one exists,
+        // else the least recently used line.
         self.stats.inserts += 1;
-        let victim = set
-            .iter_mut()
-            .min_by_key(|w| w.map_or(0, |l| l.last_used))
-            .expect("sets are non-empty");
-        *victim = Some(Line { key, last_used: tick });
+        let victim = self.lru(si);
+        if self.ways[victim as usize].key == EMPTY {
+            self.live += 1;
+        } else {
+            self.vacate(victim);
+        }
+        self.occupy(victim, key, bucket);
+        self.mru[si] = victim;
         IfOutcome::Deliver
     }
 }
@@ -416,7 +635,7 @@ mod tests {
             let f = IdempotentFilter::new(g);
             for i in 0..512u32 {
                 let key = LineKey::build(i, &read(i.wrapping_mul(0x9e37_79b9)), &cfg_addr(i as u8));
-                assert_eq!(f.set_index(&key) as u64, key.hash() % g.sets() as u64, "{g}");
+                assert_eq!(f.set_index(key) as u64, key.hash() % g.sets() as u64, "{g}");
             }
         }
     }

@@ -21,7 +21,7 @@
 //! the store's event.
 
 use igm_isa::{MemRef, OpClass, Reg, NUM_REGS};
-use igm_lba::{CheckKind, DeliveredEvent, Event, MetaSource};
+use igm_lba::{CheckKind, Event, EventSink, EventType, MetaSource};
 
 /// Per-register inheritance state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -124,12 +124,36 @@ fn aligned_bitmaps(m: MemRef) -> [(u32, u8); 2] {
     [(w0, bits0), (w0.wrapping_add(4), bits1)]
 }
 
+/// Whether two references' aligned-word bitmaps share a byte (the Figure 5
+/// hardware comparison).
+fn bitmap_pairs_overlap(pa: [(u32, u8); 2], pb: [(u32, u8); 2]) -> bool {
+    pa.iter().any(|(wa, ba)| *ba != 0 && pb.iter().any(|(wb, bb)| wa == wb && (ba & bb) != 0))
+}
+
 /// Whether two references overlap according to the aligned-bitmap hardware
 /// comparison.
+#[cfg(test)]
 fn bitmaps_overlap(a: MemRef, b: MemRef) -> bool {
-    let pa = aligned_bitmaps(a);
-    let pb = aligned_bitmaps(b);
-    pa.iter().any(|(wa, ba)| *ba != 0 && pb.iter().any(|(wb, bb)| wa == wb && (ba & bb) != 0))
+    bitmap_pairs_overlap(aligned_bitmaps(a), aligned_bitmaps(b))
+}
+
+/// Counts what one propagation event lets through, so `prop_filtered` can
+/// be decided without knowing what kind of sink sits behind.
+struct Counting<'a, S> {
+    inner: &'a mut S,
+    emitted: u32,
+}
+
+impl<S: EventSink> EventSink for Counting<'_, S> {
+    #[inline(always)]
+    fn event(&mut self, pc: u32, et: EventType, make: impl FnOnce() -> Event) {
+        self.emitted += 1;
+        self.inner.event(pc, et, make);
+    }
+    #[inline(always)]
+    fn end_record(&mut self) {
+        self.inner.end_record();
+    }
 }
 
 /// The unary Inheritance Tracking hardware (Figure 5).
@@ -153,13 +177,22 @@ fn bitmaps_overlap(a: MemRef, b: MemRef) -> bool {
 pub struct InheritanceTracker {
     cfg: ItConfig,
     table: [ItState; NUM_REGS],
+    /// Bit `i` set ⇔ `table[i]` is [`ItState::Addr`]. Stores consult it so
+    /// the write-after-read check walks only the inheriting registers —
+    /// usually none.
+    inheriting: u8,
     stats: ItStats,
 }
 
 impl InheritanceTracker {
     /// Creates a tracker with all registers clean.
     pub fn new(cfg: ItConfig) -> InheritanceTracker {
-        InheritanceTracker { cfg, table: [ItState::Clean; NUM_REGS], stats: ItStats::default() }
+        InheritanceTracker {
+            cfg,
+            table: [ItState::Clean; NUM_REGS],
+            inheriting: 0,
+            stats: ItStats::default(),
+        }
     }
 
     /// The configuration in force.
@@ -168,6 +201,7 @@ impl InheritanceTracker {
     }
 
     /// Current state of a register.
+    #[inline]
     pub fn state(&self, r: Reg) -> ItState {
         self.table[r.index()]
     }
@@ -177,31 +211,49 @@ impl InheritanceTracker {
         &self.stats
     }
 
+    #[inline]
     fn set(&mut self, r: Reg, s: ItState) {
+        let bit = 1u8 << r.index();
+        if matches!(s, ItState::Addr(_)) {
+            self.inheriting |= bit;
+        } else {
+            self.inheriting &= !bit;
+        }
         self.table[r.index()] = s;
     }
 
-    fn deliver(&mut self, pc: u32, ev: Event, out: &mut Vec<DeliveredEvent>) {
+    #[inline(always)]
+    fn deliver<S: EventSink>(
+        &mut self,
+        pc: u32,
+        et: EventType,
+        make: impl FnOnce() -> Event,
+        out: &mut S,
+    ) {
         self.stats.prop_delivered += 1;
-        out.push(DeliveredEvent::new(pc, ev));
+        out.event(pc, et, make);
     }
 
     /// Materializes every register inheriting from a range overlapping
     /// `store` (the write-after-read conflict rule), delivering the
     /// corresponding `mem_to_reg` events *before* the store's own event.
-    fn resolve_conflicts(&mut self, pc: u32, store: MemRef, out: &mut Vec<DeliveredEvent>) {
-        if !self.cfg.conflict_detection {
+    #[inline]
+    fn resolve_conflicts<S: EventSink>(&mut self, pc: u32, store: MemRef, out: &mut S) {
+        if self.inheriting == 0 || !self.cfg.conflict_detection {
             return;
         }
-        for i in 0..NUM_REGS {
+        let store_bits = aligned_bitmaps(store);
+        let mut pending = self.inheriting;
+        while pending != 0 {
+            let i = pending.trailing_zeros() as usize;
+            pending &= pending - 1;
             if let ItState::Addr(a) = self.table[i] {
-                if bitmaps_overlap(a, store) {
+                if bitmap_pairs_overlap(aligned_bitmaps(a), store_bits) {
                     let r = Reg::from_index(i);
                     self.stats.conflict_events += 1;
-                    out.push(DeliveredEvent::new(
-                        pc,
-                        Event::Prop(OpClass::MemToReg { src: a, rd: r }),
-                    ));
+                    out.event(pc, EventType::MemToReg, || {
+                        Event::Prop(OpClass::MemToReg { src: a, rd: r })
+                    });
                     self.set(r, ItState::InLifeguard);
                 }
             }
@@ -210,17 +262,20 @@ impl InheritanceTracker {
 
     /// Materializes one register's metadata into software and marks it
     /// in-lifeguard; used when flushing for `other` events and annotations.
-    fn flush_reg(&mut self, pc: u32, r: Reg, out: &mut Vec<DeliveredEvent>) {
+    #[inline]
+    fn flush_reg<S: EventSink>(&mut self, pc: u32, r: Reg, out: &mut S) {
         match self.state(r) {
             ItState::InLifeguard => {}
             ItState::Clean => {
                 self.stats.flush_events += 1;
-                out.push(DeliveredEvent::new(pc, Event::Prop(OpClass::ImmToReg { rd: r })));
+                out.event(pc, EventType::ImmToReg, || Event::Prop(OpClass::ImmToReg { rd: r }));
                 self.set(r, ItState::InLifeguard);
             }
             ItState::Addr(a) => {
                 self.stats.flush_events += 1;
-                out.push(DeliveredEvent::new(pc, Event::Prop(OpClass::MemToReg { src: a, rd: r })));
+                out.event(pc, EventType::MemToReg, || {
+                    Event::Prop(OpClass::MemToReg { src: a, rd: r })
+                });
                 self.set(r, ItState::InLifeguard);
             }
         }
@@ -228,7 +283,7 @@ impl InheritanceTracker {
 
     /// Flushes every register to the in-lifeguard state (used on annotation
     /// records, whose handlers may rewrite arbitrary metadata).
-    pub fn flush_all(&mut self, pc: u32, out: &mut Vec<DeliveredEvent>) {
+    pub fn flush_all<S: EventSink>(&mut self, pc: u32, out: &mut S) {
         for r in Reg::ALL {
             self.flush_reg(pc, r, out);
         }
@@ -236,7 +291,8 @@ impl InheritanceTracker {
 
     /// Delivers an eager non-unary source check if the source register may
     /// be unclean (MemCheck property (a)).
-    fn check_source_reg(&mut self, pc: u32, r: Reg, out: &mut Vec<DeliveredEvent>) {
+    #[inline]
+    fn check_source_reg<S: EventSink>(&mut self, pc: u32, r: Reg, out: &mut S) {
         if !self.cfg.nonunary_check {
             return;
         }
@@ -246,23 +302,30 @@ impl InheritanceTracker {
             ItState::InLifeguard => MetaSource::Reg(r),
         };
         self.stats.nonunary_checks += 1;
-        out.push(DeliveredEvent::new(pc, Event::Check { kind: CheckKind::NonUnaryInput, source }));
+        out.event(pc, EventType::CheckNonUnary, || Event::Check {
+            kind: CheckKind::NonUnaryInput,
+            source,
+        });
     }
 
     /// Delivers an eager non-unary source check for a memory source.
-    fn check_source_mem(&mut self, pc: u32, m: MemRef, out: &mut Vec<DeliveredEvent>) {
+    #[inline]
+    fn check_source_mem<S: EventSink>(&mut self, pc: u32, m: MemRef, out: &mut S) {
         if !self.cfg.nonunary_check {
             return;
         }
         self.stats.nonunary_checks += 1;
-        out.push(DeliveredEvent::new(
-            pc,
-            Event::Check { kind: CheckKind::NonUnaryInput, source: MetaSource::Mem(m) },
-        ));
+        out.event(pc, EventType::CheckNonUnary, || Event::Check {
+            kind: CheckKind::NonUnaryInput,
+            source: MetaSource::Mem(m),
+        });
     }
 
-    /// Runs one event through the tracker, appending everything that must
-    /// reach the lifeguard to `out`.
+    /// Runs one event through the tracker, handing everything that must
+    /// reach the lifeguard to `out` — any [`EventSink`]: the dispatch
+    /// pipeline passes its ETCT/IF gate, record-at-a-time callers a plain
+    /// `Vec<DeliveredEvent>`. Each emission names its [`EventType`]
+    /// statically, so a gating sink never re-derives it from the payload.
     ///
     /// Propagation events follow the Figure 5 state-transition-and-action
     /// table. Register-source check events are resolved through the table:
@@ -271,7 +334,8 @@ impl InheritanceTracker {
     /// registers pass through unchanged. All other events pass through
     /// unchanged (annotations should be routed to [`Self::flush_all`] by the
     /// dispatch pipeline *before* delivery).
-    pub fn process(&mut self, pc: u32, ev: Event, out: &mut Vec<DeliveredEvent>) {
+    #[inline]
+    pub fn process<S: EventSink>(&mut self, pc: u32, ev: Event, out: &mut S) {
         match ev {
             Event::Prop(op) => self.process_prop(pc, op, out),
             Event::Check { kind, source: MetaSource::Reg(r) } => {
@@ -282,30 +346,29 @@ impl InheritanceTracker {
                     }
                     ItState::Addr(a) => {
                         self.stats.check_rewritten += 1;
-                        out.push(DeliveredEvent::new(
-                            pc,
-                            Event::Check { kind, source: MetaSource::Mem(a) },
-                        ));
+                        out.event(pc, ev.event_type(), || Event::Check {
+                            kind,
+                            source: MetaSource::Mem(a),
+                        });
                     }
-                    ItState::InLifeguard => {
-                        out.push(DeliveredEvent::new(pc, ev));
-                    }
+                    ItState::InLifeguard => out.event(pc, ev.event_type(), || ev),
                 }
             }
-            other => out.push(DeliveredEvent::new(pc, other)),
+            other => out.event(pc, other.event_type(), || other),
         }
     }
 
-    fn process_prop(&mut self, pc: u32, op: OpClass, out: &mut Vec<DeliveredEvent>) {
+    #[inline]
+    fn process_prop<S: EventSink>(&mut self, pc: u32, op: OpClass, out: &mut S) {
         self.stats.prop_in += 1;
-        let filtered_before = out.len();
+        let out = &mut Counting { inner: out, emitted: 0 };
         match op {
             OpClass::ImmToReg { rd } => {
                 self.set(rd, ItState::Clean);
             }
             OpClass::ImmToMem { dst } => {
                 self.resolve_conflicts(pc, dst, out);
-                self.deliver(pc, Event::Prop(OpClass::ImmToMem { dst }), out);
+                self.deliver(pc, EventType::ImmToMem, || Event::Prop(op), out);
             }
             OpClass::RegSelf { .. } | OpClass::ReadOnly { .. } => {
                 // Unary computation on the register itself (or a pure
@@ -319,7 +382,7 @@ impl InheritanceTracker {
                 ItState::Clean => self.set(rd, ItState::Clean),
                 ItState::Addr(a) => self.set(rd, ItState::Addr(a)),
                 ItState::InLifeguard => {
-                    self.deliver(pc, Event::Prop(OpClass::RegToReg { rs, rd }), out);
+                    self.deliver(pc, EventType::RegToReg, || Event::Prop(op), out);
                     self.set(rd, ItState::InLifeguard);
                 }
             },
@@ -328,21 +391,29 @@ impl InheritanceTracker {
                 // changing the state we dispatch on.
                 self.resolve_conflicts(pc, dst, out);
                 match self.state(rs) {
-                    ItState::Clean => self.deliver(pc, Event::Prop(OpClass::ImmToMem { dst }), out),
-                    ItState::Addr(a) => {
-                        self.deliver(pc, Event::Prop(OpClass::MemToMem { src: a, dst }), out)
-                    }
+                    ItState::Clean => self.deliver(
+                        pc,
+                        EventType::ImmToMem,
+                        || Event::Prop(OpClass::ImmToMem { dst }),
+                        out,
+                    ),
+                    ItState::Addr(a) => self.deliver(
+                        pc,
+                        EventType::MemToMem,
+                        || Event::Prop(OpClass::MemToMem { src: a, dst }),
+                        out,
+                    ),
                     ItState::InLifeguard => {
-                        self.deliver(pc, Event::Prop(OpClass::RegToMem { rs, dst }), out)
+                        self.deliver(pc, EventType::RegToMem, || Event::Prop(op), out)
                     }
                 }
             }
             OpClass::MemToReg { src, rd } => {
                 self.set(rd, ItState::Addr(src));
             }
-            OpClass::MemToMem { src, dst } => {
+            OpClass::MemToMem { dst, .. } => {
                 self.resolve_conflicts(pc, dst, out);
-                self.deliver(pc, Event::Prop(OpClass::MemToMem { src, dst }), out);
+                self.deliver(pc, EventType::MemToMem, || Event::Prop(op), out);
             }
             OpClass::DestRegOpReg { rs, rd } => {
                 if self.state(rs) == ItState::Clean && self.cfg.clean_rs_do_nothing {
@@ -370,7 +441,12 @@ impl InheritanceTracker {
                     self.resolve_conflicts(pc, dst, out);
                     // The destination's metadata becomes clean: a clean
                     // store, exactly an imm_to_mem for the lifeguard.
-                    self.deliver(pc, Event::Prop(OpClass::ImmToMem { dst }), out);
+                    self.deliver(
+                        pc,
+                        EventType::ImmToMem,
+                        || Event::Prop(OpClass::ImmToMem { dst }),
+                        out,
+                    );
                 }
             }
             OpClass::Other { reads, writes, mem_write, .. } => {
@@ -380,10 +456,10 @@ impl InheritanceTracker {
                 if let Some(mw) = mem_write {
                     self.resolve_conflicts(pc, mw, out);
                 }
-                self.deliver(pc, Event::Prop(op), out);
+                self.deliver(pc, EventType::Other, || Event::Prop(op), out);
             }
         }
-        if out.len() == filtered_before {
+        if out.emitted == 0 {
             self.stats.prop_filtered += 1;
         }
     }

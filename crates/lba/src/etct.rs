@@ -142,11 +142,13 @@ impl Etct {
     }
 
     /// The full row for `et`.
+    #[inline]
     pub fn entry(&self, et: EventType) -> &EtctEntry {
         &self.entries[et.index()]
     }
 
     /// Whether a handler is registered for `et`.
+    #[inline]
     pub fn is_registered(&self, et: EventType) -> bool {
         self.entries[et.index()].registered
     }

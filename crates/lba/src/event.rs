@@ -83,6 +83,7 @@ pub struct DeliveredEvent {
 
 impl DeliveredEvent {
     /// Convenience constructor.
+    #[inline]
     pub fn new(pc: u32, event: Event) -> DeliveredEvent {
         DeliveredEvent { pc, event }
     }
@@ -177,17 +178,20 @@ impl EventType {
     }
 
     /// Whether this is a propagation (metadata-update) event type.
+    #[inline]
     pub fn is_propagation(self) -> bool {
         (self as u8) <= (EventType::Other as u8)
     }
 
     /// Whether this is a check event type (memory-access or source check).
+    #[inline]
     pub fn is_check(self) -> bool {
         let i = self as u8;
         i >= EventType::MemRead as u8 && i <= EventType::CheckFormatString as u8
     }
 
     /// Whether this is an annotation event type.
+    #[inline]
     pub fn is_annotation(self) -> bool {
         (self as u8) >= (EventType::Malloc as u8)
     }
@@ -195,6 +199,7 @@ impl EventType {
 
 impl Event {
     /// The [`EventType`] used for ETCT lookup.
+    #[inline]
     pub fn event_type(&self) -> EventType {
         match self {
             Event::Prop(op) => match op {
@@ -238,6 +243,7 @@ impl Event {
 
     /// The memory address field of this event, if it has one (used for
     /// Idempotent Filter keying).
+    #[inline]
     pub fn addr_field(&self) -> Option<MemRef> {
         match self {
             Event::MemRead(m) | Event::MemWrite(m) => Some(*m),
@@ -248,6 +254,7 @@ impl Event {
 
     /// The register field of this event, if it has one (used for Idempotent
     /// Filter keying).
+    #[inline]
     pub fn reg_field(&self) -> Option<Reg> {
         match self {
             Event::Check { source: MetaSource::Reg(r), .. } => Some(*r),
@@ -374,6 +381,19 @@ pub trait EventSink {
     fn event(&mut self, pc: u32, et: EventType, make: impl FnOnce() -> Event);
     /// Closes the current record.
     fn end_record(&mut self);
+}
+
+/// A flat event list is a sink with no record structure: every event is
+/// constructed and appended, record boundaries are ignored. This is what
+/// lets record-at-a-time callers (profiling, the ablation study, the
+/// property tests) hand the accelerator units a plain `Vec`.
+impl EventSink for Vec<DeliveredEvent> {
+    #[inline]
+    fn event(&mut self, pc: u32, _et: EventType, make: impl FnOnce() -> Event) {
+        self.push(DeliveredEvent::new(pc, make()));
+    }
+    #[inline]
+    fn end_record(&mut self) {}
 }
 
 /// Plain extraction sink: constructs and stores every event.

@@ -20,6 +20,7 @@
 
 pub mod addrcheck;
 pub mod cost;
+mod fields;
 pub mod lockset;
 pub mod memcheck;
 pub mod taint;

@@ -283,11 +283,14 @@ impl LockSet {
         let va = self.meta.map(base, cost);
         cost.instr(10 + size / 4); // one 4-byte record store per word
         cost.mem(va);
-        let mut a = base & !3;
-        while a < base.saturating_add(size) {
-            self.meta.shadow_mut().set_elem_u32(a, pack(VIRGIN, 0));
-            self.reported.remove(&a);
-            a += 4;
+        // Every word overlapping the block, as one fill per chunk.
+        let (first, end) = (base & !3, base.saturating_add(size));
+        if first < end {
+            self.meta.shadow_mut().set_elem_range(first, end - first, pack(VIRGIN, 0) as u64);
+            // Words of the block that had reported may report again.
+            if !self.reported.is_empty() {
+                self.reported.retain(|w| !(first..end).contains(w));
+            }
         }
     }
 }
@@ -515,6 +518,49 @@ mod tests {
         // Second thread again unprotected: a new report for the same word.
         write(&mut lg, 0x9000);
         assert_eq!(lg.violations().len(), 2);
+    }
+
+    #[test]
+    fn malloc_rearms_only_the_words_it_covers() {
+        let mut lg = LockSet::new(&AccelConfig::baseline());
+        let race = |lg: &mut LockSet, addr: u32| {
+            switch(lg, 0);
+            write(lg, addr);
+            switch(lg, 1);
+            write(lg, addr);
+        };
+        // Three words report once each; repeating the race is silent.
+        for addr in [0x9000, 0x9004, 0xa000] {
+            race(&mut lg, addr);
+        }
+        assert_eq!(lg.violations().len(), 3);
+        for addr in [0x9000, 0x9004, 0xa000] {
+            race(&mut lg, addr);
+        }
+        assert_eq!(lg.violations().len(), 3, "reported words stay quiet");
+        // An unaligned two-byte block inside word 0x9000 resets that word
+        // alone: it may report again, its neighbour and the far word may not.
+        run(&mut lg, 0, Event::Annot(Annotation::Malloc { base: 0x9002, size: 2 }));
+        for addr in [0x9000, 0x9004, 0xa000] {
+            race(&mut lg, addr);
+        }
+        let races: Vec<u32> = lg
+            .violations()
+            .iter()
+            .map(|v| match v {
+                Violation::DataRace { addr, .. } => *addr,
+                other => panic!("unexpected {other:?}"),
+            })
+            .collect();
+        assert_eq!(races, [0x9000, 0x9004, 0xa000, 0x9000]);
+        // A block ending mid-word covers that word too; one ending on a word
+        // boundary does not reach the next.
+        run(&mut lg, 0, Event::Annot(Annotation::Malloc { base: 0x9000, size: 5 }));
+        race(&mut lg, 0x9004);
+        assert_eq!(lg.violations().len(), 5, "partially covered word re-arms");
+        run(&mut lg, 0, Event::Annot(Annotation::Malloc { base: 0x9ffc, size: 4 }));
+        race(&mut lg, 0xa000);
+        assert_eq!(lg.violations().len(), 5, "the word past the block is untouched");
     }
 
     #[test]

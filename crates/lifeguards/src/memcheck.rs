@@ -20,7 +20,7 @@
 
 use crate::cost::{CostSink, MetaMap};
 use crate::violation::{SourceDesc, Violation};
-use crate::{Lifeguard, LifeguardKind};
+use crate::{fields, Lifeguard, LifeguardKind};
 use igm_core::AccelConfig;
 use igm_isa::{Annotation, MemRef, OpClass, Reg};
 use igm_lba::{DeliveredEvent, Etct, Event, EventType, IfEventConfig, MetaSource};
@@ -86,8 +86,12 @@ impl MemCheck {
         }
     }
 
+    /// Whether every byte of `m` has `bit` set: one packed load.
+    #[inline]
     fn range_all(&self, m: MemRef, bit: u8) -> bool {
-        self.meta.shadow().packed_test_all(m.addr, m.size.bytes(), bit)
+        let n = m.size.bytes();
+        let want = fields::every(bit, n);
+        self.meta.shadow().packed_load(m.addr, n) & want == want
     }
 
     fn set_bits_range(&mut self, base: u32, len: u32, set: u8, clear: u8) {
@@ -126,28 +130,22 @@ impl MemCheck {
 
     /// Per-byte initialized mask of a memory range (bit i = byte i), bytes
     /// beyond the range read as initialized (zero-extension).
+    #[inline]
     fn mem_mask(&self, m: MemRef) -> u8 {
-        let mut mask = 0u8;
-        for i in 0..4 {
-            let init = if i < m.size.bytes() {
-                self.meta.shadow().packed_get(m.addr.wrapping_add(i)) & I_BIT != 0
-            } else {
-                true
-            };
-            if init {
-                mask |= 1 << i;
-            }
-        }
-        mask
+        let n = m.size.bytes();
+        let loaded = self.meta.shadow().packed_load(m.addr, n);
+        fields::gather(loaded >> I_BIT.trailing_zeros()) | (0xf << n) & 0xf
     }
 
+    /// Sets byte `i`'s initialized bit to bit `i` of `mask`, accessibility
+    /// untouched. Every byte of `m` is written (and its chunk allocated)
+    /// whether or not its bit changes.
+    #[inline]
     fn write_mask_to_mem(&mut self, m: MemRef, mask: u8) {
-        for i in 0..m.size.bytes() {
-            let a = m.addr.wrapping_add(i);
-            let v = self.meta.shadow().packed_get(a);
-            let nv = if mask & (1 << i) != 0 { v | I_BIT } else { v & !I_BIT };
-            self.meta.shadow_mut().packed_set(a, nv);
-        }
+        let n = m.size.bytes();
+        let all = fields::every(I_BIT, n);
+        let set = (fields::spread(mask) << I_BIT.trailing_zeros()) & all;
+        self.meta.shadow_mut().packed_update(m.addr, n, set, all & !set);
     }
 
     fn handle_prop(&mut self, op: &OpClass, cost: &mut CostSink) {

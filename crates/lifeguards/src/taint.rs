@@ -19,7 +19,7 @@
 
 use crate::cost::{CostSink, MetaMap};
 use crate::violation::{SourceDesc, TaintSink, Violation};
-use crate::{Lifeguard, LifeguardKind};
+use crate::{fields, Lifeguard, LifeguardKind};
 use igm_core::AccelConfig;
 use igm_isa::{Annotation, MemRef, OpClass, Reg};
 use igm_lba::{CheckKind, DeliveredEvent, Etct, Event, EventType, MetaSource};
@@ -66,9 +66,7 @@ impl TaintCheck {
 
     /// Whether any byte of `m` is tainted.
     pub fn mem_tainted(&self, m: MemRef) -> bool {
-        self.meta.shadow().packed_any(m.addr, m.size.bytes(), TAINTED)
-            || (0..m.size.bytes())
-                .any(|i| self.meta.shadow().packed_get(m.addr.wrapping_add(i)) != CLEAN)
+        self.mem_mask(m) != 0
     }
 
     /// Whether register `r` holds tainted data.
@@ -76,37 +74,36 @@ impl TaintCheck {
         self.regs.get(r.index()) != 0
     }
 
+    /// Per-byte taint mask of `m` (bit i = byte i is not clean): one packed
+    /// load.
+    #[inline]
     fn mem_mask(&self, m: MemRef) -> u8 {
-        let mut mask = 0u8;
-        for i in 0..m.size.bytes().min(4) {
-            if self.meta.shadow().packed_get(m.addr.wrapping_add(i)) != CLEAN {
-                mask |= 1 << i;
-            }
-        }
-        mask
+        let loaded = self.meta.shadow().packed_load(m.addr, m.size.bytes());
+        fields::gather(loaded | loaded >> 1)
     }
 
+    /// Makes byte `i` of `m` tainted iff bit `i` of `mask` is set. Only the
+    /// bytes whose metadata changes are written, so a store that changes
+    /// nothing in a chunk does not allocate it.
+    #[inline]
     fn write_mask(&mut self, m: MemRef, mask: u8) {
-        for i in 0..m.size.bytes() {
-            let a = m.addr.wrapping_add(i);
-            let old = self.meta.shadow().packed_get(a);
-            let new = if mask & (1 << i) != 0 { TAINTED } else { CLEAN };
-            if old != new {
-                self.tainted_bytes += if new == TAINTED { 1 } else { -1 };
-                self.meta.shadow_mut().packed_set(a, new);
-            }
+        let n = m.size.bytes();
+        let new = (fields::spread(mask) * TAINTED as u32) & fields::every(TAINTED, n);
+        let diff = self.meta.shadow().packed_load(m.addr, n) ^ new;
+        if diff == 0 {
+            return;
         }
+        // Low bit of every field that changes; `new`'s fields are 0b11 or 0.
+        let changed = (diff | diff >> 1) & 0x55;
+        self.tainted_bytes +=
+            (changed & new).count_ones() as i64 - (changed & !new).count_ones() as i64;
+        let touched = changed * 0b11;
+        self.meta.shadow_mut().packed_update(m.addr, n, new & touched, touched);
     }
 
     fn set_range(&mut self, base: u32, len: u32, v: u8) {
-        for i in 0..len {
-            let a = base.wrapping_add(i);
-            let old = self.meta.shadow().packed_get(a);
-            if old != v {
-                self.tainted_bytes += if v == TAINTED { 1 } else { -1 };
-                self.meta.shadow_mut().packed_set(a, v);
-            }
-        }
+        let changed = self.meta.shadow_mut().packed_set_range_changed(base, len, v) as i64;
+        self.tainted_bytes += if v == TAINTED { changed } else { -changed };
     }
 
     fn sink_of(kind: CheckKind) -> TaintSink {
@@ -443,6 +440,74 @@ mod tests {
             }),
         );
         assert!(lg.reg_tainted(Reg::Ecx), "xchg must propagate taint");
+    }
+
+    /// `ReadInput` and `Malloc` over overlapping, unaligned ranges — some
+    /// straddling the 1 MiB chunk boundary, some empty, some changing
+    /// nothing — against a shadow driven one byte at a time.
+    #[test]
+    fn range_annotations_match_a_per_byte_reference() {
+        const EDGE: u32 = 0x9010_0000; // first byte of a chunk
+        let ranges: [(bool, u32, u32); 12] = [
+            (true, EDGE - 11, 30),   // taint across the boundary
+            (false, EDGE - 3, 9),    // clear an unaligned middle, also across
+            (true, EDGE - 3, 2),     // re-taint two bytes below the boundary
+            (false, EDGE + 40, 64),  // clear what was never tainted: no change
+            (true, EDGE + 17, 0),    // empty range: the map still touches a chunk
+            (true, 0x7fff_fffd, 70), // a second region, unaligned at both ends
+            (false, 0x8000_0001, 3),
+            (true, 0x8000_0000, 5),
+            (false, 0xa00f_fff0, 16), // clean range ending on a boundary: no write
+            (false, 0xa00f_fff8, 16), // ...and one crossing it, still no change
+            (true, 0xa00f_ffff, 2),   // one byte each side of a boundary
+            (false, EDGE - 64, 256),  // clear everything around the first edge
+        ];
+        let mut lg = TaintCheck::new(&AccelConfig::baseline());
+        let mut reference = TwoLevelShadow::new(TaintCheck::layout(), 0);
+        let mut probes = Vec::new();
+        for (taint, base, len) in ranges {
+            let (event, v) = if taint {
+                (Annotation::ReadInput { base, len }, TAINTED)
+            } else {
+                (Annotation::Malloc { base, size: len }, CLEAN)
+            };
+            run(&mut lg, 0, Event::Annot(event));
+            // The handler maps `base` (touching its chunk), then writes the
+            // bytes whose metadata differs.
+            reference.chunk_base_va(base);
+            for a in base..base + len {
+                if reference.packed_get(a) != v {
+                    reference.packed_set(a, v);
+                }
+            }
+            // Every byte any range has covered so far, and two either side.
+            probes.extend(base - 2..base + len + 2);
+            probes.sort_unstable();
+            probes.dedup();
+            let what = format!("after {event:?}");
+            for &a in &probes {
+                assert_eq!(
+                    lg.mem_tainted(MemRef::byte(a)),
+                    reference.packed_get(a) != CLEAN,
+                    "{what}: byte {a:#x}"
+                );
+            }
+            let tainted = probes.iter().filter(|a| reference.packed_get(**a) != CLEAN).count();
+            assert_eq!(lg.tainted_bytes, tainted as i64, "{what}: tainted byte count");
+            assert_eq!(
+                lg.meta.shadow().allocated_chunks(),
+                reference.allocated_chunks(),
+                "{what}: chunks allocated"
+            );
+            let table = 4 * TaintCheck::layout().level1_entries() as u64;
+            assert_eq!(lg.metadata_bytes(), reference.metadata_bytes() + table + 8, "{what}");
+        }
+        // Wider references see the same bytes.
+        for &a in &probes {
+            let word = MemRef::word(a);
+            let any = (0..4).any(|i| reference.packed_get(a + i) != CLEAN);
+            assert_eq!(lg.mem_tainted(word), any, "word at {a:#x}");
+        }
     }
 
     #[test]

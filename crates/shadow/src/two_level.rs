@@ -7,7 +7,7 @@
 //! traffic: the level-1 table lives at [`crate::LEVEL1_TABLE_BASE`] and
 //! chunks are bump-allocated from [`crate::CHUNK_REGION_BASE`].
 
-use crate::layout::ShadowLayout;
+use crate::layout::{ElemSize, ShadowLayout};
 use crate::{CHUNK_REGION_BASE, LEVEL1_TABLE_BASE};
 
 #[derive(Debug, Clone)]
@@ -35,6 +35,8 @@ pub struct TwoLevelShadow {
     layout: ShadowLayout,
     default_byte: u8,
     chunks: Vec<Option<Chunk>>,
+    /// How many of `chunks` are allocated.
+    allocated: u32,
     next_chunk_va: u32,
 }
 
@@ -46,6 +48,7 @@ impl TwoLevelShadow {
             layout,
             default_byte,
             chunks: vec![None; layout.level1_entries() as usize],
+            allocated: 0,
             next_chunk_va: CHUNK_REGION_BASE,
         }
     }
@@ -93,6 +96,7 @@ impl TwoLevelShadow {
             // Chunks are laid out back-to-back in lifeguard space.
             self.next_chunk_va = self.next_chunk_va.wrapping_add(self.layout.chunk_bytes());
             self.chunks[idx] = Some(chunk);
+            self.allocated += 1;
         }
         self.chunks[idx].as_mut().expect("just ensured")
     }
@@ -143,15 +147,70 @@ impl TwoLevelShadow {
         }
     }
 
-    /// Reads the element covering `app_addr` as a `u32` (convenience for
-    /// 4-byte elements, e.g. LockSet records).
+    /// Reads the element covering `app_addr` as a `u32` (the record of
+    /// 4-byte-element layouts, e.g. LockSet's; other element sizes read
+    /// their low 32 bits). Four-byte elements are read directly — one
+    /// translation, one load — with no byte-assembly loop.
+    #[inline]
     pub fn elem_u32(&self, app_addr: u32) -> u32 {
-        self.elem_u64(app_addr) as u32
+        if self.layout.elem_size() != ElemSize::B4 {
+            return self.elem_u64(app_addr) as u32;
+        }
+        match &self.chunks[self.layout.l1_index(app_addr) as usize] {
+            Some(c) => {
+                let off = self.layout.elem_offset_in_chunk(app_addr) as usize;
+                u32::from_le_bytes(c.data[off..off + 4].try_into().expect("4-byte element"))
+            }
+            None => u32::from_le_bytes([self.default_byte; 4]),
+        }
     }
 
-    /// Writes the element covering `app_addr` from a `u32`.
+    /// Writes the element covering `app_addr` from a `u32` (directly, for
+    /// 4-byte elements).
+    #[inline]
     pub fn set_elem_u32(&mut self, app_addr: u32, v: u32) {
-        self.set_elem_u64(app_addr, v as u64);
+        if self.layout.elem_size() != ElemSize::B4 {
+            return self.set_elem_u64(app_addr, v as u64);
+        }
+        let off = self.layout.elem_offset_in_chunk(app_addr) as usize;
+        self.ensure_chunk(app_addr).data[off..off + 4].copy_from_slice(&v.to_le_bytes());
+    }
+
+    /// Writes `v` (little-endian, element-sized) to every element that
+    /// covers an application byte of `[start, start+len)`: the
+    /// [`set_elem_u64`](Self::set_elem_u64) loop as one fill per chunk.
+    /// Like that loop it allocates every chunk it reaches.
+    pub fn set_elem_range(&mut self, start: u32, len: u32, v: u64) {
+        if len == 0 {
+            return;
+        }
+        let off_bits = self.layout.offset_bits() as u32;
+        if start.checked_add(len - 1).is_none() {
+            // Wrap-around keeps the per-element loop and its modular
+            // addressing.
+            let first = (start >> off_bits) as u64;
+            let last = (start as u64 + len as u64 - 1) >> off_bits;
+            for e in first..=last {
+                self.set_elem_u64((e << off_bits) as u32, v);
+            }
+            return;
+        }
+        let size = self.layout.elem_size().bytes() as usize;
+        let pattern = v.to_le_bytes();
+        let pattern = &pattern[..size];
+        let uniform = pattern.iter().all(|b| *b == pattern[0]);
+        for (a, n) in segments(self.layout, start, len) {
+            let first = self.layout.elem_offset_in_chunk(a) as usize;
+            let last = self.layout.elem_offset_in_chunk(a + (n - 1) as u32) as usize;
+            let elems = &mut self.ensure_chunk(a).data[first..last + size];
+            if uniform {
+                elems.fill(pattern[0]);
+            } else {
+                for e in elems.chunks_exact_mut(size) {
+                    e.copy_from_slice(pattern);
+                }
+            }
+        }
     }
 
     fn packed_geometry(&self, app_addr: u32) -> (u32, u32, u8) {
@@ -186,12 +245,89 @@ impl TwoLevelShadow {
         *b = (*b & !(mask << shift)) | ((v & mask) << shift);
     }
 
+    /// Reads the packed metadata of the `n` application bytes at `app_addr`
+    /// (`n` in `1..=4`: one memory reference) at once: field `i` of the
+    /// result — `bits_per_app_byte` wide, at bit `i * bits_per_app_byte` —
+    /// is `packed_get(app_addr + i)`. A reference inside one chunk costs one
+    /// translation and one window load; one that straddles chunks (or wraps
+    /// the address space) is assembled per byte. Never allocates.
+    #[inline]
+    pub fn packed_load(&self, app_addr: u32, n: u32) -> u32 {
+        let bits = self.layout.bits_per_app_byte();
+        debug_assert!(matches!(bits, 1 | 2 | 4 | 8) && (1..=4).contains(&n));
+        let Some((byte, shift)) = self.window(app_addr, n) else {
+            return (0..n).fold(0, |w, i| {
+                w | (self.packed_get(app_addr.wrapping_add(i)) as u32) << (i * bits)
+            });
+        };
+        let window = match &self.chunks[self.layout.l1_index(app_addr) as usize] {
+            Some(c) => load_window(&c.data, byte),
+            None => u32::from_le_bytes([self.default_byte; 4]),
+        };
+        (window >> shift) & low_mask32(n * bits)
+    }
+
+    /// Applies `meta = (meta & !clear) | set` to the packed metadata of the
+    /// `n` application bytes at `app_addr` (`n` in `1..=4`), with `set` and
+    /// `clear` laid out like [`packed_load`](Self::packed_load)'s result.
+    /// A byte whose field is zero in both masks is not written, and a chunk
+    /// none of whose bytes are written is not allocated — so a caller that
+    /// passes only the fields that change allocates exactly what a
+    /// compare-then-`packed_set` loop would.
+    #[inline]
+    pub fn packed_update(&mut self, app_addr: u32, n: u32, set: u32, clear: u32) {
+        let bits = self.layout.bits_per_app_byte();
+        debug_assert!(matches!(bits, 1 | 2 | 4 | 8) && (1..=4).contains(&n));
+        debug_assert_eq!((set | clear) & !low_mask32(n * bits), 0, "mask beyond the reference");
+        let Some((byte, shift)) = self.window(app_addr, n) else {
+            let field = low_mask32(bits);
+            for i in 0..n {
+                let (s, c) = ((set >> (i * bits)) & field, (clear >> (i * bits)) & field);
+                if s | c != 0 {
+                    let a = app_addr.wrapping_add(i);
+                    let old = self.packed_get(a);
+                    self.packed_set(a, (old & !(c as u8)) | s as u8);
+                }
+            }
+            return;
+        };
+        if set | clear == 0 {
+            return;
+        }
+        let data = &mut self.ensure_chunk(app_addr).data;
+        let window = load_window(data, byte);
+        store_window(data, byte, (window & !(clear << shift)) | (set << shift));
+    }
+
+    /// Where the packed fields of the `n` application bytes at `app_addr`
+    /// sit in their chunk — byte offset of a 32-bit window and the first
+    /// field's shift within it — or `None` when the reference leaves the
+    /// chunk. Field widths divide 8, so `shift + n * bits <= 32`.
+    #[inline]
+    fn window(&self, app_addr: u32, n: u32) -> Option<(usize, u32)> {
+        let span = self.layout.chunk_app_span();
+        let off = app_addr as u64 & (span - 1);
+        if off + n as u64 > span {
+            return None;
+        }
+        let bit = off * self.layout.bits_per_app_byte() as u64;
+        Some(((bit / 8) as usize, (bit % 8) as u32))
+    }
+
     /// Whether the packed fast paths apply: a bit-packed layout and a range
     /// that does not wrap the 32-bit application space (wrap-around keeps
     /// the per-byte loop so its modular semantics are preserved).
     fn packed_range_fast(&self, start: u32, len: u32) -> bool {
         matches!(self.layout.bits_per_app_byte(), 1 | 2 | 4 | 8)
             && start.checked_add(len - 1).is_some()
+    }
+
+    /// The bit range, within its chunk's packed bitstring, of the `n`
+    /// application bytes at `a` (one [`segments`] item).
+    fn bit_range(&self, a: u32, n: u64) -> (u64, u64) {
+        let bits = self.layout.bits_per_app_byte() as u64;
+        let bit0 = (a as u64 & (self.layout.chunk_app_span() - 1)) * bits;
+        (bit0, bit0 + n * bits)
     }
 
     /// Sets the packed metadata of every application byte in
@@ -211,7 +347,7 @@ impl TwoLevelShadow {
         }
         let bits = self.layout.bits_per_app_byte();
         if !self.packed_range_fast(start, len) {
-            let mask = ((1u16 << bits.min(8)) - 1) as u8;
+            let mask = low_mask(bits.min(8));
             for i in 0..len {
                 let a = start.wrapping_add(i);
                 let old = self.packed_get(a);
@@ -238,6 +374,65 @@ impl TwoLevelShadow {
             apply_bits(&mut chunk.data, bit0, bit1, set_fill, clear_fill);
             a = seg_end;
         }
+    }
+
+    /// Sets the packed metadata of every application byte in
+    /// `[start, start+len)` to `v` and returns how many of them changed —
+    /// the `if packed_get(a) != v { packed_set(a, v) }` loop, word-wise. A
+    /// chunk in which nothing changes is not written, so not allocated.
+    pub fn packed_set_range_changed(&mut self, start: u32, len: u32, v: u8) -> u64 {
+        if len == 0 {
+            return 0;
+        }
+        let bits = self.layout.bits_per_app_byte();
+        if !self.packed_range_fast(start, len) {
+            let v = v & low_mask(bits.min(8));
+            let mut changed = 0;
+            for i in 0..len {
+                let a = start.wrapping_add(i);
+                if self.packed_get(a) != v {
+                    self.packed_set(a, v);
+                    changed += 1;
+                }
+            }
+            return changed;
+        }
+        let fill = fill_byte(v, bits);
+        let mut changed = 0;
+        for (a, n) in segments(self.layout, start, len) {
+            let differing = self.count_ne(a, n, fill);
+            if differing != 0 {
+                let (bit0, bit1) = self.bit_range(a, n);
+                apply_bits(&mut self.ensure_chunk(a).data, bit0, bit1, fill, 0xff);
+                changed += differing;
+            }
+        }
+        changed
+    }
+
+    /// How many application bytes in `[start, start+len)` have packed
+    /// metadata different from `v` (a popcount over 64-bit words).
+    pub fn packed_count_ne(&self, start: u32, len: u32, v: u8) -> u64 {
+        if len == 0 {
+            return 0;
+        }
+        let bits = self.layout.bits_per_app_byte();
+        if !self.packed_range_fast(start, len) {
+            let v = v & low_mask(bits.min(8));
+            return (0..len).filter(|i| self.packed_get(start.wrapping_add(*i)) != v).count()
+                as u64;
+        }
+        let fill = fill_byte(v, bits);
+        segments(self.layout, start, len).map(|(a, n)| self.count_ne(a, n, fill)).sum()
+    }
+
+    /// How many of the `n` application bytes at `a` (one [`segments`] item)
+    /// have a field different from the one repeated in `want`.
+    fn count_ne(&self, a: u32, n: u64, want: u8) -> u64 {
+        let (bit0, bit1) = self.bit_range(a, n);
+        let chunk = self.chunks[self.layout.l1_index(a) as usize].as_ref();
+        let bits = self.layout.bits_per_app_byte();
+        count_ne_bits(chunk.map(|c| &*c.data), self.default_byte, bit0, bit1, want, bits)
     }
 
     /// Whether every application byte in `[start, start+len)` has packed
@@ -297,12 +492,19 @@ impl TwoLevelShadow {
     /// Whether any application byte in `[start, start+len)` has packed
     /// metadata equal to `v`.
     pub fn packed_any(&self, start: u32, len: u32, v: u8) -> bool {
-        (0..len).any(|i| self.packed_get(start.wrapping_add(i)) == v)
+        if len == 0 {
+            return false;
+        }
+        if !self.packed_range_fast(start, len) {
+            return (0..len).any(|i| self.packed_get(start.wrapping_add(i)) == v);
+        }
+        let fill = fill_byte(v, self.layout.bits_per_app_byte());
+        segments(self.layout, start, len).any(|(a, n)| self.count_ne(a, n, fill) < n)
     }
 
     /// Number of level-2 chunks currently allocated.
     pub fn allocated_chunks(&self) -> u32 {
-        self.chunks.iter().filter(|c| c.is_some()).count() as u32
+        self.allocated
     }
 
     /// Total metadata bytes currently allocated (chunks only; the level-1
@@ -310,6 +512,24 @@ impl TwoLevelShadow {
     pub fn metadata_bytes(&self) -> u64 {
         self.allocated_chunks() as u64 * self.layout.chunk_bytes() as u64
     }
+}
+
+/// Cuts the non-wrapping application range `[start, start+len)` at chunk
+/// boundaries: each item is the first address and the byte count of the
+/// part inside one chunk.
+fn segments(layout: ShadowLayout, start: u32, len: u32) -> impl Iterator<Item = (u32, u64)> {
+    let span = layout.chunk_app_span();
+    let end = start as u64 + len as u64;
+    let mut a = start as u64;
+    std::iter::from_fn(move || {
+        if a >= end {
+            return None;
+        }
+        let seg_end = ((a & !(span - 1)) + span).min(end);
+        let seg = (a as u32, seg_end - a);
+        a = seg_end;
+        Some(seg)
+    })
 }
 
 /// Repeats a `bits`-wide packed value across a full metadata byte.
@@ -328,6 +548,35 @@ fn fill_byte(v: u8, bits: u32) -> u8 {
 #[inline]
 fn low_mask(n: u32) -> u8 {
     ((1u16 << n) - 1) as u8
+}
+
+/// `(1 << n) - 1` for `n` in `0..=32`.
+#[inline]
+fn low_mask32(n: u32) -> u32 {
+    ((1u64 << n) - 1) as u32
+}
+
+/// The (up to) four bytes of `data` from `byte` on, little-endian; fewer
+/// at the very end of a chunk.
+#[inline]
+fn load_window(data: &[u8], byte: usize) -> u32 {
+    match data.get(byte..byte + 4) {
+        Some(w) => u32::from_le_bytes(w.try_into().expect("4-byte window")),
+        None => data[byte..].iter().rev().fold(0, |w, b| w << 8 | *b as u32),
+    }
+}
+
+/// Writes back what [`load_window`] read.
+#[inline]
+fn store_window(data: &mut [u8], byte: usize, window: u32) {
+    match data.get_mut(byte..byte + 4) {
+        Some(w) => w.copy_from_slice(&window.to_le_bytes()),
+        None => {
+            for (i, b) in data[byte..].iter_mut().enumerate() {
+                *b = (window >> (8 * i)) as u8;
+            }
+        }
+    }
 }
 
 /// Writes `b = (b & !clear) | set` to bit range `[bit0, bit1)` of `data`,
@@ -411,6 +660,68 @@ fn union_mask(bit0: u64, bit1: u64) -> u8 {
         m |= low_mask(tail_bits);
     }
     m
+}
+
+/// Given `x = data ^ want`, a word with the low bit of every `bits`-wide
+/// field that is non-zero in `x` set: folding a field's bits down onto its
+/// low bit only ever pulls from inside the field.
+#[inline]
+fn ne_fields(x: u64, bits: u32) -> u64 {
+    let mut y = x;
+    let mut s = 1;
+    while s < bits {
+        y |= y >> s;
+        s <<= 1;
+    }
+    // The low bit of every field: 0xff…, 0x55…, 0x11…, 0x01… .
+    y & (u64::MAX / ((1u64 << bits) - 1))
+}
+
+/// Number of `bits`-wide fields in bit range `[bit0, bit1)` that differ
+/// from the field repeated in `want`, eight metadata bytes per popcount.
+/// `data` is the chunk's metadata; an absent chunk (`None`) reads as
+/// `default` everywhere.
+fn count_ne_bits(
+    data: Option<&[u8]>,
+    default: u8,
+    bit0: u64,
+    bit1: u64,
+    want: u8,
+    bits: u32,
+) -> u64 {
+    let ne = |b: u8| ne_fields((b ^ want) as u64, bits);
+    let masked = |i: usize, m: u8| (ne(data.map_or(default, |d| d[i])) as u8 & m).count_ones();
+    let mut byte0 = (bit0 / 8) as usize;
+    let byte1 = (bit1 / 8) as usize;
+    let head_shift = (bit0 % 8) as u32;
+    let tail_bits = (bit1 % 8) as u32;
+    if byte0 == byte1 {
+        return masked(byte0, low_mask(tail_bits - head_shift) << head_shift) as u64;
+    }
+    let mut count = 0u64;
+    if head_shift != 0 {
+        count += masked(byte0, 0xffu8 << head_shift) as u64;
+        byte0 += 1;
+    }
+    count += match data {
+        Some(d) => {
+            let want_word = u64::from_le_bytes([want; 8]);
+            let words = d[byte0..byte1].chunks_exact(8);
+            let rest: u32 = words.remainder().iter().map(|b| ne(*b).count_ones()).sum();
+            let whole: u64 = words
+                .map(|w| {
+                    let w = u64::from_le_bytes(w.try_into().expect("8-byte word"));
+                    ne_fields(w ^ want_word, bits).count_ones() as u64
+                })
+                .sum();
+            whole + rest as u64
+        }
+        None => (byte1 - byte0) as u64 * ne(default).count_ones() as u64,
+    };
+    if tail_bits != 0 {
+        count += masked(byte1, low_mask(tail_bits)) as u64;
+    }
+    count
 }
 
 #[cfg(test)]

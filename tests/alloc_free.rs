@@ -1,12 +1,20 @@
 //! Steady-state monitoring of a batch performs **no heap allocation** on
 //! the dispatch path. This binary installs a counting global allocator;
-//! after one warm-up pass over a batch (which sizes the staging buffers,
-//! faults in shadow chunks and warms accelerator state), re-dispatching and
-//! re-handling the same batch must leave the allocation counter untouched —
-//! extraction arena, post-IT buffer, delivered-event buffer and handler
+//! after one warm-up pass over a batch (which sizes the delivered-event
+//! buffer, faults in shadow chunks and warms accelerator state),
+//! re-dispatching and re-handling the same batch must leave the allocation
+//! counter untouched — the fused sweep writes only the caller's event
+//! buffer, and that, the entry front door's column arena and the handler
 //! cost sink are all reused. Both dispatch front doors are covered: the
-//! columnar `dispatch_batch` over a `TraceBatch` and the array-of-structs
-//! `dispatch_batch_entries` compatibility path.
+//! columnar `dispatch_batch` over a `TraceBatch` and `dispatch_batch_entries`
+//! over an entry slice.
+//!
+//! Allocations are counted **per thread**: the exact-zero tests read only
+//! the counter of the thread they run on, so neither libtest's own
+//! bookkeeping nor another test can show up in their window. The pipelined
+//! pool test is multi-threaded by design; it reads the process-wide counter
+//! instead, between two points at which the pool is quiescent, and
+//! [`SERIAL`] keeps the other tests from allocating meanwhile.
 
 use igm::accel::{AccelConfig, DispatchPipeline, ItConfig};
 use igm::isa::{MemRef, OpClass, Reg, TraceEntry};
@@ -14,29 +22,59 @@ use igm::lba::{EventBuf, TraceBatch};
 use igm::lifeguards::{CostSink, Lifeguard, LifeguardKind};
 use igm::runtime::{EpochConfig, MonitorPool, PipelineMode, PoolConfig, SessionConfig};
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::time::{Duration, Instant};
 
-/// The two tests below share one process-wide allocation counter, so they
-/// must not run concurrently (each would observe the other's allocations).
+/// One test body at a time: the pipelined test counts process-wide, so the
+/// others must not allocate beside it.
 static SERIAL: Mutex<()> = Mutex::new(());
 
-/// Counts every allocation-path entry (alloc, alloc_zeroed, realloc).
+/// Takes [`SERIAL`]. The mutex guards no data, so a test that failed while
+/// holding it has left nothing inconsistent behind: the next test goes on
+/// instead of failing on the poison flag.
+fn serial() -> MutexGuard<'static, ()> {
+    SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Counts every allocation-path entry (alloc, alloc_zeroed, realloc), once
+/// for the process and once for the calling thread.
 struct CountingAllocator;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+static PROCESS_ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 
+thread_local! {
+    // Const-initialized and without a destructor: touching it from inside
+    // the allocator neither allocates nor registers anything.
+    static THREAD_ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_allocation() {
+    PROCESS_ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+    // `try_with`: a thread tearing down may allocate after its locals died.
+    let _ = THREAD_ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
+
+/// Allocations made so far by the calling thread.
+fn thread_allocations() -> u64 {
+    THREAD_ALLOCATIONS.with(Cell::get)
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`, which
+// upholds the `GlobalAlloc` contract; the counting touches no allocator
+// state.
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         System.alloc(layout)
     }
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         System.alloc_zeroed(layout)
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         System.realloc(ptr, layout, new_size)
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
@@ -73,7 +111,7 @@ fn steady_batch(n: u32) -> Vec<TraceEntry> {
 
 #[test]
 fn steady_state_columnar_dispatch_allocates_nothing() {
-    let _serial = SERIAL.lock().unwrap();
+    let _serial = serial();
     let batch = TraceBatch::from_entries(&steady_batch(2_048));
     for kind in LifeguardKind::ALL {
         for accel in [AccelConfig::baseline(), AccelConfig::full(ItConfig::taint_style())] {
@@ -100,11 +138,11 @@ fn steady_state_columnar_dispatch_allocates_nothing() {
 
             // Measured steady-state pass: the whole batch through the
             // column sweeps → IT → ETCT → IF → handlers, zero allocations.
-            let before = ALLOCATIONS.load(Ordering::Relaxed);
+            let before = thread_allocations();
             pipeline.dispatch_batch(&batch, &mut events);
             cost.clear();
             lifeguard.handle_batch(events.events(), &mut cost);
-            let after = ALLOCATIONS.load(Ordering::Relaxed);
+            let after = thread_allocations();
             assert_eq!(
                 after - before,
                 0,
@@ -123,7 +161,7 @@ fn steady_state_columnar_dispatch_allocates_nothing() {
 /// dispatch stays zero-alloc too.
 #[test]
 fn steady_state_batch_build_and_aos_dispatch_allocate_nothing() {
-    let _serial = SERIAL.lock().unwrap();
+    let _serial = serial();
     let entries = steady_batch(2_048);
     let kind = LifeguardKind::AddrCheck;
     let accel = AccelConfig::baseline();
@@ -145,7 +183,7 @@ fn steady_state_batch_build_and_aos_dispatch_allocate_nothing() {
         lifeguard.handle_batch(events.events(), &mut cost);
     }
 
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = thread_allocations();
     batch.clear();
     batch.extend_entries(entries.iter().copied());
     pipeline.dispatch_batch(&batch, &mut events);
@@ -154,8 +192,30 @@ fn steady_state_batch_build_and_aos_dispatch_allocate_nothing() {
     pipeline.dispatch_batch_entries(&entries, &mut events);
     cost.clear();
     lifeguard.handle_batch(events.events(), &mut cost);
-    let after = ALLOCATIONS.load(Ordering::Relaxed);
+    let after = thread_allocations();
     assert_eq!(after - before, 0, "batch refill + AoS dispatch must be allocation-free");
+}
+
+/// Blocks until `pool` has nothing in flight: all `sent` records counted by
+/// a spine and no epoch backlog. Seen twice, a pause apart, because a spine
+/// counts a batch before it dispatches it and adds it to the backlog only
+/// after.
+fn settle(pool: &MonitorPool, sent: u64) {
+    let idle = || {
+        pool.stats().records == sent
+            && pool.metrics().snapshot().gauge_value("igm_epoch_backlog_records") == Some(0)
+    };
+    let deadline = Instant::now() + Duration::from_secs(60);
+    loop {
+        if idle() {
+            std::thread::sleep(Duration::from_millis(2));
+            if idle() {
+                return;
+            }
+        }
+        assert!(Instant::now() < deadline, "the pool never went quiescent");
+        std::thread::sleep(Duration::from_micros(200));
+    }
 }
 
 /// Intra-session epoch pipelining keeps the arena discipline end to end:
@@ -170,7 +230,7 @@ fn steady_state_batch_build_and_aos_dispatch_allocate_nothing() {
 /// alone would blow through that bound.
 #[test]
 fn pipelined_epochs_recycle_batch_arenas() {
-    let _serial = SERIAL.lock().unwrap();
+    let _serial = serial();
     let entries = steady_batch(256);
     let pool = MonitorPool::new(PoolConfig {
         workers: 2,
@@ -184,16 +244,22 @@ fn pipelined_epochs_recycle_batch_arenas() {
 
     // Warm-up: circulate enough arenas for the channel, the epoch
     // accumulator and the in-flight jobs, and settle column capacities.
-    for _ in 0..64 {
+    let warm_up = 64u64;
+    for _ in 0..warm_up {
         session.send_batch(entries.clone()).unwrap();
     }
+    // First quiescent point: every warm-up record has been through the
+    // spine and every epoch it formed has come back, so nothing of the
+    // warm-up is still allocating when the window opens.
+    settle(&pool, warm_up * entries.len() as u64);
     let chunks = 256u64;
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = PROCESS_ALLOCATIONS.load(Ordering::Relaxed);
     for _ in 0..chunks {
         session.send_batch(entries.clone()).unwrap();
     }
+    // Second quiescent point: `finish` returns once the session is final.
     let report = session.finish();
-    let after = ALLOCATIONS.load(Ordering::Relaxed);
+    let after = PROCESS_ALLOCATIONS.load(Ordering::Relaxed);
     assert!(report.violations.is_empty(), "steady batch must be clean");
     assert!(pool.stats().epoch_jobs > 0, "the pipelined path must actually ship epochs");
     let allocs = after - before;
@@ -216,7 +282,7 @@ fn pipelined_epochs_recycle_batch_arenas() {
 /// `MonitorPool::new` registers before any record flows.)
 #[test]
 fn instrumented_dispatch_stays_allocation_free() {
-    let _serial = SERIAL.lock().unwrap();
+    let _serial = serial();
     let registry = igm::obs::MetricsRegistry::new();
     let records = registry.counter("igm_records_total", "records dispatched");
     let occupancy = registry.gauge("igm_occupancy_bytes", "live queue bytes");
@@ -243,7 +309,7 @@ fn instrumented_dispatch_stays_allocation_free() {
         lifeguard.handle_batch(events.events(), &mut cost);
     }
 
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = thread_allocations();
     occupancy.add(batch.len() as i64);
     let queued = queue.start();
     // The span hot path: one sampling branch, then stage records into the
@@ -270,7 +336,7 @@ fn instrumented_dispatch_stays_allocation_free() {
     records.add(batch.len() as u64);
     occupancy.sub(batch.len() as i64);
     queue.record(37);
-    let after = ALLOCATIONS.load(Ordering::Relaxed);
+    let after = thread_allocations();
     assert_eq!(
         after - before,
         0,

@@ -8,6 +8,8 @@
 //! `from_entries` → view iterator is the identity on every chunk — and the
 //! discarding `CostSink`: the same batches handled under it yield the same
 //! violations and the same metadata footprint while recording nothing.
+//! One generated trace in four is annotation-dense, so batches also cross
+//! IT flushes and IF invalidations many times over.
 
 use igm::accel::{AccelConfig, DispatchPipeline, ItConfig};
 use igm::isa::{Annotation, CtrlOp, JumpTarget, MemRef, MemSize, Reg, TraceEntry};
@@ -69,6 +71,23 @@ fn entry() -> impl Strategy<Value = TraceEntry> {
     })
 }
 
+/// Annotation-dense records: one in three is a `Malloc`, `ReadInput`,
+/// `Lock` or `Unlock` (unaligned bases, odd sizes), so a single batch
+/// crosses several IT flushes and whole-filter IF invalidations and the
+/// range handlers meet overlapping blocks.
+fn dense_entry() -> impl Strategy<Value = TraceEntry> {
+    let annot = prop_oneof![
+        (0u32..0x3f0, 0u32..70).prop_map(|(o, size)| Annotation::Malloc { base: HEAP + o, size }),
+        (0u32..0x3f0, 0u32..40).prop_map(|(o, len)| Annotation::ReadInput { base: HEAP + o, len }),
+        (1u32..4).prop_map(|t| Annotation::Lock { lock: 0x100 + t }),
+        (1u32..4).prop_map(|t| Annotation::Unlock { lock: 0x100 + t }),
+    ];
+    prop_oneof![
+        2 => entry(),
+        1 => annot.prop_map(|a| TraceEntry::annot(0x1000, a)),
+    ]
+}
+
 // Local wrappers so the strategy arms share one Debug-able value type.
 #[derive(Debug)]
 struct OpClassW(igm::isa::OpClass);
@@ -96,7 +115,10 @@ proptest! {
 
     #[test]
     fn dispatch_batch_equals_n_dispatch_calls(
-        raw_trace in proptest::collection::vec(entry(), 1..240),
+        raw_trace in prop_oneof![
+            3 => proptest::collection::vec(entry(), 1..240),
+            1 => proptest::collection::vec(dense_entry(), 40..240),
+        ],
         chunk in 1usize..40,
     ) {
         let trace = with_pcs(raw_trace);

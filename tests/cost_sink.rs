@@ -48,6 +48,34 @@ fn workload(kind: LifeguardKind) -> (Vec<TraceEntry>, Vec<(u32, u32)>) {
     }
 }
 
+/// Annotation-dense traffic: a `Malloc`, `ReadInput`, `Lock` or `Unlock`
+/// every third record, between loads, stores and register moves over the
+/// blocks they name — any transport chunk of it crosses dozens of IT
+/// flushes and whole-filter IF invalidations, and the range handlers run
+/// on unaligned, overlapping blocks. Ends with the planted bugs.
+fn annotation_dense() -> Vec<TraceEntry> {
+    const BLOCK: u32 = 0x6100_0000;
+    let mut trace = Vec::new();
+    for i in 0..4_000u32 {
+        let pc = 0x8000 + 4 * i;
+        let base = BLOCK + 24 * (i % 64) + i % 3;
+        let m = MemRef::word(base + 4 * (i % 5));
+        trace.push(match i % 12 {
+            0 => TraceEntry::annot(pc, Annotation::Malloc { base, size: 40 + i % 7 }),
+            3 => TraceEntry::annot(pc, Annotation::ReadInput { base: base + 2, len: 9 + i % 5 }),
+            6 => TraceEntry::annot(pc, Annotation::Lock { lock: 0x200 + i % 2 }),
+            9 => TraceEntry::annot(pc, Annotation::Unlock { lock: 0x200 + i % 2 }),
+            1 | 7 => TraceEntry::op(pc, OpClass::MemToReg { src: m, rd: Reg::Eax }),
+            2 | 8 => TraceEntry::op(pc, OpClass::RegToReg { rs: Reg::Eax, rd: Reg::Ecx }),
+            4 | 10 => TraceEntry::op(pc, OpClass::RegToMem { rs: Reg::Ecx, dst: m }),
+            5 => TraceEntry::op(pc, OpClass::DestRegOpMem { src: m, rd: Reg::Edx }),
+            _ => TraceEntry::op(pc, OpClass::ImmToMem { dst: m }),
+        });
+    }
+    trace.extend(planted());
+    trace
+}
+
 fn configs(kind: LifeguardKind) -> [SimConfig; 2] {
     [SimConfig::baseline(kind), SimConfig::optimized(kind)]
 }
@@ -59,28 +87,32 @@ fn simulate(cfg: &SimConfig, trace: &[TraceEntry], premark: &[(u32, u32)]) -> Si
 #[test]
 fn discarding_and_recording_sinks_reach_the_same_verdicts() {
     for kind in LifeguardKind::ALL {
-        let (trace, premark) = workload(kind);
-        for cfg in configs(kind) {
-            let recorded = simulate(&cfg, &trace, &premark);
-            assert!(recorded.timing.handler_instrs > 0, "{kind}: the simulator records costs");
+        for (trace, premark) in [workload(kind), (annotation_dense(), Vec::new())] {
+            for cfg in configs(kind) {
+                let recorded = simulate(&cfg, &trace, &premark);
+                assert!(recorded.timing.handler_instrs > 0, "{kind}: the simulator records costs");
 
-            let mut lifeguard = kind.build_any(&cfg.accel);
-            lifeguard.set_synthetic_workload_mode(true);
-            for (base, len) in &premark {
-                lifeguard.premark_region(*base, *len);
+                let mut lifeguard = kind.build_any(&cfg.accel);
+                lifeguard.set_synthetic_workload_mode(true);
+                for (base, len) in &premark {
+                    lifeguard.premark_region(*base, *len);
+                }
+                let mut monitor = Monitor::new(lifeguard, &cfg.accel);
+                monitor.observe_all(trace.iter().copied());
+
+                let label = cfg.accel.label();
+                assert!(
+                    !recorded.violations.is_empty(),
+                    "{kind} / {label}: planted bugs must fire"
+                );
+                assert_eq!(monitor.violations(), &recorded.violations[..], "{kind} / {label}");
+                assert_eq!(monitor.dispatch_stats(), &recorded.dispatch, "{kind} / {label}");
+                assert_eq!(
+                    monitor.lifeguard().metadata_bytes(),
+                    recorded.metadata_bytes,
+                    "{kind} / {label}: metadata footprint"
+                );
             }
-            let mut monitor = Monitor::new(lifeguard, &cfg.accel);
-            monitor.observe_all(trace.iter().copied());
-
-            let label = cfg.accel.label();
-            assert!(!recorded.violations.is_empty(), "{kind} / {label}: planted bugs must fire");
-            assert_eq!(monitor.violations(), &recorded.violations[..], "{kind} / {label}");
-            assert_eq!(monitor.dispatch_stats(), &recorded.dispatch, "{kind} / {label}");
-            assert_eq!(
-                monitor.lifeguard().metadata_bytes(),
-                recorded.metadata_bytes,
-                "{kind} / {label}: metadata footprint"
-            );
         }
     }
 }
