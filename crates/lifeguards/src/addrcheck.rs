@@ -103,8 +103,10 @@ impl AddrCheck {
         if len == 0 {
             return;
         }
+        // A block that runs past the top of the address space continues at
+        // page 0, like the metadata range it mirrors.
         let end = base as u64 + len as u64; // exclusive
-        let page = |p: u64| (p >> 3, 1u8 << (p & 7));
+        let page = |p: u64| ((p % PAGE_COUNT as u64) >> 3, 1u8 << (p & 7));
         if accessible {
             let first = (base as u64).div_ceil(1 << PAGE_SHIFT);
             let last = end >> PAGE_SHIFT; // exclusive
@@ -131,8 +133,10 @@ impl AddrCheck {
         // all-accessible pattern for the access size, branch.
         cost.instr(6);
         cost.mem(va);
-        // Accesses crossing an element boundary re-map the tail.
-        let last = mref.addr + (mref.size.bytes() - 1);
+        // Accesses crossing an element boundary re-map the tail. A record at
+        // the very top of the address space may name bytes that wrap to its
+        // bottom (`last < addr`): the tail is then simply another element.
+        let last = mref.addr.wrapping_add(mref.size.bytes() - 1);
         if self.meta.shadow().layout().l1_index(last)
             != self.meta.shadow().layout().l1_index(mref.addr)
             || self.meta.shadow().layout().elem_index(last)
@@ -143,10 +147,11 @@ impl AddrCheck {
             cost.mem(va2);
         }
         // An access that stays inside one fully-accessible page needs no
-        // shadow walk; anything else takes the (packed, byte-at-a-time at
-        // worst) range check.
+        // shadow walk; anything else — a wrapping access included, which
+        // `packed_all` checks byte by byte modulo 2^32 — takes the (packed,
+        // byte-at-a-time at worst) range check.
         let page = mref.addr >> PAGE_SHIFT;
-        if (last >> PAGE_SHIFT == page && self.page_bit(page))
+        if (last >= mref.addr && last >> PAGE_SHIFT == page && self.page_bit(page))
             || self.meta.shadow().packed_all(mref.addr, mref.size.bytes(), ACCESSIBLE)
         {
             return;
@@ -160,15 +165,24 @@ impl AddrCheck {
         // once.
         let elems = len.div_ceil(8).max(1);
         cost.instr(4 + elems.div_ceil(4));
-        let mut a = base;
-        while a < base.saturating_add(len) {
+        for a in metadata_lines(base, len) {
             let va = self.meta.map(a, cost);
             cost.mem(va);
-            a = a.saturating_add(512); // one mapped chunk line per 512 app bytes
         }
+        self.set_range(base, len, v);
+    }
+
+    fn set_range(&mut self, base: u32, len: u32, v: u8) {
         self.meta.shadow_mut().packed_set_range(base, len, v);
         self.update_page_bitmap(base, len, v == ACCESSIBLE);
     }
+}
+
+/// The application addresses at which a memset over the metadata of
+/// `[base, base+len)` maps a new metadata line: one per 512 application
+/// bytes.
+fn metadata_lines(base: u32, len: u32) -> impl Iterator<Item = u32> {
+    (base..base.saturating_add(len)).step_by(512)
 }
 
 impl Lifeguard for AddrCheck {
@@ -262,8 +276,16 @@ impl Lifeguard for AddrCheck {
     }
 
     fn premark_region(&mut self, base: u32, len: u32) {
+        // The malloc handler's walk, because it leaves the M-TLB as an
+        // allocation of the region would and the timing model can tell; its
+        // charges are dropped line by line, so the scratch sink stays empty
+        // however large the region.
         let mut scratch = CostSink::new();
-        self.mark_range(base, len, ACCESSIBLE, &mut scratch);
+        for a in metadata_lines(base, len) {
+            scratch.clear();
+            self.meta.map(a, &mut scratch);
+        }
+        self.set_range(base, len, ACCESSIBLE);
     }
 
     fn metadata_bytes(&self) -> u64 {

@@ -72,6 +72,12 @@ impl MemCheck {
         }
     }
 
+    /// The shadow map behind the accessible/initialized bits (for space
+    /// studies: what the lifeguard has mapped against what the host backs).
+    pub fn shadow(&self) -> &TwoLevelShadow {
+        self.meta.shadow()
+    }
+
     /// Enables calloc-style allocation (see type docs).
     pub fn set_assume_calloc(&mut self, v: bool) {
         self.assume_calloc = v;

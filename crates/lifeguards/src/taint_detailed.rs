@@ -357,22 +357,18 @@ impl Lifeguard for TaintCheckDetailed {
                 let va = self.meta.map(*base, cost);
                 cost.instr(10 + size / 2); // two 4-byte stores per application word
                 cost.mem(va);
-                let mut a = *base & !3;
-                while a < base + size {
+                for a in words(*base, *size) {
                     self.set_word_record(a, TaintRecord::CLEAN);
-                    a += 4;
                 }
             }
             Event::Annot(Annotation::ReadInput { base, len }) => {
                 let va = self.meta.map(*base, cost);
                 cost.instr(10 + len / 2);
                 cost.mem(va);
-                let mut a = *base & !3;
-                while a < base + len {
+                for a in words(*base, *len) {
                     // Input bytes: the "from" is the input buffer itself,
                     // stamped with the read-annotation site.
                     self.set_word_record(a, TaintRecord { from: a, eip: ev.pc });
-                    a += 4;
                 }
             }
             _ => cost.instr(1),
@@ -395,6 +391,14 @@ impl Lifeguard for TaintCheckDetailed {
     fn try_snapshot(&self) -> Option<Box<dyn Lifeguard + Send>> {
         Some(crate::ShardableLifeguard::snapshot_shard(self))
     }
+}
+
+/// The 4-byte words overlapping the annotated block `[base, base+len)`,
+/// modulo 2^32: a block recorded at the top of the address space continues
+/// at address 0 instead of overflowing the walk.
+fn words(base: u32, len: u32) -> impl Iterator<Item = u32> {
+    let count = ((base & 3) as u64 + len as u64).div_ceil(4);
+    (0..count).map(move |i| (base & !3).wrapping_add(i as u32 * 4))
 }
 
 #[cfg(test)]

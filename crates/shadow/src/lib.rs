@@ -21,6 +21,20 @@
 //! space: every level-1 table slot and level-2 chunk has a stable metadata
 //! virtual address, so the timing model can replay lifeguard metadata
 //! accesses against a cache hierarchy.
+//!
+//! # Simulated footprint and host memory
+//!
+//! [`TwoLevelShadow`] keeps two questions apart. What the *monitored
+//! system's* lifeguard has allocated — every chunk a write or translation
+//! has touched is **mapped**, and [`TwoLevelShadow::allocated_chunks`] /
+//! [`TwoLevelShadow::metadata_bytes`] count it, as the paper's "allocated
+//! on demand" chunks would be. And what the *host* has to remember — only
+//! chunks whose metadata bytes differ from one another are **backed** by a
+//! byte store; a chunk whose every byte is the same value (untouched,
+//! pre-marked whole, filled whole again) is **uniform** and kept as that one
+//! value. How the host stores a chunk cannot be observed through any
+//! address, count or cost the simulated side reports. [`two_level`] has the
+//! chunk states operation by operation.
 
 pub mod layout;
 pub mod one_level;

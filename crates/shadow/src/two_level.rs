@@ -6,14 +6,96 @@
 //! lifeguard address space so the timing model can replay lifeguard memory
 //! traffic: the level-1 table lives at [`crate::LEVEL1_TABLE_BASE`] and
 //! chunks are bump-allocated from [`crate::CHUNK_REGION_BASE`].
+//!
+//! # What the host stores
+//!
+//! The map keeps two things apart: what the *monitored system's* lifeguard
+//! has allocated, and what the host needs to remember about it.
+//!
+//! * A chunk is **mapped** once anything translates or writes one of its
+//!   addresses: it is given the next chunk address in lifeguard space.
+//!   [`TwoLevelShadow::allocated_chunks`] and
+//!   [`TwoLevelShadow::metadata_bytes`] count mapped chunks — the footprint
+//!   the simulated lifeguard pays, whatever the host does.
+//! * A chunk's content is either **uniform** — every byte equals one fill
+//!   value, which is all the host keeps — or **backed** by a byte store.
+//!   Every chunk starts uniform at the map's default byte (an untouched
+//!   chunk is simply a uniform chunk that has not been mapped), a range
+//!   operation that covers a whole chunk changes the fill in O(1), and a
+//!   write gives a chunk its store only when it makes a byte differ from
+//!   the fill. Filling a backed chunk whole drops the store again. (The
+//!   idea is Memcheck's *distinguished secondary maps*: Nethercote & Seward,
+//!   "How to Shadow Every Byte of Memory Used by a Program", VEE 2007.)
+//!
+//! So pre-marking a loader region of 96 MiB, cloning the map for an epoch
+//! snapshot, or testing such a region cost time and memory in the number of
+//! chunks, not of bytes, and host memory follows what the metadata
+//! *distinguishes* rather than what has been touched.
 
 use crate::layout::{ElemSize, ShadowLayout};
 use crate::{CHUNK_REGION_BASE, LEVEL1_TABLE_BASE};
 
+/// What the host keeps of a chunk's metadata bytes.
+#[derive(Debug, Clone)]
+enum Store {
+    /// Every byte of the chunk equals this value.
+    Uniform(u8),
+    /// The chunk's bytes, [`ShadowLayout::chunk_bytes`] of them.
+    Backed(Box<[u8]>),
+}
+
 #[derive(Debug, Clone)]
 struct Chunk {
-    base_va: u32,
-    data: Box<[u8]>,
+    /// Address in lifeguard space, assigned when the chunk is mapped.
+    base_va: Option<u32>,
+    store: Store,
+}
+
+impl Chunk {
+    /// The chunk's bytes for writing; a uniform chunk is first given a
+    /// store holding its fill.
+    fn bytes_mut(&mut self, chunk_bytes: usize) -> &mut [u8] {
+        if let Store::Uniform(fill) = self.store {
+            self.store = Store::Backed(vec![fill; chunk_bytes].into_boxed_slice());
+        }
+        match &mut self.store {
+            Store::Backed(data) => data,
+            Store::Uniform(_) => unreachable!("store was just backed"),
+        }
+    }
+
+    /// Overwrites the bytes at `off` with `pattern`. A uniform chunk that
+    /// already reads as `pattern` there stays uniform.
+    #[inline]
+    fn write(&mut self, chunk_bytes: usize, off: usize, pattern: &[u8]) {
+        if let Store::Uniform(fill) = self.store {
+            if pattern.iter().all(|b| *b == fill) {
+                return;
+            }
+        }
+        self.bytes_mut(chunk_bytes)[off..off + pattern.len()].copy_from_slice(pattern);
+    }
+
+    /// Applies `b = (b & !clear) | set` to bit range `[bit0, bit1)` of the
+    /// chunk's bytes (see [`apply_bits`]). Over the whole chunk a uniform
+    /// chunk only changes its fill and a plain fill (`clear == 0xff`) drops
+    /// a backed chunk's store; over part of it a uniform chunk is backed
+    /// only if one of its bytes changes.
+    fn update_bits(&mut self, chunk_bytes: usize, bit0: u64, bit1: u64, set: u8, clear: u8) {
+        let whole = bit0 == 0 && bit1 == chunk_bytes as u64 * 8;
+        match self.store {
+            Store::Uniform(fill) => {
+                let new = (fill & !clear) | set;
+                if whole {
+                    self.store = Store::Uniform(new);
+                } else if (new ^ fill) & union_mask(bit0, bit1) != 0 {
+                    apply_bits(self.bytes_mut(chunk_bytes), bit0, bit1, set, clear);
+                }
+            }
+            Store::Backed(_) if whole && clear == 0xff => self.store = Store::Uniform(set),
+            Store::Backed(ref mut data) => apply_bits(data, bit0, bit1, set, clear),
+        }
+    }
 }
 
 /// A two-level shadow map.
@@ -30,24 +112,42 @@ struct Chunk {
 /// assert_eq!(shadow.packed_get(0xb3fb_703a), 0b11);
 /// assert_eq!(shadow.packed_get(0xb3fb_703b), 0b00); // neighbour untouched
 /// ```
+///
+/// Marking a whole chunk's worth of application space maps the chunk for
+/// the simulated lifeguard without storing a byte on the host:
+///
+/// ```
+/// use igm_shadow::{ShadowLayout, TwoLevelShadow};
+///
+/// let layout = ShadowLayout::taintcheck_fig7(); // 64 KiB of application space per chunk
+/// let mut shadow = TwoLevelShadow::new(layout, 0);
+/// shadow.packed_set_range(0x4000_0000, 0x1_0000, 0b01);
+/// assert_eq!(shadow.metadata_bytes(), layout.chunk_bytes() as u64);
+/// assert!(!shadow.chunk_is_backed(0x4000_0000));
+/// shadow.packed_set(0x4000_0010, 0b01); // rewrites what is there: still one value
+/// assert!(!shadow.chunk_is_backed(0x4000_0000));
+/// shadow.packed_set(0x4000_0010, 0b10); // now the bytes differ
+/// assert!(shadow.chunk_is_backed(0x4000_0000));
+/// ```
 #[derive(Debug, Clone)]
 pub struct TwoLevelShadow {
     layout: ShadowLayout,
-    default_byte: u8,
-    chunks: Vec<Option<Chunk>>,
-    /// How many of `chunks` are allocated.
+    /// One entry per level-1 slot, each uniform at the map's default byte
+    /// until written.
+    chunks: Vec<Chunk>,
+    /// How many of `chunks` are mapped.
     allocated: u32,
     next_chunk_va: u32,
 }
 
 impl TwoLevelShadow {
-    /// Creates an empty shadow map; unallocated metadata reads as
+    /// Creates an empty shadow map; unwritten metadata reads as
     /// `default_byte` repeated.
     pub fn new(layout: ShadowLayout, default_byte: u8) -> TwoLevelShadow {
+        let unmapped = Chunk { base_va: None, store: Store::Uniform(default_byte) };
         TwoLevelShadow {
             layout,
-            default_byte,
-            chunks: vec![None; layout.level1_entries() as usize],
+            chunks: vec![unmapped; layout.level1_entries() as usize],
             allocated: 0,
             next_chunk_va: CHUNK_REGION_BASE,
         }
@@ -66,85 +166,73 @@ impl TwoLevelShadow {
     }
 
     /// Base metadata virtual address of the chunk covering `app_addr`,
-    /// allocating the chunk on first touch. This is the value an M-TLB miss
+    /// mapping the chunk on first touch. This is the value an M-TLB miss
     /// handler obtains from the level-1 table and inserts with `lma_fill`.
     pub fn chunk_base_va(&mut self, app_addr: u32) -> u32 {
-        self.ensure_chunk(app_addr).base_va
+        self.map_chunk(app_addr).base_va.expect("just mapped")
     }
 
     /// Base metadata virtual address of the chunk covering `app_addr`, or
     /// `None` if it has never been touched.
     pub fn chunk_base_va_if_present(&self, app_addr: u32) -> Option<u32> {
-        self.chunks[self.layout.l1_index(app_addr) as usize].as_ref().map(|c| c.base_va)
+        self.chunks[self.layout.l1_index(app_addr) as usize].base_va
+    }
+
+    /// Whether the host holds a byte store for the chunk covering
+    /// `app_addr` — that is, whether its metadata bytes have ever differed
+    /// from one another since it was last filled whole.
+    pub fn chunk_is_backed(&self, app_addr: u32) -> bool {
+        matches!(self.store(app_addr), Store::Backed(_))
     }
 
     /// Metadata virtual address of the element covering `app_addr`
-    /// (allocates the chunk on first touch). Equals the result of the
+    /// (maps the chunk on first touch). Equals the result of the
     /// hardware `lma` instruction.
     pub fn elem_va(&mut self, app_addr: u32) -> u32 {
         self.chunk_base_va(app_addr) + self.layout.elem_offset_in_chunk(app_addr)
     }
 
-    fn ensure_chunk(&mut self, app_addr: u32) -> &mut Chunk {
-        let idx = self.layout.l1_index(app_addr) as usize;
-        if self.chunks[idx].is_none() {
-            let bytes = self.layout.chunk_bytes() as usize;
-            let chunk = Chunk {
-                base_va: self.next_chunk_va,
-                data: vec![self.default_byte; bytes].into_boxed_slice(),
-            };
+    /// The chunk covering `app_addr`, given its lifeguard-space address if
+    /// this is its first touch. Every write goes through here, whether or
+    /// not it ends up changing a byte: the simulated lifeguard allocates on
+    /// touch.
+    #[inline]
+    fn map_chunk(&mut self, app_addr: u32) -> &mut Chunk {
+        let chunk = &mut self.chunks[self.layout.l1_index(app_addr) as usize];
+        if chunk.base_va.is_none() {
+            chunk.base_va = Some(self.next_chunk_va);
             // Chunks are laid out back-to-back in lifeguard space.
             self.next_chunk_va = self.next_chunk_va.wrapping_add(self.layout.chunk_bytes());
-            self.chunks[idx] = Some(chunk);
             self.allocated += 1;
         }
-        self.chunks[idx].as_mut().expect("just ensured")
+        chunk
     }
 
-    /// Borrows the metadata element covering `app_addr`, if its chunk is
-    /// allocated.
-    pub fn elem(&self, app_addr: u32) -> Option<&[u8]> {
-        let chunk = self.chunks[self.layout.l1_index(app_addr) as usize].as_ref()?;
-        let off = self.layout.elem_offset_in_chunk(app_addr) as usize;
-        Some(&chunk.data[off..off + self.layout.elem_size().bytes() as usize])
-    }
-
-    /// Mutably borrows (allocating on demand) the element covering
-    /// `app_addr`.
-    pub fn elem_mut(&mut self, app_addr: u32) -> &mut [u8] {
-        let off = self.layout.elem_offset_in_chunk(app_addr) as usize;
-        let size = self.layout.elem_size().bytes() as usize;
-        let chunk = self.ensure_chunk(app_addr);
-        &mut chunk.data[off..off + size]
+    /// What the chunk covering `app_addr` holds. Reads never map a chunk.
+    #[inline]
+    fn store(&self, app_addr: u32) -> &Store {
+        &self.chunks[self.layout.l1_index(app_addr) as usize].store
     }
 
     /// Reads the element covering `app_addr` as a little-endian integer,
-    /// zero-extended to 64 bits. Unallocated chunks read as the default
-    /// byte repeated.
+    /// zero-extended to 64 bits.
     pub fn elem_u64(&self, app_addr: u32) -> u64 {
-        match self.elem(app_addr) {
-            Some(bytes) => {
-                let mut v = 0u64;
-                for (i, b) in bytes.iter().enumerate() {
-                    v |= (*b as u64) << (8 * i);
-                }
-                v
+        let size = self.layout.elem_size().bytes() as usize;
+        let mut bytes = [0u8; 8];
+        match self.store(app_addr) {
+            Store::Backed(data) => {
+                let off = self.layout.elem_offset_in_chunk(app_addr) as usize;
+                bytes[..size].copy_from_slice(&data[off..off + size]);
             }
-            None => {
-                let mut v = 0u64;
-                for i in 0..self.layout.elem_size().bytes() {
-                    v |= (self.default_byte as u64) << (8 * i);
-                }
-                v
-            }
+            Store::Uniform(fill) => bytes[..size].fill(*fill),
         }
+        u64::from_le_bytes(bytes)
     }
 
     /// Writes the element covering `app_addr` from a little-endian integer.
     pub fn set_elem_u64(&mut self, app_addr: u32, v: u64) {
-        for (i, b) in self.elem_mut(app_addr).iter_mut().enumerate() {
-            *b = (v >> (8 * i)) as u8;
-        }
+        let size = self.layout.elem_size().bytes() as usize;
+        self.write_elem(app_addr, &v.to_le_bytes()[..size]);
     }
 
     /// Reads the element covering `app_addr` as a `u32` (the record of
@@ -156,12 +244,12 @@ impl TwoLevelShadow {
         if self.layout.elem_size() != ElemSize::B4 {
             return self.elem_u64(app_addr) as u32;
         }
-        match &self.chunks[self.layout.l1_index(app_addr) as usize] {
-            Some(c) => {
+        match self.store(app_addr) {
+            Store::Backed(data) => {
                 let off = self.layout.elem_offset_in_chunk(app_addr) as usize;
-                u32::from_le_bytes(c.data[off..off + 4].try_into().expect("4-byte element"))
+                u32::from_le_bytes(data[off..off + 4].try_into().expect("4-byte element"))
             }
-            None => u32::from_le_bytes([self.default_byte; 4]),
+            Store::Uniform(fill) => u32::from_le_bytes([*fill; 4]),
         }
     }
 
@@ -172,14 +260,23 @@ impl TwoLevelShadow {
         if self.layout.elem_size() != ElemSize::B4 {
             return self.set_elem_u64(app_addr, v as u64);
         }
+        self.write_elem(app_addr, &v.to_le_bytes());
+    }
+
+    /// Maps the chunk covering `app_addr` and writes `pattern` over its
+    /// element.
+    #[inline]
+    fn write_elem(&mut self, app_addr: u32, pattern: &[u8]) {
         let off = self.layout.elem_offset_in_chunk(app_addr) as usize;
-        self.ensure_chunk(app_addr).data[off..off + 4].copy_from_slice(&v.to_le_bytes());
+        let chunk_bytes = self.layout.chunk_bytes() as usize;
+        self.map_chunk(app_addr).write(chunk_bytes, off, pattern);
     }
 
     /// Writes `v` (little-endian, element-sized) to every element that
     /// covers an application byte of `[start, start+len)`: the
     /// [`set_elem_u64`](Self::set_elem_u64) loop as one fill per chunk.
-    /// Like that loop it allocates every chunk it reaches.
+    /// Like that loop it maps every chunk it reaches; a chunk covered whole
+    /// by a `v` of equal bytes becomes uniform at that byte.
     pub fn set_elem_range(&mut self, start: u32, len: u32, v: u64) {
         if len == 0 {
             return;
@@ -196,17 +293,24 @@ impl TwoLevelShadow {
             return;
         }
         let size = self.layout.elem_size().bytes() as usize;
+        let chunk_bytes = self.layout.chunk_bytes() as usize;
         let pattern = v.to_le_bytes();
         let pattern = &pattern[..size];
         let uniform = pattern.iter().all(|b| *b == pattern[0]);
         for (a, n) in segments(self.layout, start, len) {
             let first = self.layout.elem_offset_in_chunk(a) as usize;
             let last = self.layout.elem_offset_in_chunk(a + (n - 1) as u32) as usize;
-            let elems = &mut self.ensure_chunk(a).data[first..last + size];
+            let chunk = self.map_chunk(a);
             if uniform {
-                elems.fill(pattern[0]);
+                chunk.update_bits(
+                    chunk_bytes,
+                    first as u64 * 8,
+                    (last + size) as u64 * 8,
+                    pattern[0],
+                    0xff,
+                );
             } else {
-                for e in elems.chunks_exact_mut(size) {
+                for e in chunk.bytes_mut(chunk_bytes)[first..last + size].chunks_exact_mut(size) {
                     e.copy_from_slice(pattern);
                 }
             }
@@ -230,19 +334,22 @@ impl TwoLevelShadow {
     /// (layouts with 1, 2, 4 or 8 metadata bits per application byte).
     pub fn packed_get(&self, app_addr: u32) -> u8 {
         let (byte, shift, mask) = self.packed_geometry(app_addr);
-        let elem_byte = match self.elem(app_addr) {
-            Some(bytes) => bytes[byte as usize],
-            None => self.default_byte,
+        let elem_byte = match self.store(app_addr) {
+            Store::Backed(data) => {
+                data[(self.layout.elem_offset_in_chunk(app_addr) + byte) as usize]
+            }
+            Store::Uniform(fill) => *fill,
         };
         (elem_byte >> shift) & mask
     }
 
     /// Writes the per-application-byte packed metadata value for `app_addr`.
     pub fn packed_set(&mut self, app_addr: u32, v: u8) {
-        let (byte, shift, mask) = self.packed_geometry(app_addr);
-        let elem = self.elem_mut(app_addr);
-        let b = &mut elem[byte as usize];
-        *b = (*b & !(mask << shift)) | ((v & mask) << shift);
+        let bits = self.layout.bits_per_app_byte();
+        debug_assert!(matches!(bits, 1 | 2 | 4 | 8));
+        let (bit0, bit1) = self.bit_range(app_addr, 1);
+        let chunk_bytes = self.layout.chunk_bytes() as usize;
+        self.map_chunk(app_addr).update_bits(chunk_bytes, bit0, bit1, fill_byte(v, bits), 0xff);
     }
 
     /// Reads the packed metadata of the `n` application bytes at `app_addr`
@@ -250,7 +357,7 @@ impl TwoLevelShadow {
     /// result — `bits_per_app_byte` wide, at bit `i * bits_per_app_byte` —
     /// is `packed_get(app_addr + i)`. A reference inside one chunk costs one
     /// translation and one window load; one that straddles chunks (or wraps
-    /// the address space) is assembled per byte. Never allocates.
+    /// the address space) is assembled per byte. Never maps a chunk.
     #[inline]
     pub fn packed_load(&self, app_addr: u32, n: u32) -> u32 {
         let bits = self.layout.bits_per_app_byte();
@@ -260,9 +367,9 @@ impl TwoLevelShadow {
                 w | (self.packed_get(app_addr.wrapping_add(i)) as u32) << (i * bits)
             });
         };
-        let window = match &self.chunks[self.layout.l1_index(app_addr) as usize] {
-            Some(c) => load_window(&c.data, byte),
-            None => u32::from_le_bytes([self.default_byte; 4]),
+        let window = match self.store(app_addr) {
+            Store::Backed(data) => load_window(data, byte),
+            Store::Uniform(fill) => u32::from_le_bytes([*fill; 4]),
         };
         (window >> shift) & low_mask32(n * bits)
     }
@@ -271,9 +378,11 @@ impl TwoLevelShadow {
     /// `n` application bytes at `app_addr` (`n` in `1..=4`), with `set` and
     /// `clear` laid out like [`packed_load`](Self::packed_load)'s result.
     /// A byte whose field is zero in both masks is not written, and a chunk
-    /// none of whose bytes are written is not allocated — so a caller that
-    /// passes only the fields that change allocates exactly what a
-    /// compare-then-`packed_set` loop would.
+    /// none of whose bytes are written is not mapped — so a caller that
+    /// passes only the fields that change maps exactly what a
+    /// compare-then-`packed_set` loop would. (Whether a mapped chunk is also
+    /// *backed* depends on values alone: rewriting a uniform chunk with what
+    /// it already holds leaves it uniform.)
     #[inline]
     pub fn packed_update(&mut self, app_addr: u32, n: u32, set: u32, clear: u32) {
         let bits = self.layout.bits_per_app_byte();
@@ -294,9 +403,20 @@ impl TwoLevelShadow {
         if set | clear == 0 {
             return;
         }
-        let data = &mut self.ensure_chunk(app_addr).data;
+        let (set, clear) = (set << shift, clear << shift);
+        let chunk_bytes = self.layout.chunk_bytes() as usize;
+        let chunk = self.map_chunk(app_addr);
+        if let Store::Uniform(fill) = chunk.store {
+            // The written fields lie inside the chunk, so comparing whole
+            // windows compares exactly the chunk bytes the update reaches.
+            let window = u32::from_le_bytes([fill; 4]);
+            if (window & !clear) | set == window {
+                return;
+            }
+        }
+        let data = chunk.bytes_mut(chunk_bytes);
         let window = load_window(data, byte);
-        store_window(data, byte, (window & !(clear << shift)) | (set << shift));
+        store_window(data, byte, (window & !clear) | set);
     }
 
     /// Where the packed fields of the `n` application bytes at `app_addr`
@@ -323,7 +443,8 @@ impl TwoLevelShadow {
     }
 
     /// The bit range, within its chunk's packed bitstring, of the `n`
-    /// application bytes at `a` (one [`segments`] item).
+    /// application bytes at `a` (one [`segments`] item): the app byte at
+    /// chunk-relative offset `o` owns bits `[o*bits, (o+1)*bits)`.
     fn bit_range(&self, a: u32, n: u64) -> (u64, u64) {
         let bits = self.layout.bits_per_app_byte() as u64;
         let bit0 = (a as u64 & (self.layout.chunk_app_span() - 1)) * bits;
@@ -340,7 +461,8 @@ impl TwoLevelShadow {
     /// every application byte in `[start, start+len)`. `set` and `clear`
     /// are packed-value masks (only the low `bits_per_app_byte` bits are
     /// used); bits in `set` are always written, so `packed_set_range` is
-    /// the `clear = full mask` special case.
+    /// the `clear = full mask` special case. Every chunk the range reaches
+    /// is mapped; one it covers whole is updated in O(1) while uniform.
     pub fn packed_update_range(&mut self, start: u32, len: u32, set: u8, clear: u8) {
         if len == 0 {
             return;
@@ -355,31 +477,22 @@ impl TwoLevelShadow {
             }
             return;
         }
-        // The packed metadata of a chunk is one contiguous bitstring:
-        // the app byte at chunk-relative offset `o` owns bits
-        // `[o*bits, (o+1)*bits)` of `chunk.data`, so a range is a head
-        // partial byte, a run of fill bytes, and a tail partial byte.
+        // The packed metadata of a chunk is one contiguous bitstring, so a
+        // range is a head partial byte, a run of fill bytes, and a tail
+        // partial byte.
         let set_fill = fill_byte(set, bits);
         let clear_fill = fill_byte(clear, bits) | set_fill;
-        let span = self.layout.chunk_app_span();
-        let bits = bits as u64;
-        let mut a = start as u64;
-        let end = start as u64 + len as u64;
-        while a < end {
-            let chunk_start = a & !(span - 1);
-            let seg_end = (chunk_start + span).min(end);
-            let bit0 = (a - chunk_start) * bits;
-            let bit1 = (seg_end - chunk_start) * bits;
-            let chunk = self.ensure_chunk(a as u32);
-            apply_bits(&mut chunk.data, bit0, bit1, set_fill, clear_fill);
-            a = seg_end;
+        let chunk_bytes = self.layout.chunk_bytes() as usize;
+        for (a, n) in segments(self.layout, start, len) {
+            let (bit0, bit1) = self.bit_range(a, n);
+            self.map_chunk(a).update_bits(chunk_bytes, bit0, bit1, set_fill, clear_fill);
         }
     }
 
     /// Sets the packed metadata of every application byte in
     /// `[start, start+len)` to `v` and returns how many of them changed —
     /// the `if packed_get(a) != v { packed_set(a, v) }` loop, word-wise. A
-    /// chunk in which nothing changes is not written, so not allocated.
+    /// chunk in which nothing changes is not written, so not mapped.
     pub fn packed_set_range_changed(&mut self, start: u32, len: u32, v: u8) -> u64 {
         if len == 0 {
             return 0;
@@ -398,12 +511,13 @@ impl TwoLevelShadow {
             return changed;
         }
         let fill = fill_byte(v, bits);
+        let chunk_bytes = self.layout.chunk_bytes() as usize;
         let mut changed = 0;
         for (a, n) in segments(self.layout, start, len) {
             let differing = self.count_ne(a, n, fill);
             if differing != 0 {
                 let (bit0, bit1) = self.bit_range(a, n);
-                apply_bits(&mut self.ensure_chunk(a).data, bit0, bit1, fill, 0xff);
+                self.map_chunk(a).update_bits(chunk_bytes, bit0, bit1, fill, 0xff);
                 changed += differing;
             }
         }
@@ -411,7 +525,8 @@ impl TwoLevelShadow {
     }
 
     /// How many application bytes in `[start, start+len)` have packed
-    /// metadata different from `v` (a popcount over 64-bit words).
+    /// metadata different from `v` (a popcount over 64-bit words; a
+    /// multiplication for a uniform chunk).
     pub fn packed_count_ne(&self, start: u32, len: u32, v: u8) -> u64 {
         if len == 0 {
             return 0;
@@ -430,9 +545,7 @@ impl TwoLevelShadow {
     /// have a field different from the one repeated in `want`.
     fn count_ne(&self, a: u32, n: u64, want: u8) -> u64 {
         let (bit0, bit1) = self.bit_range(a, n);
-        let chunk = self.chunks[self.layout.l1_index(a) as usize].as_ref();
-        let bits = self.layout.bits_per_app_byte();
-        count_ne_bits(chunk.map(|c| &*c.data), self.default_byte, bit0, bit1, want, bits)
+        count_ne_bits(self.store(a), bit0, bit1, want, self.layout.bits_per_app_byte())
     }
 
     /// Whether every application byte in `[start, start+len)` has packed
@@ -465,28 +578,16 @@ impl TwoLevelShadow {
     /// Shared masked-compare walk: every application byte in the range must
     /// satisfy `(meta_byte ^ want) & field == 0` on its packed bits.
     fn packed_check(&self, start: u32, len: u32, want: u8, field: u8) -> bool {
-        let span = self.layout.chunk_app_span();
-        let bits = self.layout.bits_per_app_byte() as u64;
-        let mut a = start as u64;
-        let end = start as u64 + len as u64;
-        while a < end {
-            let chunk_start = a & !(span - 1);
-            let seg_end = (chunk_start + span).min(end);
-            let bit0 = (a - chunk_start) * bits;
-            let bit1 = (seg_end - chunk_start) * bits;
-            let ok = match &self.chunks[self.layout.l1_index(a as u32) as usize] {
-                Some(c) => check_bits(&c.data, bit0, bit1, want, field),
-                // An absent chunk reads as the default byte everywhere, so
-                // one masked compare against the union of the in-byte bit
-                // positions the range uses decides the whole segment.
-                None => (self.default_byte ^ want) & field & union_mask(bit0, bit1) == 0,
-            };
-            if !ok {
-                return false;
+        segments(self.layout, start, len).all(|(a, n)| {
+            let (bit0, bit1) = self.bit_range(a, n);
+            match self.store(a) {
+                Store::Backed(data) => check_bits(data, bit0, bit1, want, field),
+                // Every byte is the fill, so one masked compare against the
+                // union of the in-byte bit positions the range uses decides
+                // the whole segment.
+                Store::Uniform(fill) => (fill ^ want) & field & union_mask(bit0, bit1) == 0,
             }
-            a = seg_end;
-        }
-        true
+        })
     }
 
     /// Whether any application byte in `[start, start+len)` has packed
@@ -502,13 +603,15 @@ impl TwoLevelShadow {
         segments(self.layout, start, len).any(|(a, n)| self.count_ne(a, n, fill) < n)
     }
 
-    /// Number of level-2 chunks currently allocated.
+    /// Number of level-2 chunks the simulated lifeguard has allocated: the
+    /// mapped ones, however the host stores them.
     pub fn allocated_chunks(&self) -> u32 {
         self.allocated
     }
 
-    /// Total metadata bytes currently allocated (chunks only; the level-1
-    /// table adds `4 * level1_entries()` bytes).
+    /// Total metadata bytes the simulated lifeguard has allocated (chunks
+    /// only; the level-1 table adds `4 * level1_entries()` bytes). Host
+    /// memory is at most this: uniform chunks store nothing.
     pub fn metadata_bytes(&self) -> u64 {
         self.allocated_chunks() as u64 * self.layout.chunk_bytes() as u64
     }
@@ -677,20 +780,16 @@ fn ne_fields(x: u64, bits: u32) -> u64 {
     y & (u64::MAX / ((1u64 << bits) - 1))
 }
 
-/// Number of `bits`-wide fields in bit range `[bit0, bit1)` that differ
-/// from the field repeated in `want`, eight metadata bytes per popcount.
-/// `data` is the chunk's metadata; an absent chunk (`None`) reads as
-/// `default` everywhere.
-fn count_ne_bits(
-    data: Option<&[u8]>,
-    default: u8,
-    bit0: u64,
-    bit1: u64,
-    want: u8,
-    bits: u32,
-) -> u64 {
+/// Number of `bits`-wide fields in bit range `[bit0, bit1)` of a chunk that
+/// differ from the field repeated in `want`: eight metadata bytes per
+/// popcount over a backed chunk, one multiplication over a uniform one.
+fn count_ne_bits(store: &Store, bit0: u64, bit1: u64, want: u8, bits: u32) -> u64 {
     let ne = |b: u8| ne_fields((b ^ want) as u64, bits);
-    let masked = |i: usize, m: u8| (ne(data.map_or(default, |d| d[i])) as u8 & m).count_ones();
+    let byte = |i: usize| match store {
+        Store::Backed(data) => data[i],
+        Store::Uniform(fill) => *fill,
+    };
+    let masked = |i: usize, m: u8| (ne(byte(i)) as u8 & m).count_ones();
     let mut byte0 = (bit0 / 8) as usize;
     let byte1 = (bit1 / 8) as usize;
     let head_shift = (bit0 % 8) as u32;
@@ -703,10 +802,10 @@ fn count_ne_bits(
         count += masked(byte0, 0xffu8 << head_shift) as u64;
         byte0 += 1;
     }
-    count += match data {
-        Some(d) => {
+    count += match store {
+        Store::Backed(data) => {
             let want_word = u64::from_le_bytes([want; 8]);
-            let words = d[byte0..byte1].chunks_exact(8);
+            let words = data[byte0..byte1].chunks_exact(8);
             let rest: u32 = words.remainder().iter().map(|b| ne(*b).count_ones()).sum();
             let whole: u64 = words
                 .map(|w| {
@@ -716,7 +815,7 @@ fn count_ne_bits(
                 .sum();
             whole + rest as u64
         }
-        None => (byte1 - byte0) as u64 * ne(default).count_ones() as u64,
+        Store::Uniform(fill) => (byte1 - byte0) as u64 * ne(*fill).count_ones() as u64,
     };
     if tail_bits != 0 {
         count += masked(byte1, low_mask(tail_bits)) as u64;
@@ -744,7 +843,7 @@ mod tests {
             assert_eq!(s.packed_get(0x1000_0000 + i), (i as u8) & 0b11);
         }
         // They all landed in a single element byte.
-        assert_eq!(s.elem(0x1000_0000).unwrap()[0], 0b11_10_01_00);
+        assert_eq!(s.elem_u64(0x1000_0000), 0b11_10_01_00);
     }
 
     #[test]
@@ -814,9 +913,7 @@ mod tests {
         let mut s = TwoLevelShadow::new(layout, 0);
         s.set_elem_u64(0x9000, 0x1122_3344_5566_7788);
         assert_eq!(s.elem_u64(0x9000), 0x1122_3344_5566_7788);
-        let bytes = s.elem(0x9000).unwrap();
-        assert_eq!(bytes[0], 0x88); // little-endian
-        assert_eq!(bytes[7], 0x11);
+        assert_eq!(s.elem_u32(0x9000), 0x5566_7788); // little-endian: the low half
     }
 
     #[test]
@@ -828,7 +925,7 @@ mod tests {
         assert_eq!(s.packed_get(0x9003), 1);
         assert_eq!(s.packed_get(0x9002), 0);
         assert_eq!(s.packed_get(0x9004), 0);
-        assert_eq!(s.elem(0x9000).unwrap()[0], 0b0000_1000);
+        assert_eq!(s.elem_u64(0x9000), 0b0000_1000);
     }
 
     /// Reference implementations: the per-byte loops the fast range ops

@@ -52,6 +52,10 @@ impl CacheStats {
 #[derive(Debug, Clone)]
 pub struct Cache {
     cfg: CacheConfig,
+    /// log2 of the line size and of the set count (both powers of two):
+    /// an address splits into tag, set and line offset by shifts and a mask.
+    line_shift: u32,
+    set_shift: u32,
     /// `tags[set * ways + way]`; `u32::MAX` = invalid.
     tags: Vec<u32>,
     /// LRU timestamps, parallel to `tags`.
@@ -74,6 +78,8 @@ impl Cache {
         let n = (sets * cfg.ways) as usize;
         Cache {
             cfg,
+            line_shift: cfg.line_bytes.trailing_zeros(),
+            set_shift: sets.trailing_zeros(),
             tags: vec![u32::MAX; n],
             lru: vec![0; n],
             tick: 0,
@@ -96,10 +102,9 @@ impl Cache {
     pub fn access(&mut self, addr: u32) -> bool {
         self.tick += 1;
         self.stats.accesses += 1;
-        let line = addr / self.cfg.line_bytes;
-        let sets = self.cfg.sets();
-        let set = (line & (sets - 1)) as usize;
-        let tag = line / sets;
+        let line = addr >> self.line_shift;
+        let set = (line & ((1 << self.set_shift) - 1)) as usize;
+        let tag = line >> self.set_shift;
         let base = set * self.cfg.ways as usize;
         let ways = &mut self.tags[base..base + self.cfg.ways as usize];
         if let Some(w) = ways.iter().position(|t| *t == tag) {

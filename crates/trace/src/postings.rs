@@ -382,6 +382,25 @@ fn diff_words(bits: &[u64], p: u32, records: u32, out: &mut Vec<u64>) {
     trim_tail(out, records);
 }
 
+/// [`diff_words`] for a set given as its sorted index list, into a sorted
+/// list: the symmetric difference of the set and the set moved up by `p`
+/// (a position differs from `p` earlier when exactly one of the two holds
+/// it), by one merge. Costs the set's size, not the frame's.
+fn diff_sorted(sorted: &[u32], p: u32, records: u32, out: &mut Vec<u32>) {
+    out.clear();
+    let mut moved =
+        sorted.iter().map_while(|v| v.checked_add(p).filter(|m| *m < records)).peekable();
+    for &v in sorted {
+        while let Some(m) = moved.next_if(|m| *m < v) {
+            out.push(m);
+        }
+        if moved.next_if_eq(&v).is_none() {
+            out.push(v);
+        }
+    }
+    out.extend(moved);
+}
+
 /// The inverse of [`diff_words`]: turns diff positions back into
 /// membership in place, `bit[i] ^= bit[i - p]` for ascending `i`, one
 /// word at a time. A period of a word or more reads only words already
@@ -547,12 +566,17 @@ pub struct Posting {
 /// across the postings of a frame and the frames of a stream.
 #[derive(Debug, Default)]
 struct ContainerEncoder {
-    /// The posting's membership as words, materialised once per posting.
-    bits: Vec<u64>,
-    /// [`diff_words`] of `bits` at the best period so far, and at the
+    /// The diff positions at the best period, ascending: what a
+    /// periodic-XOR body gap-encodes. Left by [`Self::best_period`].
+    diff: Vec<u32>,
+    /// The sparse route's candidate being scored ([`diff_sorted`]).
+    candidate: Vec<u32>,
+    /// The dense route: the posting's membership as words, and
+    /// [`diff_words`] of it at the best period so far and at the
     /// candidate being scored.
-    diff: Vec<u64>,
-    candidate_diff: Vec<u64>,
+    bits: Vec<u64>,
+    best_words: Vec<u64>,
+    candidate_words: Vec<u64>,
     /// Lag histogram over `1..=MAX_PERIOD`; all zero between postings.
     lag_counts: Vec<u32>,
     /// The distinct lags `lag_counts` currently counts.
@@ -565,6 +589,24 @@ impl ContainerEncoder {
     /// (deterministic: ties break toward runs, then array, then
     /// periodic-XOR, then bitset).
     fn build(&mut self, dim: Dim, key: u32, sorted: &[u32], records: u32) -> Posting {
+        // Scoring a period costs the set's size by the merge and the
+        // frame's size by the word kernel, which handles 64 positions a
+        // step: a set is sparse when it has fewer elements than an eighth
+        // of the frame's words.
+        let sparse = sorted.len() * 8 < word_count(records);
+        self.build_by_route(dim, key, sorted, records, sparse)
+    }
+
+    /// [`Self::build`] with the period-scoring route given; both routes
+    /// produce the same posting.
+    fn build_by_route(
+        &mut self,
+        dim: Dim,
+        key: u32,
+        sorted: &[u32],
+        records: u32,
+        sparse: bool,
+    ) -> Posting {
         debug_assert!(sorted.windows(2).all(|w| w[0] < w[1]));
         debug_assert!(sorted.last().is_none_or(|&v| v < records));
 
@@ -574,15 +616,10 @@ impl ContainerEncoder {
         for_each_gap(sorted.iter().copied(), |v| array_len += varint_len(v));
         let bitset_len = records.div_ceil(8) as usize;
         let others = runs_len.min(array_len).min(bitset_len);
-        // Every diff position costs a byte or more, so a period whose
-        // diff count alone passes the other containers is not sized.
-        let period = self
-            .best_period(sorted, records)
-            .filter(|&(p, diffs)| varint_len(p as u64) + diffs as usize <= others)
-            .map(|(p, _)| p);
+        let period = self.best_period(sorted, records, sparse, others);
         let pxor_len = period.map_or(usize::MAX, |p| {
             let mut len = varint_len(p as u64);
-            for_each_gap(set_bits(self.diff.iter().copied()), |v| len += varint_len(v));
+            for_each_gap(self.diff.iter().copied(), |v| len += varint_len(v));
             len
         });
 
@@ -596,7 +633,7 @@ impl ContainerEncoder {
             KIND_ARRAY
         } else if let Some(p) = period.filter(|_| pxor_len == best) {
             put_varint(&mut body, p as u64);
-            for_each_gap(set_bits(self.diff.iter().copied()), |v| put_varint(&mut body, v));
+            for_each_gap(self.diff.iter().copied(), |v| put_varint(&mut body, v));
             KIND_PXOR
         } else {
             body.resize(bitset_len, 0);
@@ -609,17 +646,27 @@ impl ContainerEncoder {
         Posting { dim, key, cardinality: sorted.len() as u32, kind, records, body }
     }
 
-    /// The period whose periodic-XOR diff set is smallest, with the
-    /// size of that set, if a plausible period exists; leaves the diff
-    /// set in `self.diff`.
+    /// The period whose periodic-XOR diff set is smallest, if a
+    /// plausible period exists and its body could be `limit` bytes or
+    /// fewer (every diff position costs a byte or more, so a period whose
+    /// diff count alone passes the other containers is dropped unsized);
+    /// leaves the diff positions in `self.diff`.
     ///
     /// Candidates are the four most frequent lags (recurring element
     /// distances over a prefix of the set; count descending, then
     /// period ascending); the winner is the candidate with the fewest
     /// diff positions, ties toward the shorter period — fully
     /// deterministic, so writer-inline and offline-scan index builds
-    /// stay byte-identical.
-    fn best_period(&mut self, sorted: &[u32], records: u32) -> Option<(u32, u32)> {
+    /// stay byte-identical. A candidate's diff set comes from the merge
+    /// over the index list (`sparse`) or from the word kernel over the
+    /// frame; they are the same set.
+    fn best_period(
+        &mut self,
+        sorted: &[u32],
+        records: u32,
+        sparse: bool,
+        limit: usize,
+    ) -> Option<u32> {
         if sorted.len() < 8 || records < 16 {
             return None;
         }
@@ -651,21 +698,40 @@ impl ContainerEncoder {
             return None;
         }
 
-        self.bits.clear();
-        self.bits.resize(word_count(records), 0);
-        for &v in sorted {
-            self.bits[(v >> 6) as usize] |= 1 << (v & 63);
+        if !sparse {
+            self.bits.clear();
+            self.bits.resize(word_count(records), 0);
+            for &v in sorted {
+                self.bits[(v >> 6) as usize] |= 1 << (v & 63);
+            }
         }
         let mut best: Option<(u32, u32)> = None;
         for &(_, p) in top.iter().filter(|(count, _)| *count > 0) {
-            diff_words(&self.bits, p, records, &mut self.candidate_diff);
-            let diffs: u32 = self.candidate_diff.iter().map(|w| w.count_ones()).sum();
+            let diffs = if sparse {
+                diff_sorted(sorted, p, records, &mut self.candidate);
+                self.candidate.len() as u32
+            } else {
+                diff_words(&self.bits, p, records, &mut self.candidate_words);
+                self.candidate_words.iter().map(|w| w.count_ones()).sum()
+            };
             if best.is_none_or(|b| (diffs, p) < b) {
                 best = Some((diffs, p));
-                std::mem::swap(&mut self.diff, &mut self.candidate_diff);
+                if sparse {
+                    std::mem::swap(&mut self.diff, &mut self.candidate);
+                } else {
+                    std::mem::swap(&mut self.best_words, &mut self.candidate_words);
+                }
             }
         }
-        best.map(|(diffs, p)| (p, diffs))
+        let (diffs, p) = best?;
+        if varint_len(p as u64) + diffs as usize > limit {
+            return None;
+        }
+        if !sparse {
+            self.diff.clear();
+            self.diff.extend(set_bits(self.best_words.iter().copied()));
+        }
+        Some(p)
     }
 }
 
@@ -1752,6 +1818,36 @@ mod tests {
             prop_assert_eq!(posting.cardinality as usize, set.len());
             posting.validate(records, &mut Vec::new()).unwrap();
             prop_assert_eq!(posting.iter().map(|v| v.unwrap()).collect::<Vec<_>>(), set);
+        }
+
+        /// Period scoring by merge over the index list (sparse sets) and
+        /// by the word kernel (dense ones) is one decision made two ways:
+        /// forced down either route, sets on both sides of the threshold
+        /// get the same diff list per period and the same container bytes.
+        #[test]
+        fn sparse_and_dense_period_scoring_emit_the_same_container(
+            records in (0usize..RECORDS.len()),
+            class in 0u32..6,
+            raw in any::<u32>(),
+            phases in proptest::collection::vec(any::<u32>(), 0usize..3),
+            // A handful of terms or flips: around `word_count / 8` elements
+            // for the larger frames, far above it for the small ones.
+            terms in 3usize..24,
+            flips in proptest::collection::vec(any::<u32>(), 0usize..40),
+        ) {
+            let records = RECORDS[records];
+            let p = period_of(class, raw, records);
+            let set = periodic_set(records, p, &phases, terms, &flips);
+            prop_assume!(!set.is_empty());
+            let mut merged = Vec::new();
+            diff_sorted(&set, p, records, &mut merged);
+            prop_assert_eq!(&merged, &oracle::diff_merge(&set, p, records), "p={}", p);
+
+            let mut encoder = ContainerEncoder::default();
+            let by_merge = encoder.build_by_route(Dim::AddrPage, 7, &set, records, true);
+            let by_words = encoder.build_by_route(Dim::AddrPage, 7, &set, records, false);
+            prop_assert_eq!(&by_merge, &by_words, "p={} records={} |set|={}", p, records, set.len());
+            prop_assert_eq!(&encoder.build(Dim::AddrPage, 7, &set, records), &by_words);
         }
 
         /// Query kernels: `or_posting` equals the element walk for every

@@ -39,7 +39,8 @@ fn serial() -> MutexGuard<'static, ()> {
 }
 
 /// Counts every allocation-path entry (alloc, alloc_zeroed, realloc), once
-/// for the process and once for the calling thread.
+/// for the process and once for the calling thread, and the bytes the
+/// calling thread asked for.
 struct CountingAllocator;
 
 static PROCESS_ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
@@ -48,12 +49,14 @@ thread_local! {
     // Const-initialized and without a destructor: touching it from inside
     // the allocator neither allocates nor registers anything.
     static THREAD_ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    static THREAD_BYTES: Cell<u64> = const { Cell::new(0) };
 }
 
-fn count_allocation() {
+fn count_allocation(bytes: usize) {
     PROCESS_ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
     // `try_with`: a thread tearing down may allocate after its locals died.
     let _ = THREAD_ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+    let _ = THREAD_BYTES.try_with(|n| n.set(n.get() + bytes as u64));
 }
 
 /// Allocations made so far by the calling thread.
@@ -61,20 +64,26 @@ fn thread_allocations() -> u64 {
     THREAD_ALLOCATIONS.with(Cell::get)
 }
 
+/// Bytes requested from the allocator so far by the calling thread (a
+/// `realloc` counts its whole new size).
+fn thread_bytes() -> u64 {
+    THREAD_BYTES.with(Cell::get)
+}
+
 // SAFETY: every method forwards its arguments unchanged to `System`, which
 // upholds the `GlobalAlloc` contract; the counting touches no allocator
 // state.
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count_allocation();
+        count_allocation(layout.size());
         System.alloc(layout)
     }
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count_allocation();
+        count_allocation(layout.size());
         System.alloc_zeroed(layout)
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count_allocation();
+        count_allocation(new_size);
         System.realloc(ptr, layout, new_size)
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
@@ -351,4 +360,102 @@ fn instrumented_dispatch_stays_allocation_free() {
     let chain = recorder.chain(tag);
     assert_eq!(chain.len(), 1, "the dispatch stage landed in the ring");
     assert_eq!(chain[0].stage, igm::span::Stage::Dispatch);
+}
+
+/// mcf's 96 MiB mmap region: whole 1 MiB shadow chunks, which a premark
+/// fills without storing a byte.
+const MMAP: (u32, u32) = (0x4000_0000, 96 << 20);
+
+/// Pre-marking a loader region costs host memory by what the metadata
+/// distinguishes, not by what the region spans. A region of whole chunks
+/// allocates next to nothing (the parent memset 12 MiB for AddrCheck and
+/// 24 MiB for MemCheck here); mcf's globals and stack are partial ranges of
+/// three chunks in all, which have to be backed, and that is all the full
+/// premark adds.
+#[test]
+fn premarking_allocates_by_distinguished_chunks_not_by_bytes() {
+    let _serial = serial();
+    let regions = igm::workload::Benchmark::Mcf.profile().premark_regions();
+    assert!(regions.contains(&MMAP), "mcf's loader regions include the mmap region");
+    for kind in [LifeguardKind::AddrCheck, LifeguardKind::MemCheck] {
+        for accel in [AccelConfig::baseline(), AccelConfig::full(ItConfig::taint_style())] {
+            let what = format!("{kind} / {}", accel.label());
+            let mut lifeguard = kind.build_any(&accel);
+            let before = thread_bytes();
+            lifeguard.premark_region(MMAP.0, MMAP.1);
+            let whole = thread_bytes() - before;
+            assert!(whole < 64 << 10, "{what}: {whole} bytes to premark whole chunks");
+
+            let mut lifeguard = kind.build_any(&accel);
+            let before = thread_bytes();
+            for (base, len) in &regions {
+                lifeguard.premark_region(*base, *len);
+            }
+            let all = thread_bytes() - before;
+            assert!(all < 1 << 20, "{what}: {all} bytes to premark mcf's regions");
+            // The simulated lifeguard still pays for every chunk it mapped.
+            assert!(lifeguard.metadata_bytes() > 12 << 20, "{what}: simulated footprint");
+        }
+    }
+}
+
+/// An epoch-boundary snapshot copies the level-1 table and the backed
+/// chunks only: none for the mmap region, three for all of mcf's regions
+/// (the parent copied 24.8 MB).
+#[test]
+fn snapshot_of_a_premarked_memcheck_copies_backed_chunks_only() {
+    let _serial = serial();
+    let accel = AccelConfig::baseline();
+    let mut lifeguard = LifeguardKind::MemCheck.build_any(&accel);
+    lifeguard.premark_region(MMAP.0, MMAP.1);
+    let before = thread_bytes();
+    let snapshot = lifeguard.try_snapshot().expect("MemCheck snapshots");
+    let table_only = thread_bytes() - before;
+    assert!(table_only < 128 << 10, "{table_only} bytes: the table (4096 entries), no chunk");
+    assert_eq!(snapshot.metadata_bytes(), lifeguard.metadata_bytes());
+
+    for (base, len) in igm::workload::Benchmark::Mcf.profile().premark_regions() {
+        lifeguard.premark_region(base, len);
+    }
+    let before = thread_bytes();
+    let snapshot = lifeguard.try_snapshot().expect("MemCheck snapshots");
+    let with_edges = thread_bytes() - before;
+    assert!(with_edges < 1 << 20, "{with_edges} bytes: the table and three 256 KiB chunks");
+    assert_eq!(snapshot.metadata_bytes(), lifeguard.metadata_bytes());
+}
+
+/// Under synthetic-workload (calloc) mode mcf's pointer-chase stores
+/// rewrite accessible+initialized bits that the premark already set, so
+/// no write ever makes a byte of the mmap region's metadata differ: all
+/// 96 chunks stay one value each for the whole run, with and without the
+/// accelerators.
+#[test]
+fn synthetic_mcf_run_leaves_the_premarked_region_unbacked() {
+    let _serial = serial();
+    let bench = igm::workload::Benchmark::Mcf;
+    let records = if cfg!(debug_assertions) { 300_000 } else { 3_000_000 };
+    let kind = LifeguardKind::MemCheck;
+    for accel in [AccelConfig::baseline(), igm::sim::SimConfig::optimized(kind).accel] {
+        let mut memcheck = igm::lifeguards::MemCheck::new(&kind.mask_config(&accel));
+        memcheck.set_synthetic_workload_mode(true);
+        for (base, len) in bench.profile().premark_regions() {
+            memcheck.premark_region(base, len);
+        }
+        let mut monitor = igm::sim::Monitor::new(memcheck, &accel);
+        let mut chunks = igm::lba::chunks(bench.trace(records), 16 * 1024);
+        let mut batch = TraceBatch::new();
+        let mut stores = 0usize;
+        while chunks.next_into_batch(&mut batch) {
+            stores +=
+                batch.addrs().iter().filter(|a| (MMAP.0..MMAP.0 + MMAP.1).contains(a)).count();
+            monitor.observe_trace_batch(&batch);
+        }
+        assert!(stores > records as usize / 10, "the trace must work the mmap region");
+        assert!(monitor.violations().is_empty(), "{}: clean workload", accel.label());
+        let shadow = monitor.lifeguard().shadow();
+        for chunk in (MMAP.0..MMAP.0 + MMAP.1).step_by(1 << 20) {
+            assert!(shadow.chunk_base_va_if_present(chunk).is_some(), "{chunk:#x} is mapped");
+            assert!(!shadow.chunk_is_backed(chunk), "{}: {chunk:#x} got a store", accel.label());
+        }
+    }
 }

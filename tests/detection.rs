@@ -188,3 +188,39 @@ fn verdicts_identical_across_configs_for_taintcheck() {
         assert_eq!(&all[0], other);
     }
 }
+
+/// Decoded records are outside input: one that names the last bytes of the
+/// address space — an access or a block whose end wraps to address 0 — must
+/// be handled modulo 2^32 by every lifeguard, never panic a handler.
+#[test]
+fn records_wrapping_the_address_space_panic_no_lifeguard() {
+    use igm::isa::{MemRef, OpClass};
+    use igm::lifeguards::LifeguardKind;
+    let top = MemRef::new(0xffff_fffe, MemSize::B4); // bytes fffe, ffff, 0, 1
+    let trace = [
+        TraceEntry::op(0x1000, OpClass::MemToReg { src: top, rd: Reg::Eax }),
+        TraceEntry::annot(0x1008, Annotation::Malloc { base: 0xffff_f800, size: 0x1000 }),
+        TraceEntry::annot(0x100c, Annotation::ReadInput { base: 0xffff_fff0, len: 0x20 }),
+        TraceEntry::op(0x1010, OpClass::MemToReg { src: top, rd: Reg::Ecx }),
+        TraceEntry::op(0x1014, OpClass::ImmToMem { dst: top }),
+        TraceEntry::annot(0x1018, Annotation::Free { base: 0xffff_f800 }),
+        TraceEntry::op(0x101c, OpClass::MemToReg { src: top, rd: Reg::Edx }),
+    ];
+    for kind in LifeguardKind::ALL {
+        for accel in all_configs() {
+            let accel = kind.mask_config(&accel);
+            let mut mon = Monitor::new(kind.build_any(&accel), &accel);
+            mon.observe_all(trace);
+            let unallocated = mon
+                .violations()
+                .iter()
+                .filter(|v| matches!(v, Violation::UnallocatedAccess { .. }))
+                .count();
+            if matches!(kind, LifeguardKind::AddrCheck | LifeguardKind::MemCheck) {
+                // Flagged before the block exists and after it is freed,
+                // clean while all four bytes — two at each end — are live.
+                assert_eq!(unallocated, 2, "{kind} / {}: {:?}", accel.label(), mon.violations());
+            }
+        }
+    }
+}
