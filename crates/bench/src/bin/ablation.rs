@@ -1,4 +1,4 @@
-//! Ablation study of the design choices called out in `DESIGN.md`:
+//! Ablation study of four design choices the paper argues for:
 //!
 //! 1. **IT clean-`%rs` "do nothing" optimization** (paper §4.3) — how many
 //!    propagation events it saves.

@@ -1,6 +1,6 @@
 //! Experiment harness regenerating every table and figure of the paper's
-//! evaluation (§7), plus Criterion micro-benchmarks of the accelerator
-//! hardware models.
+//! evaluation (§7). Host-side performance is measured by the separate
+//! `benchmark/` package, not here.
 //!
 //! One binary per figure (run with `cargo run --release -p igm-bench --bin
 //! <name>`):
@@ -13,6 +13,7 @@
 //! | `fig13` | (a) IT-reduced propagation events per benchmark; (b)/(c) IF sweeps over entries × associativity for combined/separate load-store categories |
 //! | `fig14` | (a) M-TLB miss rate vs level-1 bits × entries (max and average); (b) fixed vs flexible level-1 sizing |
 //! | `run_all` | all of the above in paper order |
+//! | `ablation` | not a paper figure: IT clean-source and conflict-detection, IF categorization and one- vs two-level shadow ablations |
 //!
 //! Record count defaults to 200k per run and scales with the `N`
 //! environment variable (the paper uses SPEC test inputs under the same

@@ -28,17 +28,14 @@
 //! 5. **Delivery** — everything surviving is appended to the caller's
 //!    [`EventBuf`], one closed record per trace entry.
 //!
-//! [`DispatchPipeline::dispatch_batch`] is that pass.
-//! [`DispatchPipeline::dispatch_batch_entries`] and
-//! [`DispatchPipeline::dispatch`] are front doors for callers holding
-//! [`TraceEntry`] values (the co-simulator, the figure binaries, tests):
-//! they scatter the entries into a reused column arena and run the same
-//! pass, so there is one gate and one IT route whatever the caller holds.
+//! [`DispatchPipeline::dispatch_batch`] is that pass and the only way in:
+//! callers holding [`igm_isa::TraceEntry`] values (the co-simulator, the
+//! profilers, tests) build a [`TraceBatch`] from them first, so there is
+//! one gate and one IT route whatever the caller holds.
 
 use crate::config::AccelConfig;
 use crate::filter::{IdempotentFilter, IfOutcome, IfStats};
 use crate::it::{InheritanceTracker, ItStats};
-use igm_isa::TraceEntry;
 use igm_lba::{
     sweep_batch, DeliveredEvent, Etct, Event, EventBuf, EventSink, EventType, TraceBatch,
     NUM_EVENT_TYPES,
@@ -80,7 +77,7 @@ impl Default for DispatchStats {
 ///
 /// ```
 /// use igm_core::{AccelConfig, DispatchPipeline, ItConfig};
-/// use igm_lba::{Etct, EventType, IfEventConfig};
+/// use igm_lba::{Etct, EventBuf, EventType, TraceBatch};
 /// use igm_isa::{OpClass, MemRef, Reg, TraceEntry};
 ///
 /// let mut etct = Etct::new();
@@ -93,9 +90,10 @@ impl Default for DispatchStats {
 /// // A load is absorbed by IT: nothing reaches the handler.
 /// let load = TraceEntry::op(0x1000, OpClass::MemToReg {
 ///     src: MemRef::word(0x9000), rd: Reg::Eax });
-/// let mut seen = Vec::new();
-/// p.dispatch(&load, |d| seen.push(d));
-/// assert!(seen.is_empty());
+/// let mut delivered = EventBuf::new();
+/// p.dispatch_batch(&TraceBatch::from_entries(&[load]), &mut delivered);
+/// assert!(delivered.is_empty());
+/// assert_eq!(delivered.records(), 1);
 /// assert_eq!(p.stats().records, 1);
 /// ```
 ///
@@ -109,9 +107,6 @@ pub struct DispatchPipeline {
     it: Option<InheritanceTracker>,
     filter: Option<IdempotentFilter>,
     stats: DispatchStats,
-    /// Column arena the entry-slice front doors scatter into.
-    columns: TraceBatch,
-    single: EventBuf,
 }
 
 impl DispatchPipeline {
@@ -122,8 +117,6 @@ impl DispatchPipeline {
             it: cfg.it.map(InheritanceTracker::new),
             filter: cfg.if_geometry.map(IdempotentFilter::new),
             stats: DispatchStats::default(),
-            columns: TraceBatch::new(),
-            single: EventBuf::with_capacity(8, 1),
         }
     }
 
@@ -166,32 +159,6 @@ impl DispatchPipeline {
             Some(it) => sweep_batch(batch, &mut ViaIt { it, gate }),
             None => sweep_batch(batch, &mut Direct { gate }),
         }
-    }
-
-    /// Dispatches a chunk still held as an array of structs: the entries
-    /// are scattered into a reused column arena and take
-    /// [`DispatchPipeline::dispatch_batch`], so the two are event-for-event
-    /// and counter-for-counter identical.
-    pub fn dispatch_batch_entries(&mut self, entries: &[TraceEntry], out: &mut EventBuf) {
-        let mut columns = std::mem::take(&mut self.columns);
-        columns.clear();
-        columns.extend_entries(entries.iter().copied());
-        self.dispatch_batch(&columns, out);
-        self.columns = columns;
-    }
-
-    /// Dispatches one log record, invoking `deliver` for every event that
-    /// survives the accelerators. Thin wrapper over
-    /// [`DispatchPipeline::dispatch_batch_entries`] for record-at-a-time
-    /// callers (the co-simulator, tests); streaming consumers should
-    /// dispatch whole chunks instead.
-    pub fn dispatch(&mut self, entry: &TraceEntry, mut deliver: impl FnMut(DeliveredEvent)) {
-        let mut single = std::mem::take(&mut self.single);
-        self.dispatch_batch_entries(std::slice::from_ref(entry), &mut single);
-        for dev in single.events().iter().copied() {
-            deliver(dev);
-        }
-        self.single = single;
     }
 }
 
@@ -293,15 +260,15 @@ impl EventSink for ViaIt<'_> {
 mod tests {
     use super::*;
     use crate::it::ItConfig;
-    use igm_isa::{Annotation, MemRef, OpClass, Reg};
+    use igm_isa::{Annotation, MemRef, OpClass, Reg, TraceEntry};
     use igm_lba::{EventType, IfEventConfig};
 
-    /// Test-local stand-in for the removed per-record `dispatch_collect`:
-    /// one record through the batch path, delivered events collected.
+    /// One record through the pipeline as a one-record batch, delivered
+    /// events collected.
     fn collect(p: &mut DispatchPipeline, e: &TraceEntry) -> Vec<DeliveredEvent> {
-        let mut out = Vec::new();
-        p.dispatch(e, |d| out.push(d));
-        out
+        let mut out = EventBuf::new();
+        p.dispatch_batch(&TraceBatch::from_entries(std::slice::from_ref(e)), &mut out);
+        out.events().to_vec()
     }
 
     /// The streaming runtime moves pipelines and accelerator units across
@@ -475,13 +442,6 @@ mod tests {
             assert_eq!(out.events(), &reference[..], "{}", accel.label());
             assert_eq!(out.records(), seq.len());
             assert_eq!(batched.stats(), per_record.stats(), "{}", accel.label());
-
-            // The AoS compatibility twin is the same pipeline in disguise.
-            let mut aos = DispatchPipeline::new(taint_etct(), &accel);
-            let mut aos_out = EventBuf::new();
-            aos.dispatch_batch_entries(&seq, &mut aos_out);
-            assert_eq!(aos_out.events(), out.events(), "{}", accel.label());
-            assert_eq!(aos.stats(), batched.stats(), "{}", accel.label());
         }
     }
 

@@ -356,18 +356,6 @@ impl EventBuf {
     }
 }
 
-/// Expands a whole chunk of log records into `out` (cleared first), one
-/// closed [`EventBuf`] record per trace entry — the array-of-structs twin
-/// of [`extract_batch`], kept for per-record compatibility callers and as
-/// the AoS baseline the throughput bench compares the columnar sweep
-/// against.
-pub fn extract_batch_entries(entries: &[TraceEntry], out: &mut EventBuf) {
-    out.clear();
-    for entry in entries {
-        extract_events(entry, &mut out.events);
-        out.end_record();
-    }
-}
 /// A monomorphized consumer of the column sweep: one call per event, in
 /// extraction order, with the event's [`EventType`] known **statically at
 /// the emission site** and the payload built lazily. This is what lets
@@ -952,7 +940,7 @@ mod tests {
             TraceEntry::op(0x18, OpClass::RegToMem { rs: Reg::Eax, dst: src }),
         ];
         let mut buf = EventBuf::new();
-        extract_batch_entries(&entries, &mut buf);
+        extract_batch(&TraceBatch::from_entries(&entries), &mut buf);
         assert_eq!(buf.records(), entries.len());
         let mut flat = Vec::new();
         for (i, e) in entries.iter().enumerate() {
@@ -963,13 +951,6 @@ mod tests {
         }
         assert_eq!(buf.events(), &flat[..]);
         assert_eq!(buf.record(1), &[], "direct jump record is empty but bounded");
-
-        // The columnar sweep over the same records is event-for-event
-        // identical, boundaries included.
-        let mut columnar = EventBuf::new();
-        extract_batch(&TraceBatch::from_entries(&entries), &mut columnar);
-        assert_eq!(columnar.events(), buf.events());
-        assert_eq!(columnar.records(), buf.records());
     }
 
     #[test]

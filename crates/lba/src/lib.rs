@@ -34,8 +34,8 @@ pub use batch::{Records, TraceBatch};
 pub use buffer::LogBuffer;
 pub use etct::{Etct, EtctEntry, FieldSelect, IfEventConfig};
 pub use event::{
-    extract_batch, extract_batch_entries, extract_events, sweep_batch, CheckKind, DeliveredEvent,
-    Event, EventBuf, EventSink, EventType, MetaSource, NUM_EVENT_TYPES,
+    extract_batch, extract_events, sweep_batch, CheckKind, DeliveredEvent, Event, EventBuf,
+    EventSink, EventType, MetaSource, NUM_EVENT_TYPES,
 };
 pub use record::{
     batch_bytes, chunks, compressed_size, Chunks, ANNOTATION_RECORD_BYTES, INSTR_RECORD_BYTES,

@@ -24,7 +24,7 @@ use igm_core::{
     ItConfig, MetadataTlb,
 };
 use igm_isa::TraceEntry;
-use igm_lba::{extract_events, DeliveredEvent, Event, IfEventConfig};
+use igm_lba::{chunks, extract_events, Event, EventBuf, IfEventConfig, TraceBatch};
 use igm_lifeguards::{CostSink, LifeguardKind};
 use igm_shadow::layout::ElemSize;
 use igm_shadow::{choose_level1_bits, footprint_pages, ShadowLayout, SizingPolicy, TwoLevelShadow};
@@ -208,6 +208,8 @@ pub fn lma_instr_reduction(
     mut trace: impl FnMut() -> Box<dyn Iterator<Item = TraceEntry>>,
     premark: &[(u32, u32)],
 ) -> f64 {
+    /// Compressed-record bytes per dispatch batch (≈ 1 k records).
+    const BATCH_BYTES: u32 = 1_024;
     let run = |accel: AccelConfig, trace: Box<dyn Iterator<Item = TraceEntry>>| -> u64 {
         let mut lg = kind.build(&accel);
         lg.set_synthetic_workload_mode(true);
@@ -217,13 +219,15 @@ pub fn lma_instr_reduction(
         let masked = kind.mask_config(&accel);
         let mut pipeline = DispatchPipeline::new(lg.etct(), &masked);
         let mut cost = CostSink::new();
+        let mut chunker = chunks(trace, BATCH_BYTES);
+        let mut batch = TraceBatch::new();
+        let mut events = EventBuf::new();
         let mut total = 0u64;
-        for entry in trace {
-            pipeline.dispatch(&entry, |dev: DeliveredEvent| {
-                cost.clear();
-                lg.handle(&dev, &mut cost);
-                total += cost.instrs();
-            });
+        while chunker.next_into_batch(&mut batch) {
+            pipeline.dispatch_batch(&batch, &mut events);
+            cost.clear();
+            lg.handle_batch(events.events(), &mut cost);
+            total += cost.instrs();
         }
         total
     };

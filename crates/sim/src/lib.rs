@@ -33,10 +33,15 @@ pub use report::SimReport;
 
 use igm_core::{AccelConfig, DispatchPipeline, ItConfig};
 use igm_isa::TraceEntry;
+use igm_lba::{chunks, EventBuf, TraceBatch};
 use igm_lifeguards::{CostSink, LifeguardKind};
 use igm_runtime::{MonitorPool, PoolConfig, SessionConfig, SessionReport};
 use igm_timing::{CoSim, SystemConfig};
 use igm_workload::{Benchmark, MtBenchmark};
+
+/// Compressed-record bytes per dispatch batch in [`Simulator::run_trace`]
+/// (≈ 1 k records).
+const RUN_BATCH_BYTES: u32 = 1_024;
 
 /// Configuration of one simulation run.
 #[derive(Debug, Clone)]
@@ -96,8 +101,7 @@ impl Simulator {
     pub fn run_benchmark(&self, b: Benchmark, n: u64) -> SimReport {
         let profile = b.profile();
         let premark = profile.premark_regions();
-        let heap = profile.heap_region();
-        let report = self.run_trace(&premark, Some(heap), b.trace(n));
+        let report = self.run_trace(&premark, None, b.trace(n));
         report.named(b.name())
     }
 
@@ -109,13 +113,21 @@ impl Simulator {
         report.named(b.name())
     }
 
-    /// Runs an arbitrary trace. `premark` lists loader-established regions;
-    /// `heap_init` optionally pre-marks a heap region's *initialized* bits
-    /// (MemCheck synthetic-workload support).
+    /// Runs an arbitrary trace. `premark` lists loader-established regions.
+    ///
+    /// `heap_init` is ignored: synthetic-workload mode already gives heap
+    /// blocks calloc semantics, so there are no initialized bits left to
+    /// pre-mark. The parameter remains because `benchmark/` calls this
+    /// three-argument signature.
+    ///
+    /// The trace is dispatched in ≈ 1 k-record chunks and the handlers then
+    /// run record by record over the delivered events. The gate never
+    /// reads lifeguard state, so running it a batch ahead of the handlers
+    /// is exact.
     pub fn run_trace(
         &self,
         premark: &[(u32, u32)],
-        heap_init: Option<(u32, u32)>,
+        _heap_init: Option<(u32, u32)>,
         trace: impl IntoIterator<Item = TraceEntry>,
     ) -> SimReport {
         let mut lifeguard = self.cfg.lifeguard.build(&self.cfg.accel);
@@ -125,27 +137,20 @@ impl Simulator {
         for (base, len) in premark {
             lifeguard.premark_region(*base, *len);
         }
-        if let Some((base, len)) = heap_init {
-            let _ = (base, len); // heap initialized-bits are covered by
-                                 // synthetic-workload mode (calloc semantics)
-        }
         let mut pipeline = DispatchPipeline::new(lifeguard.etct(), &self.cfg.accel);
         let mut cosim = CoSim::new(self.cfg.system);
         let mut cost = CostSink::new();
-        let mut mem_scratch: Vec<u32> = Vec::with_capacity(16);
+        let mut chunker = chunks(trace, RUN_BATCH_BYTES);
+        let mut batch = TraceBatch::new();
+        let mut events = EventBuf::new();
 
-        for entry in trace {
-            let mut delivered = 0u32;
-            let mut instrs = 0u64;
-            mem_scratch.clear();
-            pipeline.dispatch(&entry, |dev| {
+        while chunker.next_into_batch(&mut batch) {
+            pipeline.dispatch_batch(&batch, &mut events);
+            for (entry, evs) in batch.iter().zip(events.record_slices()) {
                 cost.clear();
-                lifeguard.handle(&dev, &mut cost);
-                delivered += 1;
-                instrs += cost.instrs();
-                mem_scratch.extend_from_slice(cost.mem_vas());
-            });
-            cosim.step_record(&entry, delivered, instrs, &mem_scratch);
+                lifeguard.handle_batch(evs, &mut cost);
+                cosim.step_record(&entry, evs.len() as u32, cost.instrs(), cost.mem_vas());
+            }
         }
 
         SimReport::new(self.cfg.lifeguard, self.cfg.accel, cosim.finish(), pipeline, lifeguard)

@@ -20,7 +20,7 @@ use crate::cache::Cache;
 use crate::config::SystemConfig;
 use crate::params::*;
 use igm_isa::{Annotation, TraceEntry, TraceOp};
-use igm_lba::record::compressed_size;
+use igm_lba::record::{compressed_size, ANNOTATION_RECORD_BYTES};
 use std::collections::VecDeque;
 
 /// Private caches of one core.
@@ -93,7 +93,19 @@ pub struct CoSim {
 
 impl CoSim {
     /// Creates a co-simulator for `cfg`.
+    ///
+    /// # Panics
+    ///
+    /// If `cfg.log_buffer_bytes` cannot hold the largest record
+    /// ([`ANNOTATION_RECORD_BYTES`]): the backpressure loop could then
+    /// never make room for it.
     pub fn new(cfg: SystemConfig) -> CoSim {
+        assert!(
+            cfg.log_buffer_bytes >= ANNOTATION_RECORD_BYTES,
+            "SystemConfig::log_buffer_bytes is {} but one annotation record needs \
+             ANNOTATION_RECORD_BYTES = {ANNOTATION_RECORD_BYTES}",
+            cfg.log_buffer_bytes
+        );
         CoSim {
             prod: CoreCaches::new(&cfg),
             cons: CoreCaches::new(&cfg),
@@ -348,6 +360,26 @@ mod tests {
         let r = sim.finish();
         // >> 1 cycle per instruction.
         assert!(r.app_alone_cycles > 10_000 * 50, "alone {}", r.app_alone_cycles);
+    }
+
+    #[test]
+    fn smallest_legal_log_buffer_runs_annotations() {
+        let cfg =
+            SystemConfig { log_buffer_bytes: ANNOTATION_RECORD_BYTES, ..SystemConfig::isca08() };
+        let mut sim = CoSim::new(cfg);
+        let malloc = TraceEntry::annot(0, Annotation::Malloc { base: 0x9000, size: 16 });
+        for i in 0..10 {
+            sim.step_record(&malloc, 1, 5, &[]);
+            sim.step_record(&instr(i), 0, 0, &[]);
+        }
+        assert_eq!(sim.finish().records, 20);
+    }
+
+    #[test]
+    #[should_panic(expected = "log_buffer_bytes is 8 but one annotation record needs \
+                               ANNOTATION_RECORD_BYTES = 9")]
+    fn log_buffer_smaller_than_one_record_is_rejected() {
+        let _ = CoSim::new(SystemConfig { log_buffer_bytes: 8, ..SystemConfig::isca08() });
     }
 
     #[test]

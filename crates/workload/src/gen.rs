@@ -40,13 +40,6 @@ impl Profile {
         }
         v
     }
-
-    /// The heap region blocks are carved from (for heap-wide pre-marking of
-    /// MemCheck's initialized bits under synthetic workloads; see module
-    /// docs).
-    pub fn heap_region(&self) -> (u32, u32) {
-        (HEAP_BASE, self.heap_bytes)
-    }
 }
 
 #[derive(Debug, Clone, Copy)]

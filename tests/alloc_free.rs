@@ -4,10 +4,8 @@
 //! buffer, faults in shadow chunks and warms accelerator state),
 //! re-dispatching and re-handling the same batch must leave the allocation
 //! counter untouched — the fused sweep writes only the caller's event
-//! buffer, and that, the entry front door's column arena and the handler
-//! cost sink are all reused. Both dispatch front doors are covered: the
-//! columnar `dispatch_batch` over a `TraceBatch` and `dispatch_batch_entries`
-//! over an entry slice.
+//! buffer, and that, the caller's column arena and the handler cost sink
+//! are all reused.
 //!
 //! Allocations are counted **per thread**: the exact-zero tests read only
 //! the counter of the thread they run on, so neither libtest's own
@@ -166,10 +164,9 @@ fn steady_state_columnar_dispatch_allocates_nothing() {
 
 /// The batch can also be *built* allocation-free at steady state: clearing
 /// a warm arena and re-scattering the same records must not touch the
-/// allocator (column capacity is retained), and the AoS compatibility
-/// dispatch stays zero-alloc too.
+/// allocator (column capacity is retained).
 #[test]
-fn steady_state_batch_build_and_aos_dispatch_allocate_nothing() {
+fn steady_state_batch_build_allocates_nothing() {
     let _serial = serial();
     let entries = steady_batch(2_048);
     let kind = LifeguardKind::AddrCheck;
@@ -187,9 +184,6 @@ fn steady_state_batch_build_and_aos_dispatch_allocate_nothing() {
         pipeline.dispatch_batch(&batch, &mut events);
         cost.clear();
         lifeguard.handle_batch(events.events(), &mut cost);
-        pipeline.dispatch_batch_entries(&entries, &mut events);
-        cost.clear();
-        lifeguard.handle_batch(events.events(), &mut cost);
     }
 
     let before = thread_allocations();
@@ -198,11 +192,8 @@ fn steady_state_batch_build_and_aos_dispatch_allocate_nothing() {
     pipeline.dispatch_batch(&batch, &mut events);
     cost.clear();
     lifeguard.handle_batch(events.events(), &mut cost);
-    pipeline.dispatch_batch_entries(&entries, &mut events);
-    cost.clear();
-    lifeguard.handle_batch(events.events(), &mut cost);
     let after = thread_allocations();
-    assert_eq!(after - before, 0, "batch refill + AoS dispatch must be allocation-free");
+    assert_eq!(after - before, 0, "batch refill + dispatch must be allocation-free");
 }
 
 /// Blocks until `pool` has nothing in flight: all `sent` records counted by

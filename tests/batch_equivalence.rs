@@ -1,10 +1,10 @@
-//! Batch-grain dispatch must be a pure refactor of per-record dispatch:
-//! for every lifeguard and accelerator configuration, columnar
-//! `dispatch_batch` over arbitrary chunkings of a generated trace — each
-//! chunk scattered into a `TraceBatch` — yields the identical delivered
-//! event sequence, identical `DispatchStats`, identical handler costs and
-//! identical violations as record-at-a-time `dispatch` (the PR 2 AoS
-//! path). The same property run also pins the `TraceBatch` round trip:
+//! How a trace is cut into batches must not matter: for every lifeguard
+//! and accelerator configuration, columnar `dispatch_batch` over arbitrary
+//! chunkings of a generated trace — each chunk scattered into a
+//! `TraceBatch` — yields the identical delivered event sequence, identical
+//! `DispatchStats`, identical handler costs and identical violations as
+//! dispatching one-record batches with per-event handling. The same
+//! property run also pins the `TraceBatch` round trip:
 //! `from_entries` → view iterator is the identity on every chunk — and the
 //! discarding `CostSink`: the same batches handled under it yield the same
 //! violations and the same metadata footprint while recording nothing.
@@ -126,18 +126,19 @@ proptest! {
             for accel in accel_configs() {
                 let masked = kind.mask_config(&accel);
 
-                // Reference: record-at-a-time dispatch + per-event handling.
+                // Reference: one-record batches + per-event handling.
                 let mut ref_lifeguard = kind.build_any(&accel);
                 let mut ref_pipeline = DispatchPipeline::new(ref_lifeguard.etct(), &masked);
                 let mut ref_cost = CostSink::new();
                 let mut ref_delivered: Vec<DeliveredEvent> = Vec::new();
+                let mut record_events = EventBuf::new();
                 for e in &trace {
-                    let mut record_events = Vec::new();
-                    ref_pipeline.dispatch(e, |d| record_events.push(d));
-                    for d in &record_events {
+                    let single = TraceBatch::from_entries(std::slice::from_ref(e));
+                    ref_pipeline.dispatch_batch(&single, &mut record_events);
+                    for d in record_events.events() {
                         ref_lifeguard.handle(d, &mut ref_cost);
                     }
-                    ref_delivered.extend(record_events);
+                    ref_delivered.extend_from_slice(record_events.events());
                 }
 
                 // Batched: the same trace in `chunk`-record columnar

@@ -7,7 +7,7 @@ use igm::lifeguards::LifeguardKind;
 use igm::profiling::{
     if_reduction, it_reduction, mtlb_flexible, mtlb_miss_rate, trace_footprint, CcMode,
 };
-use igm::sim::{SimConfig, Simulator};
+use igm::sim::{SimConfig, SimReport, Simulator};
 use igm::workload::{Benchmark, MtBenchmark};
 
 const N: u64 = 60_000;
@@ -146,4 +146,93 @@ fn simulation_is_deterministic() {
         (r.timing.monitored_cycles, r.dispatch.delivered, r.metadata_bytes)
     };
     assert_eq!(run(), run());
+}
+
+/// The co-simulation itself, pinned: every `TimingReport` field plus
+/// `dispatch.delivered` and `metadata_bytes` on the `cosim_figures` grid
+/// (5 lifeguards × {baseline, optimized} × 3 benchmarks, 80 k records).
+/// Simulated statistics are exact, so any host-side change to how
+/// `Simulator::run_trace` feeds the pipeline must leave this table alone.
+#[test]
+fn cosim_grid_matches_the_golden_table() {
+    // Row order: lifeguard (LifeguardKind::ALL), then baseline before
+    // optimized, then gcc, gzip, mcf (LockSet: blast, water-nq, zchaff).
+    // Columns: app_alone_cycles, monitored_cycles, consumer_cycles,
+    // producer_stall_cycles, syscall_drain_cycles, records,
+    // delivered_events, handler_instrs, dispatch.delivered, metadata_bytes.
+    const GOLDEN: [[u64; 10]; 30] = [
+        [338752, 649667, 649667, 0, 309665, 80000, 37228, 420753, 37228, 1068080],
+        [316861, 1467473, 1467473, 0, 1149362, 80000, 46715, 600484, 46715, 674816],
+        [1186544, 2416686, 2416686, 248764, 974727, 80000, 39720, 550886, 39720, 13387776],
+        [338752, 350422, 350422, 0, 10420, 80000, 17457, 133464, 17457, 1068080],
+        [316861, 1154432, 1154432, 0, 836321, 80000, 29551, 278960, 29551, 674816],
+        [1186544, 2203367, 2203367, 218411, 791762, 80000, 33345, 348225, 33345, 13387776],
+        [338752, 1171311, 1171311, 0, 831309, 80000, 142131, 854476, 142131, 2116664],
+        [316861, 1458330, 1458330, 0, 1140219, 80000, 175296, 1181762, 175296, 1330184],
+        [1186544, 1994986, 1994986, 0, 794992, 80000, 143667, 1070043, 143667, 26757128],
+        [338752, 596465, 596465, 0, 256463, 80000, 71961, 315035, 71961, 2116664],
+        [316861, 729571, 729571, 0, 411460, 80000, 80005, 500679, 80005, 1330184],
+        [1186544, 1527406, 1527406, 0, 327412, 80000, 93911, 628451, 93911, 26757128],
+        [338752, 588352, 588352, 0, 248350, 80000, 50920, 317242, 50920, 1851400],
+        [316861, 718437, 718437, 0, 400326, 80000, 53088, 502973, 53088, 1064968],
+        [1186544, 1352246, 1352246, 0, 152252, 80000, 43173, 477130, 43173, 26230792],
+        [338752, 340091, 340091, 0, 89, 80000, 12898, 57928, 12898, 1851400],
+        [316861, 462224, 462224, 0, 144113, 80000, 18384, 203873, 18384, 1064968],
+        [1186544, 1194604, 1194604, 0, 10, 80000, 6589, 203632, 6589, 26230792],
+        [338752, 871108, 871108, 0, 525506, 80000, 50920, 427448, 50920, 11567168],
+        [316861, 1837367, 1837367, 0, 1519256, 80000, 53088, 1428673, 53088, 6324288],
+        [1186544, 3355521, 3355521, 563782, 1579145, 80000, 43173, 1707525, 43173, 208699456],
+        [338752, 355869, 355869, 0, 15467, 80000, 12898, 126520, 12898, 11567168],
+        [316861, 1469193, 1469193, 0, 1151082, 80000, 18384, 1090557, 18384, 6324288],
+        [1186544, 1984177, 1984177, 419442, 374341, 80000, 6589, 1393333, 6589, 208699456],
+        [287343, 1681991, 1681991, 956091, 425707, 80000, 35368, 1478112, 35368, 6308040],
+        [238635, 1541813, 1541813, 947446, 354482, 80000, 33027, 1401405, 33027, 6308232],
+        [300739, 1648499, 1648499, 949349, 391160, 80000, 35050, 1457829, 35050, 6308136],
+        [287343, 1380258, 1380258, 898129, 181936, 80000, 11559, 1189544, 11559, 6308040],
+        [238635, 1272433, 1272433, 897849, 134699, 80000, 12378, 1143729, 12378, 6308232],
+        [300739, 1357312, 1357312, 881650, 167673, 80000, 12596, 1179569, 12596, 6308136],
+    ];
+    const RECORDS: u64 = 80_000;
+
+    let row = |r: &SimReport| {
+        let t = &r.timing;
+        [
+            t.app_alone_cycles,
+            t.monitored_cycles,
+            t.consumer_cycles,
+            t.producer_stall_cycles,
+            t.syscall_drain_cycles,
+            t.records,
+            t.delivered_events,
+            t.handler_instrs,
+            r.dispatch.delivered,
+            r.metadata_bytes,
+        ]
+    };
+    let mut golden = GOLDEN.iter();
+    for kind in LifeguardKind::ALL {
+        for optimized in [false, true] {
+            let sim = Simulator::new(if optimized {
+                SimConfig::optimized(kind)
+            } else {
+                SimConfig::baseline(kind)
+            });
+            let reports = if kind == LifeguardKind::LockSet {
+                [MtBenchmark::Blast, MtBenchmark::WaterNq, MtBenchmark::Zchaff]
+                    .map(|b| sim.run_mt_benchmark(b, RECORDS))
+            } else {
+                [Benchmark::Gcc, Benchmark::Gzip, Benchmark::Mcf]
+                    .map(|b| sim.run_benchmark(b, RECORDS))
+            };
+            for r in &reports {
+                let name = r.benchmark.as_deref().unwrap_or("?");
+                assert_eq!(
+                    &row(r),
+                    golden.next().expect("30 golden rows"),
+                    "{kind} optimized={optimized} {name}"
+                );
+            }
+        }
+    }
+    assert!(golden.next().is_none(), "every golden row was compared");
 }
