@@ -24,9 +24,14 @@ cargo test --release -q -p igm \
 
 # Per-crate suites, for the same reasons: the gate's decision table and the
 # hand-driven pool test; the posting kernels against their scalar oracles
-# and the index properties; the accelerator units, the shadow map's
-# uniform-chunk arithmetic against its flat oracle, and the lifeguards.
+# and the index properties; the trace codec's bitmap, varint and shift
+# code, the one decoder every untrusted frame (file or wire chunk) goes
+# through, and the wire protocol's hostile-peer paths over it; the
+# accelerator units, the shadow map's uniform-chunk arithmetic against its
+# flat oracle, and the lifeguards.
 cargo test --release -q -p igm-runtime --lib
 cargo test --release -q -p igm-trace --lib postings
 cargo test --release -q -p igm-trace --test index
+cargo test --release -q -p igm-trace --test codec
+cargo test --release -q -p igm-net --test protocol
 cargo test --release -q -p igm-core -p igm-shadow -p igm-lifeguards

@@ -66,10 +66,10 @@ pub struct LakeTrace {
     pub path: PathBuf,
     /// Trace file size in bytes.
     pub trace_bytes: u64,
-    /// The loaded (or rebuilt) `IGMX` v2 posting index.
+    /// The loaded (or rebuilt) `IGMX` posting index.
     pub index: TraceIndex,
     /// Whether the sidecar had to be rebuilt by an offline record scan
-    /// (missing, v1 directory-only, corrupt, or stale).
+    /// (missing, of another sidecar version, corrupt, or stale).
     pub rebuilt: bool,
 }
 
@@ -89,7 +89,7 @@ impl LakeTrace {
 /// A catalog over one directory of capture/tee artifacts.
 ///
 /// Opening the lake pairs every `<stem>.igmt` with its `<stem>.igmx`
-/// sidecar. A sidecar that is missing, directory-only (v1), corrupt, or
+/// sidecar. A sidecar that is missing, of another version, corrupt, or
 /// stale (its last frame does not end exactly where the trace file ends) is
 /// rebuilt by [`TraceIndex::scan_records_file`] and saved back — the
 /// offline build is byte-identical to the writer-inline one, so a lake
@@ -121,9 +121,8 @@ impl TraceLake {
             };
             let trace_bytes = std::fs::metadata(&path).map(|m| m.len()).unwrap_or(0);
             let sidecar = path.with_extension("igmx");
-            let loaded = TraceIndex::load_file(&sidecar)
-                .ok()
-                .filter(|i| i.has_postings() && index_fits(i, &path, trace_bytes));
+            let loaded =
+                TraceIndex::load_file(&sidecar).ok().filter(|i| index_fits(i, &path, trace_bytes));
             let (index, rebuilt) = match loaded {
                 Some(i) => (i, false),
                 None => match TraceIndex::scan_records_file(&path) {
@@ -219,7 +218,7 @@ impl TraceLake {
     pub fn neighborhood(&self, id: RecordId, k: u64) -> Result<Vec<(u64, TraceEntry)>, LakeError> {
         let t = self.locate(id)?;
         let start = id.seq.saturating_sub(k);
-        let end = (id.seq + k + 1).min(t.index.total_records());
+        let end = id.seq.saturating_add(k).saturating_add(1).min(t.index.total_records());
         let mut reader =
             TraceReader::new(BufReader::new(File::open(&t.path).map_err(TraceError::Io)?))?;
         let entry = *t.index.frame_for_record(start).expect("start is inside the trace");
@@ -253,7 +252,7 @@ impl TraceLake {
     ) -> Result<SessionReport, LakeError> {
         let t = self.locate(id)?;
         let start = id.seq.saturating_sub(k);
-        let end = id.seq + k + 1;
+        let end = id.seq.saturating_add(k).saturating_add(1);
         let mut reader =
             TraceReader::new(BufReader::new(File::open(&t.path).map_err(TraceError::Io)?))?;
         replay_window(pool, cfg, &mut reader, &t.index, start..end).map_err(LakeError::Replay)

@@ -20,7 +20,7 @@
 //!   [`LakeQuery::parse_dim`]).
 //! - `around=<tenant:trace:seq|seq>` + `k=` — decode the ±k record
 //!   neighborhood instead of filtering (the only path that touches
-//!   trace payloads).
+//!   trace payloads; `k` default 4, max 10000).
 //! - `limit=` — cap on materialized hit ids (default 100, max 10000).
 
 use crate::catalog::{LakeError, TraceLake};
@@ -34,7 +34,8 @@ use std::sync::Arc;
 
 /// Default and maximum `limit=` values for materialized hits.
 const DEFAULT_LIMIT: u64 = 100;
-/// Upper bound on `limit=`.
+/// Upper bound on `limit=` and `k=`, so one request cannot serialize a
+/// whole trace.
 const MAX_LIMIT: u64 = 10_000;
 /// Default `k=` for neighborhoods.
 const DEFAULT_K: u64 = 4;
@@ -127,7 +128,7 @@ impl LakeRoutes {
         match q.get("around") {
             Some(raw) => {
                 let k = match q.get_u64("k") {
-                    Ok(v) => v.unwrap_or(DEFAULT_K),
+                    Ok(v) => v.unwrap_or(DEFAULT_K).min(MAX_LIMIT),
                     Err(e) => return RouteResponse::bad_request(&e),
                 };
                 let id = match parse_around(&self.lake, tenant, raw) {

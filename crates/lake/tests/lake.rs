@@ -268,6 +268,33 @@ fn missing_or_damaged_sidecars_heal_byte_identically() {
     assert!(lake.traces()[0].rebuilt);
     assert_eq!(std::fs::read(&sidecar).unwrap(), original);
 
+    // A retired directory-only v1 sidecar (the same frame directory, no
+    // posting section): refused by `load`, so healed by rescan, and the
+    // healed lake answers queries exactly as before.
+    let entries = lake.traces()[0].index.entries();
+    let mut body = Vec::new();
+    for e in entries {
+        body.extend_from_slice(&e.offset.to_le_bytes());
+        body.extend_from_slice(&e.records.to_le_bytes());
+    }
+    let mut v1 = b"IGMX".to_vec();
+    v1.extend_from_slice(&1u32.to_le_bytes());
+    v1.extend_from_slice(&(entries.len() as u64).to_le_bytes());
+    v1.extend_from_slice(&body);
+    v1.extend_from_slice(&igm_trace::checksum(&body).to_le_bytes());
+    assert!(matches!(
+        igm_trace::TraceIndex::load(&v1[..]),
+        Err(igm_trace::TraceError::UnsupportedVersion(1))
+    ));
+    let q = LakeQuery::new().include(Dim::OpClass, op_class::STORE);
+    let before = lake.query(Some("healme"), &q, 10).unwrap();
+    std::fs::write(&sidecar, &v1).unwrap();
+    let lake = TraceLake::open(&dir).unwrap();
+    assert!(lake.traces()[0].rebuilt, "a v1 sidecar is rebuilt");
+    assert_eq!(std::fs::read(&sidecar).unwrap(), original);
+    let after = lake.query(Some("healme"), &q, 10).unwrap();
+    assert_eq!((after.matched, &after.hits), (before.matched, &before.hits));
+
     // Intact sidecar: loaded as-is, not rebuilt.
     let lake = TraceLake::open(&dir).unwrap();
     assert!(!lake.traces()[0].rebuilt);
@@ -431,6 +458,14 @@ fn lake_routes_serve_catalog_query_and_neighborhood() {
     assert_eq!(status, 200);
     assert!(body.contains("\"count\": 2"), "k=1 at the trace head is 2 records: {body}");
 
+    // A `k` at the top of the u64 range is clamped, not added unchecked:
+    // the neighborhood is the whole (short) trace, not the records before
+    // the focus that a wrapped window end would leave.
+    let (status, body) =
+        http_get(addr, &format!("/lake/query?tenant={stem}&around={}&k={}", N / 2, u64::MAX));
+    assert_eq!(status, 200, "{body}");
+    assert!(body.contains(&format!("\"count\": {N}")), "±k covers the whole trace: {body}");
+
     // Typed rejections: bad term, unknown parameter, unknown tenant,
     // unknown record, malformed escape (caught before the handler).
     let cases = [
@@ -465,7 +500,11 @@ fn replay_around_reports_the_window() {
     let id = RecordId::new(t.tenant, t.trace, N / 2);
     let pool = MonitorPool::new(PoolConfig::with_workers(1));
     let cfg = SessionConfig::new("inspect", LifeguardKind::AddrCheck).synthetic();
-    let report = fx.lake.replay_around(&pool, cfg, id, 8).unwrap();
+    let report = fx.lake.replay_around(&pool, cfg.clone(), id, 8).unwrap();
     assert_eq!(report.records, 17, "±8 around the midpoint is 17 records");
+    // A window end past u64::MAX saturates to the trace's end.
+    let report = fx.lake.replay_around(&pool, cfg, id, u64::MAX).unwrap();
+    assert_eq!(report.records, N, "±u64::MAX is the whole trace");
+    assert_eq!(fx.lake.neighborhood(id, u64::MAX).unwrap().len() as u64, N);
     pool.shutdown();
 }

@@ -291,9 +291,6 @@ impl Lifeguard for AddrCheck {
     fn metadata_bytes(&self) -> u64 {
         self.meta.metadata_bytes() + self.allocs.len() as u64 * 8
     }
-    fn try_snapshot(&self) -> Option<Box<dyn Lifeguard + Send>> {
-        Some(crate::ShardableLifeguard::snapshot_shard(self))
-    }
 }
 
 /// The paper's baseline mapping cost is visible in this module's handlers:

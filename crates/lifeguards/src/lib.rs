@@ -257,29 +257,7 @@ pub trait Lifeguard {
     /// Current metadata footprint in bytes (shadow chunks + auxiliary
     /// structures), for the space studies.
     fn metadata_bytes(&self) -> u64;
-
-    /// Snapshots the lifeguard's full state (shadow memory, register
-    /// metadata, allocation records) into an independent shard, or `None`
-    /// when the lifeguard is not shardable. Used by the epoch-parallel
-    /// runtime: each epoch worker checks against a snapshot of the shadow
-    /// state at its epoch boundary. Default: not shardable.
-    fn try_snapshot(&self) -> Option<Box<dyn Lifeguard + Send>> {
-        None
-    }
 }
-
-/// Shadow/state shard construction for epoch-parallel monitoring: any
-/// `Clone + Send` lifeguard is shardable, its snapshot being an ordinary
-/// clone of the shadow structures. Concrete lifeguards implement
-/// [`Lifeguard::try_snapshot`] through this helper.
-pub trait ShardableLifeguard: Lifeguard + Clone + Send + Sized + 'static {
-    /// Clones the lifeguard state into an independent boxed shard.
-    fn snapshot_shard(&self) -> Box<dyn Lifeguard + Send> {
-        Box::new(self.clone())
-    }
-}
-
-impl<T: Lifeguard + Clone + Send + Sized + 'static> ShardableLifeguard for T {}
 
 /// A statically-dispatched sum of the five lifeguards.
 ///
@@ -352,10 +330,6 @@ impl Lifeguard for AnyLifeguard {
     fn metadata_bytes(&self) -> u64 {
         with_each_lifeguard!(self, lg => lg.metadata_bytes())
     }
-
-    fn try_snapshot(&self) -> Option<Box<dyn Lifeguard + Send>> {
-        Some(Box::new(self.clone()))
-    }
 }
 
 #[cfg(test)]
@@ -407,7 +381,9 @@ mod tests {
             let boxed = k.build(&cfg);
             assert_eq!(any.kind(), k);
             assert_eq!(any.etct().registered_count(), boxed.etct().registered_count());
-            assert!(any.try_snapshot().is_some(), "{k}: every variant is clonable");
+            let copy = any.clone();
+            assert_eq!(copy.kind(), k, "{k}: a clone is the same lifeguard");
+            assert_eq!(copy.metadata_bytes(), any.metadata_bytes(), "{k}: clone copies state");
         }
     }
 

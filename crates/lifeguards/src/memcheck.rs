@@ -376,9 +376,6 @@ impl Lifeguard for MemCheck {
     fn metadata_bytes(&self) -> u64 {
         self.meta.metadata_bytes() + (self.live.len() + self.freed.len()) as u64 * 8 + 8
     }
-    fn try_snapshot(&self) -> Option<Box<dyn Lifeguard + Send>> {
-        Some(crate::ShardableLifeguard::snapshot_shard(self))
-    }
 }
 
 /// Marks the heap's initialized bits without touching accessibility —

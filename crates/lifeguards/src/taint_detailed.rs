@@ -388,9 +388,6 @@ impl Lifeguard for TaintCheckDetailed {
     fn metadata_bytes(&self) -> u64 {
         self.meta.metadata_bytes() + 64
     }
-    fn try_snapshot(&self) -> Option<Box<dyn Lifeguard + Send>> {
-        Some(crate::ShardableLifeguard::snapshot_shard(self))
-    }
 }
 
 /// The 4-byte words overlapping the annotated block `[base, base+len)`,

@@ -1,17 +1,18 @@
 //! The client side: [`TraceForwarder`] ships a live record stream or a
 //! recorded trace file to a remote [`IngestServer`](crate::IngestServer),
-//! honoring the server's byte credits.
+//! honoring the server's byte credits. It speaks one protocol version
+//! ([`NET_VERSION`]) and one trace codec ([`CODEC_ID`]); a server that
+//! refuses either surfaces as [`NetError::Rejected`].
 
 use crate::wire::{
-    self, Fill, FinStats, MsgBuf, NetError, MSG_HEADER_BYTES, NET_VERSION, NET_VERSION_COMPAT,
-    SPAN_PREFIX_BYTES,
+    self, Fill, FinStats, MsgBuf, NetError, MSG_HEADER_BYTES, NET_VERSION, SPAN_PREFIX_BYTES,
 };
 use igm_isa::TraceEntry;
 use igm_lba::{chunks, TraceBatch};
 use igm_obs::{Histogram, MetricsRegistry};
 use igm_runtime::SessionConfig;
 use igm_span::{alloc_flow, FlightRecorder, FrameTag, Sampler, Stage, Track};
-use igm_trace::{encode_frame_with, Codec, CodecMetrics, Predictors, TraceReader};
+use igm_trace::{encode_frame_with, CodecMetrics, Predictors, TraceReader, CODEC_ID};
 use std::fs::File;
 use std::io::{self, BufReader, Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
@@ -31,11 +32,6 @@ pub struct ForwarderConfig {
     /// How long to wait for the server's handshake reply (and for the
     /// final `FIN_ACK`).
     pub handshake_timeout: Duration,
-    /// The trace codec every chunk frame on this lane will carry,
-    /// negotiated in the `HELLO`. Defaults to the value-predicted codec;
-    /// [`Codec::Delta`] trades ~4–5× more wire bytes for a simpler
-    /// payload.
-    pub codec: Codec,
 }
 
 impl Default for ForwarderConfig {
@@ -46,7 +42,6 @@ impl Default for ForwarderConfig {
             // depends on them matching).
             chunk_bytes: igm_runtime::PoolConfig::default().chunk_bytes,
             handshake_timeout: Duration::from_secs(10),
-            codec: Codec::Predicted,
         }
     }
 }
@@ -109,19 +104,12 @@ pub struct TraceForwarder {
     /// stall duration is already measured for [`ForwarderStats`], so the
     /// histogram adds no clock reads of its own.
     stall_hist: Histogram,
-    /// The negotiated per-chunk trace codec ([`ForwarderConfig::codec`]).
-    codec: Codec,
     /// Encoder predictor tables, persistent across frames (each frame
     /// still resets them — holding the allocation is what matters).
     predictors: Box<Predictors>,
     /// Codec byte counters / encode-latency histogram, bound by
     /// [`TraceForwarder::attach_metrics`].
     codec_metrics: CodecMetrics,
-    /// The protocol version this connection actually speaks:
-    /// [`NET_VERSION`] normally, [`NET_VERSION_COMPAT`] after a
-    /// downgrade retry against an old server. Chunks carry the span
-    /// prefix only at ≥ [`NET_VERSION`].
-    wire_version: u32,
     /// Span origin state, bound by [`TraceForwarder::attach_spans`].
     spans: Option<ClientSpans>,
 }
@@ -159,29 +147,13 @@ impl TraceForwarder {
         TraceForwarder::connect_with(addr, session, ForwarderConfig::default())
     }
 
-    /// Connects with explicit transport parameters. Speaks
-    /// [`NET_VERSION`]; when an old server refuses the handshake naming
-    /// the protocol version, retries once speaking
-    /// [`NET_VERSION_COMPAT`] — the lane then works exactly as before
-    /// version 3, just without span provenance on the wire.
+    /// Connects with explicit transport parameters, speaking
+    /// [`NET_VERSION`]. A server that refuses the handshake surfaces as
+    /// [`NetError::Rejected`] carrying its `ERROR` reason.
     pub fn connect_with(
         addr: impl ToSocketAddrs,
         session: &SessionConfig,
         cfg: ForwarderConfig,
-    ) -> Result<TraceForwarder, NetError> {
-        match TraceForwarder::connect_version(&addr, session, &cfg, NET_VERSION) {
-            Err(NetError::Rejected(reason)) if reason.contains("protocol version") => {
-                TraceForwarder::connect_version(&addr, session, &cfg, NET_VERSION_COMPAT)
-            }
-            r => r,
-        }
-    }
-
-    fn connect_version(
-        addr: impl ToSocketAddrs,
-        session: &SessionConfig,
-        cfg: &ForwarderConfig,
-        version: u32,
     ) -> Result<TraceForwarder, NetError> {
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true)?;
@@ -196,13 +168,11 @@ impl TraceForwarder {
             stats: ForwarderStats::default(),
             fin_ack: None,
             stall_hist: Histogram::disabled(),
-            codec: cfg.codec,
             predictors: Box::new(Predictors::new()),
             codec_metrics: CodecMetrics::detached(),
-            wire_version: version,
             spans: None,
         };
-        let hello = wire::hello_message(version, cfg.codec.wire(), session);
+        let hello = wire::hello_message(NET_VERSION, CODEC_ID, session);
         fwd.push_bytes(&hello)?;
         // The WELCOME carries the initial allowance; harvest() records it
         // as a plain credit grant.
@@ -242,14 +212,8 @@ impl TraceForwarder {
     /// frame's journey is recorded, and sampled chunks stamp
     /// `client_send` / `credit_stall` stages on [`Track::Client`] while
     /// carrying their tag across the wire for the server-side stages to
-    /// chain under. A no-op on a connection downgraded to
-    /// [`NET_VERSION_COMPAT`] — that wire format has nowhere to carry the
-    /// tag, and a chain that can never join its server half would only
-    /// mislead.
+    /// chain under.
     pub fn attach_spans(&mut self, recorder: &Arc<FlightRecorder>) {
-        if self.wire_version < NET_VERSION {
-            return;
-        }
         self.spans = Some(ClientSpans {
             rec: Arc::clone(recorder),
             ring: recorder.ring_handle(),
@@ -257,12 +221,6 @@ impl TraceForwarder {
             sampler: recorder.sampler(),
             next_seq: 0,
         });
-    }
-
-    /// The protocol version this connection speaks ([`NET_VERSION`], or
-    /// [`NET_VERSION_COMPAT`] after a downgrade retry).
-    pub fn wire_version(&self) -> u32 {
-        self.wire_version
     }
 
     /// Client-side counters so far.
@@ -291,19 +249,16 @@ impl TraceForwarder {
         };
         self.frame.clear();
         let started = self.codec_metrics.start_encode();
-        encode_frame_with(&mut self.predictors, self.codec, &mut self.frame, batch);
+        encode_frame_with(&mut self.predictors, &mut self.frame, batch);
         self.codec_metrics.stop_encode(started);
         self.codec_metrics.count_frame(batch.len() as u64, self.frame.len() as u64);
         self.wait_for_credit(tag)?;
         // Credit accounts the whole chunk payload — span prefix included
-        // on a v3 lane — matching the server's received-bytes ledger.
-        let prefix = if self.wire_version >= NET_VERSION { SPAN_PREFIX_BYTES } else { 0 };
-        let payload_len = self.frame.len() + prefix;
+        // — matching the server's received-bytes ledger.
+        let payload_len = self.frame.len() + SPAN_PREFIX_BYTES;
         let mut header = Vec::with_capacity(MSG_HEADER_BYTES + SPAN_PREFIX_BYTES);
         wire::push_header(&mut header, wire::msg::CHUNK, payload_len);
-        if prefix > 0 {
-            wire::push_span_prefix(&mut header, tag);
-        }
+        wire::push_span_prefix(&mut header, tag);
         self.push_bytes(&header)?;
         let frame = std::mem::take(&mut self.frame);
         let r = self.push_bytes(&frame);

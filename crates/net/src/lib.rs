@@ -52,7 +52,4 @@ pub mod wire;
 pub use client::{ForwarderConfig, ForwarderReport, ForwarderStats, TraceForwarder};
 pub use server::{IngestServer, NetServerConfig, NetServerReport};
 pub use source::NetSource;
-pub use wire::{
-    FinStats, NetError, MAX_MESSAGE_BYTES, NET_MAGIC, NET_VERSION, NET_VERSION_COMPAT,
-    SPAN_PREFIX_BYTES,
-};
+pub use wire::{FinStats, NetError, MAX_MESSAGE_BYTES, NET_MAGIC, NET_VERSION, SPAN_PREFIX_BYTES};

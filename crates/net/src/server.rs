@@ -7,7 +7,7 @@ use crate::wire::{self, Fill, MsgBuf, NetError};
 use igm_obs::{Counter, EventKind, EventRing};
 use igm_runtime::MonitorPool;
 use igm_span::FlightRecorder;
-use igm_trace::{Codec, CodecMetrics, IngestConfig, IngestReport, Ingestor, TraceError};
+use igm_trace::{CodecMetrics, IngestConfig, IngestReport, Ingestor, TraceError};
 use std::fs::File;
 use std::io::{self, BufWriter, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -74,11 +74,8 @@ struct Pending {
 enum HandshakeStep {
     /// Still waiting for bytes.
     Wait,
-    /// `HELLO` accepted: the tenant's session spec, the trace codec its
-    /// chunk frames will carry, and the negotiated protocol version (the
-    /// lane speaks the client's version — a v2 lane's chunks carry no
-    /// span prefix).
-    Ready(igm_runtime::SessionConfig, Codec, u32),
+    /// `HELLO` accepted: the tenant's session spec.
+    Ready(igm_runtime::SessionConfig),
     /// Connection refused.
     Fail(NetError),
 }
@@ -99,9 +96,9 @@ impl Pending {
             Ok(Some((ty, range))) if ty == wire::msg::HELLO => {
                 let decoded = wire::decode_hello(self.inbuf.bytes(range.clone()));
                 match decoded {
-                    Ok((cfg, codec, version)) => {
+                    Ok(cfg) => {
                         self.inbuf.consume(range.end);
-                        HandshakeStep::Ready(cfg, codec, version)
+                        HandshakeStep::Ready(cfg)
                     }
                     Err(e) => HandshakeStep::Fail(e),
                 }
@@ -177,7 +174,7 @@ pub struct IngestServer<'p> {
     /// every admitted lane's decoder clones these handles.
     codec_metrics: CodecMetrics,
     /// The pool's span flight recorder, when spans are on: every admitted
-    /// v3 lane claims its own ring and stamps `server_ingest` stages for
+    /// lane claims its own ring and stamps `server_ingest` stages for
     /// sampled frames.
     recorder: Option<Arc<FlightRecorder>>,
 }
@@ -279,10 +276,10 @@ impl<'p> IngestServer<'p> {
         while i < self.pending.len() {
             match self.pending[i].step() {
                 HandshakeStep::Wait => i += 1,
-                HandshakeStep::Ready(session_cfg, codec, version) => {
+                HandshakeStep::Ready(session_cfg) => {
                     let conn = self.pending.swap_remove(i);
                     progress = true;
-                    match self.admit(conn, session_cfg, codec, version) {
+                    match self.admit(conn, session_cfg) {
                         Ok(()) => {
                             self.accepted += 1;
                             self.obs_accepted.inc();
@@ -317,17 +314,13 @@ impl<'p> IngestServer<'p> {
         &mut self,
         conn: Pending,
         mut session_cfg: igm_runtime::SessionConfig,
-        codec: Codec,
-        version: u32,
     ) -> Result<(), (String, NetError)> {
         let peer = conn.peer;
         let source = NetSource::new(
             conn.stream,
             self.cfg.credit_window as u64,
             conn.inbuf,
-            codec,
             self.codec_metrics.clone(),
-            version,
             self.recorder.clone(),
         )
         .map_err(|e| (peer.clone(), NetError::Io(e)))?;

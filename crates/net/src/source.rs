@@ -2,15 +2,13 @@
 //! [`TraceSource`](igm_trace::TraceSource) over one client connection.
 
 use crate::wire::{
-    self, lane_error, Fill, FinStats, MsgBuf, NetError, MSG_HEADER_BYTES, NET_VERSION,
-    SPAN_PREFIX_BYTES,
+    self, lane_error, Fill, FinStats, MsgBuf, NetError, MSG_HEADER_BYTES, SPAN_PREFIX_BYTES,
 };
 use igm_lba::TraceBatch;
 use igm_runtime::ChannelStatsSnapshot;
 use igm_span::{FlightRecorder, FrameTag, Stage, Track};
 use igm_trace::{
-    decode_frame_with, frame_codec, Codec, CodecMetrics, LanePoll, Predictors, SourceStatus,
-    TraceError, TraceSource,
+    decode_frame_with, CodecMetrics, LanePoll, Predictors, SourceStatus, TraceError, TraceSource,
 };
 use std::io::{self, Write};
 use std::net::TcpStream;
@@ -18,9 +16,10 @@ use std::sync::Arc;
 
 /// Wire-credit bytes granted per compressed-model byte of log-channel
 /// room. The channel accounts occupancy in the paper's compressed-record
-/// model (1 B per instruction record); predicted frames run ~1–2 B per
-/// record but legacy delta frames reach ~6, so an unscaled grant would
-/// under-fill the channel several-fold and throttle a healthy producer.
+/// model (1 B per instruction record); frames run ~1–2 B per record on
+/// loopy code and several times that when most fields escape, so an
+/// unscaled grant would under-fill the channel several-fold and throttle
+/// a healthy producer.
 /// The scale errs high — the channel's own byte-accounted refusal (the
 /// staged-batch backstop) still bounds server memory when the estimate is
 /// generous.
@@ -55,17 +54,10 @@ pub struct NetSource {
     /// A write-side failure noticed during feedback, surfaced on the next
     /// poll (polls are the lane's error channel).
     deferred_error: Option<NetError>,
-    /// The trace codec the `HELLO` negotiated; every chunk frame must
-    /// carry it.
-    codec: Codec,
     /// Decoder predictor tables, persistent across this lane's frames.
     predictors: Box<Predictors>,
     /// Shared codec byte counters / decode-latency histogram.
     metrics: CodecMetrics,
-    /// The negotiated protocol version. Chunks on a
-    /// ≥[`NET_VERSION`]-lane open with the span-provenance prefix; a v2
-    /// lane's chunks are bare frames.
-    wire_version: u32,
     /// The pool's flight recorder plus this lane's claimed ring, when
     /// spans are on: sampled frames get a `server_ingest` stage stamped
     /// over the decode window.
@@ -85,22 +77,15 @@ impl NetSource {
         stream: TcpStream,
         window: u64,
         inbuf: MsgBuf,
-        codec: Codec,
         metrics: CodecMetrics,
-        wire_version: u32,
         recorder: Option<Arc<FlightRecorder>>,
     ) -> io::Result<NetSource> {
         stream.set_nonblocking(true)?;
         stream.set_nodelay(true)?;
-        // A v2 lane carries no tags, so claiming a ring would only waste
-        // one; span stamping needs both the recorder and a v3 peer.
-        let spans = match recorder {
-            Some(rec) if wire_version >= NET_VERSION => {
-                let ring = rec.ring_handle();
-                Some((rec, ring))
-            }
-            _ => None,
-        };
+        let spans = recorder.map(|rec| {
+            let ring = rec.ring_handle();
+            (rec, ring)
+        });
         Ok(NetSource {
             stream,
             inbuf,
@@ -113,10 +98,8 @@ impl NetSource {
             records: 0,
             fin: None,
             deferred_error: None,
-            codec,
             predictors: Box::new(Predictors::new()),
             metrics,
-            wire_version,
             spans,
             pending_tag: None,
         })
@@ -172,25 +155,12 @@ impl NetSource {
                         // (span prefix included), matching the client's
                         // ledger.
                         let payload_bytes = payload.len() as u64;
-                        let (tag, frame, frame_at) = if self.wire_version >= NET_VERSION {
-                            if payload.len() < SPAN_PREFIX_BYTES {
-                                return Err(NetError::Malformed(
-                                    "chunk shorter than the span prefix",
-                                ));
-                            }
-                            (
-                                wire::decode_span_prefix(&payload[..SPAN_PREFIX_BYTES])?,
-                                &payload[SPAN_PREFIX_BYTES..],
-                                payload_at + SPAN_PREFIX_BYTES as u64,
-                            )
-                        } else {
-                            (None, payload, payload_at)
-                        };
-                        if frame_codec(frame) != Some(self.codec) {
-                            return Err(NetError::Malformed(
-                                "chunk codec disagrees with the negotiated codec",
-                            ));
+                        if payload.len() < SPAN_PREFIX_BYTES {
+                            return Err(NetError::Malformed("chunk shorter than the span prefix"));
                         }
+                        let (prefix, frame) = payload.split_at(SPAN_PREFIX_BYTES);
+                        let tag = wire::decode_span_prefix(prefix)?;
+                        let frame_at = payload_at + SPAN_PREFIX_BYTES as u64;
                         let span_start = match (&self.spans, tag) {
                             (Some((rec, _)), Some(_)) => Some(rec.now()),
                             _ => None,

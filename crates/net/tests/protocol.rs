@@ -7,7 +7,7 @@ use igm_lifeguards::LifeguardKind;
 use igm_net::wire::{self, msg};
 use igm_net::{IngestServer, NetError, NetServerConfig, TraceForwarder};
 use igm_runtime::{MonitorPool, PoolConfig, SessionConfig};
-use igm_trace::{encode_frame, Codec, TraceError};
+use igm_trace::{encode_frame, TraceError, CODEC_ID};
 use igm_workload::Benchmark;
 use std::io::Write;
 use std::net::{SocketAddr, TcpStream};
@@ -40,93 +40,70 @@ impl RawClient {
     }
 }
 
-#[test]
-fn version_mismatch_is_rejected_with_a_typed_error() {
+/// Sends one raw `HELLO` per `(version, codec)` pair, each on its own
+/// socket, and returns the server's report once every one has been
+/// handled.
+fn serve_raw_hellos(hellos: &'static [(u32, u32)]) -> igm_net::NetServerReport {
     let pool = MonitorPool::new(PoolConfig::with_workers(1));
     let server = IngestServer::bind("127.0.0.1:0", &pool, NetServerConfig::default()).unwrap();
     let addr = server.local_addr().unwrap();
 
     let client = std::thread::spawn(move || {
-        let mut raw = RawClient::connect(addr);
-        let hello = wire::hello_message(
-            99,
-            Codec::Predicted.wire(),
-            &session_cfg("old", LifeguardKind::AddrCheck),
-        );
-        raw.send(&hello);
-        // Hold the socket open long enough for the server's ERROR reply
-        // to land before the drop races it.
+        let cfg = session_cfg("refused", LifeguardKind::AddrCheck);
+        let raws: Vec<_> = hellos
+            .iter()
+            .map(|&(version, codec)| {
+                let mut raw = RawClient::connect(addr);
+                raw.send(&wire::hello_message(version, codec, &cfg));
+                raw
+            })
+            .collect();
+        // Hold the sockets open long enough for the server's ERROR
+        // replies to land before the drop races them.
         std::thread::sleep(Duration::from_millis(100));
+        drop(raws);
     });
-    let report = server.serve_connections(1);
+    let report = server.serve_connections(hellos.len());
     client.join().unwrap();
-
     assert_eq!(report.accepted, 0);
-    assert_eq!(report.rejected.len(), 1);
-    assert!(
-        matches!(report.rejected[0].1, NetError::VersionMismatch { theirs: 99 }),
-        "expected a version mismatch, got {:?}",
-        report.rejected[0].1
-    );
+    assert_eq!(report.rejected.len(), hellos.len());
     assert!(report.ingest.sessions.is_empty(), "no session may open for a rejected client");
     pool.shutdown();
+    report
+}
+
+#[test]
+fn version_mismatch_is_rejected_with_a_typed_error() {
+    // A future version, and the retired v2 (no span prefix on chunks).
+    let report = serve_raw_hellos(&[(99, CODEC_ID), (2, CODEC_ID)]);
+    let mut theirs: Vec<u32> = report
+        .rejected
+        .iter()
+        .map(|(_, e)| match e {
+            NetError::VersionMismatch { theirs } => *theirs,
+            other => panic!("expected a version mismatch, got {other:?}"),
+        })
+        .collect();
+    theirs.sort_unstable();
+    assert_eq!(theirs, [2, 99]);
 }
 
 #[test]
 fn unknown_trace_codec_is_rejected_with_a_typed_error() {
-    let pool = MonitorPool::new(PoolConfig::with_workers(1));
-    let server = IngestServer::bind("127.0.0.1:0", &pool, NetServerConfig::default()).unwrap();
-    let addr = server.local_addr().unwrap();
-
-    let client = std::thread::spawn(move || {
-        // Right protocol version, but a trace codec this side has never
-        // heard of: the HELLO must be refused before any lane exists.
-        let mut raw = RawClient::connect(addr);
-        let hello = wire::hello_message(
-            wire::NET_VERSION,
-            7,
-            &session_cfg("exotic", LifeguardKind::AddrCheck),
-        );
-        raw.send(&hello);
-        std::thread::sleep(Duration::from_millis(100));
-    });
-    let report = server.serve_connections(1);
-    client.join().unwrap();
-
-    assert_eq!(report.accepted, 0);
-    assert_eq!(report.rejected.len(), 1);
-    assert!(
-        matches!(report.rejected[0].1, NetError::UnsupportedCodec { theirs: 7 }),
-        "expected an unsupported-codec refusal, got {:?}",
-        report.rejected[0].1
-    );
-    assert!(report.ingest.sessions.is_empty(), "no session may open for a rejected client");
-    pool.shutdown();
-}
-
-#[test]
-fn delta_codec_negotiates_and_delivers() {
-    // A client that opts into the legacy delta codec still round-trips:
-    // the HELLO negotiates codec 1 and every chunk frame carries it.
-    let pool = MonitorPool::new(PoolConfig::with_workers(1));
-    let server = IngestServer::bind("127.0.0.1:0", &pool, NetServerConfig::default()).unwrap();
-    let addr = server.local_addr().unwrap();
-
-    const N: u64 = 3_000;
-    let client = std::thread::spawn(move || {
-        let cfg = session_cfg("delta", LifeguardKind::AddrCheck);
-        let fwd_cfg = igm_net::ForwarderConfig { codec: Codec::Delta, ..Default::default() };
-        let mut fwd = TraceForwarder::connect_with(addr, &cfg, fwd_cfg).unwrap();
-        fwd.stream(Benchmark::Gzip.trace(N)).unwrap();
-        fwd.finish().unwrap()
-    });
-    let report = server.serve_connections(1);
-    let fwd_report = client.join().unwrap();
-
-    assert_eq!(fwd_report.server_records, N);
-    assert!(report.ingest.errors.is_empty(), "{:?}", report.ingest.errors);
-    assert_eq!(report.ingest.sessions[0].records, N);
-    pool.shutdown();
+    // Right protocol version, but a trace codec this side does not speak —
+    // one it has never heard of, and the retired delta codec 1: the HELLO
+    // must be refused before any lane exists.
+    let report = serve_raw_hellos(&[(wire::NET_VERSION, 7), (wire::NET_VERSION, 1)]);
+    let mut theirs: Vec<u32> = report
+        .rejected
+        .iter()
+        .map(|(_, e)| match e {
+            NetError::UnsupportedCodec { theirs } => *theirs,
+            other => panic!("expected an unsupported-codec refusal, got {other:?}"),
+        })
+        .collect();
+    theirs.sort_unstable();
+    assert_eq!(theirs, [1, 7]);
 }
 
 #[test]
@@ -180,74 +157,6 @@ fn connect_surfaces_a_server_side_rejection() {
 }
 
 #[test]
-fn old_server_triggers_a_v2_downgrade_retry() {
-    use std::io::Read;
-
-    fn read_message(stream: &mut TcpStream) -> (u8, Vec<u8>) {
-        let mut header = [0u8; 5];
-        stream.read_exact(&mut header).unwrap();
-        let len = u32::from_le_bytes(header[1..5].try_into().unwrap()) as usize;
-        let mut payload = vec![0u8; len];
-        stream.read_exact(&mut payload).unwrap();
-        (header[0], payload)
-    }
-
-    // A fake pre-v3 server: refuses the first connection naming the
-    // protocol version (exactly what an old decode_hello would), then
-    // welcomes the retry and inspects what it receives.
-    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-    let addr = listener.local_addr().unwrap();
-    let fake = std::thread::spawn(move || {
-        let (mut s1, _) = listener.accept().unwrap();
-        let (ty, payload) = read_message(&mut s1);
-        assert_eq!(ty, msg::HELLO);
-        let announced = u32::from_le_bytes(payload[4..8].try_into().unwrap());
-        assert_eq!(announced, wire::NET_VERSION, "the first attempt speaks the current version");
-        let reason = "peer speaks protocol version 3 (this side speaks 2)";
-        let mut out = vec![msg::ERROR];
-        out.extend_from_slice(&((2 + reason.len()) as u32).to_le_bytes());
-        out.extend_from_slice(&(reason.len() as u16).to_le_bytes());
-        out.extend_from_slice(reason.as_bytes());
-        s1.write_all(&out).unwrap();
-        std::thread::sleep(Duration::from_millis(100));
-        drop(s1);
-
-        // The retry: a v2 HELLO this time. Welcome it with credit and
-        // check the chunk that follows is a bare codec frame (no span
-        // prefix — that wire format has nowhere to carry one).
-        let (mut s2, _) = listener.accept().unwrap();
-        let (ty, payload) = read_message(&mut s2);
-        assert_eq!(ty, msg::HELLO);
-        let announced = u32::from_le_bytes(payload[4..8].try_into().unwrap());
-        assert_eq!(announced, wire::NET_VERSION_COMPAT, "the retry downgrades to v2");
-        let mut welcome = vec![msg::WELCOME];
-        welcome.extend_from_slice(&8u32.to_le_bytes());
-        welcome.extend_from_slice(&(1u64 << 20).to_le_bytes());
-        s2.write_all(&welcome).unwrap();
-        let (ty, payload) = read_message(&mut s2);
-        assert_eq!(ty, msg::CHUNK);
-        assert_eq!(
-            igm_trace::frame_codec(&payload),
-            Some(Codec::Predicted),
-            "a v2 chunk opens directly with the codec frame"
-        );
-        std::thread::sleep(Duration::from_millis(100));
-    });
-
-    let cfg = session_cfg("legacy", LifeguardKind::AddrCheck);
-    let mut fwd = TraceForwarder::connect(addr, &cfg).unwrap();
-    assert_eq!(fwd.wire_version(), wire::NET_VERSION_COMPAT);
-    // Span attachment on a downgraded lane is a no-op: nothing to carry
-    // the tag, so nothing may be recorded.
-    let recorder = std::sync::Arc::new(igm_span::FlightRecorder::new(Default::default()));
-    fwd.attach_spans(&recorder);
-    let batch: igm_lba::TraceBatch = Benchmark::Gzip.trace(64).collect();
-    fwd.send_batch(&batch).unwrap();
-    assert!(recorder.snapshot().is_empty(), "no client stages on a v2 lane");
-    fake.join().unwrap();
-}
-
-#[test]
 fn mid_frame_disconnect_fails_only_that_lane() {
     let pool = MonitorPool::new(PoolConfig::with_workers(2));
     let server = IngestServer::bind("127.0.0.1:0", &pool, NetServerConfig::default()).unwrap();
@@ -257,7 +166,7 @@ fn mid_frame_disconnect_fails_only_that_lane() {
         let mut raw = RawClient::connect(addr);
         raw.send(&wire::hello_message(
             wire::NET_VERSION,
-            Codec::Predicted.wire(),
+            CODEC_ID,
             &session_cfg("truncated", LifeguardKind::AddrCheck),
         ));
         // A chunk message header promising 1000 payload bytes, then only
@@ -303,46 +212,56 @@ fn corrupt_frame_fails_only_its_lane() {
     let server = IngestServer::bind("127.0.0.1:0", &pool, NetServerConfig::default()).unwrap();
     let addr = server.local_addr().unwrap();
 
-    let bad = std::thread::spawn(move || {
-        let mut raw = RawClient::connect(addr);
-        raw.send(&wire::hello_message(
-            wire::NET_VERSION,
-            Codec::Predicted.wire(),
-            &session_cfg("corrupt", LifeguardKind::AddrCheck),
-        ));
-        // A structurally complete v3 chunk (unsampled span prefix) whose
-        // frame payload is damaged: encode a real frame, then flip a
-        // payload byte so the checksum fails.
-        let mut payload = vec![0u8; wire::SPAN_PREFIX_BYTES];
-        let batch: igm_lba::TraceBatch = Benchmark::Gzip.trace(100).collect();
-        let mut frame = Vec::new();
-        encode_frame(&mut frame, &batch);
-        let last = frame.len() - 1;
-        frame[last] ^= 0xff;
-        payload.extend_from_slice(&frame);
-        raw.send_message(msg::CHUNK, &payload);
-        std::thread::sleep(Duration::from_millis(100));
-    });
+    // Two structurally complete chunks (unsampled span prefix) carrying
+    // damaged frames: one whose payload byte is flipped so the checksum
+    // fails, and one whose header names the retired delta codec 1.
+    let bad: Vec<_> = ["corrupt", "codec-1"]
+        .into_iter()
+        .map(|name| {
+            std::thread::spawn(move || {
+                let mut raw = RawClient::connect(addr);
+                raw.send(&wire::hello_message(
+                    wire::NET_VERSION,
+                    CODEC_ID,
+                    &session_cfg(name, LifeguardKind::AddrCheck),
+                ));
+                let mut payload = vec![0u8; wire::SPAN_PREFIX_BYTES];
+                let batch: igm_lba::TraceBatch = Benchmark::Gzip.trace(100).collect();
+                let mut frame = Vec::new();
+                encode_frame(&mut frame, &batch);
+                if name == "codec-1" {
+                    frame[12..16].copy_from_slice(&1u32.to_le_bytes());
+                } else {
+                    *frame.last_mut().unwrap() ^= 0xff;
+                }
+                payload.extend_from_slice(&frame);
+                raw.send_message(msg::CHUNK, &payload);
+                std::thread::sleep(Duration::from_millis(100));
+            })
+        })
+        .collect();
     let good = std::thread::spawn(move || {
         let cfg = session_cfg("healthy", LifeguardKind::AddrCheck);
         let mut fwd = TraceForwarder::connect(addr, &cfg).unwrap();
         fwd.stream(Benchmark::Gzip.trace(4_000)).unwrap();
         fwd.finish().unwrap()
     });
-    let report = server.serve_connections(2);
-    bad.join().unwrap();
+    let report = server.serve_connections(3);
+    for b in bad {
+        b.join().unwrap();
+    }
     good.join().unwrap();
 
-    assert_eq!(report.ingest.errors.len(), 1);
-    assert_eq!(report.ingest.errors[0].0, "corrupt");
-    assert!(
-        matches!(
-            report.ingest.errors[0].1,
-            TraceError::Corrupt { reason: "frame checksum mismatch", .. }
-        ),
-        "got {:?}",
-        report.ingest.errors[0].1
-    );
+    assert_eq!(report.ingest.errors.len(), 2);
+    for (name, expected) in
+        [("corrupt", "frame checksum mismatch"), ("codec-1", "unknown codec id in frame header")]
+    {
+        let (_, e) = report.ingest.errors.iter().find(|(n, _)| n == name).expect(name);
+        assert!(
+            matches!(e, TraceError::Corrupt { reason, .. } if *reason == expected),
+            "{name}: got {e:?}"
+        );
+    }
     let healthy =
         report.ingest.sessions.iter().find(|s| s.name == "healthy").expect("healthy session");
     assert_eq!(healthy.records, 4_000);

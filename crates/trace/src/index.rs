@@ -1,34 +1,29 @@
-//! Sidecar indexes: frame-offset directories (v1) and per-frame posting
-//! lists (v2) for random-access replay *and* replay-free queries.
+//! Sidecar indexes: a frame-offset directory plus per-frame posting lists,
+//! for random-access replay *and* replay-free queries.
 //!
-//! A trace file is a sequence of self-contained frames (both delta streams
-//! reset at every frame boundary), so any frame is a valid decode entry
-//! point — but finding the frame that holds record *k* normally means
-//! decoding every frame before it. A [`TraceIndex`] is the missing
-//! directory: one `(byte offset, records)` entry per frame, built as the
-//! stream is written ([`TraceWriter::with_index`](crate::TraceWriter::with_index))
-//! or rebuilt afterwards by [`TraceIndex::scan`] in one pass that reads
-//! only frame *headers*, skipping every payload, and saved as a compact
-//! sidecar file.
+//! A trace file is a sequence of self-contained frames (delta streams and
+//! predictor tables reset at every frame boundary), so any frame is a
+//! valid decode entry point — but finding the frame that holds record *k*
+//! normally means decoding every frame before it. A [`TraceIndex`] is the
+//! missing directory: one `(byte offset, records)` entry per frame, saved
+//! as a compact sidecar file.
 //!
-//! Version 2 sidecars additionally carry one
-//! [`FramePostings`](crate::postings::FramePostings) section per frame:
-//! compressed bitmap posting lists keyed by pc bucket, opcode class,
-//! address page and violation site (see [`crate::postings`]), which is
-//! what lets the trace lake answer "which records touched page X"
-//! without decoding any frame payload. Postings are built inline by the
-//! indexing writer or rebuilt offline by [`TraceIndex::scan_records`]
-//! (which *does* decode payloads — it must see the columns); both
-//! construction paths serialize byte-identically. Version 1 sidecars
-//! (directory only) still load, and an index without postings still
-//! saves as v1, so pre-lake sidecars and their producers keep working.
+//! Each frame's entry comes with one
+//! [`FramePostings`](crate::postings::FramePostings) section: compressed
+//! bitmap posting lists keyed by pc bucket, opcode class, address page and
+//! violation site (see [`crate::postings`]), which is what lets the trace
+//! lake answer "which records touched page X" without decoding any frame
+//! payload. An index is built inline by the indexing writer
+//! ([`TraceWriter::with_index`](crate::TraceWriter::with_index)) or rebuilt
+//! offline by [`TraceIndex::scan_records`], which decodes every frame's
+//! columns; both construction paths serialize byte-identically.
 //!
 //! With an index, [`replay_window`](crate::capture::replay_window) seeks a
 //! [`TraceReader`](crate::TraceReader) straight to the first frame of a
 //! record-range window and decodes only the frames the window touches —
 //! the prefix is never decoded.
 
-use crate::codec::{checksum, Codec, TraceError, FRAME_HEADER_BYTES, FRAME_HEADER_BYTES_V2, MAGIC};
+use crate::codec::{checksum, TraceError, FRAME_HEADER_BYTES, MAGIC};
 use crate::postings::{FramePostings, PostingBuilder};
 use igm_lba::TraceBatch;
 use std::fs::File;
@@ -38,11 +33,8 @@ use std::path::Path;
 /// The four magic bytes opening every index sidecar.
 pub const INDEX_MAGIC: [u8; 4] = *b"IGMX";
 
-/// Directory-only index format version.
-pub const INDEX_VERSION: u32 = 1;
-
-/// Directory + per-frame posting lists format version.
-pub const INDEX_VERSION_V2: u32 = 2;
+/// The sidecar format version: a directory plus per-frame posting lists.
+pub const INDEX_VERSION: u32 = 2;
 
 /// One frame's directory entry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -56,8 +48,8 @@ pub struct IndexEntry {
     pub records: u32,
 }
 
-/// A frame-offset directory — and, when built from record content, a
-/// per-frame posting index — over one trace stream.
+/// A frame-offset directory and per-frame posting index over one trace
+/// stream.
 ///
 /// # Example
 ///
@@ -66,7 +58,7 @@ pub struct IndexEntry {
 /// use igm_workload::Benchmark;
 ///
 /// let bytes = encode_to_vec(Benchmark::Gzip.trace(5_000), 2048);
-/// let index = TraceIndex::scan(&bytes[..]).unwrap();
+/// let index = TraceIndex::scan_records(&bytes[..]).unwrap();
 /// assert_eq!(index.total_records(), 5_000);
 /// // The frame holding record 3_000, located without decoding anything.
 /// let entry = index.frame_for_record(3_000).unwrap();
@@ -76,8 +68,7 @@ pub struct IndexEntry {
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TraceIndex {
     entries: Vec<IndexEntry>,
-    /// Either empty (directory-only index) or exactly one section per
-    /// entry (posting index).
+    /// Exactly one posting section per entry.
     postings: Vec<FramePostings>,
     total_records: u64,
 }
@@ -86,14 +77,6 @@ impl TraceIndex {
     /// An empty index.
     pub fn new() -> TraceIndex {
         TraceIndex::default()
-    }
-
-    /// Appends one frame's directory entry (header-only construction:
-    /// the scan path and v1 sidecar loads).
-    pub(crate) fn push_frame(&mut self, offset: u64, records: u32) {
-        debug_assert!(self.postings.is_empty(), "cannot mix directory-only and posting frames");
-        self.entries.push(IndexEntry { offset, first_record: self.total_records, records });
-        self.total_records += records as u64;
     }
 
     /// Appends one frame's directory entry *and* its posting lists,
@@ -121,13 +104,7 @@ impl TraceIndex {
         &self.entries
     }
 
-    /// Whether this index carries per-frame posting lists (v2 content).
-    pub fn has_postings(&self) -> bool {
-        !self.postings.is_empty()
-    }
-
-    /// The per-frame posting sections, aligned with [`TraceIndex::entries`];
-    /// empty for a directory-only index.
+    /// The per-frame posting sections, aligned with [`TraceIndex::entries`].
     pub fn frame_postings(&self) -> &[FramePostings] {
         &self.postings
     }
@@ -182,101 +159,25 @@ impl TraceIndex {
         {
             return Ok(false);
         }
-        let hlen = match u32::from_le_bytes(file_header[4..8].try_into().unwrap()) {
-            crate::codec::FORMAT_VERSION_V1 => FRAME_HEADER_BYTES,
-            crate::FORMAT_VERSION => FRAME_HEADER_BYTES_V2,
-            _ => return Ok(false),
-        };
+        if u32::from_le_bytes(file_header[4..8].try_into().unwrap()) != crate::FORMAT_VERSION {
+            return Ok(false);
+        }
         let Some(last) = self.entries.last() else {
             return Ok(stream_len == 8);
         };
-        let mut header = [0u8; FRAME_HEADER_BYTES_V2];
+        let mut header = [0u8; FRAME_HEADER_BYTES];
         r.seek(SeekFrom::Start(last.offset))?;
-        if crate::codec::read_exact_or_eof(&mut r, &mut header[..hlen])? < hlen {
+        if crate::codec::read_exact_or_eof(&mut r, &mut header)? < FRAME_HEADER_BYTES {
             return Ok(false);
         }
         let records = u32::from_le_bytes(header[0..4].try_into().unwrap());
         let len = u32::from_le_bytes(header[4..8].try_into().unwrap());
-        let frame_bytes = hlen as u64 + len as u64;
+        let frame_bytes = FRAME_HEADER_BYTES as u64 + len as u64;
         Ok(records == last.records && stream_len.checked_sub(last.offset) == Some(frame_bytes))
     }
 
-    /// Builds the directory from a finished trace stream in one scan that
-    /// reads frame *headers* only — every payload is skipped, not decoded
-    /// (payload integrity is still the reader's job at replay time). The
-    /// result carries no postings; see [`TraceIndex::scan_records`] for
-    /// the full posting index.
-    pub fn scan<R: Read>(mut r: R) -> Result<TraceIndex, TraceError> {
-        let mut magic = [0u8; 4];
-        r.read_exact(&mut magic).map_err(|e| match e.kind() {
-            io::ErrorKind::UnexpectedEof => TraceError::BadMagic,
-            _ => TraceError::Io(e),
-        })?;
-        if magic != MAGIC {
-            return Err(TraceError::BadMagic);
-        }
-        let mut ver = [0u8; 4];
-        r.read_exact(&mut ver).map_err(TraceError::Io)?;
-        let version = u32::from_le_bytes(ver);
-        if version != crate::codec::FORMAT_VERSION_V1 && version != crate::FORMAT_VERSION {
-            return Err(TraceError::UnsupportedVersion(version));
-        }
-        let hlen = if version == crate::codec::FORMAT_VERSION_V1 {
-            FRAME_HEADER_BYTES
-        } else {
-            FRAME_HEADER_BYTES_V2
-        };
-        let mut index = TraceIndex::new();
-        let mut offset = 8u64;
-        let mut header = [0u8; FRAME_HEADER_BYTES_V2];
-        loop {
-            match read_exact_or_eof(&mut r, &mut header[..hlen])? {
-                0 => return Ok(index),
-                n if n < hlen => {
-                    return Err(TraceError::Corrupt {
-                        offset: offset + n as u64,
-                        reason: "stream ends inside a frame header",
-                    })
-                }
-                _ => {}
-            }
-            let records = u32::from_le_bytes(header[0..4].try_into().unwrap());
-            let len = u32::from_le_bytes(header[4..8].try_into().unwrap());
-            let codec = if version == crate::codec::FORMAT_VERSION_V1 {
-                Codec::Delta
-            } else {
-                match Codec::from_wire(u32::from_le_bytes(header[12..16].try_into().unwrap())) {
-                    Some(c) => c,
-                    None => {
-                        return Err(TraceError::Corrupt {
-                            offset,
-                            reason: "unknown codec id in frame header",
-                        })
-                    }
-                }
-            };
-            crate::codec::validate_frame_header(records, len, offset, codec)?;
-            // Skip the payload without materializing it.
-            let skipped = io::copy(&mut r.by_ref().take(len as u64), &mut io::sink())
-                .map_err(TraceError::Io)?;
-            if skipped < len as u64 {
-                return Err(TraceError::Corrupt {
-                    offset: offset + hlen as u64 + skipped,
-                    reason: "stream ends inside a frame payload",
-                });
-            }
-            index.push_frame(offset, records);
-            offset += hlen as u64 + len as u64;
-        }
-    }
-
-    /// Scans the trace file at `path` (directory only).
-    pub fn scan_file(path: impl AsRef<Path>) -> Result<TraceIndex, TraceError> {
-        TraceIndex::scan(BufReader::new(File::open(path).map_err(TraceError::Io)?))
-    }
-
-    /// Builds the *full* posting index from a finished trace stream by
-    /// decoding every frame's columns — the offline twin of
+    /// Builds the index from a finished trace stream by decoding every
+    /// frame's columns — the offline twin of
     /// [`TraceWriter::with_index`](crate::TraceWriter::with_index):
     /// both run the same per-batch extraction, so the two indexes
     /// serialize byte-identically. Payload checksums are verified as a
@@ -300,31 +201,25 @@ impl TraceIndex {
         TraceIndex::scan_records(BufReader::new(File::open(path).map_err(TraceError::Io)?))
     }
 
-    /// Serializes the index. Directory-only indexes write version 1:
-    /// `IGMX`, version, frame count, one `(offset u64, records u32)` LE
-    /// pair per frame, an FNV-1a-32 checksum over the entry bytes.
-    /// Posting indexes write version 2: the same directory, then a
-    /// `u64` posting-section length and each frame's encoded
-    /// [`FramePostings`], with the trailing checksum covering entry and
-    /// posting bytes both.
+    /// Serializes the index: `IGMX`, version, frame count, one `(offset
+    /// u64, records u32)` LE pair per frame, a `u64` posting-section
+    /// length and each frame's encoded [`FramePostings`], then an
+    /// FNV-1a-32 checksum covering entry and posting bytes both.
     pub fn save<W: Write>(&self, mut w: W) -> io::Result<()> {
-        let version = if self.has_postings() { INDEX_VERSION_V2 } else { INDEX_VERSION };
         w.write_all(&INDEX_MAGIC)?;
-        w.write_all(&version.to_le_bytes())?;
+        w.write_all(&INDEX_VERSION.to_le_bytes())?;
         w.write_all(&(self.entries.len() as u64).to_le_bytes())?;
         let mut body = Vec::with_capacity(self.entries.len() * 12);
         for e in &self.entries {
             body.extend_from_slice(&e.offset.to_le_bytes());
             body.extend_from_slice(&e.records.to_le_bytes());
         }
-        if self.has_postings() {
-            let mut sections = Vec::new();
-            for p in &self.postings {
-                p.encode(&mut sections);
-            }
-            body.extend_from_slice(&(sections.len() as u64).to_le_bytes());
-            body.extend_from_slice(&sections);
+        let mut sections = Vec::new();
+        for p in &self.postings {
+            p.encode(&mut sections);
         }
+        body.extend_from_slice(&(sections.len() as u64).to_le_bytes());
+        body.extend_from_slice(&sections);
         w.write_all(&body)?;
         w.write_all(&checksum(&body).to_le_bytes())?;
         w.flush()
@@ -335,8 +230,8 @@ impl TraceIndex {
         self.save(BufWriter::new(File::create(path)?))
     }
 
-    /// Deserializes an index written by [`TraceIndex::save`] (either
-    /// version).
+    /// Deserializes an index written by [`TraceIndex::save`]; any other
+    /// sidecar version is [`TraceError::UnsupportedVersion`].
     pub fn load<R: Read>(mut r: R) -> Result<TraceIndex, TraceError> {
         let corrupt = |reason| TraceError::Corrupt { offset: 0, reason };
         let mut magic = [0u8; 4];
@@ -350,7 +245,7 @@ impl TraceIndex {
         let mut word = [0u8; 4];
         r.read_exact(&mut word).map_err(TraceError::Io)?;
         let version = u32::from_le_bytes(word);
-        if version != INDEX_VERSION && version != INDEX_VERSION_V2 {
+        if version != INDEX_VERSION {
             return Err(TraceError::UnsupportedVersion(version));
         }
         let mut count = [0u8; 8];
@@ -364,21 +259,19 @@ impl TraceIndex {
         if body.len() as u64 != entry_bytes {
             return Err(corrupt("index sidecar truncated"));
         }
+        let mut len = [0u8; 8];
+        r.read_exact(&mut len).map_err(|e| match e.kind() {
+            io::ErrorKind::UnexpectedEof => corrupt("index sidecar truncated"),
+            _ => TraceError::Io(e),
+        })?;
+        let plen = u64::from_le_bytes(len);
         let mut sections = Vec::new();
-        if version == INDEX_VERSION_V2 {
-            let mut len = [0u8; 8];
-            r.read_exact(&mut len).map_err(|e| match e.kind() {
-                io::ErrorKind::UnexpectedEof => corrupt("index sidecar truncated"),
-                _ => TraceError::Io(e),
-            })?;
-            let plen = u64::from_le_bytes(len);
-            r.by_ref().take(plen).read_to_end(&mut sections).map_err(TraceError::Io)?;
-            if sections.len() as u64 != plen {
-                return Err(corrupt("index sidecar truncated"));
-            }
-            body.extend_from_slice(&len);
-            body.extend_from_slice(&sections);
+        r.by_ref().take(plen).read_to_end(&mut sections).map_err(TraceError::Io)?;
+        if sections.len() as u64 != plen {
+            return Err(corrupt("index sidecar truncated"));
         }
+        body.extend_from_slice(&len);
+        body.extend_from_slice(&sections);
         r.read_exact(&mut word).map_err(|e| match e.kind() {
             io::ErrorKind::UnexpectedEof => corrupt("index sidecar truncated"),
             _ => TraceError::Io(e),
@@ -394,21 +287,13 @@ impl TraceIndex {
             if records == 0 {
                 return Err(corrupt("index entry with zero records"));
             }
-            if version == INDEX_VERSION_V2 {
-                let fp = FramePostings::decode(&sections, &mut pos, records)
-                    .map_err(|reason| TraceError::Corrupt { offset: pos as u64, reason })?;
-                index.entries.push(IndexEntry {
-                    offset,
-                    first_record: index.total_records,
-                    records,
-                });
-                index.postings.push(fp);
-                index.total_records += records as u64;
-            } else {
-                index.push_frame(offset, records);
-            }
+            let fp = FramePostings::decode(&sections, &mut pos, records)
+                .map_err(|reason| TraceError::Corrupt { offset: pos as u64, reason })?;
+            index.entries.push(IndexEntry { offset, first_record: index.total_records, records });
+            index.postings.push(fp);
+            index.total_records += records as u64;
         }
-        if version == INDEX_VERSION_V2 && pos != sections.len() {
+        if pos != sections.len() {
             return Err(corrupt("trailing bytes after last posting section"));
         }
         Ok(index)
@@ -418,9 +303,4 @@ impl TraceIndex {
     pub fn load_file(path: impl AsRef<Path>) -> Result<TraceIndex, TraceError> {
         TraceIndex::load(BufReader::new(File::open(path).map_err(TraceError::Io)?))
     }
-}
-
-/// Like `read_exact`, but distinguishes clean EOF (0) and short reads.
-fn read_exact_or_eof<R: Read>(r: &mut R, buf: &mut [u8]) -> Result<usize, TraceError> {
-    crate::codec::read_exact_or_eof(r, buf).map_err(TraceError::Io)
 }

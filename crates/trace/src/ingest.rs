@@ -89,10 +89,10 @@ pub trait TraceSource: Send {
     /// The span tag of the batch the last `next_batch` call delivered,
     /// taken at most once per batch. Sources whose frames arrive with a
     /// span context already stamped at the origin (`igm-net`'s socket
-    /// lanes under the v3 wire protocol) surface it here so the lane can
-    /// carry it into the pool and the frame's client- and server-side
-    /// stages join into one chain. The default — local sources — returns
-    /// `None`, which leaves the sampling decision to the session handle.
+    /// lanes) surface it here so the lane can carry it into the pool and
+    /// the frame's client- and server-side stages join into one chain.
+    /// The default — local sources — returns `None`, which leaves the
+    /// sampling decision to the session handle.
     fn take_span_tag(&mut self) -> Option<igm_span::FrameTag> {
         None
     }

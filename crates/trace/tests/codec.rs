@@ -1,14 +1,14 @@
 //! Codec correctness: property-tested roundtrip over arbitrary
 //! `TraceEntry` sequences, plus the framing error paths (truncation,
-//! checksum corruption, zero-length chunks, field validation) for both
-//! the predicted (format 2) and legacy delta (format 1) codecs.
+//! checksum corruption, zero-length chunks, field validation, retired
+//! format versions and codec ids).
 
 use igm_isa::{
     Annotation, CtrlOp, JumpTarget, MemRef, MemSize, OpClass, Reg, RegSet, TraceEntry, TraceOp,
 };
 use igm_trace::{
-    checksum, decode_from_slice, encode_to_vec, frame_codec, Codec, TraceError, TraceReader,
-    TraceWriter, FORMAT_VERSION, MAGIC,
+    checksum, decode_frame, decode_from_slice, encode_frame, encode_to_vec, TraceError,
+    TraceReader, TraceWriter, CODEC_ID, FORMAT_VERSION, MAGIC,
 };
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -117,25 +117,6 @@ proptest! {
     }
 
     #[test]
-    fn roundtrip_arbitrary_sequences_all_codecs(entries in vec(trace_entry(), 1..120)) {
-        // Predicted-in-v2, delta-in-v2 and the legacy v1 container must
-        // all be lossless over the same arbitrary stream.
-        for mode in 0..3u8 {
-            let mut w = match mode {
-                0 => TraceWriter::new(Vec::new()),
-                1 => TraceWriter::with_codec(Vec::new(), Codec::Delta),
-                _ => TraceWriter::new_v1(Vec::new()),
-            }
-            .unwrap();
-            for chunk in entries.chunks(33) {
-                w.write_chunk(chunk).unwrap();
-            }
-            let bytes = w.finish().unwrap();
-            prop_assert_eq!(&decode_from_slice(&bytes).expect("decodes"), &entries);
-        }
-    }
-
-    #[test]
     fn truncation_never_panics_and_always_errors(
         entries in vec(trace_entry(), 1..60),
         cut_frac in 0u32..1000,
@@ -172,8 +153,9 @@ fn sample_entries() -> Vec<TraceEntry> {
     ]
 }
 
-/// A format-2 stream header followed by one hand-built frame whose header
-/// carries `codec` verbatim (so unknown ids are expressible too).
+/// A stream header followed by one hand-built frame whose header carries
+/// `sum` and `codec` verbatim (so bad checksums and unknown ids are
+/// expressible too).
 fn raw_stream_codec(records: u32, payload: &[u8], sum: u32, codec: u32) -> Vec<u8> {
     let mut bytes = Vec::new();
     bytes.extend_from_slice(&MAGIC);
@@ -186,16 +168,15 @@ fn raw_stream_codec(records: u32, payload: &[u8], sum: u32, codec: u32) -> Vec<u
     bytes
 }
 
-/// A hand-built delta-codec frame in a format-2 container (the delta
-/// record grammar is the easiest to damage one field at a time).
-fn raw_stream(records: u32, payload: &[u8], sum: u32) -> Vec<u8> {
-    raw_stream_codec(records, payload, sum, Codec::Delta.wire())
+/// A hand-built, correctly checksummed frame.
+fn raw_stream_v2(records: u32, payload: &[u8]) -> Vec<u8> {
+    raw_stream_codec(records, payload, checksum(payload), CODEC_ID)
 }
 
-/// A hand-built predicted-codec frame in a format-2 container.
-fn raw_stream_v2(records: u32, payload: &[u8]) -> Vec<u8> {
-    raw_stream_codec(records, payload, checksum(payload), Codec::Predicted.wire())
-}
+/// The payload of one `ImmToReg { rd: %ebx }` record at pc 0: pc bitmap
+/// (miss), pc escape (delta 0), static bitmap (miss), static escape
+/// (`code 0 | regs 3 << 5`). It has no address or value slots.
+const IMM_TO_EBX: [u8; 4] = [0x00, 0x00, 0x00, 0x60];
 
 #[test]
 fn bad_magic_is_rejected() {
@@ -205,17 +186,26 @@ fn bad_magic_is_rejected() {
 
 #[test]
 fn future_version_is_rejected() {
-    let mut bytes = Vec::new();
-    bytes.extend_from_slice(&MAGIC);
-    bytes.extend_from_slice(&99u32.to_le_bytes());
-    assert!(matches!(TraceReader::new(&bytes[..]), Err(TraceError::UnsupportedVersion(99))));
+    // A future version, and the retired version 1 (12-byte frame headers).
+    for version in [99u32, 1] {
+        let mut bytes = Vec::new();
+        bytes.extend_from_slice(&MAGIC);
+        bytes.extend_from_slice(&version.to_le_bytes());
+        match TraceReader::new(&bytes[..]) {
+            Err(e @ TraceError::UnsupportedVersion(v)) => {
+                assert_eq!(v, version);
+                assert!(e.to_string().contains("speaks only 2"), "{e}");
+            }
+            other => panic!("version {version}: expected refusal, got {:?}", other.err()),
+        }
+    }
 }
 
 #[test]
 fn corrupt_checksum_is_detected() {
     let mut bytes = encode_to_vec(sample_entries(), 64);
     // Flip one bit in the frame payload (after the 8-byte file header and
-    // 12-byte frame header).
+    // 16-byte frame header).
     let idx = bytes.len() - 1;
     bytes[idx] ^= 0x40;
     match decode_from_slice(&bytes) {
@@ -229,8 +219,7 @@ fn corrupt_checksum_is_detected() {
 
 #[test]
 fn checksum_mismatch_reports_payload_offset() {
-    let payload = [0u8; 4];
-    let bytes = raw_stream(1, &payload, checksum(&payload) ^ 1);
+    let bytes = raw_stream_codec(1, &IMM_TO_EBX, checksum(&IMM_TO_EBX) ^ 1, CODEC_ID);
     match decode_from_slice(&bytes) {
         Err(TraceError::Corrupt { offset, reason }) => {
             assert_eq!(offset, 24, "payload begins after 8B header + 16B frame header");
@@ -242,8 +231,7 @@ fn checksum_mismatch_reports_payload_offset() {
 
 #[test]
 fn zero_record_frame_is_corrupt() {
-    let payload = [0u8; 2];
-    let bytes = raw_stream(0, &payload, checksum(&payload));
+    let bytes = raw_stream_v2(0, &IMM_TO_EBX);
     match decode_from_slice(&bytes) {
         Err(TraceError::Corrupt { reason, .. }) => assert!(reason.contains("zero-record")),
         other => panic!("expected zero-record error, got {other:?}"),
@@ -252,7 +240,7 @@ fn zero_record_frame_is_corrupt() {
 
 #[test]
 fn zero_length_payload_is_corrupt() {
-    let bytes = raw_stream(3, &[], checksum(&[]));
+    let bytes = raw_stream_v2(3, &[]);
     match decode_from_slice(&bytes) {
         Err(TraceError::Corrupt { reason, .. }) => assert!(reason.contains("zero-length")),
         other => panic!("expected zero-length error, got {other:?}"),
@@ -276,9 +264,8 @@ fn truncated_header_and_payload_are_corrupt() {
 
 #[test]
 fn unknown_tag_is_corrupt_even_with_valid_checksum() {
-    // tag 26 does not exist; pc delta 0.
-    let payload = [26u8, 0u8];
-    let bytes = raw_stream(1, &payload, checksum(&payload));
+    // A static escape naming record code 26, which does not exist.
+    let bytes = raw_stream_v2(1, &[0x00, 0x00, 0x00, 26]);
     match decode_from_slice(&bytes) {
         Err(TraceError::Corrupt { reason, .. }) => assert!(reason.contains("unknown record tag")),
         other => panic!("expected unknown-tag error, got {other:?}"),
@@ -287,9 +274,9 @@ fn unknown_tag_is_corrupt_even_with_valid_checksum() {
 
 #[test]
 fn out_of_range_register_is_corrupt() {
-    // ImmToReg (tag 0), pc delta 0, register index 9.
-    let payload = [0u8, 0u8, 9u8];
-    let bytes = raw_stream(1, &payload, checksum(&payload));
+    // A static escape for ImmToReg (code 0) with register index 9:
+    // `9 << 5` as a two-byte varint.
+    let bytes = raw_stream_v2(1, &[0x00, 0x00, 0x00, 0xa0, 0x02]);
     match decode_from_slice(&bytes) {
         Err(TraceError::Corrupt { reason, .. }) => assert!(reason.contains("register")),
         other => panic!("expected register-range error, got {other:?}"),
@@ -299,8 +286,7 @@ fn out_of_range_register_is_corrupt() {
 #[test]
 fn trailing_payload_bytes_are_corrupt() {
     // One valid ImmToReg record plus a stray byte, checksummed correctly.
-    let payload = [0u8, 0u8, 3u8, 0xEE];
-    let bytes = raw_stream(1, &payload, checksum(&payload));
+    let bytes = raw_stream_v2(1, &[IMM_TO_EBX.as_slice(), &[0xee]].concat());
     match decode_from_slice(&bytes) {
         Err(TraceError::Corrupt { reason, .. }) => assert!(reason.contains("trailing")),
         other => panic!("expected trailing-bytes error, got {other:?}"),
@@ -312,8 +298,7 @@ fn inflated_record_count_is_rejected_before_allocation() {
     // Valid 4-byte payload and checksum, but a record count (the header
     // is not checksummed) that no 4-byte payload could hold: must be a
     // typed error, not a huge `Vec::reserve`.
-    let payload = [0u8, 0u8, 3u8, 0xEE];
-    let bytes = raw_stream(u32::MAX, &payload, checksum(&payload));
+    let bytes = raw_stream_v2(u32::MAX, &IMM_TO_EBX);
     match decode_from_slice(&bytes) {
         Err(TraceError::Corrupt { reason, .. }) => assert!(reason.contains("inconsistent")),
         other => panic!("expected count-consistency error, got {other:?}"),
@@ -328,7 +313,7 @@ fn oversized_length_field_is_rejected_before_allocation() {
     bytes.extend_from_slice(&1u32.to_le_bytes());
     bytes.extend_from_slice(&u32::MAX.to_le_bytes()); // absurd payload_len
     bytes.extend_from_slice(&0u32.to_le_bytes());
-    bytes.extend_from_slice(&Codec::Delta.wire().to_le_bytes());
+    bytes.extend_from_slice(&CODEC_ID.to_le_bytes());
     match decode_from_slice(&bytes) {
         Err(TraceError::Corrupt { reason, .. }) => assert!(reason.contains("bound")),
         other => panic!("expected length-bound error, got {other:?}"),
@@ -349,17 +334,28 @@ fn empty_stream_and_empty_chunks() {
 }
 
 // ---------------------------------------------------------------------------
-// Predicted-codec (format 2) error paths: the hit bitmaps and predictor
-// tables open attack surface the delta stream never had.
+// Hit bitmaps and predictor tables: the attack surface a value-predicted
+// log opens.
 // ---------------------------------------------------------------------------
 
 #[test]
 fn unknown_codec_id_in_frame_header_is_corrupt() {
-    let payload = [0u8, 0u8];
-    let bytes = raw_stream_codec(1, &payload, checksum(&payload), 7);
-    match decode_from_slice(&bytes) {
-        Err(TraceError::Corrupt { reason, .. }) => assert!(reason.contains("codec id")),
-        other => panic!("expected unknown-codec error, got {other:?}"),
+    // Ids this side never spoke, and the retired delta codec 1 — in a file
+    // and in a single frame (the `igm-net` chunk path).
+    let batch = sample_entries().into_iter().collect();
+    let mut frame = Vec::new();
+    encode_frame(&mut frame, &batch);
+    for codec in [7, 0, 1] {
+        let bytes = raw_stream_codec(1, &IMM_TO_EBX, checksum(&IMM_TO_EBX), codec);
+        match decode_from_slice(&bytes) {
+            Err(TraceError::Corrupt { offset: 8, reason }) => assert!(reason.contains("codec id")),
+            other => panic!("codec {codec}: expected unknown-codec error, got {other:?}"),
+        }
+        frame[12..16].copy_from_slice(&codec.to_le_bytes());
+        match decode_frame(&frame, 0, &mut Default::default()) {
+            Err(TraceError::Corrupt { offset: 0, reason }) => assert!(reason.contains("codec id")),
+            other => panic!("codec {codec} chunk: expected unknown-codec error, got {other:?}"),
+        }
     }
 }
 
@@ -474,7 +470,7 @@ fn strided_loop_compresses_below_one_byte_per_record() {
 #[test]
 fn random_stream_roundtrips_and_stays_bounded() {
     // Unpredictable pcs and addresses (xorshift): most fields escape, and
-    // the miss path must stay within a small factor of the delta codec.
+    // the miss path must stay within a small factor of plain delta coding.
     let mut x = 0x9e37_79b9u32;
     let mut step = move || {
         x ^= x << 13;
@@ -524,44 +520,16 @@ fn mixed_phases_roundtrip() {
 }
 
 // ---------------------------------------------------------------------------
-// Codec/format interop: legacy format-1 files and delta frames inside a
-// format-2 container both still replay.
+// Writer/reader framing.
 // ---------------------------------------------------------------------------
-
-#[test]
-fn legacy_v1_container_roundtrips() {
-    let entries = sample_entries();
-    let mut w = TraceWriter::new_v1(Vec::new()).unwrap();
-    assert_eq!(w.version(), 1);
-    w.write_chunk(&entries).unwrap();
-    let bytes = w.finish().unwrap();
-    let mut r = TraceReader::new(&bytes[..]).unwrap();
-    assert_eq!(r.version(), 1);
-    let mut out = Vec::new();
-    assert!(r.read_chunk_into(&mut out).unwrap());
-    assert_eq!(out, entries);
-    assert!(!r.read_chunk_into(&mut out).unwrap());
-}
-
-#[test]
-fn delta_codec_in_a_v2_container_roundtrips() {
-    let entries = sample_entries();
-    let mut w = TraceWriter::with_codec(Vec::new(), Codec::Delta).unwrap();
-    assert_eq!((w.version(), w.codec()), (2, Codec::Delta));
-    w.write_chunk(&entries).unwrap();
-    let bytes = w.finish().unwrap();
-    // Every frame header carries the delta codec id.
-    assert_eq!(frame_codec(&bytes[8..]), Some(Codec::Delta));
-    assert_eq!(decode_from_slice(&bytes).unwrap(), entries);
-}
 
 #[test]
 fn default_writer_emits_predicted_frames() {
     let mut w = TraceWriter::new(Vec::new()).unwrap();
-    assert_eq!((w.version(), w.codec()), (2, Codec::Predicted));
     w.write_chunk(&sample_entries()).unwrap();
     let bytes = w.finish().unwrap();
-    assert_eq!(frame_codec(&bytes[8..]), Some(Codec::Predicted));
+    assert_eq!(bytes[4..8], FORMAT_VERSION.to_le_bytes(), "file header version");
+    assert_eq!(bytes[8 + 12..8 + 16], CODEC_ID.to_le_bytes(), "frame header codec word");
 }
 
 #[test]

@@ -1,11 +1,12 @@
-//! The sidecar frame-offset index: writer-built == scan-built, sidecar
-//! round trip, and seeking replay windows without decoding the prefix.
+//! The sidecar index: writer-built == scan-built, sidecar round trip, and
+//! seeking replay windows without decoding the prefix.
 
 use igm_lba::TraceBatch;
 use igm_lifeguards::LifeguardKind;
 use igm_runtime::{MonitorPool, PoolConfig, SessionConfig};
 use igm_trace::{
-    checksum, replay_window, TraceError, TraceIndex, TraceReader, TraceWriter, INDEX_VERSION_V2,
+    checksum, replay_window, TraceError, TraceIndex, TraceReader, TraceWriter, FRAME_HEADER_BYTES,
+    INDEX_VERSION,
 };
 use igm_workload::Benchmark;
 use std::io::Cursor;
@@ -25,14 +26,28 @@ fn encoded() -> (Vec<u8>, TraceIndex) {
     (w.finish().unwrap(), index)
 }
 
+/// `(offset, records)` of every frame, read straight off the stream's
+/// frame headers — an oracle for the directory that shares no code with
+/// the index builders.
+fn header_walk(bytes: &[u8]) -> Vec<(u64, u32)> {
+    let mut frames = Vec::new();
+    let mut at = 8;
+    while at < bytes.len() {
+        let word =
+            |i: usize| u32::from_le_bytes(bytes[at + 4 * i..at + 4 * i + 4].try_into().unwrap());
+        frames.push((at as u64, word(0)));
+        at += FRAME_HEADER_BYTES + word(1) as usize;
+    }
+    assert_eq!(at, bytes.len(), "the last frame ends the stream");
+    frames
+}
+
 #[test]
 fn writer_index_matches_a_header_scan() {
     let (bytes, written) = encoded();
-    let scanned = TraceIndex::scan(&bytes[..]).unwrap();
-    // The header-only scan rebuilds the directory half exactly; the
-    // writer additionally carries postings (v2 content).
-    assert_eq!(written.entries(), scanned.entries());
-    assert!(written.has_postings() && !scanned.has_postings());
+    let directory: Vec<_> = written.entries().iter().map(|e| (e.offset, e.records)).collect();
+    assert_eq!(directory, header_walk(&bytes));
+    assert_eq!(written.frame_postings().len(), written.frames(), "one posting section per frame");
     assert!(written.frames() > 1, "the workload must span several frames");
     assert_eq!(written.total_records(), N);
     // Entries partition the record space contiguously.
@@ -50,17 +65,22 @@ fn sidecar_round_trips_and_rejects_damage() {
     let (_, index) = encoded();
     let mut sidecar = Vec::new();
     index.save(&mut sidecar).unwrap();
-    assert_eq!(u32::from_le_bytes(sidecar[4..8].try_into().unwrap()), INDEX_VERSION_V2);
+    assert_eq!(u32::from_le_bytes(sidecar[4..8].try_into().unwrap()), INDEX_VERSION);
     assert_eq!(TraceIndex::load(&sidecar[..]).unwrap(), index);
 
     // Bad magic.
     let mut bad = sidecar.clone();
     bad[0] = b'Z';
     assert!(matches!(TraceIndex::load(&bad[..]), Err(TraceError::Corrupt { .. })));
-    // Wrong version.
-    let mut bad = sidecar.clone();
-    bad[4..8].copy_from_slice(&(INDEX_VERSION_V2 + 1).to_le_bytes());
-    assert!(matches!(TraceIndex::load(&bad[..]), Err(TraceError::UnsupportedVersion(_))));
+    // Wrong version: a future one, and the retired directory-only v1.
+    for version in [INDEX_VERSION + 1, 1] {
+        let mut bad = sidecar.clone();
+        bad[4..8].copy_from_slice(&version.to_le_bytes());
+        assert!(
+            matches!(TraceIndex::load(&bad[..]), Err(TraceError::UnsupportedVersion(v)) if v == version),
+            "sidecar version {version} must be refused"
+        );
+    }
     // Flipped entry byte: checksum catches it.
     let mut bad = sidecar.clone();
     let mid = 16 + (bad.len() - 20) / 2;
@@ -165,7 +185,7 @@ fn sidecar(frames: &[u32], sections: &[u8]) -> Vec<u8> {
     body.extend_from_slice(&(sections.len() as u64).to_le_bytes());
     body.extend_from_slice(sections);
     let mut out = b"IGMX".to_vec();
-    out.extend_from_slice(&INDEX_VERSION_V2.to_le_bytes());
+    out.extend_from_slice(&INDEX_VERSION.to_le_bytes());
     out.extend_from_slice(&(frames.len() as u64).to_le_bytes());
     out.extend_from_slice(&body);
     out.extend_from_slice(&checksum(&body).to_le_bytes());
@@ -409,24 +429,6 @@ fn surplus_bits_and_off_length_bitsets_are_refused() {
     ] {
         assert_eq!(rejection(&bytes), reason, "{what}");
     }
-}
-
-/// A directory-only index still writes the v1 format, and v1 sidecars
-/// (whatever produced them) still load — read-compat for every sidecar
-/// written before postings existed.
-#[test]
-fn v1_sidecars_still_load() {
-    let (bytes, written) = encoded();
-    let scanned = TraceIndex::scan(&bytes[..]).unwrap();
-    let mut v1 = Vec::new();
-    scanned.save(&mut v1).unwrap();
-    assert_eq!(u32::from_le_bytes(v1[4..8].try_into().unwrap()), 1, "directory-only saves as v1");
-    let loaded = TraceIndex::load(&v1[..]).unwrap();
-    assert_eq!(loaded, scanned);
-    assert!(!loaded.has_postings());
-    assert_eq!(loaded.entries(), written.entries());
-    // It still drives seeks exactly like the posting-bearing index.
-    assert_eq!(loaded.frame_for_record(N / 2).unwrap(), written.frame_for_record(N / 2).unwrap());
 }
 
 /// The tentpole byte-identity property: an index built inline by the

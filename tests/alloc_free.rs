@@ -400,7 +400,7 @@ fn snapshot_of_a_premarked_memcheck_copies_backed_chunks_only() {
     let mut lifeguard = LifeguardKind::MemCheck.build_any(&accel);
     lifeguard.premark_region(MMAP.0, MMAP.1);
     let before = thread_bytes();
-    let snapshot = lifeguard.try_snapshot().expect("MemCheck snapshots");
+    let snapshot = lifeguard.clone();
     let table_only = thread_bytes() - before;
     assert!(table_only < 128 << 10, "{table_only} bytes: the table (4096 entries), no chunk");
     assert_eq!(snapshot.metadata_bytes(), lifeguard.metadata_bytes());
@@ -409,7 +409,7 @@ fn snapshot_of_a_premarked_memcheck_copies_backed_chunks_only() {
         lifeguard.premark_region(base, len);
     }
     let before = thread_bytes();
-    let snapshot = lifeguard.try_snapshot().expect("MemCheck snapshots");
+    let snapshot = lifeguard.clone();
     let with_edges = thread_bytes() - before;
     assert!(with_edges < 1 << 20, "{with_edges} bytes: the table and three 256 KiB chunks");
     assert_eq!(snapshot.metadata_bytes(), lifeguard.metadata_bytes());

@@ -1,12 +1,13 @@
-//! Golden IGMX v2 sidecar bytes.
+//! Golden trace-stream and IGMX v2 sidecar bytes.
 //!
-//! The posting kernels may change how a sidecar is computed, never what
-//! it holds: for five profile × chunk-size × seed combinations the
-//! writer-inline sidecar must keep the length and FNV-1a checksum
-//! measured when the format was fixed, the offline `scan_records`
-//! rebuild must save the same bytes, and a load must give back the index
-//! that was saved. A sidecar on disk therefore stays readable, and
-//! byte-for-byte reproducible, across every later change to the kernels.
+//! The codec and the posting kernels may change how a stream or a sidecar
+//! is computed, never what it holds: for five profile × chunk-size × seed
+//! combinations the trace stream and the writer-inline sidecar must keep
+//! the lengths and FNV-1a checksums measured when the formats were fixed,
+//! the offline `scan_records` rebuild must save the same bytes, and a
+//! load must give back the index that was saved. A trace or sidecar on
+//! disk therefore stays readable, and byte-for-byte reproducible, across
+//! every later change to the codec and the kernels.
 
 use igm::lba::{chunks, TraceBatch};
 use igm::trace::{checksum, TraceIndex, TraceWriter};
@@ -14,13 +15,16 @@ use igm::workload::{Benchmark, TraceGen};
 
 const RECORDS: u64 = 300_000;
 
-/// `(benchmark, chunk bytes, seed, sidecar length, sidecar checksum)`.
-const GOLDEN: [(Benchmark, u32, u64, usize, u32); 5] = [
-    (Benchmark::Gcc, 16_384, 1, 309_320, 0x3b92_10ad),
-    (Benchmark::Mcf, 2_048, 7, 374_074, 0xc9fe_165f),
-    (Benchmark::Gzip, 65_536, 3, 281_039, 0x4610_c21d),
-    (Benchmark::Parser, 300, 9, 427_086, 0x7d55_73a8),
-    (Benchmark::Vpr, 16_384, 1, 229_472, 0xc1c6_d569),
+/// `(benchmark, chunk bytes, seed, (stream length, stream checksum),
+/// (sidecar length, sidecar checksum))`.
+type Golden = (Benchmark, u32, u64, (usize, u32), (usize, u32));
+
+const GOLDEN: [Golden; 5] = [
+    (Benchmark::Gcc, 16_384, 1, (540_909, 0xe932_5133), (309_320, 0x3b92_10ad)),
+    (Benchmark::Mcf, 2_048, 7, (475_047, 0xcf69_d784), (374_074, 0xc9fe_165f)),
+    (Benchmark::Gzip, 65_536, 3, (441_954, 0xdd11_b225), (281_039, 0x4610_c21d)),
+    (Benchmark::Parser, 300, 9, (681_068, 0x78e1_4985), (427_086, 0x7d55_73a8)),
+    (Benchmark::Vpr, 16_384, 1, (335_086, 0x24c2_6603), (229_472, 0xc1c6_d569)),
 ];
 
 /// The trace stream and the index its writer built inline.
@@ -43,13 +47,19 @@ fn saved(index: &TraceIndex) -> Vec<u8> {
 
 #[test]
 fn sidecar_bytes_match_the_golden_values() {
-    for (bench, chunk, seed, len, sum) in GOLDEN {
+    for (bench, chunk, seed, stream_golden, side_golden) in GOLDEN {
         let what = format!("{bench:?} chunk={chunk} seed={seed}");
         let (stream, index) = captured(bench, chunk, seed);
+        assert_eq!(
+            (stream.len(), checksum(&stream)),
+            stream_golden,
+            "{what}: trace stream drifted from the golden bytes (got checksum {:#010x})",
+            checksum(&stream)
+        );
         let side = saved(&index);
         assert_eq!(
             (side.len(), checksum(&side)),
-            (len, sum),
+            side_golden,
             "{what}: sidecar drifted from the golden bytes (got checksum {:#010x})",
             checksum(&side)
         );
