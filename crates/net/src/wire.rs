@@ -754,6 +754,26 @@ mod tests {
     }
 
     #[test]
+    fn hello_negotiates_the_compat_version_range() {
+        let cfg = SessionConfig::new("peer", LifeguardKind::AddrCheck);
+        // The admitted range is the single version NET_VERSION.
+        let hello = hello_message(NET_VERSION, CODEC_ID, &cfg);
+        assert_eq!(decode_hello(&hello[MSG_HEADER_BYTES..]).unwrap().name, "peer");
+        // Its neighbours on both sides are refused, and the refusal
+        // names the peer's version.
+        for bad in [NET_VERSION - 1, NET_VERSION + 1] {
+            let hello = hello_message(bad, CODEC_ID, &cfg);
+            match decode_hello(&hello[MSG_HEADER_BYTES..]) {
+                Err(e @ NetError::VersionMismatch { theirs }) => {
+                    assert_eq!(theirs, bad);
+                    assert!(e.to_string().contains(&format!("protocol version {bad}")), "{e}");
+                }
+                other => panic!("version {bad}: expected mismatch, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
     fn hello_rejects_an_unknown_trace_codec() {
         let cfg = SessionConfig::new("t", LifeguardKind::AddrCheck);
         // The retired delta codec 1 is as unknown as any other id.
