@@ -10,8 +10,9 @@ cd "$(dirname "$0")/.."
 #   alloc_free: the column sweeps only autovectorize (and the zero-alloc
 #     claim only matters) under optimization; its allocation budgets run a
 #     3 M-record synthetic mcf only in release.
-#   pipeline_determinism, cost_sink, batch_equivalence: the pool's hammer
-#     tests only see the interleavings the host happens to produce, and
+#   pipeline_determinism, runtime, cost_sink, batch_equivalence: the
+#     pool's hammer tests (runtime's epoch tests run pipelined sessions)
+#     only see the interleavings the host happens to produce, and
 #     optimized workers race far more tightly than debug ones.
 #   golden_sidecar, accel_oracle, shadow_transparency: posting word
 #     kernels, the packed-key filter, the fused IT sweep and the shadow
@@ -19,7 +20,7 @@ cd "$(dirname "$0")/.."
 #     between debug (overflow checks, shift-width panics) and release.
 cargo test --release -q -p igm \
     --test alloc_free \
-    --test pipeline_determinism --test cost_sink --test batch_equivalence \
+    --test pipeline_determinism --test runtime --test cost_sink --test batch_equivalence \
     --test golden_sidecar --test accel_oracle --test shadow_transparency
 
 # Per-crate suites, for the same reasons: the gate's decision table and the

@@ -99,8 +99,8 @@ impl Default for DispatchStats {
 ///
 /// The pipeline is `Clone + Send`: the streaming runtime (`igm-runtime`)
 /// instantiates one pipeline per lifeguard shard and moves it onto a worker
-/// thread; cloning snapshots the accelerator state for epoch-parallel
-/// checking.
+/// thread; cloning snapshots the accelerator state at a pipelined session's
+/// epoch boundary.
 #[derive(Debug, Clone)]
 pub struct DispatchPipeline {
     etct: Etct,

@@ -122,27 +122,11 @@ impl LifeguardKind {
         }
     }
 
-    /// Builds the lifeguard under a (pre-masked) configuration.
-    ///
-    /// The box is `Send`: the streaming runtime (`igm-runtime`) moves built
-    /// lifeguards onto its worker threads. Hot paths should prefer
-    /// [`LifeguardKind::build_any`], which avoids the virtual call per
-    /// delivered event.
-    pub fn build(self, cfg: &AccelConfig) -> Box<dyn Lifeguard + Send> {
-        let cfg = self.mask_config(cfg);
-        match self {
-            LifeguardKind::AddrCheck => Box::new(AddrCheck::new(&cfg)),
-            LifeguardKind::MemCheck => Box::new(MemCheck::new(&cfg)),
-            LifeguardKind::TaintCheck => Box::new(TaintCheck::new(&cfg)),
-            LifeguardKind::TaintCheckDetailed => Box::new(TaintCheckDetailed::new(&cfg)),
-            LifeguardKind::LockSet => Box::new(LockSet::new(&cfg)),
-        }
-    }
-
     /// Builds the lifeguard under a (pre-masked) configuration as a
-    /// statically-dispatched [`AnyLifeguard`] — the runtime's hot-path
-    /// representation: one discriminant branch per *batch* instead of a
-    /// virtual call per *event*.
+    /// statically-dispatched [`AnyLifeguard`]: one discriminant branch per
+    /// *batch* instead of a virtual call per *event*. Every consumer (the
+    /// co-simulator, the profiler, the streaming runtime) holds this one
+    /// representation.
     pub fn build_any(self, cfg: &AccelConfig) -> AnyLifeguard {
         let cfg = self.mask_config(cfg);
         match self {
@@ -156,13 +140,13 @@ impl LifeguardKind {
         }
     }
 
-    /// Which events the epoch-parallel *spine* may elide (the runtime's
+    /// Which events a pipelined session's *spine* may elide (the runtime's
     /// analogue of the Figure 2 applicability matrix, refined to per-event
     /// granularity). The spine's job is to reproduce the exact shadow-state
     /// evolution at epoch boundaries; any event whose handler is
-    /// metadata-pure can be skipped there, because the parallel epoch job
-    /// replays the *full* event stream against the boundary snapshot and is
-    /// the authoritative source of violations.
+    /// metadata-pure can be skipped there, because the epoch job replays
+    /// the *full* event stream against the boundary snapshot and is the
+    /// authoritative source of violations.
     ///
     /// * AddrCheck / TaintCheck (± detailed) — access and use checks only
     ///   read the shadow map and report; the spine elides them all.
@@ -261,12 +245,11 @@ pub trait Lifeguard {
 
 /// A statically-dispatched sum of the five lifeguards.
 ///
-/// The streaming runtime's workers hold their session's lifeguard as an
-/// `AnyLifeguard` rather than a `Box<dyn Lifeguard>`: [`handle_batch`]
-/// resolves the variant once per batch and then loops the concrete handler
-/// directly, so the per-event path is a predictable direct call instead of
-/// a vtable load per event. All five variants are `Clone`, which is also
-/// what makes the enum snapshottable for epoch-parallel checking.
+/// The one runtime representation of a lifeguard ([`LifeguardKind::build_any`]):
+/// [`handle_batch`] resolves the variant once per batch and then loops the
+/// concrete handler directly, so the per-event path is a predictable direct
+/// call instead of a vtable load per event. All five variants are `Clone`,
+/// and a clone is the epoch-boundary snapshot a pipelined session ships.
 ///
 /// [`handle_batch`]: Lifeguard::handle_batch
 #[derive(Debug, Clone)]
@@ -367,20 +350,9 @@ mod tests {
     #[test]
     fn build_constructs_every_lifeguard() {
         for k in LifeguardKind::ALL {
-            let lg = k.build(&AccelConfig::full(ItConfig::taint_style()));
-            assert_eq!(lg.kind(), k);
-            assert!(lg.etct().registered_count() > 0);
-        }
-    }
-
-    #[test]
-    fn any_lifeguard_matches_boxed_build() {
-        for k in LifeguardKind::ALL {
-            let cfg = AccelConfig::full(ItConfig::taint_style());
-            let any = k.build_any(&cfg);
-            let boxed = k.build(&cfg);
+            let any = k.build_any(&AccelConfig::full(ItConfig::taint_style()));
             assert_eq!(any.kind(), k);
-            assert_eq!(any.etct().registered_count(), boxed.etct().registered_count());
+            assert!(any.etct().registered_count() > 0);
             let copy = any.clone();
             assert_eq!(copy.kind(), k, "{k}: a clone is the same lifeguard");
             assert_eq!(copy.metadata_bytes(), any.metadata_bytes(), "{k}: clone copies state");

@@ -25,7 +25,7 @@ use igm_core::{
 };
 use igm_isa::TraceEntry;
 use igm_lba::{chunks, extract_events, Event, EventBuf, IfEventConfig, TraceBatch};
-use igm_lifeguards::{CostSink, LifeguardKind};
+use igm_lifeguards::{CostSink, Lifeguard, LifeguardKind};
 use igm_shadow::layout::ElemSize;
 use igm_shadow::{choose_level1_bits, footprint_pages, ShadowLayout, SizingPolicy, TwoLevelShadow};
 use std::collections::BTreeSet;
@@ -211,7 +211,7 @@ pub fn lma_instr_reduction(
     /// Compressed-record bytes per dispatch batch (≈ 1 k records).
     const BATCH_BYTES: u32 = 1_024;
     let run = |accel: AccelConfig, trace: Box<dyn Iterator<Item = TraceEntry>>| -> u64 {
-        let mut lg = kind.build(&accel);
+        let mut lg = kind.build_any(&accel);
         lg.set_synthetic_workload_mode(true);
         for (b, l) in premark {
             lg.premark_region(*b, *l);

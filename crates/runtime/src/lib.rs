@@ -6,9 +6,9 @@
 //! monitoring to many cores: many tenants stream compressed log records
 //! through bounded SPSC channels into a shared pool of **lifeguard worker
 //! shards**, and a single hot application can additionally be checked
-//! **epoch-parallel** across the pool.
+//! epoch by epoch across the pool.
 //!
-//! Three layers:
+//! Two layers, plus the epoch sizing policy:
 //!
 //! * [`spsc`] — the bounded [`log_channel`]: columnar
 //!   [`igm_lba::TraceBatch`] chunks ([`igm_lba::chunks`]), byte-accurate
@@ -40,13 +40,16 @@
 //!   [`igm_lifeguards::LifeguardKind::spine_elides`]) and streams
 //!   snapshot-check epoch jobs through the shared injector, emitting
 //!   violations in epoch order so the observable sequence is identical
-//!   to sequential checking.
-//! * [`epoch`] — [`monitor_epoch_parallel`]: epoch-chunked parallel checking
-//!   of one trace against snapshotted shadow state. Every lifeguard runs
-//!   parallel: epoch jobs replay the *full* event stream from the epoch
-//!   boundary snapshot, so even metadata that does not commute with check
-//!   elision (MemCheck's cascade suppression, LockSet's lockset
-//!   refinement) evolves exactly as it would sequentially.
+//!   to sequential checking. Epoch jobs replay the *full* event stream
+//!   from the boundary snapshot of both the shadow state and the dispatch
+//!   pipeline (IT and IF included), so even metadata that does not
+//!   commute with check elision (MemCheck's cascade suppression,
+//!   LockSet's lockset refinement) evolves exactly as it would
+//!   sequentially, and so do the `DispatchStats`.
+//!
+//! [`epoch`] holds the sizing policy, [`EpochConfig`]: each epoch's record
+//! budget follows the check density the previous one observed, and fixed
+//! sizing is the case `min == max`.
 //!
 //! # Example: two tenants, one pool
 //!
@@ -80,10 +83,7 @@ pub mod pool;
 pub mod spsc;
 pub mod stats;
 
-pub use epoch::{
-    adaptive_next_budget, monitor_epoch_parallel, monitor_epoch_parallel_with, EpochConfig,
-    EpochReport, DEFAULT_EPOCH_RECORDS,
-};
+pub use epoch::EpochConfig;
 pub use pool::{
     MonitorPool, PipelineMode, PoolConfig, PoolViolation, SessionConfig, SessionHandle, SessionId,
     ViolationStream,

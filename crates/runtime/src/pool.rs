@@ -26,11 +26,6 @@
 //! [`AnyLifeguard`]) runs the handlers — no closure, virtual call or heap
 //! allocation per record.
 //!
-//! Workers also execute [`EpochJob`]s for the epoch-parallel path (see
-//! [`crate::epoch`]) from a shared injector queue, interleaved with session
-//! traffic; one job occupies its worker for at most one epoch's worth of
-//! records.
-//!
 //! **Intra-session epoch pipelining** breaks the one-session-one-worker
 //! wall for a *hot* tenant: when a session's log channel stays at least
 //! half full for a few consecutive pump turns while another worker sits
@@ -38,12 +33,15 @@
 //! to an update-only spine —
 //! events the lifeguard's [`LifeguardKind::spine_elides`] mask marks
 //! metadata-pure are skipped — and accumulates the drained record batches
-//! into epochs that ship through the shared injector as [`EpochJob`]s.
-//! Each job replays its epoch's full event stream against the
-//! boundary-snapshotted shadow state, so the emitted violation sequence is
-//! byte-identical to sequential monitoring; results merge back in epoch
-//! order and their arenas recycle into the session's spare pool. When the
-//! backlog drains the session drops back to plain pumping.
+//! into epochs sized by [`EpochConfig`] that ship through the shared
+//! injector as [`EpochJob`]s. Any worker serves the injector, interleaved
+//! with session traffic; one job occupies its worker for one epoch's worth
+//! of records. Each job replays its epoch's full event stream against the
+//! boundary-snapshotted shadow state and dispatch pipeline, so the emitted
+//! violation sequence is byte-identical to sequential monitoring; results
+//! merge back in epoch order and their arenas recycle into the session's
+//! spare pool. When the backlog drains the session drops back to plain
+//! pumping.
 
 use crate::epoch::EpochConfig;
 use crate::gate::{self, Entry};
@@ -58,7 +56,8 @@ use igm_obs::{
     Counter, EventKind, EventRing, Gauge, Histogram, MetricsRegistry, RouteHandler, StatsServer,
 };
 use igm_span::{
-    alloc_flow, tenant_id, FlightRecorder, FrameTag, RecordId, Sampler, SpanConfig, Stage, Track,
+    alloc_flow, tenant_id, FlightRecorder, FrameTag, RecordId, Sampler, SpanConfig, SpanRecord,
+    Stage, Track,
 };
 use std::collections::{BTreeMap, VecDeque};
 use std::net::ToSocketAddrs;
@@ -332,8 +331,8 @@ impl Doorbell {
     }
 }
 
-/// An epoch of records checked against a snapshotted lifeguard shard (see
-/// [`crate::epoch`] and the pipelined path in [`ActiveSession`]).
+/// An epoch of a pipelined session's records, checked against its
+/// snapshotted lifeguard shard (see [`ActiveSession::pump_pipelined`]).
 pub(crate) struct EpochJob {
     pub index: usize,
     pub lifeguard: AnyLifeguard,
@@ -344,12 +343,11 @@ pub(crate) struct EpochJob {
     /// record-id attribution).
     pub first_record: u64,
     pub done: Sender<EpochResult>,
-    /// `Some(home hint)` for jobs shipped by a pipelined session: the
-    /// session already accounts records/delivered/violations on its live
-    /// spine (the job must not double-count pool stats), and the session's
-    /// current worker is rung when the result lands so drains do not wait
-    /// out a park timeout.
-    pub pipelined: Option<Arc<AtomicUsize>>,
+    /// The shipping session's home hint: its current worker is rung when
+    /// the result lands, so drains do not wait out a park timeout. (The
+    /// session accounts records, delivered events and violations on its
+    /// live spine; the job adds nothing to the pool totals but its count.)
+    pub home: Arc<AtomicUsize>,
 }
 
 /// Result of one [`EpochJob`].
@@ -359,12 +357,11 @@ pub(crate) struct EpochResult {
     pub violations: Vec<Violation>,
     /// The job's `first_record`, echoed back for attribution.
     pub first_record: u64,
-    pub delivered: u64,
-    /// The job's record batches, handed back so the epoch driver can
-    /// recycle their column capacity instead of reallocating.
+    /// The job's record batches, handed back so the session can recycle
+    /// their column capacity instead of reallocating.
     pub records: Vec<TraceBatch>,
     /// The job's lifeguard panicked: the epoch's violations are unknown
-    /// and the driver must not emit a silently truncated sequence.
+    /// and the session must not emit a silently truncated sequence.
     pub failed: bool,
 }
 
@@ -419,10 +416,11 @@ struct PoolShared {
     /// one deque — or in neither while the worker that popped it is pumping
     /// it, which is what makes a mid-pump session unstealable.
     shards: Vec<Shard>,
-    /// Injector queue for epoch-parallel check jobs; any worker serves it.
+    /// Injector queue for pipelined sessions' epoch jobs; any worker
+    /// serves it.
     epoch_jobs: Mutex<VecDeque<EpochJob>>,
     /// Mirror of `epoch_jobs.len()`, so the (hot) worker loop skips the
-    /// injector lock entirely while no epoch run is active.
+    /// injector lock entirely while no session is pipelined.
     epoch_pending: AtomicUsize,
     /// One doorbell per worker (sticky wakeups: `send_batch` rings the
     /// session's home worker first).
@@ -596,9 +594,12 @@ impl MonitorPool {
     ///
     /// # Panics
     ///
-    /// Panics if `cfg.workers` is zero.
+    /// Panics if `cfg.workers` is zero, or if `cfg.epoch` bounds no
+    /// positive record count (`min == 0` or `min > max`).
     pub fn new(cfg: PoolConfig) -> MonitorPool {
         assert!(cfg.workers > 0, "a pool needs at least one worker");
+        assert!(cfg.epoch.min > 0, "epochs must hold at least one record");
+        assert!(cfg.epoch.min <= cfg.epoch.max, "epoch bounds must satisfy min <= max");
         let (vtx, vrx) = mpsc::channel();
         let metrics = cfg.metrics.unwrap_or_default();
         let dispatch_hists = LifeguardKind::ALL
@@ -788,12 +789,6 @@ impl MonitorPool {
             home,
             spans,
         }
-    }
-
-    /// Submits an epoch job to the shared injector queue; the next idle
-    /// worker picks it up.
-    pub(crate) fn submit_epoch(&self, job: EpochJob) {
-        self.shared.submit_epoch(job);
     }
 
     /// Takes the pool-wide violation stream. Yields `Some` on the first
@@ -1256,9 +1251,10 @@ impl ActiveSession {
             acc_checks: 0,
             backlog: 0,
             budget,
-            // Bound outstanding jobs like the standalone epoch driver
-            // does; past the cap the spine stops draining the channel and
-            // the bounded channel pushes back on the producer.
+            // Bound outstanding jobs (each holds an epoch's record
+            // batches) to a small multiple of the worker count; past the
+            // cap the spine stops draining the channel and the bounded
+            // channel pushes back on the producer.
             max_in_flight: 2 * shared.shards.len() + 1,
             next_index: 0,
             next_emit: 0,
@@ -1402,7 +1398,7 @@ impl ActiveSession {
             first_record: self.records - pipe.acc_records as u64,
             records: std::mem::take(&mut pipe.acc),
             done: pipe.tx.clone(),
-            pipelined: Some(Arc::clone(&self.home)),
+            home: Arc::clone(&self.home),
         };
         pipe.next_index += 1;
         pipe.in_flight += 1;
@@ -1425,7 +1421,9 @@ impl ActiveSession {
             pipe.in_flight -= 1;
             pipe.pending.insert(r.index, r);
         }
-        while let Some(mut r) = pipe.pending.remove(&pipe.next_emit) {
+        loop {
+            let pipe = self.pipe.as_mut().expect("drained a non-pipelined session");
+            let Some(mut r) = pipe.pending.remove(&pipe.next_emit) else { break };
             pipe.next_emit += 1;
             emitted_any = true;
             if r.failed {
@@ -1441,46 +1439,66 @@ impl ActiveSession {
             pipe.backlog -= emitted;
             shared.epoch_backlog.sub(emitted);
             pipe.emitted_records += emitted as u64;
-            // Attribute record ids against the epoch's batches before
-            // they recycle (the job echoed its first global sequence).
-            let ids: Vec<Option<RecordId>> = r
-                .violations
-                .iter()
-                .map(|v| {
-                    attribute_violation(v, &r.records, r.first_record, self.tenant_hash, self.trace)
-                })
-                .collect();
+            // Epoch jobs carry no producer frame, so no span chain; the
+            // job echoed its epoch's first global sequence.
+            if !r.violations.is_empty() {
+                let fresh = std::mem::take(&mut r.violations);
+                self.emit_violations(shared, stats, fresh, &r.records, r.first_record, Vec::new());
+            }
             for batch in r.records.drain(..) {
                 self.consumer.recycle(batch);
             }
-            if r.violations.is_empty() {
-                continue;
-            }
-            stats.violations.add(r.violations.len() as u64);
-            if shared.stream_taken.load(Ordering::Relaxed) {
-                for (v, id) in r.violations.iter().zip(&ids) {
-                    let _ = shared.violations_tx.send(PoolViolation {
-                        session: self.id,
-                        tenant: self.name.clone(),
-                        lifeguard: self.lifeguard_kind,
-                        record: *id,
-                        violation: *v,
-                    });
-                }
-            }
-            for (v, id) in r.violations.iter().zip(&ids) {
-                shared.metrics.events().record(EventKind::Violation {
-                    session: self.id,
-                    tenant: self.name.clone(),
-                    detail: v.to_string(),
-                    record: *id,
-                    spans: Vec::new(),
-                });
-            }
-            self.violations.extend(r.violations);
-            self.violation_records.extend(ids);
         }
         emitted_any
+    }
+
+    /// Emits `fresh` violations, in order: record ids attributed against
+    /// `batches` (whose first record is global sequence `base`) while they
+    /// are still in hand, then the aggregated stream, the event ring (each
+    /// entry snapshotting `spans`, the faulting frame's chain) and the
+    /// session report.
+    fn emit_violations(
+        &mut self,
+        shared: &PoolShared,
+        stats: &PoolStats,
+        fresh: Vec<Violation>,
+        batches: &[TraceBatch],
+        base: u64,
+        spans: Vec<SpanRecord>,
+    ) {
+        stats.violations.add(fresh.len() as u64);
+        let ids: Vec<Option<RecordId>> = fresh
+            .iter()
+            .map(|v| attribute_violation(v, batches, base, self.tenant_hash, self.trace))
+            .collect();
+        // Forward to the aggregated stream only once someone holds it;
+        // otherwise an untaken stream would buffer violations unboundedly
+        // for the pool's lifetime. (They are always retained in the
+        // session report below.)
+        if shared.stream_taken.load(Ordering::Relaxed) {
+            for (v, id) in fresh.iter().zip(&ids) {
+                let _ = shared.violations_tx.send(PoolViolation {
+                    session: self.id,
+                    tenant: self.name.clone(),
+                    lifeguard: self.lifeguard_kind,
+                    record: *id,
+                    violation: *v,
+                });
+            }
+        }
+        // Violations are rare enough to narrate in the event ring (the
+        // allocation here is off the zero-violation hot path).
+        for (v, id) in fresh.iter().zip(&ids) {
+            shared.metrics.events().record(EventKind::Violation {
+                session: self.id,
+                tenant: self.name.clone(),
+                detail: v.to_string(),
+                record: *id,
+                spans: spans.clone(),
+            });
+        }
+        self.violations.extend(fresh);
+        self.violation_records.extend(ids);
     }
 
     /// The plain (non-pipelined) batch-grain hot path.
@@ -1534,24 +1552,9 @@ impl ActiveSession {
             stats.records.add(batch.len() as u64);
             let fresh = self.lifeguard.take_violations();
             if !fresh.is_empty() {
-                stats.violations.add(fresh.len() as u64);
-                // Attribute record ids while the faulting batch is still
-                // in hand (it recycles right after this block).
-                let ids: Vec<Option<RecordId>> = fresh
-                    .iter()
-                    .map(|v| {
-                        attribute_violation(
-                            v,
-                            std::slice::from_ref(&batch),
-                            base_seq,
-                            self.tenant_hash,
-                            self.trace,
-                        )
-                    })
-                    .collect();
                 // A sampled frame that just violated gets a `violation`
                 // marker record, then its whole completed chain is
-                // snapshotted into the event-ring entry below.
+                // snapshotted into the violations' event-ring entries.
                 let spans = match span {
                     Some((rec, tag, track, _)) => {
                         let now = rec.now();
@@ -1560,34 +1563,8 @@ impl ActiveSession {
                     }
                     None => Vec::new(),
                 };
-                // Forward to the aggregated stream only once someone holds
-                // it; otherwise an untaken stream would buffer violations
-                // unboundedly for the pool's lifetime. (They are always
-                // retained in the session report below.)
-                if shared.stream_taken.load(Ordering::Relaxed) {
-                    for (v, id) in fresh.iter().zip(&ids) {
-                        let _ = shared.violations_tx.send(PoolViolation {
-                            session: self.id,
-                            tenant: self.name.clone(),
-                            lifeguard: self.lifeguard_kind,
-                            record: *id,
-                            violation: *v,
-                        });
-                    }
-                }
-                // Violations are rare enough to narrate in the event ring
-                // (the allocation here is off the zero-violation hot path).
-                for (v, id) in fresh.iter().zip(&ids) {
-                    shared.metrics.events().record(EventKind::Violation {
-                        session: self.id,
-                        tenant: self.name.clone(),
-                        detail: v.to_string(),
-                        record: *id,
-                        spans: spans.clone(),
-                    });
-                }
-                self.violations.extend(fresh);
-                self.violation_records.extend(ids);
+                let batches = std::slice::from_ref(&batch);
+                self.emit_violations(shared, stats, fresh, batches, base_seq, spans);
             }
             // Hand the drained arena back to the producer side for refill.
             self.consumer.recycle(batch);
@@ -1800,7 +1777,7 @@ fn steal(idx: usize, shared: &PoolShared) -> Option<(ActiveSession, usize)> {
 }
 
 /// Runs an epoch job, containing panics to the job: a panicking handler
-/// reports an explicit failed [`EpochResult`], which the epoch driver
+/// reports an explicit failed [`EpochResult`], which the shipping session
 /// surfaces instead of emitting a truncated violation set.
 fn run_epoch_job_guarded(
     job: EpochJob,
@@ -1812,7 +1789,7 @@ fn run_epoch_job_guarded(
 ) {
     let index = job.index;
     let done = job.done.clone();
-    let pipelined = job.pipelined.clone();
+    let home = Arc::clone(&job.home);
     if std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         run_epoch_job(job, stats, shared, worker, ring, scratch)
     }))
@@ -1826,13 +1803,10 @@ fn run_epoch_job_guarded(
             index,
             violations: Vec::new(),
             first_record: 0,
-            delivered: 0,
             records: Vec::new(),
             failed: true,
         });
-        if let Some(home) = &pipelined {
-            shared.ring_worker(home.load(Ordering::Relaxed));
-        }
+        shared.ring_worker(home.load(Ordering::Relaxed));
     }
 }
 
@@ -1928,27 +1902,17 @@ fn run_epoch_job(
     if scratch.events.capacity() > EPOCH_SCRATCH_RETAIN_EVENTS {
         scratch.events.shrink_to(EPOCH_SCRATCH_RETAIN_EVENTS, EPOCH_SCRATCH_RETAIN_RECORDS);
     }
-    let violations = job.lifeguard.take_violations();
-    // Pipelined jobs re-run records the session's live spine already
-    // accounted; only standalone epoch-driver jobs add to the pool totals.
-    if job.pipelined.is_none() {
-        stats.records.add(job.records.iter().map(|b| b.len() as u64).sum());
-        stats.events_delivered.add(job.pipeline.stats().delivered);
-        stats.violations.add(violations.len() as u64);
-    }
+    // The job re-runs records the session's live spine already accounted:
+    // it adds only its own count to the pool totals.
     stats.epoch_jobs.inc();
-    let delivered = job.pipeline.stats().delivered;
     let _ = job.done.send(EpochResult {
         index: job.index,
-        violations,
+        violations: job.lifeguard.take_violations(),
         first_record: job.first_record,
-        delivered,
         records: job.records,
         failed: false,
     });
-    if let Some(home) = &job.pipelined {
-        shared.ring_worker(home.load(Ordering::Relaxed));
-    }
+    shared.ring_worker(job.home.load(Ordering::Relaxed));
 }
 
 #[cfg(test)]

@@ -81,7 +81,7 @@ impl Rig {
             channel_capacity_bytes: 2048,
             spans: false,
             pipeline: PipelineMode::Auto,
-            epoch: EpochConfig::Fixed(64),
+            epoch: EpochConfig::fixed(64),
             ..PoolConfig::default()
         });
         let cfg = SessionConfig::new("hot", LifeguardKind::AddrCheck);

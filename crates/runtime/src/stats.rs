@@ -38,7 +38,7 @@ impl PoolStats {
     pub(crate) fn new(registry: &MetricsRegistry) -> PoolStats {
         PoolStats {
             records: registry
-                .counter("igm_pool_records_total", "records processed across sessions and epochs"),
+                .counter("igm_pool_records_total", "records processed across sessions"),
             events_delivered: registry.counter(
                 "igm_pool_events_delivered_total",
                 "events delivered to lifeguard handlers",
@@ -80,10 +80,11 @@ impl PoolStats {
 /// A point-in-time view of a pool's aggregate counters.
 #[derive(Debug, Clone, Copy)]
 pub struct PoolStatsSnapshot {
-    /// Records processed across all sessions and epoch jobs.
+    /// Records processed across all sessions (an epoch job re-runs records
+    /// its session already counted, so it adds none).
     pub records: u64,
-    /// Events delivered to lifeguard handlers (finalized sessions and epoch
-    /// jobs; open sessions contribute on close).
+    /// Events delivered to lifeguard handlers (finalized sessions; open
+    /// sessions contribute on close).
     pub events_delivered: u64,
     /// Violations reported.
     pub violations: u64,
@@ -91,7 +92,7 @@ pub struct PoolStatsSnapshot {
     pub sessions_opened: u64,
     /// Sessions finalized.
     pub sessions_closed: u64,
-    /// Epoch jobs executed.
+    /// Epoch jobs executed for pipelined sessions.
     pub epoch_jobs: u64,
     /// Sessions migrated between workers by the work-stealing scheduler
     /// (each steal transfers the session's pending batches *and* its shadow

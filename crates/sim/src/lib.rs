@@ -34,8 +34,7 @@ pub use report::SimReport;
 use igm_core::{AccelConfig, DispatchPipeline, ItConfig};
 use igm_isa::TraceEntry;
 use igm_lba::{chunks, EventBuf, TraceBatch};
-use igm_lifeguards::{CostSink, LifeguardKind};
-use igm_runtime::{MonitorPool, PoolConfig, SessionConfig, SessionReport};
+use igm_lifeguards::{CostSink, Lifeguard, LifeguardKind};
 use igm_timing::{CoSim, SystemConfig};
 use igm_workload::{Benchmark, MtBenchmark};
 
@@ -130,7 +129,7 @@ impl Simulator {
         _heap_init: Option<(u32, u32)>,
         trace: impl IntoIterator<Item = TraceEntry>,
     ) -> SimReport {
-        let mut lifeguard = self.cfg.lifeguard.build(&self.cfg.accel);
+        let mut lifeguard = self.cfg.lifeguard.build_any(&self.cfg.accel);
         if self.cfg.synthetic_workload {
             lifeguard.set_synthetic_workload_mode(true);
         }
@@ -154,46 +153,6 @@ impl Simulator {
         }
 
         SimReport::new(self.cfg.lifeguard, self.cfg.accel, cosim.finish(), pipeline, lifeguard)
-    }
-
-    /// Streams `tenants` independent benchmark applications concurrently
-    /// through a [`MonitorPool`] of `workers` lifeguard shards, every tenant
-    /// monitored under this simulator's lifeguard/accelerator configuration.
-    ///
-    /// This is the service-scale entry point layered on `igm-runtime`:
-    /// functional (wall-clock) monitoring rather than the cycle-level
-    /// co-simulation — use [`Simulator::run_benchmark`] for the paper's
-    /// slowdown studies and this for concurrency/throughput studies.
-    /// Reports come back in tenant order.
-    pub fn run_concurrent(
-        &self,
-        tenants: &[(Benchmark, u64)],
-        workers: usize,
-    ) -> Vec<SessionReport> {
-        let pool = MonitorPool::new(PoolConfig::with_workers(workers));
-        let reports = std::thread::scope(|scope| {
-            let handles: Vec<_> = tenants
-                .iter()
-                .map(|(bench, n)| {
-                    let profile = bench.profile();
-                    let mut scfg = SessionConfig::new(bench.name(), self.cfg.lifeguard)
-                        .accel(self.cfg.accel)
-                        .premark(&profile.premark_regions());
-                    if self.cfg.synthetic_workload {
-                        scfg = scfg.synthetic();
-                    }
-                    let session = pool.open_session(scfg);
-                    let (bench, n) = (*bench, *n);
-                    scope.spawn(move || {
-                        session.stream(bench.trace(n)).expect("pool outlives the stream");
-                        session.finish()
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().expect("tenant thread completes")).collect()
-        });
-        pool.shutdown();
-        reports
     }
 }
 

@@ -1,7 +1,7 @@
 //! Simulation run reports.
 
 use igm_core::{AccelConfig, DispatchPipeline, DispatchStats, IfStats, ItStats};
-use igm_lifeguards::{Lifeguard, LifeguardKind, Violation};
+use igm_lifeguards::{AnyLifeguard, Lifeguard, LifeguardKind, Violation};
 use igm_timing::TimingReport;
 
 /// Everything a run produced: timing, pipeline statistics, accelerator
@@ -34,7 +34,7 @@ impl SimReport {
         accel: AccelConfig,
         timing: TimingReport,
         pipeline: DispatchPipeline,
-        mut lg: Box<dyn Lifeguard>,
+        mut lg: AnyLifeguard,
     ) -> SimReport {
         SimReport {
             lifeguard,

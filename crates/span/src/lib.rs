@@ -88,7 +88,8 @@ pub enum Stage {
     ChannelWait = 3,
     /// The batch ran through `dispatch_batch` + lifeguard handlers.
     Dispatch = 4,
-    /// An epoch-parallel job processed (part of) the frame's records.
+    /// A pipelined session's epoch job processed (part of) the frame's
+    /// records.
     EpochJob = 5,
     /// A lifeguard raised a violation while handling the frame.
     Violation = 6,

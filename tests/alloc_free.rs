@@ -235,7 +235,7 @@ fn pipelined_epochs_recycle_batch_arenas() {
     let pool = MonitorPool::new(PoolConfig {
         workers: 2,
         pipeline: PipelineMode::Always,
-        epoch: EpochConfig::Fixed(1_024),
+        epoch: EpochConfig::fixed(1_024),
         ..PoolConfig::default()
     });
     let session = pool.open_session(

@@ -136,7 +136,7 @@ proptest! {
                 channel_capacity_bytes: 8192,
                 chunk_bytes: 512,
                 pipeline: PipelineMode::Always,
-                epoch: EpochConfig::Fixed(budget),
+                epoch: EpochConfig::fixed(budget),
                 ..PoolConfig::default()
             });
             let session = pool.open_session(SessionConfig::new("hot", kind));
@@ -224,7 +224,7 @@ proptest! {
             channel_capacity_bytes: 8192,
             chunk_bytes: 512,
             pipeline: PipelineMode::Always,
-            epoch: EpochConfig::Adaptive { initial: 64, min: 16, max: 256, target_checks: 128 },
+            epoch: EpochConfig { initial: 64, min: 16, max: 256, target_checks: 128 },
             ..PoolConfig::default()
         });
         let session = pool.open_session(SessionConfig::new("hot", kind));

@@ -1,14 +1,19 @@
-//! Acceptance tests for the streaming runtime: epoch-parallel monitoring is
-//! *exact* (identical violation sequences to the sequential `Monitor`) for
-//! every lifeguard — including the ones whose metadata does not commute
-//! with check elision, which replay the full event stream per epoch — and
-//! the multi-tenant pool serves concurrent benchmark sessions end to end.
+//! Acceptance tests for the streaming runtime: a session pipelined into
+//! snapshot-checked epochs ([`PipelineMode::Always`]) is *exact* —
+//! identical violation sequences and `DispatchStats` to the sequential
+//! `Monitor` under the same accelerator configuration — for every
+//! lifeguard, including the ones whose metadata does not commute with
+//! check elision (which replay the full event stream per epoch) and with
+//! IT on; the multi-tenant pool serves concurrent benchmark sessions end to
+//! end; and the pool refuses an epoch configuration that bounds no epoch.
 
-use igm::accel::AccelConfig;
+use igm::accel::{AccelConfig, DispatchStats, ItConfig};
 use igm::isa::{Annotation, CtrlOp, JumpTarget, MemRef, OpClass, Reg, TraceEntry};
-use igm::lifeguards::{Lifeguard, LifeguardKind, TaintCheck};
-use igm::runtime::{monitor_epoch_parallel, MonitorPool, PoolConfig, SessionConfig};
-use igm::sim::{Monitor, SimConfig, Simulator};
+use igm::lifeguards::{Lifeguard, LifeguardKind, Violation};
+use igm::runtime::{
+    EpochConfig, MonitorPool, PipelineMode, PoolConfig, SessionConfig, SessionReport,
+};
+use igm::sim::Monitor;
 use igm::workload::Benchmark;
 
 /// A benchmark trace with taint-violation patterns planted at irregular
@@ -44,57 +49,92 @@ fn tainted_trace(n: u64) -> Vec<TraceEntry> {
     trace
 }
 
+/// The sequential reference: the ordinary `Monitor` over `trace`, with the
+/// session's lifeguard, accelerators, workload mode and pre-marked regions.
+fn sequential(cfg: &SessionConfig, trace: &[TraceEntry]) -> (Vec<Violation>, DispatchStats) {
+    let mut lifeguard = cfg.lifeguard.build_any(&cfg.accel);
+    lifeguard.set_synthetic_workload_mode(cfg.synthetic_workload);
+    for &(base, len) in &cfg.premark {
+        lifeguard.premark_region(base, len);
+    }
+    let mut seq = Monitor::new(lifeguard, &cfg.accel);
+    seq.observe_all(trace.iter().copied());
+    let dispatch = seq.dispatch_stats().clone();
+    (seq.lifeguard_mut().take_violations(), dispatch)
+}
+
+/// Streams `trace` in `send_records`-record sends through one session
+/// pipelined from its first record, on a fresh pool of `workers` workers
+/// sizing epochs by `epoch`, and asserts the session is exact against
+/// [`sequential`]. Returns the violations and the pool's epoch-job count.
+fn assert_pipelined_matches_sequential(
+    cfg: &SessionConfig,
+    trace: &[TraceEntry],
+    workers: usize,
+    epoch: EpochConfig,
+    send_records: usize,
+) -> (Vec<Violation>, u64) {
+    let pool = MonitorPool::new(PoolConfig {
+        pipeline: PipelineMode::Always,
+        epoch,
+        ..PoolConfig::with_workers(workers)
+    });
+    let session = pool.open_session(cfg.clone());
+    for send in trace.chunks(send_records) {
+        session.send_batch(send.to_vec()).unwrap();
+    }
+    let report = session.finish();
+    let epoch_jobs = pool.stats().epoch_jobs;
+    pool.shutdown();
+
+    let (violations, dispatch) = sequential(cfg, trace);
+    let accel = cfg.lifeguard.mask_config(&cfg.accel);
+    let label = format!("{} {} {epoch:?}", cfg.lifeguard, accel.label());
+    assert_eq!(report.records, trace.len() as u64, "{label}");
+    assert_eq!(report.violations, violations, "{label}: violation order and content");
+    assert_eq!(report.dispatch, dispatch, "{label}: DispatchStats");
+    (violations, epoch_jobs)
+}
+
 #[test]
 fn epoch_parallel_taintcheck_matches_sequential_monitor() {
     let trace = tainted_trace(30_000);
-    let accel = AccelConfig::baseline();
-
-    // Sequential reference: the ordinary Monitor over the same trace.
-    let mut seq = Monitor::new(TaintCheck::new(&accel), &accel);
-    seq.observe_all(trace.iter().copied());
-    let seq_violations = seq.lifeguard_mut().take_violations();
-    assert!(
-        seq_violations.len() >= 20,
-        "planted patterns must fire (got {})",
-        seq_violations.len()
-    );
-
-    let pool = MonitorPool::new(PoolConfig::with_workers(4));
-    // An epoch size that does not divide the trace evenly, so the tail
-    // epoch is short and the planted patterns straddle cuts.
-    for epoch_records in [1_000, 4_096] {
-        let report = monitor_epoch_parallel(
-            &pool,
-            &SessionConfig::new("hot-app", LifeguardKind::TaintCheck),
-            trace.iter().copied(),
-            epoch_records,
+    let send = 64;
+    let baseline = SessionConfig::new("hot-app", LifeguardKind::TaintCheck);
+    // Epoch sizes that do not divide the trace evenly, so the tail epoch
+    // is short and the planted patterns straddle cuts. No epoch exceeds
+    // its budget by a whole send, which bounds the job count from below.
+    for budget in [1_000, 4_096] {
+        let (violations, jobs) = assert_pipelined_matches_sequential(
+            &baseline,
+            &trace,
+            4,
+            EpochConfig::fixed(budget),
+            send,
         );
-        assert_eq!(report.records, trace.len() as u64);
-        assert_eq!(report.epochs, trace.len().div_ceil(epoch_records));
-        assert_eq!(
-            report.violations, seq_violations,
-            "epoch-parallel (epoch={epoch_records}) must equal sequential order and content"
+        assert!(violations.len() >= 20, "planted patterns must fire (got {})", violations.len());
+        assert!(
+            jobs >= trace.len().div_ceil(budget + send - 1) as u64,
+            "{jobs} epoch jobs cannot cover {} records at budget {budget}",
+            trace.len()
         );
     }
 
-    // Adaptive epoch sizing re-budgets every epoch from observed check
-    // density; whatever cuts it picks, the merged result must still equal
-    // the sequential reference exactly.
-    let report = igm::runtime::monitor_epoch_parallel_with(
-        &pool,
-        &SessionConfig::new("hot-app-adaptive", LifeguardKind::TaintCheck),
-        trace.iter().copied(),
-        igm::runtime::EpochConfig::Adaptive {
-            initial: 1_000,
-            min: 500,
-            max: 8_192,
-            target_checks: 2_000,
-        },
+    // Adaptive sizing re-budgets every epoch from observed check density;
+    // whatever cuts it picks, the result must still equal the reference.
+    let adaptive = EpochConfig { initial: 1_000, min: 500, max: 8_192, target_checks: 2_000 };
+    let (_, jobs) = assert_pipelined_matches_sequential(&baseline, &trace, 4, adaptive, send);
+    assert!(
+        jobs >= trace.len().div_ceil(8_192 + send - 1) as u64,
+        "adaptive epochs must cover the trace"
     );
-    assert_eq!(report.records, trace.len() as u64);
-    assert!(report.epochs >= trace.len() / 8_192, "adaptive epochs must cover the trace");
-    assert_eq!(report.violations, seq_violations, "adaptive sizing must not change results");
-    pool.shutdown();
+
+    // With IT on, every epoch job replays from a clone of the dispatch
+    // pipeline taken at its boundary, so IT state crosses the cuts intact.
+    let it = baseline.clone().accel(AccelConfig::full(ItConfig::taint_style()));
+    let (violations, _) =
+        assert_pipelined_matches_sequential(&it, &trace, 4, EpochConfig::fixed(1_000), send);
+    assert!(!violations.is_empty(), "planted patterns must fire with IT on");
 }
 
 #[test]
@@ -104,46 +144,50 @@ fn non_commuting_lifeguards_run_parallel_and_match_sequential() {
     // replays the full event stream from its boundary snapshot instead.
     // Tiny epochs (2 records) force many cuts right through the
     // store/load dependences; the merged result must still be exact.
-    let trace: Vec<TraceEntry> = {
-        let mut t = vec![TraceEntry::annot(0x10, Annotation::Malloc { base: 0x9000, size: 64 })];
+    let trace = [
+        TraceEntry::annot(0x10, Annotation::Malloc { base: 0x9000, size: 64 }),
         // A store then loads; one load of never-allocated memory.
-        t.push(TraceEntry::op(0x14, OpClass::ImmToMem { dst: MemRef::word(0x9000) }));
-        t.push(TraceEntry::op(0x18, OpClass::MemToReg { src: MemRef::word(0x9000), rd: Reg::Eax }));
-        t.push(TraceEntry::op(0x1c, OpClass::MemToReg { src: MemRef::word(0x9020), rd: Reg::Ecx }));
-        t.push(TraceEntry::op(
-            0x20,
-            OpClass::MemToReg { src: MemRef::word(0xdead_0000), rd: Reg::Edx },
-        ));
-        t
-    };
-    let accel = AccelConfig::baseline();
-    let mut seq = Monitor::new(igm::lifeguards::MemCheck::new(&accel), &accel);
-    seq.observe_all(trace.iter().copied());
-    let seq_violations = seq.lifeguard_mut().take_violations();
-    assert!(!seq_violations.is_empty(), "the unwritten load must fire");
-
-    let pool = MonitorPool::new(PoolConfig::with_workers(2));
-    let report = monitor_epoch_parallel(
-        &pool,
-        &SessionConfig::new("memcheck-app", LifeguardKind::MemCheck),
-        trace.iter().copied(),
-        2,
-    );
-    assert_eq!(report.epochs, 3);
-    assert_eq!(report.violations, seq_violations);
-    pool.shutdown();
+        TraceEntry::op(0x14, OpClass::ImmToMem { dst: MemRef::word(0x9000) }),
+        TraceEntry::op(0x18, OpClass::MemToReg { src: MemRef::word(0x9000), rd: Reg::Eax }),
+        TraceEntry::op(0x1c, OpClass::MemToReg { src: MemRef::word(0x9020), rd: Reg::Ecx }),
+        TraceEntry::op(0x20, OpClass::MemToReg { src: MemRef::word(0xdead_0000), rd: Reg::Edx }),
+    ];
+    let cfg = SessionConfig::new("memcheck-app", LifeguardKind::MemCheck);
+    let (violations, jobs) =
+        assert_pipelined_matches_sequential(&cfg, &trace, 2, EpochConfig::fixed(2), 1);
+    assert!(!violations.is_empty(), "the unwritten load must fire");
+    // One-record sends never overshoot the 2-record budget, so 5 records
+    // take at least 3 epochs; a drained channel may ship more, partial ones.
+    assert!(jobs >= 3, "only {jobs} epoch jobs for 5 records at budget 2");
 }
 
 #[test]
-fn run_concurrent_serves_four_tenants() {
-    let sim = Simulator::new(SimConfig::baseline(LifeguardKind::AddrCheck));
+fn pool_serves_four_premarked_tenants() {
     let tenants = [
         (Benchmark::Gzip, 8_000),
         (Benchmark::Mcf, 8_000),
         (Benchmark::Vpr, 8_000),
         (Benchmark::Gap, 8_000),
     ];
-    let reports = sim.run_concurrent(&tenants, 4);
+    let pool = MonitorPool::new(PoolConfig::with_workers(4));
+    let reports: Vec<SessionReport> = std::thread::scope(|scope| {
+        let handles: Vec<_> = tenants
+            .iter()
+            .map(|&(bench, n)| {
+                let session = pool.open_session(
+                    SessionConfig::new(bench.name(), LifeguardKind::AddrCheck)
+                        .synthetic()
+                        .premark(&bench.profile().premark_regions()),
+                );
+                scope.spawn(move || {
+                    session.stream(bench.trace(n)).expect("pool outlives the stream");
+                    session.finish()
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().expect("tenant thread completes")).collect()
+    });
+    pool.shutdown();
     assert_eq!(reports.len(), 4);
     for (r, (b, n)) in reports.iter().zip(&tenants) {
         assert_eq!(r.name, b.name());
@@ -160,17 +204,37 @@ fn run_concurrent_serves_four_tenants() {
 
 #[test]
 fn epoch_parallel_is_clean_on_clean_workloads() {
-    // No planted taint: both paths must agree on "nothing to report".
-    let pool = MonitorPool::new(PoolConfig::with_workers(4));
-    let report = monitor_epoch_parallel(
-        &pool,
-        &SessionConfig::new("clean", LifeguardKind::AddrCheck)
-            .synthetic()
-            .premark(&Benchmark::Crafty.profile().premark_regions()),
-        Benchmark::Crafty.trace(20_000),
-        4_096,
-    );
-    assert_eq!(report.records, 20_000);
-    assert!(report.violations.is_empty(), "{:?}", report.violations.first());
-    pool.shutdown();
+    // No planted bugs: both paths must agree on "nothing to report".
+    let cfg = SessionConfig::new("clean", LifeguardKind::AddrCheck)
+        .synthetic()
+        .premark(&Benchmark::Crafty.profile().premark_regions());
+    let trace: Vec<TraceEntry> = Benchmark::Crafty.trace(20_000).collect();
+    let (violations, jobs) =
+        assert_pipelined_matches_sequential(&cfg, &trace, 4, EpochConfig::fixed(4_096), 256);
+    assert!(violations.is_empty(), "{:?}", violations.first());
+    assert!(jobs > 0, "Always mode must actually ship epoch jobs");
+}
+
+/// An epoch budget clamped to `[0, max]` could ask for empty epochs; the
+/// pool refuses it up front instead of on some session's first pump.
+#[test]
+#[should_panic(expected = "epochs must hold at least one record")]
+fn pool_rejects_a_zero_epoch_minimum() {
+    let _ = MonitorPool::new(PoolConfig {
+        pipeline: PipelineMode::Always,
+        epoch: EpochConfig { min: 0, ..EpochConfig::adaptive() },
+        ..PoolConfig::with_workers(1)
+    });
+}
+
+/// Inverted bounds would panic inside a worker's `clamp` on the first
+/// pipelined pump (dropping the session); the pool refuses them up front.
+#[test]
+#[should_panic(expected = "epoch bounds must satisfy min <= max")]
+fn pool_rejects_inverted_epoch_bounds() {
+    let _ = MonitorPool::new(PoolConfig {
+        pipeline: PipelineMode::Always,
+        epoch: EpochConfig { initial: 64, min: 256, max: 16, target_checks: 128 },
+        ..PoolConfig::with_workers(1)
+    });
 }
