@@ -10,10 +10,11 @@ cd "$(dirname "$0")/.."
 #   alloc_free: the column sweeps only autovectorize (and the zero-alloc
 #     claim only matters) under optimization; its allocation budgets run a
 #     3 M-record synthetic mcf only in release.
-#   pipeline_determinism, runtime, cost_sink, batch_equivalence: the
-#     pool's hammer tests (runtime's epoch tests run pipelined sessions)
-#     only see the interleavings the host happens to produce, and
-#     optimized workers race far more tightly than debug ones.
+#   pipeline_determinism, runtime, cost_sink, batch_equivalence,
+#     trace_replay: the pool's hammer tests (runtime's epoch tests and
+#     trace_replay's record-id test run pipelined sessions) only see the
+#     interleavings the host happens to produce, and optimized workers race
+#     far more tightly than debug ones.
 #   golden_sidecar, accel_oracle, shadow_transparency: posting word
 #     kernels, the packed-key filter, the fused IT sweep and the shadow
 #     window kernels are shift-and-mask code, exactly what can differ
@@ -21,6 +22,7 @@ cd "$(dirname "$0")/.."
 cargo test --release -q -p igm \
     --test alloc_free \
     --test pipeline_determinism --test runtime --test cost_sink --test batch_equivalence \
+    --test trace_replay \
     --test golden_sidecar --test accel_oracle --test shadow_transparency
 
 # Per-crate suites, for the same reasons: the gate's decision table and the

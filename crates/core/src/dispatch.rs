@@ -32,13 +32,28 @@
 //! callers holding [`igm_isa::TraceEntry`] values (the co-simulator, the
 //! profilers, tests) build a [`TraceBatch`] from them first, so there is
 //! one gate and one IT route whatever the caller holds.
+//!
+//! **One sweep per accelerator configuration.** The pass is compiled four
+//! times, once per (IT present, IF present) pair, and `dispatch_batch`
+//! picks the one its units call for. Each unit is a type parameter of the
+//! sweep, never a runtime `Option` tested per event: a configuration
+//! without the Idempotent Filter runs a gate whose filter slot is
+//! `NoFilter`, so none of its emission sites carries filter code: like the
+//! paper's filter, a unit beside the dispatch path, it costs nothing to a
+//! lifeguard that does not configure it. Inheritance Tracking is inlined at
+//! every emission site of the IT sweeps
+//! ([`InheritanceTracker::process`]), so each site keeps only its own row
+//! of the Figure 5 table. A new unit adds a type parameter and doubles
+//! the instantiations; counters and delivered events are the same in
+//! every one (`dispatch_batch_equals_per_record_dispatch`,
+//! `tests/accel_oracle.rs`).
 
 use crate::config::AccelConfig;
 use crate::filter::{IdempotentFilter, IfOutcome, IfStats};
 use crate::it::{InheritanceTracker, ItStats};
 use igm_lba::{
-    sweep_batch, DeliveredEvent, Etct, Event, EventBuf, EventSink, EventType, TraceBatch,
-    NUM_EVENT_TYPES,
+    sweep_batch, DeliveredEvent, Etct, Event, EventBuf, EventSink, EventType, IfEventConfig,
+    TraceBatch, NUM_EVENT_TYPES,
 };
 
 /// Aggregate pipeline counters.
@@ -153,12 +168,48 @@ impl DispatchPipeline {
     pub fn dispatch_batch(&mut self, batch: &TraceBatch, out: &mut EventBuf) {
         out.clear();
         self.stats.records += batch.len() as u64;
-        let gate =
-            Gate { etct: &self.etct, filter: self.filter.as_mut(), stats: &mut self.stats, out };
-        match &mut self.it {
-            Some(it) => sweep_batch(batch, &mut ViaIt { it, gate }),
-            None => sweep_batch(batch, &mut Direct { gate }),
+        let (etct, stats) = (&self.etct, &mut self.stats);
+        match (&mut self.it, &mut self.filter) {
+            (None, None) => sweep_batch(
+                batch,
+                &mut Direct { gate: Gate { etct, filter: NoFilter, stats, out } },
+            ),
+            (None, Some(filter)) => {
+                sweep_batch(batch, &mut Direct { gate: Gate { etct, filter, stats, out } })
+            }
+            (Some(it), None) => sweep_batch(
+                batch,
+                &mut ViaIt { it, gate: Gate { etct, filter: NoFilter, stats, out } },
+            ),
+            (Some(it), Some(filter)) => {
+                sweep_batch(batch, &mut ViaIt { it, gate: Gate { etct, filter, stats, out } })
+            }
         }
+    }
+}
+
+/// The Idempotent Filter slot of a [`Gate`]. Each sweep is compiled for
+/// one slot type, so a configuration without the filter carries no filter
+/// code at any emission site.
+trait FilterSlot {
+    /// Whether the filter discards `ev`.
+    fn filters(&mut self, pc: u32, ev: &Event, cfg: &IfEventConfig) -> bool;
+}
+
+/// No Idempotent Filter configured: nothing is filtered.
+struct NoFilter;
+
+impl FilterSlot for NoFilter {
+    #[inline(always)]
+    fn filters(&mut self, _pc: u32, _ev: &Event, _cfg: &IfEventConfig) -> bool {
+        false
+    }
+}
+
+impl FilterSlot for &mut IdempotentFilter {
+    #[inline(always)]
+    fn filters(&mut self, pc: u32, ev: &Event, cfg: &IfEventConfig) -> bool {
+        self.process(pc, ev, cfg) == IfOutcome::Filtered
     }
 }
 
@@ -167,14 +218,14 @@ impl DispatchPipeline {
 /// emits into when there is. Its callers name the event type statically, so
 /// the ETCT row lookup is a single indexed load per emission site and
 /// unregistered events are never constructed.
-struct Gate<'a> {
+struct Gate<'a, F> {
     etct: &'a Etct,
-    filter: Option<&'a mut IdempotentFilter>,
+    filter: F,
     stats: &'a mut DispatchStats,
     out: &'a mut EventBuf,
 }
 
-impl EventSink for Gate<'_> {
+impl<F: FilterSlot> EventSink for Gate<'_, F> {
     #[inline(always)]
     fn event(&mut self, pc: u32, et: EventType, make: impl FnOnce() -> Event) {
         let row = self.etct.entry(et);
@@ -183,11 +234,9 @@ impl EventSink for Gate<'_> {
             return;
         }
         let ev = make();
-        if let Some(f) = self.filter.as_deref_mut() {
-            if f.process(pc, &ev, &row.if_cfg) == IfOutcome::Filtered {
-                self.stats.if_filtered += 1;
-                return;
-            }
+        if self.filter.filters(pc, &ev, &row.if_cfg) {
+            self.stats.if_filtered += 1;
+            return;
         }
         self.stats.delivered += 1;
         self.stats.delivered_by_type[et.index()] += 1;
@@ -202,11 +251,11 @@ impl EventSink for Gate<'_> {
 
 /// Sweep sink of the configurations without IT: every raw event goes
 /// straight to the gate.
-struct Direct<'a> {
-    gate: Gate<'a>,
+struct Direct<'a, F> {
+    gate: Gate<'a, F>,
 }
 
-impl EventSink for Direct<'_> {
+impl<F: FilterSlot> EventSink for Direct<'_, F> {
     #[inline(always)]
     fn event(&mut self, pc: u32, et: EventType, make: impl FnOnce() -> Event) {
         self.gate.stats.events_extracted += 1;
@@ -221,12 +270,12 @@ impl EventSink for Direct<'_> {
 
 /// Sweep sink of the IT configurations: raw events pass through
 /// Inheritance Tracking, which emits into the gate.
-struct ViaIt<'a> {
+struct ViaIt<'a, F> {
     it: &'a mut InheritanceTracker,
-    gate: Gate<'a>,
+    gate: Gate<'a, F>,
 }
 
-impl EventSink for ViaIt<'_> {
+impl<F: FilterSlot> EventSink for ViaIt<'_, F> {
     #[inline(always)]
     fn event(&mut self, pc: u32, et: EventType, make: impl FnOnce() -> Event) {
         self.gate.stats.events_extracted += 1;
@@ -425,9 +474,12 @@ mod tests {
             TraceEntry::op(4, OpClass::RegToMem { rs: Reg::Ecx, dst: d }),
             TraceEntry::op(5, OpClass::MemToReg { src: d, rd: Reg::Edx }),
         ];
+        // One configuration per sweep instantiation: (IT, IF) absent or
+        // present.
         for accel in [
             AccelConfig::baseline(),
             AccelConfig::lma_if(),
+            AccelConfig::lma_it(ItConfig::taint_style()),
             AccelConfig::full(ItConfig::taint_style()),
         ] {
             let mut per_record = DispatchPipeline::new(taint_etct(), &accel);

@@ -201,9 +201,6 @@ impl LineKey {
     }
 }
 
-/// "No way": the end of a bucket chain.
-const NIL: u32 = u32::MAX;
-
 /// One way of the cache, with its intrusive links.
 #[derive(Debug, Clone, Copy)]
 struct Way {
@@ -240,9 +237,12 @@ struct Way {
 /// its line's packed key and two intrusive links:
 ///
 /// * a **key → way index** — a chained hash table over the packed key
-///   (twice as many buckets as ways), so finding a line is one bucket
-///   probe and an integer compare instead of a scan of the set. A key
-///   determines its set, so one table indexes all sets;
+///   (twice as many buckets as ways), so finding a line is a bucket probe
+///   and integer compares instead of a scan of the set. A key determines
+///   its set, so one table indexes all sets. A chain ends at a *sentinel*
+///   way past the last real one, vacant and linked to itself, so the
+///   first two links of any chain can be probed without testing for its
+///   end;
 /// * a **recency ring per set**, threaded through every way of the set,
 ///   occupied or not: following `older` from the set's MRU way visits the
 ///   ways from most to least recently used and then returns to the MRU
@@ -269,6 +269,7 @@ struct Way {
 #[derive(Debug, Clone)]
 pub struct IdempotentFilter {
     geometry: IfGeometry,
+    /// Every set's ways, then the chain-end sentinel.
     ways: Box<[Way]>,
     /// Most recently used way of each set.
     mru: Box<[u32]>,
@@ -294,24 +295,27 @@ impl IdempotentFilter {
         let total = u32::try_from(sets * per_set).expect("filter too large");
         let per_set = per_set as u32;
         let bucket_count = (2 * total as usize).next_power_of_two();
-        // Each set's ways start out as one ring, all vacant.
+        // Each set's ways start out as one ring, all vacant; way `total` is
+        // the sentinel every chain ends at (and itself continues to).
+        let nil = total;
         let ways = (0..total)
             .map(|w| {
                 let (first, i) = (w - w % per_set, w % per_set);
                 Way {
                     key: EMPTY,
                     bucket: 0,
-                    chain: NIL,
+                    chain: nil,
                     newer: first + (i + per_set - 1) % per_set,
                     older: first + (i + 1) % per_set,
                 }
             })
+            .chain([Way { key: EMPTY, bucket: 0, chain: nil, newer: nil, older: nil }])
             .collect();
         IdempotentFilter {
             geometry,
             ways,
             mru: (0..sets as u32).map(|s| s * per_set).collect(),
-            buckets: vec![NIL; bucket_count].into_boxed_slice(),
+            buckets: vec![nil; bucket_count].into_boxed_slice(),
             bucket_shift: 64 - bucket_count.trailing_zeros(),
             live: 0,
             stats: IfStats::default(),
@@ -336,8 +340,14 @@ impl IdempotentFilter {
         for w in self.ways.iter_mut() {
             w.key = EMPTY;
         }
-        self.buckets.fill(NIL);
+        self.buckets.fill(self.nil());
         self.live = 0;
+    }
+
+    /// The sentinel way that ends every bucket chain.
+    #[inline]
+    fn nil(&self) -> u32 {
+        self.ways.len() as u32 - 1
     }
 
     /// The set `key` lives in. A one-set filter (every fully associative
@@ -357,11 +367,24 @@ impl IdempotentFilter {
         }
     }
 
-    /// The way on `bucket`'s chain holding `key`, if any.
+    /// The way on `bucket`'s chain holding `key`, if any. The first two
+    /// links are probed unconditionally — a missing link is the sentinel,
+    /// whose vacant key matches no line — so a chain of length ≤ 2, nearly
+    /// every chain at a load factor of ½, is found or missed without a
+    /// data-dependent loop.
     #[inline]
     fn find(&self, key: LineKey, bucket: u32) -> Option<u32> {
-        let mut w = self.buckets[bucket as usize];
-        while w != NIL {
+        let first = self.buckets[bucket as usize];
+        let second = self.ways[first as usize].chain;
+        if self.ways[first as usize].key == key {
+            return Some(first);
+        }
+        let second_way = &self.ways[second as usize];
+        if second_way.key == key {
+            return Some(second);
+        }
+        let (nil, mut w) = (self.nil(), second_way.chain);
+        while w != nil {
             let way = &self.ways[w as usize];
             if way.key == key {
                 return Some(w);
@@ -415,16 +438,22 @@ impl IdempotentFilter {
         self.ways[mru as usize].newer = w;
     }
 
-    /// Makes way `w` the most recently used of set `si`.
+    /// Makes way `w` the most recently used of set `si`: one unlink and
+    /// one relink just "newer" than an anchor, then the MRU pointer steps
+    /// to `w`. The anchor is the MRU way, or — when `w` already is the MRU
+    /// way — its older neighbour, which relinks `w` where it was; either
+    /// way there is no branch on where `w` sits in the ring.
     #[inline]
     fn touch(&mut self, si: usize, w: u32) {
-        if w == self.mru[si] {
-            return;
-        }
-        if w != self.lru(si) {
-            self.splice_between_ends(si, w);
-        }
-        // `w` now sits just "newer" than the MRU way: step the pointer.
+        let mru = self.mru[si];
+        let Way { newer, older, .. } = self.ways[w as usize];
+        let anchor = if w == mru { older } else { mru };
+        self.ways[newer as usize].older = older;
+        self.ways[older as usize].newer = newer;
+        let lru = self.ways[anchor as usize].newer;
+        (self.ways[w as usize].newer, self.ways[w as usize].older) = (lru, anchor);
+        self.ways[lru as usize].older = w;
+        self.ways[anchor as usize].newer = w;
         self.mru[si] = w;
     }
 

@@ -334,7 +334,11 @@ impl InheritanceTracker {
     /// registers pass through unchanged. All other events pass through
     /// unchanged (annotations should be routed to [`Self::flush_all`] by the
     /// dispatch pipeline *before* delivery).
-    #[inline]
+    ///
+    /// Always inlined: the dispatch sweep calls it at emission sites where
+    /// the event's variant is a constant, so each site keeps only its own
+    /// arm of the table instead of calling through both matches.
+    #[inline(always)]
     pub fn process<S: EventSink>(&mut self, pc: u32, ev: Event, out: &mut S) {
         match ev {
             Event::Prop(op) => self.process_prop(pc, op, out),
@@ -358,7 +362,7 @@ impl InheritanceTracker {
         }
     }
 
-    #[inline]
+    #[inline(always)]
     fn process_prop<S: EventSink>(&mut self, pc: u32, op: OpClass, out: &mut S) {
         self.stats.prop_in += 1;
         let out = &mut Counting { inner: out, emitted: 0 };

@@ -350,6 +350,12 @@ impl EventBuf {
         &self.events[start..end]
     }
 
+    /// The closed record holding event `event` (an index into
+    /// [`EventBuf::events`]).
+    pub fn record_of(&self, event: usize) -> usize {
+        self.record_ends.partition_point(|&end| end as usize <= event)
+    }
+
     /// Iterates the closed records as event slices.
     pub fn record_slices(&self) -> impl Iterator<Item = &[DeliveredEvent]> + '_ {
         (0..self.records()).map(|i| self.record(i))
@@ -951,6 +957,14 @@ mod tests {
         }
         assert_eq!(buf.events(), &flat[..]);
         assert_eq!(buf.record(1), &[], "direct jump record is empty but bounded");
+        // Every event maps back to its record, across the empty one.
+        for r in 0..buf.records() {
+            let start = buf.record_slices().take(r).map(<[_]>::len).sum::<usize>();
+            for i in start..start + buf.record(r).len() {
+                assert_eq!(buf.record_of(i), r, "event {i}");
+            }
+        }
+        assert_eq!(buf.record_of(2), 2, "the store's first event follows the empty record");
     }
 
     #[test]

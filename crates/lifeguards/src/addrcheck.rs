@@ -11,7 +11,7 @@
 //! and system calls invalidate the whole filter (paper §5).
 
 use crate::cost::{CostSink, MetaMap, SOFTWARE_MAP_INSTRS};
-use crate::violation::Violation;
+use crate::violation::{Reports, Violation};
 use crate::{Lifeguard, LifeguardKind};
 use igm_core::AccelConfig;
 use igm_isa::{Annotation, MemRef};
@@ -49,7 +49,7 @@ pub struct AddrCheck {
     /// shadow walk at all (the software mirror of the paper's check
     /// filtering: the common in-bounds case is a couple of loads).
     page_acc: Box<[u8]>,
-    violations: Vec<Violation>,
+    violations: Reports,
     /// Total checks performed (for reports).
     checks: u64,
 }
@@ -69,7 +69,7 @@ impl AddrCheck {
             meta: MetaMap::new(shadow, cfg.lma.then_some(cfg.mtlb_entries)),
             allocs: HashMap::new(),
             page_acc: vec![0u8; PAGE_COUNT / 8].into_boxed_slice(),
-            violations: Vec::new(),
+            violations: Reports::default(),
             checks: 0,
         }
     }
@@ -253,12 +253,13 @@ impl Lifeguard for AddrCheck {
         }
     }
 
-    /// Columnar batch override: the overwhelmingly common access-check
-    /// events take a monomorphic loop whose fast path (page-bitmap hit) is
-    /// a couple of loads; everything else falls through to the per-event
-    /// handler. Event-for-event equivalent to the default loop.
+    /// Columnar batch loop: the overwhelmingly common access-check events
+    /// take a monomorphic path whose fast case (page-bitmap hit) is a
+    /// couple of loads; everything else falls through to the per-event
+    /// handler. Event-for-event equivalent to calling `handle` per event.
     fn handle_batch(&mut self, evs: &[DeliveredEvent], cost: &mut CostSink) {
-        for ev in evs {
+        for (i, ev) in evs.iter().enumerate() {
+            self.violations.handling(i);
             match ev.event {
                 Event::MemRead(m) => self.check_access(ev.pc, m, false, cost),
                 Event::MemWrite(m) => self.check_access(ev.pc, m, true, cost),
@@ -268,11 +269,15 @@ impl Lifeguard for AddrCheck {
     }
 
     fn violations(&self) -> &[Violation] {
-        &self.violations
+        self.violations.list()
+    }
+
+    fn violation_events(&self) -> &[u32] {
+        self.violations.events()
     }
 
     fn take_violations(&mut self) -> Vec<Violation> {
-        std::mem::take(&mut self.violations)
+        self.violations.take()
     }
 
     fn premark_region(&mut self, base: u32, len: u32) {

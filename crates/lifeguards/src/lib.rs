@@ -205,23 +205,25 @@ pub trait Lifeguard {
     /// The `nlba` dispatch instruction is charged by the caller.
     fn handle(&mut self, ev: &DeliveredEvent, cost: &mut CostSink);
 
-    /// Handles a whole batch of delivered events. Cost accumulates across
-    /// the batch into `cost` (the caller clears it at batch grain); batch
-    /// consumers that need per-event costs must fall back to
-    /// [`Lifeguard::handle`].
-    ///
-    /// The default loops [`Lifeguard::handle`]; because default methods are
-    /// instantiated per implementing type, the inner calls are static even
-    /// through a `Box<dyn Lifeguard>` — one virtual call per batch instead
-    /// of one per event.
-    fn handle_batch(&mut self, evs: &[DeliveredEvent], cost: &mut CostSink) {
-        for ev in evs {
-            self.handle(ev, cost);
-        }
-    }
+    /// Handles a whole batch of delivered events, event for event as
+    /// [`Lifeguard::handle`] would. Cost accumulates across the batch into
+    /// `cost` (the caller clears it at batch grain); batch consumers that
+    /// need per-event costs must fall back to [`Lifeguard::handle`]. Every
+    /// violation reported here is tagged with its event's index in `evs`
+    /// ([`Lifeguard::violation_events`]).
+    fn handle_batch(&mut self, evs: &[DeliveredEvent], cost: &mut CostSink);
 
     /// Violations reported so far.
     fn violations(&self) -> &[Violation];
+
+    /// Parallel to [`Lifeguard::violations`]: for each violation, the index
+    /// in the `evs` of the [`Lifeguard::handle_batch`] call that reported
+    /// it of the event being handled. A caller that drains the violations
+    /// after every batch maps each to its record through the batch's
+    /// [`igm_lba::EventBuf`] boundaries ([`igm_lba::EventBuf::record_of`]).
+    /// Violations reported outside a batch call (through
+    /// [`Lifeguard::handle`], or a leak report) carry no meaningful index.
+    fn violation_events(&self) -> &[u32];
 
     /// Drains the reported violations.
     fn take_violations(&mut self) -> Vec<Violation>;
@@ -296,6 +298,10 @@ impl Lifeguard for AnyLifeguard {
 
     fn violations(&self) -> &[Violation] {
         with_each_lifeguard!(self, lg => lg.violations())
+    }
+
+    fn violation_events(&self) -> &[u32] {
+        with_each_lifeguard!(self, lg => lg.violation_events())
     }
 
     fn take_violations(&mut self) -> Vec<Violation> {
@@ -404,5 +410,10 @@ mod tests {
         assert_eq!(per_event.violations(), batched.violations());
         assert_eq!(c1.instrs(), c2.instrs());
         assert_eq!(c1.mem_vas(), c2.mem_vas());
+        // The batch tags the violation with the event that raised it, and
+        // draining the violations drains the tags.
+        assert_eq!(batched.violation_events(), &[2]);
+        batched.take_violations();
+        assert!(batched.violation_events().is_empty());
     }
 }

@@ -21,7 +21,7 @@
 //! safe).
 
 use crate::cost::{CostSink, MetaMap};
-use crate::violation::Violation;
+use crate::violation::{Reports, Violation};
 use crate::{Lifeguard, LifeguardKind};
 use igm_core::AccelConfig;
 use igm_isa::{Annotation, MemRef};
@@ -155,7 +155,7 @@ pub struct LockSet {
     cur_tid: u32,
     /// Words already reported, to avoid duplicate reports.
     reported: HashSet<u32>,
-    violations: Vec<Violation>,
+    violations: Reports,
     /// Fast-path / slow-path counters.
     fast_hits: u64,
     slow_hits: u64,
@@ -179,7 +179,7 @@ impl LockSet {
             thread_locks: HashMap::new(),
             cur_tid: 0,
             reported: HashSet::new(),
-            violations: Vec::new(),
+            violations: Reports::default(),
             fast_hits: 0,
             slow_hits: 0,
         }
@@ -366,12 +366,23 @@ impl Lifeguard for LockSet {
         }
     }
 
+    fn handle_batch(&mut self, evs: &[DeliveredEvent], cost: &mut CostSink) {
+        for (i, ev) in evs.iter().enumerate() {
+            self.violations.handling(i);
+            self.handle(ev, cost);
+        }
+    }
+
     fn violations(&self) -> &[Violation] {
-        &self.violations
+        self.violations.list()
+    }
+
+    fn violation_events(&self) -> &[u32] {
+        self.violations.events()
     }
 
     fn take_violations(&mut self) -> Vec<Violation> {
-        std::mem::take(&mut self.violations)
+        self.violations.take()
     }
 
     fn premark_region(&mut self, _base: u32, _len: u32) {

@@ -19,7 +19,7 @@
 //! propagation and are not cacheable (see `DESIGN.md`).
 
 use crate::cost::{CostSink, MetaMap};
-use crate::violation::{SourceDesc, Violation};
+use crate::violation::{Reports, SourceDesc, Violation};
 use crate::{fields, Lifeguard, LifeguardKind};
 use igm_core::AccelConfig;
 use igm_isa::{Annotation, MemRef, OpClass, Reg};
@@ -43,7 +43,7 @@ pub struct MemCheck {
     regs: RegMeta<u8>,
     live: HashMap<u32, u32>,
     freed: HashMap<u32, u32>,
-    violations: Vec<Violation>,
+    violations: Reports,
     /// Treat `malloc` as `calloc` (initialize on allocation). Used by the
     /// synthetic-workload harness so that statistically generated reads do
     /// not trip uninitialized-use reports; detection examples leave it off.
@@ -67,7 +67,7 @@ impl MemCheck {
             regs: RegMeta::new(0xf), // registers are defined at program start
             live: HashMap::new(),
             freed: HashMap::new(),
-            violations: Vec::new(),
+            violations: Reports::default(),
             assume_calloc: false,
         }
     }
@@ -291,7 +291,8 @@ impl Lifeguard for MemCheck {
     /// hot loads/stores/props path stays branch-predictable. Cost accounting
     /// is identical to per-event handling.
     fn handle_batch(&mut self, evs: &[DeliveredEvent], cost: &mut CostSink) {
-        for ev in evs {
+        for (i, ev) in evs.iter().enumerate() {
+            self.violations.handling(i);
             match &ev.event {
                 Event::MemRead(m) => self.check_accessible(ev.pc, *m, false, cost),
                 Event::MemWrite(m) => self.check_accessible(ev.pc, *m, true, cost),
@@ -358,11 +359,15 @@ impl Lifeguard for MemCheck {
     }
 
     fn violations(&self) -> &[Violation] {
-        &self.violations
+        self.violations.list()
+    }
+
+    fn violation_events(&self) -> &[u32] {
+        self.violations.events()
     }
 
     fn take_violations(&mut self) -> Vec<Violation> {
-        std::mem::take(&mut self.violations)
+        self.violations.take()
     }
 
     fn premark_region(&mut self, base: u32, len: u32) {

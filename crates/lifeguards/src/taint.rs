@@ -18,7 +18,7 @@
 //! events (`imm_to_mem`, `mem_to_mem`, …) are ordinary registered events.
 
 use crate::cost::{CostSink, MetaMap};
-use crate::violation::{SourceDesc, TaintSink, Violation};
+use crate::violation::{Reports, SourceDesc, TaintSink, Violation};
 use crate::{fields, Lifeguard, LifeguardKind};
 use igm_core::AccelConfig;
 use igm_isa::{Annotation, MemRef, OpClass, Reg};
@@ -36,7 +36,7 @@ pub struct TaintCheck {
     meta: MetaMap,
     /// Per-register taint mask: bit i = byte i tainted.
     regs: RegMeta<u8>,
-    violations: Vec<Violation>,
+    violations: Reports,
     /// Tainted bytes currently tracked (for reports/tests).
     tainted_bytes: i64,
 }
@@ -59,7 +59,7 @@ impl TaintCheck {
                 cfg.lma.then_some(cfg.mtlb_entries),
             ),
             regs: RegMeta::new(0),
-            violations: Vec::new(),
+            violations: Reports::default(),
             tainted_bytes: 0,
         }
     }
@@ -283,12 +283,23 @@ impl Lifeguard for TaintCheck {
         }
     }
 
+    fn handle_batch(&mut self, evs: &[DeliveredEvent], cost: &mut CostSink) {
+        for (i, ev) in evs.iter().enumerate() {
+            self.violations.handling(i);
+            self.handle(ev, cost);
+        }
+    }
+
     fn violations(&self) -> &[Violation] {
-        &self.violations
+        self.violations.list()
+    }
+
+    fn violation_events(&self) -> &[u32] {
+        self.violations.events()
     }
 
     fn take_violations(&mut self) -> Vec<Violation> {
-        std::mem::take(&mut self.violations)
+        self.violations.take()
     }
 
     fn premark_region(&mut self, _base: u32, _len: u32) {

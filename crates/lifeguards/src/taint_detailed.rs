@@ -16,7 +16,7 @@
 //! stores taint their containing word.
 
 use crate::cost::{CostSink, MetaMap};
-use crate::violation::{SourceDesc, TaintSink, Violation};
+use crate::violation::{Reports, SourceDesc, TaintSink, Violation};
 use crate::{Lifeguard, LifeguardKind};
 use igm_core::AccelConfig;
 use igm_isa::{Annotation, MemRef, OpClass, Reg};
@@ -56,7 +56,7 @@ pub struct TaintCheckDetailed {
     meta: MetaMap,
     /// Per-register record (packed), zero = clean.
     regs: RegMeta<u64>,
-    violations: Vec<Violation>,
+    violations: Reports,
 }
 
 impl TaintCheckDetailed {
@@ -73,7 +73,7 @@ impl TaintCheckDetailed {
                 cfg.lma.then_some(cfg.mtlb_entries),
             ),
             regs: RegMeta::new(0),
-            violations: Vec::new(),
+            violations: Reports::default(),
         }
     }
 
@@ -375,12 +375,23 @@ impl Lifeguard for TaintCheckDetailed {
         }
     }
 
+    fn handle_batch(&mut self, evs: &[DeliveredEvent], cost: &mut CostSink) {
+        for (i, ev) in evs.iter().enumerate() {
+            self.violations.handling(i);
+            self.handle(ev, cost);
+        }
+    }
+
     fn violations(&self) -> &[Violation] {
-        &self.violations
+        self.violations.list()
+    }
+
+    fn violation_events(&self) -> &[u32] {
+        self.violations.events()
     }
 
     fn take_violations(&mut self) -> Vec<Violation> {
-        std::mem::take(&mut self.violations)
+        self.violations.take()
     }
 
     fn premark_region(&mut self, _base: u32, _len: u32) {}

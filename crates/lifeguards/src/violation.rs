@@ -78,6 +78,48 @@ impl Violation {
     }
 }
 
+/// A lifeguard's reported violations, each tagged with the event that
+/// raised it: the index, in the `evs` of the running
+/// [`Lifeguard::handle_batch`](crate::Lifeguard::handle_batch) call, of the
+/// event being handled. The batch loop marks each event with one store
+/// ([`Reports::handling`]); nothing else on the hot path changes.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Reports {
+    list: Vec<Violation>,
+    /// Parallel to `list`: the event each was reported against.
+    events: Vec<u32>,
+    /// The event being handled.
+    at: u32,
+}
+
+impl Reports {
+    /// Marks `evs[i]` as the event being handled.
+    #[inline(always)]
+    pub(crate) fn handling(&mut self, i: usize) {
+        self.at = i as u32;
+    }
+
+    /// Reports `v` against the event being handled.
+    pub(crate) fn push(&mut self, v: Violation) {
+        self.list.push(v);
+        self.events.push(self.at);
+    }
+
+    pub(crate) fn list(&self) -> &[Violation] {
+        &self.list
+    }
+
+    pub(crate) fn events(&self) -> &[u32] {
+        &self.events
+    }
+
+    /// Drains the violations (and their event tags).
+    pub(crate) fn take(&mut self) -> Vec<Violation> {
+        self.events.clear();
+        std::mem::take(&mut self.list)
+    }
+}
+
 impl fmt::Display for Violation {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {

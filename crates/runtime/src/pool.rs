@@ -355,8 +355,9 @@ pub(crate) struct EpochJob {
 pub(crate) struct EpochResult {
     pub index: usize,
     pub violations: Vec<Violation>,
-    /// The job's `first_record`, echoed back for attribution.
-    pub first_record: u64,
+    /// Parallel to `violations`: each one's global record sequence
+    /// ([`attribute_violations`]).
+    pub violation_seqs: Vec<Option<u64>>,
     /// The job's record batches, handed back so the session can recycle
     /// their column capacity instead of reallocating.
     pub records: Vec<TraceBatch>,
@@ -1440,10 +1441,10 @@ impl ActiveSession {
             shared.epoch_backlog.sub(emitted);
             pipe.emitted_records += emitted as u64;
             // Epoch jobs carry no producer frame, so no span chain; the
-            // job echoed its epoch's first global sequence.
+            // job attributed its violations to global sequences itself.
             if !r.violations.is_empty() {
                 let fresh = std::mem::take(&mut r.violations);
-                self.emit_violations(shared, stats, fresh, &r.records, r.first_record, Vec::new());
+                self.emit_violations(shared, stats, fresh, &r.violation_seqs, Vec::new());
             }
             for batch in r.records.drain(..) {
                 self.consumer.recycle(batch);
@@ -1452,24 +1453,22 @@ impl ActiveSession {
         emitted_any
     }
 
-    /// Emits `fresh` violations, in order: record ids attributed against
-    /// `batches` (whose first record is global sequence `base`) while they
-    /// are still in hand, then the aggregated stream, the event ring (each
-    /// entry snapshotting `spans`, the faulting frame's chain) and the
-    /// session report.
+    /// Emits `fresh` violations, in order, with their global record
+    /// sequences `seqs` ([`attribute_violations`]) as record ids: to the
+    /// aggregated stream, the event ring (each entry snapshotting `spans`,
+    /// the faulting frame's chain) and the session report.
     fn emit_violations(
         &mut self,
         shared: &PoolShared,
         stats: &PoolStats,
         fresh: Vec<Violation>,
-        batches: &[TraceBatch],
-        base: u64,
+        seqs: &[Option<u64>],
         spans: Vec<SpanRecord>,
     ) {
         stats.violations.add(fresh.len() as u64);
-        let ids: Vec<Option<RecordId>> = fresh
+        let ids: Vec<Option<RecordId>> = seqs
             .iter()
-            .map(|v| attribute_violation(v, batches, base, self.tenant_hash, self.trace))
+            .map(|seq| seq.map(|seq| RecordId::new(self.tenant_hash, self.trace, seq)))
             .collect();
         // Forward to the aggregated stream only once someone holds it;
         // otherwise an untaken stream would buffer violations unboundedly
@@ -1550,8 +1549,9 @@ impl ActiveSession {
                 shared.span_hists.dispatch.record(done.saturating_sub(t_dispatch));
             }
             stats.records.add(batch.len() as u64);
-            let fresh = self.lifeguard.take_violations();
-            if !fresh.is_empty() {
+            if !self.lifeguard.violations().is_empty() {
+                let seqs = attribute_violations(&self.lifeguard, &self.events, base_seq);
+                let fresh = self.lifeguard.take_violations();
                 // A sampled frame that just violated gets a `violation`
                 // marker record, then its whole completed chain is
                 // snapshotted into the violations' event-ring entries.
@@ -1563,8 +1563,7 @@ impl ActiveSession {
                     }
                     None => Vec::new(),
                 };
-                let batches = std::slice::from_ref(&batch);
-                self.emit_violations(shared, stats, fresh, batches, base_seq, spans);
+                self.emit_violations(shared, stats, fresh, &seqs, spans);
             }
             // Hand the drained arena back to the producer side for refill.
             self.consumer.recycle(batch);
@@ -1802,7 +1801,7 @@ fn run_epoch_job_guarded(
         let _ = done.send(EpochResult {
             index,
             violations: Vec::new(),
-            first_record: 0,
+            violation_seqs: Vec::new(),
             records: Vec::new(),
             failed: true,
         });
@@ -1810,28 +1809,24 @@ fn run_epoch_job_guarded(
     }
 }
 
-/// Attributes a violation to a global record id: the first record across
-/// `batches` (starting at global sequence `base`) whose pc matches the
-/// violation's. Best-effort by design — a violation without a pc (leak)
-/// or whose pc left the batch window yields `None`, and a pc executed
-/// several times in the window anchors to its first occurrence (the
-/// neighborhood replay around the id recovers the exact one).
-fn attribute_violation(
-    v: &Violation,
-    batches: &[TraceBatch],
+/// The global record sequence of each violation `lifeguard` holds, all
+/// reported by its last `handle_batch` over `events`, the events of one
+/// batch whose first record is global sequence `base`. Exact: a violation
+/// belongs to the record whose events hold the one its handler was
+/// running on ([`Lifeguard::violation_events`]), which is the record a
+/// one-record-at-a-time `Monitor` would have just observed. A violation
+/// without a pc (a leak) anchors to no record.
+fn attribute_violations(
+    lifeguard: &AnyLifeguard,
+    events: &EventBuf,
     base: u64,
-    tenant: u32,
-    trace: u32,
-) -> Option<RecordId> {
-    let pc = v.pc()?;
-    let mut offset = base;
-    for b in batches {
-        if let Some(i) = b.pcs().iter().position(|&p| p == pc) {
-            return Some(RecordId::new(tenant, trace, offset + i as u64));
-        }
-        offset += b.len() as u64;
-    }
-    None
+) -> Vec<Option<u64>> {
+    lifeguard
+        .violations()
+        .iter()
+        .zip(lifeguard.violation_events())
+        .map(|(v, &at)| v.pc().map(|_| base + events.record_of(at as usize) as u64))
+        .collect()
 }
 
 /// The shared batched pump: one columnar dispatch pass and one handler
@@ -1884,6 +1879,8 @@ fn run_epoch_job(
     // identical to the spine's per-batch passes; pipeline state carries
     // across the calls exactly as it did on the live spine.
     let t0 = shared.epoch_hist.start();
+    let (mut violations, mut violation_seqs) = (Vec::new(), Vec::new());
+    let mut base = job.first_record;
     for records in &job.records {
         pump_records(
             &mut job.pipeline,
@@ -1892,6 +1889,12 @@ fn run_epoch_job(
             &mut scratch.events,
             records,
         );
+        // Attributed per batch, while its events are still in hand.
+        if !job.lifeguard.violations().is_empty() {
+            violation_seqs.extend(attribute_violations(&job.lifeguard, &scratch.events, base));
+            violations.append(&mut job.lifeguard.take_violations());
+        }
+        base += records.len() as u64;
     }
     shared.epoch_hist.stop(t0);
     if let Some((rec, tag, t_start)) = span {
@@ -1907,8 +1910,8 @@ fn run_epoch_job(
     stats.epoch_jobs.inc();
     let _ = job.done.send(EpochResult {
         index: job.index,
-        violations: job.lifeguard.take_violations(),
-        first_record: job.first_record,
+        violations,
+        violation_seqs,
         records: job.records,
         failed: false,
     });

@@ -132,10 +132,12 @@ pub struct SessionReport {
     pub dispatch: DispatchStats,
     /// Violations reported, in trace order.
     pub violations: Vec<Violation>,
-    /// Parallel to `violations`: each violation's attributed global
-    /// record id ([`igm_span::RecordId`]) — `Some` when the violation
-    /// anchors to a trace record, `None` for end-of-run properties
-    /// (leaks) or records that left the attribution window.
+    /// Parallel to `violations`: each violation's global record id
+    /// ([`igm_span::RecordId`]), exact — the record whose events held the
+    /// one the lifeguard was handling when it reported the violation,
+    /// which is the record a one-record-at-a-time `Monitor` would have
+    /// just observed, on plain and pipelined sessions alike. `None` for
+    /// end-of-run properties (leaks).
     pub violation_records: Vec<Option<igm_span::RecordId>>,
     /// Final lifeguard metadata footprint in bytes.
     pub metadata_bytes: u64,

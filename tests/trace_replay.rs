@@ -4,14 +4,19 @@
 //! file through a `MonitorPool` must yield violations and `DispatchStats`
 //! identical to the live run that produced it, for all five lifeguards —
 //! and a single-thread `Ingestor` must drive many concurrent tenant
-//! sources to the same results as dedicated producer threads.
+//! sources to the same results as dedicated producer threads. A session's
+//! violation record ids name the exact faulting record, live or windowed,
+//! plain or pipelined.
 
 use igm::isa::{Annotation, CtrlOp, JumpTarget, MemRef, OpClass, Reg, TraceEntry};
-use igm::lifeguards::LifeguardKind;
-use igm::runtime::{MonitorPool, PoolConfig, SessionConfig};
+use igm::lifeguards::{Lifeguard, LifeguardKind};
+use igm::runtime::{
+    EpochConfig, MonitorPool, PipelineMode, PoolConfig, SessionConfig, SessionReport,
+};
+use igm::sim::Monitor;
 use igm::trace::{
-    batch_pipe, replay_reader, CaptureSession, FileSource, IngestConfig, Ingestor, IterSource,
-    TraceReader,
+    batch_pipe, replay_reader, replay_window, CaptureSession, FileSource, IngestConfig, Ingestor,
+    IterSource, TraceReader, TraceWriter,
 };
 use igm::workload::{Benchmark, MtBenchmark};
 
@@ -254,4 +259,90 @@ fn ingestor_contains_a_corrupt_source_to_its_lane() {
     let corrupt = report.sessions.iter().find(|s| s.name == "corrupt").unwrap();
     assert!(corrupt.records < 6_000, "the corrupt lane stops at the damaged frame");
     pool.shutdown();
+}
+
+/// The record each violation belongs to, by a `Monitor` fed one record at
+/// a time: whatever it reports after observing record `i` is record `i`'s.
+fn one_record_at_a_time(cfg: &SessionConfig, trace: &[TraceEntry]) -> Vec<u64> {
+    let mut lifeguard = cfg.lifeguard.build_any(&cfg.accel);
+    lifeguard.set_synthetic_workload_mode(cfg.synthetic_workload);
+    for &(base, len) in &cfg.premark {
+        lifeguard.premark_region(base, len);
+    }
+    let mut monitor = Monitor::new(lifeguard, &cfg.accel);
+    let mut seqs = Vec::new();
+    for (i, e) in trace.iter().enumerate() {
+        monitor.observe(e);
+        seqs.resize(monitor.violations().len(), i as u64);
+    }
+    seqs
+}
+
+fn assert_record_ids(report: &SessionReport, truth: &[u64], label: &str) {
+    let seqs: Vec<u64> = report
+        .violation_records
+        .iter()
+        .map(|id| id.unwrap_or_else(|| panic!("{label}: every violation has a pc")).seq)
+        .collect();
+    assert_eq!(seqs, truth, "{label}: violation record ids");
+}
+
+#[test]
+fn violation_record_ids_name_the_faulting_record() {
+    // A loop whose load at one pc runs off its block on iterations 3 and 7
+    // only: the pc recurs every iteration, the fault does not.
+    let base = 0x0a00_0000;
+    let mut looped = vec![TraceEntry::annot(0x9200_0000, Annotation::Malloc { base, size: 64 })];
+    for i in 0..10u32 {
+        let addr = if i == 3 || i == 7 { base + 64 } else { base + 4 * i };
+        looped.push(TraceEntry::op(
+            0x9200_0010,
+            OpClass::MemToReg { src: MemRef::word(addr), rd: Reg::Eax },
+        ));
+        looped.push(TraceEntry::op(0x9200_0014, OpClass::RegToReg { rs: Reg::Eax, rd: Reg::Ecx }));
+        looped.push(TraceEntry::ctrl(0x9200_0018, CtrlOp::Direct));
+    }
+    let loop_cfg = SessionConfig::new("loop", LifeguardKind::AddrCheck);
+    let loop_truth = one_record_at_a_time(&loop_cfg, &looped);
+    assert_eq!(loop_truth, [1 + 3 * 3, 1 + 7 * 3]);
+
+    // A window from the middle of a captured gcc run: AddrCheck never saw
+    // the prefix's allocations, so the window faults densely at recurring
+    // pcs.
+    const N: u64 = 40_000;
+    let mut writer = TraceWriter::with_index(Vec::new()).unwrap();
+    let mut chunker = igm::lba::chunks(Benchmark::Gcc.trace(N), 4096);
+    let mut batch = igm::lba::TraceBatch::new();
+    while chunker.next_into_batch(&mut batch) {
+        writer.write_chunk_batch(&batch).unwrap();
+    }
+    let index = writer.index().expect("index tracking requested").clone();
+    let bytes = writer.finish().unwrap();
+    let window = 15_000..35_000u64;
+    let gcc: Vec<TraceEntry> = Benchmark::Gcc.trace(N).collect();
+    let gcc_cfg = SessionConfig::new("gcc-window", LifeguardKind::AddrCheck)
+        .synthetic()
+        .premark(&Benchmark::Gcc.profile().premark_regions());
+    let gcc_truth =
+        one_record_at_a_time(&gcc_cfg, &gcc[window.start as usize..window.end as usize]);
+    assert!(gcc_truth.len() > 1, "the window must fault more than once");
+
+    for mode in [PipelineMode::Never, PipelineMode::Always] {
+        let pool = MonitorPool::new(PoolConfig {
+            pipeline: mode,
+            epoch: EpochConfig::fixed(4),
+            ..PoolConfig::with_workers(2)
+        });
+        let session = pool.open_session(loop_cfg.clone());
+        for send in looped.chunks(7) {
+            session.send_batch(send.to_vec()).unwrap();
+        }
+        assert_record_ids(&session.finish(), &loop_truth, &format!("loop, {mode:?}"));
+
+        let mut reader = TraceReader::new(std::io::Cursor::new(&bytes)).unwrap();
+        let report =
+            replay_window(&pool, gcc_cfg.clone(), &mut reader, &index, window.clone()).unwrap();
+        assert_record_ids(&report, &gcc_truth, &format!("gcc window, {mode:?}"));
+        pool.shutdown();
+    }
 }
