@@ -15,15 +15,16 @@ cd "$(dirname "$0")/.."
 #     trace_replay's record-id test run pipelined sessions) only see the
 #     interleavings the host happens to produce, and optimized workers race
 #     far more tightly than debug ones.
-#   golden_sidecar, accel_oracle, shadow_transparency: posting word
-#     kernels, the packed-key filter, the fused IT sweep and the shadow
-#     window kernels are shift-and-mask code, exactly what can differ
-#     between debug (overflow checks, shift-width panics) and release.
+#   golden_sidecar, accel_oracle, shadow_transparency, experiments: posting
+#     word kernels, the packed-key filter, the fused IT sweep, the shadow
+#     window kernels and the co-simulator's cache kernel (both golden
+#     tables) are shift-and-mask code, exactly what can differ between
+#     debug (overflow checks, shift-width panics) and release.
 cargo test --release -q -p igm \
     --test alloc_free \
     --test pipeline_determinism --test runtime --test cost_sink --test batch_equivalence \
     --test trace_replay \
-    --test golden_sidecar --test accel_oracle --test shadow_transparency
+    --test golden_sidecar --test accel_oracle --test shadow_transparency --test experiments
 
 # Per-crate suites, for the same reasons: the gate's decision table and the
 # hand-driven pool test; the posting kernels against their scalar oracles

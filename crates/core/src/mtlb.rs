@@ -103,6 +103,10 @@ pub struct MetadataTlb {
     capacity: usize,
     layout: Option<ShadowLayout>,
     entries: Vec<TlbEntry>,
+    /// Index in `entries` of the entry the last `lma` hit or `lma_fill`
+    /// wrote, tried before the scan. Entries hold distinct level-1 indices,
+    /// so a match there is the entry the scan would find.
+    last: usize,
     tick: u64,
     stats: MtlbStats,
 }
@@ -119,6 +123,7 @@ impl MetadataTlb {
             capacity,
             layout: None,
             entries: Vec::with_capacity(capacity),
+            last: 0,
             tick: 0,
             stats: MtlbStats::default(),
         }
@@ -160,17 +165,26 @@ impl MetadataTlb {
         let l1 = layout.l1_index(app_addr);
         self.tick += 1;
         self.stats.fills += 1;
-        if let Some(e) = self.entries.iter_mut().find(|e| e.l1_index == l1) {
+        if let Some(i) = self.entries.iter().position(|e| e.l1_index == l1) {
+            let e = &mut self.entries[i];
             e.chunk_start = chunk_start;
             e.last_used = self.tick;
+            self.last = i;
             return;
         }
         let entry = TlbEntry { l1_index: l1, chunk_start, last_used: self.tick };
         if self.entries.len() < self.capacity {
+            self.last = self.entries.len();
             self.entries.push(entry);
         } else {
-            let victim = self.entries.iter_mut().min_by_key(|e| e.last_used).expect("capacity > 0");
-            *victim = entry;
+            let (victim, _) = self
+                .entries
+                .iter()
+                .enumerate()
+                .min_by_key(|(_, e)| e.last_used)
+                .expect("capacity > 0");
+            self.entries[victim] = entry;
+            self.last = victim;
         }
     }
 
@@ -187,8 +201,14 @@ impl MetadataTlb {
         self.tick += 1;
         self.stats.lookups += 1;
         let l1 = layout.l1_index(app_addr);
-        match self.entries.iter_mut().find(|e| e.l1_index == l1) {
-            Some(e) => {
+        let found = match self.entries.get(self.last) {
+            Some(e) if e.l1_index == l1 => Some(self.last),
+            _ => self.entries.iter().position(|e| e.l1_index == l1),
+        };
+        match found {
+            Some(i) => {
+                self.last = i;
+                let e = &mut self.entries[i];
                 e.last_used = self.tick;
                 self.stats.hits += 1;
                 Ok(e.chunk_start.wrapping_add(layout.elem_offset_in_chunk(app_addr)))
@@ -349,5 +369,116 @@ mod tests {
     #[should_panic(expected = "capacity must be positive")]
     fn zero_capacity_rejected() {
         let _ = MetadataTlb::new(0);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(128))]
+
+        /// The last-hit memo changes no translation, statistic or
+        /// occupancy: every `lma`, `lma_fill` and `lma_config` agrees with
+        /// the scan-only model, at capacities 1–8 and with flushes (and a
+        /// layout switch) mid-stream.
+        #[test]
+        fn last_hit_memo_matches_the_scan_model(
+            capacity in 1usize..=8,
+            ops in proptest::collection::vec((0u8..8, 0u32..12, 0u32..0x1_0000), 1..200),
+        ) {
+            let layouts = [fig7(), ShadowLayout::for_coverage(16, 4, ElemSize::B4).unwrap()];
+            let mut tlb = MetadataTlb::new(capacity);
+            let mut model = oracle::ScanTlb::new(capacity);
+            tlb.lma_config(layouts[0]);
+            model.lma_config(layouts[0]);
+            for (i, &(op, region, offset)) in ops.iter().enumerate() {
+                // Twelve 64 KiB regions: more than the TLB holds.
+                let addr = region << 16 | offset;
+                match op {
+                    0 => {
+                        let layout = layouts[region as usize % 2];
+                        tlb.lma_config(layout);
+                        model.lma_config(layout);
+                    }
+                    1 | 2 => {
+                        let chunk = offset << 8;
+                        tlb.lma_fill(addr, chunk);
+                        model.lma_fill(addr, chunk);
+                    }
+                    _ => proptest::prop_assert_eq!(tlb.lma(addr), model.lma(addr), "op {}", i),
+                }
+                proptest::prop_assert_eq!(tlb.stats(), &model.stats, "op {}", i);
+                proptest::prop_assert_eq!(tlb.occupancy(), model.entries.len(), "op {}", i);
+            }
+        }
+    }
+}
+
+/// The M-TLB before its last-hit memo: every lookup scans the entries. The
+/// reference for `last_hit_memo_matches_the_scan_model`.
+#[cfg(test)]
+mod oracle {
+    use super::{LmaFault, MtlbStats, TlbEntry};
+    use igm_shadow::ShadowLayout;
+
+    pub struct ScanTlb {
+        capacity: usize,
+        layout: Option<ShadowLayout>,
+        pub entries: Vec<TlbEntry>,
+        tick: u64,
+        pub stats: MtlbStats,
+    }
+
+    impl ScanTlb {
+        pub fn new(capacity: usize) -> ScanTlb {
+            ScanTlb {
+                capacity,
+                layout: None,
+                entries: Vec::new(),
+                tick: 0,
+                stats: MtlbStats::default(),
+            }
+        }
+
+        pub fn lma_config(&mut self, layout: ShadowLayout) {
+            self.layout = Some(layout);
+            self.entries.clear();
+            self.stats.config_flushes += 1;
+        }
+
+        pub fn lma_fill(&mut self, app_addr: u32, chunk_start: u32) {
+            let layout = self.layout.expect("lma_fill before lma_config");
+            let l1 = layout.l1_index(app_addr);
+            self.tick += 1;
+            self.stats.fills += 1;
+            if let Some(e) = self.entries.iter_mut().find(|e| e.l1_index == l1) {
+                e.chunk_start = chunk_start;
+                e.last_used = self.tick;
+                return;
+            }
+            let entry = TlbEntry { l1_index: l1, chunk_start, last_used: self.tick };
+            if self.entries.len() < self.capacity {
+                self.entries.push(entry);
+            } else {
+                let victim =
+                    self.entries.iter_mut().min_by_key(|e| e.last_used).expect("capacity > 0");
+                *victim = entry;
+            }
+        }
+
+        pub fn lma(&mut self, app_addr: u32) -> Result<u32, LmaFault> {
+            let layout = self.layout.ok_or(LmaFault::NotConfigured)?;
+            self.tick += 1;
+            self.stats.lookups += 1;
+            let l1 = layout.l1_index(app_addr);
+            match self.entries.iter_mut().find(|e| e.l1_index == l1) {
+                Some(e) => {
+                    e.last_used = self.tick;
+                    self.stats.hits += 1;
+                    Ok(e.chunk_start.wrapping_add(layout.elem_offset_in_chunk(app_addr)))
+                }
+                None => {
+                    self.stats.misses += 1;
+                    Err(LmaFault::Miss { app_addr })
+                }
+            }
+        }
     }
 }

@@ -357,8 +357,14 @@ impl Lifeguard for TaintCheckDetailed {
                 let va = self.meta.map(*base, cost);
                 cost.instr(10 + size / 2); // two 4-byte stores per application word
                 cost.mem(va);
-                for a in words(*base, *size) {
-                    self.set_word_record(a, TaintRecord::CLEAN);
+                if *size == 0 {
+                    // A misaligned empty block still names the word it
+                    // starts in; the range fill would skip it.
+                    for a in words(*base, 0) {
+                        self.set_word_record(a, TaintRecord::CLEAN);
+                    }
+                } else {
+                    self.meta.shadow_mut().set_elem_range(*base, *size, TaintRecord::CLEAN.pack());
                 }
             }
             Event::Annot(Annotation::ReadInput { base, len }) => {
@@ -493,6 +499,69 @@ mod tests {
         run(&mut lg, 1, Event::Annot(Annotation::ReadInput { base: 0x9000, len: 4 }));
         run(&mut lg, 2, Event::Prop(OpClass::ImmToMem { dst: MemRef::word(0x9000) }));
         assert!(!lg.mem_tainted(MemRef::word(0x9000)));
+    }
+
+    /// The `Malloc` handler as one `set_elem_u64` per word of
+    /// [`words`], the reference for its range fill.
+    fn malloc_per_word(lg: &mut TaintCheckDetailed, base: u32, size: u32, cost: &mut CostSink) {
+        let va = lg.meta.map(base, cost);
+        cost.instr(10 + size / 2);
+        cost.mem(va);
+        for a in words(base, size) {
+            lg.set_word_record(a, TaintRecord::CLEAN);
+        }
+    }
+
+    #[test]
+    fn malloc_range_fill_matches_the_per_word_clean() {
+        let span = 1u32 << 19; // application bytes per level-2 chunk
+        let blocks = [
+            (0x9003, 0),                // empty but misaligned: one word
+            (0x9000, 0),                // empty and aligned: no word
+            (0x1234_5673, 2),           // two words from two bytes
+            (0xffff_fff6, 0x20),        // wraps past 2^32
+            (span - 14, 0x40),          // straddles two chunks
+            (span, span),               // one whole chunk
+            (span - 3, 2 * span + 7),   // partial, whole, partial
+            (0xfff8_0001, span + 0x10), // the top chunk bar a byte, then wraps
+        ];
+        for accel in [AccelConfig::baseline(), AccelConfig::lma()] {
+            for (base, size) in blocks {
+                let mut fill = TaintCheckDetailed::new(&accel);
+                let mut refr = TaintCheckDetailed::new(&accel);
+                // Taint the block and a margin first, so cleaning shows.
+                let input = Event::Annot(Annotation::ReadInput {
+                    base: base.wrapping_sub(16),
+                    len: size.saturating_add(32),
+                });
+                run(&mut fill, 1, input);
+                run(&mut refr, 1, input);
+                let mut fill_cost = CostSink::new();
+                let malloc = Event::Annot(Annotation::Malloc { base, size });
+                fill.handle(&DeliveredEvent::new(2, malloc), &mut fill_cost);
+                let mut refr_cost = CostSink::new();
+                malloc_per_word(&mut refr, base, size, &mut refr_cost);
+
+                let case = format!("{base:#x}+{size:#x} under {accel:?}");
+                assert_eq!(fill_cost.instrs(), refr_cost.instrs(), "{case}");
+                assert_eq!(fill_cost.mem_vas(), refr_cost.mem_vas(), "{case}");
+                assert_eq!(fill.metadata_bytes(), refr.metadata_bytes(), "{case}");
+                for a in words(base.wrapping_sub(16), size.saturating_add(32)) {
+                    let (got, want) = (fill.word_record(a), refr.word_record(a));
+                    assert_eq!(got, want, "{case}: word {a:#x}");
+                }
+                // Chunk addresses are handed out in first-touch order.
+                for chunk in 0..TaintCheckDetailed::layout().level1_entries() {
+                    let a = chunk * span;
+                    let (got, want) = (fill.meta.shadow(), refr.meta.shadow());
+                    assert_eq!(
+                        got.chunk_base_va_if_present(a),
+                        want.chunk_base_va_if_present(a),
+                        "{case}: chunk {a:#x}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

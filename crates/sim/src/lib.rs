@@ -140,15 +140,21 @@ impl Simulator {
         let mut cosim = CoSim::new(self.cfg.system);
         let mut cost = CostSink::new();
         let mut chunker = chunks(trace, RUN_BATCH_BYTES);
+        // The chunk as pulled, for the co-simulator, and as columns, for
+        // the dispatch sweep: reassembling entries from the columns would
+        // redo the work.
+        let mut entries = Vec::new();
         let mut batch = TraceBatch::new();
         let mut events = EventBuf::new();
 
-        while chunker.next_into_batch(&mut batch) {
+        while chunker.next_into(&mut entries) {
+            batch.clear();
+            batch.extend_entries(entries.iter().copied());
             pipeline.dispatch_batch(&batch, &mut events);
-            for (entry, evs) in batch.iter().zip(events.record_slices()) {
+            for (entry, evs) in entries.iter().zip(events.record_slices()) {
                 cost.clear();
                 lifeguard.handle_batch(evs, &mut cost);
-                cosim.step_record(&entry, evs.len() as u32, cost.instrs(), cost.mem_vas());
+                cosim.step_record(entry, evs.len() as u32, cost.instrs(), cost.mem_vas());
             }
         }
 

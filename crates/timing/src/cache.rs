@@ -1,4 +1,15 @@
 //! Set-associative, LRU-replaced cache model.
+//!
+//! Each set holds its tags in recency order, most recently used first, so
+//! LRU needs no timestamps: a hit in way 0 is one compare, a hit deeper in
+//! the set rotates the ways in front of it down by one, and a miss rotates
+//! the whole set, dropping the least recently used (or an invalid) way, and
+//! writes the new tag into way 0. The line touched last is therefore always
+//! way 0 of its set, and a repeat of it — the instruction cache sees long
+//! runs of same-line fetches — is a hit that changes nothing. This is the
+//! same replacement decision, access for access, as stamping each way with
+//! a use counter and evicting the smallest stamp (invalid ways first); the
+//! `oracle` test module keeps that model and compares the two.
 
 /// Geometry and latency of one cache level.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -56,11 +67,12 @@ pub struct Cache {
     /// an address splits into tag, set and line offset by shifts and a mask.
     line_shift: u32,
     set_shift: u32,
-    /// `tags[set * ways + way]`; `u32::MAX` = invalid.
+    /// `tags[set * ways..][..ways]` is one set, most recently used first;
+    /// `u32::MAX` = invalid (a tag is at most 30 bits wide).
     tags: Vec<u32>,
-    /// LRU timestamps, parallel to `tags`.
-    lru: Vec<u64>,
-    tick: u64,
+    /// The line number (`addr >> line_shift`) of the last access, which is
+    /// way 0 of its set; `u32::MAX` before the first access.
+    last_line: u32,
     stats: CacheStats,
 }
 
@@ -69,20 +81,22 @@ impl Cache {
     ///
     /// # Panics
     ///
-    /// Panics on degenerate geometries (zero sets or non-power-of-two line
-    /// size).
+    /// Panics on degenerate geometries: a line size that is not a power of
+    /// two of at least 4 bytes, zero ways, or a set count that is not a
+    /// positive power of two.
     pub fn new(cfg: CacheConfig) -> Cache {
-        assert!(cfg.line_bytes.is_power_of_two() && cfg.line_bytes >= 4);
+        let valid = cfg.line_bytes.is_power_of_two()
+            && cfg.line_bytes >= 4
+            && cfg.ways > 0
+            && cfg.sets().is_power_of_two();
+        assert!(valid, "invalid cache geometry {cfg:?}");
         let sets = cfg.sets();
-        assert!(sets > 0 && sets.is_power_of_two(), "invalid cache geometry {cfg:?}");
-        let n = (sets * cfg.ways) as usize;
         Cache {
             cfg,
             line_shift: cfg.line_bytes.trailing_zeros(),
             set_shift: sets.trailing_zeros(),
-            tags: vec![u32::MAX; n],
-            lru: vec![0; n],
-            tick: 0,
+            tags: vec![u32::MAX; (sets * cfg.ways) as usize],
+            last_line: u32::MAX,
             stats: CacheStats::default(),
         }
     }
@@ -99,31 +113,41 @@ impl Cache {
 
     /// Accesses `addr`; returns `true` on a hit. A miss fills the line
     /// (allocate-on-miss for both reads and writes).
+    #[inline]
     pub fn access(&mut self, addr: u32) -> bool {
-        self.tick += 1;
         self.stats.accesses += 1;
         let line = addr >> self.line_shift;
-        let set = (line & ((1 << self.set_shift) - 1)) as usize;
-        let tag = line >> self.set_shift;
-        let base = set * self.cfg.ways as usize;
-        let ways = &mut self.tags[base..base + self.cfg.ways as usize];
-        if let Some(w) = ways.iter().position(|t| *t == tag) {
-            self.lru[base + w] = self.tick;
+        if line == self.last_line {
+            // Already its set's most recently used line: nothing moves.
             return true;
         }
-        self.stats.misses += 1;
-        // LRU victim.
-        let victim =
-            (0..self.cfg.ways as usize).min_by_key(|w| self.lru[base + w]).expect("ways > 0");
-        self.tags[base + victim] = tag;
-        self.lru[base + victim] = self.tick;
-        false
+        self.last_line = line;
+        let index = (line & ((1 << self.set_shift) - 1)) as usize;
+        let tag = line >> self.set_shift;
+        let ways = self.cfg.ways as usize;
+        let set = &mut self.tags[index * ways..][..ways];
+        if set[0] == tag {
+            return true;
+        }
+        // A hit in way `w` moves it to the front; a miss drops the last
+        // (least recently used or invalid) way and fills the front.
+        let (w, hit) = match set.iter().position(|t| *t == tag) {
+            Some(w) => (w, true),
+            None => (ways - 1, false),
+        };
+        for i in (1..=w).rev() {
+            set[i] = set[i - 1];
+        }
+        set[0] = tag;
+        self.stats.misses += !hit as u64;
+        hit
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn tiny() -> Cache {
         // 4 lines of 64 B, 2-way => 2 sets.
@@ -185,10 +209,129 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "invalid cache geometry")]
+    fn zero_ways_is_rejected() {
+        let _ = Cache::new(CacheConfig { size_bytes: 1024, line_bytes: 64, ways: 0, latency: 1 });
+    }
+
+    /// Expands `(pattern, seed, len)` bursts into addresses: 0 repeats one
+    /// line, 1 is a conflict storm over `ways + 1..=ways + 3` lines of one
+    /// set, 2 a stride of 4 B to 4 KiB, 3 random addresses.
+    fn stream(cfg: &CacheConfig, bursts: &[(u8, u32, u32)]) -> Vec<u32> {
+        let mix = |seed: u32, i: u32| {
+            let z = seed.wrapping_add(i.wrapping_mul(0x9e37_79b9));
+            let z = (z ^ (z >> 16)).wrapping_mul(0x85eb_ca6b);
+            z ^ (z >> 13)
+        };
+        let line = cfg.line_bytes;
+        let mut out = Vec::new();
+        for &(pattern, seed, len) in bursts {
+            for i in 0..len {
+                out.push(match pattern {
+                    0 => (seed & !(line - 1)) | (i.wrapping_mul(13) & (line - 1)),
+                    1 => {
+                        let lines = cfg.ways + 1 + seed % 3;
+                        let same_set = cfg.sets() * line;
+                        seed.wrapping_add((mix(seed, i) % lines).wrapping_mul(same_set))
+                    }
+                    2 => seed.wrapping_add(i.wrapping_mul((seed >> 22) * 4 + 4)),
+                    _ => mix(seed, i),
+                });
+            }
+        }
+        out
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The recency-ordered kernel and its last-line memo make the same
+        /// hit/miss decision as the stamp-LRU model on every access, over
+        /// 1–16 ways, 1–1024 sets and 4–128 B lines.
+        #[test]
+        fn recency_order_matches_the_stamp_model(
+            ways_log in 0u32..5,
+            sets_log in 0u32..=10,
+            line_log in 2u32..=7,
+            bursts in proptest::collection::vec((0u8..4, any::<u32>(), 1u32..48), 1..40),
+        ) {
+            let (ways, sets, line) = (1 << ways_log, 1 << sets_log, 1 << line_log);
+            let cfg = CacheConfig { size_bytes: sets * ways * line, line_bytes: line, ways, latency: 1 };
+            let mut kernel = Cache::new(cfg);
+            let mut model = oracle::StampCache::new(cfg);
+            for (i, addr) in stream(&cfg, &bursts).into_iter().enumerate() {
+                prop_assert_eq!(kernel.access(addr), model.access(addr), "access {} at {:#x}", i, addr);
+            }
+            prop_assert_eq!(kernel.stats(), model.stats());
+        }
+    }
+
+    #[test]
     fn miss_rate_statistic() {
         let mut c = tiny();
         c.access(0);
         c.access(0);
         assert!((c.stats().miss_rate() - 0.5).abs() < 1e-9);
+    }
+}
+
+/// The stamp-LRU model the recency-ordered kernel replaced, kept as it was
+/// as the reference for `recency_order_matches_the_stamp_model`.
+#[cfg(test)]
+mod oracle {
+    use super::{CacheConfig, CacheStats};
+
+    /// One cache level whose ways carry last-use timestamps.
+    pub struct StampCache {
+        cfg: CacheConfig,
+        line_shift: u32,
+        set_shift: u32,
+        /// `tags[set * ways + way]`; `u32::MAX` = invalid.
+        tags: Vec<u32>,
+        /// LRU timestamps, parallel to `tags`.
+        lru: Vec<u64>,
+        tick: u64,
+        stats: CacheStats,
+    }
+
+    impl StampCache {
+        pub fn new(cfg: CacheConfig) -> StampCache {
+            let sets = cfg.sets();
+            let n = (sets * cfg.ways) as usize;
+            StampCache {
+                cfg,
+                line_shift: cfg.line_bytes.trailing_zeros(),
+                set_shift: sets.trailing_zeros(),
+                tags: vec![u32::MAX; n],
+                lru: vec![0; n],
+                tick: 0,
+                stats: CacheStats::default(),
+            }
+        }
+
+        pub fn stats(&self) -> &CacheStats {
+            &self.stats
+        }
+
+        pub fn access(&mut self, addr: u32) -> bool {
+            self.tick += 1;
+            self.stats.accesses += 1;
+            let line = addr >> self.line_shift;
+            let set = (line & ((1 << self.set_shift) - 1)) as usize;
+            let tag = line >> self.set_shift;
+            let base = set * self.cfg.ways as usize;
+            let ways = &mut self.tags[base..base + self.cfg.ways as usize];
+            if let Some(w) = ways.iter().position(|t| *t == tag) {
+                self.lru[base + w] = self.tick;
+                return true;
+            }
+            self.stats.misses += 1;
+            // LRU victim.
+            let victim =
+                (0..self.cfg.ways as usize).min_by_key(|w| self.lru[base + w]).expect("ways > 0");
+            self.tags[base + victim] = tag;
+            self.lru[base + victim] = self.tick;
+            false
+        }
     }
 }

@@ -2,8 +2,8 @@
 //!
 //! One pass over the trace computes three timelines:
 //!
-//! * the **stand-alone** application (no monitoring; its own cache
-//!   hierarchy) — the denominator of every slowdown;
+//! * the **stand-alone** application (no monitoring; its own L2) — the
+//!   denominator of every slowdown;
 //! * the **monitored producer** — same instruction stream plus log-write
 //!   traffic and wrapper/annotation overheads, stalled when the log buffer
 //!   fills and at system calls until the consumer drains;
@@ -11,6 +11,15 @@
 //!   delivered event, the `nlba` dispatch and the handler's reported
 //!   instructions and metadata references (played against the consumer's
 //!   L1 and the *shared* L2).
+//!
+//! The two producer timelines share one L1 pair. Both run the same
+//! references through identically configured L1s — the pc, then the read,
+//! then the write of every instruction record (annotations touch no cache,
+//! and log writes are a fixed charge, not an access) — and an L1's contents
+//! depend only on its own reference stream, so two copies would agree at
+//! every step. One lookup therefore decides both timelines; only an L1 miss
+//! goes on, to the stand-alone L2 and to the shared L2, which thus sees the
+//! same accesses in the same order as with a private L1 pair per timeline.
 //!
 //! Buffer coupling uses the classic bounded-queue recurrence: the producer
 //! cannot append record *i* until the consumer has freed enough bytes; the
@@ -22,19 +31,6 @@ use crate::params::*;
 use igm_isa::{Annotation, TraceEntry, TraceOp};
 use igm_lba::record::{compressed_size, ANNOTATION_RECORD_BYTES};
 use std::collections::VecDeque;
-
-/// Private caches of one core.
-#[derive(Debug)]
-struct CoreCaches {
-    l1i: Cache,
-    l1d: Cache,
-}
-
-impl CoreCaches {
-    fn new(cfg: &SystemConfig) -> CoreCaches {
-        CoreCaches { l1i: Cache::new(cfg.l1i), l1d: Cache::new(cfg.l1d) }
-    }
-}
 
 /// Timing outcome of one run.
 #[derive(Debug, Clone, Default)]
@@ -73,10 +69,13 @@ impl TimingReport {
 #[derive(Debug)]
 pub struct CoSim {
     cfg: SystemConfig,
-    prod: CoreCaches,
-    cons: CoreCaches,
+    /// The application core's L1s, shared by the stand-alone and the
+    /// monitored timelines (see the module docs).
+    l1i: Cache,
+    l1d: Cache,
+    /// The consumer core's data L1.
+    cons_l1d: Cache,
     shared_l2: Cache,
-    alone: CoreCaches,
     alone_l2: Cache,
     /// In-flight records: (consumer finish tick, size in bytes).
     inflight: VecDeque<(u64, u32)>,
@@ -107,10 +106,10 @@ impl CoSim {
             cfg.log_buffer_bytes
         );
         CoSim {
-            prod: CoreCaches::new(&cfg),
-            cons: CoreCaches::new(&cfg),
+            l1i: Cache::new(cfg.l1i),
+            l1d: Cache::new(cfg.l1d),
+            cons_l1d: Cache::new(cfg.l1d),
             shared_l2: Cache::new(cfg.l2),
-            alone: CoreCaches::new(&cfg),
             alone_l2: Cache::new(cfg.l2),
             cfg,
             inflight: VecDeque::new(),
@@ -126,52 +125,67 @@ impl CoSim {
         }
     }
 
-    /// Extra ticks beyond the pipelined L1 access for one data reference.
-    fn data_penalty(l1: &mut Cache, l2: &mut Cache, mem_latency: u32, addr: u32) -> u64 {
-        if l1.access(addr) {
-            0
-        } else if l2.access(addr) {
-            l2.config().latency as u64 * TICKS_PER_CYCLE
+    /// Extra ticks of an access that missed the L1.
+    fn l2_penalty(l2: &mut Cache, mem_latency: u32, addr: u32) -> u64 {
+        let latency = l2.config().latency as u64;
+        if l2.access(addr) {
+            latency * TICKS_PER_CYCLE
         } else {
-            (l2.config().latency as u64 + mem_latency as u64) * TICKS_PER_CYCLE
+            (latency + mem_latency as u64) * TICKS_PER_CYCLE
+        }
+    }
+
+    /// Extra ticks beyond the pipelined L1 access for one reference of the
+    /// application core: (stand-alone, monitored). An L1 hit costs neither
+    /// timeline anything; a miss goes to each timeline's own L2.
+    fn producer_penalty(
+        l1: &mut Cache,
+        alone_l2: &mut Cache,
+        shared_l2: &mut Cache,
+        mem_latency: u32,
+        addr: u32,
+    ) -> (u64, u64) {
+        if l1.access(addr) {
+            (0, 0)
+        } else {
+            (
+                Self::l2_penalty(alone_l2, mem_latency, addr),
+                Self::l2_penalty(shared_l2, mem_latency, addr),
+            )
         }
     }
 
     /// Producer-side cost of one record (instruction execution, cache
-    /// behaviour, wrapper overheads), charged to the chosen core state.
-    fn producer_cost(
-        entry: &TraceEntry,
-        core: &mut CoreCaches,
-        l2: &mut Cache,
-        mem_latency: u32,
-    ) -> u64 {
-        let mut ticks;
+    /// behaviour, wrapper overheads) on the stand-alone and the monitored
+    /// timelines, in that order.
+    fn producer_cost(&mut self, entry: &TraceEntry) -> (u64, u64) {
         match &entry.op {
             TraceOp::Annot(a) => {
-                ticks = ANNOTATION_TICKS;
-                match a {
-                    Annotation::Malloc { .. } | Annotation::Free { .. } => ticks += MALLOC_TICKS,
-                    Annotation::Syscall { .. } | Annotation::ReadInput { .. } => {
-                        ticks += SYSCALL_TICKS
-                    }
-                    Annotation::ThreadSwitch { .. } | Annotation::ThreadExit { .. } => {
-                        ticks += THREAD_SWITCH_TICKS
-                    }
-                    _ => {}
-                }
+                let ticks = ANNOTATION_TICKS
+                    + match a {
+                        Annotation::Malloc { .. } | Annotation::Free { .. } => MALLOC_TICKS,
+                        Annotation::Syscall { .. } | Annotation::ReadInput { .. } => SYSCALL_TICKS,
+                        Annotation::ThreadSwitch { .. } | Annotation::ThreadExit { .. } => {
+                            THREAD_SWITCH_TICKS
+                        }
+                        _ => 0,
+                    };
+                (ticks, ticks)
             }
             _ => {
-                ticks = PRODUCER_INSTR_TICKS;
-                ticks += Self::data_penalty(&mut core.l1i, l2, mem_latency, entry.pc);
-                if let Some(m) = entry.mem_read() {
-                    ticks += Self::data_penalty(&mut core.l1d, l2, mem_latency, m.addr);
+                let mem_latency = self.cfg.mem_latency;
+                let (l2a, l2s) = (&mut self.alone_l2, &mut self.shared_l2);
+                let (mut alone, mut monitored) =
+                    Self::producer_penalty(&mut self.l1i, l2a, l2s, mem_latency, entry.pc);
+                for m in [entry.mem_read(), entry.mem_write()].into_iter().flatten() {
+                    let (a, p) =
+                        Self::producer_penalty(&mut self.l1d, l2a, l2s, mem_latency, m.addr);
+                    alone += a;
+                    monitored += p;
                 }
-                if let Some(m) = entry.mem_write() {
-                    ticks += Self::data_penalty(&mut core.l1d, l2, mem_latency, m.addr);
-                }
+                (PRODUCER_INSTR_TICKS + alone, PRODUCER_INSTR_TICKS + monitored)
             }
         }
-        ticks
     }
 
     /// Advances both timelines by one record.
@@ -192,11 +206,11 @@ impl CoSim {
         self.records += 1;
         self.delivered += delivered_events as u64;
         self.handler_instrs += handler_instrs;
-        let mem_latency = self.cfg.mem_latency;
 
-        // --- stand-alone timeline (own cache hierarchy, no log) ---
-        self.alone_time +=
-            Self::producer_cost(entry, &mut self.alone, &mut self.alone_l2, mem_latency);
+        // --- stand-alone timeline (no log) and the monitored producer's
+        // instruction cost ---
+        let (alone_cost, mut pcost) = self.producer_cost(entry);
+        self.alone_time += alone_cost;
 
         // --- monitored producer ---
         let size = compressed_size(entry);
@@ -219,8 +233,6 @@ impl CoSim {
                 self.prod_time = self.cons_time;
             }
         }
-        let mut pcost =
-            Self::producer_cost(entry, &mut self.prod, &mut self.shared_l2, mem_latency);
         // Log-write traffic: the record buffer drains one 64 B line to the
         // L2 per LOG_LINE_RECORDS records; the store buffer hides all but
         // about a cycle of it.
@@ -238,7 +250,9 @@ impl CoSim {
         ccost += delivered_events as u64 * NLBA_TICKS;
         ccost += handler_instrs * HANDLER_INSTR_TICKS;
         for &va in handler_mem {
-            ccost += Self::data_penalty(&mut self.cons.l1d, &mut self.shared_l2, mem_latency, va);
+            if !self.cons_l1d.access(va) {
+                ccost += Self::l2_penalty(&mut self.shared_l2, self.cfg.mem_latency, va);
+            }
         }
         let start = self.cons_time.max(self.prod_time);
         self.cons_time = start + ccost;

@@ -3,11 +3,13 @@
 //! recorded in `EXPERIMENTS.md`).
 
 use igm::accel::{AccelConfig, IfGeometry, ItConfig};
+use igm::lba::ANNOTATION_RECORD_BYTES;
 use igm::lifeguards::LifeguardKind;
 use igm::profiling::{
     if_reduction, it_reduction, mtlb_flexible, mtlb_miss_rate, trace_footprint, CcMode,
 };
 use igm::sim::{SimConfig, SimReport, Simulator};
+use igm::timing::{CacheConfig, SystemConfig};
 use igm::workload::{Benchmark, MtBenchmark};
 
 const N: u64 = 60_000;
@@ -192,8 +194,56 @@ fn cosim_grid_matches_the_golden_table() {
         [238635, 1272433, 1272433, 897849, 134699, 80000, 12378, 1143729, 12378, 6308232],
         [300739, 1357312, 1357312, 881650, 167673, 80000, 12596, 1179569, 12596, 6308136],
     ];
-    const RECORDS: u64 = 80_000;
+    assert_grid_matches(
+        SystemConfig::isca08(),
+        &[Benchmark::Gcc, Benchmark::Gzip, Benchmark::Mcf],
+        &[MtBenchmark::Blast, MtBenchmark::WaterNq, MtBenchmark::Zchaff],
+        80_000,
+        &GOLDEN,
+    );
+}
 
+/// The same ten counters under a geometry where the cache model and the
+/// log buffer do the work: 1 KB 2-way L1s, a 16 KB 4-way L2 and a log
+/// buffer that holds one annotation record, so L1 misses, L2 conflicts
+/// and backpressure dominate (mcf; zchaff for LockSet; 20 k records).
+#[test]
+fn cosim_stress_geometry_matches_the_golden_table() {
+    // Row order and columns as in `cosim_grid_matches_the_golden_table`.
+    const GOLDEN: [[u64; 10]; 10] = [
+        [383634, 1840131, 1840131, 1426762, 22, 20000, 10014, 224120, 10014, 13387776],
+        [383634, 1775248, 1775248, 1363688, 14, 20000, 8475, 158315, 8475, 13387776],
+        [383634, 965259, 965259, 545382, 330, 20000, 35737, 395433, 35737, 26757128],
+        [383634, 868258, 868258, 451832, 279, 20000, 23420, 286209, 23420, 26757128],
+        [383634, 862720, 862720, 442923, 250, 20000, 10849, 246793, 10849, 26230792],
+        [383634, 696789, 696789, 292243, 0, 20000, 1813, 178840, 1813, 25968648],
+        [383634, 2185076, 2185076, 1744302, 228, 20000, 10849, 1433382, 10849, 206602304],
+        [383634, 1903021, 1903021, 1489874, 0, 20000, 1813, 1355139, 1813, 184582208],
+        [142432, 1395829, 1395829, 1248063, 22, 20000, 9053, 1190922, 9053, 6308112],
+        [142432, 1322654, 1322654, 1177704, 6, 20000, 3291, 1119886, 3291, 6308112],
+    ];
+    let l1 = CacheConfig { size_bytes: 1024, line_bytes: 64, ways: 2, latency: 1 };
+    let system = SystemConfig {
+        l1i: l1,
+        l1d: l1,
+        l2: CacheConfig { size_bytes: 16 * 1024, line_bytes: 64, ways: 4, latency: 10 },
+        log_buffer_bytes: ANNOTATION_RECORD_BYTES,
+        ..SystemConfig::isca08()
+    };
+    assert_grid_matches(system, &[Benchmark::Mcf], &[MtBenchmark::Zchaff], 20_000, &GOLDEN);
+}
+
+/// Runs every lifeguard, baseline before optimized, on `benchmarks`
+/// (`mt_benchmarks` for LockSet) under `system`, and compares each run's
+/// `TimingReport` fields, `dispatch.delivered` and `metadata_bytes` with
+/// the next row of `golden`.
+fn assert_grid_matches(
+    system: SystemConfig,
+    benchmarks: &[Benchmark],
+    mt_benchmarks: &[MtBenchmark],
+    records: u64,
+    golden: &[[u64; 10]],
+) {
     let row = |r: &SimReport| {
         let t = &r.timing;
         [
@@ -209,26 +259,22 @@ fn cosim_grid_matches_the_golden_table() {
             r.metadata_bytes,
         ]
     };
-    let mut golden = GOLDEN.iter();
+    let mut golden = golden.iter();
     for kind in LifeguardKind::ALL {
         for optimized in [false, true] {
-            let sim = Simulator::new(if optimized {
-                SimConfig::optimized(kind)
+            let cfg =
+                if optimized { SimConfig::optimized(kind) } else { SimConfig::baseline(kind) };
+            let sim = Simulator::new(SimConfig { system, ..cfg });
+            let reports: Vec<SimReport> = if kind == LifeguardKind::LockSet {
+                mt_benchmarks.iter().map(|&b| sim.run_mt_benchmark(b, records)).collect()
             } else {
-                SimConfig::baseline(kind)
-            });
-            let reports = if kind == LifeguardKind::LockSet {
-                [MtBenchmark::Blast, MtBenchmark::WaterNq, MtBenchmark::Zchaff]
-                    .map(|b| sim.run_mt_benchmark(b, RECORDS))
-            } else {
-                [Benchmark::Gcc, Benchmark::Gzip, Benchmark::Mcf]
-                    .map(|b| sim.run_benchmark(b, RECORDS))
+                benchmarks.iter().map(|&b| sim.run_benchmark(b, records)).collect()
             };
             for r in &reports {
                 let name = r.benchmark.as_deref().unwrap_or("?");
                 assert_eq!(
                     &row(r),
-                    golden.next().expect("30 golden rows"),
+                    golden.next().expect("one golden row per run"),
                     "{kind} optimized={optimized} {name}"
                 );
             }
