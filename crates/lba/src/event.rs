@@ -379,8 +379,9 @@ pub trait EventSink {
 
 /// A flat event list is a sink with no record structure: every event is
 /// constructed and appended, record boundaries are ignored. This is what
-/// lets record-at-a-time callers (profiling, the ablation study, the
-/// property tests) hand the accelerator units a plain `Vec`.
+/// lets record-at-a-time callers (the design-space sweeps of
+/// `igm_sim::sweep`, the property tests) hand the accelerator units a plain
+/// `Vec`.
 impl EventSink for Vec<DeliveredEvent> {
     #[inline]
     fn event(&mut self, pc: u32, _et: EventType, make: impl FnOnce() -> Event) {

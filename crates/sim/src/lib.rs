@@ -1,15 +1,18 @@
 //! The top-level LBA simulator: workload × lifeguard × accelerator
 //! configuration → slowdown and event statistics.
 //!
-//! Two entry points:
+//! Three entry points:
 //!
 //! * [`Simulator`] — the full co-simulation used by the performance studies
-//!   (paper Figures 10–11): drives a synthetic benchmark trace through the
-//!   dispatch pipeline and the lifeguard, feeding producer/consumer costs
-//!   into the `igm-timing` co-simulator.
+//!   (paper Figures 10–11, and Figure 12's `LMA` column): drives a
+//!   synthetic benchmark trace through the dispatch pipeline and the
+//!   lifeguard, feeding producer/consumer costs into the `igm-timing`
+//!   co-simulator.
 //! * [`Monitor`] — a functional (untimed) monitor for real
 //!   [`igm_isa::Machine`] traces, used by the examples and the
 //!   bug-detection integration tests.
+//! * [`sweep`] — the functional accelerator sweeps of the paper's PIN study
+//!   (Figures 12–14).
 //!
 //! # Example
 //!
@@ -27,6 +30,7 @@
 
 pub mod monitor;
 pub mod report;
+pub mod sweep;
 
 pub use monitor::Monitor;
 pub use report::SimReport;
@@ -165,6 +169,8 @@ impl Simulator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sweep::*;
+    use igm_core::IfGeometry;
 
     #[test]
     fn masked_config_is_applied() {
@@ -231,5 +237,80 @@ mod tests {
         assert!(r.it.is_some(), "MemCheck runs with IT");
         assert!(r.if_stats.is_some(), "MemCheck runs with IF");
         assert!(r.metadata_bytes > 0);
+    }
+
+    /// Records per run of the sweep tests below.
+    const N: u64 = 60_000;
+
+    #[test]
+    fn memcheck_style_filters_less_than_taint_style() {
+        // Eager checks add deliveries, so MemCheck's reduction is lower
+        // (Figure 12: 24.9-59.7% vs 37.4-74.4%).
+        let b = Benchmark::Gcc;
+        let taint = it_reduction(b.trace(N), ItConfig::taint_style());
+        let mem = it_reduction(b.trace(N), ItConfig::memcheck_style());
+        assert!(mem <= taint, "memcheck {mem:.2} vs taint {taint:.2}");
+    }
+
+    #[test]
+    fn if_reduction_grows_with_entries() {
+        let b = Benchmark::Crafty;
+        let small = if_reduction(b.trace(N), IfGeometry::fully_associative(8), CcMode::Combined);
+        let large = if_reduction(b.trace(N), IfGeometry::fully_associative(256), CcMode::Combined);
+        assert!(large >= small, "8 entries {small:.2} vs 256 {large:.2}");
+        assert!(large > 0.2, "large filter should catch reuse, got {large:.2}");
+    }
+
+    #[test]
+    fn four_way_close_to_fully_associative() {
+        // Paper: "a set-associative design with 4 or more ways works as
+        // well as the fully-associative design".
+        let b = Benchmark::Vortex;
+        let fa = if_reduction(b.trace(N), IfGeometry::fully_associative(32), CcMode::Combined);
+        let w4 = if_reduction(b.trace(N), IfGeometry::set_associative(32, 4), CcMode::Combined);
+        assert!((fa - w4).abs() < 0.10, "fully-assoc {fa:.2} vs 4-way {w4:.2}");
+    }
+
+    #[test]
+    fn separate_ccs_filter_no_more_than_combined() {
+        let g = || MtBenchmark::WaterNq.trace(N);
+        let combined = if_reduction(g(), IfGeometry::fully_associative(32), CcMode::Combined);
+        let separate = if_reduction(g(), IfGeometry::fully_associative(32), CcMode::Separate);
+        assert!(separate <= combined + 0.02);
+    }
+
+    #[test]
+    fn mtlb_miss_rate_drops_with_fewer_level1_bits_and_more_entries() {
+        let g = || Benchmark::Mcf.trace(N);
+        let coarse16 = mtlb_miss_rate(g(), 20, 16);
+        let coarse256 = mtlb_miss_rate(g(), 20, 256);
+        let fine16 = mtlb_miss_rate(g(), 12, 16);
+        assert!(coarse256 <= coarse16);
+        assert!(fine16 <= coarse16);
+        assert!(coarse16 > 0.01, "mcf at 20 bits/16 entries must thrash, got {coarse16:.4}");
+    }
+
+    #[test]
+    fn flexible_sizing_nearly_eliminates_misses() {
+        let b = Benchmark::Vpr;
+        let fixed = mtlb_miss_rate(b.trace(N), 20, 64);
+        let fp = trace_footprint(b.trace(N));
+        let (bits, flexible) = mtlb_flexible(&fp, b.trace(N), 64);
+        assert!(bits < 20);
+        assert!(flexible <= fixed);
+        assert!(flexible < 0.01, "flexible design should be negligible, got {flexible:.4}");
+    }
+
+    #[test]
+    fn lma_reduction_in_paper_band() {
+        // Figure 12: 16.7%-49.3% of handler instructions across
+        // lifeguards/benchmarks.
+        let run = |accel| {
+            Simulator::new(SimConfig::with_accel(LifeguardKind::AddrCheck, accel))
+                .run_benchmark(Benchmark::Gzip, N)
+        };
+        let (base, lma) = (run(AccelConfig::baseline()), run(AccelConfig::lma()));
+        let r = 1.0 - lma.timing.handler_instrs as f64 / base.timing.handler_instrs as f64;
+        assert!((0.15..=0.60).contains(&r), "AddrCheck LMA reduction {r:.2}");
     }
 }

@@ -8,7 +8,7 @@
 
 use igm::accel::IfGeometry;
 use igm::accel::ItConfig;
-use igm::profiling::{
+use igm::sim::sweep::{
     if_reduction, it_reduction, mtlb_flexible, mtlb_miss_rate, trace_footprint, CcMode,
 };
 use igm::workload::Benchmark;

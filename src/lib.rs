@@ -21,18 +21,21 @@
 //!   and LockSet.
 //! * [`workload`] — deterministic synthetic benchmark trace generators.
 //! * [`timing`] — cache hierarchy and dual-core co-simulation.
-//! * [`sim`] — the top-level simulator API.
+//! * [`sim`] — the top-level simulator API and the design-space sweeps
+//!   of the paper's PIN study ([`sim::sweep`]).
 //! * [`runtime`] — the streaming, multi-tenant monitoring runtime: a
 //!   software analogue of the LBA log-transport fabric at service scale.
 //!   Bounded SPSC log channels (chunked record batches, backpressure,
 //!   producer-stall accounting), a [`runtime::MonitorPool`] of sharded
 //!   lifeguard workers serving N concurrent tenant applications, and
-//!   epoch-chunked parallel checking of a single hot trace with a
-//!   sequential fallback for lifeguards whose metadata does not commute
-//!   (per-lifeguard capability masking, mirroring the paper's Figure 2).
+//!   epoch pipelining of a single hot session: an update-only spine whose
+//!   per-lifeguard check elision mirrors the paper's Figure 2 masking,
+//!   with epoch jobs replaying the full event stream so every lifeguard's
+//!   results match sequential monitoring.
 //! * [`trace`] — the monitored-event stream as a durable artifact: a
-//!   compact binary codec (varint + delta-coded PCs/addresses, framed and
-//!   checksummed chunks), capture/replay of live pool sessions
+//!   compact binary codec (value-predicted columns with delta-coded
+//!   escapes, in framed and checksummed chunks), capture/replay of live
+//!   pool sessions
 //!   (replaying a recorded file reproduces the live run's violations and
 //!   dispatch stats exactly), sidecar frame-offset indexes for seeking
 //!   replay windows, and the [`trace::Ingestor`] — one OS thread
@@ -69,7 +72,6 @@
 //!   [`lake::TraceLake`] catalog whose bitmap query planner answers
 //!   forensic filters from sidecars alone, ±k record-neighborhood
 //!   decode and windowed replay, and `/lake/*` stats-server routes.
-//! * [`profiling`] — design-space sweeps (the paper's PIN study).
 //!
 //! ## Quickstart
 //!
@@ -119,7 +121,6 @@ pub use igm_lba as lba;
 pub use igm_lifeguards as lifeguards;
 pub use igm_net as net;
 pub use igm_obs as obs;
-pub use igm_profiling as profiling;
 pub use igm_runtime as runtime;
 pub use igm_shadow as shadow;
 pub use igm_sim as sim;

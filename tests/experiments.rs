@@ -1,11 +1,11 @@
 //! Shape-level checks of the paper's experimental claims, at reduced scale
-//! (the full-scale numbers are produced by the `igm-bench` binaries and
-//! recorded in `EXPERIMENTS.md`).
+//! (the full-scale numbers are printed by the `figures` binary of
+//! `crates/bench`).
 
 use igm::accel::{AccelConfig, IfGeometry, ItConfig};
 use igm::lba::ANNOTATION_RECORD_BYTES;
 use igm::lifeguards::LifeguardKind;
-use igm::profiling::{
+use igm::sim::sweep::{
     if_reduction, it_reduction, mtlb_flexible, mtlb_miss_rate, trace_footprint, CcMode,
 };
 use igm::sim::{SimConfig, SimReport, Simulator};
