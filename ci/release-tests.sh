@@ -10,21 +10,24 @@ cd "$(dirname "$0")/.."
 #   alloc_free: the column sweeps only autovectorize (and the zero-alloc
 #     claim only matters) under optimization; its allocation budgets run a
 #     3 M-record synthetic mcf only in release.
-#   pipeline_determinism, runtime, cost_sink, batch_equivalence,
-#     trace_replay: the pool's hammer tests (runtime's epoch tests and
-#     trace_replay's record-id test run pipelined sessions) only see the
-#     interleavings the host happens to produce, and optimized workers race
-#     far more tightly than debug ones.
-#   golden_sidecar, accel_oracle, shadow_transparency, experiments: posting
-#     word kernels, the packed-key filter, the fused IT sweep, the shadow
-#     window kernels and the co-simulator's cache kernel (both golden
-#     tables) are shift-and-mask code, exactly what can differ between
-#     debug (overflow checks, shift-width panics) and release.
+#   equivalence, pipeline_determinism, runtime, batch_equivalence,
+#     trace_replay: the pool's hammer tests (the equivalence matrix's pool,
+#     replay, wire and lake-window columns, runtime's and the proptests'
+#     pipelined sessions, the Auto gate, concurrent tenants, pipelined
+#     record ids) only see the interleavings the host happens to produce,
+#     and optimized workers race far more tightly than debug ones.
+#   golden_sidecar, accel_oracle, shadow_transparency, experiments,
+#     cost_sink: posting word kernels, the packed-key filter, the fused IT
+#     sweep, the shadow window kernels and the co-simulator's cache kernel
+#     (both golden tables and the recorded-cost pins) are shift-and-mask
+#     code, exactly what can differ between debug (overflow checks,
+#     shift-width panics) and release.
 cargo test --release -q -p igm \
     --test alloc_free \
-    --test pipeline_determinism --test runtime --test cost_sink --test batch_equivalence \
+    --test equivalence --test pipeline_determinism --test runtime --test batch_equivalence \
     --test trace_replay \
-    --test golden_sidecar --test accel_oracle --test shadow_transparency --test experiments
+    --test golden_sidecar --test accel_oracle --test shadow_transparency --test experiments \
+    --test cost_sink
 
 # Per-crate suites, for the same reasons: the gate's decision table and the
 # hand-driven pool test; the posting kernels against their scalar oracles

@@ -3,176 +3,9 @@
 //! LBA reserves a region of the shared last-level cache (64 KB–1 MB) as a
 //! circular record buffer. The producer (application core) stalls when the
 //! buffer is full; the consumer (lifeguard core) stalls when it is empty
-//! (paper §3). This module provides the functional buffer; the cycle-level
+//! (paper §3). The functional buffer is `igm-runtime`'s log channel
+//! (byte occupancy from [`crate::compressed_size`]); the cycle-level
 //! consequences of the stalls are modelled by `igm-timing`.
-
-use crate::record::compressed_size;
-use igm_isa::TraceEntry;
-use std::collections::VecDeque;
 
 /// Default buffer capacity used throughout the paper's evaluation (Table 2).
 pub const DEFAULT_CAPACITY_BYTES: u32 = 64 * 1024;
-
-/// A bounded FIFO of log records with byte-level occupancy accounting.
-///
-/// # Example
-///
-/// ```
-/// use igm_lba::LogBuffer;
-/// use igm_isa::{OpClass, Reg, TraceEntry};
-///
-/// let mut buf = LogBuffer::new(4); // 4 bytes => 4 instruction records
-/// let rec = TraceEntry::op(0x1000, OpClass::ImmToReg { rd: Reg::Eax });
-/// assert!(buf.push(rec));
-/// assert_eq!(buf.pop(), Some(rec));
-/// assert!(buf.is_empty());
-/// ```
-#[derive(Debug, Clone)]
-pub struct LogBuffer {
-    capacity_bytes: u32,
-    used_bytes: u32,
-    records: VecDeque<TraceEntry>,
-    /// Total records ever pushed.
-    pushed: u64,
-    /// Pushes rejected because the buffer was full.
-    rejected: u64,
-    /// High-water mark of byte occupancy.
-    peak_bytes: u32,
-}
-
-impl LogBuffer {
-    /// Creates a buffer holding up to `capacity_bytes` of compressed records.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity_bytes` is zero.
-    pub fn new(capacity_bytes: u32) -> LogBuffer {
-        assert!(capacity_bytes > 0, "log buffer capacity must be positive");
-        LogBuffer {
-            capacity_bytes,
-            used_bytes: 0,
-            records: VecDeque::new(),
-            pushed: 0,
-            rejected: 0,
-            peak_bytes: 0,
-        }
-    }
-
-    /// Creates the 64 KB buffer of the paper's evaluation setup.
-    pub fn isca08() -> LogBuffer {
-        LogBuffer::new(DEFAULT_CAPACITY_BYTES)
-    }
-
-    /// Capacity in bytes.
-    pub fn capacity_bytes(&self) -> u32 {
-        self.capacity_bytes
-    }
-
-    /// Bytes currently occupied.
-    pub fn used_bytes(&self) -> u32 {
-        self.used_bytes
-    }
-
-    /// Whether `entry` currently fits.
-    pub fn has_room(&self, entry: &TraceEntry) -> bool {
-        self.used_bytes + compressed_size(entry) <= self.capacity_bytes
-    }
-
-    /// Appends a record; returns `false` (and counts a rejection) when full.
-    pub fn push(&mut self, entry: TraceEntry) -> bool {
-        let sz = compressed_size(&entry);
-        if self.used_bytes + sz > self.capacity_bytes {
-            self.rejected += 1;
-            return false;
-        }
-        self.used_bytes += sz;
-        self.peak_bytes = self.peak_bytes.max(self.used_bytes);
-        self.records.push_back(entry);
-        self.pushed += 1;
-        true
-    }
-
-    /// Removes and returns the oldest record.
-    pub fn pop(&mut self) -> Option<TraceEntry> {
-        let entry = self.records.pop_front()?;
-        self.used_bytes -= compressed_size(&entry);
-        Some(entry)
-    }
-
-    /// Number of buffered records.
-    pub fn len(&self) -> usize {
-        self.records.len()
-    }
-
-    /// Whether no records are buffered.
-    pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
-    }
-
-    /// Total records ever accepted.
-    pub fn total_pushed(&self) -> u64 {
-        self.pushed
-    }
-
-    /// Pushes rejected because the buffer was full.
-    pub fn total_rejected(&self) -> u64 {
-        self.rejected
-    }
-
-    /// High-water mark of byte occupancy.
-    pub fn peak_bytes(&self) -> u32 {
-        self.peak_bytes
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use igm_isa::{Annotation, OpClass, Reg};
-
-    fn instr() -> TraceEntry {
-        TraceEntry::op(0x1000, OpClass::ImmToReg { rd: Reg::Eax })
-    }
-
-    fn annot() -> TraceEntry {
-        TraceEntry::annot(0x1000, Annotation::Free { base: 0x9000 })
-    }
-
-    #[test]
-    fn fifo_order_preserved() {
-        let mut b = LogBuffer::new(1024);
-        let e1 = TraceEntry::op(1, OpClass::ImmToReg { rd: Reg::Eax });
-        let e2 = TraceEntry::op(2, OpClass::ImmToReg { rd: Reg::Ecx });
-        b.push(e1);
-        b.push(e2);
-        assert_eq!(b.pop(), Some(e1));
-        assert_eq!(b.pop(), Some(e2));
-        assert_eq!(b.pop(), None);
-    }
-
-    #[test]
-    fn byte_accounting_and_backpressure() {
-        let mut b = LogBuffer::new(10);
-        assert!(b.push(annot())); // 9 bytes
-        assert!(b.push(instr())); // 1 byte -> exactly full
-        assert_eq!(b.used_bytes(), 10);
-        assert!(!b.push(instr()));
-        assert_eq!(b.total_rejected(), 1);
-        b.pop();
-        assert_eq!(b.used_bytes(), 1);
-        assert!(b.push(instr()));
-        assert_eq!(b.total_pushed(), 3);
-        assert_eq!(b.peak_bytes(), 10);
-    }
-
-    #[test]
-    #[should_panic(expected = "capacity must be positive")]
-    fn zero_capacity_rejected() {
-        let _ = LogBuffer::new(0);
-    }
-
-    #[test]
-    fn isca08_capacity() {
-        assert_eq!(LogBuffer::isca08().capacity_bytes(), 64 * 1024);
-    }
-}

@@ -11,7 +11,7 @@
 //!   chunk as parallel per-field columns (the software analogue of the
 //!   hardware's compressed per-field record streams), the unit of data on
 //!   the columnar hot path from the trace codec to the lifeguard workers.
-//! * [`buffer`] — the bounded producer/consumer [`buffer::LogBuffer`].
+//! * [`buffer`] — the log buffer's capacity ([`buffer::DEFAULT_CAPACITY_BYTES`]).
 //! * [`event`] — the event vocabulary delivered to lifeguards (propagation
 //!   events, memory-access check events, source-check events, annotations)
 //!   and the record→events extraction ("event mux" in the paper's
@@ -31,7 +31,6 @@ pub mod event;
 pub mod record;
 
 pub use batch::{Records, TraceBatch};
-pub use buffer::LogBuffer;
 pub use etct::{Etct, EtctEntry, FieldSelect, IfEventConfig};
 pub use event::{
     extract_batch, extract_events, sweep_batch, CheckKind, DeliveredEvent, Event, EventBuf,

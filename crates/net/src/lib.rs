@@ -42,7 +42,7 @@
 //! local run, the results are *identical*: violations and dispatch stats
 //! of a workload streamed through `TraceForwarder` → `IngestServer` →
 //! `MonitorPool` equal the local run's, for all five lifeguards
-//! (asserted end to end in `tests/net_ingest.rs`).
+//! (asserted end to end by `tests/equivalence.rs`'s `wire` column).
 
 pub mod client;
 pub mod server;

@@ -2,13 +2,13 @@
 //! log buffer, generalized from one core pair to arbitrary producer and
 //! consumer threads.
 //!
-//! Semantics mirror [`igm_lba::buffer::LogBuffer`]: capacity is accounted in
-//! *compressed record bytes* ([`igm_lba::compressed_size`]), and a producer
-//! that finds the buffer full **stalls** — exactly the condition the timing
-//! model charges as [`igm_timing::TimingReport::producer_stall_cycles`]
-//! (`igm-timing`). Here the stall is a real blocked thread; the channel
-//! counts stall events and stalled wall-clock nanoseconds so the runtime's
-//! stats stay comparable with the co-simulator's stall accounting.
+//! Capacity is accounted in *compressed record bytes*
+//! ([`igm_lba::compressed_size`]), and a producer that finds the buffer
+//! full **stalls** — exactly the condition the timing model charges as
+//! [`igm_timing::TimingReport::producer_stall_cycles`] (`igm-timing`).
+//! Here the stall is a real blocked thread; the channel counts stall
+//! events and stalled wall-clock nanoseconds so the runtime's stats stay
+//! comparable with the co-simulator's stall accounting.
 //!
 //! Records travel in *batches* (chunks produced by [`igm_lba::chunks`]):
 //! the producer publishes a whole batch under one lock acquisition, which is

@@ -85,24 +85,6 @@ impl<L: Lifeguard> Monitor<L> {
         self.batch = buf;
     }
 
-    /// Observes a recorded trace stream ([`igm_trace`] format), decoding
-    /// each frame straight into a reusable column arena and dispatching it
-    /// as one batch — the captured chunk structure is preserved, so a
-    /// recorded artifact monitors exactly like the live stream it teed.
-    /// Returns the number of records observed.
-    pub fn observe_reader<R: std::io::Read>(
-        &mut self,
-        reader: &mut igm_trace::TraceReader<R>,
-    ) -> Result<u64, igm_trace::TraceError> {
-        let mut chunk = TraceBatch::new();
-        let mut records = 0u64;
-        while reader.read_chunk_into_batch(&mut chunk)? {
-            records += chunk.len() as u64;
-            self.observe_trace_batch(&chunk);
-        }
-        Ok(records)
-    }
-
     /// The monitored lifeguard.
     pub fn lifeguard(&self) -> &L {
         &self.lifeguard

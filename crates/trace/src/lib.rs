@@ -45,6 +45,8 @@
 
 pub mod capture;
 pub mod codec;
+#[cfg(test)]
+mod file;
 pub mod index;
 pub mod ingest;
 pub mod postings;

@@ -26,13 +26,11 @@
 //! assert_eq!(trace, again);
 //! ```
 
-pub mod file;
 pub mod gen;
 pub mod layout;
 pub mod mt;
 pub mod profile;
 
-pub use file::{read_trace, write_trace, TraceFileSummary};
 pub use gen::TraceGen;
 pub use mt::{MtBenchmark, MtTraceGen};
 pub use profile::{Idiom, Profile};

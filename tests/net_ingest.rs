@@ -1,108 +1,29 @@
-//! Cross-host ingest equivalence, end to end over loopback.
-//!
-//! The acceptance bar for `igm-net`: a workload streamed through
-//! `TraceForwarder` → `IngestServer` → `MonitorPool` must yield
-//! violations and `DispatchStats` identical to the same workload run
-//! locally, for all five lifeguards — the network transport is
-//! semantically invisible, exactly like the paper's hardware log
-//! transport between the application and lifeguard cores.
+//! Cross-host ingest over loopback, end to end: a workload streamed
+//! through `TraceForwarder` → `IngestServer` → `MonitorPool` reports what
+//! the sequential `Monitor` reports for all five lifeguards (the `wire`
+//! strategy of `tests/equivalence.rs`), span chains join the client- and
+//! server-side stages of one frame, and one server thread multiplexes
+//! many clients.
 
-use igm::isa::{Annotation, CtrlOp, JumpTarget, MemRef, OpClass, Reg, TraceEntry};
+mod common;
+
+use common::strategies::{assert_matches_monitor, wire};
+use common::{session_cfg, workload_for};
 use igm::lifeguards::LifeguardKind;
-use igm::net::{ForwarderConfig, IngestServer, NetServerConfig, TraceForwarder};
+use igm::net::{IngestServer, NetServerConfig, TraceForwarder};
 use igm::runtime::{MonitorPool, PoolConfig, SessionConfig};
-use igm::workload::{Benchmark, MtBenchmark};
-
-/// A short buggy epilogue appended to a clean generated trace so the
-/// equivalence is asserted over *non-empty* violation sets.
-fn buggy_epilogue() -> Vec<TraceEntry> {
-    vec![
-        TraceEntry::annot(0x9100_0000, Annotation::Malloc { base: 0x0a00_0000, size: 64 }),
-        TraceEntry::annot(0x9100_0004, Annotation::ReadInput { base: 0x0a00_0000, len: 4 }),
-        TraceEntry::op(
-            0x9100_0008,
-            OpClass::MemToReg { src: MemRef::word(0x0a00_0040), rd: Reg::Edx },
-        ),
-        TraceEntry::op(
-            0x9100_000c,
-            OpClass::MemToReg { src: MemRef::word(0x0a00_0000), rd: Reg::Eax },
-        ),
-        TraceEntry::ctrl(0x9100_0010, CtrlOp::Indirect { target: JumpTarget::Reg(Reg::Eax) }),
-        TraceEntry::annot(0x9100_0014, Annotation::Free { base: 0x0a00_0000 }),
-    ]
-}
-
-fn session_cfg(kind: LifeguardKind, name: &str) -> SessionConfig {
-    let premark = match kind {
-        LifeguardKind::LockSet => MtBenchmark::Zchaff.trace(1).premark_regions(),
-        _ => Benchmark::Gzip.profile().premark_regions(),
-    };
-    SessionConfig::new(name, kind).synthetic().premark(&premark)
-}
-
-fn workload_for(kind: LifeguardKind, n: u64) -> Vec<TraceEntry> {
-    match kind {
-        LifeguardKind::LockSet => MtBenchmark::Zchaff.trace(n).collect(),
-        _ => {
-            let mut trace: Vec<TraceEntry> = Benchmark::Gzip.trace(n).collect();
-            trace.extend(buggy_epilogue());
-            trace
-        }
-    }
-}
+use igm::workload::Benchmark;
 
 #[test]
 fn loopback_ingest_equals_the_local_run_for_all_five_lifeguards() {
-    const N: u64 = 15_000;
-    // The same chunking on both paths, so batch boundaries (semantically
-    // inert, but visible in per-batch pipeline staging) line up exactly.
-    const CHUNK: u32 = 16 * 1024;
-    let pool = MonitorPool::new(PoolConfig { chunk_bytes: CHUNK, ..PoolConfig::with_workers(4) });
-
-    for kind in [
-        LifeguardKind::AddrCheck,
-        LifeguardKind::MemCheck,
-        LifeguardKind::TaintCheck,
-        LifeguardKind::TaintCheckDetailed,
-        LifeguardKind::LockSet,
-    ] {
-        let trace = workload_for(kind, N);
-
-        // Local reference run.
-        let local = {
-            let session = pool.open_session(session_cfg(kind, kind.name()));
-            session.stream(trace.iter().copied()).expect("pool alive");
-            session.finish()
-        };
-        if !matches!(kind, LifeguardKind::LockSet) {
-            assert!(
-                !local.violations.is_empty(),
-                "{kind:?}: the buggy epilogue must trip the lifeguard locally"
-            );
+    for kind in LifeguardKind::ALL {
+        let (cfg, trace) = (session_cfg(kind, kind.name()), workload_for(kind, 15_000));
+        let remote = wire(&cfg, &trace);
+        assert_matches_monitor(&cfg, &trace, &remote, true);
+        if kind != LifeguardKind::LockSet {
+            assert!(!remote.violations.is_empty(), "{kind}: the buggy epilogues must fire");
         }
-
-        // The same workload over the network: forwarder → server → pool.
-        let server = IngestServer::bind("127.0.0.1:0", &pool, NetServerConfig::default()).unwrap();
-        let addr = server.local_addr().unwrap();
-        let cfg = session_cfg(kind, kind.name());
-        let client = std::thread::spawn(move || {
-            let fcfg = ForwarderConfig { chunk_bytes: CHUNK, ..ForwarderConfig::default() };
-            let mut fwd = TraceForwarder::connect_with(addr, &cfg, fcfg).unwrap();
-            fwd.stream(trace).unwrap();
-            fwd.finish().unwrap()
-        });
-        let report = server.serve_connections(1);
-        let fwd_report = client.join().unwrap();
-
-        assert!(report.ingest.errors.is_empty(), "{kind:?}: {:?}", report.ingest.errors);
-        assert_eq!(report.accepted, 1);
-        let remote = &report.ingest.sessions[0];
-        assert_eq!(fwd_report.server_records, fwd_report.stats.records, "{kind:?}: lost records");
-        assert_eq!(remote.records, local.records, "{kind:?}: record counts diverge");
-        assert_eq!(remote.violations, local.violations, "{kind:?}: violations diverge");
-        assert_eq!(remote.dispatch, local.dispatch, "{kind:?}: dispatch stats diverge");
     }
-    pool.shutdown();
 }
 
 #[test]

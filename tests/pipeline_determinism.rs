@@ -1,73 +1,21 @@
 //! Intra-session epoch pipelining must be invisible in the results: a
 //! single hot session forced through the pipelined path
-//! ([`igm::runtime::PipelineMode::Always`]) has to produce the *same
-//! violation sequence and the same `DispatchStats`* as the plain
-//! sequential `Monitor` over the same trace — for an elision-heavy
-//! lifeguard (AddrCheck), a cascade-suppressing one (MemCheck, whose
-//! check handlers mutate metadata) and one that elides nothing
-//! (LockSet) — across randomized worker counts and epoch budgets. Under
-//! [`igm::runtime::PipelineMode::Auto`] the same holds whichever way the
-//! entry gate decides — and on a one-worker pool it must never decide to
+//! ([`PipelineMode::Always`], the `pool-always` strategy of
+//! `tests/equivalence.rs`) reports what the sequential `Monitor` reports,
+//! across randomized worker counts, epoch budgets, send sizes and a
+//! small transport chunk and channel. Under [`PipelineMode::Auto`] the
+//! same holds whichever way the entry gate decides, every stretch it
+//! enters it leaves, and on a one-worker pool it never decides to
 //! pipeline at all.
 
-use igm::accel::{AccelConfig, DispatchStats};
-use igm::isa::{Annotation, MemRef, OpClass, Reg, TraceEntry};
-use igm::lifeguards::{Lifeguard, LifeguardKind, Violation};
+mod common;
+
+use common::strategies::{assert_matches_monitor, pipelined};
+use common::{planted_trace, sequential};
+use igm::lifeguards::LifeguardKind;
 use igm::obs::EventKind;
 use igm::runtime::{EpochConfig, MonitorPool, PipelineMode, PoolConfig, SessionConfig};
-use igm::sim::Monitor;
 use proptest::prelude::*;
-
-/// A trace for `kind` with violations planted every `stride` records.
-fn planted_trace(kind: LifeguardKind, n: usize, stride: usize, seed: u32) -> Vec<TraceEntry> {
-    let heap = 0x9000_0000u32;
-    let mut trace = Vec::with_capacity(n + 8);
-    trace.push(TraceEntry::annot(0x10, Annotation::Malloc { base: heap, size: 0x1000 }));
-    for i in 0..n as u32 {
-        let pc = 0x1000 + 8 * i;
-        let addr = heap + 4 * ((i.wrapping_mul(seed | 1)) % 0x400);
-        let benign = match i % 4 {
-            0 => TraceEntry::op(pc, OpClass::ImmToMem { dst: MemRef::word(addr) }),
-            1 => TraceEntry::op(pc, OpClass::MemToReg { src: MemRef::word(addr), rd: Reg::Eax }),
-            2 => TraceEntry::op(pc, OpClass::RegToReg { rs: Reg::Eax, rd: Reg::Ecx }),
-            _ => TraceEntry::op(pc, OpClass::DestRegOpReg { rs: Reg::Ecx, rd: Reg::Eax }),
-        };
-        trace.push(benign);
-        if (i as usize + 1).is_multiple_of(stride) {
-            match kind {
-                LifeguardKind::LockSet => {
-                    // Two threads write the same fresh word, no lock held.
-                    let w = 0xb000_0000 + 4 * i;
-                    trace.push(TraceEntry::op(pc + 1, OpClass::ImmToMem { dst: MemRef::word(w) }));
-                    trace.push(TraceEntry::annot(pc + 2, Annotation::ThreadSwitch { tid: 1 }));
-                    trace.push(TraceEntry::op(pc + 3, OpClass::ImmToMem { dst: MemRef::word(w) }));
-                    trace.push(TraceEntry::annot(pc + 4, Annotation::ThreadSwitch { tid: 0 }));
-                }
-                _ => {
-                    // Touch unallocated memory (AddrCheck, MemCheck).
-                    trace.push(TraceEntry::op(
-                        pc + 1,
-                        OpClass::MemToReg { src: MemRef::word(0xdead_0000 + 8 * i), rd: Reg::Edx },
-                    ));
-                }
-            }
-        }
-    }
-    trace
-}
-
-/// The sequential reference: the ordinary single-threaded `Monitor`.
-fn sequential_reference(
-    kind: LifeguardKind,
-    trace: &[TraceEntry],
-) -> (Vec<Violation>, DispatchStats) {
-    let accel = AccelConfig::baseline();
-    let mut seq = Monitor::new(kind.build_any(&accel), &accel);
-    seq.observe_all(trace.iter().copied());
-    let stats = seq.dispatch_stats().clone();
-    let violations = seq.lifeguard_mut().take_violations();
-    (violations, stats)
-}
 
 /// `(pipeline_enter, pipeline_exit)` events in the pool's ring.
 fn pipeline_events(pool: &MonitorPool) -> (usize, usize) {
@@ -87,7 +35,7 @@ fn pipeline_events(pool: &MonitorPool) -> (usize, usize) {
 fn auto_never_pipelines_on_one_worker() {
     for kind in [LifeguardKind::AddrCheck, LifeguardKind::MemCheck] {
         let trace = planted_trace(kind, 40_000, 97, 7);
-        let (seq_violations, seq_dispatch) = sequential_reference(kind, &trace);
+        let seq = sequential(&SessionConfig::new("hot", kind), &trace);
         let pool = MonitorPool::new(PoolConfig {
             workers: 1,
             // A tiny channel and a producer that never pauses: the channel
@@ -105,18 +53,31 @@ fn auto_never_pipelines_on_one_worker() {
         assert_eq!(pipeline_events(&pool), (0, 0), "{kind}: pipelined on a one-worker pool");
         assert_eq!(pool.stats().epoch_jobs, 0, "{kind}");
         assert_eq!(report.records, trace.len() as u64);
-        assert_eq!(report.violations, seq_violations, "{kind}");
-        assert_eq!(report.dispatch, seq_dispatch, "{kind}");
+        assert_eq!(report.violations, seq.violations(), "{kind}");
+        assert_eq!(&report.dispatch, seq.dispatch_stats(), "{kind}");
         pool.shutdown();
+    }
+}
+
+/// A `workers`-worker pool with a small channel and transport chunk,
+/// sizing epochs by `epoch`.
+fn small_pool(workers: usize, epoch: EpochConfig) -> PoolConfig {
+    PoolConfig {
+        workers,
+        channel_capacity_bytes: 8192,
+        chunk_bytes: 512,
+        epoch,
+        ..PoolConfig::default()
     }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// One hot session, pipelined from the first record: violations and
-    /// dispatch counters equal the sequential monitor exactly, for every
-    /// worker count and epoch budget.
+    /// One hot session, pipelined from the first record, matches the
+    /// sequential monitor for every worker count and epoch budget, for an
+    /// elision-heavy lifeguard (AddrCheck), a cascade-suppressing one
+    /// (MemCheck) and one that elides nothing (LockSet).
     #[test]
     fn pipelined_session_matches_sequential_monitor(
         workers in 1usize..=4,
@@ -128,39 +89,29 @@ proptest! {
     ) {
         for kind in [LifeguardKind::AddrCheck, LifeguardKind::MemCheck, LifeguardKind::LockSet] {
             let trace = planted_trace(kind, n, stride, seed);
-            let (seq_violations, seq_dispatch) = sequential_reference(kind, &trace);
-            prop_assert!(!seq_violations.is_empty(), "{kind}: planted patterns must fire");
-
-            let pool = MonitorPool::new(PoolConfig {
-                workers,
-                channel_capacity_bytes: 8192,
-                chunk_bytes: 512,
-                pipeline: PipelineMode::Always,
-                epoch: EpochConfig::fixed(budget),
-                ..PoolConfig::default()
-            });
-            let session = pool.open_session(SessionConfig::new("hot", kind));
-            for chunk in trace.chunks(chunk_records) {
-                session.send_batch(chunk.to_vec()).unwrap();
-            }
-            let report = session.finish();
-            prop_assert!(
-                pool.stats().epoch_jobs > 0,
-                "{kind}: Always mode must actually ship epoch jobs"
-            );
-            prop_assert_eq!(report.records, trace.len() as u64);
-            prop_assert_eq!(
-                &report.violations, &seq_violations,
-                "{} violations (workers={}, budget={}, chunk={})",
-                kind, workers, budget, chunk_records
-            );
-            prop_assert_eq!(
-                &report.dispatch, &seq_dispatch,
-                "{} dispatch stats (workers={}, budget={}, chunk={})",
-                kind, workers, budget, chunk_records
-            );
-            pool.shutdown();
+            let cfg = SessionConfig::new("hot", kind);
+            let pool = small_pool(workers, EpochConfig::fixed(budget));
+            let (got, jobs) = pipelined(&cfg, &trace, pool, chunk_records);
+            prop_assert!(jobs > 0, "{kind}: Always mode must actually ship epoch jobs");
+            let want = assert_matches_monitor(&cfg, &trace, &got, false);
+            prop_assert!(!want.violations.is_empty(), "{kind}: planted patterns must fire");
         }
+    }
+
+    /// Adaptive epoch sizing under pipelining must not change results
+    /// either, whatever cuts the check-density feedback picks.
+    #[test]
+    fn pipelined_adaptive_budgets_match_sequential_monitor(
+        workers in 1usize..=4,
+        n in 300usize..700,
+        seed in 1u32..1000,
+    ) {
+        let kind = LifeguardKind::AddrCheck;
+        let trace = planted_trace(kind, n, 17, seed);
+        let cfg = SessionConfig::new("hot", kind);
+        let epoch = EpochConfig { initial: 64, min: 16, max: 256, target_checks: 128 };
+        let (got, _) = pipelined(&cfg, &trace, small_pool(workers, epoch), 23);
+        assert_matches_monitor(&cfg, &trace, &got, false);
     }
 
     /// Auto mode decides per session, from live channel occupancy and
@@ -176,7 +127,7 @@ proptest! {
     ) {
         let kind = LifeguardKind::AddrCheck;
         let trace = planted_trace(kind, n, 19, seed);
-        let (seq_violations, seq_dispatch) = sequential_reference(kind, &trace);
+        let seq = sequential(&SessionConfig::new("hot", kind), &trace);
 
         let pool = MonitorPool::new(PoolConfig {
             workers,
@@ -192,8 +143,8 @@ proptest! {
             session.send_batch(chunk.to_vec()).unwrap();
         }
         let report = session.finish();
-        prop_assert_eq!(&report.violations, &seq_violations);
-        prop_assert_eq!(&report.dispatch, &seq_dispatch);
+        prop_assert_eq!(&report.violations[..], seq.violations());
+        prop_assert_eq!(&report.dispatch, seq.dispatch_stats());
         let (entered, exited) = pipeline_events(&pool);
         prop_assert_eq!(entered, exited, "a finished session has left every stretch it entered");
         if workers == 1 {
@@ -204,36 +155,6 @@ proptest! {
                 prop_assert_eq!(g.value, 0, "{} must settle after finish", g.name);
             }
         }
-        pool.shutdown();
-    }
-
-    /// Adaptive epoch sizing under pipelining must not change results
-    /// either — whatever cuts the check-density feedback picks.
-    #[test]
-    fn pipelined_adaptive_budgets_match_sequential_monitor(
-        workers in 1usize..=4,
-        n in 300usize..700,
-        seed in 1u32..1000,
-    ) {
-        let kind = LifeguardKind::AddrCheck;
-        let trace = planted_trace(kind, n, 17, seed);
-        let (seq_violations, seq_dispatch) = sequential_reference(kind, &trace);
-
-        let pool = MonitorPool::new(PoolConfig {
-            workers,
-            channel_capacity_bytes: 8192,
-            chunk_bytes: 512,
-            pipeline: PipelineMode::Always,
-            epoch: EpochConfig { initial: 64, min: 16, max: 256, target_checks: 128 },
-            ..PoolConfig::default()
-        });
-        let session = pool.open_session(SessionConfig::new("hot", kind));
-        for chunk in trace.chunks(23) {
-            session.send_batch(chunk.to_vec()).unwrap();
-        }
-        let report = session.finish();
-        prop_assert_eq!(&report.violations, &seq_violations);
-        prop_assert_eq!(&report.dispatch, &seq_dispatch);
         pool.shutdown();
     }
 }

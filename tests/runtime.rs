@@ -1,109 +1,48 @@
 //! Acceptance tests for the streaming runtime: a session pipelined into
-//! snapshot-checked epochs ([`PipelineMode::Always`]) is *exact* —
-//! identical violation sequences and `DispatchStats` to the sequential
-//! `Monitor` under the same accelerator configuration — for every
-//! lifeguard, including the ones whose metadata does not commute with
-//! check elision (which replay the full event stream per epoch) and with
-//! IT on; the multi-tenant pool serves concurrent benchmark sessions end to
-//! end; and the pool refuses an epoch configuration that bounds no epoch.
+//! snapshot-checked epochs ([`PipelineMode::Always`]) is exact against the
+//! sequential `Monitor` on long traces with planted taint chains (IT on
+//! and off), on a short MemCheck trace cut into 2-record epochs and on a
+//! clean workload (the `pool-always` strategy of `tests/equivalence.rs`,
+//! here with bounds on the epoch jobs it ships); the multi-tenant pool
+//! serves concurrent benchmark sessions end to end; and the pool refuses
+//! an epoch configuration that bounds no epoch.
 
-use igm::accel::{AccelConfig, DispatchStats, ItConfig};
-use igm::isa::{Annotation, CtrlOp, JumpTarget, MemRef, OpClass, Reg, TraceEntry};
-use igm::lifeguards::{Lifeguard, LifeguardKind, Violation};
+mod common;
+
+use common::strategies::{assert_matches_monitor, pipelined};
+use igm::accel::{AccelConfig, ItConfig};
+use igm::isa::{Annotation, MemRef, OpClass, Reg, TraceEntry};
+use igm::lifeguards::{LifeguardKind, Violation};
 use igm::runtime::{
     EpochConfig, MonitorPool, PipelineMode, PoolConfig, SessionConfig, SessionReport,
 };
-use igm::sim::Monitor;
 use igm::workload::Benchmark;
 
-/// A benchmark trace with taint-violation patterns planted at irregular
-/// offsets (several of which straddle epoch boundaries for any power-of-two
-/// epoch size): read untrusted input, load it, jump through it.
-fn tainted_trace(n: u64) -> Vec<TraceEntry> {
-    let mut trace: Vec<TraceEntry> = Benchmark::Gcc.trace(n).collect();
-    let mut at = 977usize; // prime stride, so patterns cross epoch cuts
-    let mut k = 0u32;
-    while at + 3 < trace.len() {
-        let buf = 0xa000_0000 + k * 0x40;
-        trace.insert(
-            at,
-            TraceEntry::annot(0x7000_0000 + k, Annotation::ReadInput { base: buf, len: 4 }),
-        );
-        trace.insert(
-            at + 1,
-            TraceEntry::op(
-                0x7000_0010 + k,
-                OpClass::MemToReg { src: MemRef::word(buf), rd: Reg::Eax },
-            ),
-        );
-        trace.insert(
-            at + 2,
-            TraceEntry::ctrl(
-                0x7000_0020 + k,
-                CtrlOp::Indirect { target: JumpTarget::Reg(Reg::Eax) },
-            ),
-        );
-        at += 977;
-        k += 1;
-    }
-    trace
-}
-
-/// The sequential reference: the ordinary `Monitor` over `trace`, with the
-/// session's lifeguard, accelerators, workload mode and pre-marked regions.
-fn sequential(cfg: &SessionConfig, trace: &[TraceEntry]) -> (Vec<Violation>, DispatchStats) {
-    let mut lifeguard = cfg.lifeguard.build_any(&cfg.accel);
-    lifeguard.set_synthetic_workload_mode(cfg.synthetic_workload);
-    for &(base, len) in &cfg.premark {
-        lifeguard.premark_region(base, len);
-    }
-    let mut seq = Monitor::new(lifeguard, &cfg.accel);
-    seq.observe_all(trace.iter().copied());
-    let dispatch = seq.dispatch_stats().clone();
-    (seq.lifeguard_mut().take_violations(), dispatch)
-}
-
-/// Streams `trace` in `send_records`-record sends through one session
-/// pipelined from its first record, on a fresh pool of `workers` workers
-/// sizing epochs by `epoch`, and asserts the session is exact against
-/// [`sequential`]. Returns the violations and the pool's epoch-job count.
+/// Streams `trace` in `send`-record sends through one session pipelined
+/// from its first record, on a fresh pool of `workers` workers sizing
+/// epochs by `epoch`, and asserts it matches the sequential `Monitor`.
+/// Returns the violations and the pool's epoch-job count.
 fn assert_pipelined_matches_sequential(
     cfg: &SessionConfig,
     trace: &[TraceEntry],
     workers: usize,
     epoch: EpochConfig,
-    send_records: usize,
+    send: usize,
 ) -> (Vec<Violation>, u64) {
-    let pool = MonitorPool::new(PoolConfig {
-        pipeline: PipelineMode::Always,
-        epoch,
-        ..PoolConfig::with_workers(workers)
-    });
-    let session = pool.open_session(cfg.clone());
-    for send in trace.chunks(send_records) {
-        session.send_batch(send.to_vec()).unwrap();
-    }
-    let report = session.finish();
-    let epoch_jobs = pool.stats().epoch_jobs;
-    pool.shutdown();
-
-    let (violations, dispatch) = sequential(cfg, trace);
-    let accel = cfg.lifeguard.mask_config(&cfg.accel);
-    let label = format!("{} {} {epoch:?}", cfg.lifeguard, accel.label());
-    assert_eq!(report.records, trace.len() as u64, "{label}");
-    assert_eq!(report.violations, violations, "{label}: violation order and content");
-    assert_eq!(report.dispatch, dispatch, "{label}: DispatchStats");
-    (violations, epoch_jobs)
+    let (got, jobs) =
+        pipelined(cfg, trace, PoolConfig { epoch, ..PoolConfig::with_workers(workers) }, send);
+    assert_matches_monitor(cfg, trace, &got, false);
+    (got.violations, jobs)
 }
 
 #[test]
 fn epoch_parallel_taintcheck_matches_sequential_monitor() {
-    let trace = tainted_trace(30_000);
+    let trace = common::taint_chains(30_000);
     let send = 64;
     let baseline = SessionConfig::new("hot-app", LifeguardKind::TaintCheck);
     // Epoch sizes that do not divide the trace evenly, so the tail epoch
-    // is short and the planted patterns straddle cuts. No epoch exceeds
-    // its budget by a whole send, which bounds the job count from below.
+    // is short and the planted chains straddle cuts. No epoch exceeds its
+    // budget by a whole send, which bounds the job count from below.
     for budget in [1_000, 4_096] {
         let (violations, jobs) = assert_pipelined_matches_sequential(
             &baseline,
@@ -112,38 +51,31 @@ fn epoch_parallel_taintcheck_matches_sequential_monitor() {
             EpochConfig::fixed(budget),
             send,
         );
-        assert!(violations.len() >= 20, "planted patterns must fire (got {})", violations.len());
-        assert!(
-            jobs >= trace.len().div_ceil(budget + send - 1) as u64,
-            "{jobs} epoch jobs cannot cover {} records at budget {budget}",
-            trace.len()
-        );
+        assert!(violations.len() >= 20, "planted chains must fire (got {})", violations.len());
+        let fewest = trace.len().div_ceil(budget + send - 1) as u64;
+        assert!(jobs >= fewest, "{jobs} epoch jobs cannot cover the trace at budget {budget}");
     }
 
     // Adaptive sizing re-budgets every epoch from observed check density;
     // whatever cuts it picks, the result must still equal the reference.
     let adaptive = EpochConfig { initial: 1_000, min: 500, max: 8_192, target_checks: 2_000 };
     let (_, jobs) = assert_pipelined_matches_sequential(&baseline, &trace, 4, adaptive, send);
-    assert!(
-        jobs >= trace.len().div_ceil(8_192 + send - 1) as u64,
-        "adaptive epochs must cover the trace"
-    );
+    let fewest = trace.len().div_ceil(8_192 + send - 1) as u64;
+    assert!(jobs >= fewest, "adaptive epochs must cover the trace");
 
     // With IT on, every epoch job replays from a clone of the dispatch
     // pipeline taken at its boundary, so IT state crosses the cuts intact.
     let it = baseline.clone().accel(AccelConfig::full(ItConfig::taint_style()));
     let (violations, _) =
         assert_pipelined_matches_sequential(&it, &trace, 4, EpochConfig::fixed(1_000), send);
-    assert!(!violations.is_empty(), "planted patterns must fire with IT on");
+    assert!(violations.len() >= 20, "planted chains must fire with IT on");
 }
 
 #[test]
 fn non_commuting_lifeguards_run_parallel_and_match_sequential() {
-    // MemCheck's loads mutate metadata (cascade suppression), so its
-    // checks cannot be elided-and-replayed piecemeal — each epoch job
-    // replays the full event stream from its boundary snapshot instead.
-    // Tiny epochs (2 records) force many cuts right through the
-    // store/load dependences; the merged result must still be exact.
+    // MemCheck's loads mutate metadata (cascade suppression), so each
+    // epoch job replays the full event stream from its boundary snapshot.
+    // 2-record epochs cut right through the store/load dependences.
     let trace = [
         TraceEntry::annot(0x10, Annotation::Malloc { base: 0x9000, size: 64 }),
         // A store then loads; one load of never-allocated memory.
@@ -159,6 +91,19 @@ fn non_commuting_lifeguards_run_parallel_and_match_sequential() {
     // One-record sends never overshoot the 2-record budget, so 5 records
     // take at least 3 epochs; a drained channel may ship more, partial ones.
     assert!(jobs >= 3, "only {jobs} epoch jobs for 5 records at budget 2");
+}
+
+#[test]
+fn epoch_parallel_is_clean_on_clean_workloads() {
+    // No planted bugs: both paths must agree on "nothing to report".
+    let cfg = SessionConfig::new("clean", LifeguardKind::AddrCheck)
+        .synthetic()
+        .premark(&Benchmark::Crafty.profile().premark_regions());
+    let trace: Vec<TraceEntry> = Benchmark::Crafty.trace(20_000).collect();
+    let (violations, jobs) =
+        assert_pipelined_matches_sequential(&cfg, &trace, 4, EpochConfig::fixed(4_096), 256);
+    assert!(violations.is_empty(), "{:?}", violations.first());
+    assert!(jobs > 0, "Always mode must actually ship epoch jobs");
 }
 
 #[test]
@@ -200,19 +145,6 @@ fn pool_serves_four_premarked_tenants() {
         );
         assert!(r.records_per_sec() > 0.0);
     }
-}
-
-#[test]
-fn epoch_parallel_is_clean_on_clean_workloads() {
-    // No planted bugs: both paths must agree on "nothing to report".
-    let cfg = SessionConfig::new("clean", LifeguardKind::AddrCheck)
-        .synthetic()
-        .premark(&Benchmark::Crafty.profile().premark_regions());
-    let trace: Vec<TraceEntry> = Benchmark::Crafty.trace(20_000).collect();
-    let (violations, jobs) =
-        assert_pipelined_matches_sequential(&cfg, &trace, 4, EpochConfig::fixed(4_096), 256);
-    assert!(violations.is_empty(), "{:?}", violations.first());
-    assert!(jobs > 0, "Always mode must actually ship epoch jobs");
 }
 
 /// An epoch budget clamped to `[0, max]` could ask for empty epochs; the
