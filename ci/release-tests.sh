@@ -42,3 +42,7 @@ cargo test --release -q -p igm-trace --test index
 cargo test --release -q -p igm-trace --test codec
 cargo test --release -q -p igm-net --test protocol
 cargo test --release -q -p igm-core -p igm-shadow -p igm-lifeguards
+# igm-sim and igm-timing: `Simulator::run_trace` runs its two stages on two
+# threads, whose interleaving optimization tightens, and `Cache` is
+# shift-and-mask code.
+cargo test --release -q -p igm-sim -p igm-timing

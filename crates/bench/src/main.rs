@@ -327,13 +327,19 @@ fn fig14(n: u64) {
         "{:<14} {:>10} {:>10} {:>10}   {:>10} {:>10} {:>10}",
         "benchmark", "fix-16", "fix-64", "fix-256", "flex-16", "flex-64", "flex-256"
     );
-    let cells = |rates: [f64; 3]| rates.map(|r| format!("{:>9.3}%", r * 100.0)).join(" ");
+    // `-`: a trace that touches no memory has no footprint to size for.
+    let cells = |rates: [Option<f64>; 3]| {
+        rates
+            .map(|r| r.map_or(format!("{:>10}", "-"), |r| format!("{:>9.3}%", r * 100.0)))
+            .join(" ")
+    };
     for bench in Benchmark::ALL {
-        let fixed = entries.map(|e| mtlb_miss_rate(bench.trace(n), 20, e));
+        let fixed = entries.map(|e| Some(mtlb_miss_rate(bench.trace(n), 20, e)));
         let fp = trace_footprint(bench.trace(n));
         let flex = entries.map(|e| mtlb_flexible(&fp, bench.trace(n), e));
-        let name = format!("{}({})", bench.name(), flex[2].0);
-        println!("{name:<14} {}   {}", cells(fixed), cells(flex.map(|(_, rate)| rate)));
+        let bits = flex[2].map_or("-".to_owned(), |(bits, _)| bits.to_string());
+        let name = format!("{}({bits})", bench.name());
+        println!("{name:<14} {}   {}", cells(fixed), cells(flex.map(|f| f.map(|(_, rate)| rate))));
     }
     println!(
         "\n(paper: fixed-20 misses up to 8.4%; flexible (10-15 bits chosen) mostly negligible)"

@@ -30,6 +30,16 @@ fn ablation_prints_the_pinned_tables() {
     assert_stdout(&["ablation"], 1_182, 0x1cfa_4348_20b4_27e8);
 }
 
+/// At `N = 200` some benchmark's records touch no memory, so Figure 14(b)
+/// has no footprint to size a flexible design for: that row prints `-`.
+#[test]
+fn fig14_prints_a_dash_for_a_trace_without_memory_accesses() {
+    let out = figures("200", &["fig14"]);
+    assert!(out.status.success(), "figures fig14: {}", String::from_utf8_lossy(&out.stderr));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("(-)"), "no flexible row without a footprint:\n{stdout}");
+}
+
 #[test]
 fn malformed_scale_is_refused_by_name() {
     let out = figures("20k", &["fig10"]);

@@ -64,7 +64,7 @@ pub struct Chunks<I> {
 }
 
 /// A refillable chunk destination: the one chunking rule in
-/// [`Chunks::fill`] serves both the `Vec<TraceEntry>` staging buffers and
+/// [`Chunks::fill`] serves both the iterator's `Vec<TraceEntry>` chunks and
 /// the columnar [`TraceBatch`](crate::TraceBatch) arenas.
 trait ChunkDest {
     fn clear(&mut self);
@@ -123,22 +123,12 @@ impl<I: Iterator<Item = TraceEntry>> Chunks<I> {
         !batch.is_empty()
     }
 
-    /// Fills `batch` (cleared first) with the next size-bounded chunk,
-    /// returning whether one was produced. This is the allocation-free
-    /// twin of the `Iterator` impl: callers that pump chunks through a
-    /// reusable staging buffer — the trace codec's writer, the ingest
-    /// front-end's in-memory sources — reuse one `Vec`'s capacity across
-    /// the whole stream instead of allocating per chunk.
-    pub fn next_into(&mut self, batch: &mut Vec<TraceEntry>) -> bool {
-        self.fill(batch)
-    }
-
     /// Fills `batch` (cleared first) with the next size-bounded chunk as a
     /// structure-of-arrays [`TraceBatch`](crate::TraceBatch) — the native
-    /// producer of the columnar record path. Same chunking rule as
-    /// [`Chunks::next_into`] (they share the implementation); generators
-    /// and the streaming producers feed the transport with batches built
-    /// column-first, no `Vec<TraceEntry>` staging.
+    /// producer of the columnar record path. Same chunking rule as the
+    /// `Iterator` impl (they share the implementation); generators and the
+    /// streaming producers feed the transport with batches built
+    /// column-first, reusing one arena's capacity across the whole stream.
     pub fn next_into_batch(&mut self, batch: &mut crate::TraceBatch) -> bool {
         self.fill(batch)
     }
@@ -149,7 +139,7 @@ impl<I: Iterator<Item = TraceEntry>> Iterator for Chunks<I> {
 
     fn next(&mut self) -> Option<Vec<TraceEntry>> {
         let mut batch = Vec::new();
-        if self.next_into(&mut batch) {
+        if self.fill(&mut batch) {
             Some(batch)
         } else {
             None
@@ -186,7 +176,7 @@ mod tests {
     }
 
     #[test]
-    fn next_into_matches_iterator() {
+    fn next_into_batch_matches_iterator() {
         let mut recs = Vec::new();
         for pc in 0..50u32 {
             recs.push(TraceEntry::op(pc, OpClass::ImmToReg { rd: Reg::Eax }));
@@ -195,38 +185,14 @@ mod tests {
             }
         }
         let by_iter: Vec<_> = chunks(recs.iter().copied(), 12).collect();
-        let mut by_into = Vec::new();
-        let mut it = chunks(recs.iter().copied(), 12);
-        let mut buf = Vec::new();
-        while it.next_into(&mut buf) {
-            by_into.push(buf.clone());
-        }
-        assert_eq!(by_iter, by_into);
-    }
-
-    #[test]
-    fn next_into_batch_matches_next_into() {
-        let mut recs = Vec::new();
-        for pc in 0..50u32 {
-            recs.push(TraceEntry::op(pc, OpClass::ImmToReg { rd: Reg::Eax }));
-            if pc % 9 == 0 {
-                recs.push(TraceEntry::annot(pc, Annotation::Lock { lock: pc }));
-            }
-        }
-        let mut by_vec = chunks(recs.iter().copied(), 12);
         let mut by_batch = chunks(recs.iter().copied(), 12);
-        let mut vec_buf = Vec::new();
         let mut batch_buf = crate::TraceBatch::new();
-        loop {
-            let a = by_vec.next_into(&mut vec_buf);
-            let b = by_batch.next_into_batch(&mut batch_buf);
-            assert_eq!(a, b, "chunk availability diverged");
-            if !a {
-                break;
-            }
-            assert_eq!(batch_buf.to_entries(), vec_buf, "chunk contents diverged");
-            assert_eq!(batch_buf.compressed_bytes(), batch_bytes(&vec_buf));
+        for want in &by_iter {
+            assert!(by_batch.next_into_batch(&mut batch_buf), "chunk availability diverged");
+            assert_eq!(&batch_buf.to_entries(), want, "chunk contents diverged");
+            assert_eq!(batch_buf.compressed_bytes(), batch_bytes(want));
         }
+        assert!(!by_batch.next_into_batch(&mut batch_buf), "chunk availability diverged");
     }
 
     #[test]

@@ -37,10 +37,16 @@ pub const NLBA_INSTRS: u32 = 1;
 /// and the address arithmetic whose only consumer is the timing model. What
 /// the handlers *do* — shadow reads and writes, chunk allocation order,
 /// violations — is the same under both.
+///
+/// A recording sink also keeps one [mark](CostSink::mark) per handled
+/// event, so one [`Lifeguard::handle_batch`](crate::Lifeguard::handle_batch)
+/// over many events still yields each event's own cost.
 #[derive(Debug, Default, Clone)]
 pub struct CostSink {
     instrs: u64,
     mem_vas: Vec<u32>,
+    /// Per handled event: `(instrs, mem_vas.len())` when it started.
+    marks: Vec<(u64, u32)>,
     discard: bool,
 }
 
@@ -56,10 +62,23 @@ impl CostSink {
         CostSink { discard: true, ..CostSink::default() }
     }
 
-    /// Resets the sink for the next event.
+    /// Resets the sink for the next event (or batch), keeping its
+    /// allocations.
     pub fn clear(&mut self) {
         self.instrs = 0;
         self.mem_vas.clear();
+        self.marks.clear();
+    }
+
+    /// Marks the start of the next event's handler. Every lifeguard's
+    /// [`handle_batch`](crate::Lifeguard::handle_batch) calls this once per
+    /// event, so event `i`'s cost is the difference between marks `i` and
+    /// `i + 1` (the sink's totals after the last event).
+    #[inline]
+    pub fn mark(&mut self) {
+        if !self.discard {
+            self.marks.push((self.instrs, self.mem_vas.len() as u32));
+        }
     }
 
     /// Charges `n` handler instructions.
@@ -88,6 +107,12 @@ impl CostSink {
     /// Metadata references recorded so far.
     pub fn mem_vas(&self) -> &[u32] {
         &self.mem_vas
+    }
+
+    /// One `(instrs, mem_vas.len())` mark per event handled since the last
+    /// [`CostSink::clear`], in order (empty on a discarding sink).
+    pub fn marks(&self) -> &[(u64, u32)] {
+        &self.marks
     }
 }
 

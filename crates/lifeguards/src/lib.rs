@@ -207,10 +207,10 @@ pub trait Lifeguard {
 
     /// Handles a whole batch of delivered events, event for event as
     /// [`Lifeguard::handle`] would. Cost accumulates across the batch into
-    /// `cost` (the caller clears it at batch grain); batch consumers that
-    /// need per-event costs must fall back to [`Lifeguard::handle`]. Every
-    /// violation reported here is tagged with its event's index in `evs`
-    /// ([`Lifeguard::violation_events`]).
+    /// `cost` (the caller clears it at batch grain), and each event's
+    /// handler starts with a [`CostSink::mark`], where a consumer that needs
+    /// per-event costs splits them. Every violation reported here is tagged
+    /// with its event's index in `evs` ([`Lifeguard::violation_events`]).
     fn handle_batch(&mut self, evs: &[DeliveredEvent], cost: &mut CostSink);
 
     /// Violations reported so far.

@@ -369,6 +369,7 @@ impl Lifeguard for LockSet {
     fn handle_batch(&mut self, evs: &[DeliveredEvent], cost: &mut CostSink) {
         for (i, ev) in evs.iter().enumerate() {
             self.violations.handling(i);
+            cost.mark();
             self.handle(ev, cost);
         }
     }

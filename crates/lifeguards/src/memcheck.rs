@@ -293,6 +293,7 @@ impl Lifeguard for MemCheck {
     fn handle_batch(&mut self, evs: &[DeliveredEvent], cost: &mut CostSink) {
         for (i, ev) in evs.iter().enumerate() {
             self.violations.handling(i);
+            cost.mark();
             match &ev.event {
                 Event::MemRead(m) => self.check_accessible(ev.pc, *m, false, cost),
                 Event::MemWrite(m) => self.check_accessible(ev.pc, *m, true, cost),

@@ -384,6 +384,7 @@ impl Lifeguard for TaintCheckDetailed {
     fn handle_batch(&mut self, evs: &[DeliveredEvent], cost: &mut CostSink) {
         for (i, ev) in evs.iter().enumerate() {
             self.violations.handling(i);
+            cost.mark();
             self.handle(ev, cost);
         }
     }

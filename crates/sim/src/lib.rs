@@ -37,14 +37,22 @@ pub use report::SimReport;
 
 use igm_core::{AccelConfig, DispatchPipeline, ItConfig};
 use igm_isa::TraceEntry;
-use igm_lba::{chunks, EventBuf, TraceBatch};
+use igm_lba::{EventBuf, TraceBatch};
 use igm_lifeguards::{CostSink, Lifeguard, LifeguardKind};
 use igm_timing::{CoSim, SystemConfig};
 use igm_workload::{Benchmark, MtBenchmark};
+use std::sync::mpsc::sync_channel;
+use std::thread;
 
-/// Compressed-record bytes per dispatch batch in [`Simulator::run_trace`]
-/// (≈ 1 k records).
-const RUN_BATCH_BYTES: u32 = 1_024;
+/// Records per chunk in [`Simulator::run_trace`]: the functional stage
+/// dispatches and handles one chunk at a time and hands it to the timing
+/// stage as one packet.
+const RUN_BATCH_RECORDS: usize = 1_024;
+
+/// Full packets queued between the two stages of [`Simulator::run_trace`].
+/// The functional stage is the slower one, so a deeper queue only holds
+/// more packets in memory without making a run any faster.
+const PACKETS_IN_FLIGHT: usize = 2;
 
 /// Configuration of one simulation run.
 #[derive(Debug, Clone)]
@@ -123,10 +131,15 @@ impl Simulator {
     /// pre-mark. The parameter remains because `benchmark/` calls this
     /// three-argument signature.
     ///
-    /// The trace is dispatched in ≈ 1 k-record chunks and the handlers then
-    /// run record by record over the delivered events. The gate never
-    /// reads lifeguard state, so running it a batch ahead of the handlers
-    /// is exact.
+    /// Two stages run the trace, as the two cores of the modelled system
+    /// do. The calling thread is the functional stage: it dispatches the
+    /// trace in 1 k-record chunks and handles each chunk's events in one
+    /// [`Lifeguard::handle_batch`], whose sink keeps a
+    /// [mark](CostSink::marks) per event. A scoped thread is the timing
+    /// stage: it splits each chunk's handler cost per record at those marks
+    /// and steps the [`CoSim`] through the records in trace order. Neither
+    /// stage reads the other's state, so the report is what one thread
+    /// computing both would produce.
     pub fn run_trace(
         &self,
         premark: &[(u32, u32)],
@@ -142,27 +155,88 @@ impl Simulator {
         }
         let mut pipeline = DispatchPipeline::new(lifeguard.etct(), &self.cfg.accel);
         let mut cosim = CoSim::new(self.cfg.system);
-        let mut cost = CostSink::new();
-        let mut chunker = chunks(trace, RUN_BATCH_BYTES);
-        // The chunk as pulled, for the co-simulator, and as columns, for
-        // the dispatch sweep: reassembling entries from the columns would
-        // redo the work.
-        let mut entries = Vec::new();
-        let mut batch = TraceBatch::new();
-        let mut events = EventBuf::new();
+        let mut trace = trace.into_iter();
 
-        while chunker.next_into(&mut entries) {
-            batch.clear();
-            batch.extend_entries(entries.iter().copied());
-            pipeline.dispatch_batch(&batch, &mut events);
-            for (entry, evs) in entries.iter().zip(events.record_slices()) {
-                cost.clear();
-                lifeguard.handle_batch(evs, &mut cost);
-                cosim.step_record(entry, evs.len() as u32, cost.instrs(), cost.mem_vas());
+        let timing = thread::scope(|s| {
+            let (full_tx, full_rx) = sync_channel::<Packet>(PACKETS_IN_FLIGHT);
+            // The front takes a fresh packet only when none has come back,
+            // right after a send: then every other packet is queued or being
+            // replayed, so there are never more than this many.
+            let (free_tx, free_rx) = sync_channel::<Packet>(PACKETS_IN_FLIGHT + 2);
+            let timing = s.spawn(move || {
+                for packet in full_rx {
+                    packet.replay(&mut cosim);
+                    // The front has stopped if this fails.
+                    let _ = free_tx.send(packet);
+                }
+                cosim.finish()
+            });
+
+            // The functional stage. A panic here drops `full_tx`, which ends
+            // the timing stage; a panic there makes the next send fail.
+            let mut batch = TraceBatch::new();
+            let mut packet = Packet::new();
+            loop {
+                packet.entries.clear();
+                packet.entries.extend(trace.by_ref().take(RUN_BATCH_RECORDS));
+                if packet.entries.is_empty() {
+                    break;
+                }
+                batch.clear();
+                batch.extend_entries(packet.entries.iter().copied());
+                pipeline.dispatch_batch(&batch, &mut packet.events);
+                packet.cost.clear();
+                lifeguard.handle_batch(packet.events.events(), &mut packet.cost);
+                let ended = packet.entries.len() < RUN_BATCH_RECORDS;
+                if full_tx.send(packet).is_err() || ended {
+                    break;
+                }
+                packet = free_rx.try_recv().unwrap_or_else(|_| Packet::new());
             }
-        }
+            drop(full_tx);
+            timing.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+        });
 
-        SimReport::new(self.cfg.lifeguard, self.cfg.accel, cosim.finish(), pipeline, lifeguard)
+        SimReport::new(self.cfg.lifeguard, self.cfg.accel, timing, pipeline, lifeguard)
+    }
+}
+
+/// One chunk of the trace, dispatched and handled by the functional stage
+/// of [`Simulator::run_trace`], replayed by its timing stage, then handed
+/// back for reuse.
+struct Packet {
+    entries: Vec<TraceEntry>,
+    /// Each record's delivered events.
+    events: EventBuf,
+    /// One `handle_batch` over all of `events`, with a mark per event.
+    cost: CostSink,
+}
+
+impl Packet {
+    fn new() -> Packet {
+        Packet {
+            entries: Vec::with_capacity(RUN_BATCH_RECORDS),
+            events: EventBuf::new(),
+            cost: CostSink::new(),
+        }
+    }
+
+    /// Steps `cosim` through the packet's records, each with its own share
+    /// of the handler cost: from its first event's mark to the next
+    /// record's.
+    fn replay(&self, cosim: &mut CoSim) {
+        let cost = &self.cost;
+        let total = (cost.instrs(), cost.mem_vas().len() as u32);
+        let mark = |event: usize| cost.marks().get(event).copied().unwrap_or(total);
+        debug_assert_eq!(cost.marks().len(), self.events.len(), "one mark per handled event");
+        let (mut end, mut from) = (0, mark(0));
+        for (entry, evs) in self.entries.iter().zip(self.events.record_slices()) {
+            end += evs.len();
+            let to = mark(end);
+            let mem_vas = &cost.mem_vas()[from.1 as usize..to.1 as usize];
+            cosim.step_record(entry, evs.len() as u32, to.0 - from.0, mem_vas);
+            from = to;
+        }
     }
 }
 
@@ -295,7 +369,7 @@ mod tests {
         let b = Benchmark::Vpr;
         let fixed = mtlb_miss_rate(b.trace(N), 20, 64);
         let fp = trace_footprint(b.trace(N));
-        let (bits, flexible) = mtlb_flexible(&fp, b.trace(N), 64);
+        let (bits, flexible) = mtlb_flexible(&fp, b.trace(N), 64).expect("vpr touches memory");
         assert!(bits < 20);
         assert!(flexible <= fixed);
         assert!(flexible < 0.01, "flexible design should be negligible, got {flexible:.4}");

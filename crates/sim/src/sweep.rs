@@ -159,12 +159,16 @@ pub fn trace_footprint(trace: impl IntoIterator<Item = TraceEntry>) -> BTreeSet<
 
 /// The flexible design point of Figure 14(b): the chosen level-1 width for
 /// a trace footprint under the paper's policy, and the resulting miss rate
-/// at `entries`.
+/// at `entries`. `None` when the trace touches no memory: there is no
+/// footprint to size for.
 pub fn mtlb_flexible(
     footprint: &BTreeSet<u32>,
     trace: impl IntoIterator<Item = TraceEntry>,
     entries: usize,
-) -> (u8, f64) {
+) -> Option<(u8, f64)> {
+    if footprint.is_empty() {
+        return None;
+    }
     let bits = choose_level1_bits(footprint, 8..=20, SizingPolicy::default());
-    (bits, mtlb_miss_rate(trace, bits, entries))
+    Some((bits, mtlb_miss_rate(trace, bits, entries)))
 }

@@ -29,11 +29,11 @@ use crate::cache::Cache;
 use crate::config::SystemConfig;
 use crate::params::*;
 use igm_isa::{Annotation, TraceEntry, TraceOp};
-use igm_lba::record::{compressed_size, ANNOTATION_RECORD_BYTES};
+use igm_lba::record::{compressed_size, ANNOTATION_RECORD_BYTES, INSTR_RECORD_BYTES};
 use std::collections::VecDeque;
 
 /// Timing outcome of one run.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TimingReport {
     /// Stand-alone application time, in cycles.
     pub app_alone_cycles: u64,
@@ -77,7 +77,8 @@ pub struct CoSim {
     cons_l1d: Cache,
     shared_l2: Cache,
     alone_l2: Cache,
-    /// In-flight records: (consumer finish tick, size in bytes).
+    /// In-flight records: (consumer finish tick, size in bytes). Sized for
+    /// a buffer full of the smallest records, so stepping never allocates.
     inflight: VecDeque<(u64, u32)>,
     occupied_bytes: u32,
     prod_time: u64,
@@ -112,7 +113,7 @@ impl CoSim {
             shared_l2: Cache::new(cfg.l2),
             alone_l2: Cache::new(cfg.l2),
             cfg,
-            inflight: VecDeque::new(),
+            inflight: VecDeque::with_capacity((cfg.log_buffer_bytes / INSTR_RECORD_BYTES) as usize),
             occupied_bytes: 0,
             prod_time: 0,
             cons_time: 0,

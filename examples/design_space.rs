@@ -42,10 +42,12 @@ fn main() {
         println!("  fixed level-1 = {bits:2} bits: miss rate {:6.3}%", m * 100.0);
     }
     let fp = trace_footprint(b.trace(n));
-    let (bits, m) = mtlb_flexible(&fp, b.trace(n), 64);
-    println!(
-        "  flexible sizing picks {bits} bits ({} touched pages): miss rate {:6.3}%",
-        fp.len(),
-        m * 100.0
-    );
+    match mtlb_flexible(&fp, b.trace(n), 64) {
+        Some((bits, m)) => println!(
+            "  flexible sizing picks {bits} bits ({} touched pages): miss rate {:6.3}%",
+            fp.len(),
+            m * 100.0
+        ),
+        None => println!("  flexible sizing: the trace touches no memory"),
+    }
 }

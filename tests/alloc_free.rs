@@ -5,7 +5,8 @@
 //! re-dispatching and re-handling the same batch must leave the allocation
 //! counter untouched — the fused sweep writes only the caller's event
 //! buffer, and that, the caller's column arena and the handler cost sink
-//! are all reused.
+//! (its per-event marks included) are all reused. The co-simulator that
+//! `Simulator::run_trace` steps on its own thread allocates nothing either.
 //!
 //! Allocations are counted **per thread**: the exact-zero tests read only
 //! the counter of the thread they run on, so neither libtest's own
@@ -158,6 +159,7 @@ fn steady_state_columnar_dispatch_allocates_nothing() {
                 after - before
             );
             assert!(!events.is_empty(), "{kind}: events must actually flow");
+            assert_eq!(cost.marks().len(), events.len(), "{kind}: one cost mark per event");
         }
     }
 }
@@ -194,6 +196,29 @@ fn steady_state_batch_build_allocates_nothing() {
     lifeguard.handle_batch(events.events(), &mut cost);
     let after = thread_allocations();
     assert_eq!(after - before, 0, "batch refill + dispatch must be allocation-free");
+    assert_eq!(cost.marks().len(), events.len(), "one cost mark per event");
+}
+
+/// The timing stage of `Simulator::run_trace` runs on its own thread and
+/// must not allocate there: `CoSim::new` sizes the in-flight record queue
+/// for a log buffer full of the smallest records, so stepping through a
+/// run that keeps the buffer full (every record delivers a heavy handler)
+/// touches the allocator not once.
+#[test]
+fn co_simulator_steps_allocation_free() {
+    let _serial = serial();
+    let cfg = igm::timing::SystemConfig::isca08();
+    let entries = steady_batch(2_048);
+    let mut cosim = igm::timing::CoSim::new(cfg);
+    let before = thread_allocations();
+    for i in 0..4 * cfg.log_buffer_bytes as usize {
+        let va = 0x2000_0000 + 64 * (i as u32 % 512);
+        cosim.step_record(&entries[i % entries.len()], 1, 40, &[va]);
+    }
+    let after = thread_allocations();
+    let report = cosim.finish();
+    assert!(report.producer_stall_cycles > 0, "the log buffer must fill");
+    assert_eq!(after - before, 0, "{} allocation(s) stepping the co-simulator", after - before);
 }
 
 /// Blocks until `pool` has nothing in flight: all `sent` records counted by
@@ -345,6 +370,7 @@ fn instrumented_dispatch_stays_allocation_free() {
     );
     assert_eq!(records.value(), batch.len() as u64);
     assert_eq!(occupancy.value(), 0);
+    assert_eq!(cost.marks().len(), events.len(), "one cost mark per event");
     let snap = registry.snapshot();
     let h = snap.histogram_sample("igm_dispatch_batch_nanos", None).expect("registered");
     assert_eq!(h.hist.count(), 1, "the measured pass was timed");

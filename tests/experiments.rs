@@ -115,7 +115,7 @@ fn mtlb_flexible_design_wins() {
     }
     for b in Benchmark::ALL {
         let fp = trace_footprint(b.trace(N));
-        let (bits, rate) = mtlb_flexible(&fp, b.trace(N), 64);
+        let (bits, rate) = mtlb_flexible(&fp, b.trace(N), 64).expect("the trace touches memory");
         assert!((8..=20).contains(&bits));
         // mcf's footprint is so sparse that even the flexible width keeps a
         // small miss rate (as in the paper's Figure 14(b) mcf row); for
