@@ -175,8 +175,7 @@ mod tests {
         assert_eq!(flat, recs, "chunking must not lose, duplicate or reorder");
     }
 
-    #[test]
-    fn next_into_batch_matches_iterator() {
+    fn lock_stream() -> Vec<TraceEntry> {
         let mut recs = Vec::new();
         for pc in 0..50u32 {
             recs.push(TraceEntry::op(pc, OpClass::ImmToReg { rd: Reg::Eax }));
@@ -184,15 +183,43 @@ mod tests {
                 recs.push(TraceEntry::annot(pc, Annotation::Lock { lock: pc }));
             }
         }
+        recs
+    }
+
+    /// Refilling one reused buffer yields the iterator's chunks, one for
+    /// one, and then reports the end of the stream. The reused buffer is
+    /// a `TraceBatch`: `next_into_batch` is the one refill path.
+    #[test]
+    fn next_into_matches_iterator() {
+        let recs = lock_stream();
         let by_iter: Vec<_> = chunks(recs.iter().copied(), 12).collect();
         let mut by_batch = chunks(recs.iter().copied(), 12);
         let mut batch_buf = crate::TraceBatch::new();
         for want in &by_iter {
             assert!(by_batch.next_into_batch(&mut batch_buf), "chunk availability diverged");
             assert_eq!(&batch_buf.to_entries(), want, "chunk contents diverged");
-            assert_eq!(batch_buf.compressed_bytes(), batch_bytes(want));
         }
         assert!(!by_batch.next_into_batch(&mut batch_buf), "chunk availability diverged");
+        assert!(batch_buf.is_empty(), "an exhausted refill must leave the buffer empty");
+    }
+
+    /// A columnar refill is the iterator's `Vec` chunk in size too, and
+    /// clears what the buffer held before: a batch left full by another
+    /// stream refills to the same chunks as a fresh one.
+    #[test]
+    fn next_into_batch_matches_next_into() {
+        let recs = lock_stream();
+        let mut dirty = crate::TraceBatch::new();
+        let mut other = chunks(recs.iter().rev().copied(), 64);
+        assert!(other.next_into_batch(&mut dirty));
+        assert!(!dirty.is_empty());
+        let mut by_batch = chunks(recs.iter().copied(), 12);
+        for want in chunks(recs.iter().copied(), 12) {
+            assert!(by_batch.next_into_batch(&mut dirty), "chunk availability diverged");
+            assert_eq!(dirty.to_entries(), want, "chunk contents diverged");
+            assert_eq!(dirty.compressed_bytes(), batch_bytes(&want));
+        }
+        assert!(!by_batch.next_into_batch(&mut dirty), "chunk availability diverged");
     }
 
     #[test]
