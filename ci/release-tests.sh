@@ -14,8 +14,10 @@ cd "$(dirname "$0")/.."
 #     trace_replay: the pool's hammer tests (the equivalence matrix's pool,
 #     replay, wire and lake-window columns, runtime's and the proptests'
 #     pipelined sessions, the Auto gate, concurrent tenants, pipelined
-#     record ids) only see the interleavings the host happens to produce,
-#     and optimized workers race far more tightly than debug ones.
+#     record ids, and runtime's shutdown hammer over producers that help
+#     while they wait, shutdown_while_producers_help_never_hangs_or_
+#     orphans_a_session) only see the interleavings the host happens to
+#     produce, and optimized workers race far more tightly than debug ones.
 #   golden_sidecar, accel_oracle, shadow_transparency, experiments,
 #     cost_sink: posting word kernels, the packed-key filter, the fused IT
 #     sweep, the shadow window kernels and the co-simulator's cache kernel
@@ -30,8 +32,9 @@ cargo test --release -q -p igm \
     --test cost_sink
 
 # Per-crate suites, for the same reasons: the gate's decision table and the
-# hand-driven pool test; the posting kernels against their scalar oracles
-# and the index properties; the trace codec's bitmap, varint and shift
+# hand-driven pool tests (the Auto gate, a panic inside a helped turn); the
+# posting kernels against their scalar oracles and the index properties;
+# the trace codec's bitmap, varint and shift
 # code, the one decoder every untrusted frame (file or wire chunk) goes
 # through, and the wire protocol's hostile-peer paths over it; the
 # accelerator units, the shadow map's uniform-chunk arithmetic against its

@@ -258,6 +258,8 @@ impl<'p> IngestServer<'p> {
             if resolved >= connections && self.pending.is_empty() && pass.open == 0 {
                 break;
             }
+            // Unlike `Ingestor::run`, no helped pool turn here: this thread
+            // also accepts and handshakes, and a turn would delay them.
             if !progress {
                 std::thread::sleep(self.ingestor.idle_backoff());
             }

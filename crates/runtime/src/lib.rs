@@ -20,10 +20,12 @@
 //!   nothing per chunk.
 //! * [`pool`] — the [`MonitorPool`]: N worker threads with a
 //!   session-grain work-stealing scheduler. A session's lifeguard, dispatch
-//!   pipeline and shadow-memory shard are owned by exactly one worker at a
+//!   pipeline and shadow-memory shard are pumped by exactly one thread at a
 //!   time; an idle worker steals a runnable session — pending batches and
 //!   shadow shard together — from a loaded one, so a hot tenant cannot
-//!   starve the sessions queued behind it. The per-session hot path is
+//!   starve the sessions queued behind it, and a producer that would wait
+//!   on a full channel or a pending report runs a session's turn on its
+//!   own thread instead ([`MonitorPool::help`]). The per-session hot path is
 //!   batch-grain (`dispatch_batch` → `handle_batch`, statically dispatched
 //!   through `AnyLifeguard`) with no per-record allocation. Per-tenant
 //!   [`SessionHandle`]s; an aggregated [`ViolationStream`] and pool/session

@@ -14,10 +14,23 @@
 //! *runnable* session — one with buffered batches — from another worker's
 //! deque. Because the unit of theft is the whole session, its lifeguard,
 //! dispatch pipeline and shadow-memory shard transfer to the thief along
-//! with the pending batches: the session is always owned by exactly one
-//! worker at a time, so the hot path stays lock- and shared-metadata-free
-//! while a hot tenant can no longer starve the sessions that used to be
-//! pinned behind it.
+//! with the pending batches: the session is always pumped by exactly one
+//! thread at a time — a worker, or a helping producer (below) — so the hot
+//! path stays lock- and shared-metadata-free while a hot tenant can no
+//! longer starve the sessions that used to be pinned behind it.
+//!
+//! **Backpressure is work-conserving.** A producer that has to wait on the
+//! pool — a [`SessionHandle::send_batch`] refused by a full channel, an
+//! idle `Ingestor` pass, a [`SessionHandle::finish`] whose report is not
+//! ready — first runs lifeguard work on its own thread
+//! ([`MonitorPool::help`]): it takes a runnable session off a worker's
+//! deque exactly as a thief would, pumps one fairness turn, and puts the
+//! session back on the deque it came from, so the session's home (and
+//! every producer wakeup) stays with that worker. It blocks or sleeps only
+//! when nothing is runnable, or when a worker is parked: that worker is the
+//! idle capacity, and the producer's own publishes wake it. A full channel still refuses the producer's
+//! own batch: backpressure holds, and the wait is spent monitoring instead
+//! of idling a host core.
 //!
 //! The per-session hot path is batch-grain end to end: one
 //! [`DispatchPipeline::dispatch_batch`] call expands a chunk through
@@ -61,8 +74,8 @@ use igm_span::{
 };
 use std::collections::{BTreeMap, VecDeque};
 use std::net::ToSocketAddrs;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{self, Receiver, Sender};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use std::sync::mpsc::{self, Receiver, Sender, TryRecvError};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -112,6 +125,10 @@ pub enum PipelineMode {
     /// turns enters only if another worker is parked on its doorbell at
     /// that moment — never on a one-worker pool, nor while every worker is
     /// busy with its own tenants — and drops back once the backlog drains.
+    /// Only workers decide: a turn a waiting producer runs
+    /// ([`MonitorPool::help`]) pumps an already pipelined session's spine
+    /// but never enters the pipeline, so a producer helping while the only
+    /// worker is parked cannot make a one-worker pool pipeline.
     /// Whichever way the decision falls, the session's violations and
     /// `DispatchStats` are those of sequential monitoring. The decision's
     /// inputs and the two rates (plain just before entry, the stretch's
@@ -414,8 +431,9 @@ impl Shard {
 /// State shared by the workers, the pool handle and every session handle.
 struct PoolShared {
     /// One resident-session deque per worker. A session lives in exactly
-    /// one deque — or in neither while the worker that popped it is pumping
-    /// it, which is what makes a mid-pump session unstealable.
+    /// one deque — or in neither while the worker or helping producer that
+    /// took it is pumping it, which is what makes a mid-pump session
+    /// unstealable.
     shards: Vec<Shard>,
     /// Injector queue for pipelined sessions' epoch jobs; any worker
     /// serves it.
@@ -427,7 +445,19 @@ struct PoolShared {
     /// session's home worker first).
     doorbells: Vec<Doorbell>,
     stats: PoolStats,
+    /// Set once by [`MonitorPool::shutdown`]. SeqCst on both sides: a
+    /// helper that took a session after a terminating worker last saw
+    /// `helping == 0` must see the flag when its turn ends.
     shutdown: AtomicBool,
+    /// Helped turns in flight ([`PoolShared::help`]). Counted before the
+    /// helper takes a session, so a terminating worker that waits for zero
+    /// never exits while a session it would have finalized is checked out.
+    helping: AtomicUsize,
+    /// The flight-recorder ring helped turns record into, so helpers never
+    /// write into a worker's single-writer ring. Helping threads share it:
+    /// each record claims its slot atomically, so two helpers write the
+    /// same slot only if the ring laps during one write.
+    helper_ring: usize,
     violations_tx: Sender<PoolViolation>,
     stream_taken: AtomicBool,
     /// The registry everything below reports into (owned or caller-shared;
@@ -541,6 +571,47 @@ impl PoolShared {
         self.ring_any();
     }
 
+    /// Runs one lifeguard turn on the calling thread, if any session is
+    /// runnable and no worker is parked: the most recently queued session
+    /// with pending batches on any worker's deque is checked out
+    /// (exclusively, as a thief takes it), pumped for one
+    /// [`BATCHES_PER_TURN`] turn and put back on the deque it came from,
+    /// its home unchanged. The turn never takes the [`PipelineMode::Auto`]
+    /// entry decision. If the pool shut down during the turn, the session
+    /// is finalized instead (a terminating worker may already have left).
+    /// Returns whether the turn made progress.
+    ///
+    /// A parked worker is idle capacity the producer's own publishes wake
+    /// ([`PoolShared::ring_worker`] falls back to it), so runnable work is
+    /// left to it and the producer keeps its core for producing.
+    fn help(&self) -> bool {
+        if self.parked_workers() > 0 {
+            return false;
+        }
+        self.helping.fetch_add(1, Ordering::SeqCst);
+        let taken = (0..self.shards.len())
+            .find_map(|victim| Some((self.shards[victim].steal_runnable()?, victim)));
+        let progress = taken.is_some_and(|(session, victim)| self.helped_turn(session, victim));
+        self.helping.fetch_sub(1, Ordering::SeqCst);
+        if self.shutdown.load(Ordering::SeqCst) {
+            // Terminating workers wait for `helping` to reach zero.
+            self.ring_all();
+        }
+        progress
+    }
+
+    /// The turn [`PoolShared::help`] runs on `session`, checked out of
+    /// `victim`'s deque by a caller already counted in `helping`.
+    fn helped_turn(&self, session: ActiveSession, victim: usize) -> bool {
+        self.stats.helped_turns.inc();
+        let by = Pumper { shard: victim, ring: self.helper_ring, track: helper_track() };
+        let progress =
+            pump_owned(by, session, self, &self.stats, || self.shutdown.load(Ordering::SeqCst));
+        // The victim may have parked while the session was out.
+        self.doorbells[victim].ring();
+        progress
+    }
+
     /// Wakes every worker (session open/close, shutdown — rare control
     /// events where all workers must re-examine the world).
     fn ring_all(&self) {
@@ -625,10 +696,11 @@ impl MonitorPool {
             .collect();
         let recorder = cfg.spans.then(|| {
             Arc::new(FlightRecorder::new(SpanConfig {
-                // One ring per worker plus headroom for the ingest lanes
-                // and forwarders that attach to the pool's recorder; each
-                // writer site claims its own via `ring_handle`.
-                rings: cfg.workers + 8,
+                // One ring per worker, one for helped turns, plus headroom
+                // for the ingest lanes and forwarders that attach to the
+                // pool's recorder; each writer site claims its own via
+                // `ring_handle`.
+                rings: cfg.workers + 9,
                 ..SpanConfig::default()
             }))
         });
@@ -667,6 +739,8 @@ impl MonitorPool {
             doorbells: (0..cfg.workers).map(|_| Doorbell::default()).collect(),
             stats: PoolStats::new(&metrics),
             shutdown: AtomicBool::new(false),
+            helping: AtomicUsize::new(0),
+            helper_ring: recorder.as_ref().map_or(0, |r| r.ring_handle()),
             violations_tx: vtx,
             stream_taken: AtomicBool::new(false),
             dispatch_hists,
@@ -792,6 +866,22 @@ impl MonitorPool {
         }
     }
 
+    /// Runs one lifeguard turn on the calling thread if any session is
+    /// runnable and no worker is parked (a parked worker is left the
+    /// work), and returns whether it made progress. This is what a
+    /// producer does instead of waiting on the pool:
+    /// [`SessionHandle::send_batch`] calls it while its channel is full
+    /// and [`SessionHandle::finish`] while its report is not ready, and an
+    /// `Ingestor` calls it on a pass that published nothing. The turn takes
+    /// the most recently queued session with pending batches off a worker's
+    /// deque, pumps it as that worker would (panics contained, records
+    /// counted once, [`PoolStatsSnapshot::helped_turns`] incremented) and
+    /// puts it back. A caller that gets `false` should block or sleep as it
+    /// would have without helping.
+    pub fn help(&self) -> bool {
+        self.shared.help()
+    }
+
     /// Takes the pool-wide violation stream. Yields `Some` on the first
     /// call, `None` afterwards (single consumer).
     ///
@@ -874,7 +964,7 @@ impl MonitorPool {
     }
 
     fn shutdown_inner(&mut self) {
-        self.shared.shutdown.store(true, Ordering::Release);
+        self.shared.shutdown.store(true, Ordering::SeqCst);
         self.shared.ring_all();
         for join in self.joins.drain(..) {
             if join.join().is_err() {
@@ -947,20 +1037,37 @@ impl SessionHandle {
         self.channel_capacity_bytes
     }
 
-    /// Publishes one pre-batched chunk of records (blocks on backpressure).
-    /// Accepts anything convertible into a columnar [`TraceBatch`] (a
-    /// `TraceBatch` moves through untouched; a `Vec<TraceEntry>` converts).
-    /// Fails once the session is [`close`](SessionHandle::close)d or the
-    /// pool has shut down under it.
+    /// Publishes one pre-batched chunk of records, waiting out
+    /// backpressure. Accepts anything convertible into a columnar
+    /// [`TraceBatch`] (a `TraceBatch` moves through untouched; a
+    /// `Vec<TraceEntry>` converts). While the channel is full the calling
+    /// thread runs runnable sessions' turns ([`MonitorPool::help`]), this
+    /// session's own included, and retries; it blocks only when `help`
+    /// finds nothing to run, and only that blocking counts as a producer
+    /// stall. An
+    /// empty batch is a no-op. Fails once the session is
+    /// [`close`](SessionHandle::close)d or the pool has shut down under it
+    /// (or, mid-wait, once a helped turn of this session panicked).
     pub fn send_batch(&self, batch: impl Into<TraceBatch>) -> Result<(), SendError> {
-        let batch = batch.into();
+        let mut batch = batch.into();
         let Some(producer) = self.producer.as_ref() else {
             return Err(SendError(Box::new(batch)));
         };
+        // Nothing to publish: no frame ordinal, no sampling turn, no wakeup.
+        if batch.is_empty() {
+            return Ok(());
+        }
         let tag = self.spans.as_ref().and_then(SessionSpans::tag_frame);
-        let r = producer.send_batch_tagged(batch, tag);
+        while let Some(refused) = producer.try_publish(batch, tag)? {
+            if !self.shared.help() {
+                let r = producer.send_batch_tagged(refused, tag);
+                self.shared.ring_worker(self.home.load(Ordering::Relaxed));
+                return r;
+            }
+            batch = refused;
+        }
         self.shared.ring_worker(self.home.load(Ordering::Relaxed));
-        r
+        Ok(())
     }
 
     /// Publishes one batch without blocking: `Ok(None)` on success,
@@ -990,6 +1097,9 @@ impl SessionHandle {
         let Some(producer) = self.producer.as_ref() else {
             return Err(SendError(Box::new(batch)));
         };
+        if batch.is_empty() {
+            return Ok(None);
+        }
         let tag = wire_tag.or_else(|| self.spans.as_ref().and_then(SessionSpans::tag_frame));
         let r = producer.try_send_batch_tagged(batch, tag);
         if let Ok(None) = r {
@@ -1044,11 +1154,25 @@ impl SessionHandle {
         self.shared.ring_all();
     }
 
-    /// Closes the log channel and blocks until the owning worker has
-    /// drained and finalized the session.
+    /// Closes the log channel and waits until the session is drained and
+    /// finalized. While the report is not ready the calling thread runs
+    /// runnable sessions' turns ([`MonitorPool::help`]), this session's own
+    /// included; it blocks only when `help` finds nothing to run.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the session failed before finalizing (its lifeguard
+    /// panicked).
     pub fn finish(mut self) -> SessionReport {
         drop(self.producer.take()); // close the channel
         self.shared.ring_all();
+        loop {
+            match self.done.try_recv() {
+                Ok(report) => return report,
+                Err(TryRecvError::Empty) if self.shared.help() => {}
+                Err(_) => break,
+            }
+        }
         self.done
             .recv()
             .expect("session failed before finalize (lifeguard panic on this tenant; see stderr)")
@@ -1160,34 +1284,35 @@ struct EntryInputs {
 impl ActiveSession {
     /// Processes up to `max_batches` buffered batches; returns how many
     /// units of progress were made (batches pumped plus epoch results
-    /// drained). `stats` is the pumping worker's stripe-sharded counter
-    /// clone; `worker`/`ring` are the pumping worker's index and its
-    /// flight-recorder ring.
+    /// drained). `stats` is the pumping thread's counter handle; `by` says
+    /// who pumps.
     fn pump(
         &mut self,
         max_batches: usize,
         shared: &PoolShared,
         stats: &PoolStats,
-        worker: usize,
-        ring: usize,
+        by: Pumper,
     ) -> usize {
         if self.pipe.is_none() {
-            if let Some(inputs) = self.entry_decision(shared) {
+            if let Some(inputs) = self.entry_decision(shared, by) {
                 self.enter_pipeline(shared, inputs);
             }
         }
         if self.pipe.is_some() {
             self.pump_pipelined(max_batches, shared, stats)
         } else {
-            self.pump_plain(max_batches, shared, stats, worker, ring)
+            self.pump_plain(max_batches, shared, stats, by)
         }
     }
 
     /// Whether this pump turn should switch the session to the pipelined
     /// path, and on what evidence. Under [`PipelineMode::Auto`] this
     /// advances the hot-turn bookkeeping and counts declined opportunities
-    /// as a side effect; the verdict itself is [`gate::entry`]'s.
-    fn entry_decision(&mut self, shared: &PoolShared) -> Option<EntryInputs> {
+    /// as a side effect; the verdict itself is [`gate::entry`]'s. A helped
+    /// turn leaves the gate and its bookkeeping alone: idle capacity is a
+    /// worker's judgement. ([`PipelineMode::Always`] asks for no judgement,
+    /// so it enters on whichever turn comes first.)
+    fn entry_decision(&mut self, shared: &PoolShared, by: Pumper) -> Option<EntryInputs> {
         if self.pipeline_mode == PipelineMode::Never {
             return None;
         }
@@ -1201,6 +1326,9 @@ impl ActiveSession {
         if self.pipeline_mode == PipelineMode::Always {
             inputs.parked_workers = shared.parked_workers();
             return Some(inputs);
+        }
+        if by.helping() {
+            return None;
         }
         // Pipelining pays off only when the spine can elide work; a
         // full-stream spine (LockSet) would just add replay on top of
@@ -1506,9 +1634,9 @@ impl ActiveSession {
         max_batches: usize,
         shared: &PoolShared,
         stats: &PoolStats,
-        worker: usize,
-        ring: usize,
+        by: Pumper,
     ) -> usize {
+        let Pumper { ring, track, .. } = by;
         let mut processed = 0;
         while processed < max_batches {
             let Some((batch, published, tag)) = self.consumer.try_recv_batch_tagged() else {
@@ -1523,14 +1651,13 @@ impl ActiveSession {
             // tag: the untagged hot path pays one branch here.
             let span = match (&shared.recorder, tag) {
                 (Some(rec), Some(tag)) => {
-                    let track = Track::Worker(worker as u32);
                     let picked_up = rec.now();
                     // The publish instant rode the queue with the tag;
                     // the wait is publish → this pickup.
                     let t_publish = published.map_or(picked_up, |at| rec.stamp(at));
                     rec.record(ring, Stage::ChannelWait, track, tag, t_publish, picked_up);
                     shared.span_hists.channel_wait.record(picked_up.saturating_sub(t_publish));
-                    Some((rec, tag, track, picked_up))
+                    Some((rec, tag, picked_up))
                 }
                 _ => None,
             };
@@ -1543,7 +1670,7 @@ impl ActiveSession {
             self.cost.clear();
             self.lifeguard.handle_batch(self.events.events(), &mut self.cost);
             self.dispatch_hist.stop(t0);
-            if let Some((rec, tag, track, t_dispatch)) = span {
+            if let Some((rec, tag, t_dispatch)) = span {
                 let done = rec.now();
                 rec.record(ring, Stage::Dispatch, track, tag, t_dispatch, done);
                 shared.span_hists.dispatch.record(done.saturating_sub(t_dispatch));
@@ -1556,7 +1683,7 @@ impl ActiveSession {
                 // marker record, then its whole completed chain is
                 // snapshotted into the violations' event-ring entries.
                 let spans = match span {
-                    Some((rec, tag, track, _)) => {
+                    Some((rec, tag, _)) => {
                         let now = rec.now();
                         rec.record(ring, Stage::Violation, track, tag, now, now);
                         rec.chain(tag)
@@ -1621,8 +1748,40 @@ impl ActiveSession {
 }
 
 /// Batches one worker processes from a session before rotating to the next
-/// (fairness bound).
+/// (fairness bound). A helped turn is one such turn.
 const BATCHES_PER_TURN: usize = 4;
+
+/// The thread pumping a checked-out session: where the session goes back
+/// afterwards, and where its span stages land.
+#[derive(Debug, Clone, Copy)]
+struct Pumper {
+    /// The deque the session returns to, which is also its home hint: the
+    /// pumping worker's own, or for a helped turn the deque it was taken
+    /// from (a helper is no worker; wakeups must keep reaching one).
+    shard: usize,
+    /// The pumping thread's flight-recorder ring.
+    ring: usize,
+    /// [`Track::Worker`], or [`Track::Helper`] for a helped turn.
+    track: Track,
+}
+
+impl Pumper {
+    fn worker(idx: usize, ring: usize) -> Pumper {
+        Pumper { shard: idx, ring, track: Track::Worker(idx as u32) }
+    }
+
+    fn helping(self) -> bool {
+        matches!(self.track, Track::Helper(_))
+    }
+}
+
+/// The calling thread's [`Track::Helper`]: ids are handed out per thread
+/// on first use, so each helping producer gets its own timeline.
+fn helper_track() -> Track {
+    static NEXT: AtomicU32 = AtomicU32::new(0);
+    thread_local!(static ID: u32 = NEXT.fetch_add(1, Ordering::Relaxed));
+    Track::Helper(ID.with(|id| *id))
+}
 
 /// How long an idle worker parks before re-polling anyway. Every
 /// producer-side state change rings the doorbell, so this is only a safety
@@ -1652,9 +1811,10 @@ fn worker_main(idx: usize, shared: Arc<PoolShared>) {
     // This worker's flight-recorder ring: claimed once, single-writer for
     // the thread's lifetime (0 is a dead value when spans are off).
     let ring = shared.recorder.as_ref().map_or(0, |r| r.ring_handle());
+    let me = Pumper::worker(idx, ring);
     loop {
         let seen = shared.doorbells[idx].epoch();
-        let terminating = shared.shutdown.load(Ordering::Acquire);
+        let terminating = shared.shutdown.load(Ordering::SeqCst);
         let mut progress = false;
 
         // At most one epoch job per pass, so a deep injector queue cannot
@@ -1675,7 +1835,7 @@ fn worker_main(idx: usize, shared: Arc<PoolShared>) {
         let resident = shared.shards[idx].resident();
         for _ in 0..resident {
             let Some(session) = shared.shards[idx].pop() else { break };
-            progress |= pump_owned(idx, ring, session, &shared, &stats, terminating);
+            progress |= pump_owned(me, session, &shared, &stats, || terminating);
         }
 
         // Nothing of our own to do: steal a runnable session — with its
@@ -1688,12 +1848,16 @@ fn worker_main(idx: usize, shared: Arc<PoolShared>) {
                     from_worker: victim,
                     to_worker: idx,
                 });
-                pump_owned(idx, ring, session, &shared, &stats, terminating);
+                pump_owned(me, session, &shared, &stats, || terminating);
                 progress = true;
             }
         }
 
+        // A helper may hold one of this deque's sessions: wait for it to
+        // put the session back or finalize it (checked before the deque, so
+        // a session put back before the count dropped is seen).
         if terminating
+            && shared.helping.load(Ordering::SeqCst) == 0
             && shared.shards[idx].resident() == 0
             && shared.epoch_pending.load(Ordering::SeqCst) == 0
         {
@@ -1716,24 +1880,23 @@ fn worker_main(idx: usize, shared: Arc<PoolShared>) {
 }
 
 /// Pumps a checked-out session and settles its ownership: finalized if
-/// drained (or the pool is terminating), re-queued on this worker's deque
-/// otherwise, dropped if its lifeguard panicked. Returns whether any batch
-/// was processed.
+/// drained (or `terminate()` says the pool is terminating, asked after the
+/// pump), re-queued on `by.shard`'s deque otherwise, dropped if its
+/// lifeguard panicked. Returns whether any batch was processed.
 fn pump_owned(
-    idx: usize,
-    ring: usize,
+    by: Pumper,
     mut session: ActiveSession,
     shared: &PoolShared,
     stats: &PoolStats,
-    terminate: bool,
+    terminate: impl FnOnce() -> bool,
 ) -> bool {
-    // This worker owns the session for the pump (and keeps it if it is
-    // re-queued below): point producer-side wakeups here.
-    session.home.store(idx, Ordering::Relaxed);
+    // The session belongs to `by.shard` for the pump (and stays there if
+    // it is re-queued below): point producer-side wakeups there.
+    session.home.store(by.shard, Ordering::Relaxed);
     // Panic isolation: one tenant's handler panicking must not take down
-    // the other sessions of the pool.
+    // the other sessions of the pool, whichever thread pumped it.
     let pumped = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        session.pump(BATCHES_PER_TURN, shared, stats, idx, ring)
+        session.pump(BATCHES_PER_TURN, shared, stats, by)
     }));
     match pumped {
         Ok(n) => {
@@ -1742,10 +1905,10 @@ fn pump_owned(
             // observes `SendError` once the consumer drops (records it had
             // buffered beyond this turn are lost); waiting for it to drain
             // could block for the producer's whole lifetime.
-            if session.finished() || terminate {
+            if session.finished() || terminate() {
                 session.finalize(stats, shared);
             } else {
-                shared.shards[idx].push(session);
+                shared.shards[by.shard].push(session);
             }
             n > 0
         }

@@ -8,7 +8,11 @@
 //! [`igm_timing::TimingReport::producer_stall_cycles`] (`igm-timing`).
 //! Here the stall is a real blocked thread; the channel counts stall
 //! events and stalled wall-clock nanoseconds so the runtime's stats stay
-//! comparable with the co-simulator's stall accounting.
+//! comparable with the co-simulator's stall accounting. Unlike a hardware
+//! core, a stalled pool producer can do other work: a
+//! [`SessionHandle::send_batch`](crate::SessionHandle::send_batch) whose
+//! channel is full runs lifeguard turns first, and only the blocking that
+//! remains when there is nothing to run counts as a stall.
 //!
 //! Records travel in *batches* (chunks produced by [`igm_lba::chunks`]):
 //! the producer publishes a whole batch under one lock acquisition, which is
@@ -72,7 +76,12 @@ pub struct ChannelStatsSnapshot {
     /// Sends that blocked on a full buffer (the producer-stall condition of
     /// the timing model).
     pub stall_events: u64,
-    /// Total wall-clock nanoseconds producers spent stalled.
+    /// Total wall-clock nanoseconds producers spent stalled: true
+    /// blocking only. A pool producer whose channel is full first runs
+    /// runnable session turns on its own thread
+    /// ([`MonitorPool::help`](crate::MonitorPool::help)); that time is
+    /// work, not a stall, and only the wait after `help` finds nothing
+    /// runnable counts here (and in `stall_events`).
     pub stall_nanos: u64,
     /// Non-blocking sends ([`LogProducer::try_send_batch`]) refused by a
     /// full buffer — the backpressure signal of the multiplexed ingest
@@ -258,7 +267,22 @@ impl LogProducer {
         batch: impl Into<TraceBatch>,
         tag: Option<FrameTag>,
     ) -> Result<Option<TraceBatch>, SendError> {
-        let batch = batch.into();
+        let refused = self.try_publish(batch.into(), tag)?;
+        if refused.is_some() {
+            self.shared.counters.refused_sends.fetch_add(1, Ordering::Relaxed);
+        }
+        Ok(refused)
+    }
+
+    /// The non-blocking attempt behind [`LogProducer::try_send_batch_tagged`],
+    /// without counting a refusal: a pool producer's blocking send tries
+    /// this between helped turns, and its refusals are neither
+    /// non-blocking refusals nor stalls.
+    pub(crate) fn try_publish(
+        &self,
+        batch: TraceBatch,
+        tag: Option<FrameTag>,
+    ) -> Result<Option<TraceBatch>, SendError> {
         if batch.is_empty() {
             return Ok(None);
         }
@@ -268,7 +292,6 @@ impl LogProducer {
             return Err(SendError(Box::new(batch)));
         }
         if inner.used_bytes + bytes > self.shared.capacity_bytes && !inner.queue.is_empty() {
-            self.shared.counters.refused_sends.fetch_add(1, Ordering::Relaxed);
             return Ok(Some(batch));
         }
         self.publish(inner, batch, bytes, tag);

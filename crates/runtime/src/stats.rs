@@ -28,6 +28,7 @@ pub struct PoolStats {
     pub(crate) epoch_jobs: Counter,
     pub(crate) steals: Counter,
     pub(crate) parks: Counter,
+    pub(crate) helped_turns: Counter,
     started: Instant,
 }
 
@@ -52,6 +53,10 @@ impl PoolStats {
             steals: registry
                 .counter("igm_pool_steals_total", "sessions migrated by the stealing scheduler"),
             parks: registry.counter("igm_pool_parks_total", "times an idle worker parked"),
+            helped_turns: registry.counter(
+                "igm_pool_helped_turns_total",
+                "session turns run by a waiting producer instead of a worker",
+            ),
             started: Instant::now(),
         }
     }
@@ -72,6 +77,7 @@ impl PoolStats {
             epoch_jobs: self.epoch_jobs.value(),
             steals: self.steals.value(),
             parks: self.parks.value(),
+            helped_turns: self.helped_turns.value(),
             uptime: self.started.elapsed(),
         }
     }
@@ -101,6 +107,11 @@ pub struct PoolStatsSnapshot {
     /// Times an idle worker parked on its doorbell (a measure of how often
     /// the pool went to sleep vs. spun through work).
     pub parks: u64,
+    /// Session turns a waiting producer ran on its own thread
+    /// ([`MonitorPool::help`](crate::MonitorPool::help)): a blocked
+    /// `send_batch`, an idle `Ingestor` pass or a pending `finish`. Their
+    /// records count into `records` once, like a worker's.
+    pub helped_turns: u64,
     /// Time since the pool started.
     pub uptime: Duration,
 }

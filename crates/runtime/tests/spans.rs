@@ -95,3 +95,27 @@ fn spans_off_means_no_recorder_and_no_span_metrics() {
     );
     pool.shutdown();
 }
+
+#[test]
+fn an_empty_send_publishes_no_frame() {
+    let pool = MonitorPool::new(PoolConfig::with_workers(1));
+    let recorder = pool.recorder().expect("spans are on by default").clone();
+    let session = pool.open_session(SessionConfig::new("app", LifeguardKind::AddrCheck));
+    // Neither empty send may take a frame ordinal or a sampling turn.
+    session.send_batch(Vec::new()).unwrap();
+    assert!(session.try_send_batch(Vec::new()).unwrap().is_none());
+    session.send_batch(clean(16)).unwrap();
+    assert_eq!(session.channel_stats().pushed_batches, 1, "one publish");
+    session.finish();
+
+    // The first published frame is the flow's frame 0, always sampled.
+    let spans = recorder.snapshot();
+    let wait = spans.iter().find(|r| r.stage == Stage::ChannelWait).expect("channel_wait span");
+    assert_eq!(wait.tag.seq, 0, "the empty sends took no frame ordinal");
+    let chain = recorder.chain(wait.tag);
+    assert_eq!(
+        chain.iter().map(|r| r.stage).collect::<Vec<_>>(),
+        [Stage::ChannelWait, Stage::Dispatch]
+    );
+    pool.shutdown();
+}

@@ -43,14 +43,15 @@ fn track_parts(track: Track) -> (&'static str, u32) {
         Track::Worker(id) => ("worker", id),
         Track::Lane(id) => ("lane", id),
         Track::Client(id) => ("client", id),
+        Track::Helper(id) => ("helper", id),
     }
 }
 
 /// Renders stage records as Chrome trace-event JSON: one complete
 /// (`"ph": "X"`) event per record on a per-track timeline (workers,
-/// lanes and clients each get their own named "thread"), with the frame
-/// chain key in `args`. The output loads directly in `chrome://tracing`
-/// and Perfetto.
+/// lanes, clients and helpers each get their own named "thread"), with
+/// the frame chain key in `args`. The output loads directly in
+/// `chrome://tracing` and Perfetto.
 pub fn chrome_trace(records: &[SpanRecord]) -> String {
     let mut tracks: Vec<Track> = records.iter().map(|r| r.track).collect();
     tracks.sort_unstable();

@@ -17,9 +17,9 @@
 //!   `TraceForwarder` for remote tenants, the session handle for local
 //!   ones) by a cheap counter ([`Sampler`]); unsampled frames carry
 //!   `None` and cost one branch at every stage site.
-//! - A stage record is one [`Stage`] id, a [`Track`] (which worker, lane
-//!   or client observed it), the tag, and `t_start`/`t_end` nanos
-//!   relative to the recorder's epoch.
+//! - A stage record is one [`Stage`] id, a [`Track`] (which worker, lane,
+//!   client or helping producer observed it), the tag, and
+//!   `t_start`/`t_end` nanos relative to the recorder's epoch.
 //!
 //! ## The flight recorder
 //!
@@ -43,7 +43,7 @@
 //! [`SpanSnapshot::to_json`] backs the `/spans.json` endpoint;
 //! [`chrome_trace`] renders any record set as Chrome trace-event JSON
 //! (open it in `chrome://tracing` or Perfetto: one track per worker, one
-//! per lane, one per client).
+//! per lane, one per client, one per helping producer thread).
 
 #![deny(missing_docs)]
 
@@ -135,6 +135,10 @@ pub enum Track {
     Lane(u32),
     /// A forwarder client, by its flow id.
     Client(u32),
+    /// A producer thread that ran a pool session's turn while it waited
+    /// on the pool (a blocked send, an idle ingest pass, a pending
+    /// `finish`), by a per-thread helper id.
+    Helper(u32),
 }
 
 const TRACK_ID_MASK: u32 = (1 << 30) - 1;
@@ -146,6 +150,7 @@ impl Track {
             Track::Worker(id) => id & TRACK_ID_MASK,
             Track::Lane(id) => (1 << 30) | (id & TRACK_ID_MASK),
             Track::Client(id) => (2 << 30) | (id & TRACK_ID_MASK),
+            Track::Helper(id) => (3 << 30) | (id & TRACK_ID_MASK),
         }
     }
 
@@ -155,16 +160,19 @@ impl Track {
         match code >> 30 {
             1 => Track::Lane(id),
             2 => Track::Client(id),
+            3 => Track::Helper(id),
             _ => Track::Worker(id),
         }
     }
 
-    /// Human-readable track name ("worker 3", "lane 7", "client 12").
+    /// Human-readable track name ("worker 3", "lane 7", "client 12",
+    /// "helper 0").
     pub fn label(self) -> String {
         match self {
             Track::Worker(id) => format!("worker {id}"),
             Track::Lane(id) => format!("lane {id}"),
             Track::Client(id) => format!("client {id}"),
+            Track::Helper(id) => format!("helper {id}"),
         }
     }
 }
@@ -509,7 +517,14 @@ mod tests {
 
     #[test]
     fn track_codes_round_trip() {
-        for t in [Track::Worker(0), Track::Worker(7), Track::Lane(3), Track::Client(123)] {
+        let tracks = [
+            Track::Worker(0),
+            Track::Worker(7),
+            Track::Lane(3),
+            Track::Client(123),
+            Track::Helper(2),
+        ];
+        for t in tracks {
             assert_eq!(Track::from_code(t.code()), t);
         }
     }

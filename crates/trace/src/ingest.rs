@@ -12,7 +12,10 @@
 //! Backpressure is per source: a batch refused by a full log channel is
 //! *staged* on its lane and retried next turn, so one slow tenant defers
 //! only itself while the thread keeps servicing the others — the software
-//! analogue of per-core log buffers sharing one transport fabric.
+//! analogue of per-core log buffers sharing one transport fabric. A pass
+//! on which every lane is deferred or pending does not idle the thread:
+//! [`Ingestor::run`] spends it on one lifeguard turn of the pool
+//! ([`MonitorPool::help`]) and sleeps only when there is none to run.
 //! Fairness is a bounded number of batches per lane per turn plus
 //! per-lane accounting ([`LaneStats`]) of how often each source was
 //! ready, pending, or deferred by backpressure.
@@ -223,7 +226,10 @@ pub struct IngestConfig {
     /// bound: a deep source cannot monopolize the thread).
     pub batches_per_turn: usize,
     /// Sleep applied after a full pass with no progress (every lane
-    /// pending or deferred), so an idle front-end does not spin a core.
+    /// pending or deferred) when the pool has nothing runnable either, so
+    /// an idle front-end does not spin a core. [`Ingestor::run`] first
+    /// spends a no-progress pass on one lifeguard turn
+    /// ([`MonitorPool::help`]) and sleeps only when that finds no work.
     pub idle_backoff: Duration,
 }
 
@@ -477,7 +483,8 @@ impl<'p> Ingestor<'p> {
     }
 
     /// The configured idle backoff (what [`Ingestor::run`] sleeps after a
-    /// no-progress pass; external driving loops should do the same).
+    /// no-progress pass when [`MonitorPool::help`] finds nothing to run;
+    /// external driving loops may do the same).
     pub fn idle_backoff(&self) -> Duration {
         self.cfg.idle_backoff
     }
@@ -503,16 +510,19 @@ impl<'p> Ingestor<'p> {
     }
 
     /// Drives every lane to completion on the calling thread and returns
-    /// the combined report.
+    /// the combined report. A pass that publishes nothing (every lane
+    /// pending or refused by a full channel) runs one pool turn on this
+    /// thread instead of sleeping, when the pool has one to run.
     pub fn run(mut self) -> IngestReport {
         loop {
             let pass = self.pass();
             if pass.open == 0 {
                 break;
             }
-            if !pass.progress {
-                // Every open lane is pending or deferred: yield the core
-                // briefly instead of spinning on try_send/try_recv.
+            // Every open lane is pending or deferred: run a lifeguard turn
+            // of whatever the pool has runnable on this thread, and yield
+            // the core briefly only when nothing is.
+            if !pass.progress && !self.pool.help() {
                 std::thread::sleep(self.cfg.idle_backoff);
             }
         }

@@ -4,19 +4,26 @@
 //! and off), on a short MemCheck trace cut into 2-record epochs and on a
 //! clean workload (the `pool-always` strategy of `tests/equivalence.rs`,
 //! here with bounds on the epoch jobs it ships); the multi-tenant pool
-//! serves concurrent benchmark sessions end to end; and the pool refuses
-//! an epoch configuration that bounds no epoch.
+//! serves concurrent benchmark sessions end to end; an `Ingestor` whose
+//! stalled passes run lifeguard turns on its own thread stays exact and
+//! counts every record once; producers that help while the pool shuts
+//! down never hang or lose a report; and the pool refuses an epoch
+//! configuration that bounds no epoch.
 
 mod common;
 
-use common::strategies::{assert_matches_monitor, pipelined};
+use common::strategies::{assert_matches_monitor, pipelined, Observed};
 use igm::accel::{AccelConfig, ItConfig};
 use igm::isa::{Annotation, MemRef, OpClass, Reg, TraceEntry};
 use igm::lifeguards::{LifeguardKind, Violation};
 use igm::runtime::{
     EpochConfig, MonitorPool, PipelineMode, PoolConfig, SessionConfig, SessionReport,
 };
+use igm::sim::SimConfig;
+use igm::trace::{Ingestor, IterSource};
 use igm::workload::Benchmark;
+use std::sync::mpsc;
+use std::time::Duration;
 
 /// Streams `trace` in `send`-record sends through one session pipelined
 /// from its first record, on a fresh pool of `workers` workers sizing
@@ -145,6 +152,110 @@ fn pool_serves_four_premarked_tenants() {
         );
         assert!(r.records_per_sec() > 0.0);
     }
+}
+
+/// The `pool_tenants` shape on planted traces: one `Ingestor` thread
+/// driving four tenants (the benchmark's lifeguard and accelerator mix)
+/// into a one-worker default pool. The ingest thread outruns the worker,
+/// so its stalled passes run helped turns. Every session must still equal
+/// the sequential `Monitor`, and each record must be counted exactly once:
+/// what the lane published, what the session saw and what the pool's
+/// counter says agree. A helped turn never makes the one-worker `Auto`
+/// pool pipeline.
+#[test]
+fn ingest_thread_helps_a_one_worker_pool_exactly() {
+    let n = 40_000;
+    let planted = |kind, stride, seed| common::planted_trace(kind, n, stride, seed);
+    let tenants = [
+        (LifeguardKind::AddrCheck, false, planted(LifeguardKind::AddrCheck, 97, 1)),
+        (LifeguardKind::MemCheck, true, planted(LifeguardKind::MemCheck, 89, 2)),
+        (LifeguardKind::TaintCheck, true, common::taint_chains(n as u64)),
+        (LifeguardKind::LockSet, false, planted(LifeguardKind::LockSet, 83, 3)),
+    ];
+    let cfgs: Vec<SessionConfig> = tenants
+        .iter()
+        .map(|(kind, on, _)| {
+            let accel =
+                if *on { SimConfig::optimized(*kind).accel } else { AccelConfig::baseline() };
+            SessionConfig::new(format!("{kind}-{on}"), *kind).accel(accel)
+        })
+        .collect();
+    let pool = MonitorPool::new(PoolConfig { workers: 1, ..PoolConfig::default() });
+    let chunk = PoolConfig::default().chunk_bytes;
+    let mut ingestor = Ingestor::new(&pool);
+    for (cfg, (_, _, trace)) in cfgs.iter().zip(&tenants) {
+        ingestor.add_source(cfg.clone(), IterSource::new(trace.clone(), chunk));
+    }
+    let report = ingestor.run();
+    let stats = pool.stats();
+    pool.shutdown();
+
+    assert!(report.errors.is_empty(), "{:?}", report.errors);
+    let mut records = 0;
+    for ((session, (lane, lane_stats)), (cfg, (_, _, trace))) in
+        report.sessions.into_iter().zip(&report.lanes).zip(cfgs.iter().zip(&tenants))
+    {
+        assert_eq!(lane_stats.records, session.records, "lane {lane}");
+        records += session.records;
+        assert_matches_monitor(cfg, trace, &Observed::from(session), true);
+    }
+    assert_eq!(stats.records, records, "a helped turn counts its records once");
+    assert!(stats.helped_turns > 0, "the ingest thread never ran a turn: {stats:?}");
+    assert_eq!(stats.epoch_jobs, 0, "a helped turn let a one-worker pool pipeline");
+}
+
+/// The shutdown hammer: producers stream through small channels, waiting
+/// out backpressure by helping, while another thread shuts the pool down
+/// at a different point each round. Every producer must come back, its
+/// sends either accepted or refused with `SendError` once its session is
+/// terminated, and its `finish` must return the report of what was
+/// accepted: no helper may keep a session checked out across the workers'
+/// exit. The whole run is bounded by a timeout instead of hanging.
+#[test]
+fn shutdown_while_producers_help_never_hangs_or_orphans_a_session() {
+    let (done_tx, done_rx) = mpsc::channel();
+    std::thread::spawn(move || {
+        let mut helped = 0;
+        for round in 0..40u32 {
+            let pool = MonitorPool::new(PoolConfig {
+                workers: 1 + round as usize % 2,
+                channel_capacity_bytes: 2048,
+                chunk_bytes: 256,
+                ..PoolConfig::default()
+            });
+            let metrics = std::sync::Arc::clone(pool.metrics());
+            let trace = common::planted_trace(LifeguardKind::AddrCheck, 20_000, 97, round);
+            let producers: Vec<_> = (0..3)
+                .map(|t| {
+                    let cfg = SessionConfig::new(format!("p{t}"), LifeguardKind::AddrCheck);
+                    let session = pool.open_session(cfg);
+                    let trace = trace.clone();
+                    std::thread::spawn(move || {
+                        let mut accepted = 0;
+                        for send in trace.chunks(48) {
+                            if session.send_batch(send.to_vec()).is_err() {
+                                break;
+                            }
+                            accepted += send.len() as u64;
+                        }
+                        (accepted, session.finish())
+                    })
+                })
+                .collect();
+            std::thread::sleep(Duration::from_micros(250 * u64::from(round % 12)));
+            pool.shutdown();
+            for producer in producers {
+                let (accepted, report) = producer.join().expect("the producer returns");
+                assert!(report.records <= accepted, "{} > {accepted}", report.records);
+            }
+            helped += metrics.snapshot().counter_value("igm_pool_helped_turns_total").unwrap();
+        }
+        done_tx.send(helped).unwrap();
+    });
+    let helped = done_rx
+        .recv_timeout(Duration::from_secs(120))
+        .expect("a producer, helper or worker hung across shutdown");
+    assert!(helped > 0, "the producers never helped");
 }
 
 /// An epoch budget clamped to `[0, max]` could ask for empty epochs; the
