@@ -24,12 +24,15 @@ cd "$(dirname "$0")/.."
 #     (both golden tables and the recorded-cost pins) are shift-and-mask
 #     code, exactly what can differ between debug (overflow checks,
 #     shift-width panics) and release.
+#   properties: the two accelerator-invariance properties run the fused IT
+#     sweep and the IF's packed keys over generated programs, the same
+#     shift-and-mask code as accel_oracle.
 cargo test --release -q -p igm \
     --test alloc_free \
     --test equivalence --test pipeline_determinism --test runtime --test batch_equivalence \
     --test trace_replay \
     --test golden_sidecar --test accel_oracle --test shadow_transparency --test experiments \
-    --test cost_sink
+    --test cost_sink --test properties
 
 # Per-crate suites, for the same reasons: the gate's decision table and the
 # hand-driven pool tests (the Auto gate, a panic inside a helped turn); the

@@ -19,7 +19,7 @@ use igm_core::{AccelConfig, IfGeometry, ItConfig};
 use igm_lifeguards::LifeguardKind;
 use igm_shadow::OneLevelShadow;
 use igm_sim::sweep::{
-    if_reduction, it_pass, it_reduction, mtlb_flexible, mtlb_miss_rate, trace_footprint, CcMode,
+    if_reduction, it_pass, it_reduction, mtlb_flexible, mtlb_miss_rate, trace_footprint,
 };
 use igm_sim::{SimConfig, SimReport, Simulator};
 use igm_timing::SystemConfig;
@@ -220,15 +220,9 @@ fn fig12_table(n: u64) {
 
         let if_band: Option<Vec<f64>> = kind.accel_support().idempotent_filter.then(|| {
             if kind == LifeguardKind::LockSet {
-                MtBenchmark::ALL
-                    .iter()
-                    .map(|b| if_reduction(b.trace(n), geom, CcMode::Separate))
-                    .collect()
+                MtBenchmark::ALL.iter().map(|b| if_reduction(b.trace(n), geom, kind)).collect()
             } else {
-                Benchmark::ALL
-                    .iter()
-                    .map(|b| if_reduction(b.trace(n), geom, CcMode::Combined))
-                    .collect()
+                Benchmark::ALL.iter().map(|b| if_reduction(b.trace(n), geom, kind)).collect()
             }
         });
 
@@ -255,9 +249,9 @@ fn fig13(n: u64) {
 
     let entries = [8usize, 16, 32, 64, 128, 256];
     let ways = [0usize, 16, 8, 4, 2, 1];
-    for (mode, label) in [
-        (CcMode::Combined, "Figure 13(b): combined loads+stores (AddrCheck-style)"),
-        (CcMode::Separate, "Figure 13(c): separate loads/stores (LockSet-style)"),
+    for (kind, label) in [
+        (LifeguardKind::AddrCheck, "Figure 13(b): combined loads+stores (AddrCheck-style)"),
+        (LifeguardKind::LockSet, "Figure 13(c): separate loads/stores (LockSet-style)"),
     ] {
         println!("\n=== {label}: IF-reduced check events, avg over benchmarks ===");
         print!("{:<12}", "entries:");
@@ -280,7 +274,7 @@ fn fig13(n: u64) {
                 };
                 // Average over benchmarks, as the paper plots.
                 let sum: f64 =
-                    Benchmark::ALL.iter().map(|b| if_reduction(b.trace(n), geom, mode)).sum();
+                    Benchmark::ALL.iter().map(|b| if_reduction(b.trace(n), geom, kind)).sum();
                 print!("{:>7.1}%", sum / Benchmark::ALL.len() as f64 * 100.0);
             }
             println!();
@@ -387,8 +381,8 @@ fn ablation(n: u64) {
     println!("{:<10} {:>12} {:>12}", "benchmark", "combined", "separate");
     for b in [Benchmark::Crafty, Benchmark::Vortex, Benchmark::Parser] {
         let geom = IfGeometry::isca08();
-        let c = if_reduction(b.trace(n), geom, CcMode::Combined);
-        let s = if_reduction(b.trace(n), geom, CcMode::Separate);
+        let c = if_reduction(b.trace(n), geom, LifeguardKind::AddrCheck);
+        let s = if_reduction(b.trace(n), geom, LifeguardKind::LockSet);
         println!("{:<10} {:>11.1}% {:>11.1}%", b.name(), c * 100.0, s * 100.0);
     }
 

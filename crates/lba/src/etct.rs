@@ -57,26 +57,35 @@ pub struct IfEventConfig {
 }
 
 impl IfEventConfig {
+    /// The [`Default`], usable in `const` items.
+    const PLAIN: IfEventConfig = IfEventConfig {
+        cacheable: false,
+        cc: 0,
+        fields: FieldSelect::NONE,
+        invalidate_all: false,
+        invalidate_match: false,
+    };
+
     /// A cacheable check keyed on `(cc, addr, size)`.
-    pub fn cacheable_addr(cc: u8) -> IfEventConfig {
-        IfEventConfig { cacheable: true, cc, fields: FieldSelect::ADDR_SIZE, ..Default::default() }
+    pub const fn cacheable_addr(cc: u8) -> IfEventConfig {
+        IfEventConfig { cacheable: true, cc, fields: FieldSelect::ADDR_SIZE, ..Self::PLAIN }
     }
 
     /// A cacheable check keyed on `(cc, reg)`.
-    pub fn cacheable_reg(cc: u8) -> IfEventConfig {
-        IfEventConfig { cacheable: true, cc, fields: FieldSelect::REG, ..Default::default() }
+    pub const fn cacheable_reg(cc: u8) -> IfEventConfig {
+        IfEventConfig { cacheable: true, cc, fields: FieldSelect::REG, ..Self::PLAIN }
     }
 
     /// An event that flushes the whole filter (e.g. `malloc`/`free`/system
     /// calls for AddrCheck, every annotation for LockSet).
-    pub fn invalidates_all() -> IfEventConfig {
-        IfEventConfig { invalidate_all: true, ..Default::default() }
+    pub const fn invalidates_all() -> IfEventConfig {
+        IfEventConfig { invalidate_all: true, ..Self::PLAIN }
     }
 
     /// An event that invalidates the filter entries matching `(cc, fields)`
     /// of its own key.
-    pub fn invalidates_match(cc: u8, fields: FieldSelect) -> IfEventConfig {
-        IfEventConfig { cc, fields, invalidate_match: true, ..Default::default() }
+    pub const fn invalidates_match(cc: u8, fields: FieldSelect) -> IfEventConfig {
+        IfEventConfig { cc, fields, invalidate_match: true, ..Self::PLAIN }
     }
 }
 

@@ -185,7 +185,7 @@ impl EventType {
 
     /// Whether this is a check event type (memory-access or source check).
     #[inline]
-    pub fn is_check(self) -> bool {
+    pub const fn is_check(self) -> bool {
         let i = self as u8;
         i >= EventType::MemRead as u8 && i <= EventType::CheckFormatString as u8
     }

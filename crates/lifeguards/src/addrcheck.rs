@@ -12,10 +12,10 @@
 
 use crate::cost::{CostSink, MetaMap, SOFTWARE_MAP_INSTRS};
 use crate::violation::{Reports, Violation};
-use crate::{Lifeguard, LifeguardKind};
+use crate::{Lifeguard, LifeguardKind, Row, PLAIN};
 use igm_core::AccelConfig;
 use igm_isa::{Annotation, MemRef};
-use igm_lba::{DeliveredEvent, Etct, Event, EventType, IfEventConfig};
+use igm_lba::{DeliveredEvent, Event, EventType, IfEventConfig};
 use igm_shadow::layout::ElemSize;
 use igm_shadow::{ShadowLayout, TwoLevelShadow};
 use std::collections::HashMap;
@@ -185,23 +185,21 @@ fn metadata_lines(base: u32, len: u32) -> impl Iterator<Item = u32> {
     (base..base.saturating_add(len)).step_by(512)
 }
 
+/// AddrCheck's ETCT rows (see the crate docs). The access checks only read
+/// metadata, so a pipelined spine skips them.
+pub(crate) const ROWS: &[Row] = &[
+    Row::new(EventType::MemRead, IfEventConfig::cacheable_addr(0)).elided(),
+    Row::new(EventType::MemWrite, IfEventConfig::cacheable_addr(0)).elided(),
+    Row::new(EventType::Malloc, IfEventConfig::invalidates_all()),
+    Row::new(EventType::Free, IfEventConfig::invalidates_all()),
+    // Conservative: these handlers only keep books or check, yet run on the spine.
+    Row::new(EventType::Syscall, IfEventConfig::invalidates_all()),
+    Row::new(EventType::ReadInput, PLAIN),
+];
+
 impl Lifeguard for AddrCheck {
     fn kind(&self) -> LifeguardKind {
         LifeguardKind::AddrCheck
-    }
-
-    fn etct(&self) -> Etct {
-        let mut etct = Etct::new();
-        // Loads and stores perform the same check: one CC value.
-        etct.register(EventType::MemRead, IfEventConfig::cacheable_addr(0));
-        etct.register(EventType::MemWrite, IfEventConfig::cacheable_addr(0));
-        // Metadata-changing rare events invalidate the filter.
-        etct.register(EventType::Malloc, IfEventConfig::invalidates_all());
-        etct.register(EventType::Free, IfEventConfig::invalidates_all());
-        etct.register(EventType::Syscall, IfEventConfig::invalidates_all());
-        // Kernel writes into a user buffer: the buffer must be allocated.
-        etct.register_plain(EventType::ReadInput);
-        etct
     }
 
     fn handle(&mut self, ev: &DeliveredEvent, cost: &mut CostSink) {

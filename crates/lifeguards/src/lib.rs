@@ -8,6 +8,12 @@
 //! | [`TaintCheckDetailed`] | same + taint-propagation trail | 8-byte (from, eip) record / word | ✓ | – | ✓ |
 //! | [`LockSet`] | data races (Eraser algorithm) | 32-bit state+lockset record / word | – | ✓ | ✓ |
 //!
+//! Each lifeguard declares its ETCT once, as the `ROWS` list in its module.
+//! A row is a registered event type, its Idempotent Filter fields (§5) and
+//! whether a pipelined spine may skip it. The ETCT, the IT and IF columns
+//! above, the IT policy and spine elision are all derived from the rows, so
+//! a lifeguard's semantics toward the accelerators are edited there only.
+//!
 //! Each lifeguard is an ordinary software program running on the lifeguard
 //! core: its handlers do *real* metadata work against `igm-shadow` maps (so
 //! planted bugs are actually detected) while reporting per-event dynamic
@@ -36,8 +42,62 @@ pub use taint_detailed::TaintCheckDetailed;
 pub use violation::Violation;
 
 use igm_core::{AccelConfig, ItConfig};
-use igm_lba::{DeliveredEvent, Etct};
+use igm_lba::{DeliveredEvent, Etct, EventType, FieldSelect, IfEventConfig, NUM_EVENT_TYPES};
 use std::fmt;
+
+/// One row of a lifeguard's declaration: a registered event type, its
+/// Idempotent Filter fields, and whether a pipelined spine may skip it.
+pub(crate) struct Row {
+    event: EventType,
+    if_cfg: IfEventConfig,
+    spine_elides: bool,
+}
+
+/// Plain filter behaviour: `IfEventConfig::default()`, in a `const`.
+pub(crate) const PLAIN: IfEventConfig = IfEventConfig {
+    cacheable: false,
+    cc: 0,
+    fields: FieldSelect::NONE,
+    invalidate_all: false,
+    invalidate_match: false,
+};
+
+impl Row {
+    /// Registers `event` with `if_cfg`; the spine runs it.
+    pub(crate) const fn new(event: EventType, if_cfg: IfEventConfig) -> Row {
+        Row { event, if_cfg, spine_elides: false }
+    }
+
+    /// The same row, skipped on a pipelined spine.
+    pub(crate) const fn elided(self) -> Row {
+        Row { spine_elides: true, ..self }
+    }
+}
+
+/// [`LifeguardKind::spine_elides`] as one indexed load, per lifeguard (by
+/// discriminant) and event type: a registered type takes its row's flag; an
+/// unregistered check keeps the per-class rule, skipped if all others are.
+const SPINE_ELIDES: [[bool; NUM_EVENT_TYPES]; LifeguardKind::ALL.len()] = {
+    let mut table = [[false; NUM_EVENT_TYPES]; LifeguardKind::ALL.len()];
+    let mut k = 0;
+    while k < table.len() {
+        let kind = LifeguardKind::ALL[k];
+        let (rows, elides) = (kind.rows(), &mut table[kind as usize]);
+        let (mut i, mut checks_elided) = (0, true);
+        while i < rows.len() {
+            elides[rows[i].event as usize] = rows[i].spine_elides;
+            checks_elided &= rows[i].spine_elides || !rows[i].event.is_check();
+            i += 1;
+        }
+        let mut t = EventType::MemRead as usize;
+        while t <= EventType::CheckFormatString as usize {
+            elides[t] |= checks_elided;
+            t += 1;
+        }
+        k += 1;
+    }
+    table
+};
 
 /// Which lifeguard (the paper's five).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -81,33 +141,43 @@ impl LifeguardKind {
         }
     }
 
-    /// The Figure 2 applicability row.
-    pub fn accel_support(self) -> AccelSupport {
+    /// The declaration rows; TaintCheckDetailed shares TaintCheck's.
+    const fn rows(self) -> &'static [Row] {
         match self {
-            LifeguardKind::AddrCheck => {
-                AccelSupport { it: false, idempotent_filter: true, lma: true }
-            }
-            LifeguardKind::MemCheck => {
-                AccelSupport { it: true, idempotent_filter: true, lma: true }
-            }
-            LifeguardKind::TaintCheck | LifeguardKind::TaintCheckDetailed => {
-                AccelSupport { it: true, idempotent_filter: false, lma: true }
-            }
-            LifeguardKind::LockSet => {
-                AccelSupport { it: false, idempotent_filter: true, lma: true }
-            }
+            LifeguardKind::AddrCheck => addrcheck::ROWS,
+            LifeguardKind::MemCheck => memcheck::ROWS,
+            LifeguardKind::TaintCheck | LifeguardKind::TaintCheckDetailed => taint::ROWS,
+            LifeguardKind::LockSet => lockset::ROWS,
         }
     }
 
-    /// The IT policy this lifeguard requires when IT is enabled.
-    pub fn it_config(self) -> Option<ItConfig> {
-        match self {
-            LifeguardKind::MemCheck => Some(ItConfig::memcheck_style()),
-            LifeguardKind::TaintCheck | LifeguardKind::TaintCheckDetailed => {
-                Some(ItConfig::taint_style())
-            }
-            _ => None,
+    /// The ETCT this lifeguard loads: its rows, and nothing else registered.
+    pub fn etct(self) -> Etct {
+        let mut etct = Etct::new();
+        for row in self.rows() {
+            etct.register(row.event, row.if_cfg);
         }
+        etct
+    }
+
+    /// The Figure 2 row, derived from the ETCT rows: IT applies when some
+    /// propagation event is registered, the IF when some row is cacheable.
+    pub fn accel_support(self) -> AccelSupport {
+        let rows = self.rows();
+        AccelSupport {
+            it: rows.iter().any(|r| r.event.is_propagation()),
+            idempotent_filter: rows.iter().any(|r| r.if_cfg.cacheable),
+            lma: true,
+        }
+    }
+
+    /// The IT policy when IT applies (else `None`): eager non-unary checks
+    /// ([`ItConfig::memcheck_style`]) exactly if `CheckNonUnary` is registered.
+    pub fn it_config(self) -> Option<ItConfig> {
+        self.accel_support().it.then(|| ItConfig {
+            nonunary_check: self.rows().iter().any(|r| r.event == EventType::CheckNonUnary),
+            ..ItConfig::default()
+        })
     }
 
     /// Masks a requested configuration by this lifeguard's Figure 2 row and
@@ -117,8 +187,8 @@ impl LifeguardKind {
         AccelConfig {
             lma: requested.lma && support.lma,
             mtlb_entries: requested.mtlb_entries,
-            it: if requested.it.is_some() && support.it { self.it_config() } else { None },
-            if_geometry: if support.idempotent_filter { requested.if_geometry } else { None },
+            it: requested.it.and(self.it_config()),
+            if_geometry: requested.if_geometry.filter(|_| support.idempotent_filter),
         }
     }
 
@@ -140,47 +210,20 @@ impl LifeguardKind {
         }
     }
 
-    /// Which events a pipelined session's *spine* may elide (the runtime's
-    /// analogue of the Figure 2 applicability matrix, refined to per-event
-    /// granularity). The spine's job is to reproduce the exact shadow-state
-    /// evolution at epoch boundaries; any event whose handler is
-    /// metadata-pure can be skipped there, because the epoch job replays
-    /// the *full* event stream against the boundary snapshot and is the
-    /// authoritative source of violations.
-    ///
-    /// * AddrCheck / TaintCheck (± detailed) — access and use checks only
-    ///   read the shadow map and report; the spine elides them all.
-    /// * MemCheck — accessibility checks (`MemRead`/`MemWrite`) are pure,
-    ///   but `Check` handlers *write* metadata to suppress report cascades
-    ///   (register mask and `I_BIT` stores), so those must run on the spine.
-    /// * LockSet — nearly every access refines the word's state machine or
-    ///   candidate lockset; nothing can be elided.
-    ///
-    /// Spine-side violations on elided-capable runs are discarded — the
-    /// epoch jobs re-derive the complete, ordered violation sequence.
+    /// Whether a pipelined session's *spine* may elide `ev`: the flag of
+    /// the row registering its type. The epoch job replays the *full* event
+    /// stream against the boundary snapshot and reports every violation, so
+    /// the spine may skip a handler that only reads metadata and reports.
+    /// An unregistered check (never delivered) is skipped if all registered are.
+    #[inline]
     pub fn spine_elides(self, ev: &igm_lba::Event) -> bool {
-        match self {
-            LifeguardKind::AddrCheck
-            | LifeguardKind::TaintCheck
-            | LifeguardKind::TaintCheckDetailed => matches!(
-                ev,
-                igm_lba::Event::Check { .. }
-                    | igm_lba::Event::MemRead(_)
-                    | igm_lba::Event::MemWrite(_)
-            ),
-            LifeguardKind::MemCheck => {
-                matches!(ev, igm_lba::Event::MemRead(_) | igm_lba::Event::MemWrite(_))
-            }
-            LifeguardKind::LockSet => false,
-        }
+        SPINE_ELIDES[self as usize][ev.event_type().index()]
     }
 
-    /// Whether [`LifeguardKind::spine_elides`] elides *anything* for this
-    /// lifeguard. The pool's automatic pipelining only engages when it
-    /// does — a lifeguard whose spine must run the full stream (LockSet)
-    /// gains nothing from shipping replay jobs on top of it.
+    /// Whether some row is skippable on the spine. The pool's automatic
+    /// pipelining only engages when it is: LockSet's spine runs everything.
     pub fn spine_elides_any(self) -> bool {
-        !matches!(self, LifeguardKind::LockSet)
+        self.rows().iter().any(|r| r.spine_elides)
     }
 }
 
@@ -195,9 +238,10 @@ pub trait Lifeguard {
     /// Which lifeguard this is.
     fn kind(&self) -> LifeguardKind;
 
-    /// The event registrations and Idempotent Filter configuration this
-    /// lifeguard loads into the ETCT.
-    fn etct(&self) -> Etct;
+    /// The ETCT this lifeguard loads ([`LifeguardKind::etct`]).
+    fn etct(&self) -> Etct {
+        self.kind().etct()
+    }
 
     /// Handles one delivered event, accumulating handler cost into `cost`
     /// (nothing, under a [`CostSink::discarding`] sink — verdicts and
@@ -279,10 +323,6 @@ macro_rules! with_each_lifeguard {
 impl Lifeguard for AnyLifeguard {
     fn kind(&self) -> LifeguardKind {
         with_each_lifeguard!(self, lg => lg.kind())
-    }
-
-    fn etct(&self) -> Etct {
-        with_each_lifeguard!(self, lg => lg.etct())
     }
 
     fn handle(&mut self, ev: &DeliveredEvent, cost: &mut CostSink) {
@@ -386,6 +426,83 @@ mod tests {
         );
         assert!(!LifeguardKind::LockSet.spine_elides(&read));
         assert!(!LifeguardKind::LockSet.spine_elides(&check));
+    }
+
+    /// The answers derived from the declaration rows equal the declared
+    /// tables: the Figure 2 matrix, each lifeguard's IT policy and the
+    /// per-class spine rule, for every event type (registered or not).
+    #[test]
+    fn derived_answers_equal_the_declared_tables() {
+        use igm_isa::{Annotation, MemRef, OpClass, Reg, RegSet};
+        use igm_lba::{CheckKind, Event, MetaSource};
+        use LifeguardKind::*;
+        let support = |it, idempotent_filter| AccelSupport { it, idempotent_filter, lma: true };
+        for (kind, want_support, want_it) in [
+            (AddrCheck, support(false, true), None),
+            (MemCheck, support(true, true), Some(ItConfig::memcheck_style())),
+            (TaintCheck, support(true, false), Some(ItConfig::taint_style())),
+            (TaintCheckDetailed, support(true, false), Some(ItConfig::taint_style())),
+            (LockSet, support(false, true), None),
+        ] {
+            assert_eq!(kind.accel_support(), want_support, "{kind}");
+            assert_eq!(kind.it_config(), want_it, "{kind}");
+            assert_eq!(kind.spine_elides_any(), kind != LockSet, "{kind}");
+        }
+
+        let declared_elides = |kind, ev: &Event| match kind {
+            AddrCheck | TaintCheck | TaintCheckDetailed => {
+                matches!(ev, Event::Check { .. } | Event::MemRead(_) | Event::MemWrite(_))
+            }
+            MemCheck => matches!(ev, Event::MemRead(_) | Event::MemWrite(_)),
+            LockSet => false,
+        };
+        let (m, r, none) = (MemRef::word(0x9000), Reg::Eax, RegSet::EMPTY);
+        let ops = [
+            OpClass::ImmToReg { rd: r },
+            OpClass::ImmToMem { dst: m },
+            OpClass::RegSelf { rd: r },
+            OpClass::MemSelf { dst: m },
+            OpClass::RegToReg { rs: r, rd: r },
+            OpClass::RegToMem { rs: r, dst: m },
+            OpClass::MemToReg { src: m, rd: r },
+            OpClass::MemToMem { src: m, dst: m },
+            OpClass::DestRegOpReg { rs: r, rd: r },
+            OpClass::DestRegOpMem { src: m, rd: r },
+            OpClass::DestMemOpReg { rs: r, dst: m },
+            OpClass::ReadOnly { src: None, reads: none },
+            OpClass::Other { reads: none, writes: none, mem_read: None, mem_write: None },
+        ];
+        let checks = [
+            CheckKind::NonUnaryInput,
+            CheckKind::AddrCompute,
+            CheckKind::CondBranchInput,
+            CheckKind::JumpTarget,
+            CheckKind::SyscallArg,
+            CheckKind::FormatString,
+        ];
+        let annotations = [
+            Annotation::Malloc { base: 0x9000, size: 8 },
+            Annotation::Free { base: 0x9000 },
+            Annotation::Lock { lock: 1 },
+            Annotation::Unlock { lock: 1 },
+            Annotation::ReadInput { base: 0x9000, len: 8 },
+            Annotation::Syscall { arg_reg: None, arg_mem: None },
+            Annotation::PrintfFormat { fmt: m },
+            Annotation::ThreadSwitch { tid: 1 },
+            Annotation::ThreadExit { tid: 1 },
+        ];
+        let events: Vec<Event> = (ops.map(Event::Prop).into_iter())
+            .chain([Event::MemRead(m), Event::MemWrite(m)])
+            .chain(checks.map(|kind| Event::Check { kind, source: MetaSource::Reg(r) }))
+            .chain(annotations.map(Event::Annot))
+            .collect();
+        let types: std::collections::HashSet<_> = events.iter().map(Event::event_type).collect();
+        assert_eq!(types.len(), igm_lba::NUM_EVENT_TYPES, "one event of every type");
+        for kind in LifeguardKind::ALL {
+            for ev in &events {
+                assert_eq!(kind.spine_elides(ev), declared_elides(kind, ev), "{kind}: {ev:?}");
+            }
+        }
     }
 
     #[test]

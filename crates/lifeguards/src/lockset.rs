@@ -22,10 +22,10 @@
 
 use crate::cost::{CostSink, MetaMap};
 use crate::violation::{Reports, Violation};
-use crate::{Lifeguard, LifeguardKind};
+use crate::{Lifeguard, LifeguardKind, Row};
 use igm_core::AccelConfig;
 use igm_isa::{Annotation, MemRef};
-use igm_lba::{DeliveredEvent, Etct, Event, EventType, IfEventConfig};
+use igm_lba::{DeliveredEvent, Event, EventType, IfEventConfig};
 use igm_shadow::layout::ElemSize;
 use igm_shadow::{ShadowLayout, TwoLevelShadow};
 use std::collections::{HashMap, HashSet};
@@ -295,31 +295,27 @@ impl LockSet {
     }
 }
 
+/// LockSet's ETCT rows (see the crate docs). Nearly every event refines a
+/// word's state machine or a thread's lockset, so a pipelined spine skips
+/// nothing.
+pub(crate) const ROWS: &[Row] = &[
+    Row::new(EventType::MemRead, IfEventConfig::cacheable_addr(1)),
+    Row::new(EventType::MemWrite, IfEventConfig::cacheable_addr(2)),
+    Row::new(EventType::Malloc, IfEventConfig::invalidates_all()),
+    // Conservative: the handler only keeps books, yet runs on the spine.
+    Row::new(EventType::Free, IfEventConfig::invalidates_all()),
+    Row::new(EventType::Lock, IfEventConfig::invalidates_all()),
+    Row::new(EventType::Unlock, IfEventConfig::invalidates_all()),
+    // Conservative, as `Free`: these two handlers only keep books.
+    Row::new(EventType::Syscall, IfEventConfig::invalidates_all()),
+    Row::new(EventType::ReadInput, IfEventConfig::invalidates_all()),
+    Row::new(EventType::ThreadSwitch, IfEventConfig::invalidates_all()),
+    Row::new(EventType::ThreadExit, IfEventConfig::invalidates_all()),
+];
+
 impl Lifeguard for LockSet {
     fn kind(&self) -> LifeguardKind {
         LifeguardKind::LockSet
-    }
-
-    fn etct(&self) -> Etct {
-        let mut etct = Etct::new();
-        // Unlike AddrCheck, loads and stores are distinct checks (different
-        // CC values, paper §5 / Figure 13(c)).
-        etct.register(EventType::MemRead, IfEventConfig::cacheable_addr(1));
-        etct.register(EventType::MemWrite, IfEventConfig::cacheable_addr(2));
-        // Every annotation invalidates the filter (footnote 1).
-        for et in [
-            EventType::Malloc,
-            EventType::Free,
-            EventType::Lock,
-            EventType::Unlock,
-            EventType::Syscall,
-            EventType::ReadInput,
-            EventType::ThreadSwitch,
-            EventType::ThreadExit,
-        ] {
-            etct.register(et, IfEventConfig::invalidates_all());
-        }
-        etct
     }
 
     fn handle(&mut self, ev: &DeliveredEvent, cost: &mut CostSink) {

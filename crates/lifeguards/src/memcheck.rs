@@ -20,10 +20,10 @@
 
 use crate::cost::{CostSink, MetaMap};
 use crate::violation::{Reports, SourceDesc, Violation};
-use crate::{fields, Lifeguard, LifeguardKind};
+use crate::{fields, Lifeguard, LifeguardKind, Row, PLAIN};
 use igm_core::AccelConfig;
 use igm_isa::{Annotation, MemRef, OpClass, Reg};
-use igm_lba::{DeliveredEvent, Etct, Event, EventType, IfEventConfig, MetaSource};
+use igm_lba::{DeliveredEvent, Event, EventType, IfEventConfig, MetaSource};
 use igm_shadow::layout::ElemSize;
 use igm_shadow::{RegMeta, ShadowLayout, TwoLevelShadow};
 use std::collections::HashMap;
@@ -245,45 +245,39 @@ impl MemCheck {
     }
 }
 
+/// MemCheck's ETCT rows (see the crate docs).
+pub(crate) const ROWS: &[Row] = &[
+    // Accessibility checks only read metadata: a pipelined spine skips them.
+    Row::new(EventType::MemRead, IfEventConfig::cacheable_addr(0)).elided(),
+    Row::new(EventType::MemWrite, IfEventConfig::cacheable_addr(0)).elided(),
+    Row::new(EventType::ImmToReg, PLAIN),
+    Row::new(EventType::ImmToMem, PLAIN),
+    Row::new(EventType::RegSelf, PLAIN),
+    Row::new(EventType::MemSelf, PLAIN),
+    Row::new(EventType::RegToReg, PLAIN),
+    Row::new(EventType::RegToMem, PLAIN),
+    Row::new(EventType::MemToReg, PLAIN),
+    Row::new(EventType::MemToMem, PLAIN),
+    Row::new(EventType::DestRegOpReg, PLAIN),
+    Row::new(EventType::DestRegOpMem, PLAIN),
+    Row::new(EventType::DestMemOpReg, PLAIN),
+    Row::new(EventType::Other, PLAIN),
+    // Use checks store cascade-suppression state, so the spine runs them;
+    // registering `CheckNonUnary` asks IT for the eager variant.
+    Row::new(EventType::CheckNonUnary, PLAIN),
+    Row::new(EventType::CheckAddrCompute, PLAIN),
+    Row::new(EventType::CheckCondBranch, PLAIN),
+    Row::new(EventType::CheckSyscallArg, PLAIN),
+    Row::new(EventType::Malloc, IfEventConfig::invalidates_all()),
+    Row::new(EventType::Free, IfEventConfig::invalidates_all()),
+    // Conservative: the handler only keeps books, yet runs on the spine.
+    Row::new(EventType::Syscall, IfEventConfig::invalidates_all()),
+    Row::new(EventType::ReadInput, PLAIN),
+];
+
 impl Lifeguard for MemCheck {
     fn kind(&self) -> LifeguardKind {
         LifeguardKind::MemCheck
-    }
-
-    fn etct(&self) -> Etct {
-        let mut etct = Etct::new();
-        // Accessibility checks: same category for loads and stores.
-        etct.register(EventType::MemRead, IfEventConfig::cacheable_addr(0));
-        etct.register(EventType::MemWrite, IfEventConfig::cacheable_addr(0));
-        // Propagation events.
-        etct.register_all([
-            EventType::ImmToReg,
-            EventType::ImmToMem,
-            EventType::RegSelf,
-            EventType::MemSelf,
-            EventType::RegToReg,
-            EventType::RegToMem,
-            EventType::MemToReg,
-            EventType::MemToMem,
-            EventType::DestRegOpReg,
-            EventType::DestRegOpMem,
-            EventType::DestMemOpReg,
-            EventType::Other,
-        ]);
-        // Initialized-state checks (not cacheable: metadata changes with
-        // propagation).
-        etct.register_all([
-            EventType::CheckNonUnary,
-            EventType::CheckAddrCompute,
-            EventType::CheckCondBranch,
-            EventType::CheckSyscallArg,
-        ]);
-        // Rare events; allocation changes accessibility, so flush.
-        etct.register(EventType::Malloc, IfEventConfig::invalidates_all());
-        etct.register(EventType::Free, IfEventConfig::invalidates_all());
-        etct.register(EventType::Syscall, IfEventConfig::invalidates_all());
-        etct.register_plain(EventType::ReadInput);
-        etct
     }
 
     /// Columnar batch sweep: the access checks and propagation handlers are

@@ -19,10 +19,10 @@
 
 use crate::cost::{CostSink, MetaMap};
 use crate::violation::{Reports, SourceDesc, TaintSink, Violation};
-use crate::{fields, Lifeguard, LifeguardKind};
+use crate::{fields, Lifeguard, LifeguardKind, Row, PLAIN};
 use igm_core::AccelConfig;
 use igm_isa::{Annotation, MemRef, OpClass, Reg};
-use igm_lba::{CheckKind, DeliveredEvent, Etct, Event, EventType, MetaSource};
+use igm_lba::{CheckKind, DeliveredEvent, Event, EventType, MetaSource};
 use igm_shadow::{RegMeta, ShadowLayout, TwoLevelShadow};
 
 /// Tainted 2-bit metadata value.
@@ -106,7 +106,8 @@ impl TaintCheck {
         self.tainted_bytes += if v == TAINTED { changed } else { -changed };
     }
 
-    fn sink_of(kind: CheckKind) -> TaintSink {
+    /// The sink a check event of `kind` guards, for both TaintChecks.
+    pub(crate) fn sink_of(kind: CheckKind) -> TaintSink {
         match kind {
             CheckKind::SyscallArg => TaintSink::SyscallArg,
             CheckKind::FormatString => TaintSink::FormatString,
@@ -207,33 +208,31 @@ impl TaintCheck {
     }
 }
 
+/// TaintCheck's ETCT rows (see the crate docs), shared by
+/// TaintCheckDetailed. Figure 4: the "self" and read-only operations leave
+/// taint unchanged and are not registered.
+pub(crate) const ROWS: &[Row] = &[
+    Row::new(EventType::ImmToReg, PLAIN),
+    Row::new(EventType::ImmToMem, PLAIN),
+    Row::new(EventType::RegToReg, PLAIN),
+    Row::new(EventType::RegToMem, PLAIN),
+    Row::new(EventType::MemToReg, PLAIN),
+    Row::new(EventType::MemToMem, PLAIN),
+    Row::new(EventType::DestRegOpReg, PLAIN),
+    Row::new(EventType::DestRegOpMem, PLAIN),
+    Row::new(EventType::DestMemOpReg, PLAIN),
+    Row::new(EventType::Other, PLAIN),
+    // Critical sinks only read taint: a pipelined spine skips them.
+    Row::new(EventType::CheckJumpTarget, PLAIN).elided(),
+    Row::new(EventType::CheckSyscallArg, PLAIN).elided(),
+    Row::new(EventType::CheckFormatString, PLAIN).elided(),
+    Row::new(EventType::Malloc, PLAIN),
+    Row::new(EventType::ReadInput, PLAIN),
+];
+
 impl Lifeguard for TaintCheck {
     fn kind(&self) -> LifeguardKind {
         LifeguardKind::TaintCheck
-    }
-
-    fn etct(&self) -> Etct {
-        let mut etct = Etct::new();
-        etct.register_all([
-            EventType::ImmToReg,
-            EventType::ImmToMem,
-            EventType::RegToReg,
-            EventType::RegToMem,
-            EventType::MemToReg,
-            EventType::MemToMem,
-            EventType::DestRegOpReg,
-            EventType::DestRegOpMem,
-            EventType::DestMemOpReg,
-            EventType::Other,
-            // Critical sinks.
-            EventType::CheckJumpTarget,
-            EventType::CheckSyscallArg,
-            EventType::CheckFormatString,
-            // Rare events that rewrite taint.
-            EventType::Malloc,
-            EventType::ReadInput,
-        ]);
-        etct
     }
 
     fn handle(&mut self, ev: &DeliveredEvent, cost: &mut CostSink) {

@@ -16,11 +16,11 @@
 //! stores taint their containing word.
 
 use crate::cost::{CostSink, MetaMap};
-use crate::violation::{Reports, SourceDesc, TaintSink, Violation};
-use crate::{Lifeguard, LifeguardKind};
+use crate::violation::{Reports, SourceDesc, Violation};
+use crate::{Lifeguard, LifeguardKind, TaintCheck};
 use igm_core::AccelConfig;
 use igm_isa::{Annotation, MemRef, OpClass, Reg};
-use igm_lba::{CheckKind, DeliveredEvent, Etct, Event, EventType, MetaSource};
+use igm_lba::{DeliveredEvent, Event, MetaSource};
 use igm_shadow::layout::ElemSize;
 use igm_shadow::{RegMeta, ShadowLayout, TwoLevelShadow};
 use std::collections::HashSet;
@@ -299,30 +299,6 @@ impl Lifeguard for TaintCheckDetailed {
         LifeguardKind::TaintCheckDetailed
     }
 
-    fn etct(&self) -> Etct {
-        // Same registrations as plain TaintCheck: the difference is purely
-        // in metadata format and handler cost.
-        let mut etct = Etct::new();
-        etct.register_all([
-            EventType::ImmToReg,
-            EventType::ImmToMem,
-            EventType::RegToReg,
-            EventType::RegToMem,
-            EventType::MemToReg,
-            EventType::MemToMem,
-            EventType::DestRegOpReg,
-            EventType::DestRegOpMem,
-            EventType::DestMemOpReg,
-            EventType::Other,
-            EventType::CheckJumpTarget,
-            EventType::CheckSyscallArg,
-            EventType::CheckFormatString,
-            EventType::Malloc,
-            EventType::ReadInput,
-        ]);
-        etct
-    }
-
     fn handle(&mut self, ev: &DeliveredEvent, cost: &mut CostSink) {
         match &ev.event {
             Event::Prop(op) => self.handle_prop(ev.pc, op, cost),
@@ -341,11 +317,7 @@ impl Lifeguard for TaintCheckDetailed {
                     }
                 };
                 if tainted {
-                    let sink = match kind {
-                        CheckKind::SyscallArg => TaintSink::SyscallArg,
-                        CheckKind::FormatString => TaintSink::FormatString,
-                        _ => TaintSink::JumpTarget,
-                    };
+                    let sink = TaintCheck::sink_of(*kind);
                     let source = match source {
                         MetaSource::Reg(r) => SourceDesc::Reg(r.index()),
                         MetaSource::Mem(m) => SourceDesc::Mem(*m),
@@ -419,6 +391,7 @@ fn words(base: u32, len: u32) -> impl Iterator<Item = u32> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use igm_lba::CheckKind;
 
     fn run(lg: &mut TaintCheckDetailed, pc: u32, event: Event) {
         let mut c = CostSink::new();

@@ -329,8 +329,10 @@ mod tests {
     #[test]
     fn if_reduction_grows_with_entries() {
         let b = Benchmark::Crafty;
-        let small = if_reduction(b.trace(N), IfGeometry::fully_associative(8), CcMode::Combined);
-        let large = if_reduction(b.trace(N), IfGeometry::fully_associative(256), CcMode::Combined);
+        let small =
+            if_reduction(b.trace(N), IfGeometry::fully_associative(8), LifeguardKind::AddrCheck);
+        let large =
+            if_reduction(b.trace(N), IfGeometry::fully_associative(256), LifeguardKind::AddrCheck);
         assert!(large >= small, "8 entries {small:.2} vs 256 {large:.2}");
         assert!(large > 0.2, "large filter should catch reuse, got {large:.2}");
     }
@@ -340,16 +342,19 @@ mod tests {
         // Paper: "a set-associative design with 4 or more ways works as
         // well as the fully-associative design".
         let b = Benchmark::Vortex;
-        let fa = if_reduction(b.trace(N), IfGeometry::fully_associative(32), CcMode::Combined);
-        let w4 = if_reduction(b.trace(N), IfGeometry::set_associative(32, 4), CcMode::Combined);
+        let fa =
+            if_reduction(b.trace(N), IfGeometry::fully_associative(32), LifeguardKind::AddrCheck);
+        let w4 =
+            if_reduction(b.trace(N), IfGeometry::set_associative(32, 4), LifeguardKind::AddrCheck);
         assert!((fa - w4).abs() < 0.10, "fully-assoc {fa:.2} vs 4-way {w4:.2}");
     }
 
     #[test]
     fn separate_ccs_filter_no_more_than_combined() {
         let g = || MtBenchmark::WaterNq.trace(N);
-        let combined = if_reduction(g(), IfGeometry::fully_associative(32), CcMode::Combined);
-        let separate = if_reduction(g(), IfGeometry::fully_associative(32), CcMode::Separate);
+        let combined =
+            if_reduction(g(), IfGeometry::fully_associative(32), LifeguardKind::AddrCheck);
+        let separate = if_reduction(g(), IfGeometry::fully_associative(32), LifeguardKind::LockSet);
         assert!(separate <= combined + 0.02);
     }
 

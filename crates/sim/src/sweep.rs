@@ -9,10 +9,10 @@
 //! * [`it_pass`] / [`it_reduction`] — % of propagation (update) events
 //!   removed by Inheritance Tracking (Figure 13(a), Figure 12 column 2),
 //!   with the tracker's counters;
-//! * [`if_reduction`] — % of check events removed by an Idempotent Filter
-//!   of a given entry count and associativity, with loads+stores combined
-//!   (AddrCheck-style, Figure 13(b)) or separate (LockSet-style,
-//!   Figure 13(c));
+//! * [`if_reduction`] — % of memory-access check events removed by an
+//!   Idempotent Filter of a given entry count and associativity, keyed as
+//!   a lifeguard's ETCT keys its loads and stores: one check category for
+//!   both (AddrCheck, Figure 13(b)) or one each (LockSet, Figure 13(c));
 //! * [`mtlb_miss_rate`] / [`mtlb_flexible`] — M-TLB miss rates while
 //!   varying the level-1 index width and the entry count, for the fixed and
 //!   the footprint-adaptive designs (Figure 14).
@@ -26,6 +26,7 @@ use igm_core::{
 };
 use igm_isa::TraceEntry;
 use igm_lba::{extract_events, Event, IfEventConfig};
+use igm_lifeguards::LifeguardKind;
 use igm_shadow::layout::ElemSize;
 use igm_shadow::{choose_level1_bits, footprint_pages, ShadowLayout, SizingPolicy, TwoLevelShadow};
 use std::collections::BTreeSet;
@@ -76,28 +77,17 @@ pub fn it_reduction(trace: impl IntoIterator<Item = TraceEntry>, cfg: ItConfig) 
     it_pass(trace, cfg).0
 }
 
-/// Which memory-access check categorization an [`if_reduction`] uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CcMode {
-    /// Loads and stores are the same check (AddrCheck/MemCheck,
-    /// Figure 13(b)).
-    Combined,
-    /// Loads and stores are distinct checks (LockSet, Figure 13(c)).
-    Separate,
-}
-
 /// Fraction of memory-access check events filtered by an Idempotent Filter
-/// of the given geometry, with annotations invalidating the whole filter.
+/// of the given geometry, with loads and stores keyed by the `MemRead` and
+/// `MemWrite` rows of `kind`'s ETCT, and every annotation invalidating the
+/// whole filter.
 pub fn if_reduction(
     trace: impl IntoIterator<Item = TraceEntry>,
     geometry: IfGeometry,
-    mode: CcMode,
+    kind: LifeguardKind,
 ) -> f64 {
     let mut filter = IdempotentFilter::new(geometry);
-    let (read_cfg, write_cfg) = match mode {
-        CcMode::Combined => (IfEventConfig::cacheable_addr(0), IfEventConfig::cacheable_addr(0)),
-        CcMode::Separate => (IfEventConfig::cacheable_addr(1), IfEventConfig::cacheable_addr(2)),
-    };
+    let etct = kind.etct();
     let inval = IfEventConfig::invalidates_all();
     let mut raw = Vec::new();
     let mut checks = 0u64;
@@ -107,8 +97,7 @@ pub fn if_reduction(
         extract_events(&entry, &mut raw);
         for dev in &raw {
             let cfg = match dev.event {
-                Event::MemRead(_) => &read_cfg,
-                Event::MemWrite(_) => &write_cfg,
+                Event::MemRead(_) | Event::MemWrite(_) => etct.if_config(dev.event.event_type()),
                 Event::Annot(_) => {
                     filter.process(dev.pc, &dev.event, &inval);
                     continue;

@@ -8,9 +8,8 @@
 
 use igm::accel::IfGeometry;
 use igm::accel::ItConfig;
-use igm::sim::sweep::{
-    if_reduction, it_reduction, mtlb_flexible, mtlb_miss_rate, trace_footprint, CcMode,
-};
+use igm::lifeguards::LifeguardKind;
+use igm::sim::sweep::{if_reduction, it_reduction, mtlb_flexible, mtlb_miss_rate, trace_footprint};
 use igm::workload::Benchmark;
 
 fn main() {
@@ -28,12 +27,13 @@ fn main() {
     println!("\nIdempotent Filter (combined load/store category)");
     print!("  entries:");
     for e in [8usize, 16, 32, 64, 128, 256] {
-        let r = if_reduction(b.trace(n), IfGeometry::fully_associative(e), CcMode::Combined);
+        let r =
+            if_reduction(b.trace(n), IfGeometry::fully_associative(e), LifeguardKind::AddrCheck);
         print!("  {e}->{:4.1}%", r * 100.0);
     }
     println!();
-    let fa = if_reduction(b.trace(n), IfGeometry::fully_associative(32), CcMode::Combined);
-    let w4 = if_reduction(b.trace(n), IfGeometry::set_associative(32, 4), CcMode::Combined);
+    let fa = if_reduction(b.trace(n), IfGeometry::fully_associative(32), LifeguardKind::AddrCheck);
+    let w4 = if_reduction(b.trace(n), IfGeometry::set_associative(32, 4), LifeguardKind::AddrCheck);
     println!("  32 entries: fully associative {:4.1}% vs 4-way {:4.1}%", fa * 100.0, w4 * 100.0);
 
     println!("\nMetadata-TLB (64 entries)");

@@ -8,8 +8,9 @@
 //! Cells are strategy × lifeguard × accelerator configuration × generator,
 //! and each configuration is compared with itself only: whether
 //! accelerated and unaccelerated verdicts agree is `tests/properties.rs`'s
-//! axis. A new strategy or generator is one more entry in [`STRATEGIES`]
-//! or [`GENERATORS`].
+//! axis. The oracle's violation count per cell is pinned
+//! ([`ORACLE_COUNTS`]). A new strategy or generator is one more entry in
+//! [`STRATEGIES`] or [`GENERATORS`].
 
 mod common;
 
@@ -168,6 +169,41 @@ const GENERATORS: [Generator; 4] = [
     },
 ];
 
+/// The oracle's violations per cell (whole trace / lake window), as
+/// [`check`] prints them. Each cell compares a configuration with itself
+/// only, so this table is what catches a change to what a configuration
+/// reports, such as a slip in how a lifeguard masks a requested
+/// configuration. Where a row differs across configurations, the
+/// accelerators change the verdicts themselves: TaintCheck's IT cleans
+/// non-unary results (taint-chain), the Idempotent Filter drops repeats of
+/// a failing check (annotation-dense, and AddrCheck's and MemCheck's lake
+/// windows), and MemCheck's IT checks eagerly.
+const ORACLE_COUNTS: &str = "\
+tenant                       base          lma       lma_if       lma_it         full
+AddrCheck                 20/1161      20/1161       20/947      20/1161       20/947
+MemCheck                  23/1262      23/1262      23/1048      44/1380      44/1166
+TaintCheck                  20/10        20/10        20/10        20/10        20/10
+TaintCheckDetailed          20/10        20/10        20/10        20/10        20/10
+LockSet                       0/0          0/0          0/0          0/0          0/0
+planted                      base          lma       lma_if       lma_it         full
+AddrCheck                   23/88        23/88        23/88        23/88        23/88
+MemCheck                    23/88        23/88        23/88       98/125       98/125
+TaintCheck                    0/0          0/0          0/0          0/0          0/0
+TaintCheckDetailed            0/0          0/0          0/0          0/0          0/0
+LockSet                     23/12        23/12        23/12        23/12        23/12
+taint-chain                  base          lma       lma_if       lma_it         full
+AddrCheck                 134/278      134/278      134/215      134/278      134/215
+MemCheck                  134/317      134/317      134/254      134/352      134/289
+TaintCheck                  67/34        67/34        67/34        23/11        23/11
+TaintCheckDetailed          67/34        67/34        67/34        23/11        23/11
+LockSet                       0/0          0/0          0/0          0/0          0/0
+annotation-dense             base          lma       lma_if       lma_it         full
+AddrCheck                1361/696     1361/696     1360/696     1361/696     1360/696
+MemCheck                 1361/696     1361/696     1360/696     1376/712     1375/712
+TaintCheck                    1/0          1/0          1/0          1/0          1/0
+TaintCheckDetailed            1/0          1/0          1/0          1/0          1/0
+LockSet                       1/0          1/0          1/0          1/0          1/0";
+
 /// Runs every strategy over every lifeguard × configuration of generator
 /// `g`. Returns the printed matrix (the oracle's violations per cell, over
 /// the whole trace / the lake window) and every departing cell.
@@ -233,10 +269,12 @@ fn every_strategy_matches_the_sequential_monitor() {
     });
     let names = STRATEGIES.map(|strategy| strategy.name).join(", ");
     println!("{names} x 5 lifeguards x 5 configs; oracle violations (whole trace/lake window):");
-    let mut failures = Vec::new();
+    let (mut failures, mut tables) = (Vec::new(), Vec::new());
     for (table, departures) in results {
         println!("{table}");
+        tables.push(table);
         failures.extend(departures);
     }
     assert!(failures.is_empty(), "{} cells differ:\n{}", failures.len(), failures.join("\n"));
+    assert_eq!(tables.join("\n"), ORACLE_COUNTS, "the oracle's violation counts moved");
 }

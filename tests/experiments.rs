@@ -5,9 +5,7 @@
 use igm::accel::{AccelConfig, IfGeometry, ItConfig};
 use igm::lba::ANNOTATION_RECORD_BYTES;
 use igm::lifeguards::LifeguardKind;
-use igm::sim::sweep::{
-    if_reduction, it_reduction, mtlb_flexible, mtlb_miss_rate, trace_footprint, CcMode,
-};
+use igm::sim::sweep::{if_reduction, it_reduction, mtlb_flexible, mtlb_miss_rate, trace_footprint};
 use igm::sim::{SimConfig, SimReport, Simulator};
 use igm::timing::{CacheConfig, SystemConfig};
 use igm::workload::{Benchmark, MtBenchmark};
@@ -97,7 +95,8 @@ fn if_curve_rises_and_saturates() {
     let b = Benchmark::Parser;
     let mut prev = 0.0;
     for e in [8usize, 32, 128] {
-        let r = if_reduction(b.trace(N), IfGeometry::fully_associative(e), CcMode::Combined);
+        let r =
+            if_reduction(b.trace(N), IfGeometry::fully_associative(e), LifeguardKind::AddrCheck);
         assert!(r >= prev - 0.02, "{e} entries: {r:.2} after {prev:.2}");
         prev = r;
     }
