@@ -5,8 +5,8 @@ use crate::query::{execute, LakeHits, LakeQuery};
 use igm_isa::TraceEntry;
 use igm_lba::TraceBatch;
 use igm_runtime::{MonitorPool, SessionConfig, SessionReport};
-use igm_span::{tenant_id, trace_id, RecordId};
-use igm_trace::{replay_window, CaptureError, TraceError, TraceIndex, TraceReader};
+use igm_span::{tenant_id, RecordId};
+use igm_trace::{replay_window, CaptureError, LakeArtifact, TraceError, TraceIndex, TraceReader};
 use std::fs::File;
 use std::io::BufReader;
 use std::path::{Path, PathBuf};
@@ -60,7 +60,7 @@ pub struct LakeTrace {
     pub stem: String,
     /// [`tenant_id`] of the stem (the `RecordId.tenant` coordinate).
     pub tenant: u32,
-    /// [`trace_id`] of the stem (the `RecordId.trace` coordinate).
+    /// [`igm_span::trace_id`] of the stem (the `RecordId.trace` coordinate).
     pub trace: u32,
     /// Path of the trace file.
     pub path: PathBuf,
@@ -120,7 +120,8 @@ impl TraceLake {
                 None => continue,
             };
             let trace_bytes = std::fs::metadata(&path).map(|m| m.len()).unwrap_or(0);
-            let sidecar = path.with_extension("igmx");
+            let artifact = LakeArtifact::new(&dir, &stem);
+            let sidecar = artifact.sidecar_path;
             let loaded =
                 TraceIndex::load_file(&sidecar).ok().filter(|i| index_fits(i, &path, trace_bytes));
             let (index, rebuilt) = match loaded {
@@ -140,7 +141,7 @@ impl TraceLake {
             };
             traces.push(LakeTrace {
                 tenant: tenant_id(&stem),
-                trace: trace_id(&stem),
+                trace: artifact.trace_id,
                 stem,
                 path,
                 trace_bytes,

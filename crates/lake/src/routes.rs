@@ -26,7 +26,7 @@
 use crate::catalog::{LakeError, TraceLake};
 use crate::query::LakeQuery;
 use igm_obs::{
-    Counter, Histogram, MetricsRegistry, Query, QueryError, RouteHandler, RouteResponse,
+    json_str, Counter, Histogram, MetricsRegistry, Query, QueryError, RouteHandler, RouteResponse,
 };
 use igm_span::RecordId;
 use igm_trace::{op_class, site, Dim, PAGE_SHIFT};
@@ -294,20 +294,4 @@ fn lake_error(e: LakeError) -> RouteResponse {
         content_type: "application/json",
         body: QueryError { kind, detail: e.to_string() }.to_json(),
     }
-}
-
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }

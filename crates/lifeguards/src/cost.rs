@@ -31,7 +31,7 @@ pub const NLBA_INSTRS: u32 = 1;
 /// instruction count and every metadata virtual address: the timing model
 /// (`igm_sim::Simulator`), the figure binaries and the cost-comparing tests
 /// read them back. A *discarding* sink ([`CostSink::discarding`]) is for the
-/// functional paths that only want verdicts (`igm_sim::Monitor`, pool
+/// functional paths that only want verdicts ([`Monitor`](crate::Monitor), pool
 /// sessions, epoch spines and jobs, lake replay): [`CostSink::instr`] and
 /// [`CostSink::mem`] do nothing, and [`MetaMap::map`] skips the M-TLB lookup
 /// and the address arithmetic whose only consumer is the timing model. What

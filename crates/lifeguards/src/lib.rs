@@ -23,12 +23,16 @@
 //! two-level TaintCheck handler, 4 with `LMA`). Callers that only want the
 //! verdicts hand the handlers a [`CostSink::discarding`] sink and skip the
 //! accounting.
+//!
+//! A lifeguard runs behind its dispatch pipeline as a [`Monitor`], which
+//! both `igm-sim` and `igm-runtime` build on.
 
 pub mod addrcheck;
 pub mod cost;
 mod fields;
 pub mod lockset;
 pub mod memcheck;
+pub mod monitor;
 pub mod taint;
 pub mod taint_detailed;
 pub mod violation;
@@ -37,6 +41,7 @@ pub use addrcheck::AddrCheck;
 pub use cost::{CostSink, MISS_HANDLER_INSTRS, NLBA_INSTRS, SOFTWARE_MAP_INSTRS};
 pub use lockset::LockSet;
 pub use memcheck::MemCheck;
+pub use monitor::Monitor;
 pub use taint::TaintCheck;
 pub use taint_detailed::TaintCheckDetailed;
 pub use violation::Violation;

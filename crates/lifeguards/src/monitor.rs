@@ -1,21 +1,22 @@
-//! Functional (untimed) monitoring of real machine traces.
-//!
-//! [`Monitor`] wires a concrete lifeguard to the dispatch pipeline without
-//! the timing model — the configuration used by the examples and the
-//! bug-detection tests, where what matters is *what* is detected, not how
-//! fast. The generic parameter keeps the concrete lifeguard accessible
-//! (e.g. [`igm_lifeguards::TaintCheckDetailed::taint_trail`]).
+//! The lifeguard core as one unit (LBA §3): `nlba` dispatch through the
+//! ETCT and the accelerators, then the handlers. [`Monitor`] is the one
+//! place a lifeguard meets its [`DispatchPipeline`]; the co-simulator, pool
+//! sessions, epoch jobs, the examples and every sequential reference in the
+//! tests build on it.
 
+use crate::{AnyLifeguard, CostSink, Lifeguard, LifeguardKind, Violation};
 use igm_core::{AccelConfig, DispatchPipeline, DispatchStats};
 use igm_isa::TraceEntry;
 use igm_lba::{EventBuf, TraceBatch};
-use igm_lifeguards::{CostSink, Lifeguard, Violation};
 
 /// Records per dispatch batch in [`Monitor::observe_all`].
 const OBSERVE_BATCH_RECORDS: usize = 1_024;
 
-/// A lifeguard attached to a dispatch pipeline.
-#[derive(Debug)]
+/// A lifeguard attached to its masked dispatch pipeline, with staging
+/// buffers reused across batches. A clone snapshots both halves (an epoch
+/// boundary). The generic parameter keeps the concrete lifeguard
+/// accessible (e.g. [`crate::TaintCheckDetailed::taint_trail`]).
+#[derive(Debug, Clone)]
 pub struct Monitor<L: Lifeguard> {
     lifeguard: L,
     pipeline: DispatchPipeline,
@@ -23,6 +24,26 @@ pub struct Monitor<L: Lifeguard> {
     events: EventBuf,
     /// Column conversion arena for the entry-slice compatibility paths.
     batch: TraceBatch,
+}
+
+impl Monitor<AnyLifeguard> {
+    /// `kind` under `accel`, in synthetic-workload mode if `synthetic`
+    /// ([`Lifeguard::set_synthetic_workload_mode`]), `premark` pre-marked.
+    pub fn build(
+        kind: LifeguardKind,
+        accel: &AccelConfig,
+        synthetic: bool,
+        premark: &[(u32, u32)],
+    ) -> Self {
+        let mut lifeguard = kind.build_any(accel);
+        if synthetic {
+            lifeguard.set_synthetic_workload_mode(true);
+        }
+        for &(base, len) in premark {
+            lifeguard.premark_region(base, len);
+        }
+        Monitor::new(lifeguard, accel)
+    }
 }
 
 impl<L: Lifeguard> Monitor<L> {
@@ -34,21 +55,30 @@ impl<L: Lifeguard> Monitor<L> {
         Monitor {
             lifeguard,
             pipeline,
-            // Nothing here reads handler costs; `Simulator` is the path
-            // that feeds them to the timing model.
+            // Nothing here reads handler costs; a caller that feeds them to
+            // the timing model passes its own sink to `observe_into`.
             cost: CostSink::discarding(),
             events: EventBuf::new(),
             batch: TraceBatch::new(),
         }
     }
 
-    /// Observes a whole columnar [`TraceBatch`] on the hot path: one
-    /// column-sweep pipeline pass, one handler pass, staging buffers
-    /// reused across calls.
+    /// The one dispatch + handle pass: `batch` through the pipeline into
+    /// `events`, then one handler pass over them into `cost` (cleared
+    /// first). Pipeline and lifeguard state carry across calls.
+    pub fn observe_into(&mut self, batch: &TraceBatch, events: &mut EventBuf, cost: &mut CostSink) {
+        self.pipeline.dispatch_batch(batch, events);
+        cost.clear();
+        self.lifeguard.handle_batch(events.events(), cost);
+    }
+
+    /// Observes a whole columnar [`TraceBatch`] on the hot path:
+    /// [`Monitor::observe_into`] on the Monitor's own staging buffers.
     pub fn observe_trace_batch(&mut self, batch: &TraceBatch) {
-        self.pipeline.dispatch_batch(batch, &mut self.events);
-        self.cost.clear();
-        self.lifeguard.handle_batch(self.events.events(), &mut self.cost);
+        let (mut events, mut cost) =
+            (std::mem::take(&mut self.events), std::mem::take(&mut self.cost));
+        self.observe_into(batch, &mut events, &mut cost);
+        (self.events, self.cost) = (events, cost);
     }
 
     /// Observes a whole chunk of retired-instruction records held as an
@@ -85,6 +115,35 @@ impl<L: Lifeguard> Monitor<L> {
         self.batch = buf;
     }
 
+    /// The record sequence of each violation held, all reported by the last
+    /// pass over `events`, whose first record is `first_record`: the record
+    /// holding the event its handler ran on ([`Lifeguard::violation_events`]).
+    /// A violation without a pc (a leak) anchors to no record.
+    pub fn record_seqs(&self, events: &EventBuf, first_record: u64) -> Vec<Option<u64>> {
+        let seq = |at: u32| first_record + events.record_of(at as usize) as u64;
+        self.violations()
+            .iter()
+            .zip(self.lifeguard.violation_events())
+            .map(|(v, &at)| v.pc().map(|_| seq(at)))
+            .collect()
+    }
+
+    /// The events the last [`Monitor::observe_trace_batch`] delivered.
+    pub fn events(&self) -> &EventBuf {
+        &self.events
+    }
+
+    /// The dispatch pipeline (its IT and IF counters).
+    pub fn pipeline(&self) -> &DispatchPipeline {
+        &self.pipeline
+    }
+
+    /// The pipeline, for a caller that handles only some of what it
+    /// dispatches (a pipelined session's spine).
+    pub fn pipeline_mut(&mut self) -> &mut DispatchPipeline {
+        &mut self.pipeline
+    }
+
     /// The monitored lifeguard.
     pub fn lifeguard(&self) -> &L {
         &self.lifeguard
@@ -115,10 +174,10 @@ impl<L: Lifeguard> Monitor<L> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::TaintCheck;
     use igm_core::ItConfig;
     use igm_isa::asm::{Addressing, ProgramBuilder};
     use igm_isa::{Annotation, Machine, MemSize, Reg};
-    use igm_lifeguards::TaintCheck;
 
     /// End-to-end: machine executes a program that jumps through a tainted
     /// pointer; TaintCheck under the full pipeline catches it.

@@ -7,7 +7,9 @@ use crate::wire::{self, Fill, MsgBuf, NetError};
 use igm_obs::{Counter, EventKind, EventRing};
 use igm_runtime::MonitorPool;
 use igm_span::FlightRecorder;
-use igm_trace::{CodecMetrics, IngestConfig, IngestReport, Ingestor, TraceError};
+use igm_trace::{
+    lake_stem, CodecMetrics, IngestConfig, IngestReport, Ingestor, LakeArtifact, TraceError,
+};
 use std::fs::File;
 use std::io::{self, BufWriter, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -332,33 +334,24 @@ impl<'p> IngestServer<'p> {
                 // names within this run: "gzip.igmt", "gzip-2.igmt", … —
                 // two concurrent lanes must never interleave frames into
                 // one artifact.
-                let base = sanitize(&session_cfg.name);
+                let base = lake_stem(&session_cfg.name);
                 let uses = self.tee_names.entry(base.clone()).or_insert(0);
                 *uses += 1;
                 let stem = if *uses == 1 { base } else { format!("{base}-{uses}") };
                 // The artifact stem is the lane's durable trace identity:
                 // violations this session attributes carry RecordIds that
                 // a TraceLake over the tee directory can seek back into.
-                session_cfg.trace = igm_span::trace_id(&stem);
-                let path = dir.join(format!("{stem}.igmt"));
-                let sidecar = dir.join(format!("{stem}.igmx"));
-                let sink = File::create(&path)
+                let artifact = LakeArtifact::new(dir, &stem);
+                session_cfg.trace = artifact.trace_id;
+                let sink = File::create(&artifact.trace_path)
                     .map(BufWriter::new)
                     .map_err(|e| (peer.clone(), NetError::Io(e)))?;
                 self.ingestor
-                    .add_source_teed_indexed(session_cfg, source, sink, sidecar)
+                    .add_source_teed_indexed(session_cfg, source, sink, artifact.sidecar_path)
                     .map_err(|e: TraceError| (peer.clone(), NetError::Trace(e)))?;
             }
             None => self.ingestor.add_source(session_cfg, source),
         }
         Ok(())
     }
-}
-
-/// Restricts a tenant name to filesystem-safe characters for the teed
-/// artifact's filename.
-fn sanitize(name: &str) -> String {
-    name.chars()
-        .map(|c| if c.is_ascii_alphanumeric() || matches!(c, '.' | '_' | '-') { c } else { '_' })
-        .collect()
 }

@@ -8,8 +8,13 @@ use crate::events::{EventKind, EventsSnapshot};
 use crate::registry::{bucket_upper_bound, HistogramSample, MetricsSnapshot, HISTOGRAM_BUCKETS};
 use std::fmt::Write;
 
-/// Escapes a string for a JSON string literal (quotes not included).
-fn json_escape(s: &str, out: &mut String) {
+/// `s` as a JSON string literal, quotes included: `"`, `\` and the short
+/// control escapes (`\n`, `\r`, `\t`) by name, every other control
+/// character as `\u00XX`, and everything else as is. The one JSON string
+/// escaper of the workspace's hand-rolled JSON.
+pub fn json_str(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    out.push('"');
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -23,12 +28,6 @@ fn json_escape(s: &str, out: &mut String) {
             c => out.push(c),
         }
     }
-}
-
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    json_escape(s, &mut out);
     out.push('"');
     out
 }
@@ -356,5 +355,16 @@ impl EventsSnapshot {
         }
         out.push_str("]}");
         out
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::json_str;
+
+    #[test]
+    fn json_str_escapes_quotes_backslashes_and_control_characters() {
+        let escaped = json_str("a\"b\\c\nd\re\tf\u{1}gé");
+        assert_eq!(escaped, r#""a\"b\\c\nd\re\tf\u0001gé""#);
     }
 }

@@ -45,6 +45,7 @@ pub mod registry;
 pub mod server;
 
 pub use events::{EventKind, EventRing, EventsSnapshot, ObsEvent};
+pub use export::json_str;
 pub use query::{Query, QueryError};
 pub use registry::{
     bucket_index, bucket_upper_bound, Counter, CounterSample, Gauge, GaugeSample, Histogram,

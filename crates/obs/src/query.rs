@@ -41,7 +41,7 @@ impl QueryError {
         format!(
             "{{\"error\": {{\"kind\": \"{}\", \"detail\": {}}}}}",
             self.kind,
-            json_escape(&self.detail)
+            crate::json_str(&self.detail)
         )
     }
 }
@@ -50,24 +50,6 @@ impl fmt::Display for QueryError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{}: {}", self.kind, self.detail)
     }
-}
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 /// A validated, decoded query string: unique keys, bounded sizes, clean

@@ -62,9 +62,9 @@ use crate::spsc::{
     log_channel_with, ChannelObs, ChannelStatsSnapshot, LogConsumer, LogProducer, SendError,
 };
 use crate::stats::{PoolStats, PoolStatsSnapshot, SessionReport};
-use igm_core::{AccelConfig, DispatchPipeline};
+use igm_core::AccelConfig;
 use igm_lba::{chunks, EventBuf, TraceBatch};
-use igm_lifeguards::{AnyLifeguard, CostSink, Lifeguard, LifeguardKind, Violation};
+use igm_lifeguards::{AnyLifeguard, CostSink, Lifeguard, LifeguardKind, Monitor, Violation};
 use igm_obs::{
     Counter, EventKind, EventRing, Gauge, Histogram, MetricsRegistry, RouteHandler, StatsServer,
 };
@@ -231,17 +231,6 @@ impl SessionConfig {
         self.trace = trace;
         self
     }
-
-    pub(crate) fn build_lifeguard(&self) -> AnyLifeguard {
-        let mut lg = self.lifeguard.build_any(&self.accel);
-        if self.synthetic_workload {
-            lg.set_synthetic_workload_mode(true);
-        }
-        for (base, len) in &self.premark {
-            lg.premark_region(*base, *len);
-        }
-        lg
-    }
 }
 
 /// Identifies a session within a pool.
@@ -352,8 +341,8 @@ impl Doorbell {
 /// snapshotted lifeguard shard (see [`ActiveSession::pump_pipelined`]).
 pub(crate) struct EpochJob {
     pub index: usize,
-    pub lifeguard: AnyLifeguard,
-    pub pipeline: DispatchPipeline,
+    /// The session's lifeguard and dispatch pipeline at the epoch boundary.
+    pub monitor: Monitor<AnyLifeguard>,
     /// The epoch's record batches, replayed in order against the snapshot.
     pub records: Vec<TraceBatch>,
     /// Global record sequence of the epoch's first record (for violation
@@ -373,7 +362,7 @@ pub(crate) struct EpochResult {
     pub index: usize,
     pub violations: Vec<Violation>,
     /// Parallel to `violations`: each one's global record sequence
-    /// ([`attribute_violations`]).
+    /// ([`Monitor::record_seqs`]).
     pub violation_seqs: Vec<Option<u64>>,
     /// The job's record batches, handed back so the session can recycle
     /// their column capacity instead of reallocating.
@@ -799,9 +788,8 @@ impl MonitorPool {
     /// imbalance at run time) and returns the producer-side handle.
     pub fn open_session(&self, cfg: SessionConfig) -> SessionHandle {
         let id = self.next_session.fetch_add(1, Ordering::Relaxed);
-        let lifeguard = cfg.build_lifeguard();
-        let masked = cfg.lifeguard.mask_config(&cfg.accel);
-        let pipeline = DispatchPipeline::new(lifeguard.etct(), &masked);
+        let monitor =
+            Monitor::build(cfg.lifeguard, &cfg.accel, cfg.synthetic_workload, &cfg.premark);
         let (producer, consumer) =
             log_channel_with(self.channel_capacity_bytes, self.shared.channel_obs.clone());
         let (done_tx, done_rx) = mpsc::channel();
@@ -823,14 +811,10 @@ impl MonitorPool {
             tenant_hash: tenant_id(&cfg.name),
             trace: cfg.trace,
             name: cfg.name,
-            lifeguard_kind: cfg.lifeguard,
-            lifeguard,
-            pipeline,
+            monitor,
             consumer,
             done: done_tx,
             opened: Instant::now(),
-            cost: CostSink::discarding(),
-            events: EventBuf::new(),
             records: 0,
             violations: Vec::new(),
             violation_records: Vec::new(),
@@ -1200,14 +1184,11 @@ struct ActiveSession {
     tenant_hash: u32,
     /// Durable trace id ([`SessionConfig::trace`]; 0 = live-only).
     trace: u32,
-    lifeguard_kind: LifeguardKind,
-    lifeguard: AnyLifeguard,
-    pipeline: DispatchPipeline,
+    /// The session's lifeguard behind its dispatch pipeline.
+    monitor: Monitor<AnyLifeguard>,
     consumer: LogConsumer,
     done: Sender<SessionReport>,
     opened: Instant,
-    cost: CostSink,
-    events: EventBuf,
     records: u64,
     violations: Vec<Violation>,
     /// Parallel to `violations`: each entry's attributed record id.
@@ -1239,13 +1220,11 @@ struct ActiveSession {
 
 /// Per-session state while intra-session epoch pipelining is engaged.
 struct PipelineState {
-    /// Shadow state at the current epoch boundary (cloned when the
-    /// previous epoch shipped); the next job replays against it.
-    snapshot: AnyLifeguard,
-    /// Accelerator/dispatch state at the same boundary: replaying the
-    /// identical batch stream through this clone delivers exactly the
-    /// events the live spine pipeline delivered.
-    snapshot_pipeline: DispatchPipeline,
+    /// Shadow and accelerator/dispatch state at the current epoch
+    /// boundary (cloned when the previous epoch shipped); the next job
+    /// replays against it. Replaying the identical batch stream through
+    /// this clone delivers exactly the events the live spine delivered.
+    snapshot: Monitor<AnyLifeguard>,
     /// Record batches accumulated into the current epoch; they travel with
     /// the job and the result hands them back for recycling.
     acc: Vec<TraceBatch>,
@@ -1264,8 +1243,11 @@ struct PipelineState {
     pending: BTreeMap<usize, EpochResult>,
     tx: Sender<EpochResult>,
     rx: Receiver<EpochResult>,
-    /// Reusable staging buffer for the spine's non-elided events.
+    /// The spine's staging buffers: every dispatched event, the
+    /// non-elided ones it handles, and their (discarded) cost.
+    events: EventBuf,
     updates: Vec<igm_lba::DeliveredEvent>,
+    cost: CostSink,
     /// When the stretch began, and the records its epochs have emitted
     /// since (the rate `pipeline_exit` reports).
     entered: Instant,
@@ -1282,6 +1264,10 @@ struct EntryInputs {
 }
 
 impl ActiveSession {
+    fn kind(&self) -> LifeguardKind {
+        self.monitor.lifeguard().kind()
+    }
+
     /// Processes up to `max_batches` buffered batches; returns how many
     /// units of progress were made (batches pumped plus epoch results
     /// drained). `stats` is the pumping thread's counter handle; `by` says
@@ -1333,7 +1319,7 @@ impl ActiveSession {
         // Pipelining pays off only when the spine can elide work; a
         // full-stream spine (LockSet) would just add replay on top of
         // itself.
-        if !self.lifeguard_kind.spine_elides_any() {
+        if !self.kind().spine_elides_any() {
             return None;
         }
         if u64::from(inputs.channel_used_bytes) * 2 < u64::from(inputs.channel_capacity_bytes) {
@@ -1373,8 +1359,7 @@ impl ActiveSession {
         };
         let (tx, rx) = mpsc::channel();
         self.pipe = Some(Box::new(PipelineState {
-            snapshot: self.lifeguard.clone(),
-            snapshot_pipeline: self.pipeline.clone(),
+            snapshot: self.monitor.clone(),
             acc: Vec::new(),
             acc_records: 0,
             acc_checks: 0,
@@ -1391,7 +1376,9 @@ impl ActiveSession {
             pending: BTreeMap::new(),
             tx,
             rx,
+            events: EventBuf::new(),
             updates: Vec::new(),
+            cost: CostSink::discarding(),
             entered: Instant::now(),
             emitted_records: 0,
         }));
@@ -1436,6 +1423,7 @@ impl ActiveSession {
     ) -> usize {
         let mut progress = usize::from(self.drain_epoch_results(shared, stats));
         let mut processed = 0;
+        let kind = self.kind();
         while processed < max_batches {
             {
                 let pipe = self.pipe.as_ref().expect("pipelined pump without state");
@@ -1454,16 +1442,16 @@ impl ActiveSession {
             stats.records.add(batch.len() as u64);
             // Live dispatch: the spine's pipeline sees every batch, so the
             // session's DispatchStats equal sequential monitoring exactly.
-            self.pipeline.dispatch_batch(&batch, &mut self.events);
             let pipe = self.pipe.as_mut().expect("pipelined pump without state");
+            self.monitor.pipeline_mut().dispatch_batch(&batch, &mut pipe.events);
             pipe.updates.clear();
             let mut elided = 0u64;
             let mut checks = 0u64;
-            for ev in self.events.events() {
+            for ev in pipe.events.events() {
                 if crate::epoch::is_check_event(&ev.event) {
                     checks += 1;
                 }
-                if self.lifeguard_kind.spine_elides(&ev.event) {
+                if kind.spine_elides(&ev.event) {
                     elided += 1;
                 } else {
                     pipe.updates.push(*ev);
@@ -1471,11 +1459,12 @@ impl ActiveSession {
             }
             pipe.acc_checks += checks;
             self.journal_counter.add(elided);
-            self.cost.clear();
-            self.lifeguard.handle_batch(&pipe.updates, &mut self.cost);
+            pipe.cost.clear();
+            let lifeguard = self.monitor.lifeguard_mut();
+            lifeguard.handle_batch(&pipe.updates, &mut pipe.cost);
             // Spine-side reports are duplicates of what the epoch job
             // derives with exact boundary state; the job is authoritative.
-            let _ = self.lifeguard.take_violations();
+            let _ = lifeguard.take_violations();
             pipe.acc_records += batch.len();
             pipe.backlog += batch.len() as i64;
             shared.epoch_backlog.add(batch.len() as i64);
@@ -1515,13 +1504,9 @@ impl ActiveSession {
         if pipe.acc.is_empty() {
             return;
         }
-        let snapshot = std::mem::replace(&mut pipe.snapshot, self.lifeguard.clone());
-        let snapshot_pipeline =
-            std::mem::replace(&mut pipe.snapshot_pipeline, self.pipeline.clone());
         let job = EpochJob {
             index: pipe.next_index,
-            lifeguard: snapshot,
-            pipeline: snapshot_pipeline,
+            monitor: std::mem::replace(&mut pipe.snapshot, self.monitor.clone()),
             // The live spine already counted the accumulated records, so
             // the epoch's first record sits acc_records behind the total.
             first_record: self.records - pipe.acc_records as u64,
@@ -1582,7 +1567,7 @@ impl ActiveSession {
     }
 
     /// Emits `fresh` violations, in order, with their global record
-    /// sequences `seqs` ([`attribute_violations`]) as record ids: to the
+    /// sequences `seqs` ([`Monitor::record_seqs`]) as record ids: to the
     /// aggregated stream, the event ring (each entry snapshotting `spans`,
     /// the faulting frame's chain) and the session report.
     fn emit_violations(
@@ -1607,7 +1592,7 @@ impl ActiveSession {
                 let _ = shared.violations_tx.send(PoolViolation {
                     session: self.id,
                     tenant: self.name.clone(),
-                    lifeguard: self.lifeguard_kind,
+                    lifeguard: self.kind(),
                     record: *id,
                     violation: *v,
                 });
@@ -1662,13 +1647,11 @@ impl ActiveSession {
                 _ => None,
             };
             // One columnar pipeline pass and one statically-dispatched
-            // handler pass per chunk; `events` and the pipeline's staging
-            // buffers are reused across batches (no per-record allocation —
-            // including the latency observation: two relaxed fetch_adds).
+            // handler pass per chunk, staging buffers reused across batches
+            // (no per-record allocation — including the latency
+            // observation: two relaxed fetch_adds).
             let t0 = self.dispatch_hist.start();
-            self.pipeline.dispatch_batch(&batch, &mut self.events);
-            self.cost.clear();
-            self.lifeguard.handle_batch(self.events.events(), &mut self.cost);
+            self.monitor.observe_trace_batch(&batch);
             self.dispatch_hist.stop(t0);
             if let Some((rec, tag, t_dispatch)) = span {
                 let done = rec.now();
@@ -1676,9 +1659,9 @@ impl ActiveSession {
                 shared.span_hists.dispatch.record(done.saturating_sub(t_dispatch));
             }
             stats.records.add(batch.len() as u64);
-            if !self.lifeguard.violations().is_empty() {
-                let seqs = attribute_violations(&self.lifeguard, &self.events, base_seq);
-                let fresh = self.lifeguard.take_violations();
+            if !self.monitor.violations().is_empty() {
+                let seqs = self.monitor.record_seqs(self.monitor.events(), base_seq);
+                let fresh = self.monitor.lifeguard_mut().take_violations();
                 // A sampled frame that just violated gets a `violation`
                 // marker record, then its whole completed chain is
                 // snapshotted into the violations' event-ring entries.
@@ -1719,11 +1702,11 @@ impl ActiveSession {
         }
         // Flush any violations reported after the last pump (none today,
         // but harmless and future-proof against buffering handlers).
-        self.violations.extend(self.lifeguard.take_violations());
+        self.violations.extend(self.monitor.lifeguard_mut().take_violations());
         // End-of-run violations (leaks) have no faulting record.
         self.violation_records.resize(self.violations.len(), None);
         stats.sessions_closed.inc();
-        stats.events_delivered.add(self.pipeline.stats().delivered);
+        stats.events_delivered.add(self.monitor.dispatch_stats().delivered);
         events.record(EventKind::SessionClose {
             session: self.id,
             tenant: self.name.clone(),
@@ -1733,12 +1716,12 @@ impl ActiveSession {
         let report = SessionReport {
             id: self.id,
             name: self.name.clone(),
-            lifeguard: self.lifeguard_kind,
+            lifeguard: self.kind(),
             records: self.records,
-            dispatch: self.pipeline.stats().clone(),
+            dispatch: self.monitor.dispatch_stats().clone(),
             violations: self.violations,
             violation_records: self.violation_records,
-            metadata_bytes: self.lifeguard.metadata_bytes(),
+            metadata_bytes: self.monitor.lifeguard().metadata_bytes(),
             channel: self.consumer.stats(),
             wall: self.opened.elapsed(),
         };
@@ -1972,42 +1955,6 @@ fn run_epoch_job_guarded(
     }
 }
 
-/// The global record sequence of each violation `lifeguard` holds, all
-/// reported by its last `handle_batch` over `events`, the events of one
-/// batch whose first record is global sequence `base`. Exact: a violation
-/// belongs to the record whose events hold the one its handler was
-/// running on ([`Lifeguard::violation_events`]), which is the record a
-/// one-record-at-a-time `Monitor` would have just observed. A violation
-/// without a pc (a leak) anchors to no record.
-fn attribute_violations(
-    lifeguard: &AnyLifeguard,
-    events: &EventBuf,
-    base: u64,
-) -> Vec<Option<u64>> {
-    lifeguard
-        .violations()
-        .iter()
-        .zip(lifeguard.violation_events())
-        .map(|(v, &at)| v.pc().map(|_| base + events.record_of(at as usize) as u64))
-        .collect()
-}
-
-/// The shared batched pump: one columnar dispatch pass and one handler
-/// pass over `records`, staging buffers reused, cost cleared per call.
-/// Epoch jobs sweep their batches through here and shrink the worker's
-/// staging retention afterwards ([`run_epoch_job`]).
-pub(crate) fn pump_records(
-    pipeline: &mut DispatchPipeline,
-    lifeguard: &mut AnyLifeguard,
-    cost: &mut CostSink,
-    events: &mut EventBuf,
-    records: &TraceBatch,
-) {
-    pipeline.dispatch_batch(records, events);
-    cost.clear();
-    lifeguard.handle_batch(events.events(), cost);
-}
-
 /// Event-buffer capacity an epoch worker keeps between jobs. An epoch is
 /// dispatched in one whole-batch column sweep, so the staging buffer
 /// reaches epoch grain — a few events per record. The bound is sized so a
@@ -2045,17 +1992,11 @@ fn run_epoch_job(
     let (mut violations, mut violation_seqs) = (Vec::new(), Vec::new());
     let mut base = job.first_record;
     for records in &job.records {
-        pump_records(
-            &mut job.pipeline,
-            &mut job.lifeguard,
-            &mut scratch.cost,
-            &mut scratch.events,
-            records,
-        );
+        job.monitor.observe_into(records, &mut scratch.events, &mut scratch.cost);
         // Attributed per batch, while its events are still in hand.
-        if !job.lifeguard.violations().is_empty() {
-            violation_seqs.extend(attribute_violations(&job.lifeguard, &scratch.events, base));
-            violations.append(&mut job.lifeguard.take_violations());
+        if !job.monitor.violations().is_empty() {
+            violation_seqs.extend(job.monitor.record_seqs(&scratch.events, base));
+            violations.append(&mut job.monitor.lifeguard_mut().take_violations());
         }
         base += records.len() as u64;
     }

@@ -50,18 +50,9 @@ fn planted_trace(n: u32) -> Vec<TraceEntry> {
 }
 
 fn sequential(cfg: &SessionConfig, trace: &[TraceEntry]) -> (Vec<Violation>, DispatchStats) {
-    let mut lifeguard = cfg.build_lifeguard();
-    let mut pipeline =
-        DispatchPipeline::new(lifeguard.etct(), &cfg.lifeguard.mask_config(&cfg.accel));
-    let (mut events, mut cost) = (EventBuf::new(), CostSink::discarding());
-    pump_records(
-        &mut pipeline,
-        &mut lifeguard,
-        &mut cost,
-        &mut events,
-        &TraceBatch::from_entries(trace),
-    );
-    (lifeguard.take_violations(), pipeline.stats().clone())
+    let mut m = Monitor::build(cfg.lifeguard, &cfg.accel, cfg.synthetic_workload, &cfg.premark);
+    m.observe_trace_batch(&TraceBatch::from_entries(trace));
+    (m.lifeguard_mut().take_violations(), m.dispatch_stats().clone())
 }
 
 /// A one-worker `Auto` pool whose hot session the test thread pumps.

@@ -5,10 +5,9 @@
 //! randomized worker counts, chunk sizes and tenant/chunk interleavings —
 //! and an idle worker must actually steal from a loaded one.
 
-use igm_core::{AccelConfig, DispatchPipeline};
+use igm_core::AccelConfig;
 use igm_isa::{Annotation, CtrlOp, JumpTarget, MemRef, OpClass, Reg, TraceEntry};
-use igm_lba::EventBuf;
-use igm_lifeguards::{CostSink, Lifeguard, LifeguardKind, Violation};
+use igm_lifeguards::{LifeguardKind, Monitor, Violation};
 use igm_runtime::{MonitorPool, PoolConfig, SessionConfig};
 use proptest::prelude::*;
 
@@ -76,14 +75,9 @@ fn planted_trace(kind: LifeguardKind, n: usize, stride: usize, seed: u32) -> Vec
 
 /// The sequential reference: one lifeguard, one pipeline, one pass.
 fn sequential_violations(kind: LifeguardKind, trace: &[TraceEntry]) -> Vec<Violation> {
-    let accel = AccelConfig::baseline();
-    let mut lifeguard = kind.build_any(&accel);
-    let mut pipeline = DispatchPipeline::new(lifeguard.etct(), &kind.mask_config(&accel));
-    let mut events = EventBuf::new();
-    let mut cost = CostSink::new();
-    pipeline.dispatch_batch(&igm_lba::TraceBatch::from_entries(trace), &mut events);
-    lifeguard.handle_batch(events.events(), &mut cost);
-    lifeguard.take_violations()
+    let mut monitor = Monitor::build(kind, &AccelConfig::baseline(), false, &[]);
+    monitor.observe_trace_batch(&igm_lba::TraceBatch::from_entries(trace));
+    monitor.violations().to_vec()
 }
 
 proptest! {

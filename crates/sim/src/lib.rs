@@ -1,18 +1,19 @@
 //! The top-level LBA simulator: workload × lifeguard × accelerator
 //! configuration → slowdown and event statistics.
 //!
-//! Three entry points:
+//! Two entry points:
 //!
 //! * [`Simulator`] — the full co-simulation used by the performance studies
 //!   (paper Figures 10–11, and Figure 12's `LMA` column): drives a
-//!   synthetic benchmark trace through the dispatch pipeline and the
-//!   lifeguard, feeding producer/consumer costs into the `igm-timing`
-//!   co-simulator.
-//! * [`Monitor`] — a functional (untimed) monitor for real
-//!   [`igm_isa::Machine`] traces, used by the examples and the
-//!   bug-detection integration tests.
+//!   synthetic benchmark trace through a [`Monitor`] — the lifeguard behind
+//!   its dispatch pipeline — feeding producer/consumer costs into the
+//!   `igm-timing` co-simulator.
 //! * [`sweep`] — the functional accelerator sweeps of the paper's PIN study
 //!   (Figures 12–14).
+//!
+//! [`Monitor`] itself lives in `igm-lifeguards` and is re-exported here:
+//! the functional (untimed) monitor for real [`igm_isa::Machine`] traces
+//! that the examples and the bug-detection integration tests use.
 //!
 //! # Example
 //!
@@ -28,17 +29,16 @@
 //! assert!(fast.slowdown() < base.slowdown());
 //! ```
 
-pub mod monitor;
 pub mod report;
 pub mod sweep;
 
-pub use monitor::Monitor;
+pub use igm_lifeguards::Monitor;
 pub use report::SimReport;
 
-use igm_core::{AccelConfig, DispatchPipeline, ItConfig};
+use igm_core::{AccelConfig, ItConfig};
 use igm_isa::TraceEntry;
 use igm_lba::{EventBuf, TraceBatch};
-use igm_lifeguards::{CostSink, Lifeguard, LifeguardKind};
+use igm_lifeguards::{CostSink, LifeguardKind};
 use igm_timing::{CoSim, SystemConfig};
 use igm_workload::{Benchmark, MtBenchmark};
 use std::sync::mpsc::sync_channel;
@@ -64,8 +64,8 @@ pub struct SimConfig {
     /// The simulated hardware (Table 2 by default).
     pub system: SystemConfig,
     /// Run lifeguards in synthetic-workload mode (see
-    /// [`Lifeguard::set_synthetic_workload_mode`]). [`Simulator`] enables
-    /// this; [`Monitor`] does not.
+    /// [`igm_lifeguards::Lifeguard::set_synthetic_workload_mode`]).
+    /// [`Simulator`] enables this; [`Monitor::new`] does not.
     pub synthetic_workload: bool,
 }
 
@@ -134,7 +134,7 @@ impl Simulator {
     /// Two stages run the trace, as the two cores of the modelled system
     /// do. The calling thread is the functional stage: it dispatches the
     /// trace in 1 k-record chunks and handles each chunk's events in one
-    /// [`Lifeguard::handle_batch`], whose sink keeps a
+    /// [`Monitor::observe_into`] pass, whose sink keeps a
     /// [mark](CostSink::marks) per event. A scoped thread is the timing
     /// stage: it splits each chunk's handler cost per record at those marks
     /// and steps the [`CoSim`] through the records in trace order. Neither
@@ -146,14 +146,9 @@ impl Simulator {
         _heap_init: Option<(u32, u32)>,
         trace: impl IntoIterator<Item = TraceEntry>,
     ) -> SimReport {
-        let mut lifeguard = self.cfg.lifeguard.build_any(&self.cfg.accel);
-        if self.cfg.synthetic_workload {
-            lifeguard.set_synthetic_workload_mode(true);
-        }
-        for (base, len) in premark {
-            lifeguard.premark_region(*base, *len);
-        }
-        let mut pipeline = DispatchPipeline::new(lifeguard.etct(), &self.cfg.accel);
+        let cfg = &self.cfg;
+        let mut monitor =
+            Monitor::build(cfg.lifeguard, &cfg.accel, cfg.synthetic_workload, premark);
         let mut cosim = CoSim::new(self.cfg.system);
         let mut trace = trace.into_iter();
 
@@ -184,9 +179,7 @@ impl Simulator {
                 }
                 batch.clear();
                 batch.extend_entries(packet.entries.iter().copied());
-                pipeline.dispatch_batch(&batch, &mut packet.events);
-                packet.cost.clear();
-                lifeguard.handle_batch(packet.events.events(), &mut packet.cost);
+                monitor.observe_into(&batch, &mut packet.events, &mut packet.cost);
                 let ended = packet.entries.len() < RUN_BATCH_RECORDS;
                 if full_tx.send(packet).is_err() || ended {
                     break;
@@ -197,7 +190,7 @@ impl Simulator {
             timing.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic))
         });
 
-        SimReport::new(self.cfg.lifeguard, self.cfg.accel, timing, pipeline, lifeguard)
+        SimReport::new(self.cfg.accel, timing, monitor)
     }
 }
 

@@ -1,7 +1,7 @@
 //! Simulation run reports.
 
-use igm_core::{AccelConfig, DispatchPipeline, DispatchStats, IfStats, ItStats};
-use igm_lifeguards::{AnyLifeguard, Lifeguard, LifeguardKind, Violation};
+use igm_core::{AccelConfig, DispatchStats, IfStats, ItStats};
+use igm_lifeguards::{AnyLifeguard, Lifeguard, LifeguardKind, Monitor, Violation};
 use igm_timing::TimingReport;
 
 /// Everything a run produced: timing, pipeline statistics, accelerator
@@ -30,22 +30,20 @@ pub struct SimReport {
 
 impl SimReport {
     pub(crate) fn new(
-        lifeguard: LifeguardKind,
         accel: AccelConfig,
         timing: TimingReport,
-        pipeline: DispatchPipeline,
-        mut lg: AnyLifeguard,
+        mut monitor: Monitor<AnyLifeguard>,
     ) -> SimReport {
         SimReport {
-            lifeguard,
+            lifeguard: monitor.lifeguard().kind(),
             accel,
             benchmark: None,
-            it: pipeline.it_stats().copied(),
-            if_stats: pipeline.if_stats().copied(),
-            dispatch: pipeline.stats().clone(),
+            it: monitor.pipeline().it_stats().copied(),
+            if_stats: monitor.pipeline().if_stats().copied(),
+            dispatch: monitor.dispatch_stats().clone(),
             timing,
-            violations: lg.take_violations(),
-            metadata_bytes: lg.metadata_bytes(),
+            violations: monitor.lifeguard_mut().take_violations(),
+            metadata_bytes: monitor.lifeguard().metadata_bytes(),
         }
     }
 

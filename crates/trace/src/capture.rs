@@ -172,12 +172,36 @@ pub fn capture_to_file(
 }
 
 /// Restricts a tenant name to filesystem-safe characters so a lake stem
-/// derives deterministically from the session name (shared convention
-/// with the `igm-net` tee, which sanitizes the same way).
+/// derives deterministically from the session name (shared with the
+/// `igm-net` tee).
 pub fn lake_stem(name: &str) -> String {
     name.chars()
         .map(|c| if c.is_ascii_alphanumeric() || matches!(c, '.' | '_' | '-') { c } else { '_' })
         .collect()
+}
+
+/// One tenant's artifacts in a lake directory: the layout every capture
+/// path writes and a `TraceLake` reads.
+#[derive(Debug, Clone)]
+pub struct LakeArtifact {
+    /// `<dir>/<stem>.igmt`, the trace file.
+    pub trace_path: PathBuf,
+    /// `<dir>/<stem>.igmx`, its sidecar.
+    pub sidecar_path: PathBuf,
+    /// [`igm_span::trace_id`]`(stem)`, the durable trace id the session's
+    /// violations carry.
+    pub trace_id: u32,
+}
+
+impl LakeArtifact {
+    /// The artifact named `stem` under `dir`.
+    pub fn new(dir: &Path, stem: &str) -> LakeArtifact {
+        LakeArtifact {
+            trace_path: dir.join(format!("{stem}.igmt")),
+            sidecar_path: dir.join(format!("{stem}.igmx")),
+            trace_id: igm_span::trace_id(stem),
+        }
+    }
 }
 
 /// Opens a *lake* capture: the trace is written to `<dir>/<stem>.igmt`
@@ -193,21 +217,16 @@ pub fn capture_to_lake(
     mut cfg: SessionConfig,
     dir: impl AsRef<Path>,
 ) -> Result<CaptureSession<BufWriter<File>>, CaptureError> {
-    let stem = lake_stem(&cfg.name);
-    cfg.trace = igm_span::trace_id(&stem);
     let dir = dir.as_ref();
+    let artifact = LakeArtifact::new(dir, &lake_stem(&cfg.name));
+    cfg.trace = artifact.trace_id;
     std::fs::create_dir_all(dir)?;
-    let file = File::create(dir.join(format!("{stem}.igmt")))?;
+    let file = File::create(&artifact.trace_path)?;
     let session = pool.open_session(cfg);
     let chunk_bytes = session.chunk_bytes();
     let mut writer = TraceWriter::with_index(BufWriter::new(file))?;
     writer.attach_metrics(pool.metrics());
-    Ok(CaptureSession {
-        session,
-        writer,
-        chunk_bytes,
-        sidecar: Some(dir.join(format!("{stem}.igmx"))),
-    })
+    Ok(CaptureSession { session, writer, chunk_bytes, sidecar: Some(artifact.sidecar_path) })
 }
 
 /// Replays a recorded trace through a fresh session on `pool`,

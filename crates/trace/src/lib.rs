@@ -53,7 +53,7 @@ pub mod postings;
 
 pub use capture::{
     capture_to_file, capture_to_lake, lake_stem, replay_file, replay_reader, replay_window,
-    CaptureError, CaptureSession,
+    CaptureError, CaptureSession, LakeArtifact,
 };
 pub use codec::{
     checksum, decode_frame, decode_frame_with, decode_from_slice, encode_frame, encode_frame_with,

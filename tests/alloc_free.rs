@@ -18,7 +18,7 @@
 use igm::accel::{AccelConfig, DispatchPipeline, ItConfig};
 use igm::isa::{MemRef, OpClass, Reg, TraceEntry};
 use igm::lba::{EventBuf, TraceBatch};
-use igm::lifeguards::{CostSink, Lifeguard, LifeguardKind};
+use igm::lifeguards::{CostSink, Lifeguard, LifeguardKind, Monitor};
 use igm::runtime::{EpochConfig, MonitorPool, PipelineMode, PoolConfig, SessionConfig};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -123,33 +123,31 @@ fn steady_state_columnar_dispatch_allocates_nothing() {
     let batch = TraceBatch::from_entries(&steady_batch(2_048));
     for kind in LifeguardKind::ALL {
         for accel in [AccelConfig::baseline(), AccelConfig::full(ItConfig::taint_style())] {
-            let masked = kind.mask_config(&accel);
-            let mut lifeguard = kind.build_any(&accel);
-            lifeguard.premark_region(HEAP, 0x1000);
-            let mut pipeline = DispatchPipeline::new(lifeguard.etct(), &masked);
+            let mut monitor = Monitor::build(kind, &accel, false, &[(HEAP, 0x1000)]);
             let mut cost = CostSink::new();
             let mut events = EventBuf::new();
 
-            // Warm-up: size the arenas, fault in shadow chunks, warm the
+            // Warm-up: size the arenas — the caller's, as
+            // `Simulator::run_trace` passes them, and the Monitor's own, as
+            // a pool session uses them — fault in shadow chunks, warm the
             // M-TLB/IF state. Two passes so capacity growth settles.
             for _ in 0..2 {
-                pipeline.dispatch_batch(&batch, &mut events);
-                cost.clear();
-                lifeguard.handle_batch(events.events(), &mut cost);
+                monitor.observe_into(&batch, &mut events, &mut cost);
+                monitor.observe_trace_batch(&batch);
             }
-            let violations = lifeguard.take_violations();
+            let violations = monitor.lifeguard_mut().take_violations();
             assert!(
                 violations.is_empty(),
                 "{kind}: steady-state batch must be clean, got {:?}",
                 violations.first()
             );
 
-            // Measured steady-state pass: the whole batch through the
-            // column sweeps → IT → ETCT → IF → handlers, zero allocations.
+            // Measured steady-state passes: the whole batch through the
+            // column sweeps → IT → ETCT → IF → handlers, into the caller's
+            // buffers and into the Monitor's own, zero allocations.
             let before = thread_allocations();
-            pipeline.dispatch_batch(&batch, &mut events);
-            cost.clear();
-            lifeguard.handle_batch(events.events(), &mut cost);
+            monitor.observe_into(&batch, &mut events, &mut cost);
+            monitor.observe_trace_batch(&batch);
             let after = thread_allocations();
             assert_eq!(
                 after - before,

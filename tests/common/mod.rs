@@ -9,7 +9,7 @@
 pub mod strategies;
 
 use igm::isa::{Annotation, CtrlOp, JumpTarget, MemRef, OpClass, Reg, TraceEntry};
-use igm::lifeguards::{AnyLifeguard, Lifeguard, LifeguardKind};
+use igm::lifeguards::{AnyLifeguard, LifeguardKind};
 use igm::runtime::{PoolConfig, SessionConfig};
 use igm::sim::Monitor;
 use igm::workload::{Benchmark, MtBenchmark};
@@ -200,12 +200,7 @@ pub fn annotation_dense() -> Vec<TraceEntry> {
 /// A `Monitor` set up as a pool session for `cfg` would be: the session's
 /// lifeguard, accelerators, workload mode and pre-marked regions.
 pub fn monitor(cfg: &SessionConfig) -> Monitor<AnyLifeguard> {
-    let mut lifeguard = cfg.lifeguard.build_any(&cfg.accel);
-    lifeguard.set_synthetic_workload_mode(cfg.synthetic_workload);
-    for &(base, len) in &cfg.premark {
-        lifeguard.premark_region(base, len);
-    }
-    Monitor::new(lifeguard, &cfg.accel)
+    Monitor::build(cfg.lifeguard, &cfg.accel, cfg.synthetic_workload, &cfg.premark)
 }
 
 /// The sequential reference: `trace` through [`monitor`], batched at the

@@ -17,7 +17,7 @@ mod common;
 use common::strategies::{self as s, Observed};
 use igm::accel::{AccelConfig, ItConfig};
 use igm::isa::TraceEntry;
-use igm::lifeguards::LifeguardKind;
+use igm::lifeguards::{LifeguardKind, Violation};
 use igm::runtime::{EpochConfig, PoolConfig, SessionConfig};
 use std::ops::Range;
 
@@ -177,7 +177,10 @@ const GENERATORS: [Generator; 4] = [
 /// accelerators change the verdicts themselves: TaintCheck's IT cleans
 /// non-unary results (taint-chain), the Idempotent Filter drops repeats of
 /// a failing check (annotation-dense, and AddrCheck's and MemCheck's lake
-/// windows), and MemCheck's IT checks eagerly.
+/// windows), and MemCheck's IT checks eagerly. The filter's part is
+/// asserted as a relation too ([`if_drops`]): under `lma_if` the oracle
+/// reports what it reports under `lma` less some repeats, and likewise
+/// `full` against `lma_it`.
 const ORACLE_COUNTS: &str = "\
 tenant                       base          lma       lma_if       lma_it         full
 AddrCheck                 20/1161      20/1161       20/947      20/1161       20/947
@@ -204,12 +207,43 @@ TaintCheck                    1/0          1/0          1/0          1/0        
 TaintCheckDetailed            1/0          1/0          1/0          1/0          1/0
 LockSet                       1/0          1/0          1/0          1/0          1/0";
 
+/// The Idempotent Filter relation (ROADMAP item 1(b)): how many of
+/// `unfiltered`'s violations the filter dropped to leave `filtered`, or
+/// why `filtered` is not `unfiltered` less repeats. It must be a
+/// subsequence, and each violation missing from it an `UnallocatedAccess`
+/// to an access the filtered run had already reported.
+fn if_drops(filtered: &[Violation], unfiltered: &[Violation]) -> Result<usize, String> {
+    let (mut kept, mut drops) = (0, 0);
+    for v in unfiltered {
+        if filtered.get(kept) == Some(v) {
+            kept += 1;
+            continue;
+        }
+        let repeat = |r: &Violation| match (r, v) {
+            (
+                Violation::UnallocatedAccess { mref: seen, .. },
+                Violation::UnallocatedAccess { mref, .. },
+            ) => seen == mref,
+            _ => false,
+        };
+        if !filtered[..kept].iter().any(repeat) {
+            return Err(format!("dropped {v}, which repeats no reported access"));
+        }
+        drops += 1;
+    }
+    match filtered.get(kept) {
+        Some(v) => Err(format!("reported {v}, which the unfiltered run does not")),
+        None => Ok(drops),
+    }
+}
+
 /// Runs every strategy over every lifeguard × configuration of generator
 /// `g`. Returns the printed matrix (the oracle's violations per cell, over
-/// the whole trace / the lake window) and every departing cell.
-fn check(g: usize) -> (String, Vec<String>) {
+/// the whole trace / the lake window), every departing cell, and how many
+/// violations the Idempotent Filter dropped across the [`if_drops`] pairs.
+fn check(g: usize) -> (String, Vec<String>, usize) {
     let (gen, oracle, per_record) = (&GENERATORS[g], &STRATEGIES[0], &STRATEGIES[1]);
-    let (mut failures, mut window_faults) = (Vec::new(), false);
+    let (mut failures, mut window_faults, mut drops) = (Vec::new(), false, 0);
     let mut table = format!("{:<20}", gen.name);
     for (label, _) in configs() {
         table += &format!(" {label:>12}");
@@ -217,6 +251,8 @@ fn check(g: usize) -> (String, Vec<String>) {
     for (k, kind) in LifeguardKind::ALL.into_iter().enumerate() {
         let (base, trace) = (gen.build)(kind);
         table += &format!("\n{:<20}", format!("{kind:?}"));
+        // The oracle's violations per configuration, per window.
+        let mut oracle_runs: Vec<Vec<Vec<Violation>>> = Vec::new();
         for (c, (label, accel)) in configs().into_iter().enumerate() {
             let mut cfg = base.clone().accel(accel);
             cfg.name = format!("{}-{kind:?}-{label}", gen.name);
@@ -246,11 +282,27 @@ fn check(g: usize) -> (String, Vec<String>) {
             let counts: Vec<String> =
                 refs.iter().map(|r| r.1.violations.len().to_string()).collect();
             table += &format!(" {:>12}", counts.join("/"));
+            oracle_runs.push(refs.into_iter().map(|r| r.1.violations).collect());
+        }
+        if kind.accel_support().idempotent_filter {
+            let at = |label| configs().iter().position(|(l, _)| *l == label).unwrap();
+            for (with, without) in [("lma_if", "lma"), ("full", "lma_it")] {
+                let pairs = oracle_runs[at(with)].iter().zip(&oracle_runs[at(without)]);
+                for (w, (filtered, unfiltered)) in pairs.enumerate() {
+                    match if_drops(filtered, unfiltered) {
+                        Ok(n) => drops += n,
+                        Err(e) => failures.push(format!(
+                            "{} {kind:?} window {w}: {with} vs {without}: {e}",
+                            gen.name
+                        )),
+                    }
+                }
+            }
         }
     }
     // Window record ids must be compared over a non-empty set somewhere.
     assert!(window_faults, "{}: no lake window faults", gen.name);
-    (table, failures)
+    (table, failures, drops)
 }
 
 /// One thread per generator. Every lifeguard, LockSet included, must
@@ -269,12 +321,16 @@ fn every_strategy_matches_the_sequential_monitor() {
     });
     let names = STRATEGIES.map(|strategy| strategy.name).join(", ");
     println!("{names} x 5 lifeguards x 5 configs; oracle violations (whole trace/lake window):");
-    let (mut failures, mut tables) = (Vec::new(), Vec::new());
-    for (table, departures) in results {
+    let (mut failures, mut tables, mut drops) = (Vec::new(), Vec::new(), 0);
+    for (table, departures, dropped) in results {
         println!("{table}");
         tables.push(table);
         failures.extend(departures);
+        drops += dropped;
     }
+    println!("the Idempotent Filter dropped {drops} repeated violations");
     assert!(failures.is_empty(), "{} cells differ:\n{}", failures.len(), failures.join("\n"));
+    // The relation must have been checked over some actual drops.
+    assert!(drops > 0, "the Idempotent Filter dropped nothing anywhere");
     assert_eq!(tables.join("\n"), ORACLE_COUNTS, "the oracle's violation counts moved");
 }
