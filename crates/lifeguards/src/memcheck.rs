@@ -378,16 +378,6 @@ impl Lifeguard for MemCheck {
     }
 }
 
-/// Marks the heap's initialized bits without touching accessibility —
-/// used with [`MemCheck::set_assume_calloc`] by the synthetic-workload
-/// harness (see module docs).
-impl MemCheck {
-    /// Pre-marks only the initialized bits of `[base, base+len)`.
-    pub fn premark_initialized(&mut self, base: u32, len: u32) {
-        self.set_bits_range(base, len, I_BIT, 0);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -164,11 +164,6 @@ impl<L: Lifeguard> Monitor<L> {
     pub fn dispatch_stats(&self) -> &DispatchStats {
         self.pipeline.stats()
     }
-
-    /// Recovers the lifeguard.
-    pub fn into_lifeguard(self) -> L {
-        self.lifeguard
-    }
 }
 
 #[cfg(test)]

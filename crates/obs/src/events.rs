@@ -79,7 +79,7 @@ pub enum EventKind {
         channel_capacity_bytes: u32,
         /// Consecutive pump turns the channel had been at least half full.
         hot_turns: u32,
-        /// Other workers parked on their doorbells (idle capacity).
+        /// Other workers parked waiting for work (idle capacity).
         parked_workers: usize,
         /// Records/s the session sustained on the plain path over those
         /// hot turns (0 when entry was forced and nothing was measured).

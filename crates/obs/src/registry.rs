@@ -210,12 +210,6 @@ impl Histogram {
         Histogram { core: Arc::new(HistogramCore::new(false)) }
     }
 
-    /// Whether records are being kept (the registry's timer switch).
-    #[inline]
-    pub fn is_enabled(&self) -> bool {
-        self.core.enabled
-    }
-
     /// Records one observation: two relaxed `fetch_add`s, no locks, no
     /// allocation. No-op when disabled.
     #[inline]

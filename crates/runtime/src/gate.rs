@@ -38,8 +38,8 @@ pub(crate) enum Entry {
 }
 
 /// Should a session whose channel has been hot for `hot_turns` turns enter
-/// the pipelined path, given `parked_workers` other workers parked on
-/// their doorbells?
+/// the pipelined path, given `parked_workers` other workers parked
+/// waiting for work?
 pub(crate) fn entry(hot_turns: u32, parked_workers: usize) -> Entry {
     if hot_turns < HOT_TURNS_TO_PIPELINE {
         Entry::Wait

@@ -21,7 +21,10 @@
 //! * [`pool`] — the [`MonitorPool`]: N worker threads with a
 //!   session-grain work-stealing scheduler. A session's lifeguard, dispatch
 //!   pipeline and shadow-memory shard are pumped by exactly one thread at a
-//!   time; an idle worker steals a runnable session — pending batches and
+//!   time, a rule owned by one lock over a pure state machine (the pool's
+//!   `protocol` module; lock order protocol, then channel, never the
+//!   reverse) whose every interleaving the crate's tests explore at small
+//!   bounds. An idle worker steals a runnable session — pending batches and
 //!   shadow shard together — from a loaded one, so a hot tenant cannot
 //!   starve the sessions queued behind it, and a producer that would wait
 //!   on a full channel or a pending report runs a session's turn on its

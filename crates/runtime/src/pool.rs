@@ -19,6 +19,17 @@
 //! path stays lock- and shared-metadata-free while a hot tenant can no
 //! longer starve the sessions that used to be pinned behind it.
 //!
+//! **One lock.** Who holds which session is decided by the pure state
+//! machine of `protocol` (deques, checkouts, runnable sessions, the
+//! epoch-job queue, parked workers and their pending rings, helped turns in
+//! flight, shutdown) behind one `Mutex`, with one `Condvar` per worker to
+//! park on. This file drives it: every worker move, helped turn, publish,
+//! close and shutdown is one short critical section that returns what to
+//! do outside it. Lock order is protocol, then channel, never the reverse —
+//! in practice never both: a session's runnability reaches the protocol
+//! only through a publish or a give-back. The tests explore every
+//! interleaving of those critical sections at small bounds.
+//!
 //! **Backpressure is work-conserving.** A producer that has to wait on the
 //! pool — a [`SessionHandle::send_batch`] refused by a full channel, an
 //! idle `Ingestor` pass, a [`SessionHandle::finish`] whose report is not
@@ -28,9 +39,9 @@
 //! session back on the deque it came from, so the session's home (and
 //! every producer wakeup) stays with that worker. It blocks or sleeps only
 //! when nothing is runnable, or when a worker is parked: that worker is the
-//! idle capacity, and the producer's own publishes wake it. A full channel still refuses the producer's
-//! own batch: backpressure holds, and the wait is spent monitoring instead
-//! of idling a host core.
+//! idle capacity, and the producer's own publishes wake it. A full channel
+//! still refuses the producer's own batch: backpressure holds, and the wait
+//! is spent monitoring instead of idling a host core.
 //!
 //! The per-session hot path is batch-grain end to end: one
 //! [`DispatchPipeline::dispatch_batch`] call expands a chunk through
@@ -56,6 +67,8 @@
 //! spare pool. When the backlog drains the session drops back to plain
 //! pumping.
 
+mod protocol;
+
 use crate::epoch::EpochConfig;
 use crate::gate::{self, Entry};
 use crate::spsc::{
@@ -72,11 +85,12 @@ use igm_span::{
     alloc_flow, tenant_id, FlightRecorder, FrameTag, RecordId, Sampler, SpanConfig, SpanRecord,
     Stage, Track,
 };
-use std::collections::{BTreeMap, VecDeque};
+use protocol::{By, Checkout, Notify, Protocol, Step};
+use std::collections::BTreeMap;
 use std::net::ToSocketAddrs;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::mpsc::{self, Receiver, Sender, TryRecvError};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -122,10 +136,10 @@ pub enum PipelineMode {
     /// otherwise idle. A session whose lifeguard's spine can elide
     /// something ([`LifeguardKind::spine_elides_any`]) and whose log
     /// channel has been at least half full for a few consecutive pump
-    /// turns enters only if another worker is parked on its doorbell at
-    /// that moment — never on a one-worker pool, nor while every worker is
-    /// busy with its own tenants — and drops back once the backlog drains.
-    /// Only workers decide: a turn a waiting producer runs
+    /// turns enters only if another worker was parked when its worker
+    /// checked the session out — never on a one-worker pool, nor while
+    /// every worker is busy with its own tenants — and drops back once the
+    /// backlog drains. Only workers decide: a turn a waiting producer runs
     /// ([`MonitorPool::help`]) pumps an already pipelined session's spine
     /// but never enters the pipeline, so a producer helping while the only
     /// worker is parked cannot make a one-worker pool pipeline.
@@ -273,70 +287,6 @@ impl ViolationStream {
     }
 }
 
-/// One worker's wake-up doorbell, sequence-numbered so a worker that went
-/// busy between reading the sequence and waiting can never miss a ring.
-///
-/// Each worker parks on its **own** doorbell. Ringing is lock-free while
-/// the target worker is awake — the common steady state, where every
-/// `send_batch` would otherwise fight N workers for a mutex. The SeqCst
-/// ordering of `seq`/`sleepers` gives the classic flag-flag guarantee: if
-/// the ringer reads `sleepers == 0`, the about-to-sleep worker's later
-/// sequence check is ordered after the ring and sees the new value, so it
-/// never parks on a stale count.
-#[derive(Debug, Default)]
-pub(crate) struct Doorbell {
-    seq: AtomicU64,
-    sleepers: AtomicUsize,
-    lock: Mutex<()>,
-    bell: Condvar,
-}
-
-impl Doorbell {
-    /// Publishes a state change (the owning worker re-checks the world
-    /// before its next park).
-    fn bump(&self) {
-        self.seq.fetch_add(1, Ordering::SeqCst);
-    }
-
-    /// Wakes the parked owner, if parked. Returns whether a sleeper was
-    /// notified. Only meaningful after a [`Doorbell::bump`].
-    fn notify_if_sleeping(&self) -> bool {
-        if self.sleepers.load(Ordering::SeqCst) > 0 {
-            // Serialize with the sleeper's check-then-wait.
-            drop(self.lock.lock().unwrap());
-            self.bell.notify_one();
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Bump-and-notify; returns whether a sleeper was notified.
-    fn ring(&self) -> bool {
-        self.bump();
-        self.notify_if_sleeping()
-    }
-
-    /// Racy peek at whether the owner is parked (wakeup-targeting hint).
-    fn sleeping(&self) -> bool {
-        self.sleepers.load(Ordering::SeqCst) > 0
-    }
-
-    fn epoch(&self) -> u64 {
-        self.seq.load(Ordering::SeqCst)
-    }
-
-    /// Blocks until the sequence moves past `seen` or `timeout` elapses.
-    fn wait(&self, seen: u64, timeout: Duration) {
-        self.sleepers.fetch_add(1, Ordering::SeqCst);
-        let guard = self.lock.lock().unwrap();
-        if self.seq.load(Ordering::SeqCst) == seen {
-            let _ = self.bell.wait_timeout(guard, timeout).unwrap();
-        }
-        self.sleepers.fetch_sub(1, Ordering::SeqCst);
-    }
-}
-
 /// An epoch of a pipelined session's records, checked against its
 /// snapshotted lifeguard shard (see [`ActiveSession::pump_pipelined`]).
 pub(crate) struct EpochJob {
@@ -349,11 +299,11 @@ pub(crate) struct EpochJob {
     /// record-id attribution).
     pub first_record: u64,
     pub done: Sender<EpochResult>,
-    /// The shipping session's home hint: its current worker is rung when
-    /// the result lands, so drains do not wait out a park timeout. (The
-    /// session accounts records, delivered events and violations on its
-    /// live spine; the job adds nothing to the pool totals but its count.)
-    pub home: Arc<AtomicUsize>,
+    /// The shipping session, published when the result lands so it is
+    /// pumped to drain it. (The session accounts records, delivered events
+    /// and violations on its live spine; the job adds nothing to the pool
+    /// totals but its count.)
+    pub session: SessionId,
 }
 
 /// Result of one [`EpochJob`].
@@ -372,76 +322,13 @@ pub(crate) struct EpochResult {
     pub failed: bool,
 }
 
-/// One worker's resident-session deque with a lock-free occupancy mirror,
-/// so steal scans (and the worker's own idle passes) skip empty shards
-/// without touching the lock.
-#[derive(Default)]
-struct Shard {
-    queue: Mutex<VecDeque<ActiveSession>>,
-    len: AtomicUsize,
-}
-
-impl Shard {
-    fn push(&self, session: ActiveSession) {
-        let mut q = self.queue.lock().unwrap();
-        q.push_back(session);
-        self.len.store(q.len(), Ordering::Release);
-    }
-
-    fn pop(&self) -> Option<ActiveSession> {
-        if self.len.load(Ordering::Acquire) == 0 {
-            return None;
-        }
-        let mut q = self.queue.lock().unwrap();
-        let session = q.pop_front();
-        self.len.store(q.len(), Ordering::Release);
-        session
-    }
-
-    /// Removes the most recently queued session with pending batches
-    /// (steal-from-the-back: the deque front is what the owner will reach
-    /// soonest).
-    fn steal_runnable(&self) -> Option<ActiveSession> {
-        if self.len.load(Ordering::Acquire) == 0 {
-            return None;
-        }
-        let mut q = self.queue.lock().unwrap();
-        let pos = q.iter().rposition(ActiveSession::has_pending)?;
-        let session = q.remove(pos);
-        self.len.store(q.len(), Ordering::Release);
-        session
-    }
-
-    fn resident(&self) -> usize {
-        self.len.load(Ordering::Acquire)
-    }
-}
-
 /// State shared by the workers, the pool handle and every session handle.
 struct PoolShared {
-    /// One resident-session deque per worker. A session lives in exactly
-    /// one deque — or in neither while the worker or helping producer that
-    /// took it is pumping it, which is what makes a mid-pump session
-    /// unstealable.
-    shards: Vec<Shard>,
-    /// Injector queue for pipelined sessions' epoch jobs; any worker
-    /// serves it.
-    epoch_jobs: Mutex<VecDeque<EpochJob>>,
-    /// Mirror of `epoch_jobs.len()`, so the (hot) worker loop skips the
-    /// injector lock entirely while no session is pipelined.
-    epoch_pending: AtomicUsize,
-    /// One doorbell per worker (sticky wakeups: `send_batch` rings the
-    /// session's home worker first).
-    doorbells: Vec<Doorbell>,
+    /// The ownership protocol ([`protocol`]): the pool's one lock.
+    proto: Mutex<Protocol<ActiveSession, EpochJob>>,
+    /// One condition variable per worker, parked on under `proto`.
+    bells: Vec<Condvar>,
     stats: PoolStats,
-    /// Set once by [`MonitorPool::shutdown`]. SeqCst on both sides: a
-    /// helper that took a session after a terminating worker last saw
-    /// `helping == 0` must see the flag when its turn ends.
-    shutdown: AtomicBool,
-    /// Helped turns in flight ([`PoolShared::help`]). Counted before the
-    /// helper takes a session, so a terminating worker that waits for zero
-    /// never exits while a session it would have finalized is checked out.
-    helping: AtomicUsize,
     /// The flight-recorder ring helped turns record into, so helpers never
     /// write into a worker's single-writer ring. Helping threads share it:
     /// each record claims its slot atomically, so two helpers write the
@@ -466,8 +353,8 @@ struct PoolShared {
     /// sessions [`PipelineMode::Auto`] left on the plain path because no
     /// other worker was parked.
     declined_no_idle_worker: Counter,
-    /// `igm_pool_parked_workers`: workers parked on their doorbells — the
-    /// idle capacity [`PipelineMode::Auto`] pipelines into.
+    /// `igm_pool_parked_workers`: workers parked on their condition
+    /// variables — the idle capacity [`PipelineMode::Auto`] pipelines into.
     parked: Gauge,
     /// `igm_epoch_journal_checks_total{lifeguard=…}`, indexed in
     /// [`LifeguardKind::ALL`] order: spine-elided (journaled) events whose
@@ -504,115 +391,53 @@ struct EpochSpan {
 }
 
 impl PoolShared {
-    /// Sticky wakeup: ring the session's home worker first, so an
-    /// intermittent tenant keeps waking the worker that holds its shadow
-    /// shard instead of random-walking between thieves. If the home worker
-    /// is awake (busy), fall back to waking some parked worker — it can
-    /// steal the session, so the pool stays work-conserving under load.
-    fn ring_worker(&self, home: usize) {
-        let n = self.doorbells.len();
-        let home = home % n;
-        if self.doorbells[home].ring() {
+    fn proto(&self) -> MutexGuard<'_, Protocol<ActiveSession, EpochJob>> {
+        self.proto.lock().unwrap()
+    }
+
+    /// Wakes the parked workers a transition named (after the lock is
+    /// released, so the woken worker does not block on it at once).
+    fn notify(&self, notify: Notify) {
+        match notify {
+            Notify::Nobody => {}
+            Notify::One(w) => self.bells[w].notify_one(),
+            Notify::All => self.bells.iter().for_each(Condvar::notify_one),
+        }
+    }
+
+    /// Marks `session` runnable: its producer published or closed, or one
+    /// of its epoch jobs reported.
+    fn publish(&self, session: SessionId) {
+        let notify = self.proto().publish(session);
+        self.notify(notify);
+    }
+
+    /// Publishes an epoch job on the shared queue; any worker serves it.
+    fn submit_epoch(&self, job: EpochJob) {
+        let notify = self.proto().submit(job);
+        self.notify(notify);
+    }
+
+    /// [`MonitorPool::help`]: a [`Protocol::help`] checkout, one turn.
+    fn help(&self) -> bool {
+        let Some(checkout) = self.proto().help() else { return false };
+        self.stats.helped_turns.inc();
+        let by = Pumper { ring: self.helper_ring, track: helper_track() };
+        pump_owned(By::Helper, by, checkout, self, &self.stats)
+    }
+
+    /// Parks worker `w` until it is rung, unless a ring is already pending.
+    fn park(&self, w: usize, stats: &PoolStats) {
+        let mut proto = self.proto();
+        if !proto.park(w) {
             return;
         }
-        for off in 1..n {
-            let db = &self.doorbells[(home + off) % n];
-            // The peek is racy: a worker registering to sleep right now may
-            // be missed, but the home doorbell was bumped above and the
-            // park timeout bounds the cost of a lost fallback wake.
-            if db.sleeping() && db.ring() {
-                return;
-            }
+        stats.parks.inc();
+        self.parked.add(1);
+        while !proto.woken(w) {
+            proto = self.bells[w].wait(proto).unwrap();
         }
-    }
-
-    /// Workers parked on their doorbells right now. Asked by a running
-    /// worker, so it counts *other* workers only. Racy by nature (a worker
-    /// may park or wake the next instant); the decision it feeds is
-    /// revisited every turn.
-    fn parked_workers(&self) -> usize {
-        usize::try_from(self.parked.value()).unwrap_or(0)
-    }
-
-    /// Wakes one worker, any worker (epoch jobs live in a shared injector
-    /// queue). Every doorbell is bumped — matching the old global-sequence
-    /// semantics, so no about-to-park worker can sleep through the event —
-    /// but only the first sleeper found is woken.
-    fn ring_any(&self) {
-        for db in &self.doorbells {
-            db.bump();
-        }
-        for db in &self.doorbells {
-            if db.notify_if_sleeping() {
-                return;
-            }
-        }
-    }
-
-    /// Publishes an epoch job on the shared injector queue; any worker
-    /// serves it.
-    fn submit_epoch(&self, job: EpochJob) {
-        // Increment the mirror before publishing the job: the counter may
-        // transiently overstate the queue (workers then take the lock and
-        // find nothing — harmless) but never understate or underflow it.
-        self.epoch_pending.fetch_add(1, Ordering::SeqCst);
-        self.epoch_jobs.lock().unwrap().push_back(job);
-        self.ring_any();
-    }
-
-    /// Runs one lifeguard turn on the calling thread, if any session is
-    /// runnable and no worker is parked: the most recently queued session
-    /// with pending batches on any worker's deque is checked out
-    /// (exclusively, as a thief takes it), pumped for one
-    /// [`BATCHES_PER_TURN`] turn and put back on the deque it came from,
-    /// its home unchanged. The turn never takes the [`PipelineMode::Auto`]
-    /// entry decision. If the pool shut down during the turn, the session
-    /// is finalized instead (a terminating worker may already have left).
-    /// Returns whether the turn made progress.
-    ///
-    /// A parked worker is idle capacity the producer's own publishes wake
-    /// ([`PoolShared::ring_worker`] falls back to it), so runnable work is
-    /// left to it and the producer keeps its core for producing.
-    fn help(&self) -> bool {
-        if self.parked_workers() > 0 {
-            return false;
-        }
-        self.helping.fetch_add(1, Ordering::SeqCst);
-        let taken = (0..self.shards.len())
-            .find_map(|victim| Some((self.shards[victim].steal_runnable()?, victim)));
-        let progress = taken.is_some_and(|(session, victim)| self.helped_turn(session, victim));
-        self.helping.fetch_sub(1, Ordering::SeqCst);
-        if self.shutdown.load(Ordering::SeqCst) {
-            // Terminating workers wait for `helping` to reach zero.
-            self.ring_all();
-        }
-        progress
-    }
-
-    /// The turn [`PoolShared::help`] runs on `session`, checked out of
-    /// `victim`'s deque by a caller already counted in `helping`.
-    fn helped_turn(&self, session: ActiveSession, victim: usize) -> bool {
-        self.stats.helped_turns.inc();
-        let by = Pumper { shard: victim, ring: self.helper_ring, track: helper_track() };
-        let progress =
-            pump_owned(by, session, self, &self.stats, || self.shutdown.load(Ordering::SeqCst));
-        // The victim may have parked while the session was out.
-        self.doorbells[victim].ring();
-        progress
-    }
-
-    /// Wakes every worker (session open/close, shutdown — rare control
-    /// events where all workers must re-examine the world).
-    fn ring_all(&self) {
-        for db in &self.doorbells {
-            db.bump();
-        }
-        for db in &self.doorbells {
-            if db.sleepers.load(Ordering::SeqCst) > 0 {
-                drop(db.lock.lock().unwrap());
-                db.bell.notify_all();
-            }
-        }
+        self.parked.sub(1);
     }
 }
 
@@ -641,7 +466,6 @@ impl PoolShared {
 pub struct MonitorPool {
     shared: Arc<PoolShared>,
     joins: Vec<JoinHandle<()>>,
-    next_shard: AtomicUsize,
     next_session: AtomicU64,
     violations_rx: Mutex<Option<Receiver<PoolViolation>>>,
     chunk_bytes: u32,
@@ -722,13 +546,9 @@ impl MonitorPool {
             ),
         };
         let shared = Arc::new(PoolShared {
-            shards: (0..cfg.workers).map(|_| Shard::default()).collect(),
-            epoch_jobs: Mutex::new(VecDeque::new()),
-            epoch_pending: AtomicUsize::new(0),
-            doorbells: (0..cfg.workers).map(|_| Doorbell::default()).collect(),
+            proto: Mutex::new(Protocol::new(cfg.workers)),
+            bells: (0..cfg.workers).map(|_| Condvar::new()).collect(),
             stats: PoolStats::new(&metrics),
-            shutdown: AtomicBool::new(false),
-            helping: AtomicUsize::new(0),
             helper_ring: recorder.as_ref().map_or(0, |r| r.ring_handle()),
             violations_tx: vtx,
             stream_taken: AtomicBool::new(false),
@@ -748,7 +568,7 @@ impl MonitorPool {
                 "hot sessions the Auto gate left on the plain path",
                 &[("reason", gate::DECLINED_NO_IDLE_WORKER)],
             ),
-            parked: metrics.gauge("igm_pool_parked_workers", "workers parked on their doorbells"),
+            parked: metrics.gauge("igm_pool_parked_workers", "workers parked waiting for work"),
             journal_counters,
             channel_obs,
             metrics,
@@ -768,7 +588,6 @@ impl MonitorPool {
         MonitorPool {
             shared,
             joins,
-            next_shard: AtomicUsize::new(0),
             next_session: AtomicU64::new(0),
             violations_rx: Mutex::new(Some(vrx)),
             chunk_bytes: cfg.chunk_bytes,
@@ -780,7 +599,7 @@ impl MonitorPool {
 
     /// Number of workers.
     pub fn workers(&self) -> usize {
-        self.shared.shards.len()
+        self.shared.bells.len()
     }
 
     /// Opens a tenant session: builds the lifeguard shard, places it on a
@@ -793,10 +612,6 @@ impl MonitorPool {
         let (producer, consumer) =
             log_channel_with(self.channel_capacity_bytes, self.shared.channel_obs.clone());
         let (done_tx, done_rx) = mpsc::channel();
-        let shard = self.next_shard.fetch_add(1, Ordering::Relaxed) % self.shared.shards.len();
-        // The home hint follows the session as workers re-queue or steal
-        // it; `send_batch` rings the worker it points at first.
-        let home = Arc::new(AtomicUsize::new(shard));
         let kind_index = LifeguardKind::ALL
             .iter()
             .position(|k| *k == cfg.lifeguard)
@@ -818,7 +633,6 @@ impl MonitorPool {
             records: 0,
             violations: Vec::new(),
             violation_records: Vec::new(),
-            home: Arc::clone(&home),
             dispatch_hist: self.shared.dispatch_hists[kind_index].clone(),
             journal_counter: self.shared.journal_counters[kind_index].clone(),
             pipeline_mode: self.pipeline_mode,
@@ -829,8 +643,7 @@ impl MonitorPool {
             pipe: None,
         };
         self.shared.stats.sessions_opened.inc();
-        self.shared.shards[shard].push(session);
-        self.shared.ring_all();
+        self.shared.proto().open(id, session);
         // The session is its own span origin for frames sent through the
         // handle: a fresh flow, a frame counter, a per-frame sampler.
         let spans = self.shared.recorder.as_ref().map(|r| SessionSpans {
@@ -845,7 +658,6 @@ impl MonitorPool {
             done: done_rx,
             chunk_bytes: self.chunk_bytes,
             channel_capacity_bytes: self.channel_capacity_bytes,
-            home,
             spans,
         }
     }
@@ -948,8 +760,8 @@ impl MonitorPool {
     }
 
     fn shutdown_inner(&mut self) {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
-        self.shared.ring_all();
+        let notify = self.shared.proto().shutdown();
+        self.shared.notify(notify);
         for join in self.joins.drain(..) {
             if join.join().is_err() {
                 eprintln!("igm-runtime: a lifeguard worker panicked");
@@ -976,8 +788,6 @@ pub struct SessionHandle {
     done: Receiver<SessionReport>,
     chunk_bytes: u32,
     channel_capacity_bytes: u32,
-    /// The worker currently hosting the session (sticky-wakeup hint).
-    home: Arc<AtomicUsize>,
     /// Span origin for frames this handle publishes (`None` when the
     /// pool's spans are off).
     spans: Option<SessionSpans>,
@@ -1045,12 +855,12 @@ impl SessionHandle {
         while let Some(refused) = producer.try_publish(batch, tag)? {
             if !self.shared.help() {
                 let r = producer.send_batch_tagged(refused, tag);
-                self.shared.ring_worker(self.home.load(Ordering::Relaxed));
+                self.shared.publish(self.id);
                 return r;
             }
             batch = refused;
         }
-        self.shared.ring_worker(self.home.load(Ordering::Relaxed));
+        self.shared.publish(self.id);
         Ok(())
     }
 
@@ -1087,7 +897,7 @@ impl SessionHandle {
         let tag = wire_tag.or_else(|| self.spans.as_ref().and_then(SessionSpans::tag_frame));
         let r = producer.try_send_batch_tagged(batch, tag);
         if let Ok(None) = r {
-            self.shared.ring_worker(self.home.load(Ordering::Relaxed));
+            self.shared.publish(self.id);
         }
         r
     }
@@ -1135,7 +945,7 @@ impl SessionHandle {
     /// others.
     pub fn close(&mut self) {
         drop(self.producer.take());
-        self.shared.ring_all();
+        self.shared.publish(self.id);
     }
 
     /// Closes the log channel and waits until the session is drained and
@@ -1149,7 +959,7 @@ impl SessionHandle {
     /// panicked).
     pub fn finish(mut self) -> SessionReport {
         drop(self.producer.take()); // close the channel
-        self.shared.ring_all();
+        self.shared.publish(self.id);
         loop {
             match self.done.try_recv() {
                 Ok(report) => return report,
@@ -1165,11 +975,10 @@ impl SessionHandle {
 
 impl Drop for SessionHandle {
     fn drop(&mut self) {
-        // Close the channel (if finish() didn't already) and wake the
-        // workers so an abandoned session is drained and finalized promptly
-        // rather than on the park-timeout safety net.
+        // Close the channel (if finish() didn't already) and publish the
+        // close, so an abandoned session is drained and finalized.
         drop(self.producer.take());
-        self.shared.ring_all();
+        self.shared.publish(self.id);
     }
 }
 
@@ -1193,9 +1002,6 @@ struct ActiveSession {
     violations: Vec<Violation>,
     /// Parallel to `violations`: each entry's attributed record id.
     violation_records: Vec<Option<RecordId>>,
-    /// Shared with the [`SessionHandle`]: which worker's deque the session
-    /// currently lives on, so producer-side wakeups ring the owner first.
-    home: Arc<AtomicUsize>,
     /// This session's kind's `igm_dispatch_batch_nanos{lifeguard=…}`.
     dispatch_hist: Histogram,
     /// This session's kind's `igm_epoch_journal_checks_total{lifeguard=…}`.
@@ -1271,16 +1077,17 @@ impl ActiveSession {
     /// Processes up to `max_batches` buffered batches; returns how many
     /// units of progress were made (batches pumped plus epoch results
     /// drained). `stats` is the pumping thread's counter handle; `by` says
-    /// who pumps.
+    /// who pumps, and `gate` is the checkout's [`Checkout::gate`].
     fn pump(
         &mut self,
         max_batches: usize,
         shared: &PoolShared,
         stats: &PoolStats,
         by: Pumper,
+        gate: Option<usize>,
     ) -> usize {
         if self.pipe.is_none() {
-            if let Some(inputs) = self.entry_decision(shared, by) {
+            if let Some(inputs) = self.entry_decision(shared, gate) {
                 self.enter_pipeline(shared, inputs);
             }
         }
@@ -1294,11 +1101,12 @@ impl ActiveSession {
     /// Whether this pump turn should switch the session to the pipelined
     /// path, and on what evidence. Under [`PipelineMode::Auto`] this
     /// advances the hot-turn bookkeeping and counts declined opportunities
-    /// as a side effect; the verdict itself is [`gate::entry`]'s. A helped
-    /// turn leaves the gate and its bookkeeping alone: idle capacity is a
-    /// worker's judgement. ([`PipelineMode::Always`] asks for no judgement,
-    /// so it enters on whichever turn comes first.)
-    fn entry_decision(&mut self, shared: &PoolShared, by: Pumper) -> Option<EntryInputs> {
+    /// as a side effect; the verdict itself is [`gate::entry`]'s, on the
+    /// parked workers the worker's checkout saw. A helped turn (`gate` is
+    /// `None`) leaves the gate and its bookkeeping alone: idle capacity is
+    /// a worker's judgement. ([`PipelineMode::Always`] asks for no
+    /// judgement, so it enters on whichever turn comes first.)
+    fn entry_decision(&mut self, shared: &PoolShared, gate: Option<usize>) -> Option<EntryInputs> {
         if self.pipeline_mode == PipelineMode::Never {
             return None;
         }
@@ -1310,12 +1118,10 @@ impl ActiveSession {
             plain_rate: 0,
         };
         if self.pipeline_mode == PipelineMode::Always {
-            inputs.parked_workers = shared.parked_workers();
+            inputs.parked_workers = gate.unwrap_or(0);
             return Some(inputs);
         }
-        if by.helping() {
-            return None;
-        }
+        let parked = gate?;
         // Pipelining pays off only when the spine can elide work; a
         // full-stream spine (LockSet) would just add replay on top of
         // itself.
@@ -1331,7 +1137,7 @@ impl ActiveSession {
             *self.hot_since.get_or_insert_with(|| (Instant::now(), self.records));
         self.hot_turns += 1;
         inputs.hot_turns = self.hot_turns;
-        inputs.parked_workers = shared.parked_workers();
+        inputs.parked_workers = parked;
         match gate::entry(inputs.hot_turns, inputs.parked_workers) {
             Entry::Wait => None,
             Entry::Decline => {
@@ -1369,7 +1175,7 @@ impl ActiveSession {
             // batches) to a small multiple of the worker count; past the
             // cap the spine stops draining the channel and the bounded
             // channel pushes back on the producer.
-            max_in_flight: 2 * shared.shards.len() + 1,
+            max_in_flight: 2 * shared.bells.len() + 1,
             next_index: 0,
             next_emit: 0,
             in_flight: 0,
@@ -1512,7 +1318,7 @@ impl ActiveSession {
             first_record: self.records - pipe.acc_records as u64,
             records: std::mem::take(&mut pipe.acc),
             done: pipe.tx.clone(),
-            home: Arc::clone(&self.home),
+            session: self.id,
         };
         pipe.next_index += 1;
         pipe.in_flight += 1;
@@ -1681,7 +1487,7 @@ impl ActiveSession {
         processed
     }
 
-    /// Whether buffered batches are waiting (the steal heuristic).
+    /// Whether buffered batches are waiting.
     fn has_pending(&self) -> bool {
         self.consumer.pending_batches() > 0
     }
@@ -1734,28 +1540,13 @@ impl ActiveSession {
 /// (fairness bound). A helped turn is one such turn.
 const BATCHES_PER_TURN: usize = 4;
 
-/// The thread pumping a checked-out session: where the session goes back
-/// afterwards, and where its span stages land.
+/// The thread pumping a checked-out session: where its span stages land.
 #[derive(Debug, Clone, Copy)]
 struct Pumper {
-    /// The deque the session returns to, which is also its home hint: the
-    /// pumping worker's own, or for a helped turn the deque it was taken
-    /// from (a helper is no worker; wakeups must keep reaching one).
-    shard: usize,
     /// The pumping thread's flight-recorder ring.
     ring: usize,
     /// [`Track::Worker`], or [`Track::Helper`] for a helped turn.
     track: Track,
-}
-
-impl Pumper {
-    fn worker(idx: usize, ring: usize) -> Pumper {
-        Pumper { shard: idx, ring, track: Track::Worker(idx as u32) }
-    }
-
-    fn helping(self) -> bool {
-        matches!(self.track, Track::Helper(_))
-    }
 }
 
 /// The calling thread's [`Track::Helper`]: ids are handed out per thread
@@ -1766,14 +1557,9 @@ fn helper_track() -> Track {
     Track::Helper(ID.with(|id| *id))
 }
 
-/// How long an idle worker parks before re-polling anyway. Every
-/// producer-side state change rings the doorbell, so this is only a safety
-/// net and can be generous without adding latency.
-const PARK_TIMEOUT: Duration = Duration::from_millis(25);
-
-/// Empty passes a worker yields through before parking on the doorbell.
-/// Briefly-idle workers (their session's producer is mid-chunk) resume
-/// without a futex round trip per batch; genuinely idle workers still park.
+/// Idle moves a worker yields through before parking. Briefly-idle
+/// workers (their session's producer is mid-chunk) resume without a futex
+/// round trip per batch; genuinely idle workers still park.
 const SPIN_PASSES: u32 = 8;
 
 /// Per-worker staging buffers for epoch jobs, allocated once per worker
@@ -1794,131 +1580,77 @@ fn worker_main(idx: usize, shared: Arc<PoolShared>) {
     // This worker's flight-recorder ring: claimed once, single-writer for
     // the thread's lifetime (0 is a dead value when spans are off).
     let ring = shared.recorder.as_ref().map_or(0, |r| r.ring_handle());
-    let me = Pumper::worker(idx, ring);
+    let me = Pumper { ring, track: Track::Worker(idx as u32) };
     loop {
-        let seen = shared.doorbells[idx].epoch();
-        let terminating = shared.shutdown.load(Ordering::SeqCst);
-        let mut progress = false;
-
-        // At most one epoch job per pass, so a deep injector queue cannot
-        // starve resident session traffic. The atomic mirror keeps the
-        // injector lock off the session hot path.
-        if shared.epoch_pending.load(Ordering::SeqCst) > 0 {
-            let job = shared.epoch_jobs.lock().unwrap().pop_front();
-            if let Some(job) = job {
-                shared.epoch_pending.fetch_sub(1, Ordering::SeqCst);
-                run_epoch_job_guarded(job, &stats, &shared, idx, ring, &mut scratch);
-                progress = true;
+        let (step, notify) = shared.proto().next(idx);
+        shared.notify(notify);
+        match step {
+            Step::Job(job) => run_epoch_job_guarded(job, &stats, &shared, idx, ring, &mut scratch),
+            Step::Pump(checkout) => {
+                if checkout.from != idx {
+                    stats.steals.inc();
+                    shared.metrics.events().record(EventKind::Steal {
+                        session: checkout.sid,
+                        from_worker: checkout.from,
+                        to_worker: idx,
+                    });
+                }
+                pump_owned(By::Worker(idx), me, checkout, &shared, &stats);
             }
-        }
-
-        // One rotation over this worker's resident sessions. Each session
-        // is popped for the duration of its pump — a checked-out session is
-        // invisible to thieves, which is what keeps ownership exclusive.
-        let resident = shared.shards[idx].resident();
-        for _ in 0..resident {
-            let Some(session) = shared.shards[idx].pop() else { break };
-            progress |= pump_owned(me, session, &shared, &stats, || terminating);
-        }
-
-        // Nothing of our own to do: steal a runnable session — with its
-        // pending batches and its shadow shard — from a loaded worker.
-        if !progress && !terminating {
-            if let Some((session, victim)) = steal(idx, &shared) {
-                stats.steals.inc();
-                shared.metrics.events().record(EventKind::Steal {
-                    session: session.id,
-                    from_worker: victim,
-                    to_worker: idx,
-                });
-                pump_owned(me, session, &shared, &stats, || terminating);
-                progress = true;
-            }
-        }
-
-        // A helper may hold one of this deque's sessions: wait for it to
-        // put the session back or finalize it (checked before the deque, so
-        // a session put back before the count dropped is seen).
-        if terminating
-            && shared.helping.load(Ordering::SeqCst) == 0
-            && shared.shards[idx].resident() == 0
-            && shared.epoch_pending.load(Ordering::SeqCst) == 0
-        {
-            return;
-        }
-        if progress {
-            idle_passes = 0;
-        } else {
-            idle_passes += 1;
-            if idle_passes <= SPIN_PASSES {
+            Step::Exit => return,
+            Step::Idle if idle_passes < SPIN_PASSES => {
+                idle_passes += 1;
                 std::thread::yield_now();
-            } else {
-                stats.parks.inc();
-                shared.parked.add(1);
-                shared.doorbells[idx].wait(seen, PARK_TIMEOUT);
-                shared.parked.sub(1);
+                continue;
             }
+            Step::Idle => shared.park(idx, &stats),
         }
+        idle_passes = 0;
     }
 }
 
-/// Pumps a checked-out session and settles its ownership: finalized if
-/// drained (or `terminate()` says the pool is terminating, asked after the
-/// pump), re-queued on `by.shard`'s deque otherwise, dropped if its
-/// lifeguard panicked. Returns whether any batch was processed.
+/// Pumps a checked-out session for one turn and gives it back to the
+/// protocol, which re-queues it or hands it back to be finalized: drained,
+/// or shut down (shutdown terminates; batches still buffered are lost). A
+/// session whose lifeguard panicked is dropped. Returns whether any batch
+/// was processed.
 fn pump_owned(
-    by: Pumper,
-    mut session: ActiveSession,
+    by: By,
+    pumper: Pumper,
+    checkout: Checkout<ActiveSession>,
     shared: &PoolShared,
     stats: &PoolStats,
-    terminate: impl FnOnce() -> bool,
 ) -> bool {
-    // The session belongs to `by.shard` for the pump (and stays there if
-    // it is re-queued below): point producer-side wakeups there.
-    session.home.store(by.shard, Ordering::Relaxed);
+    let Checkout { sid, mut session, gate, .. } = checkout;
     // Panic isolation: one tenant's handler panicking must not take down
     // the other sessions of the pool, whichever thread pumped it.
     let pumped = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        session.pump(BATCHES_PER_TURN, shared, stats, by)
+        session.pump(BATCHES_PER_TURN, shared, stats, pumper, gate)
     }));
-    match pumped {
-        Ok(n) => {
-            // When terminating, finalize unconditionally after one last
-            // pump: shutdown *terminates*. An actively streaming producer
-            // observes `SendError` once the consumer drops (records it had
-            // buffered beyond this turn are lost); waiting for it to drain
-            // could block for the producer's whole lifetime.
-            if session.finished() || terminate() {
-                session.finalize(stats, shared);
-            } else {
-                shared.shards[by.shard].push(session);
-            }
-            n > 0
-        }
+    let (finished, more) = match &pumped {
+        Ok(n) => (session.finished(), *n > 0 && session.has_pending()),
         Err(_) => {
             eprintln!(
                 "igm-runtime: lifeguard panicked in session {} ({}); session dropped",
                 session.id, session.name
             );
-            // Dropping the session closes the channel (producer sees
-            // SendError) and the report sender (finish() reports the
-            // failure); the other sessions keep running.
-            true
+            (true, false)
         }
-    }
-}
-
-/// Scans the other workers' deques for a session with pending batches and
-/// takes the most recently queued one.
-fn steal(idx: usize, shared: &PoolShared) -> Option<(ActiveSession, usize)> {
-    let n = shared.shards.len();
-    for off in 1..n {
-        let victim = (idx + off) % n;
-        if let Some(session) = shared.shards[victim].steal_runnable() {
-            return Some((session, victim));
+    };
+    let (done, notify) = shared.proto().give_back(by, sid, session, finished, more);
+    shared.notify(notify);
+    match pumped {
+        Ok(n) => {
+            if let Some(session) = done {
+                session.finalize(stats, shared);
+            }
+            n > 0
         }
+        // Dropping the session closes the channel (producer sees
+        // SendError) and the report sender (finish() reports the failure);
+        // the other sessions keep running.
+        Err(_) => true,
     }
-    None
 }
 
 /// Runs an epoch job, containing panics to the job: a panicking handler
@@ -1934,7 +1666,7 @@ fn run_epoch_job_guarded(
 ) {
     let index = job.index;
     let done = job.done.clone();
-    let home = Arc::clone(&job.home);
+    let session = job.session;
     if std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         run_epoch_job(job, stats, shared, worker, ring, scratch)
     }))
@@ -1951,7 +1683,7 @@ fn run_epoch_job_guarded(
             records: Vec::new(),
             failed: true,
         });
-        shared.ring_worker(home.load(Ordering::Relaxed));
+        shared.publish(session);
     }
 }
 
@@ -2019,7 +1751,7 @@ fn run_epoch_job(
         records: job.records,
         failed: false,
     });
-    shared.ring_worker(job.home.load(Ordering::Relaxed));
+    shared.publish(job.session);
 }
 
 #[cfg(test)]

@@ -3,8 +3,8 @@
 //! The threaded tests (`tests/pipeline_determinism.rs`) take whatever
 //! decisions the host's scheduling produces; on a small host the gate
 //! rarely even enters. Here the test thread *is* a worker: it checks the
-//! hot session out of its shard (exactly what a worker's `pop` does, so
-//! the pool's real worker can no longer see it) and pumps it turn by turn,
+//! hot session out of the protocol (exactly what a worker's checkout does,
+//! so the pool's real worker can no longer see it) and pumps it turn by turn,
 //! so the gate is looked at with the pool's worker parked — idle capacity —
 //! on purpose, and the session's results are compared with sequential
 //! monitoring afterwards. The same check-out lets the test thread act as a
@@ -59,6 +59,7 @@ fn sequential(cfg: &SessionConfig, trace: &[TraceEntry]) -> (Vec<Violation>, Dis
 struct Rig {
     pool: MonitorPool,
     handle: SessionHandle,
+    sid: SessionId,
     session: ActiveSession,
     stats: PoolStats,
     /// The trace, in 32-record sends, and how many were published.
@@ -80,18 +81,14 @@ impl Rig {
         });
         let cfg = SessionConfig::new("hot", LifeguardKind::AddrCheck);
         let handle = pool.open_session(cfg.clone());
-        // Check the session out; the worker re-queues it after every
-        // (empty) pump, so the pop succeeds within a few tries.
-        let mut session = None;
-        spin_until("the session is back in its shard", || {
-            session = pool.shared.shards[0].pop();
-            session.is_some()
-        });
-        let session = session.unwrap();
+        // Check the session out: with nothing published it is not runnable,
+        // so the worker has left it resident.
+        let sid = handle.id();
+        let session = pool.shared.proto().checkout(sid, false).expect("resident").session;
         let trace = planted_trace(records);
         let stats = pool.shared.stats.per_worker();
         let sends = trace.chunks(32).map(<[TraceEntry]>::to_vec).collect();
-        Rig { pool, handle, session, stats, sends, sent: 0, cfg, trace }
+        Rig { pool, handle, sid, session, stats, sends, sent: 0, cfg, trace }
     }
 
     fn shared(&self) -> &PoolShared {
@@ -110,23 +107,24 @@ impl Rig {
 
     /// Waits until the pool's only worker is parked.
     fn await_worker_parked(&self) {
-        spin_until("the worker parks", || self.shared().parked_workers() == 1);
+        spin_until("the worker parks", || self.shared().proto().parked_workers() == 1);
     }
 
     /// One pump turn, as the session's owning worker.
     fn turn(&mut self) -> usize {
-        self.session.pump(BATCHES_PER_TURN, &self.pool.shared, &self.stats, Pumper::worker(0, 0))
+        let gate = Some(self.shared().proto().parked_workers());
+        let by = Pumper { ring: 0, track: Track::Worker(0) };
+        self.session.pump(BATCHES_PER_TURN, &self.pool.shared, &self.stats, by, gate)
     }
 
     /// One pump turn, as a producer helping while it waits.
     fn helped_turn(&mut self) -> usize {
-        let by = Pumper { shard: 0, ring: 0, track: helper_track() };
-        self.session.pump(BATCHES_PER_TURN, &self.pool.shared, &self.stats, by)
+        let by = Pumper { ring: 0, track: helper_track() };
+        self.session.pump(BATCHES_PER_TURN, &self.pool.shared, &self.stats, by, None)
     }
 
-    /// Fills the channel and pumps with the helper parked, until the gate
-    /// lets the session in. (The helper's park timeout can wake it just as
-    /// the gate looks; that opportunity is declined and the next one taken.)
+    /// Fills the channel and pumps with the worker parked, until the gate
+    /// lets the session in.
     fn enter(&mut self) {
         for _ in 0..100 * gate::HOT_TURNS_TO_PIPELINE {
             assert!(self.sent < self.sends.len(), "the trace ran out before the gate opened");
@@ -152,8 +150,9 @@ impl Rig {
             self.turn();
             self.session.finished()
         });
-        let Rig { pool, handle, session, stats, cfg, trace, .. } = self;
-        session.finalize(&stats, &pool.shared);
+        let Rig { pool, handle, sid, session, stats, cfg, trace, .. } = self;
+        let (done, _) = pool.shared.proto().give_back(By::Worker(0), sid, session, true, false);
+        done.expect("a finished session is handed back").finalize(&stats, &pool.shared);
         let report = handle.finish();
         let (violations, dispatch) = sequential(&cfg, &trace);
         assert_eq!(report.records, trace.len() as u64);
@@ -252,12 +251,8 @@ fn helped_turn_panics() -> bool {
     });
     let shared = Arc::clone(&pool.shared);
     let failing = pool.open_session(SessionConfig::new("failing", LifeguardKind::AddrCheck));
-    let mut session = None;
-    spin_until("the failing session is back in its shard", || {
-        session = shared.shards[0].pop();
-        session.is_some()
-    });
-    let mut session = session.unwrap();
+    let sid = failing.id();
+    let mut session = shared.proto().checkout(sid, false).expect("resident").session;
     let inputs = EntryInputs {
         channel_used_bytes: 0,
         channel_capacity_bytes: 0,
@@ -290,7 +285,8 @@ fn helped_turn_panics() -> bool {
     let huge = planted_trace(400_000);
     busy.send_batch(huge.clone()).unwrap();
     spin_until("the worker takes the huge batch", || busy.channel_stats().used_bytes == 0);
-    shared.shards[0].push(session);
+    let notify = shared.proto().restore(sid, session);
+    shared.notify(notify);
 
     assert!(failing.send_batch(refused).is_err(), "the session is gone after its panic");
     let helped = pool.stats().helped_turns == 1;
@@ -313,36 +309,29 @@ fn helped_turn_panics() -> bool {
 }
 
 /// Shutdown never orphans a session a helper holds. The test thread takes
-/// the session as [`PoolShared::help`] does (counted in `helping` first,
-/// then checked out), shuts the pool down from another thread, and runs
-/// the helped turn once the flag is set:
-/// the worker, with an empty deque, must wait for the helped turn instead
-/// of exiting, and the turn, ending after the flag is set, must finalize
-/// the session rather than put it back on a deque no worker will serve.
+/// the session as [`PoolShared::help`] does (counted as a helped turn in
+/// flight), shuts the pool down from another thread, and runs the helped
+/// turn once shutdown has begun: the worker, with an empty deque, must wait
+/// for the helped turn instead of exiting, and the turn, ending after
+/// shutdown, must finalize the session rather than put it back on a deque
+/// no worker will serve.
 #[test]
 fn shutdown_waits_for_a_helped_turn_which_finalizes_its_session() {
     let pool = MonitorPool::new(PoolConfig { workers: 1, spans: false, ..PoolConfig::default() });
     let shared = Arc::clone(&pool.shared);
     let handle = pool.open_session(SessionConfig::new("held", LifeguardKind::AddrCheck));
-    shared.helping.fetch_add(1, Ordering::SeqCst);
-    let mut session = None;
-    spin_until("the session is back in its shard", || {
-        session = shared.shards[0].pop();
-        session.is_some()
-    });
-    let session = session.unwrap();
+    let checkout = shared.proto().checkout(handle.id(), true).expect("resident");
     let trace = planted_trace(500);
     assert!(handle.try_send_batch(trace.clone()).unwrap().is_none());
 
     let shutdown = std::thread::spawn(move || pool.shutdown());
-    spin_until("shutdown starts", || shared.shutdown.load(Ordering::SeqCst));
-    std::thread::sleep(3 * PARK_TIMEOUT);
+    spin_until("shutdown starts", || shared.proto().is_shut_down());
+    std::thread::sleep(Duration::from_millis(75));
     assert!(!shutdown.is_finished(), "the worker left while a helped turn held a session");
 
-    shared.helped_turn(session, 0);
-    assert_eq!(shared.shards[0].resident(), 0, "the helped turn put the session back");
-    shared.helping.fetch_sub(1, Ordering::SeqCst);
-    shared.ring_all();
+    let by = Pumper { ring: 0, track: helper_track() };
+    pump_owned(By::Helper, by, checkout, &shared, &shared.stats);
+    assert_eq!(shared.proto().resident(), 0, "the helped turn put the session back");
     shutdown.join().unwrap();
     assert_eq!(handle.finish().records, trace.len() as u64, "finalized after its last turn");
 }

@@ -104,7 +104,7 @@ pub struct PoolStatsSnapshot {
     /// (each steal transfers the session's pending batches *and* its shadow
     /// shard to the thief).
     pub steals: u64,
-    /// Times an idle worker parked on its doorbell (a measure of how often
+    /// Times an idle worker parked waiting for work (a measure of how often
     /// the pool went to sleep vs. spun through work).
     pub parks: u64,
     /// Session turns a waiting producer ran on its own thread

@@ -153,9 +153,13 @@ proptest! {
 
 /// An idle worker must steal a runnable session from a loaded one. Session
 /// placement is round-robin, so opening hot/idle/hot/idle puts *both* hot
-/// tenants on shard 0 and only immediately-dropped tenants on shard 1:
-/// while worker 0 pumps one hot session, the other sits runnable in its
-/// deque, and idle worker 1 — whose own deque is empty — must take it.
+/// tenants on shard 0 and only immediately-dropped tenants on shard 1.
+/// Worker 0 is put inside one long batch of `hot-a`, and `hot-b` starts
+/// streaming only once worker 1 is parked. Under the pool's protocol the
+/// first publish of `hot-b`, resident behind a busy worker, wakes the
+/// parked one, and no producer's `help` may run a turn while a worker is
+/// parked, so worker 1 — whose own deque is empty — is the one that takes
+/// `hot-b`: a steal.
 #[test]
 fn idle_worker_steals_the_hot_session() {
     let pool = MonitorPool::new(PoolConfig {
@@ -169,22 +173,20 @@ fn idle_worker_steals_the_hot_session() {
     let hot_b = pool.open_session(SessionConfig::new("hot-b", LifeguardKind::TaintCheck));
     drop(idle); // shard 1 finalizes it at once and goes idle
 
+    let long = planted_trace(LifeguardKind::TaintCheck, 600_000, 997, 11);
     let trace = planted_trace(LifeguardKind::TaintCheck, 60_000, 997, 7);
-    let expected = sequential_violations(LifeguardKind::TaintCheck, &trace);
-    let (ra, rb) = std::thread::scope(|scope| {
-        let ta = scope.spawn(|| {
-            hot_a.stream(trace.iter().copied()).expect("pool alive");
-            hot_a.finish()
-        });
-        let tb = scope.spawn(|| {
-            hot_b.stream(trace.iter().copied()).expect("pool alive");
-            hot_b.finish()
-        });
-        (ta.join().unwrap(), tb.join().unwrap())
-    });
+    hot_a.send_batch(long.clone()).expect("pool alive");
+    let parked = || pool.metrics().snapshot().gauge_value("igm_pool_parked_workers");
+    while hot_a.channel_stats().used_bytes > 0 || parked() != Some(1) {
+        std::thread::yield_now(); // worker 0 inside the long batch, worker 1 parked
+    }
+    hot_b.stream(trace.iter().copied()).expect("pool alive");
+    let rb = hot_b.finish();
+    let ra = hot_a.finish();
 
-    for report in [&ra, &rb] {
+    for (report, trace) in [(&ra, &long), (&rb, &trace)] {
         assert_eq!(report.records, trace.len() as u64);
+        let expected = sequential_violations(LifeguardKind::TaintCheck, trace);
         assert_eq!(report.violations, expected, "migration must not perturb results");
     }
     let stats = pool.stats();

@@ -419,22 +419,6 @@ impl FlightRecorder {
         slot.version.fetch_add(1, Ordering::AcqRel);
     }
 
-    /// Convenience: record a stage whose start was captured as an
-    /// [`Instant`] and which ends now.
-    pub fn record_since(
-        &self,
-        ring: usize,
-        stage: Stage,
-        track: Track,
-        tag: FrameTag,
-        started: Instant,
-    ) -> u64 {
-        let t_start = self.stamp(started);
-        let t_end = self.now();
-        self.record(ring, stage, track, tag, t_start, t_end);
-        t_end.saturating_sub(t_start)
-    }
-
     fn read_slot(slot: &Slot) -> Option<SpanRecord> {
         let v1 = slot.version.load(Ordering::Acquire);
         if v1 & 1 == 1 {

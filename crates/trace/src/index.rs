@@ -135,15 +135,6 @@ impl TraceIndex {
         self.entries.get(i)
     }
 
-    /// The position of the frame containing record number `record`, for
-    /// pairing an entry with its posting section.
-    pub fn frame_pos_for_record(&self, record: u64) -> Option<usize> {
-        if record >= self.total_records {
-            return None;
-        }
-        Some(self.entries.partition_point(|e| e.first_record + e.records as u64 <= record))
-    }
-
     /// Whether this directory describes the whole of the trace stream in
     /// `r`, `stream_len` bytes long: the frame header found at the last
     /// entry's offset carries that entry's record count, and its payload

@@ -17,6 +17,7 @@ mod common;
 use common::strategies::{self as s, Observed};
 use igm::accel::{AccelConfig, ItConfig};
 use igm::isa::TraceEntry;
+use igm::lba::{extract_events, Etct, Event};
 use igm::lifeguards::{LifeguardKind, Violation};
 use igm::runtime::{EpochConfig, PoolConfig, SessionConfig};
 use std::ops::Range;
@@ -207,27 +208,65 @@ TaintCheck                    1/0          1/0          1/0          1/0        
 TaintCheckDetailed            1/0          1/0          1/0          1/0          1/0
 LockSet                       1/0          1/0          1/0          1/0          1/0";
 
+/// One window's oracle run for the [`if_drops`] relation: its violations
+/// and the record each one faulted on.
+fn run(window: &(Range<usize>, Observed, Observed)) -> Run<'_> {
+    (&window.1.violations, window.2.seqs.as_deref().unwrap())
+}
+
+type Run<'a> = (&'a [Violation], &'a [Option<u64>]);
+
 /// The Idempotent Filter relation (ROADMAP item 1(b)): how many of
 /// `unfiltered`'s violations the filter dropped to leave `filtered`, or
 /// why `filtered` is not `unfiltered` less repeats. It must be a
 /// subsequence, and each violation missing from it an `UnallocatedAccess`
-/// to an access the filtered run had already reported.
-fn if_drops(filtered: &[Violation], unfiltered: &[Violation]) -> Result<usize, String> {
+/// to an access the filtered run had already reported, with no event in
+/// the records of `trace` between that report and the drop that the
+/// lifeguard's `etct` marks as invalidating the filter (`invalidate_all`,
+/// or `invalidate_match` on an event touching the same bytes).
+fn if_drops(
+    (filtered, filtered_seqs): Run,
+    (unfiltered, unfiltered_seqs): Run,
+    trace: &[TraceEntry],
+    etct: &Etct,
+) -> Result<usize, String> {
     let (mut kept, mut drops) = (0, 0);
-    for v in unfiltered {
+    let mut events = Vec::new();
+    for (v, seq) in unfiltered.iter().zip(unfiltered_seqs) {
         if filtered.get(kept) == Some(v) {
             kept += 1;
             continue;
         }
-        let repeat = |r: &Violation| match (r, v) {
-            (
-                Violation::UnallocatedAccess { mref: seen, .. },
-                Violation::UnallocatedAccess { mref, .. },
-            ) => seen == mref,
-            _ => false,
+        let Violation::UnallocatedAccess { mref, .. } = v else {
+            return Err(format!("dropped {v}, which is no repeated access"));
         };
-        if !filtered[..kept].iter().any(repeat) {
+        let repeat =
+            |r: &Violation| matches!(r, Violation::UnallocatedAccess { mref: m, .. } if m == mref);
+        let Some(r) = filtered[..kept].iter().rposition(repeat) else {
             return Err(format!("dropped {v}, which repeats no reported access"));
+        };
+        let (Some(from), Some(to)) = (filtered_seqs[r], *seq) else {
+            return Err(format!("dropped {v} or its report has no record"));
+        };
+        for entry in &trace[from as usize + 1..to as usize] {
+            events.clear();
+            extract_events(entry, &mut events);
+            for ev in &events {
+                let cfg = etct.if_config(ev.event.event_type());
+                let touches = match ev.event {
+                    Event::MemRead(m) | Event::MemWrite(m) => {
+                        m.addr < mref.addr + mref.size.bytes()
+                            && mref.addr < m.addr + m.size.bytes()
+                    }
+                    _ => true,
+                };
+                if cfg.invalidate_all || (cfg.invalidate_match && touches) {
+                    return Err(format!(
+                        "dropped {v} although {:?} at {:#x} invalidates the filter after its report",
+                        ev.event, ev.pc
+                    ));
+                }
+            }
         }
         drops += 1;
     }
@@ -252,7 +291,7 @@ fn check(g: usize) -> (String, Vec<String>, usize) {
         let (base, trace) = (gen.build)(kind);
         table += &format!("\n{:<20}", format!("{kind:?}"));
         // The oracle's violations per configuration, per window.
-        let mut oracle_runs: Vec<Vec<Vec<Violation>>> = Vec::new();
+        let mut oracle_runs: Vec<Vec<(Range<usize>, Observed, Observed)>> = Vec::new();
         for (c, (label, accel)) in configs().into_iter().enumerate() {
             let mut cfg = base.clone().accel(accel);
             cfg.name = format!("{}-{kind:?}-{label}", gen.name);
@@ -282,14 +321,15 @@ fn check(g: usize) -> (String, Vec<String>, usize) {
             let counts: Vec<String> =
                 refs.iter().map(|r| r.1.violations.len().to_string()).collect();
             table += &format!(" {:>12}", counts.join("/"));
-            oracle_runs.push(refs.into_iter().map(|r| r.1.violations).collect());
+            oracle_runs.push(refs);
         }
         if kind.accel_support().idempotent_filter {
             let at = |label| configs().iter().position(|(l, _)| *l == label).unwrap();
             for (with, without) in [("lma_if", "lma"), ("full", "lma_it")] {
                 let pairs = oracle_runs[at(with)].iter().zip(&oracle_runs[at(without)]);
                 for (w, (filtered, unfiltered)) in pairs.enumerate() {
-                    match if_drops(filtered, unfiltered) {
+                    let trace = &trace[filtered.0.clone()];
+                    match if_drops(run(filtered), run(unfiltered), trace, &kind.etct()) {
                         Ok(n) => drops += n,
                         Err(e) => failures.push(format!(
                             "{} {kind:?} window {w}: {with} vs {without}: {e}",
@@ -333,4 +373,45 @@ fn every_strategy_matches_the_sequential_monitor() {
     // The relation must have been checked over some actual drops.
     assert!(drops > 0, "the Idempotent Filter dropped nothing anywhere");
     assert_eq!(tables.join("\n"), ORACLE_COUNTS, "the oracle's violation counts moved");
+}
+
+/// The matrix's generators free a block only right before the next
+/// `Malloc`, which flushes the filter anyway, so the `Free` row's own
+/// invalidation never decides a verdict there. Here it does: a failing
+/// access is reported, another block is freed, and the same access fails
+/// again. The `Free` flushes the filter, so the repeat is reported under
+/// every configuration, and [`if_drops`] finds nothing dropped; a filter
+/// that skipped that flush would drop the repeat across the `Free`, which
+/// the relation refuses.
+#[test]
+fn if_drops_holds_across_an_invalidating_free() {
+    use igm::isa::{Annotation, MemRef, OpClass, Reg};
+    let wild = OpClass::MemToReg { src: MemRef::word(0x5200_0000), rd: Reg::Eax };
+    let trace = [
+        TraceEntry::annot(0x100, Annotation::Malloc { base: 0x5000_0000, size: 64 }),
+        TraceEntry::op(0x104, wild),
+        TraceEntry::annot(0x108, Annotation::Free { base: 0x5000_0000 }),
+        TraceEntry::op(0x10c, wild),
+    ];
+    for kind in [LifeguardKind::AddrCheck, LifeguardKind::MemCheck] {
+        let runs: Vec<(Range<usize>, Observed, Observed)> = configs()
+            .into_iter()
+            .map(|(_, accel)| {
+                let cfg = SessionConfig::new("free", kind).accel(accel);
+                let (want, truth) =
+                    (s::monitor_batched(&cfg, &trace), s::monitor_per_record(&cfg, &trace));
+                (0..trace.len(), want, truth)
+            })
+            .collect();
+        let at = |label| configs().iter().position(|(l, _)| *l == label).unwrap();
+        for (with, without) in [("lma_if", "lma"), ("full", "lma_it")] {
+            let (filtered, unfiltered) = (run(&runs[at(with)]), run(&runs[at(without)]));
+            assert_eq!(unfiltered.0.len(), 2, "{kind:?}: both wild loads fail");
+            assert_eq!(
+                if_drops(filtered, unfiltered, &trace, &kind.etct()),
+                Ok(0),
+                "{kind:?} {with}"
+            );
+        }
+    }
 }

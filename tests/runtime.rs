@@ -156,12 +156,14 @@ fn pool_serves_four_premarked_tenants() {
 
 /// The `pool_tenants` shape on planted traces: one `Ingestor` thread
 /// driving four tenants (the benchmark's lifeguard and accelerator mix)
-/// into a one-worker default pool. The ingest thread outruns the worker,
-/// so its stalled passes run helped turns. Every session must still equal
-/// the sequential `Monitor`, and each record must be counted exactly once:
-/// what the lane published, what the session saw and what the pool's
-/// counter says agree. A helped turn never makes the one-worker `Auto`
-/// pool pipeline.
+/// into a one-worker default pool. The pool's only worker is first put
+/// inside one long batch of a fifth tenant, so the ingest thread's stalled
+/// passes meet runnable sessions and no parked worker, which is when the
+/// protocol's `help` runs a turn: the ingest thread helps. Every session
+/// must still equal the sequential `Monitor`, and each record must be
+/// counted exactly once: what the lane published, what the session saw and
+/// what the pool's counter says agree. A helped turn never makes the
+/// one-worker `Auto` pool pipeline.
 #[test]
 fn ingest_thread_helps_a_one_worker_pool_exactly() {
     let n = 40_000;
@@ -182,13 +184,21 @@ fn ingest_thread_helps_a_one_worker_pool_exactly() {
         .collect();
     let pool = MonitorPool::new(PoolConfig { workers: 1, ..PoolConfig::default() });
     let chunk = PoolConfig::default().chunk_bytes;
+    let busy = pool.open_session(SessionConfig::new("busy", LifeguardKind::AddrCheck));
+    let long = common::planted_trace(LifeguardKind::AddrCheck, 1_000_000, 101, 4);
+    busy.send_batch(long.clone()).unwrap();
+    while busy.channel_stats().used_bytes > 0 {
+        std::thread::yield_now(); // until the worker has taken the batch
+    }
     let mut ingestor = Ingestor::new(&pool);
     for (cfg, (_, _, trace)) in cfgs.iter().zip(&tenants) {
         ingestor.add_source(cfg.clone(), IterSource::new(trace.clone(), chunk));
     }
     let report = ingestor.run();
+    let busy = busy.finish();
     let stats = pool.stats();
     pool.shutdown();
+    assert_eq!(busy.records, long.len() as u64);
 
     assert!(report.errors.is_empty(), "{:?}", report.errors);
     let mut records = 0;
@@ -199,7 +209,7 @@ fn ingest_thread_helps_a_one_worker_pool_exactly() {
         records += session.records;
         assert_matches_monitor(cfg, trace, &Observed::from(session), true);
     }
-    assert_eq!(stats.records, records, "a helped turn counts its records once");
+    assert_eq!(stats.records, records + busy.records, "a helped turn counts its records once");
     assert!(stats.helped_turns > 0, "the ingest thread never ran a turn: {stats:?}");
     assert_eq!(stats.epoch_jobs, 0, "a helped turn let a one-worker pool pipeline");
 }
