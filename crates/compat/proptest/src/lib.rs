@@ -261,7 +261,7 @@ pub mod collection {
     use super::{Strategy, TestRng};
     use std::ops::Range;
 
-    /// Size specification for [`vec`] (only `Range<usize>` is needed here).
+    /// Size specification for [`vec()`] (only `Range<usize>` is needed here).
     pub trait SizeRange {
         fn pick(&self, rng: &mut TestRng) -> usize;
     }
@@ -284,7 +284,7 @@ pub mod collection {
         VecStrategy { element, size }
     }
 
-    /// The [`vec`] strategy.
+    /// The [`vec()`] strategy.
     pub struct VecStrategy<S, Z> {
         element: S,
         size: Z,

@@ -21,7 +21,7 @@
 //!   match are skipped from the directory alone.
 //! - [`routes`] — [`LakeRoutes`]: an [`igm_obs::RouteHandler`] mounting
 //!   `/lake/traces.json` and `/lake/query` on the stats server
-//!   ([`igm_runtime::MonitorPool::serve_stats_routes`]), with
+//!   ([`igm_runtime::MonitorPool::serve_stats`]), with
 //!   `igm_lake_*` metrics on the shared registry.
 //!
 //! The only payload decoding the lake ever does is *neighborhood*

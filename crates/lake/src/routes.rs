@@ -1,8 +1,8 @@
 //! The lake's HTTP routes, mounted on the stats server.
 //!
 //! [`LakeRoutes`] is an [`igm_obs::RouteHandler`]; attach it via
-//! [`igm_obs::StatsServer::serve_routes`] or
-//! [`igm_runtime::MonitorPool::serve_stats_routes`]:
+//! [`igm_obs::StatsServer::serve`] or
+//! [`igm_runtime::MonitorPool::serve_stats`]:
 //!
 //! | path                | body                                          |
 //! |---------------------|-----------------------------------------------|

@@ -421,13 +421,9 @@ fn lake_routes_serve_catalog_query_and_neighborhood() {
     let fx = fixture();
     let registry = Arc::new(MetricsRegistry::new());
     let routes = LakeRoutes::new(Arc::clone(&fx.lake), &registry);
-    let server = StatsServer::serve_routes(
-        "127.0.0.1:0",
-        Arc::clone(&registry),
-        None,
-        vec![Arc::new(routes)],
-    )
-    .unwrap();
+    let server =
+        StatsServer::serve("127.0.0.1:0", Arc::clone(&registry), None, vec![Arc::new(routes)])
+            .unwrap();
     let addr = server.local_addr();
     let stem = &fx.lake.traces()[0].stem;
 

@@ -10,15 +10,15 @@
 //! (the check is identical), keyed on address and size; `malloc`, `free`
 //! and system calls invalidate the whole filter (paper §5).
 
+use crate::allocs::Allocs;
 use crate::cost::{CostSink, MetaMap, SOFTWARE_MAP_INSTRS};
-use crate::violation::{Reports, Violation};
+use crate::violation::{Reporting, Reports, Violation};
 use crate::{Lifeguard, LifeguardKind, Row, PLAIN};
 use igm_core::AccelConfig;
 use igm_isa::{Annotation, MemRef};
 use igm_lba::{DeliveredEvent, Event, EventType, IfEventConfig};
 use igm_shadow::layout::ElemSize;
 use igm_shadow::{ShadowLayout, TwoLevelShadow};
-use std::collections::HashMap;
 
 /// Accessible-bit value.
 const ACCESSIBLE: u8 = 1;
@@ -29,21 +29,12 @@ const PAGE_SHIFT: u32 = 12;
 /// Pages in the 32-bit application space.
 const PAGE_COUNT: usize = 1 << (32 - PAGE_SHIFT);
 
-/// One entry of the merged malloc/free record list: the recorded size and
-/// whether the block is currently live (a dead slot is a freed base kept
-/// for double-free detection).
-#[derive(Debug, Clone, Copy)]
-struct AllocSlot {
-    size: u32,
-    live: bool,
-}
-
 /// The AddrCheck lifeguard.
 #[derive(Debug, Clone)]
 pub struct AddrCheck {
     meta: MetaMap,
-    /// Merged malloc/free record list: base → (size, live?).
-    allocs: HashMap<u32, AllocSlot>,
+    /// The malloc/free record list.
+    allocs: Allocs,
     /// One bit per 4 KiB application page; set ⇒ *every* byte of the page
     /// is accessible, so an access that stays inside such a page needs no
     /// shadow walk at all (the software mirror of the paper's check
@@ -67,7 +58,7 @@ impl AddrCheck {
         let shadow = TwoLevelShadow::new(Self::layout(), 0);
         AddrCheck {
             meta: MetaMap::new(shadow, cfg.lma.then_some(cfg.mtlb_entries)),
-            allocs: HashMap::new(),
+            allocs: Allocs::default(),
             page_acc: vec![0u8; PAGE_COUNT / 8].into_boxed_slice(),
             violations: Reports::default(),
             checks: 0,
@@ -82,12 +73,7 @@ impl AddrCheck {
     /// Reports every still-live block as a leak (call at program exit, as
     /// the real tool does; synthetic workloads intentionally skip this).
     pub fn report_leaks(&mut self) {
-        let mut leaks: Vec<_> =
-            self.allocs.iter().filter(|(_, s)| s.live).map(|(b, s)| (*b, s.size)).collect();
-        leaks.sort_unstable();
-        for (base, size) in leaks {
-            self.violations.push(Violation::Leak { base, size });
-        }
+        self.allocs.report_leaks(&mut self.violations);
     }
 
     #[inline]
@@ -197,6 +183,16 @@ pub(crate) const ROWS: &[Row] = &[
     Row::new(EventType::ReadInput, PLAIN),
 ];
 
+impl Reporting for AddrCheck {
+    fn reports(&self) -> &Reports {
+        &self.violations
+    }
+
+    fn reports_mut(&mut self) -> &mut Reports {
+        &mut self.violations
+    }
+}
+
 impl Lifeguard for AddrCheck {
     fn kind(&self) -> LifeguardKind {
         LifeguardKind::AddrCheck
@@ -208,22 +204,14 @@ impl Lifeguard for AddrCheck {
             Event::MemWrite(m) => self.check_access(ev.pc, m, true, cost),
             Event::Annot(Annotation::Malloc { base, size }) => {
                 self.mark_range(base, size, ACCESSIBLE, cost);
-                self.allocs.insert(base, AllocSlot { size, live: true });
+                self.allocs.malloc(base, size);
                 cost.instr(20); // record-list update
             }
             Event::Annot(Annotation::Free { base }) => {
                 cost.instr(20);
-                let slot = self.allocs.get_mut(&base).map(|s| {
-                    let was_live = s.live;
-                    s.live = false;
-                    (was_live, s.size)
-                });
-                match slot {
-                    Some((true, size)) => self.mark_range(base, size, 0, cost),
-                    Some((false, _)) => {
-                        self.violations.push(Violation::DoubleFree { pc: ev.pc, base })
-                    }
-                    None => self.violations.push(Violation::InvalidFree { pc: ev.pc, base }),
+                match self.allocs.free(ev.pc, base) {
+                    Ok(size) => self.mark_range(base, size, 0, cost),
+                    Err(v) => self.violations.push(v),
                 }
             }
             Event::Annot(Annotation::ReadInput { base, len }) => {
@@ -265,18 +253,6 @@ impl Lifeguard for AddrCheck {
                 _ => self.handle(ev, cost),
             }
         }
-    }
-
-    fn violations(&self) -> &[Violation] {
-        self.violations.list()
-    }
-
-    fn violation_events(&self) -> &[u32] {
-        self.violations.events()
-    }
-
-    fn take_violations(&mut self) -> Vec<Violation> {
-        self.violations.take()
     }
 
     fn premark_region(&mut self, base: u32, len: u32) {

@@ -28,6 +28,7 @@
 //! both `igm-sim` and `igm-runtime` build on.
 
 pub mod addrcheck;
+mod allocs;
 pub mod cost;
 mod fields;
 pub mod lockset;
@@ -46,6 +47,7 @@ pub use taint::TaintCheck;
 pub use taint_detailed::TaintCheckDetailed;
 pub use violation::Violation;
 
+use crate::violation::{Reporting, Reports};
 use igm_core::{AccelConfig, ItConfig};
 use igm_lba::{DeliveredEvent, Etct, EventType, FieldSelect, IfEventConfig, NUM_EVENT_TYPES};
 use std::fmt;
@@ -211,7 +213,7 @@ impl LifeguardKind {
             LifeguardKind::TaintCheckDetailed => {
                 AnyLifeguard::TaintCheckDetailed(TaintCheckDetailed::new(&cfg))
             }
-            LifeguardKind::LockSet => AnyLifeguard::LockSet(LockSet::new(&cfg)),
+            LifeguardKind::LockSet => AnyLifeguard::LockSet(Box::new(LockSet::new(&cfg))),
         }
     }
 
@@ -239,7 +241,7 @@ impl fmt::Display for LifeguardKind {
 }
 
 /// An instruction-grain lifeguard: event handlers over metadata.
-pub trait Lifeguard {
+pub trait Lifeguard: Reporting {
     /// Which lifeguard this is.
     fn kind(&self) -> LifeguardKind;
 
@@ -260,10 +262,18 @@ pub trait Lifeguard {
     /// handler starts with a [`CostSink::mark`], where a consumer that needs
     /// per-event costs splits them. Every violation reported here is tagged
     /// with its event's index in `evs` ([`Lifeguard::violation_events`]).
-    fn handle_batch(&mut self, evs: &[DeliveredEvent], cost: &mut CostSink);
+    fn handle_batch(&mut self, evs: &[DeliveredEvent], cost: &mut CostSink) {
+        for (i, ev) in evs.iter().enumerate() {
+            self.reports_mut().handling(i);
+            cost.mark();
+            self.handle(ev, cost);
+        }
+    }
 
     /// Violations reported so far.
-    fn violations(&self) -> &[Violation];
+    fn violations(&self) -> &[Violation] {
+        self.reports().list()
+    }
 
     /// Parallel to [`Lifeguard::violations`]: for each violation, the index
     /// in the `evs` of the [`Lifeguard::handle_batch`] call that reported
@@ -272,10 +282,14 @@ pub trait Lifeguard {
     /// [`igm_lba::EventBuf`] boundaries ([`igm_lba::EventBuf::record_of`]).
     /// Violations reported outside a batch call (through
     /// [`Lifeguard::handle`], or a leak report) carry no meaningful index.
-    fn violation_events(&self) -> &[u32];
+    fn violation_events(&self) -> &[u32] {
+        self.reports().events()
+    }
 
     /// Drains the reported violations.
-    fn take_violations(&mut self) -> Vec<Violation>;
+    fn take_violations(&mut self) -> Vec<Violation> {
+        self.reports_mut().take()
+    }
 
     /// Marks a loader-established region (globals, stack, mmap) as valid
     /// program state before monitoring starts.
@@ -301,6 +315,8 @@ pub trait Lifeguard {
 /// concrete handler directly, so the per-event path is a predictable direct
 /// call instead of a vtable load per event. All five variants are `Clone`,
 /// and a clone is the epoch-boundary snapshot a pipelined session ships.
+/// LockSet, about twice the size of any other, is boxed so that it does
+/// not set the size of every variant.
 ///
 /// [`handle_batch`]: Lifeguard::handle_batch
 #[derive(Debug, Clone)]
@@ -309,7 +325,7 @@ pub enum AnyLifeguard {
     MemCheck(MemCheck),
     TaintCheck(TaintCheck),
     TaintCheckDetailed(TaintCheckDetailed),
-    LockSet(LockSet),
+    LockSet(Box<LockSet>),
 }
 
 /// Delegates an expression to the concrete variant.
@@ -323,6 +339,16 @@ macro_rules! with_each_lifeguard {
             AnyLifeguard::LockSet($lg) => $e,
         }
     };
+}
+
+impl Reporting for AnyLifeguard {
+    fn reports(&self) -> &Reports {
+        with_each_lifeguard!(self, lg => lg.reports())
+    }
+
+    fn reports_mut(&mut self) -> &mut Reports {
+        with_each_lifeguard!(self, lg => lg.reports_mut())
+    }
 }
 
 impl Lifeguard for AnyLifeguard {
@@ -339,18 +365,6 @@ impl Lifeguard for AnyLifeguard {
         // lifeguard's own batch sweep (columnar override or the default
         // loop) runs with direct, inlinable calls.
         with_each_lifeguard!(self, lg => lg.handle_batch(evs, cost))
-    }
-
-    fn violations(&self) -> &[Violation] {
-        with_each_lifeguard!(self, lg => lg.violations())
-    }
-
-    fn violation_events(&self) -> &[u32] {
-        with_each_lifeguard!(self, lg => lg.violation_events())
-    }
-
-    fn take_violations(&mut self) -> Vec<Violation> {
-        with_each_lifeguard!(self, lg => lg.take_violations())
     }
 
     fn premark_region(&mut self, base: u32, len: u32) {

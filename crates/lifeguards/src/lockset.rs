@@ -21,7 +21,7 @@
 //! safe).
 
 use crate::cost::{CostSink, MetaMap};
-use crate::violation::{Reports, Violation};
+use crate::violation::{Reporting, Reports, Violation};
 use crate::{Lifeguard, LifeguardKind, Row};
 use igm_core::AccelConfig;
 use igm_isa::{Annotation, MemRef};
@@ -130,16 +130,10 @@ impl LocksetRegistry {
     }
 
     /// Number of distinct locksets interned.
-    // `is_empty` here is per-set (takes an index); the registry-level
-    // predicate is `is_empty_registry`.
+    // `is_empty` here is per-set (takes an index).
     #[allow(clippy::len_without_is_empty)]
     pub fn len(&self) -> usize {
         self.sets.len()
-    }
-
-    /// Whether only the empty set exists.
-    pub fn is_empty_registry(&self) -> bool {
-        self.sets.len() <= 1
     }
 }
 
@@ -313,6 +307,16 @@ pub(crate) const ROWS: &[Row] = &[
     Row::new(EventType::ThreadExit, IfEventConfig::invalidates_all()),
 ];
 
+impl Reporting for LockSet {
+    fn reports(&self) -> &Reports {
+        &self.violations
+    }
+
+    fn reports_mut(&mut self) -> &mut Reports {
+        &mut self.violations
+    }
+}
+
 impl Lifeguard for LockSet {
     fn kind(&self) -> LifeguardKind {
         LifeguardKind::LockSet
@@ -360,26 +364,6 @@ impl Lifeguard for LockSet {
             },
             _ => cost.instr(1),
         }
-    }
-
-    fn handle_batch(&mut self, evs: &[DeliveredEvent], cost: &mut CostSink) {
-        for (i, ev) in evs.iter().enumerate() {
-            self.violations.handling(i);
-            cost.mark();
-            self.handle(ev, cost);
-        }
-    }
-
-    fn violations(&self) -> &[Violation] {
-        self.violations.list()
-    }
-
-    fn violation_events(&self) -> &[u32] {
-        self.violations.events()
-    }
-
-    fn take_violations(&mut self) -> Vec<Violation> {
-        self.violations.take()
     }
 
     fn premark_region(&mut self, _base: u32, _len: u32) {

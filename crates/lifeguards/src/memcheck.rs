@@ -18,15 +18,15 @@
 //! stores, one shared check category); initialized-state checks depend on
 //! propagation and are not cacheable (see `DESIGN.md`).
 
+use crate::allocs::Allocs;
 use crate::cost::{CostSink, MetaMap};
-use crate::violation::{Reports, SourceDesc, Violation};
+use crate::violation::{Reporting, Reports, SourceDesc, Violation};
 use crate::{fields, Lifeguard, LifeguardKind, Row, PLAIN};
 use igm_core::AccelConfig;
 use igm_isa::{Annotation, MemRef, OpClass, Reg};
 use igm_lba::{DeliveredEvent, Event, EventType, IfEventConfig, MetaSource};
 use igm_shadow::layout::ElemSize;
 use igm_shadow::{RegMeta, ShadowLayout, TwoLevelShadow};
-use std::collections::HashMap;
 
 /// Accessible bit within the 2-bit packed metadata.
 const A_BIT: u8 = 0b01;
@@ -41,8 +41,8 @@ pub struct MemCheck {
     meta: MetaMap,
     /// Per-register initialized mask: bit i set = byte i initialized.
     regs: RegMeta<u8>,
-    live: HashMap<u32, u32>,
-    freed: HashMap<u32, u32>,
+    /// The malloc/free record list.
+    allocs: Allocs,
     violations: Reports,
     /// Treat `malloc` as `calloc` (initialize on allocation). Used by the
     /// synthetic-workload harness so that statistically generated reads do
@@ -65,8 +65,7 @@ impl MemCheck {
                 cfg.lma.then_some(cfg.mtlb_entries),
             ),
             regs: RegMeta::new(0xf), // registers are defined at program start
-            live: HashMap::new(),
-            freed: HashMap::new(),
+            allocs: Allocs::default(),
             violations: Reports::default(),
             assume_calloc: false,
         }
@@ -78,18 +77,9 @@ impl MemCheck {
         self.meta.shadow()
     }
 
-    /// Enables calloc-style allocation (see type docs).
-    pub fn set_assume_calloc(&mut self, v: bool) {
-        self.assume_calloc = v;
-    }
-
     /// Reports still-live blocks as leaks.
     pub fn report_leaks(&mut self) {
-        let mut leaks: Vec<_> = self.live.iter().map(|(b, s)| (*b, *s)).collect();
-        leaks.sort_unstable();
-        for (base, size) in leaks {
-            self.violations.push(Violation::Leak { base, size });
-        }
+        self.allocs.report_leaks(&mut self.violations);
     }
 
     /// Whether every byte of `m` has `bit` set: one packed load.
@@ -275,6 +265,16 @@ pub(crate) const ROWS: &[Row] = &[
     Row::new(EventType::ReadInput, PLAIN),
 ];
 
+impl Reporting for MemCheck {
+    fn reports(&self) -> &Reports {
+        &self.violations
+    }
+
+    fn reports_mut(&mut self) -> &mut Reports {
+        &mut self.violations
+    }
+}
+
 impl Lifeguard for MemCheck {
     fn kind(&self) -> LifeguardKind {
         LifeguardKind::MemCheck
@@ -312,26 +312,18 @@ impl Lifeguard for MemCheck {
                 cost.mem(va);
                 let init = if self.assume_calloc { I_BIT } else { 0 };
                 self.set_bits_range(*base, *size, A_BIT | init, if init == 0 { I_BIT } else { 0 });
-                self.live.insert(*base, *size);
-                self.freed.remove(base);
+                self.allocs.malloc(*base, *size);
             }
             Event::Annot(Annotation::Free { base }) => {
                 cost.instr(20);
-                match self.live.remove(base) {
-                    Some(size) => {
+                match self.allocs.free(ev.pc, *base) {
+                    Ok(size) => {
                         let va = self.meta.map(*base, cost);
                         cost.instr((size / 16).max(1));
                         cost.mem(va);
                         self.set_bits_range(*base, size, 0, AI);
-                        self.freed.insert(*base, size);
                     }
-                    None => {
-                        if self.freed.contains_key(base) {
-                            self.violations.push(Violation::DoubleFree { pc: ev.pc, base: *base });
-                        } else {
-                            self.violations.push(Violation::InvalidFree { pc: ev.pc, base: *base });
-                        }
-                    }
+                    Err(v) => self.violations.push(v),
                 }
             }
             Event::Annot(Annotation::ReadInput { base, len }) => {
@@ -353,18 +345,6 @@ impl Lifeguard for MemCheck {
         }
     }
 
-    fn violations(&self) -> &[Violation] {
-        self.violations.list()
-    }
-
-    fn violation_events(&self) -> &[u32] {
-        self.violations.events()
-    }
-
-    fn take_violations(&mut self) -> Vec<Violation> {
-        self.violations.take()
-    }
-
     fn premark_region(&mut self, base: u32, len: u32) {
         self.set_bits_range(base, len, AI, 0);
     }
@@ -374,7 +354,7 @@ impl Lifeguard for MemCheck {
     }
 
     fn metadata_bytes(&self) -> u64 {
-        self.meta.metadata_bytes() + (self.live.len() + self.freed.len()) as u64 * 8 + 8
+        self.meta.metadata_bytes() + self.allocs.len() as u64 * 8 + 8
     }
 }
 
@@ -566,7 +546,7 @@ mod tests {
     #[test]
     fn assume_calloc_suppresses_uninit_tracking() {
         let mut lg = MemCheck::new(&AccelConfig::baseline());
-        lg.set_assume_calloc(true);
+        lg.set_synthetic_workload_mode(true);
         malloc(&mut lg, 0x9000, 64);
         run(&mut lg, Event::Prop(OpClass::MemToReg { src: MemRef::word(0x9000), rd: Reg::Eax }));
         run(

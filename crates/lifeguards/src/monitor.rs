@@ -98,7 +98,7 @@ impl<L: Lifeguard> Monitor<L> {
     }
 
     /// Observes a whole trace, buffering it column-first at
-    /// [`OBSERVE_BATCH_RECORDS`] grain.
+    /// `OBSERVE_BATCH_RECORDS` grain.
     pub fn observe_all<I: IntoIterator<Item = TraceEntry>>(&mut self, trace: I) {
         let mut buf = std::mem::take(&mut self.batch);
         buf.clear();

@@ -18,7 +18,7 @@
 //! events (`imm_to_mem`, `mem_to_mem`, …) are ordinary registered events.
 
 use crate::cost::{CostSink, MetaMap};
-use crate::violation::{Reports, SourceDesc, TaintSink, Violation};
+use crate::violation::{Reporting, Reports, SourceDesc, TaintSink, Violation};
 use crate::{fields, Lifeguard, LifeguardKind, Row, PLAIN};
 use igm_core::AccelConfig;
 use igm_isa::{Annotation, MemRef, OpClass, Reg};
@@ -230,6 +230,16 @@ pub(crate) const ROWS: &[Row] = &[
     Row::new(EventType::ReadInput, PLAIN),
 ];
 
+impl Reporting for TaintCheck {
+    fn reports(&self) -> &Reports {
+        &self.violations
+    }
+
+    fn reports_mut(&mut self) -> &mut Reports {
+        &mut self.violations
+    }
+}
+
 impl Lifeguard for TaintCheck {
     fn kind(&self) -> LifeguardKind {
         LifeguardKind::TaintCheck
@@ -280,26 +290,6 @@ impl Lifeguard for TaintCheck {
             }
             _ => cost.instr(1),
         }
-    }
-
-    fn handle_batch(&mut self, evs: &[DeliveredEvent], cost: &mut CostSink) {
-        for (i, ev) in evs.iter().enumerate() {
-            self.violations.handling(i);
-            cost.mark();
-            self.handle(ev, cost);
-        }
-    }
-
-    fn violations(&self) -> &[Violation] {
-        self.violations.list()
-    }
-
-    fn violation_events(&self) -> &[u32] {
-        self.violations.events()
-    }
-
-    fn take_violations(&mut self) -> Vec<Violation> {
-        self.violations.take()
     }
 
     fn premark_region(&mut self, _base: u32, _len: u32) {

@@ -16,7 +16,7 @@
 //! stores taint their containing word.
 
 use crate::cost::{CostSink, MetaMap};
-use crate::violation::{Reports, SourceDesc, Violation};
+use crate::violation::{Reporting, Reports, SourceDesc, Violation};
 use crate::{Lifeguard, LifeguardKind, TaintCheck};
 use igm_core::AccelConfig;
 use igm_isa::{Annotation, MemRef, OpClass, Reg};
@@ -294,6 +294,16 @@ impl TaintCheckDetailed {
     }
 }
 
+impl Reporting for TaintCheckDetailed {
+    fn reports(&self) -> &Reports {
+        &self.violations
+    }
+
+    fn reports_mut(&mut self) -> &mut Reports {
+        &mut self.violations
+    }
+}
+
 impl Lifeguard for TaintCheckDetailed {
     fn kind(&self) -> LifeguardKind {
         LifeguardKind::TaintCheckDetailed
@@ -351,26 +361,6 @@ impl Lifeguard for TaintCheckDetailed {
             }
             _ => cost.instr(1),
         }
-    }
-
-    fn handle_batch(&mut self, evs: &[DeliveredEvent], cost: &mut CostSink) {
-        for (i, ev) in evs.iter().enumerate() {
-            self.violations.handling(i);
-            cost.mark();
-            self.handle(ev, cost);
-        }
-    }
-
-    fn violations(&self) -> &[Violation] {
-        self.violations.list()
-    }
-
-    fn violation_events(&self) -> &[u32] {
-        self.violations.events()
-    }
-
-    fn take_violations(&mut self) -> Vec<Violation> {
-        self.violations.take()
     }
 
     fn premark_region(&mut self, _base: u32, _len: u32) {}

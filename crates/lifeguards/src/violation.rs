@@ -78,45 +78,61 @@ impl Violation {
     }
 }
 
-/// A lifeguard's reported violations, each tagged with the event that
-/// raised it: the index, in the `evs` of the running
-/// [`Lifeguard::handle_batch`](crate::Lifeguard::handle_batch) call, of the
-/// event being handled. The batch loop marks each event with one store
-/// ([`Reports::handling`]); nothing else on the hot path changes.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct Reports {
-    list: Vec<Violation>,
-    /// Parallel to `list`: the event each was reported against.
-    events: Vec<u32>,
-    /// The event being handled.
-    at: u32,
-}
+pub(crate) use reports::{Reporting, Reports};
 
-impl Reports {
-    /// Marks `evs[i]` as the event being handled.
-    #[inline(always)]
-    pub(crate) fn handling(&mut self, i: usize) {
-        self.at = i as u32;
+/// Private, so that [`Reports`] and [`Reporting`] are nameable only inside
+/// the crate although [`Lifeguard`](crate::Lifeguard) reaches them.
+mod reports {
+    use super::Violation;
+
+    /// A lifeguard's reported violations, each tagged with the event that
+    /// raised it: the index, in the `evs` of the running
+    /// [`Lifeguard::handle_batch`](crate::Lifeguard::handle_batch) call, of the
+    /// event being handled. The batch loop marks each event with one store
+    /// ([`Reports::handling`]); nothing else on the hot path changes.
+    #[derive(Debug, Clone, Default)]
+    pub struct Reports {
+        list: Vec<Violation>,
+        /// Parallel to `list`: the event each was reported against.
+        events: Vec<u32>,
+        /// The event being handled.
+        at: u32,
     }
 
-    /// Reports `v` against the event being handled.
-    pub(crate) fn push(&mut self, v: Violation) {
-        self.list.push(v);
-        self.events.push(self.at);
+    impl Reports {
+        /// Marks `evs[i]` as the event being handled.
+        #[inline(always)]
+        pub(crate) fn handling(&mut self, i: usize) {
+            self.at = i as u32;
+        }
+
+        /// Reports `v` against the event being handled.
+        pub(crate) fn push(&mut self, v: Violation) {
+            self.list.push(v);
+            self.events.push(self.at);
+        }
+
+        pub(crate) fn list(&self) -> &[Violation] {
+            &self.list
+        }
+
+        pub(crate) fn events(&self) -> &[u32] {
+            &self.events
+        }
+
+        /// Drains the violations (and their event tags).
+        pub(crate) fn take(&mut self) -> Vec<Violation> {
+            self.events.clear();
+            std::mem::take(&mut self.list)
+        }
     }
 
-    pub(crate) fn list(&self) -> &[Violation] {
-        &self.list
-    }
-
-    pub(crate) fn events(&self) -> &[u32] {
-        &self.events
-    }
-
-    /// Drains the violations (and their event tags).
-    pub(crate) fn take(&mut self) -> Vec<Violation> {
-        self.events.clear();
-        std::mem::take(&mut self.list)
+    /// A lifeguard's violation list, which [`Lifeguard`](crate::Lifeguard)'s
+    /// provided methods report into and drain. Only this crate's lifeguards
+    /// implement it, so only they implement [`Lifeguard`](crate::Lifeguard).
+    pub trait Reporting {
+        fn reports(&self) -> &Reports;
+        fn reports_mut(&mut self) -> &mut Reports;
     }
 }
 

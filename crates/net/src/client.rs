@@ -1,5 +1,5 @@
 //! The client side: [`TraceForwarder`] ships a live record stream or a
-//! recorded trace file to a remote [`IngestServer`](crate::IngestServer),
+//! recorded trace stream to a remote [`IngestServer`](crate::IngestServer),
 //! honoring the server's byte credits. It speaks one protocol version
 //! ([`NET_VERSION`]) and one trace codec ([`CODEC_ID`]); a server that
 //! refuses either surfaces as [`NetError::Rejected`].
@@ -13,10 +13,8 @@ use igm_obs::{Histogram, MetricsRegistry};
 use igm_runtime::SessionConfig;
 use igm_span::{alloc_flow, FlightRecorder, FrameTag, Sampler, Stage, Track};
 use igm_trace::{encode_frame_with, CodecMetrics, Predictors, TraceReader, CODEC_ID};
-use std::fs::File;
-use std::io::{self, BufReader, Read, Write};
+use std::io::{self, Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
-use std::path::Path;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -29,9 +27,6 @@ pub struct ForwarderConfig {
     /// boundaries — which is what makes the loopback-equivalence guarantee
     /// exact.
     pub chunk_bytes: u32,
-    /// How long to wait for the server's handshake reply (and for the
-    /// final `FIN_ACK`).
-    pub handshake_timeout: Duration,
 }
 
 impl Default for ForwarderConfig {
@@ -41,10 +36,13 @@ impl Default for ForwarderConfig {
             // silently diverge (the batch-boundary equivalence guarantee
             // depends on them matching).
             chunk_bytes: igm_runtime::PoolConfig::default().chunk_bytes,
-            handshake_timeout: Duration::from_secs(10),
         }
     }
 }
+
+/// How long to wait for the server's handshake reply (and for the final
+/// `FIN_ACK`).
+const HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// Counters a forwarder accumulates (the client-side analogue of the
 /// ingest lane's [`LaneStats`](igm_trace::LaneStats)).
@@ -84,8 +82,8 @@ pub struct ForwarderReport {
 /// *stalls* — counted in [`ForwarderStats::credit_stalls`] — until the
 /// pool drains and a grant arrives. Sources can be live record iterators
 /// ([`TraceForwarder::stream`]), pre-batched chunks
-/// ([`TraceForwarder::send_batch`]) or recorded trace files
-/// ([`TraceForwarder::forward_file`]).
+/// ([`TraceForwarder::send_batch`]) or recorded trace streams
+/// ([`TraceForwarder::forward_reader`]).
 pub struct TraceForwarder {
     stream: TcpStream,
     inbuf: MsgBuf,
@@ -94,7 +92,6 @@ pub struct TraceForwarder {
     /// window still make progress.
     credit: i64,
     chunk_bytes: u32,
-    handshake_timeout: Duration,
     frame: Vec<u8>,
     stats: ForwarderStats,
     /// Set once the server's `FIN_ACK` arrives.
@@ -163,7 +160,6 @@ impl TraceForwarder {
             inbuf: MsgBuf::new(),
             credit: 0,
             chunk_bytes: cfg.chunk_bytes,
-            handshake_timeout: cfg.handshake_timeout,
             frame: Vec::new(),
             stats: ForwarderStats::default(),
             fin_ack: None,
@@ -176,7 +172,7 @@ impl TraceForwarder {
         fwd.push_bytes(&hello)?;
         // The WELCOME carries the initial allowance; harvest() records it
         // as a plain credit grant.
-        let deadline = Instant::now() + fwd.handshake_timeout;
+        let deadline = Instant::now() + HANDSHAKE_TIMEOUT;
         while fwd.credit == 0 {
             if !fwd.harvest()? && Instant::now() >= deadline {
                 return Err(NetError::Io(io::Error::new(
@@ -302,13 +298,6 @@ impl TraceForwarder {
         Ok(records)
     }
 
-    /// Forwards the recorded trace file at `path`.
-    pub fn forward_file(&mut self, path: impl AsRef<Path>) -> Result<u64, NetError> {
-        let file = File::open(path)?;
-        let mut reader = TraceReader::new(BufReader::new(file))?;
-        self.forward_reader(&mut reader)
-    }
-
     /// Clean shutdown: sends `FIN` with the final lane stats, waits for
     /// the server's `FIN_ACK`, and reports both sides' counts.
     pub fn finish(mut self) -> Result<ForwarderReport, NetError> {
@@ -319,7 +308,7 @@ impl TraceForwarder {
             credit_stalls: self.stats.credit_stalls,
         });
         self.push_bytes(&fin)?;
-        let deadline = Instant::now() + self.handshake_timeout;
+        let deadline = Instant::now() + HANDSHAKE_TIMEOUT;
         loop {
             if let Some(records) = self.fin_ack {
                 return Ok(ForwarderReport { stats: self.stats, server_records: records });

@@ -25,7 +25,7 @@
 //!   tenant with the same fairness and per-lane backpressure machinery as
 //!   local pipe lanes.
 //! * [`client`] — [`TraceForwarder`]: ships a live record stream or a
-//!   recorded trace file, one codec frame per chunk message.
+//!   recorded trace stream, one codec frame per chunk message.
 //!
 //! **Credit-based backpressure.** The server grants byte credits sized
 //! from each tenant's log-channel occupancy (the same byte accounting the

@@ -1,15 +1,13 @@
 //! The multi-tenant ingest server: one OS thread accepting, handshaking
 //! and multiplexing every remote tenant through the shared
-//! [`Ingestor`](igm_trace::Ingestor).
+//! [`Ingestor`].
 
 use crate::source::NetSource;
 use crate::wire::{self, Fill, MsgBuf, NetError};
 use igm_obs::{Counter, EventKind, EventRing};
 use igm_runtime::MonitorPool;
 use igm_span::FlightRecorder;
-use igm_trace::{
-    lake_stem, CodecMetrics, IngestConfig, IngestReport, Ingestor, LakeArtifact, TraceError,
-};
+use igm_trace::{lake_stem, CodecMetrics, IngestReport, Ingestor, LakeArtifact, TraceError};
 use std::fs::File;
 use std::io::{self, BufWriter, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -24,12 +22,6 @@ pub struct NetServerConfig {
     /// `WELCOME` grant and the target outstanding allowance. Bounds the
     /// server's per-lane buffering to roughly this plus one frame.
     pub credit_window: u32,
-    /// How long a connection may take to deliver its `HELLO` before it is
-    /// rejected (keeps a stuck peer from occupying a pending slot
-    /// forever; the accept loop itself never blocks on it).
-    pub handshake_timeout: Duration,
-    /// Scheduling parameters of the underlying multiplexed ingest loop.
-    pub ingest: IngestConfig,
     /// Tee-at-ingest: when set, every accepted lane's record stream is
     /// also captured to `<dir>/<tenant>.igmt` (standard trace frames, one
     /// per wire chunk), so remote tenants leave on-disk artifacts exactly
@@ -39,14 +31,14 @@ pub struct NetServerConfig {
 
 impl Default for NetServerConfig {
     fn default() -> NetServerConfig {
-        NetServerConfig {
-            credit_window: 256 * 1024,
-            handshake_timeout: Duration::from_secs(5),
-            ingest: IngestConfig::default(),
-            tee_dir: None,
-        }
+        NetServerConfig { credit_window: 256 * 1024, tee_dir: None }
     }
 }
+
+/// How long a connection may take to deliver its `HELLO` before it is
+/// rejected (keeps a stuck peer from occupying a pending slot forever; the
+/// accept loop itself never blocks on it).
+const HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// Everything one serving run produced.
 #[derive(Debug)]
@@ -175,10 +167,9 @@ pub struct IngestServer<'p> {
     /// Shared `igm_codec_*` counters/histograms on the pool's registry;
     /// every admitted lane's decoder clones these handles.
     codec_metrics: CodecMetrics,
-    /// The pool's span flight recorder, when spans are on: every admitted
-    /// lane claims its own ring and stamps `server_ingest` stages for
-    /// sampled frames.
-    recorder: Option<Arc<FlightRecorder>>,
+    /// The pool's span flight recorder: every admitted lane claims its own
+    /// ring and stamps `server_ingest` stages for sampled frames.
+    recorder: Arc<FlightRecorder>,
 }
 
 impl<'p> IngestServer<'p> {
@@ -193,7 +184,7 @@ impl<'p> IngestServer<'p> {
         assert!(cfg.credit_window > 0, "a zero credit window would deadlock every client");
         let listener = TcpListener::bind(addr)?;
         listener.set_nonblocking(true)?;
-        let ingestor = Ingestor::with_config(pool, cfg.ingest.clone());
+        let ingestor = Ingestor::new(pool);
         let metrics = pool.metrics();
         Ok(IngestServer {
             listener,
@@ -209,7 +200,7 @@ impl<'p> IngestServer<'p> {
                 .counter("igm_net_rejected_total", "Connections refused before a lane existed"),
             events: metrics.events().clone(),
             codec_metrics: CodecMetrics::register(metrics),
-            recorder: pool.recorder().cloned(),
+            recorder: Arc::clone(pool.recorder()),
         })
     }
 
@@ -234,7 +225,7 @@ impl<'p> IngestServer<'p> {
                                 stream,
                                 peer: peer.to_string(),
                                 inbuf: MsgBuf::new(),
-                                deadline: Instant::now() + self.cfg.handshake_timeout,
+                                deadline: Instant::now() + HANDSHAKE_TIMEOUT,
                             });
                         } else {
                             self.reject(
@@ -325,7 +316,7 @@ impl<'p> IngestServer<'p> {
             self.cfg.credit_window as u64,
             conn.inbuf,
             self.codec_metrics.clone(),
-            self.recorder.clone(),
+            Arc::clone(&self.recorder),
         )
         .map_err(|e| (peer.clone(), NetError::Io(e)))?;
         match &self.cfg.tee_dir {

@@ -1,5 +1,5 @@
 //! The server-side socket lane: a readiness-polled
-//! [`TraceSource`](igm_trace::TraceSource) over one client connection.
+//! [`TraceSource`] over one client connection.
 
 use crate::wire::{
     self, lane_error, Fill, FinStats, MsgBuf, NetError, MSG_HEADER_BYTES, SPAN_PREFIX_BYTES,
@@ -58,10 +58,11 @@ pub struct NetSource {
     predictors: Box<Predictors>,
     /// Shared codec byte counters / decode-latency histogram.
     metrics: CodecMetrics,
-    /// The pool's flight recorder plus this lane's claimed ring, when
-    /// spans are on: sampled frames get a `server_ingest` stage stamped
-    /// over the decode window.
-    spans: Option<(Arc<FlightRecorder>, usize)>,
+    /// The pool's flight recorder: sampled frames get a `server_ingest`
+    /// stage stamped over the decode window.
+    recorder: Arc<FlightRecorder>,
+    /// This lane's claimed ring in `recorder`.
+    ring: usize,
     /// The last delivered chunk's span tag, held for the ingest lane to
     /// claim via [`TraceSource::take_span_tag`] and pin to the batch it
     /// sends into the pool.
@@ -78,14 +79,11 @@ impl NetSource {
         window: u64,
         inbuf: MsgBuf,
         metrics: CodecMetrics,
-        recorder: Option<Arc<FlightRecorder>>,
+        recorder: Arc<FlightRecorder>,
     ) -> io::Result<NetSource> {
         stream.set_nonblocking(true)?;
         stream.set_nodelay(true)?;
-        let spans = recorder.map(|rec| {
-            let ring = rec.ring_handle();
-            (rec, ring)
-        });
+        let ring = recorder.ring_handle();
         Ok(NetSource {
             stream,
             inbuf,
@@ -100,7 +98,8 @@ impl NetSource {
             deferred_error: None,
             predictors: Box::new(Predictors::new()),
             metrics,
-            spans,
+            recorder,
+            ring,
             pending_tag: None,
         })
     }
@@ -161,19 +160,15 @@ impl NetSource {
                         let (prefix, frame) = payload.split_at(SPAN_PREFIX_BYTES);
                         let tag = wire::decode_span_prefix(prefix)?;
                         let frame_at = payload_at + SPAN_PREFIX_BYTES as u64;
-                        let span_start = match (&self.spans, tag) {
-                            (Some((rec, _)), Some(_)) => Some(rec.now()),
-                            _ => None,
-                        };
+                        let span = tag.map(|tag| (tag, self.recorder.now()));
                         let started = self.metrics.start_decode();
                         decode_frame_with(&mut self.predictors, frame, frame_at, out)?;
                         self.metrics.stop_decode(started);
                         self.metrics.count_frame(out.len() as u64, frame.len() as u64);
-                        if let (Some((rec, ring)), Some(tag), Some(t0)) =
-                            (&self.spans, tag, span_start)
-                        {
+                        if let Some((tag, t0)) = span {
+                            let rec = &self.recorder;
                             rec.record(
-                                *ring,
+                                self.ring,
                                 Stage::ServerIngest,
                                 Track::Lane(tag.flow),
                                 tag,

@@ -21,7 +21,7 @@
 //! | 7    | `ERROR`   | server → client | reason string (`u16` len + UTF-8), sent before close on a rejected handshake |
 //!
 //! The `HELLO` session spec carries everything
-//! [`SessionConfig`](igm_runtime::SessionConfig) holds — tenant name,
+//! [`SessionConfig`] holds — tenant name,
 //! requested [`LifeguardKind`], accelerator configuration, synthetic-mode
 //! flag and premarked regions — so a server-side session reproduces the
 //! client's local configuration exactly (the loopback-equivalence
@@ -57,7 +57,7 @@
 //! ```
 //!
 //! The sampling decision is made **once, at the origin forwarder**; a
-//! sampled frame carries its [`FrameTag`](igm_span::FrameTag) across the
+//! sampled frame carries its [`FrameTag`] across the
 //! wire so the server-side stages (`server_ingest`, `channel_wait`,
 //! `dispatch`, …) chain under the same flow/seq as the client-side ones
 //! (`client_send`, `credit_stall`) — one causally-joined waterfall per

@@ -1,17 +1,19 @@
 //! The wire protocol's unhappy paths, exercised over real loopback
-//! sockets: version mismatch, mid-frame disconnect, a corrupt frame
-//! contained to its own lane, credit starvation/resume, and the
-//! tee-at-ingest artifact for remote lanes.
+//! sockets: version mismatch, a peer that never sends its `HELLO`,
+//! mid-frame disconnect, a corrupt frame contained to its own lane, credit
+//! starvation/resume, and the tee-at-ingest artifact for remote lanes.
 
 use igm_lifeguards::LifeguardKind;
 use igm_net::wire::{self, msg};
 use igm_net::{IngestServer, NetError, NetServerConfig, TraceForwarder};
+use igm_obs::EventKind;
 use igm_runtime::{MonitorPool, PoolConfig, SessionConfig};
 use igm_trace::{encode_frame, TraceError, CODEC_ID};
 use igm_workload::Benchmark;
-use std::io::Write;
+use std::io::{self, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::time::Duration;
+use std::sync::mpsc;
+use std::time::{Duration, Instant};
 
 fn session_cfg(name: &str, kind: LifeguardKind) -> SessionConfig {
     SessionConfig::new(name, kind).synthetic().premark(&Benchmark::Gzip.profile().premark_regions())
@@ -129,6 +131,61 @@ fn non_hello_first_message_is_rejected_without_blocking_others() {
     assert_eq!(report.rejected.len(), 1);
     assert!(matches!(report.rejected[0].1, NetError::Malformed(_)));
     assert_eq!(forwarded, 1_000);
+    pool.shutdown();
+}
+
+/// The server's `HELLO` deadline (5 s): a peer that connects and never
+/// speaks is rejected once it passes, counted like every other pre-lane
+/// refusal, while a well-behaved client on the same server finishes
+/// exactly. Ignored by default because it waits the deadline out;
+/// `ci/release-tests.sh` runs it.
+#[test]
+#[ignore = "waits out the 5 s handshake deadline"]
+fn silent_peer_is_rejected_at_the_hello_deadline() {
+    let pool = MonitorPool::new(PoolConfig::with_workers(1));
+    let server = IngestServer::bind("127.0.0.1:0", &pool, NetServerConfig::default()).unwrap();
+    let addr = server.local_addr().unwrap();
+
+    // The silent peer holds its socket open until the server has reported,
+    // so the refusal is the deadline's and not a disconnect's.
+    let (served_tx, served_rx) = mpsc::channel::<()>();
+    let silent = std::thread::spawn(move || {
+        let raw = RawClient::connect(addr);
+        let _ = served_rx.recv();
+        drop(raw);
+    });
+    let good = std::thread::spawn(move || {
+        let cfg = session_cfg("ok", LifeguardKind::AddrCheck);
+        let mut fwd = TraceForwarder::connect(addr, &cfg).expect("healthy client must connect");
+        fwd.stream(Benchmark::Gzip.trace(1_000)).unwrap();
+        fwd.finish().unwrap().server_records
+    });
+    let started = Instant::now();
+    let report = server.serve_connections(2);
+    let waited = started.elapsed();
+    served_tx.send(()).unwrap();
+    silent.join().unwrap();
+    let forwarded = good.join().unwrap();
+
+    assert!(waited >= Duration::from_secs(5), "rejected before the deadline: {waited:?}");
+    assert_eq!(report.accepted, 1);
+    assert_eq!(report.rejected.len(), 1);
+    match &report.rejected[0].1 {
+        NetError::Io(e) => assert_eq!(e.kind(), io::ErrorKind::TimedOut),
+        other => panic!("expected a handshake timeout, got {other:?}"),
+    }
+    assert_eq!(forwarded, 1_000);
+    let ok = report.ingest.sessions.iter().find(|s| s.name == "ok").expect("healthy session");
+    assert_eq!(ok.records, 1_000);
+    let snap = pool.metrics().snapshot();
+    assert_eq!(snap.counter_value("igm_net_rejected_total"), Some(1));
+    assert_eq!(snap.counter_value("igm_net_accepted_total"), Some(1));
+    let events = pool.events().since(0).events;
+    assert!(
+        events.iter().any(|e| matches!(&e.kind,
+            EventKind::HandshakeReject { reason, .. } if reason.contains("timed out"))),
+        "the refusal is narrated in the event ring"
+    );
     pool.shutdown();
 }
 

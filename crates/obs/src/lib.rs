@@ -17,9 +17,9 @@
 //!   [`MetricsSnapshot::to_json`] and the events-JSON rendering.
 //! - [`server`] — [`StatsServer`], a one-thread `std::net` HTTP endpoint
 //!   serving `/metrics`, `/stats.json`, `/events.json?since=N`, and —
-//!   when a span [`igm_span::FlightRecorder`] is attached
-//!   ([`StatsServer::serve_with`]) — `/spans.json?since=N` plus a
-//!   Chrome trace-event `/trace` export.
+//!   when [`StatsServer::serve`] is handed a span
+//!   [`igm_span::FlightRecorder`] — `/spans.json?since=N` plus a Chrome
+//!   trace-event `/trace` export.
 //!
 //! # Example
 //!
@@ -31,7 +31,7 @@
 //! let records = registry.counter("igm_pool_records_total", "records processed");
 //! records.add(42);
 //!
-//! let server = StatsServer::serve("127.0.0.1:0", Arc::clone(&registry)).unwrap();
+//! let server = StatsServer::serve("127.0.0.1:0", Arc::clone(&registry), None, Vec::new()).unwrap();
 //! println!("scrape http://{}/metrics", server.local_addr());
 //! // ... run the pool; drop the server to stop serving.
 //! ```

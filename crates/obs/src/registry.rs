@@ -156,9 +156,8 @@ impl Gauge {
 struct HistogramCore {
     buckets: [AtomicU64; HISTOGRAM_BUCKETS],
     sum: AtomicU64,
-    /// From the registry's timer switch: a disabled histogram's `record`
-    /// is a no-op and [`Histogram::start`] skips the `Instant::now()` —
-    /// which is what the bench's registry-disabled overhead run measures.
+    /// False only for [`Histogram::disabled`]: its `record` is a no-op and
+    /// [`Histogram::start`] skips the `Instant::now()`.
     enabled: bool,
 }
 
@@ -277,25 +276,6 @@ impl HistogramSnapshot {
             self.sum as f64 / count as f64
         }
     }
-
-    /// Upper bound of the bucket containing quantile `q` (in `[0, 1]`) —
-    /// a conservative (≤ factor-2) estimate, which is all log₂ buckets
-    /// can promise. Returns 0 for an empty histogram.
-    pub fn quantile(&self, q: f64) -> u64 {
-        let count = self.count();
-        if count == 0 {
-            return 0;
-        }
-        let rank = ((q.clamp(0.0, 1.0) * count as f64).ceil() as u64).max(1);
-        let mut seen = 0u64;
-        for (i, b) in self.buckets.iter().enumerate() {
-            seen += b;
-            if seen >= rank {
-                return bucket_upper_bound(i);
-            }
-        }
-        bucket_upper_bound(HISTOGRAM_BUCKETS - 1)
-    }
 }
 
 /// What kind of metric a registration produced.
@@ -338,7 +318,6 @@ struct Registered {
 /// ```
 pub struct MetricsRegistry {
     metrics: Mutex<Vec<Registered>>,
-    timers: bool,
     events: EventRing,
     started: Instant,
 }
@@ -347,7 +326,6 @@ impl std::fmt::Debug for MetricsRegistry {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("MetricsRegistry")
             .field("metrics", &self.metrics.lock().unwrap().len())
-            .field("timers", &self.timers)
             .finish()
     }
 }
@@ -359,28 +337,13 @@ impl Default for MetricsRegistry {
 }
 
 impl MetricsRegistry {
-    /// A registry with latency timers enabled (the normal mode).
+    /// An empty registry.
     pub fn new() -> MetricsRegistry {
-        MetricsRegistry::with_timers(true)
-    }
-
-    /// A registry with the timer switch set explicitly. With timers off,
-    /// every histogram it hands out is a no-op and [`Histogram::start`]
-    /// never calls `Instant::now()` — counters and gauges still work, so
-    /// runtime stats stay correct while the latency instrumentation
-    /// vanishes (the bench's `metrics_overhead` comparison point).
-    pub fn with_timers(timers: bool) -> MetricsRegistry {
         MetricsRegistry {
             metrics: Mutex::new(Vec::new()),
-            timers,
             events: EventRing::new(EventRing::DEFAULT_CAPACITY),
             started: Instant::now(),
         }
-    }
-
-    /// Whether histograms record (see [`MetricsRegistry::with_timers`]).
-    pub fn timers_enabled(&self) -> bool {
-        self.timers
     }
 
     /// The registry's structured lifecycle-event ring, served by the same
@@ -459,17 +422,15 @@ impl MetricsRegistry {
         self.histogram_with(name, help, &[])
     }
 
-    /// Registers (or finds) a labeled histogram (disabled when the
-    /// registry's timer switch is off).
+    /// Registers (or finds) a labeled histogram.
     ///
     /// # Panics
     ///
     /// Panics on a metric-type mismatch (see [`MetricsRegistry::counter_with`]).
     pub fn histogram_with(&self, name: &str, help: &str, labels: &[(&str, &str)]) -> Histogram {
-        let timers = self.timers;
-        match self.register(name, help, labels, || {
-            Handle::Histogram(Arc::new(HistogramCore::new(timers)))
-        }) {
+        match self
+            .register(name, help, labels, || Handle::Histogram(Arc::new(HistogramCore::new(true))))
+        {
             Handle::Histogram(core) => Histogram { core },
             _ => panic!("metric {name} already registered with a different type"),
         }

@@ -15,8 +15,8 @@
 //! | `/trace`              | Chrome trace-event JSON (`chrome://tracing`) |
 //! | `/`                   | plain-text index of the above             |
 //!
-//! The span routes answer 404 unless a flight recorder was attached via
-//! [`StatsServer::serve_with`]. Every snapshot is taken on the serving
+//! The span routes answer 404 unless [`StatsServer::serve`] was handed a
+//! flight recorder. Every snapshot is taken on the serving
 //! thread; the hot paths feeding the registry never notice a scrape.
 //! Responses carry `Content-Length`, tolerate slow (drip-reading)
 //! clients up to a total write deadline, and `HEAD` is answered with
@@ -64,7 +64,7 @@ impl RouteResponse {
 }
 
 /// A pluggable route family served alongside the built-in stats routes
-/// (attach via [`StatsServer::serve_routes`]). Handlers receive the
+/// (attach via [`StatsServer::serve`]). Handlers receive the
 /// request only after the query string passed the hardened [`Query`]
 /// parser — a malformed query is a `400` on every path, before any
 /// handler runs.
@@ -107,28 +107,11 @@ pub struct StatsServer {
 impl StatsServer {
     /// Binds `addr` (`"127.0.0.1:0"` picks a free port — read it back
     /// with [`StatsServer::local_addr`]) and starts serving `registry`.
+    /// A span [`FlightRecorder`] in `spans` enables the
+    /// `/spans.json?since=N` and `/trace` (Chrome trace-event JSON)
+    /// routes. Paths not claimed by a built-in route are offered to each
+    /// of `routes` in order; the first `Some` wins.
     pub fn serve(
-        addr: impl ToSocketAddrs,
-        registry: Arc<MetricsRegistry>,
-    ) -> io::Result<StatsServer> {
-        StatsServer::serve_with(addr, registry, None)
-    }
-
-    /// Like [`StatsServer::serve`], but also attaches a span
-    /// [`FlightRecorder`], enabling the `/spans.json?since=N` and
-    /// `/trace` (Chrome trace-event JSON) routes.
-    pub fn serve_with(
-        addr: impl ToSocketAddrs,
-        registry: Arc<MetricsRegistry>,
-        spans: Option<Arc<FlightRecorder>>,
-    ) -> io::Result<StatsServer> {
-        StatsServer::serve_routes(addr, registry, spans, Vec::new())
-    }
-
-    /// Like [`StatsServer::serve_with`], but additionally mounts custom
-    /// [`RouteHandler`]s. Paths not claimed by a built-in route are
-    /// offered to each handler in order; the first `Some` wins.
-    pub fn serve_routes(
         addr: impl ToSocketAddrs,
         registry: Arc<MetricsRegistry>,
         spans: Option<Arc<FlightRecorder>>,
@@ -388,7 +371,8 @@ mod tests {
             .events()
             .record(EventKind::LaneFailure { lane: "t0".into(), error: "boom".into() });
 
-        let mut server = StatsServer::serve("127.0.0.1:0", Arc::clone(&registry)).unwrap();
+        let mut server =
+            StatsServer::serve("127.0.0.1:0", Arc::clone(&registry), None, Vec::new()).unwrap();
         let addr = server.local_addr();
 
         let metrics = get(addr, "/metrics");
@@ -433,7 +417,8 @@ mod tests {
     fn head_requests_get_headers_only() {
         let registry = Arc::new(MetricsRegistry::new());
         registry.counter("igm_head_total", "test counter").add(3);
-        let mut server = StatsServer::serve("127.0.0.1:0", Arc::clone(&registry)).unwrap();
+        let mut server =
+            StatsServer::serve("127.0.0.1:0", Arc::clone(&registry), None, Vec::new()).unwrap();
         let addr = server.local_addr();
 
         let head = request(addr, "HEAD", "/metrics");
@@ -469,7 +454,8 @@ mod tests {
                 .events()
                 .record(EventKind::LaneFailure { lane: format!("lane{i}"), error: filler.clone() });
         }
-        let mut server = StatsServer::serve("127.0.0.1:0", Arc::clone(&registry)).unwrap();
+        let mut server =
+            StatsServer::serve("127.0.0.1:0", Arc::clone(&registry), None, Vec::new()).unwrap();
         let addr = server.local_addr();
 
         let mut stream = TcpStream::connect(addr).unwrap();
@@ -506,7 +492,8 @@ mod tests {
     #[test]
     fn malformed_queries_are_typed_400s_on_every_route() {
         let registry = Arc::new(MetricsRegistry::new());
-        let mut server = StatsServer::serve("127.0.0.1:0", Arc::clone(&registry)).unwrap();
+        let mut server =
+            StatsServer::serve("127.0.0.1:0", Arc::clone(&registry), None, Vec::new()).unwrap();
         let addr = server.local_addr();
 
         let assert_400 = |path: &str, kind: &str| {
@@ -569,13 +556,9 @@ mod tests {
         }
 
         let registry = Arc::new(MetricsRegistry::new());
-        let mut server = StatsServer::serve_routes(
-            "127.0.0.1:0",
-            Arc::clone(&registry),
-            None,
-            vec![Arc::new(Echo)],
-        )
-        .unwrap();
+        let mut server =
+            StatsServer::serve("127.0.0.1:0", Arc::clone(&registry), None, vec![Arc::new(Echo)])
+                .unwrap();
         let addr = server.local_addr();
 
         let ok = get(addr, "/echo.json?msg=hi+there");
@@ -601,7 +584,8 @@ mod tests {
 
         let registry = Arc::new(MetricsRegistry::new());
         // Without a recorder, the span routes are explicit 404s.
-        let mut bare = StatsServer::serve("127.0.0.1:0", Arc::clone(&registry)).unwrap();
+        let mut bare =
+            StatsServer::serve("127.0.0.1:0", Arc::clone(&registry), None, Vec::new()).unwrap();
         assert!(get(bare.local_addr(), "/spans.json").starts_with("HTTP/1.1 404"));
         assert!(get(bare.local_addr(), "/trace").starts_with("HTTP/1.1 404"));
         bare.stop();
@@ -615,7 +599,8 @@ mod tests {
         recorder.record(0, Stage::ChannelWait, Track::Worker(1), tag, 100, 250);
         recorder.record(0, Stage::Dispatch, Track::Worker(1), tag, 250, 900);
         let mut server =
-            StatsServer::serve_with("127.0.0.1:0", Arc::clone(&registry), Some(recorder)).unwrap();
+            StatsServer::serve("127.0.0.1:0", Arc::clone(&registry), Some(recorder), Vec::new())
+                .unwrap();
         let addr = server.local_addr();
 
         let spans = get(addr, "/spans.json?since=0");

@@ -1,7 +1,9 @@
 //! Registry correctness under concurrency, plus a proptest pinning the
 //! log₂ bucket-boundary assignment.
 
-use igm_obs::{bucket_index, bucket_upper_bound, EventKind, MetricsRegistry, HISTOGRAM_BUCKETS};
+use igm_obs::{
+    bucket_index, bucket_upper_bound, EventKind, Histogram, MetricsRegistry, HISTOGRAM_BUCKETS,
+};
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -99,21 +101,16 @@ fn registration_is_idempotent_per_labels() {
     assert_eq!(values, vec![5, 10]);
 }
 
-/// Timers-off registries keep counters and gauges live but drop every
-/// histogram observation without calling `Instant::now()`.
+/// A detached, disabled histogram (the observer of paths not wired to a
+/// registry) drops every observation without calling `Instant::now()`.
 #[test]
-fn timers_off_disables_histograms_only() {
-    let registry = MetricsRegistry::with_timers(false);
-    assert!(!registry.timers_enabled());
-    let counter = registry.counter("igm_c_total", "counter");
-    let hist = registry.histogram("igm_h_nanos", "histogram");
-    counter.add(5);
+fn disabled_histogram_records_nothing() {
+    let hist = Histogram::disabled();
     assert!(hist.start().is_none());
     hist.record(123);
     hist.stop(None);
-    let snap = registry.snapshot();
-    assert_eq!(snap.counter_value("igm_c_total"), Some(5));
-    assert_eq!(snap.histogram_sample("igm_h_nanos", None).unwrap().hist.count(), 0);
+    assert_eq!(hist.snapshot().count(), 0);
+    assert_eq!(hist.snapshot().sum, 0);
 }
 
 /// The event ring rides along in the registry and the exporters render it.

@@ -35,8 +35,9 @@
 //!   [`stats`] — which, since the `igm-obs` integration, are views over
 //!   the pool's metrics registry ([`MonitorPool::metrics`]): per-lifeguard
 //!   dispatch-latency histograms, channel queue-latency/occupancy, steal
-//!   and park counters, a lifecycle-event ring, all scrapeable live via
-//!   [`MonitorPool::serve_stats`]. A single hot session no longer caps
+//!   and park counters, a lifecycle-event ring and a span flight recorder
+//!   following sampled frames ([`MonitorPool::recorder`]), all scrapeable
+//!   live via [`MonitorPool::serve_stats`]. A single hot session no longer caps
 //!   out at one worker's throughput: when its channel stays
 //!   byte-saturated *and another worker sits parked*, the pool switches
 //!   it to **intra-session epoch pipelining** ([`pool::PipelineMode`]) —

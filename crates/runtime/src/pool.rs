@@ -44,7 +44,7 @@
 //! is spent monitoring instead of idling a host core.
 //!
 //! The per-session hot path is batch-grain end to end: one
-//! [`DispatchPipeline::dispatch_batch`] call expands a chunk through
+//! [`igm_core::DispatchPipeline::dispatch_batch`] call expands a chunk through
 //! extraction → IT → ETCT → IF into a reusable [`EventBuf`], and one
 //! [`Lifeguard::handle_batch`] call (static dispatch through
 //! [`AnyLifeguard`]) runs the handlers — no closure, virtual call or heap
@@ -58,7 +58,7 @@
 //! events the lifeguard's [`LifeguardKind::spine_elides`] mask marks
 //! metadata-pure are skipped — and accumulates the drained record batches
 //! into epochs sized by [`EpochConfig`] that ship through the shared
-//! injector as [`EpochJob`]s. Any worker serves the injector, interleaved
+//! injector as `EpochJob`s. Any worker serves the injector, interleaved
 //! with session traffic; one job occupies its worker for one epoch's worth
 //! of records. Each job replays its epoch's full event stream against the
 //! boundary-snapshotted shadow state and dispatch pipeline, so the emitted
@@ -107,18 +107,6 @@ pub struct PoolConfig {
     pub channel_capacity_bytes: u32,
     /// Producer-side batch size in compressed-record bytes.
     pub chunk_bytes: u32,
-    /// Metrics registry the pool reports into. `None` (the default) makes
-    /// the pool create its own, reachable via [`MonitorPool::metrics`];
-    /// pass a shared one to land several subsystems (pool, ingest server,
-    /// forwarder) on a single stats endpoint.
-    pub metrics: Option<Arc<MetricsRegistry>>,
-    /// Whether the pool runs a span [`FlightRecorder`] (`igm-span`):
-    /// sampled frames get `channel_wait`/`dispatch` stage records, epoch
-    /// jobs get `epoch_job` ones, violations snapshot their frame's span
-    /// chain into the event ring, and [`MonitorPool::serve_stats`] serves
-    /// `/spans.json` and `/trace`. On by default — unsampled frames cost
-    /// one branch per batch (see the bench's `span_overhead` section).
-    pub spans: bool,
     /// When sessions switch to intra-session epoch pipelining
     /// ([`PipelineMode::Auto`] by default: hot sessions only).
     pub pipeline: PipelineMode,
@@ -171,8 +159,6 @@ impl Default for PoolConfig {
             // 16 KB measures ~25-40% faster than 4 KB at every worker count
             // while still keeping four chunks in flight per channel.
             chunk_bytes: 16 * 1024,
-            metrics: None,
-            spans: true,
             pipeline: PipelineMode::default(),
             epoch: EpochConfig::adaptive(),
         }
@@ -336,8 +322,7 @@ struct PoolShared {
     helper_ring: usize,
     violations_tx: Sender<PoolViolation>,
     stream_taken: AtomicBool,
-    /// The registry everything below reports into (owned or caller-shared;
-    /// see [`PoolConfig::metrics`]).
+    /// The registry everything below reports into.
     metrics: Arc<MetricsRegistry>,
     /// `igm_dispatch_batch_nanos{lifeguard=…}`, indexed in
     /// [`LifeguardKind::ALL`] order; sessions clone their kind's handle.
@@ -363,18 +348,17 @@ struct PoolShared {
     /// Registry handles every session log channel clones
     /// (`igm_channel_queue_latency_nanos`, `igm_channel_occupancy_bytes`).
     channel_obs: ChannelObs,
-    /// The span flight recorder (`None` when [`PoolConfig::spans`] is
-    /// off). Workers stamp `channel_wait`/`dispatch`/`epoch_job` stages
-    /// for tagged (sampled) frames; `igm-net` endpoints attach to the
-    /// same recorder so wire-side stages join the pool-side chains.
-    recorder: Option<Arc<FlightRecorder>>,
-    /// `igm_span_stage_nanos{stage=…}` for the pool-side stages (detached
-    /// no-ops when spans are off).
+    /// The span flight recorder. Workers stamp
+    /// `channel_wait`/`dispatch`/`epoch_job` stages for tagged (sampled)
+    /// frames; `igm-net` endpoints attach to the same recorder so
+    /// wire-side stages join the pool-side chains.
+    recorder: Arc<FlightRecorder>,
+    /// `igm_span_stage_nanos{stage=…}` for the pool-side stages.
     span_hists: SpanStageHists,
     /// Span origin for epoch jobs: they carry no producer frame tag, so
     /// sampled jobs chain under the pool's own epoch flow, keyed by job
     /// index.
-    epoch_span: Option<EpochSpan>,
+    epoch_span: EpochSpan,
 }
 
 /// Pool-side stage histograms, indexed by name for the hot path.
@@ -486,7 +470,7 @@ impl MonitorPool {
         assert!(cfg.epoch.min > 0, "epochs must hold at least one record");
         assert!(cfg.epoch.min <= cfg.epoch.max, "epoch bounds must satisfy min <= max");
         let (vtx, vrx) = mpsc::channel();
-        let metrics = cfg.metrics.unwrap_or_default();
+        let metrics = Arc::new(MetricsRegistry::new());
         let dispatch_hists = LifeguardKind::ALL
             .iter()
             .map(|kind| {
@@ -507,34 +491,26 @@ impl MonitorPool {
                 )
             })
             .collect();
-        let recorder = cfg.spans.then(|| {
-            Arc::new(FlightRecorder::new(SpanConfig {
-                // One ring per worker, one for helped turns, plus headroom
-                // for the ingest lanes and forwarders that attach to the
-                // pool's recorder; each writer site claims its own via
-                // `ring_handle`.
-                rings: cfg.workers + 9,
-                ..SpanConfig::default()
-            }))
-        });
+        let recorder = Arc::new(FlightRecorder::new(SpanConfig {
+            // One ring per worker, one for helped turns, plus headroom for
+            // the ingest lanes and forwarders that attach to the pool's
+            // recorder; each writer site claims its own via `ring_handle`.
+            rings: cfg.workers + 9,
+            ..SpanConfig::default()
+        }));
         let span_hist = |stage: Stage| {
-            if recorder.is_some() {
-                metrics.histogram_with(
-                    "igm_span_stage_nanos",
-                    "per-stage latency of sampled frames (span flight recorder)",
-                    &[("stage", stage.name())],
-                )
-            } else {
-                Histogram::disabled()
-            }
+            metrics.histogram_with(
+                "igm_span_stage_nanos",
+                "per-stage latency of sampled frames (span flight recorder)",
+                &[("stage", stage.name())],
+            )
         };
         let span_hists = SpanStageHists {
             channel_wait: span_hist(Stage::ChannelWait),
             dispatch: span_hist(Stage::Dispatch),
             epoch_job: span_hist(Stage::EpochJob),
         };
-        let epoch_span =
-            recorder.as_ref().map(|r| EpochSpan { flow: alloc_flow(), sampler: r.sampler() });
+        let epoch_span = EpochSpan { flow: alloc_flow(), sampler: recorder.sampler() };
         let channel_obs = ChannelObs {
             queue_latency: metrics.histogram(
                 "igm_channel_queue_latency_nanos",
@@ -549,7 +525,7 @@ impl MonitorPool {
             proto: Mutex::new(Protocol::new(cfg.workers)),
             bells: (0..cfg.workers).map(|_| Condvar::new()).collect(),
             stats: PoolStats::new(&metrics),
-            helper_ring: recorder.as_ref().map_or(0, |r| r.ring_handle()),
+            helper_ring: recorder.ring_handle(),
             violations_tx: vtx,
             stream_taken: AtomicBool::new(false),
             dispatch_hists,
@@ -646,11 +622,11 @@ impl MonitorPool {
         self.shared.proto().open(id, session);
         // The session is its own span origin for frames sent through the
         // handle: a fresh flow, a frame counter, a per-frame sampler.
-        let spans = self.shared.recorder.as_ref().map(|r| SessionSpans {
+        let spans = SessionSpans {
             flow: alloc_flow(),
             next_frame: AtomicU64::new(0),
-            sampler: r.sampler(),
-        });
+            sampler: self.shared.recorder.sampler(),
+        };
         SessionHandle {
             id,
             producer: Some(producer),
@@ -698,9 +674,8 @@ impl MonitorPool {
         self.shared.stats.snapshot()
     }
 
-    /// The metrics registry the pool reports into (its own unless one was
-    /// passed via [`PoolConfig::metrics`]). Other subsystems register
-    /// their metrics here to share the pool's stats endpoint.
+    /// The metrics registry the pool reports into. Other subsystems
+    /// register their metrics here to share the pool's stats endpoint.
     pub fn metrics(&self) -> &Arc<MetricsRegistry> {
         &self.shared.metrics
     }
@@ -713,37 +688,30 @@ impl MonitorPool {
     }
 
     /// The span flight recorder following sampled frames through the
-    /// pipeline (`None` when [`PoolConfig::spans`] is off). Hand it to
-    /// `igm-net` endpoints (`attach_spans`) so wire-side stages land in
-    /// the same recorder and join the pool-side chains.
-    pub fn recorder(&self) -> Option<&Arc<FlightRecorder>> {
-        self.shared.recorder.as_ref()
+    /// pipeline: sampled frames get `channel_wait`/`dispatch` stage
+    /// records, epoch jobs get `epoch_job` ones, and a violation snapshots
+    /// its frame's span chain into the event ring. An unsampled frame
+    /// costs one branch per batch. Hand it to `igm-net` endpoints
+    /// (`attach_spans`) so wire-side stages land in the same recorder and
+    /// join the pool-side chains.
+    pub fn recorder(&self) -> &Arc<FlightRecorder> {
+        &self.shared.recorder
     }
 
-    /// Starts a [`StatsServer`] on `addr` serving this pool's registry:
-    /// `GET /metrics` (Prometheus text), `/stats.json`, `/events.json`,
-    /// plus `/spans.json` and `/trace` when the pool has a span recorder.
-    /// Bind port 0 to let the OS pick; the server stops on drop.
-    pub fn serve_stats(&self, addr: impl ToSocketAddrs) -> std::io::Result<StatsServer> {
-        StatsServer::serve_with(
-            addr,
-            Arc::clone(&self.shared.metrics),
-            self.shared.recorder.clone(),
-        )
-    }
-
-    /// Like [`MonitorPool::serve_stats`], but additionally mounts custom
-    /// [`RouteHandler`]s (e.g. a trace lake's `/lake/*` routes) alongside
-    /// the built-in endpoints.
-    pub fn serve_stats_routes(
+    /// Starts a [`StatsServer`] on `addr` serving this pool's registry and
+    /// span recorder: `GET /metrics` (Prometheus text), `/stats.json`,
+    /// `/events.json`, `/spans.json` and `/trace`, plus the custom
+    /// [`RouteHandler`]s in `routes` (e.g. a trace lake's `/lake/*`
+    /// routes). Bind port 0 to let the OS pick; the server stops on drop.
+    pub fn serve_stats(
         &self,
         addr: impl ToSocketAddrs,
         routes: Vec<Arc<dyn RouteHandler>>,
     ) -> std::io::Result<StatsServer> {
-        StatsServer::serve_routes(
+        StatsServer::serve(
             addr,
             Arc::clone(&self.shared.metrics),
-            self.shared.recorder.clone(),
+            Some(Arc::clone(&self.shared.recorder)),
             routes,
         )
     }
@@ -788,9 +756,8 @@ pub struct SessionHandle {
     done: Receiver<SessionReport>,
     chunk_bytes: u32,
     channel_capacity_bytes: u32,
-    /// Span origin for frames this handle publishes (`None` when the
-    /// pool's spans are off).
-    spans: Option<SessionSpans>,
+    /// Span origin for frames this handle publishes.
+    spans: SessionSpans,
 }
 
 /// Per-session span origin: the flow id, the frame counter, and the
@@ -851,7 +818,7 @@ impl SessionHandle {
         if batch.is_empty() {
             return Ok(());
         }
-        let tag = self.spans.as_ref().and_then(SessionSpans::tag_frame);
+        let tag = self.spans.tag_frame();
         while let Some(refused) = producer.try_publish(batch, tag)? {
             if !self.shared.help() {
                 let r = producer.send_batch_tagged(refused, tag);
@@ -894,7 +861,7 @@ impl SessionHandle {
         if batch.is_empty() {
             return Ok(None);
         }
-        let tag = wire_tag.or_else(|| self.spans.as_ref().and_then(SessionSpans::tag_frame));
+        let tag = wire_tag.or_else(|| self.spans.tag_frame());
         let r = producer.try_send_batch_tagged(batch, tag);
         if let Ok(None) = r {
             self.shared.publish(self.id);
@@ -1440,18 +1407,16 @@ impl ActiveSession {
             self.records += batch.len() as u64;
             // Span stamps only for the sampled minority that carries a
             // tag: the untagged hot path pays one branch here.
-            let span = match (&shared.recorder, tag) {
-                (Some(rec), Some(tag)) => {
-                    let picked_up = rec.now();
-                    // The publish instant rode the queue with the tag;
-                    // the wait is publish → this pickup.
-                    let t_publish = published.map_or(picked_up, |at| rec.stamp(at));
-                    rec.record(ring, Stage::ChannelWait, track, tag, t_publish, picked_up);
-                    shared.span_hists.channel_wait.record(picked_up.saturating_sub(t_publish));
-                    Some((rec, tag, picked_up))
-                }
-                _ => None,
-            };
+            let rec = &shared.recorder;
+            let span = tag.map(|tag| {
+                let picked_up = rec.now();
+                // The publish instant rode the queue with the tag; the wait
+                // is publish → this pickup.
+                let t_publish = published.map_or(picked_up, |at| rec.stamp(at));
+                rec.record(ring, Stage::ChannelWait, track, tag, t_publish, picked_up);
+                shared.span_hists.channel_wait.record(picked_up.saturating_sub(t_publish));
+                (tag, picked_up)
+            });
             // One columnar pipeline pass and one statically-dispatched
             // handler pass per chunk, staging buffers reused across batches
             // (no per-record allocation — including the latency
@@ -1459,7 +1424,7 @@ impl ActiveSession {
             let t0 = self.dispatch_hist.start();
             self.monitor.observe_trace_batch(&batch);
             self.dispatch_hist.stop(t0);
-            if let Some((rec, tag, t_dispatch)) = span {
+            if let Some((tag, t_dispatch)) = span {
                 let done = rec.now();
                 rec.record(ring, Stage::Dispatch, track, tag, t_dispatch, done);
                 shared.span_hists.dispatch.record(done.saturating_sub(t_dispatch));
@@ -1472,7 +1437,7 @@ impl ActiveSession {
                 // marker record, then its whole completed chain is
                 // snapshotted into the violations' event-ring entries.
                 let spans = match span {
-                    Some((rec, tag, _)) => {
+                    Some((tag, _)) => {
                         let now = rec.now();
                         rec.record(ring, Stage::Violation, track, tag, now, now);
                         rec.chain(tag)
@@ -1578,8 +1543,8 @@ fn worker_main(idx: usize, shared: Arc<PoolShared>) {
     // worker's.
     let stats = shared.stats.per_worker();
     // This worker's flight-recorder ring: claimed once, single-writer for
-    // the thread's lifetime (0 is a dead value when spans are off).
-    let ring = shared.recorder.as_ref().map_or(0, |r| r.ring_handle());
+    // the thread's lifetime.
+    let ring = shared.recorder.ring_handle();
     let me = Pumper { ring, track: Track::Worker(idx as u32) };
     loop {
         let (step, notify) = shared.proto().next(idx);
@@ -1709,12 +1674,9 @@ fn run_epoch_job(
 ) {
     // Epoch jobs carry no producer frame tag, so sampled jobs chain
     // under the pool's epoch flow, keyed by job index.
-    let span = match (&shared.recorder, &shared.epoch_span) {
-        (Some(rec), Some(es)) if es.sampler.sample() => {
-            Some((rec, FrameTag { flow: es.flow, seq: job.index as u64 }, rec.now()))
-        }
-        _ => None,
-    };
+    let (rec, es) = (&shared.recorder, &shared.epoch_span);
+    let span =
+        es.sampler.sample().then(|| (FrameTag { flow: es.flow, seq: job.index as u64 }, rec.now()));
     // Staging buffers come from the worker's persistent scratch — one
     // allocation per worker lifetime in steady state. Replaying batch by
     // batch (instead of one concatenated sweep) keeps handler semantics
@@ -1733,7 +1695,7 @@ fn run_epoch_job(
         base += records.len() as u64;
     }
     shared.epoch_hist.stop(t0);
-    if let Some((rec, tag, t_start)) = span {
+    if let Some((tag, t_start)) = span {
         let done = rec.now();
         rec.record(ring, Stage::EpochJob, Track::Worker(worker as u32), tag, t_start, done);
         shared.span_hists.epoch_job.record(done.saturating_sub(t_start));

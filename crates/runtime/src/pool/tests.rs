@@ -74,7 +74,6 @@ impl Rig {
         let pool = MonitorPool::new(PoolConfig {
             workers: 1,
             channel_capacity_bytes: 2048,
-            spans: false,
             pipeline: PipelineMode::Auto,
             epoch: EpochConfig::fixed(64),
             ..PoolConfig::default()
@@ -245,7 +244,6 @@ fn helped_turn_panics() -> bool {
     let pool = MonitorPool::new(PoolConfig {
         workers: 1,
         channel_capacity_bytes: 2048,
-        spans: false,
         pipeline: PipelineMode::Never,
         ..PoolConfig::default()
     });
@@ -317,7 +315,7 @@ fn helped_turn_panics() -> bool {
 /// no worker will serve.
 #[test]
 fn shutdown_waits_for_a_helped_turn_which_finalizes_its_session() {
-    let pool = MonitorPool::new(PoolConfig { workers: 1, spans: false, ..PoolConfig::default() });
+    let pool = MonitorPool::new(PoolConfig::with_workers(1));
     let shared = Arc::clone(&pool.shared);
     let handle = pool.open_session(SessionConfig::new("held", LifeguardKind::AddrCheck));
     let checkout = shared.proto().checkout(handle.id(), true).expect("resident");

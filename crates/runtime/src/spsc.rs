@@ -5,7 +5,7 @@
 //! Capacity is accounted in *compressed record bytes*
 //! ([`igm_lba::compressed_size`]), and a producer that finds the buffer
 //! full **stalls** — exactly the condition the timing model charges as
-//! [`igm_timing::TimingReport::producer_stall_cycles`] (`igm-timing`).
+//! `igm_timing::TimingReport::producer_stall_cycles` (`igm-timing`).
 //! Here the stall is a real blocked thread; the channel counts stall
 //! events and stalled wall-clock nanoseconds so the runtime's stats stay
 //! comparable with the co-simulator's stall accounting. Unlike a hardware
@@ -370,11 +370,6 @@ impl LogConsumer {
         Some((batch, published, tag))
     }
 
-    /// Removes the oldest batch without blocking.
-    pub fn try_recv_batch(&self) -> Option<TraceBatch> {
-        self.try_recv_batch_tagged().map(|(batch, _, _)| batch)
-    }
-
     /// Removes the oldest batch without blocking, along with its publish
     /// instant and span tag (both `None` unless the frame is sampled or
     /// queue-latency timing is on) — the pool's pump drains through this
@@ -413,7 +408,7 @@ impl LogConsumer {
     /// Batches currently buffered, from the lock-free counter mirror — the
     /// scheduler's steal heuristic probes this without touching the channel
     /// lock (the value may be momentarily stale, which stealing tolerates:
-    /// a wrong guess costs one empty `try_recv_batch`).
+    /// a wrong guess costs one empty `try_recv_batch_tagged`).
     pub fn pending_batches(&self) -> usize {
         self.shared.counters.depth_batches.load(Ordering::Relaxed)
     }
@@ -437,7 +432,7 @@ impl LogConsumer {
     }
 
     /// Hands a drained batch arena back for the producer side to refill
-    /// (cleared here; dropped instead once [`SPARE_ARENAS`] are already
+    /// (cleared here; dropped instead once `SPARE_ARENAS` are already
     /// parked).
     pub fn recycle(&self, mut batch: TraceBatch) {
         let mut spares = self.shared.spares.lock().unwrap();

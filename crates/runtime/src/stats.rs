@@ -4,7 +4,7 @@
 //! pool's metrics registry* rather than parallel bookkeeping: each field
 //! is an [`igm_obs::Counter`] handle registered under an `igm_pool_*`
 //! name, so [`PoolStatsSnapshot`] and the `/metrics` scrape read the same
-//! atomics. Cloning a `PoolStats` ([`PoolStats::per_worker`]) claims a
+//! atomics. Cloning a `PoolStats` (`PoolStats::per_worker`) claims a
 //! fresh counter stripe per handle, so each worker thread increments
 //! disjoint cache lines.
 

@@ -1,7 +1,7 @@
 //! End-to-end span provenance through the pool: sampled frames leave
 //! `channel_wait`/`dispatch` stage records in the flight recorder, a
 //! violating frame's chain is snapshotted into its event-ring entry, and
-//! switching spans off removes the recorder entirely.
+//! an empty send takes no frame ordinal.
 
 use igm_isa::{Annotation, MemRef, OpClass, Reg, TraceEntry};
 use igm_lifeguards::LifeguardKind;
@@ -16,7 +16,7 @@ fn clean(n: u32) -> Vec<TraceEntry> {
 #[test]
 fn sampled_frames_chain_channel_wait_into_dispatch() {
     let pool = MonitorPool::new(PoolConfig::with_workers(2));
-    let recorder = pool.recorder().expect("spans are on by default").clone();
+    let recorder = pool.recorder().clone();
     let session = pool.open_session(SessionConfig::new("app", LifeguardKind::AddrCheck));
     // The first frame of a flow is always sampled.
     session.send_batch(clean(16)).unwrap();
@@ -81,25 +81,9 @@ fn violation_event_snapshots_the_frame_chain() {
 }
 
 #[test]
-fn spans_off_means_no_recorder_and_no_span_metrics() {
-    let pool = MonitorPool::new(PoolConfig { spans: false, ..PoolConfig::with_workers(1) });
-    assert!(pool.recorder().is_none());
-    let session = pool.open_session(SessionConfig::new("quiet", LifeguardKind::TaintCheck));
-    session.send_batch(clean(8)).unwrap();
-    let report = session.finish();
-    assert_eq!(report.records, 8);
-    let snap = pool.metrics().snapshot();
-    assert!(
-        snap.histograms.iter().all(|h| h.name != "igm_span_stage_nanos"),
-        "no span histograms registered with spans off"
-    );
-    pool.shutdown();
-}
-
-#[test]
 fn an_empty_send_publishes_no_frame() {
     let pool = MonitorPool::new(PoolConfig::with_workers(1));
-    let recorder = pool.recorder().expect("spans are on by default").clone();
+    let recorder = pool.recorder().clone();
     let session = pool.open_session(SessionConfig::new("app", LifeguardKind::AddrCheck));
     // Neither empty send may take a frame ordinal or a sampling turn.
     session.send_batch(Vec::new()).unwrap();

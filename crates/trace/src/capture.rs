@@ -9,7 +9,7 @@
 //! are semantically inert — see `tests/batch_equivalence.rs`), the replay
 //! reproduces the live run's violations and [`DispatchStats`] exactly.
 //!
-//! [`DispatchStats`]: igm_core::DispatchStats
+//! [`DispatchStats`]: igm_runtime::SessionReport::dispatch
 
 use crate::codec::{TraceError, TraceReader, TraceWriter};
 use igm_isa::TraceEntry;

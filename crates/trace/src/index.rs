@@ -9,7 +9,7 @@
 //! as a compact sidecar file.
 //!
 //! Each frame's entry comes with one
-//! [`FramePostings`](crate::postings::FramePostings) section: compressed
+//! [`FramePostings`] section: compressed
 //! bitmap posting lists keyed by pc bucket, opcode class, address page and
 //! violation site (see [`crate::postings`]), which is what lets the trace
 //! lake answer "which records touched page X" without decoding any frame

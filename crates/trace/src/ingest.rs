@@ -219,25 +219,16 @@ impl TraceSource for PipeSource {
     }
 }
 
-/// Ingest scheduling parameters.
-#[derive(Debug, Clone)]
-pub struct IngestConfig {
-    /// Batches published per lane per scheduling turn (the fairness
-    /// bound: a deep source cannot monopolize the thread).
-    pub batches_per_turn: usize,
-    /// Sleep applied after a full pass with no progress (every lane
-    /// pending or deferred) when the pool has nothing runnable either, so
-    /// an idle front-end does not spin a core. [`Ingestor::run`] first
-    /// spends a no-progress pass on one lifeguard turn
-    /// ([`MonitorPool::help`]) and sleeps only when that finds no work.
-    pub idle_backoff: Duration,
-}
+/// Batches published per lane per scheduling turn (the fairness bound: a
+/// deep source cannot monopolize the thread).
+const BATCHES_PER_TURN: usize = 4;
 
-impl Default for IngestConfig {
-    fn default() -> IngestConfig {
-        IngestConfig { batches_per_turn: 4, idle_backoff: Duration::from_micros(200) }
-    }
-}
+/// Sleep applied after a full pass with no progress (every lane pending or
+/// deferred) when the pool has nothing runnable either, so an idle
+/// front-end does not spin a core. [`Ingestor::run`] first spends a
+/// no-progress pass on one lifeguard turn ([`MonitorPool::help`]) and
+/// sleeps only when that finds no work.
+const IDLE_BACKOFF: Duration = Duration::from_micros(200);
 
 /// Per-lane fairness and backpressure accounting.
 #[derive(Debug, Clone, Copy, Default)]
@@ -358,7 +349,6 @@ impl IngestReport {
 /// ```
 pub struct Ingestor<'p> {
     pool: &'p MonitorPool,
-    cfg: IngestConfig,
     lanes: Vec<Lane>,
     passes: u64,
     obs: IngestObs,
@@ -376,14 +366,8 @@ pub struct PassOutcome {
 }
 
 impl<'p> Ingestor<'p> {
-    /// A front-end over `pool` with default scheduling parameters.
+    /// A front-end over `pool`.
     pub fn new(pool: &'p MonitorPool) -> Ingestor<'p> {
-        Ingestor::with_config(pool, IngestConfig::default())
-    }
-
-    /// A front-end with explicit scheduling parameters.
-    pub fn with_config(pool: &'p MonitorPool, cfg: IngestConfig) -> Ingestor<'p> {
-        assert!(cfg.batches_per_turn > 0, "a lane must be allowed at least one batch per turn");
         let metrics = pool.metrics();
         let obs = IngestObs {
             turn: metrics
@@ -400,7 +384,7 @@ impl<'p> Ingestor<'p> {
             ),
             events: metrics.events().clone(),
         };
-        Ingestor { pool, cfg, lanes: Vec::new(), passes: 0, obs }
+        Ingestor { pool, lanes: Vec::new(), passes: 0, obs }
     }
 
     /// Registers a tenant: opens a session under `cfg` and attaches
@@ -482,11 +466,11 @@ impl<'p> Ingestor<'p> {
         self.lanes.len()
     }
 
-    /// The configured idle backoff (what [`Ingestor::run`] sleeps after a
+    /// The idle backoff (what [`Ingestor::run`] sleeps after a
     /// no-progress pass when [`MonitorPool::help`] finds nothing to run;
     /// external driving loops may do the same).
     pub fn idle_backoff(&self) -> Duration {
-        self.cfg.idle_backoff
+        IDLE_BACKOFF
     }
 
     /// One scheduling pass over every open lane. External drivers (the
@@ -502,7 +486,7 @@ impl<'p> Ingestor<'p> {
                 continue;
             }
             let turn_started = self.obs.turn.start();
-            progress |= lane.turn(self.cfg.batches_per_turn);
+            progress |= lane.turn(BATCHES_PER_TURN);
             self.obs.turn.stop(turn_started);
             open += usize::from(!(lane.closed || lane.session.is_none()));
         }
@@ -523,7 +507,7 @@ impl<'p> Ingestor<'p> {
             // of whatever the pool has runnable on this thread, and yield
             // the core briefly only when nothing is.
             if !pass.progress && !self.pool.help() {
-                std::thread::sleep(self.cfg.idle_backoff);
+                std::thread::sleep(IDLE_BACKOFF);
             }
         }
         self.finish()

@@ -62,8 +62,8 @@ pub use codec::{
 };
 pub use index::{IndexEntry, TraceIndex, INDEX_MAGIC, INDEX_VERSION};
 pub use ingest::{
-    batch_pipe, FileSource, IngestConfig, IngestReport, Ingestor, IterSource, LanePoll, LaneStats,
-    PassOutcome, PipeSender, PipeSource, SourceStatus, TraceSource,
+    batch_pipe, FileSource, IngestReport, Ingestor, IterSource, LanePoll, LaneStats, PassOutcome,
+    PipeSender, PipeSource, SourceStatus, TraceSource,
 };
 pub use postings::{
     op_class, site, Dim, FramePostings, FrameSet, Posting, PAGE_SHIFT, PC_BUCKET_SHIFT,

@@ -7,7 +7,7 @@
 //!
 //! Threads own private heap halves and stacks, and share a set of lock-
 //! protected regions. A well-behaved trace acquires the region's lock
-//! around every shared access; [`MtTraceGen::with_race`] plants accesses
+//! around every shared access; `MtTraceGen::with_race` plants accesses
 //! that skip the lock, which LockSet must flag.
 
 use crate::layout::{GLOBALS_BASE, HEAP_BASE, STACK_TOP};

@@ -73,7 +73,7 @@ fn main() {
 
     // Live observability: every counter/histogram below is scrapeable over
     // HTTP for the whole run.
-    let mut stats_srv = pool.serve_stats("127.0.0.1:0").expect("stats endpoint");
+    let mut stats_srv = pool.serve_stats("127.0.0.1:0", Vec::new()).expect("stats endpoint");
     let stats_addr = stats_srv.local_addr();
 
     let server =
@@ -92,9 +92,9 @@ fn main() {
         .into_iter()
         .map(|(bench, kind)| {
             let registry = pool.metrics().clone();
-            let recorder = pool.recorder().expect("spans on by default").clone();
+            let recorder = pool.recorder().clone();
             std::thread::spawn(move || {
-                let fcfg = ForwarderConfig { chunk_bytes: CHUNK, ..ForwarderConfig::default() };
+                let fcfg = ForwarderConfig { chunk_bytes: CHUNK };
                 let mut fwd = TraceForwarder::connect_with(addr, &tenant_cfg(bench, kind), fcfg)
                     .expect("connect");
                 // Loopback co-location: the clients' credit-stall
@@ -226,7 +226,7 @@ fn main() {
     // sampled frames chained client-side and server-side stages under one
     // flow/seq across the wire. Pull one such chain and print its
     // waterfall.
-    let recorder = pool.recorder().expect("spans on by default");
+    let recorder = pool.recorder();
     let spans = recorder.snapshot();
     let sent = spans
         .iter()

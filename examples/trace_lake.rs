@@ -94,7 +94,7 @@ fn main() {
     // ── The same answers over HTTP: mount the lake on the stats server.
     let registry = Arc::new(igm::obs::MetricsRegistry::new());
     let routes = LakeRoutes::new(Arc::clone(&lake), &registry);
-    let mut server = igm::obs::StatsServer::serve_routes(
+    let mut server = igm::obs::StatsServer::serve(
         "127.0.0.1:0",
         Arc::clone(&registry),
         None,

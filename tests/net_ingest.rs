@@ -31,7 +31,7 @@ fn loopback_spans_join_client_and_server_stages_into_one_chain() {
     use igm::span::Stage;
 
     let pool = MonitorPool::new(PoolConfig::with_workers(2));
-    let recorder = pool.recorder().expect("spans on by default").clone();
+    let recorder = pool.recorder().clone();
     let server = IngestServer::bind("127.0.0.1:0", &pool, NetServerConfig::default()).unwrap();
     let addr = server.local_addr().unwrap();
 

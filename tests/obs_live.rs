@@ -40,7 +40,7 @@ fn scraped_counter(body: &str, name: &str) -> u64 {
 #[test]
 fn live_scrape_matches_the_final_reports() {
     let pool = MonitorPool::new(PoolConfig::with_workers(2));
-    let mut stats_srv = pool.serve_stats("127.0.0.1:0").expect("stats endpoint");
+    let mut stats_srv = pool.serve_stats("127.0.0.1:0", Vec::new()).expect("stats endpoint");
     let stats_addr = stats_srv.local_addr();
 
     // While the pool is live (before, during and after the ingest run),

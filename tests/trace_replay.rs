@@ -17,7 +17,7 @@ use common::{one_record_at_a_time, session_cfg, workload_for};
 use igm::isa::{Annotation, CtrlOp, MemRef, OpClass, Reg, TraceEntry};
 use igm::lifeguards::LifeguardKind;
 use igm::runtime::{EpochConfig, MonitorPool, PipelineMode, PoolConfig, SessionConfig};
-use igm::trace::{batch_pipe, FileSource, IngestConfig, Ingestor, IterSource, TraceReader};
+use igm::trace::{batch_pipe, FileSource, Ingestor, IterSource, TraceReader};
 use igm::workload::Benchmark;
 
 #[test]
@@ -47,10 +47,7 @@ fn single_thread_ingestor_multiplexes_many_sources() {
         Benchmark::Vpr,
     ];
     let pool = MonitorPool::new(PoolConfig::with_workers(4));
-    let mut ingestor = Ingestor::with_config(
-        &pool,
-        IngestConfig { batches_per_turn: 2, ..IngestConfig::default() },
-    );
+    let mut ingestor = Ingestor::new(&pool);
 
     // A mixed source population: in-memory generators, a recorded trace
     // file, and a readiness-polled pipe fed by an external producer.
