@@ -25,10 +25,16 @@
 # one traced pair (seed 1); its exact metrics must match bit for bit unless
 # listed with --declared. The exit status is non-zero on a loss, an
 # undeclared exact difference, or a workload with no exact metric compared.
+# The campaign ends by writing one JSON object, on one line, to
+# $PAIRED_DIR/campaign-<time>.json: both revisions (the working tree as
+# HEAD plus a hash of its diff), nproc and the CPU model, per workload and
+# metric both sides' median and quartiles, the pairs won and the verdict,
+# and the traced pair's exact metrics verbatim. A line of that form per
+# change is what BENCH_history.jsonl at the repository root collects.
 set -euo pipefail
 
 usage() {
-    sed -n '2,27p' "$0" | sed 's/^# \{0,1\}//' >&2
+    sed -n '2,33p' "$0" | sed 's/^# \{0,1\}//' >&2
     exit 2
 }
 
@@ -73,15 +79,25 @@ checkout() {
 }
 
 base=$(checkout "$parent")
+parent_rev=$(git -C "$root" rev-parse "$parent^{commit}")
 if [ -n "$against" ]; then
     head=$(checkout "$against")
+    head_rev=$(git -C "$root" rev-parse "$against^{commit}")
 else
     echo "building the working tree" >&2
     (cd "$root" && cargo build --release --offline --quiet --manifest-path benchmark/Cargo.toml)
     head=$root
+    head_rev=$(git -C "$root" rev-parse HEAD)
+    if [ -n "$(git -C "$root" status --porcelain)" ]; then
+        diff_hash=$( (git -C "$root" diff HEAD; git -C "$root" ls-files --others --exclude-standard \
+            | xargs -r -I{} cat "$root/{}") | sha1sum | cut -c1-12)
+        head_rev="$head_rev+worktree:$diff_hash"
+    fi
 fi
+cpu=$(sed -n 's/^model name[[:space:]]*: //p' /proc/cpuinfo | head -n 1)
 
-results=$dir/results-$(date +%Y%m%d-%H%M%S).tsv
+stamp=$(date +%Y%m%d-%H%M%S)
+results=$dir/results-$stamp.tsv
 : > "$results"
 run() { # side root workload seed trace
     local line
@@ -106,10 +122,11 @@ for w in "${workloads[@]}"; do
 done
 echo "raw results: $results" >&2
 
-python3 - "$results" "$root/BENCHMARK.json" "$root/benchmark/src/metrics.rs" "$declared" <<'EOF'
+python3 - "$results" "$root/BENCHMARK.json" "$root/benchmark/src/metrics.rs" "$declared" \
+    "$dir/campaign-$stamp.json" "$parent_rev" "$head_rev" "$(nproc)" "$cpu" "$pairs" <<'EOF'
 import json, re, statistics, sys
 
-results, bench, metrics_rs, declared = sys.argv[1:5]
+results, bench, metrics_rs, declared, out, parent_rev, head_rev, nproc, cpu, npairs = sys.argv[1:11]
 declared = set(filter(None, declared.split(",")))
 spec = json.load(open(bench))
 decl = {m["name"]: m for m in spec["end_to_end"] + spec["per_layer"]}
@@ -131,8 +148,11 @@ def quartiles(xs):
     q = statistics.quantiles(xs, n=4, method="inclusive") if len(xs) > 1 else [xs[0]] * 3
     return q[0], q[1], q[2]
 
+campaign = {"parent": parent_rev, "head": head_rev, "nproc": int(nproc), "cpu": cpu,
+            "pairs": int(npairs), "declared": sorted(declared), "workloads": {}}
 bad = False
 for w in dict.fromkeys(k[0] for k in runs):
+    record = campaign["workloads"][w] = {"metrics": {}}
     seeds = sorted(s for (x, side, s) in runs if x == w and side == "parent" and (w, "head", s) in runs)
     print(f"\n{w}: {len(seeds)} pairs")
     for side in ("parent", "head"):
@@ -168,13 +188,23 @@ for w in dict.fromkeys(k[0] for k in runs):
             verdict = "unresolved"
         fmt = lambda q: "/".join(f"{x:.4g}" for x in q)
         print(f"  {name:<44} {ratio:>7.3f} {fmt(pq):>33} {fmt(hq):>33} {wins:>3}/{len(pairs):<2}  {verdict}")
+        record["metrics"][name] = {
+            "parent": {"q1": pq[0], "median": pq[1], "q3": pq[2]},
+            "head": {"q1": hq[0], "median": hq[1], "q3": hq[2]},
+            "ratio": ratio, "wins": wins, "pairs": len(pairs), "verdict": verdict}
     p, h = (traced[(w, side)]["metrics"] for side in ("parent", "head"))
     compared = sorted(n for n in exact if n in p and n in h)
     differs = [n for n in compared if p[n]["value"] != h[n]["value"]]
+    record["exact"] = {side: {n: m[n] for n in compared} for side, m in (("parent", p), ("head", h))}
+    record["exact_differs"] = differs
     for n in differs:
         print(f"  {n:<44} {'declared' if n in declared else 'EXACT DIFFERS'} (traced pair)")
     print(f"  exact metrics of the traced pair: {len(compared) - len(differs)} of {len(compared)} identical")
     if not compared or any(n not in declared for n in differs):
         bad = True
+campaign["ok"] = not bad
+with open(out, "w") as f:
+    f.write(json.dumps(campaign, sort_keys=True) + "\n")
+print(f"\ncampaign record: {out}", file=sys.stderr)
 sys.exit(1 if bad else 0)
 EOF

@@ -18,6 +18,11 @@ cd "$(dirname "$0")/.."
 #     while they wait, shutdown_while_producers_help_never_hangs_or_
 #     orphans_a_session) only see the interleavings the host happens to
 #     produce, and optimized workers race far more tightly than debug ones.
+#     The same holds for teed sessions, whose frames are written by
+#     whichever thread pumps the batch: trace_replay's
+#     teed_frames_match_a_calling_thread_writer_while_the_producer_helps
+#     and a_full_tee_sink_fails_only_its_own_capture_or_lane, and the
+#     matrix's byte comparisons of teed artifacts.
 #   golden_sidecar, accel_oracle, shadow_transparency, experiments,
 #     cost_sink: posting word kernels, the packed-key filter, the fused IT
 #     sweep, the shadow window kernels and the co-simulator's cache kernel
@@ -50,6 +55,11 @@ cargo test --release -q -p igm-runtime --lib -- --include-ignored
 # one long batch while the parked worker is woken, a race only release
 # timing tightens enough to matter.
 cargo test --release -q -p igm-runtime --test work_stealing
+# lake: capture_to_lake's frames and IGMX sidecars are now built on pool
+# workers (or a helping producer, or a pipelined spine) as each batch is
+# monitored, and only release timing tightens how those writes interleave
+# with the producer's sends and with helped turns.
+cargo test --release -q -p igm-lake --test lake
 cargo test --release -q -p igm-trace --lib postings
 cargo test --release -q -p igm-trace --test index
 cargo test --release -q -p igm-trace --test codec

@@ -92,7 +92,7 @@ pub mod stats;
 pub use epoch::EpochConfig;
 pub use pool::{
     MonitorPool, PipelineMode, PoolConfig, PoolViolation, SessionConfig, SessionHandle, SessionId,
-    ViolationStream,
+    SessionTee, ViolationStream,
 };
 pub use spsc::{log_channel, ChannelStatsSnapshot, LogConsumer, LogProducer, SendError};
 pub use stats::{stats_table, PoolStatsSnapshot, SessionReport};

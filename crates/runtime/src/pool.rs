@@ -43,6 +43,14 @@
 //! still refuses the producer's own batch: backpressure holds, and the wait
 //! is spent monitoring instead of idling a host core.
 //!
+//! **Tees run on the pumping thread.** A session opened with
+//! [`MonitorPool::open_session_teed`] carries a [`SessionTee`]: whichever
+//! thread pumps a batch — the home worker, a thief, a helping producer or
+//! a pipelined session's spine — runs the tee on it just before the
+//! dispatch, so a captured tenant's producer only publishes and the
+//! encoding happens on the lifeguard side, as the paper's log producer /
+//! lifeguard consumer split has it.
+//!
 //! The per-session hot path is batch-grain end to end: one
 //! [`igm_core::DispatchPipeline::dispatch_batch`] call expands a chunk through
 //! extraction → IT → ETCT → IF into a reusable [`EventBuf`], and one
@@ -230,6 +238,59 @@ impl SessionConfig {
     pub fn trace(mut self, trace: u32) -> SessionConfig {
         self.trace = trace;
         self
+    }
+}
+
+/// A per-session hook the pool runs on every batch of a session opened
+/// with [`MonitorPool::open_session_teed`] — the capture paths' trace
+/// writer, for instance.
+///
+/// The contract:
+/// - **Order.** The thread that pumps a batch runs the tee on it before
+///   the dispatch: exactly once per batch, in channel order, and never
+///   concurrently (one thread pumps a session at a time). That thread
+///   may be any worker or a producer helping the pool
+///   ([`MonitorPool::help`]), so the tee is `Send`.
+/// - **Failure.** A batch the tee refuses (`Err`) is not monitored, and
+///   no later batch is either: the session drains and drops the rest, so
+///   whatever the tee recorded covers every batch the session processed.
+///   The pool does not report the error; the tee keeps it for its owner.
+/// - **Finish.** The pool drops the tee before it sends the session's
+///   report, so once [`SessionHandle::finish`] returns, the owner can
+///   reclaim what the tee shared.
+///
+/// A tee that shares state with its owner must never hold it across the
+/// owner's [`SessionHandle::send_batch`], [`SessionHandle::finish`] or
+/// [`MonitorPool::help`]: a helped turn may run this very tee on the
+/// owner's thread.
+pub trait SessionTee: Send {
+    /// Records `batch`, the session's next batch in channel order.
+    fn tee(&mut self, batch: &TraceBatch) -> std::io::Result<()>;
+}
+
+/// Whether a session's batches go through a [`SessionTee`] first.
+enum Tee {
+    Off,
+    On(Box<dyn SessionTee>),
+    /// The tee refused a batch: this and every later batch is dropped
+    /// unmonitored.
+    Refused,
+}
+
+impl Tee {
+    /// Runs the tee on `batch`; whether the batch may be monitored.
+    fn admits(&mut self, batch: &TraceBatch) -> bool {
+        match self {
+            Tee::Off => true,
+            Tee::On(tee) => {
+                let ok = tee.tee(batch).is_ok();
+                if !ok {
+                    *self = Tee::Refused;
+                }
+                ok
+            }
+            Tee::Refused => false,
+        }
     }
 }
 
@@ -580,8 +641,27 @@ impl MonitorPool {
 
     /// Opens a tenant session: builds the lifeguard shard, places it on a
     /// worker's deque (round-robin; the stealing scheduler corrects any
-    /// imbalance at run time) and returns the producer-side handle.
+    /// imbalance at run time) and returns the producer-side handle. Its
+    /// batches are monitored as published; to record them on the way, open
+    /// it with [`MonitorPool::open_session_teed`].
     pub fn open_session(&self, cfg: SessionConfig) -> SessionHandle {
+        self.open(cfg, Tee::Off)
+    }
+
+    /// Like [`MonitorPool::open_session`], but every batch the session
+    /// pumps first goes through `tee`, on the pumping thread (see
+    /// [`SessionTee`] for the order, failure and finish contract). A
+    /// producer that tees this way only publishes: the tee's work lands
+    /// on whichever thread monitors the batch.
+    pub fn open_session_teed(
+        &self,
+        cfg: SessionConfig,
+        tee: impl SessionTee + 'static,
+    ) -> SessionHandle {
+        self.open(cfg, Tee::On(Box::new(tee)))
+    }
+
+    fn open(&self, cfg: SessionConfig, tee: Tee) -> SessionHandle {
         let id = self.next_session.fetch_add(1, Ordering::Relaxed);
         let monitor =
             Monitor::build(cfg.lifeguard, &cfg.accel, cfg.synthetic_workload, &cfg.premark);
@@ -603,6 +683,7 @@ impl MonitorPool {
             trace: cfg.trace,
             name: cfg.name,
             monitor,
+            tee,
             consumer,
             done: done_tx,
             opened: Instant::now(),
@@ -962,6 +1043,8 @@ struct ActiveSession {
     trace: u32,
     /// The session's lifeguard behind its dispatch pipeline.
     monitor: Monitor<AnyLifeguard>,
+    /// Runs on every batch before the dispatch.
+    tee: Tee,
     consumer: LogConsumer,
     done: Sender<SessionReport>,
     opened: Instant,
@@ -1211,6 +1294,10 @@ impl ActiveSession {
                 break;
             };
             processed += 1;
+            if !self.tee.admits(&batch) {
+                self.consumer.recycle(batch);
+                continue;
+            }
             self.records += batch.len() as u64;
             stats.records.add(batch.len() as u64);
             // Live dispatch: the spine's pipeline sees every batch, so the
@@ -1401,22 +1488,27 @@ impl ActiveSession {
                 break;
             };
             processed += 1;
-            // Global sequence of this batch's first record — violation
-            // record ids are attributed against it below.
-            let base_seq = self.records;
-            self.records += batch.len() as u64;
             // Span stamps only for the sampled minority that carries a
             // tag: the untagged hot path pays one branch here.
             let rec = &shared.recorder;
-            let span = tag.map(|tag| {
+            if let Some(tag) = tag {
                 let picked_up = rec.now();
                 // The publish instant rode the queue with the tag; the wait
                 // is publish → this pickup.
                 let t_publish = published.map_or(picked_up, |at| rec.stamp(at));
                 rec.record(ring, Stage::ChannelWait, track, tag, t_publish, picked_up);
                 shared.span_hists.channel_wait.record(picked_up.saturating_sub(t_publish));
-                (tag, picked_up)
-            });
+            }
+            if !self.tee.admits(&batch) {
+                self.consumer.recycle(batch);
+                continue;
+            }
+            // The dispatch stage starts after the tee.
+            let span = tag.map(|tag| (tag, rec.now()));
+            // Global sequence of this batch's first record — violation
+            // record ids are attributed against it below.
+            let base_seq = self.records;
+            self.records += batch.len() as u64;
             // One columnar pipeline pass and one statically-dispatched
             // handler pass per chunk, staging buffers reused across batches
             // (no per-record allocation — including the latency
@@ -1496,6 +1588,9 @@ impl ActiveSession {
             channel: self.consumer.stats(),
             wall: self.opened.elapsed(),
         };
+        // The tee goes first: once the owner holds the report, nothing on
+        // the pool side still shares the tee's state.
+        drop(self.tee);
         // The handle may have been dropped; the report is then discarded.
         let _ = self.done.send(report);
     }

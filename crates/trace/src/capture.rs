@@ -1,9 +1,11 @@
 //! On-disk capture and replay of live monitoring sessions.
 //!
-//! [`CaptureSession`] tees every batch a tenant publishes into a
-//! [`TraceWriter`] frame *and* into the live [`MonitorPool`] session, so
-//! the file records exactly the batch sequence the pool consumed — one
-//! frame per transport chunk. [`replay_reader`] feeds such a file back
+//! [`CaptureSession`] publishes a tenant's batches into a live
+//! [`MonitorPool`] session that tees each one into a [`TraceWriter`]
+//! frame: the pumping thread writes each frame before it monitors the
+//! batch, so the file records exactly the batch sequence the pool
+//! consumed — one frame per transport chunk — and the producer only
+//! publishes. [`replay_reader`] feeds such a file back
 //! through a fresh pool session chunk-for-chunk; because the runtime's
 //! dispatch path is deterministic in the record stream (batch boundaries
 //! are semantically inert — see `tests/batch_equivalence.rs`), the replay
@@ -12,6 +14,7 @@
 //! [`DispatchStats`]: igm_runtime::SessionReport::dispatch
 
 use crate::codec::{TraceError, TraceReader, TraceWriter};
+use crate::tee::FrameTee;
 use igm_isa::TraceEntry;
 use igm_lba::{chunks, TraceBatch};
 use igm_runtime::{MonitorPool, SendError, SessionConfig, SessionHandle, SessionReport};
@@ -64,8 +67,16 @@ impl From<SendError> for CaptureError {
     }
 }
 
-/// A live pool session whose record stream is simultaneously encoded to a
-/// trace sink.
+/// A live pool session whose record stream is encoded to a trace sink on
+/// the way in.
+///
+/// The session is opened teed ([`MonitorPool::open_session_teed`]): the
+/// thread that pumps a batch — a pool worker, or this producer while it
+/// helps the pool — encodes it as one frame (and, for a lake capture,
+/// its postings) and then monitors it. A frame that fails to write stops
+/// the session's monitoring at that batch, so the sink never misses a
+/// batch the pool processed; the error surfaces from the next
+/// [`CaptureSession::send_batch`] or from [`CaptureSession::finish`].
 ///
 /// # Example
 ///
@@ -95,34 +106,43 @@ impl From<SendError> for CaptureError {
 /// ```
 pub struct CaptureSession<W: Write> {
     session: SessionHandle,
-    writer: TraceWriter<W>,
+    tee: FrameTee<W>,
     chunk_bytes: u32,
-    /// Where to save the `IGMX` sidecar on finish, when the writer was
-    /// opened indexing (the lake-capture path).
-    sidecar: Option<PathBuf>,
 }
 
-impl<W: Write> CaptureSession<W> {
+impl<W: Write + Send + 'static> CaptureSession<W> {
     /// Opens a session on `pool` whose traffic is teed into `sink`.
     pub fn new(
         pool: &MonitorPool,
         cfg: SessionConfig,
         sink: W,
     ) -> Result<CaptureSession<W>, CaptureError> {
-        let session = pool.open_session(cfg);
-        let chunk_bytes = session.chunk_bytes();
-        let mut writer = TraceWriter::new(sink)?;
-        writer.attach_metrics(pool.metrics());
-        Ok(CaptureSession { session, writer, chunk_bytes, sidecar: None })
+        let writer = TraceWriter::new(sink)?;
+        Ok(CaptureSession::open(pool, cfg, writer, None))
     }
 
-    /// Publishes one pre-batched columnar chunk: one trace frame encoded
-    /// straight from the batch's columns, then the live send (blocking on
-    /// pool backpressure). The frame is written first so the file never
-    /// misses a batch the pool processed.
+    fn open(
+        pool: &MonitorPool,
+        cfg: SessionConfig,
+        mut writer: TraceWriter<W>,
+        sidecar: Option<PathBuf>,
+    ) -> CaptureSession<W> {
+        writer.attach_metrics(pool.metrics());
+        let (session, tee) = FrameTee::open(pool, cfg, writer, sidecar);
+        let chunk_bytes = session.chunk_bytes();
+        CaptureSession { session, tee, chunk_bytes }
+    }
+
+    /// Publishes one pre-batched columnar chunk (blocking on pool
+    /// backpressure, helping the pool while it waits). The pumping thread
+    /// writes each frame, straight from the batch's columns, before it
+    /// monitors the batch, so the file never misses a batch the pool
+    /// processed. Fails with [`CaptureError::Trace`] once an earlier
+    /// frame failed to write.
     pub fn send_batch(&mut self, batch: impl Into<TraceBatch>) -> Result<(), CaptureError> {
-        let batch = batch.into();
-        self.writer.write_chunk_batch(&batch)?;
+        if let Some(e) = self.tee.failure() {
+            return Err(e.into());
+        }
         self.session.send_batch(batch)?;
         Ok(())
     }
@@ -147,16 +167,14 @@ impl<W: Write> CaptureSession<W> {
         &self.session
     }
 
-    /// Closes both sides: flushes the trace sink (and, for a lake
-    /// capture, saves the `IGMX` sidecar next to it), finishes the live
-    /// session, and returns the session report together with the sink.
-    pub fn finish(mut self) -> Result<(SessionReport, W), CaptureError> {
-        let index = self.writer.take_index();
-        let sink = self.writer.finish()?;
-        if let (Some(index), Some(path)) = (index, self.sidecar) {
-            index.save_file(path)?;
-        }
+    /// Closes both sides: finishes the live session, then reclaims the
+    /// trace writer from the pool's tee, flushes the sink (and, for a lake
+    /// capture of a cleanly written trace, saves the `IGMX` sidecar next
+    /// to it), and returns the session report together with the sink.
+    /// Fails with [`CaptureError::Trace`] if any frame failed to write.
+    pub fn finish(self) -> Result<(SessionReport, W), CaptureError> {
         let report = self.session.finish();
+        let sink = self.tee.finish()?;
         Ok((report, sink))
     }
 }
@@ -205,8 +223,8 @@ impl LakeArtifact {
 }
 
 /// Opens a *lake* capture: the trace is written to `<dir>/<stem>.igmt`
-/// with the posting index built inline
-/// ([`TraceWriter::with_index`](crate::TraceWriter::with_index)), the
+/// with the posting index built inline, frame by frame on the pumping
+/// thread ([`TraceWriter::with_index`](crate::TraceWriter::with_index)), the
 /// `IGMX` v2 sidecar is saved as `<dir>/<stem>.igmx` on finish, and the
 /// session's durable trace id is set to
 /// [`igm_span::trace_id`]`(stem)` — so every violation the session
@@ -222,11 +240,8 @@ pub fn capture_to_lake(
     cfg.trace = artifact.trace_id;
     std::fs::create_dir_all(dir)?;
     let file = File::create(&artifact.trace_path)?;
-    let session = pool.open_session(cfg);
-    let chunk_bytes = session.chunk_bytes();
-    let mut writer = TraceWriter::with_index(BufWriter::new(file))?;
-    writer.attach_metrics(pool.metrics());
-    Ok(CaptureSession { session, writer, chunk_bytes, sidecar: Some(artifact.sidecar_path) })
+    let writer = TraceWriter::with_index(BufWriter::new(file))?;
+    Ok(CaptureSession::open(pool, cfg, writer, Some(artifact.sidecar_path)))
 }
 
 /// Replays a recorded trace through a fresh session on `pool`,

@@ -1291,8 +1291,8 @@ impl<W: Write> TraceWriter<W> {
 
     /// Takes ownership of the accumulated index (leaving `None`), for
     /// writers whose sink is consumed by [`TraceWriter::finish`] but
-    /// whose index must outlive it — the tee'd ingest lanes save their
-    /// sidecar this way at lane retirement.
+    /// whose index must outlive it — teed captures and ingest lanes save
+    /// their sidecar this way once the session's report is in.
     pub fn take_index(&mut self) -> Option<crate::index::TraceIndex> {
         self.index.take()
     }

@@ -18,9 +18,12 @@
 //! ([`MonitorPool::help`]) and sleeps only when there is none to run.
 //! Fairness is a bounded number of batches per lane per turn plus
 //! per-lane accounting ([`LaneStats`]) of how often each source was
-//! ready, pending, or deferred by backpressure.
+//! ready, pending, or deferred by backpressure. A teed lane's frames are
+//! not written here: its session tees each batch on the thread that
+//! monitors it, so the ingest thread only pulls and publishes.
 
 use crate::codec::{TraceError, TraceReader, TraceWriter};
+use crate::tee::FrameTee;
 use igm_isa::TraceEntry;
 use igm_lba::{Chunks, TraceBatch};
 use igm_obs::{Counter, EventKind, EventRing, Histogram};
@@ -269,13 +272,12 @@ struct Lane {
     name: String,
     source: Box<dyn TraceSource>,
     session: Option<SessionHandle>,
-    /// Tee-at-ingest: every batch pulled from the source is also encoded
-    /// as one trace frame before publication, so piped and remote tenants
-    /// leave on-disk artifacts exactly like [`crate::CaptureSession`]s.
-    tee: Option<TraceWriter<Box<dyn Write + Send>>>,
-    /// Where to save the `IGMX` sidecar when the tee writer indexes
-    /// ([`Ingestor::add_source_teed_indexed`]); written at lane close.
-    sidecar: Option<std::path::PathBuf>,
+    /// Tee-at-ingest: the lane's session tees every batch it monitors
+    /// into one trace frame, on the pumping thread, so piped and remote
+    /// tenants leave on-disk artifacts exactly like
+    /// [`crate::CaptureSession`]s. The lane only polls it for a failed
+    /// write each turn and flushes it at report collection.
+    artifact: Option<FrameTee<Box<dyn Write + Send>>>,
     /// Cached [`TraceSource::wants_transport_feedback`] (skips the
     /// per-turn occupancy snapshot and virtual call for local sources).
     wants_feedback: bool,
@@ -308,8 +310,9 @@ pub struct IngestReport {
     pub sessions: Vec<SessionReport>,
     /// Per-lane fairness/backpressure counters, same order.
     pub lanes: Vec<(String, LaneStats)>,
-    /// Source errors (lane name, error), if any; the affected lanes were
-    /// finalized early with whatever they had published.
+    /// Source and tee errors (lane name, error), if any; the affected
+    /// lanes were finalized early with whatever they had published (a
+    /// teed lane, with whatever reached its sink).
     pub errors: Vec<(String, TraceError)>,
     /// Full scheduling passes over the lane set.
     pub passes: u64,
@@ -393,15 +396,20 @@ impl<'p> Ingestor<'p> {
     /// passes, which is how `igm-net`'s server plugs freshly accepted
     /// connections into a running front-end.
     pub fn add_source(&mut self, cfg: SessionConfig, source: impl TraceSource + 'static) {
-        self.add_lane(cfg, Box::new(source), None, None);
+        let name = cfg.name.clone();
+        let session = self.pool.open_session(cfg);
+        self.add_lane(name, Box::new(source), session, None);
     }
 
-    /// Like [`Ingestor::add_source`], but also tees every batch the lane
-    /// publishes into `sink` as standard trace frames (one frame per
+    /// Like [`Ingestor::add_source`], but the lane's session also tees
+    /// every batch into `sink` as standard trace frames (one frame per
     /// batch, in source order) — the ingest-side counterpart of
     /// [`crate::CaptureSession`], so piped and remote tenants leave
-    /// on-disk artifacts too. The sink is flushed when the lane closes; a
-    /// tee write failure fails only this lane.
+    /// on-disk artifacts too. The frames are written by the thread that
+    /// monitors each batch, not by the ingest thread. The sink is flushed
+    /// when the report is collected ([`Ingestor::finish`]); a tee write
+    /// failure fails only this lane, whose session then stops at the last
+    /// frame that reached the sink.
     pub fn add_source_teed(
         &mut self,
         cfg: SessionConfig,
@@ -409,16 +417,17 @@ impl<'p> Ingestor<'p> {
         sink: impl Write + Send + 'static,
     ) -> Result<(), TraceError> {
         let writer = TraceWriter::new(Box::new(sink) as Box<dyn Write + Send>)?;
-        self.add_lane(cfg, Box::new(source), Some(writer), None);
+        self.add_teed_lane(cfg, Box::new(source), writer, None);
         Ok(())
     }
 
-    /// Like [`Ingestor::add_source_teed`], but the tee writer builds the
-    /// per-frame posting index inline
-    /// ([`TraceWriter::with_index`](crate::TraceWriter::with_index)) and
-    /// the `IGMX` v2 sidecar is saved to `sidecar` when the lane closes —
-    /// so a remote or piped tenant's artifact lands lake-queryable, with
-    /// no offline scan needed.
+    /// Like [`Ingestor::add_source_teed`], but the tee writer also builds
+    /// each frame's posting index inline, on the same pumping thread
+    /// ([`TraceWriter::with_index`](crate::TraceWriter::with_index)), and
+    /// the `IGMX` v2 sidecar is saved to `sidecar` when the report is
+    /// collected, for a cleanly flushed trace only — so a remote or piped
+    /// tenant's artifact lands lake-queryable, with no offline scan
+    /// needed.
     pub fn add_source_teed_indexed(
         &mut self,
         cfg: SessionConfig,
@@ -427,27 +436,36 @@ impl<'p> Ingestor<'p> {
         sidecar: std::path::PathBuf,
     ) -> Result<(), TraceError> {
         let writer = TraceWriter::with_index(Box::new(sink) as Box<dyn Write + Send>)?;
-        self.add_lane(cfg, Box::new(source), Some(writer), Some(sidecar));
+        self.add_teed_lane(cfg, Box::new(source), writer, Some(sidecar));
         Ok(())
+    }
+
+    fn add_teed_lane(
+        &mut self,
+        cfg: SessionConfig,
+        source: Box<dyn TraceSource>,
+        writer: TraceWriter<Box<dyn Write + Send>>,
+        sidecar: Option<std::path::PathBuf>,
+    ) {
+        let name = cfg.name.clone();
+        let (session, artifact) = FrameTee::open(self.pool, cfg, writer, sidecar);
+        self.add_lane(name, source, session, Some(artifact));
     }
 
     fn add_lane(
         &mut self,
-        cfg: SessionConfig,
+        name: String,
         source: Box<dyn TraceSource>,
-        tee: Option<TraceWriter<Box<dyn Write + Send>>>,
-        sidecar: Option<std::path::PathBuf>,
+        session: SessionHandle,
+        artifact: Option<FrameTee<Box<dyn Write + Send>>>,
     ) {
-        let name = cfg.name.clone();
-        let session = self.pool.open_session(cfg);
         let wants_feedback = source.wants_transport_feedback();
         self.obs.lanes_opened.inc();
         self.lanes.push(Lane {
             name,
             source,
             session: Some(session),
-            tee,
-            sidecar,
+            artifact,
             wants_feedback,
             staged: None,
             staged_at: None,
@@ -517,14 +535,19 @@ impl<'p> Ingestor<'p> {
     /// completing mid-run closed its channel without blocking (the worker
     /// drains concurrently), so one finished tenant never stalled the
     /// others; callers invoke this once every source is done, and only the
-    /// session finalizers are waited on here.
+    /// session finalizers are waited on here. A teed lane's sink is
+    /// flushed (and its sidecar saved) here, once its session's report is
+    /// in; a tee error found only now still fails the lane.
     pub fn finish(self) -> IngestReport {
         let mut sessions = Vec::new();
         let mut lanes = Vec::new();
         let mut errors = Vec::new();
-        for lane in self.lanes {
-            if let Some(session) = lane.session {
+        for mut lane in self.lanes {
+            if let Some(session) = lane.session.take() {
                 sessions.push(session.finish());
+            }
+            if let Some(Err(e)) = lane.artifact.take().map(FrameTee::finish) {
+                lane.fail(e);
             }
             if let Some(err) = lane.error {
                 errors.push((lane.name.clone(), err));
@@ -551,6 +574,14 @@ impl Lane {
                     .transport_feedback(&session.channel_stats(), session.channel_capacity_bytes());
             }
         }
+        // A frame the session's tee failed to write stopped the session's
+        // monitoring there: retire the lane with the tee's error.
+        if let Some(e) = self.artifact.as_ref().and_then(FrameTee::failure) {
+            self.fail(e);
+            self.source_done = true;
+            self.close();
+            return true;
+        }
         let mut progress = false;
         for _ in 0..budget {
             // Retry a backpressure-deferred batch before pulling new work
@@ -564,19 +595,6 @@ impl Lane {
                     }
                     match self.source.next_batch(&mut self.scratch) {
                         Ok(SourceStatus::Ready) => {
-                            // Tee before the first publish attempt: the
-                            // staged-retry path re-enters above, so each
-                            // batch is encoded exactly once, in source
-                            // order — the same frame-per-batch layout a
-                            // CaptureSession writes.
-                            if let Some(tee) = self.tee.as_mut() {
-                                if let Err(e) = tee.write_chunk_batch(&self.scratch) {
-                                    self.error = Some(TraceError::Io(e));
-                                    self.source_done = true;
-                                    self.close();
-                                    return true;
-                                }
-                            }
                             // Hand the filled arena to the channel and
                             // refill the staging slot from the session's
                             // recycled spares.
@@ -602,7 +620,7 @@ impl Lane {
                         Err(e) => {
                             // A corrupt or failing source ends its lane;
                             // the session is finalized with what it got.
-                            self.error = Some(e);
+                            self.fail(e);
                             self.source_done = true;
                             self.close();
                             return true;
@@ -646,40 +664,28 @@ impl Lane {
         progress
     }
 
+    /// Records the lane's error, unless it already failed for an earlier
+    /// reason, and narrates the failure once — counter for the scrape,
+    /// event with the error string for the endpoint's timeline.
+    fn fail(&mut self, err: TraceError) {
+        if self.error.is_some() {
+            return;
+        }
+        self.obs.lane_failures.inc();
+        self.obs
+            .events
+            .record(EventKind::LaneFailure { lane: self.name.clone(), error: err.to_string() });
+        self.error = Some(err);
+    }
+
     /// Closes the lane's log channel without blocking: the owning worker
-    /// drains and finalizes in the background while the ingest thread
-    /// keeps servicing the other lanes; the report is collected after the
+    /// drains and finalizes in the background (teeing what is still
+    /// buffered) while the ingest thread keeps servicing the other lanes;
+    /// the report is collected, and a teed artifact flushed, after the
     /// scheduling loop.
     fn close(&mut self) {
-        if let Some(mut tee) = self.tee.take() {
-            let index = tee.take_index();
-            // Flush the teed artifact; a flush failure is a lane error
-            // (unless the lane already failed for a better reason). The
-            // sidecar is only saved for a cleanly flushed trace — a
-            // partial artifact must not come with an authoritative index.
-            match tee.finish() {
-                Err(e) => {
-                    self.error.get_or_insert(TraceError::Io(e));
-                }
-                Ok(_) => {
-                    if let (Some(index), Some(path)) = (index, self.sidecar.take()) {
-                        if let Err(e) = index.save_file(path) {
-                            self.error.get_or_insert(TraceError::Io(e));
-                        }
-                    }
-                }
-            }
-        }
         if let Some(session) = self.session.as_mut() {
             session.close();
-        }
-        if let Some(err) = self.error.as_ref() {
-            // Narrate the failure — counter for the scrape, event with the
-            // error string for the endpoint's timeline.
-            self.obs.lane_failures.inc();
-            self.obs
-                .events
-                .record(EventKind::LaneFailure { lane: self.name.clone(), error: err.to_string() });
         }
         self.closed = true;
     }

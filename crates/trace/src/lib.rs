@@ -23,7 +23,8 @@
 //!   workloads encode to ~1–1.5 bytes/record, ~20× under the in-memory
 //!   `size_of::<TraceEntry>()`.
 //! * [`capture`] — [`CaptureSession`] tees a live pool session's batches
-//!   into a trace file; [`replay_file`]/[`replay_reader`] feed a recorded
+//!   into a trace file, each frame written by the thread that monitors
+//!   the batch; [`replay_file`]/[`replay_reader`] feed a recorded
 //!   file back through a fresh [`igm_runtime::MonitorPool`] session and
 //!   reproduce the live run's violations and dispatch stats exactly.
 //! * [`index`] — [`TraceIndex`]: a sidecar frame-offset directory plus
@@ -50,6 +51,7 @@ mod file;
 pub mod index;
 pub mod ingest;
 pub mod postings;
+mod tee;
 
 pub use capture::{
     capture_to_file, capture_to_lake, lake_stem, replay_file, replay_reader, replay_window,

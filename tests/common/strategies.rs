@@ -15,8 +15,8 @@ use igm::runtime::{
 use igm::sim::{Monitor, SimConfig, Simulator};
 use igm::span::RecordId;
 use igm::trace::{
-    batch_pipe, capture_to_lake, replay_file, replay_reader, CaptureSession, Ingestor, IterSource,
-    TraceReader,
+    batch_pipe, capture_to_lake, lake_stem, replay_file, replay_reader, CaptureSession, Ingestor,
+    IterSource, LakeArtifact, TraceReader, TraceWriter,
 };
 use std::fs::File;
 use std::ops::Range;
@@ -186,13 +186,63 @@ fn reproducing(replayed: SessionReport, live: SessionReport) -> Observed {
     replayed
 }
 
-/// A live session teed to a trace, then the trace replayed through a
-/// fresh session.
-pub fn capture_replay(cfg: &SessionConfig, trace: &[TraceEntry]) -> Observed {
-    let pool = pool(2, PipelineMode::Auto, EpochConfig::adaptive());
+/// Panics unless the teed artifact `trace_bytes` (and `sidecar`, when
+/// indexed) equals what a `TraceWriter` on the calling thread writes for
+/// `trace` batched at `chunk_bytes`, whichever thread pumped each batch.
+pub fn assert_artifact(
+    what: &str,
+    trace: &[TraceEntry],
+    chunk_bytes: u32,
+    trace_bytes: &[u8],
+    sidecar: Option<&[u8]>,
+) {
+    let mut writer = match sidecar {
+        Some(_) => TraceWriter::with_index(Vec::new()),
+        None => TraceWriter::new(Vec::new()),
+    }
+    .unwrap();
+    let mut chunker = igm::lba::chunks(trace.iter().copied(), chunk_bytes);
+    let mut batch = igm::lba::TraceBatch::new();
+    while chunker.next_into_batch(&mut batch) {
+        writer.write_chunk_batch(&batch).unwrap();
+    }
+    let want_sidecar = writer.take_index().map(|index| {
+        let mut bytes = Vec::new();
+        index.save(&mut bytes).unwrap();
+        bytes
+    });
+    let want = writer.finish().unwrap();
+    assert!(trace_bytes == want, "{what}: teed frames differ from a calling-thread writer's");
+    assert!(sidecar == want_sidecar.as_deref(), "{what}: teed sidecar differs");
+}
+
+/// The pools a captured session is teed on, by the cell's seed: a
+/// two-worker pool whose workers write the frames, or one worker behind a
+/// two-chunk channel, so the producer, refused, often writes them in the
+/// turns it helps. (A pipelined spine writes them in [`lake_window`].)
+pub fn capture_pool(seed: usize) -> PoolConfig {
+    match seed % 2 {
+        0 => PoolConfig::with_workers(2),
+        _ => PoolConfig {
+            pipeline: PipelineMode::Never,
+            chunk_bytes: 1024,
+            channel_capacity_bytes: 2048,
+            ..PoolConfig::with_workers(1)
+        },
+    }
+}
+
+/// A live session teed to a trace on a [`capture_pool`], then the trace
+/// replayed through a fresh session. The teed bytes must equal a
+/// calling-thread writer's.
+pub fn capture_replay(cfg: &SessionConfig, trace: &[TraceEntry], seed: usize) -> Observed {
+    let config = capture_pool(seed);
+    let chunk_bytes = config.chunk_bytes;
+    let pool = MonitorPool::new(config);
     let mut capture = CaptureSession::new(&pool, cfg.clone(), Vec::new()).unwrap();
     capture.stream(trace.iter().copied()).unwrap();
     let (live, bytes) = capture.finish().unwrap();
+    assert_artifact(&cfg.name, trace, chunk_bytes, &bytes, None);
     let mut reader = TraceReader::new(&bytes[..]).unwrap();
     let replayed = replay_reader(&pool, cfg.clone(), &mut reader).unwrap();
     pool.shutdown();
@@ -205,7 +255,8 @@ pub fn capture_replay(cfg: &SessionConfig, trace: &[TraceEntry]) -> Observed {
 pub type Lane = (SessionConfig, Vec<TraceEntry>, bool);
 
 /// One `Ingestor` running every lane at once, each teed to a trace file;
-/// then each file replayed. Returns the replays in lane order.
+/// then each file compared with a calling-thread writer's and replayed.
+/// Returns the replays in lane order.
 pub fn ingest_tee(lanes: Vec<Lane>) -> Vec<Observed> {
     let pool = pool(2, PipelineMode::Auto, EpochConfig::adaptive());
     let chunk = PoolConfig::default().chunk_bytes;
@@ -217,17 +268,19 @@ pub fn ingest_tee(lanes: Vec<Lane>) -> Vec<Observed> {
         if piped {
             let (tx, rx) = batch_pipe(4);
             ingestor.add_source_teed(cfg.clone(), rx, sink).unwrap();
+            let fed = trace.clone();
             feeders.push(std::thread::spawn(move || {
-                for batch in igm::lba::chunks(trace, chunk) {
+                for batch in igm::lba::chunks(fed, chunk) {
                     if tx.send(batch).is_err() {
                         return;
                     }
                 }
             }));
         } else {
-            ingestor.add_source_teed(cfg.clone(), IterSource::new(trace, chunk), sink).unwrap();
+            let source = IterSource::new(trace.clone(), chunk);
+            ingestor.add_source_teed(cfg.clone(), source, sink).unwrap();
         }
-        sinks.push((cfg, path));
+        sinks.push((cfg, path, trace));
     }
     let report = ingestor.run();
     for feeder in feeders {
@@ -235,7 +288,8 @@ pub fn ingest_tee(lanes: Vec<Lane>) -> Vec<Observed> {
     }
     assert!(report.errors.is_empty(), "{:?}", report.errors);
     let mut replays = Vec::new();
-    for ((cfg, path), live) in sinks.into_iter().zip(report.sessions) {
+    for ((cfg, path, trace), live) in sinks.into_iter().zip(report.sessions) {
+        assert_artifact(&cfg.name, &trace, chunk, &std::fs::read(&path).unwrap(), None);
         let replayed = replay_file(&pool, cfg, &path).unwrap();
         std::fs::remove_file(&path).unwrap();
         replays.push(reproducing(replayed, live));
@@ -272,13 +326,19 @@ pub fn middle_half(len: usize) -> Range<usize> {
 /// The trace captured into a lake, then `TraceLake::replay_around` the
 /// [`middle_half`], observed without its prefix, against a fresh `Monitor`
 /// over the same window. The pool pipelines in 4-record epochs, so window
-/// record ids are checked on the epoch path.
+/// record ids are checked on the epoch path, and the pipelined spine
+/// writes the frames and postings, which must equal a calling-thread
+/// writer's.
 pub fn lake_window(cfg: &SessionConfig, trace: &[TraceEntry]) -> Observed {
     let dir = scratch_path("lake");
     let pool = pool(2, PipelineMode::Always, EpochConfig::fixed(4));
     let mut capture = capture_to_lake(&pool, cfg.clone(), &dir).unwrap();
     capture.stream(trace.iter().copied()).unwrap();
     capture.finish().unwrap();
+    let artifact = LakeArtifact::new(&dir, &lake_stem(&cfg.name));
+    let bytes = std::fs::read(&artifact.trace_path).unwrap();
+    let sidecar = std::fs::read(&artifact.sidecar_path).unwrap();
+    assert_artifact(&cfg.name, trace, PoolConfig::default().chunk_bytes, &bytes, Some(&sidecar));
     let lake = TraceLake::open(&dir).unwrap();
     let (t, window) = (&lake.traces()[0], middle_half(trace.len()));
     let k = (window.len() / 2) as u64;

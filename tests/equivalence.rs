@@ -105,12 +105,7 @@ const STRATEGIES: [Strategy; 9] = [
         whole_footprint: true,
     },
     Strategy { name: "pool-always", run: pool_always, window: whole, whole_footprint: false },
-    Strategy {
-        name: "replay",
-        run: |c, t, _| s::capture_replay(c, t),
-        window: whole,
-        whole_footprint: true,
-    },
+    Strategy { name: "replay", run: s::capture_replay, window: whole, whole_footprint: true },
     Strategy { name: "ingest-tee", run: ingest_tee, window: whole, whole_footprint: true },
     Strategy { name: "wire", run: |c, t, _| s::wire(c, t), window: whole, whole_footprint: true },
     Strategy {

@@ -3,29 +3,39 @@
 //! Replaying a captured or ingest-teed trace reproduces the live run and
 //! the sequential `Monitor` for all five lifeguards (the `replay` and
 //! `ingest-tee` strategies of `tests/equivalence.rs`, here also with two
-//! teed lanes in one `Ingestor`). A single-thread `Ingestor` must drive
-//! many concurrent tenant sources to the same results as dedicated
-//! producer threads, a corrupt source fails only its own lane, and a
-//! session's violation record ids name the exact faulting record even
-//! when its pc recurs. (Lake windows are the matrix's `lake-window`
+//! teed lanes in one `Ingestor`), and the teed bytes equal a
+//! calling-thread writer's whichever thread wrote them, a helping
+//! producer included. A single-thread `Ingestor` must drive many
+//! concurrent tenant sources to the same results as dedicated producer
+//! threads, a corrupt source or a full tee sink fails only its own lane,
+//! and a session's violation record ids name the exact faulting record
+//! even when its pc recurs. (Lake windows are the matrix's `lake-window`
 //! column.)
 
 mod common;
 
-use common::strategies::{assert_matches_monitor, capture_replay, ingest_tee};
+use common::strategies::{
+    assert_artifact, assert_matches_monitor, capture_pool, capture_replay, ingest_tee,
+};
 use common::{one_record_at_a_time, session_cfg, workload_for};
 use igm::isa::{Annotation, CtrlOp, MemRef, OpClass, Reg, TraceEntry};
 use igm::lifeguards::LifeguardKind;
 use igm::runtime::{EpochConfig, MonitorPool, PipelineMode, PoolConfig, SessionConfig};
-use igm::trace::{batch_pipe, FileSource, Ingestor, IterSource, TraceReader};
+use igm::trace::{
+    batch_pipe, capture_to_lake, lake_stem, CaptureError, CaptureSession, FileSource, Ingestor,
+    IterSource, LakeArtifact, TraceReader,
+};
 use igm::workload::Benchmark;
+use std::io::{self, Write};
+use std::sync::{Arc, Mutex};
 
 #[test]
 fn replay_reproduces_live_runs_for_all_five_lifeguards() {
-    for kind in LifeguardKind::ALL {
+    for (seed, kind) in LifeguardKind::ALL.into_iter().enumerate() {
         let (cfg, trace) = (session_cfg(kind, kind.name()), workload_for(kind, 20_000));
-        // Asserts the replay equals its live run, then the monitor.
-        let replayed = capture_replay(&cfg, &trace);
+        // Asserts the replay equals its live run and the teed bytes a
+        // calling-thread writer's, then the monitor.
+        let replayed = capture_replay(&cfg, &trace, seed);
         assert_matches_monitor(&cfg, &trace, &replayed, true);
         if kind != LifeguardKind::LockSet {
             assert!(!replayed.violations.is_empty(), "{kind}: the buggy epilogues must fire");
@@ -187,4 +197,154 @@ fn violation_record_ids_name_the_faulting_record() {
         assert_eq!(seqs, truth, "{mode:?}: violation record ids");
         pool.shutdown();
     }
+}
+
+/// Two captures driven round-robin by this one thread (a lake capture and
+/// a plain one, as the `lake_capture_query` benchmark drives two) on
+/// [`capture_pool`]'s one-worker pool: a refused send runs the other
+/// session's turn here, tee included, so frames and postings are written
+/// by both threads. The artifacts must still equal a calling-thread
+/// writer's. Helping depends on timing, so the run repeats until a helped
+/// turn was seen.
+#[test]
+fn teed_frames_match_a_calling_thread_writer_while_the_producer_helps() {
+    let config = capture_pool(1);
+    let chunk = config.chunk_bytes;
+    let tenants = [LifeguardKind::AddrCheck, LifeguardKind::TaintCheck]
+        .map(|kind| (session_cfg(kind, kind.name()), workload_for(kind, 20_000)));
+    for attempt in 0.. {
+        let pool = MonitorPool::new(config.clone());
+        let dir =
+            std::env::temp_dir().join(format!("igm-helped-tee-{}-{attempt}", std::process::id()));
+        let mut lake = capture_to_lake(&pool, tenants[0].0.clone(), &dir).unwrap();
+        let mut plain = CaptureSession::new(&pool, tenants[1].0.clone(), Vec::new()).unwrap();
+        let batches = |trace: &[TraceEntry]| -> Vec<Vec<TraceEntry>> {
+            igm::lba::chunks(trace.iter().copied(), chunk).collect()
+        };
+        let (a, b) = (batches(&tenants[0].1), batches(&tenants[1].1));
+        for i in 0..a.len().max(b.len()) {
+            if let Some(batch) = a.get(i) {
+                lake.send_batch(batch.clone()).unwrap();
+            }
+            if let Some(batch) = b.get(i) {
+                plain.send_batch(batch.clone()).unwrap();
+            }
+        }
+        let (lake_report, _) = lake.finish().unwrap();
+        let (plain_report, plain_bytes) = plain.finish().unwrap();
+        let helped = pool.stats().helped_turns;
+        pool.shutdown();
+
+        let artifact = LakeArtifact::new(&dir, &lake_stem(&tenants[0].0.name));
+        let lake_bytes = std::fs::read(&artifact.trace_path).unwrap();
+        let sidecar = std::fs::read(&artifact.sidecar_path).unwrap();
+        std::fs::remove_dir_all(&dir).unwrap();
+        assert_artifact("lake", &tenants[0].1, chunk, &lake_bytes, Some(&sidecar));
+        assert_artifact("plain", &tenants[1].1, chunk, &plain_bytes, None);
+        for ((cfg, trace), report) in tenants.iter().zip([lake_report, plain_report]) {
+            assert_matches_monitor(cfg, trace, &report.into(), true);
+        }
+        if helped > 0 {
+            return;
+        }
+        assert!(attempt < 50, "the producer never helped in {attempt} runs");
+    }
+}
+
+/// A sink that takes `writes_left` writes (a trace's two header writes,
+/// then one per frame) and then fails every write and flush, like a full
+/// disk. What it took stays readable through `taken`.
+struct FullDisk {
+    taken: Arc<Mutex<Vec<u8>>>,
+    writes_left: usize,
+}
+
+impl FullDisk {
+    /// A sink that takes the header and `frames` frames.
+    fn after(frames: usize) -> (FullDisk, Arc<Mutex<Vec<u8>>>) {
+        let taken = Arc::new(Mutex::new(Vec::new()));
+        (FullDisk { taken: Arc::clone(&taken), writes_left: 2 + frames }, taken)
+    }
+}
+
+impl Write for FullDisk {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        if self.writes_left == 0 {
+            return Err(io::Error::other("disk full"));
+        }
+        self.writes_left -= 1;
+        self.taken.lock().unwrap().extend_from_slice(buf);
+        Ok(buf.len())
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        match self.writes_left {
+            0 => Err(io::Error::other("disk full")),
+            _ => Ok(()),
+        }
+    }
+}
+
+/// The frames and records a (possibly partial) trace holds.
+fn decode(bytes: &[u8]) -> (u64, u64) {
+    let mut reader = TraceReader::new(bytes).unwrap();
+    let mut batch = igm::lba::TraceBatch::new();
+    while reader.read_chunk_into_batch(&mut batch).unwrap() {}
+    (reader.chunks(), reader.records())
+}
+
+/// A full disk on the tee (ROADMAP 12(b)) is contained: a capture returns
+/// `CaptureError::Trace` without panicking or hanging, and in an
+/// `Ingestor` the teed lane fails alone — one error, one counted lane
+/// failure, no sidecar, and a session that monitored exactly the frames
+/// that reached the sink — while the other lanes equal their sequential
+/// `Monitor`.
+#[test]
+fn a_full_tee_sink_fails_only_its_own_capture_or_lane() {
+    const FRAMES: usize = 3;
+    let chunk = 2048;
+    let pool = MonitorPool::new(PoolConfig { chunk_bytes: chunk, ..PoolConfig::with_workers(2) });
+    let tenant =
+        |kind: LifeguardKind, name: &str| (session_cfg(kind, name), workload_for(kind, 12_000));
+
+    let (cfg, trace) = tenant(LifeguardKind::AddrCheck, "capture");
+    let (sink, taken) = FullDisk::after(FRAMES);
+    let mut capture = CaptureSession::new(&pool, cfg, sink).unwrap();
+    let err = match capture.stream(trace.iter().copied()) {
+        Err(e) => e,
+        Ok(()) => capture.finish().map(drop).expect_err("the sink filled up"),
+    };
+    assert!(matches!(err, CaptureError::Trace(_)), "{err}");
+    assert_eq!(decode(&taken.lock().unwrap()).0, FRAMES as u64);
+
+    let full = tenant(LifeguardKind::AddrCheck, "full");
+    let teed = tenant(LifeguardKind::TaintCheck, "teed");
+    let plain = tenant(LifeguardKind::MemCheck, "plain");
+    let dir = std::env::temp_dir().join(format!("igm-full-tee-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let sidecar = LakeArtifact::new(&dir, "full").sidecar_path;
+    let mut ingestor = Ingestor::new(&pool);
+    let (sink, taken) = FullDisk::after(FRAMES);
+    let source = IterSource::new(full.1.clone(), chunk);
+    ingestor.add_source_teed_indexed(full.0.clone(), source, sink, sidecar.clone()).unwrap();
+    let (sink, roomy) = FullDisk::after(usize::MAX - 2);
+    ingestor.add_source_teed(teed.0.clone(), IterSource::new(teed.1.clone(), chunk), sink).unwrap();
+    ingestor.add_source(plain.0.clone(), IterSource::new(plain.1.clone(), chunk));
+    let report = ingestor.run();
+
+    let names: Vec<&str> = report.errors.iter().map(|(name, _)| name.as_str()).collect();
+    assert_eq!(names, ["full"], "{:?}", report.errors);
+    let failures = pool.metrics().snapshot().counter_value("igm_ingest_lane_failures_total");
+    assert_eq!(failures, Some(1));
+    assert!(!sidecar.exists(), "a partial artifact must not come with a sidecar");
+    std::fs::remove_dir_all(&dir).unwrap();
+    let (frames, records) = decode(&taken.lock().unwrap());
+    assert_eq!(frames, FRAMES as u64);
+    let mut sessions = report.sessions.into_iter();
+    assert_eq!(sessions.next().unwrap().records, records, "monitored past the sink");
+    assert_artifact("teed", &teed.1, chunk, &roomy.lock().unwrap(), None);
+    for ((cfg, trace), session) in [teed, plain].iter().zip(sessions) {
+        assert_matches_monitor(cfg, trace, &session.into(), true);
+    }
+    pool.shutdown();
 }
