@@ -6,16 +6,58 @@
 //! handshake was rejected, when sessions opened and closed, where the
 //! stealing scheduler moved work. [`EventRing`] is a bounded ring of
 //! typed [`ObsEvent`]s with monotone sequence numbers: producers record
-//! from any thread (one short mutex on a rare path — never the per-record
-//! hot path), the ring overwrites its oldest entries when full (counting
-//! the drops), and readers cursor through it with
-//! [`EventRing::since`] — which is how the stats endpoint serves
+//! from any thread under one short mutex, the ring overwrites its oldest
+//! entries when full (counting the drops), and readers cursor through it
+//! with [`EventRing::since`] — which is how the stats endpoint serves
 //! `/events.json?since=N` without ever blocking a producer.
+//!
+//! Violations are the one kind that can come in storms (a lifeguard
+//! reporting on every record of a batch), so a batch's violations go in
+//! through [`EventRing::record_many`]: one lock and one clock read for the
+//! whole batch — its entries share a timestamp — and only the entries the
+//! ring keeps are built. A violation's [`Detail`] holds the reporting value
+//! itself and renders its text only when read, so recording formats
+//! nothing.
 
 use igm_span::{RecordId, SpanRecord};
 use std::collections::VecDeque;
+use std::fmt;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
+
+/// A violation's description, rendered when read: the value that reported
+/// it (typically a lifeguard's `Violation`), shared. `Display` writes the
+/// value's text; `Debug` and equality go by that text, so a `Detail` reads
+/// and compares exactly as the `String` it stands for.
+#[derive(Clone)]
+pub struct Detail(Arc<dyn fmt::Display + Send + Sync>);
+
+impl Detail {
+    /// Wraps `value`; nothing is formatted until the detail is read.
+    pub fn new(value: impl fmt::Display + Send + Sync + 'static) -> Detail {
+        Detail(Arc::new(value))
+    }
+}
+
+impl fmt::Display for Detail {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.0.fmt(f)
+    }
+}
+
+impl fmt::Debug for Detail {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&self.to_string(), f)
+    }
+}
+
+impl PartialEq for Detail {
+    fn eq(&self, other: &Detail) -> bool {
+        self.to_string() == other.to_string()
+    }
+}
+
+impl Eq for Detail {}
 
 /// One structured lifecycle event.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -105,8 +147,8 @@ pub enum EventKind {
         session: u64,
         /// Tenant label.
         tenant: String,
-        /// Human-readable violation description.
-        detail: String,
+        /// Human-readable violation description, rendered when read.
+        detail: Detail,
         /// Global record id of the faulting trace record, when the
         /// session carries a durable trace identity and the violation
         /// anchors to a record — the join key against the trace lake
@@ -198,10 +240,11 @@ impl EventRing {
     }
 
     /// Records one event, assigning it the next sequence number. The
-    /// oldest entry is overwritten when the ring is full.
+    /// oldest entry is overwritten when the ring is full. The clock is read
+    /// under the lock, so `at_nanos` never decreases along `seq`.
     pub fn record(&self, kind: EventKind) {
-        let at_nanos = self.started.elapsed().as_nanos() as u64;
         let mut inner = self.inner.lock().unwrap();
+        let at_nanos = self.started.elapsed().as_nanos() as u64;
         let seq = inner.next_seq;
         inner.next_seq += 1;
         if inner.buf.len() == self.capacity {
@@ -209,6 +252,31 @@ impl EventRing {
             inner.dropped += 1;
         }
         inner.buf.push_back(ObsEvent { seq, at_nanos, kind });
+    }
+
+    /// Records `n` events, the `i`-th being `make(i)`, under one lock and
+    /// one clock read: they take consecutive sequence numbers and share a
+    /// timestamp. The ring ends exactly as after `n` calls to
+    /// [`EventRing::record`] (same retained entries, `dropped` and next
+    /// sequence number), but `make` runs only for the last `capacity` of
+    /// them — the ones the ring keeps.
+    pub fn record_many(&self, n: usize, make: impl FnMut(usize) -> EventKind) {
+        // Built before the lock: at most `capacity` entries survive their
+        // own insertion, whatever other threads record meanwhile.
+        let skipped = n.saturating_sub(self.capacity);
+        let kinds: Vec<EventKind> = (skipped..n).map(make).collect();
+        let mut inner = self.inner.lock().unwrap();
+        let at_nanos = self.started.elapsed().as_nanos() as u64;
+        let overflow = (inner.buf.len() + kinds.len()).saturating_sub(self.capacity);
+        inner.buf.drain(..overflow);
+        inner.dropped += (skipped + overflow) as u64;
+        let first = inner.next_seq + skipped as u64;
+        inner.next_seq += n as u64;
+        inner.buf.extend(kinds.into_iter().zip(first..).map(|(kind, seq)| ObsEvent {
+            seq,
+            at_nanos,
+            kind,
+        }));
     }
 
     /// Events recorded so far (including overwritten ones).

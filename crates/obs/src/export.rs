@@ -324,7 +324,7 @@ impl EventsSnapshot {
                         out,
                         ", \"session\": {session}, \"tenant\": {}, \"detail\": {}, \"record\": ",
                         json_str(tenant),
-                        json_str(detail)
+                        json_str(&detail.to_string())
                     );
                     match record {
                         Some(id) => {

@@ -44,7 +44,7 @@ pub mod query;
 pub mod registry;
 pub mod server;
 
-pub use events::{EventKind, EventRing, EventsSnapshot, ObsEvent};
+pub use events::{Detail, EventKind, EventRing, EventsSnapshot, ObsEvent};
 pub use export::json_str;
 pub use query::{Query, QueryError};
 pub use registry::{

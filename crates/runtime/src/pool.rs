@@ -87,7 +87,8 @@ use igm_core::AccelConfig;
 use igm_lba::{chunks, EventBuf, TraceBatch};
 use igm_lifeguards::{AnyLifeguard, CostSink, Lifeguard, LifeguardKind, Monitor, Violation};
 use igm_obs::{
-    Counter, EventKind, EventRing, Gauge, Histogram, MetricsRegistry, RouteHandler, StatsServer,
+    Counter, Detail, EventKind, EventRing, Gauge, Histogram, MetricsRegistry, RouteHandler,
+    StatsServer,
 };
 use igm_span::{
     alloc_flow, tenant_id, FlightRecorder, FrameTag, RecordId, Sampler, SpanConfig, SpanRecord,
@@ -1428,8 +1429,10 @@ impl ActiveSession {
 
     /// Emits `fresh` violations, in order, with their global record
     /// sequences `seqs` ([`Monitor::record_seqs`]) as record ids: to the
-    /// aggregated stream, the event ring (each entry snapshotting `spans`,
-    /// the faulting frame's chain) and the session report.
+    /// aggregated stream, the event ring (one [`EventRing::record_many`]
+    /// call, so the batch's entries share a timestamp; each snapshots
+    /// `spans`, the faulting frame's chain, and renders its detail on read)
+    /// and the session report.
     fn emit_violations(
         &mut self,
         shared: &PoolShared,
@@ -1458,17 +1461,15 @@ impl ActiveSession {
                 });
             }
         }
-        // Violations are rare enough to narrate in the event ring (the
-        // allocation here is off the zero-violation hot path).
-        for (v, id) in fresh.iter().zip(&ids) {
-            shared.metrics.events().record(EventKind::Violation {
-                session: self.id,
-                tenant: self.name.clone(),
-                detail: v.to_string(),
-                record: *id,
-                spans: spans.clone(),
-            });
-        }
+        // A violation storm must not slow the monitor: nothing is
+        // formatted here, and the ring is locked once per batch.
+        shared.metrics.events().record_many(fresh.len(), |i| EventKind::Violation {
+            session: self.id,
+            tenant: self.name.clone(),
+            detail: Detail::new(fresh[i]),
+            record: ids[i],
+            spans: spans.clone(),
+        });
         self.violations.extend(fresh);
         self.violation_records.extend(ids);
     }
