@@ -11,7 +11,7 @@ use igm_runtime::{MonitorPool, PoolConfig, SessionConfig};
 use igm_trace::{encode_frame, TraceError, CODEC_ID};
 use igm_workload::Benchmark;
 use std::io::{self, Write};
-use std::net::{SocketAddr, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
@@ -40,6 +40,25 @@ impl RawClient {
         out.extend_from_slice(payload);
         self.send(&out);
     }
+
+    /// Ends the client's side of the conversation: the server reads
+    /// everything sent and then the end of the stream, and whatever it
+    /// sends back (a handshake reply, credit grants, an `ERROR`) is read
+    /// out until it closes. Closing with those bytes unread would reset
+    /// the connection instead, and a reset can overtake the data in
+    /// flight: the server would fail the lane on the reset, not on what
+    /// the client sent.
+    fn hang_up(mut self) {
+        self.stream.shutdown(Shutdown::Write).unwrap();
+        self.stream.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        let _ = io::copy(&mut self.stream, &mut io::sink());
+    }
+}
+
+/// Reads a socket out until the peer closes it (see [`RawClient::hang_up`]).
+fn drain_until_closed(mut stream: TcpStream) {
+    stream.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    let _ = io::copy(&mut stream, &mut io::sink());
 }
 
 /// Sends one raw `HELLO` per `(version, codec)` pair, each on its own
@@ -60,10 +79,7 @@ fn serve_raw_hellos(hellos: &'static [(u32, u32)]) -> igm_net::NetServerReport {
                 raw
             })
             .collect();
-        // Hold the sockets open long enough for the server's ERROR
-        // replies to land before the drop races them.
-        std::thread::sleep(Duration::from_millis(100));
-        drop(raws);
+        raws.into_iter().for_each(RawClient::hang_up);
     });
     let report = server.serve_connections(hellos.len());
     client.join().unwrap();
@@ -203,7 +219,10 @@ fn connect_surfaces_a_server_side_rejection() {
         out.extend_from_slice(&(reason.len() as u16).to_le_bytes());
         out.extend_from_slice(reason.as_bytes());
         stream.write_all(&out).unwrap();
-        std::thread::sleep(Duration::from_millis(100));
+        // The client's HELLO sits unread here: read it and wait for the
+        // client to close, rather than reset the connection under the
+        // ERROR on its way.
+        drain_until_closed(stream);
     });
     let cfg = session_cfg("refused", LifeguardKind::AddrCheck);
     match TraceForwarder::connect(addr, &cfg) {
@@ -233,7 +252,8 @@ fn mid_frame_disconnect_fails_only_that_lane() {
         partial.extend_from_slice(&1000u32.to_le_bytes());
         partial.extend_from_slice(&[0u8; 10]);
         raw.send(&partial);
-        // Drop closes the socket with the message incomplete.
+        // Closes the stream with the message incomplete.
+        raw.hang_up();
     });
     let good = std::thread::spawn(move || {
         let cfg = session_cfg("healthy", LifeguardKind::TaintCheck);
@@ -293,7 +313,7 @@ fn corrupt_frame_fails_only_its_lane() {
                 }
                 payload.extend_from_slice(&frame);
                 raw.send_message(msg::CHUNK, &payload);
-                std::thread::sleep(Duration::from_millis(100));
+                raw.hang_up();
             })
         })
         .collect();

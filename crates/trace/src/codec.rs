@@ -170,7 +170,16 @@ fn put_varint(out: &mut Vec<u8>, mut v: u64) {
 /// the torn writes and bit rot the framing guards against (it is not a
 /// cryptographic integrity check).
 pub fn checksum(bytes: &[u8]) -> u32 {
-    let mut h: u32 = 0x811c_9dc5;
+    fnv1a(0x811c_9dc5, bytes)
+}
+
+/// [`checksum`] of the concatenation of `parts`, without concatenating.
+pub(crate) fn checksum_parts(parts: &[&[u8]]) -> u32 {
+    parts.iter().fold(0x811c_9dc5, |h, part| fnv1a(h, part))
+}
+
+/// FNV-1a-32 continued from the state `h` over `bytes`.
+fn fnv1a(mut h: u32, bytes: &[u8]) -> u32 {
     for &b in bytes {
         h ^= b as u32;
         h = h.wrapping_mul(0x0100_0193);
@@ -318,7 +327,7 @@ fn put_addr(out: &mut Vec<u8>, st: &mut CodecState, addr: u32) {
 /// with this `code`/`flags` owns, as `(sized_mems, plain_addrs, vals)` —
 /// the single map from record shape to column slots, used by the column
 /// walks on both sides.
-pub(crate) fn stream_shape(code: u8, flags: u8) -> (u8, u8, u8) {
+pub(crate) const fn stream_shape(code: u8, flags: u8) -> (u8, u8, u8) {
     match code {
         codes::IMM_TO_MEM
         | codes::MEM_SELF

@@ -23,7 +23,7 @@
 //! record-range window and decodes only the frames the window touches —
 //! the prefix is never decoded.
 
-use crate::codec::{checksum, TraceError, FRAME_HEADER_BYTES, MAGIC};
+use crate::codec::{checksum_parts, TraceError, FRAME_HEADER_BYTES, MAGIC};
 use crate::postings::{FramePostings, PostingBuilder};
 use igm_lba::TraceBatch;
 use std::fs::File;
@@ -197,22 +197,23 @@ impl TraceIndex {
     /// length and each frame's encoded [`FramePostings`], then an
     /// FNV-1a-32 checksum covering entry and posting bytes both.
     pub fn save<W: Write>(&self, mut w: W) -> io::Result<()> {
-        w.write_all(&INDEX_MAGIC)?;
-        w.write_all(&INDEX_VERSION.to_le_bytes())?;
-        w.write_all(&(self.entries.len() as u64).to_le_bytes())?;
-        let mut body = Vec::with_capacity(self.entries.len() * 12);
+        let mut entries = Vec::with_capacity(self.entries.len() * 12);
         for e in &self.entries {
-            body.extend_from_slice(&e.offset.to_le_bytes());
-            body.extend_from_slice(&e.records.to_le_bytes());
+            entries.extend_from_slice(&e.offset.to_le_bytes());
+            entries.extend_from_slice(&e.records.to_le_bytes());
         }
         let mut sections = Vec::new();
         for p in &self.postings {
             p.encode(&mut sections);
         }
-        body.extend_from_slice(&(sections.len() as u64).to_le_bytes());
-        body.extend_from_slice(&sections);
-        w.write_all(&body)?;
-        w.write_all(&checksum(&body).to_le_bytes())?;
+        let len = (sections.len() as u64).to_le_bytes();
+        w.write_all(&INDEX_MAGIC)?;
+        w.write_all(&INDEX_VERSION.to_le_bytes())?;
+        w.write_all(&(self.entries.len() as u64).to_le_bytes())?;
+        w.write_all(&entries)?;
+        w.write_all(&len)?;
+        w.write_all(&sections)?;
+        w.write_all(&checksum_parts(&[&entries, &len, &sections]).to_le_bytes())?;
         w.flush()
     }
 
@@ -223,6 +224,13 @@ impl TraceIndex {
 
     /// Deserializes an index written by [`TraceIndex::save`]; any other
     /// sidecar version is [`TraceError::UnsupportedVersion`].
+    ///
+    /// The checksum runs over the entry and posting bytes where they were
+    /// read, with no copy of the section. Every posting is validated
+    /// before it is kept ([`FramePostings::decode`]), without rebuilding
+    /// any bitmap: a periodic-XOR body is counted from its diff positions
+    /// and a strided run is checked whole. A damaged sidecar is
+    /// [`TraceError::Corrupt`] with the reason the first bad byte earns.
     pub fn load<R: Read>(mut r: R) -> Result<TraceIndex, TraceError> {
         let corrupt = |reason| TraceError::Corrupt { offset: 0, reason };
         let mut magic = [0u8; 4];
@@ -245,9 +253,9 @@ impl TraceIndex {
         // 12 bytes per entry: a corrupt count cannot drive an allocation
         // larger than what the stream actually holds.
         let entry_bytes = count.saturating_mul(12);
-        let mut body = Vec::new();
-        r.by_ref().take(entry_bytes).read_to_end(&mut body).map_err(TraceError::Io)?;
-        if body.len() as u64 != entry_bytes {
+        let mut entries = Vec::new();
+        r.by_ref().take(entry_bytes).read_to_end(&mut entries).map_err(TraceError::Io)?;
+        if entries.len() as u64 != entry_bytes {
             return Err(corrupt("index sidecar truncated"));
         }
         let mut len = [0u8; 8];
@@ -261,18 +269,16 @@ impl TraceIndex {
         if sections.len() as u64 != plen {
             return Err(corrupt("index sidecar truncated"));
         }
-        body.extend_from_slice(&len);
-        body.extend_from_slice(&sections);
         r.read_exact(&mut word).map_err(|e| match e.kind() {
             io::ErrorKind::UnexpectedEof => corrupt("index sidecar truncated"),
             _ => TraceError::Io(e),
         })?;
-        if checksum(&body) != u32::from_le_bytes(word) {
+        if checksum_parts(&[&entries, &len, &sections]) != u32::from_le_bytes(word) {
             return Err(corrupt("index sidecar checksum mismatch"));
         }
         let mut index = TraceIndex::new();
         let mut pos = 0usize;
-        for chunk in body[..entry_bytes as usize].chunks_exact(12) {
+        for chunk in entries.chunks_exact(12) {
             let offset = u64::from_le_bytes(chunk[0..8].try_into().unwrap());
             let records = u32::from_le_bytes(chunk[8..12].try_into().unwrap());
             if records == 0 {

@@ -40,26 +40,33 @@
 //! # Word kernels
 //!
 //! The three places a posting is touched work on 64-bit words, 64
-//! records per step, not on single indices:
+//! records per step, or on whole runs, not on single indices:
 //!
-//! - **Build.** A posting's set is materialised once as words in a
-//!   scratch buffer the index builder keeps across postings and frames.
-//!   A candidate period `p` is scored as
-//!   `popcount(bits ^ (bits << p))`; the candidates are the four most
-//!   frequent lags of a counting histogram over `1..=4096`; all four
-//!   containers are *sized* arithmetically and only the winner is
-//!   encoded. The wide dimensions are grouped by a counting sort over
-//!   key slots (indices arrive ascending, so every group comes out
-//!   sorted), and only the distinct keys are ever sorted.
-//! - **Load.** A periodic-XOR body is reconstructed by a strided
-//!   prefix-XOR over words (`p ≥ 64`: word `i` takes the already-final
-//!   words `p` bits back; `p < 64`: a carry from the previous word, then
-//!   `x ^= x << p, x << 2p, …` by doubling). Word-shaped containers are
-//!   validated by popcount (set bits below `records` = cardinality, none
-//!   at or above it); the varint containers keep their element walk
-//!   (strictly ascending, in range, exact count).
-//! - **Query.** [`FrameSet::or_posting`] ORs bitset bodies and
-//!   reconstructed periodic-XOR words straight into the set, and
+//! - **Build.** Extraction reads each record's address slots, op class
+//!   and site kind from one table lookup. The wide dimensions are
+//!   grouped by a counting sort over key slots that files segments of
+//!   consecutive indices (indices arrive ascending, so every group comes
+//!   out sorted, and only the distinct keys are ever sorted). The runs
+//!   and array containers are sized from one walk of the set's runs,
+//!   the bitset from the frame size. The periodic-XOR candidates are the
+//!   four most frequent lags of a counting histogram over `1..=4096`,
+//!   counted element by element so no count waits on the one before; a
+//!   candidate `p` is scored as `popcount(bits ^ (bits << p))` over the
+//!   set's words (or by a merge, for a sparse set), only as far as it
+//!   could still win. Only the winner is encoded.
+//! - **Load.** A periodic-XOR body is validated from its diff positions
+//!   alone: each residue class mod `p` is switched on and off by the
+//!   diffs in it, so the cardinality is the sum of the gaps between
+//!   paired diffs over `p`, plus the tails of the classes still on. A
+//!   bitset is validated by popcount (set bits below `records` =
+//!   cardinality, none at or above it), and the varint containers by a
+//!   walk that checks a strided run whole (strictly ascending, in range,
+//!   exact count). Bodies of up to 22 bytes live inside their posting.
+//! - **Query.** [`FrameSet::or_posting`] ORs bitset bodies straight into
+//!   the set and reconstructs periodic-XOR bodies by a strided prefix-XOR
+//!   over words (`p ≥ 64`: word `i` takes the already-final words `p` bits
+//!   back; `p < 64`: a carry from the previous word, then
+//!   `x ^= x << p, x << 2p, …` by doubling), and
 //!   [`FrameSet::clamp_range`] masks words.
 //!
 //! None of this is visible in the bytes: the container choice, the
@@ -145,7 +152,7 @@ pub mod op_class {
     pub const COUNT: u32 = 6;
 
     /// The class a field code belongs to.
-    pub fn of(code: u8) -> u32 {
+    pub const fn of(code: u8) -> u32 {
         match code {
             codes::MEM_TO_REG | codes::DEST_REG_OP_MEM | codes::READ_ONLY => LOAD,
             codes::IMM_TO_MEM | codes::REG_TO_MEM => STORE,
@@ -217,7 +224,7 @@ pub mod site {
     pub const COUNT: u32 = 10;
 
     /// The site kind a field code anchors, if any.
-    pub fn of(code: u8) -> Option<u32> {
+    pub const fn of(code: u8) -> Option<u32> {
         match code {
             codes::ANN_MALLOC => Some(ALLOC),
             codes::ANN_FREE => Some(FREE),
@@ -361,6 +368,22 @@ fn set_bits(words: impl Iterator<Item = u64>) -> impl Iterator<Item = u32> {
     })
 }
 
+/// Sets `words` to the membership of a sorted index list, one bit per
+/// record. The word being filled stays in a register and is stored whole
+/// after every element, so consecutive elements of one word do not wait
+/// on each other through memory.
+fn set_words(sorted: &[u32], records: u32, words: &mut Vec<u64>) {
+    words.clear();
+    words.resize(word_count(records), 0);
+    let (mut word, mut at) = (0u64, 0usize);
+    for &v in sorted {
+        let w = (v >> 6) as usize;
+        word = (if w == at { word } else { 0 }) | 1 << (v & 63);
+        at = w;
+        words[w] = word;
+    }
+}
+
 /// Writes `bits ^ (bits << p)`, masked to `records`, into `out`: the
 /// positions where membership differs from itself `p` records earlier
 /// (positions below `p` differ from zero). `bits` holds exactly
@@ -385,20 +408,71 @@ fn diff_words(bits: &[u64], p: u32, records: u32, out: &mut Vec<u64>) {
 /// [`diff_words`] for a set given as its sorted index list, into a sorted
 /// list: the symmetric difference of the set and the set moved up by `p`
 /// (a position differs from `p` earlier when exactly one of the two holds
-/// it), by one merge. Costs the set's size, not the frame's.
-fn diff_sorted(sorted: &[u32], p: u32, records: u32, out: &mut Vec<u32>) {
+/// it), by one merge. Costs the set's size, not the frame's. Gives up
+/// (`None`, `out` partial) as soon as there are more than `cap` positions.
+fn diff_sorted(sorted: &[u32], p: u32, records: u32, cap: usize, out: &mut Vec<u32>) -> Option<()> {
+    debug_assert!(p < records, "a period is below the record count");
+    // The elements that, moved up by `p`, stay inside the frame.
+    let moved = &sorted[..sorted.partition_point(|&v| v < records - p)];
     out.clear();
-    let mut moved =
-        sorted.iter().map_while(|v| v.checked_add(p).filter(|m| *m < records)).peekable();
-    for &v in sorted {
-        while let Some(m) = moved.next_if(|m| *m < v) {
-            out.push(m);
-        }
-        if moved.next_if_eq(&v).is_none() {
-            out.push(v);
+    out.resize(sorted.len() + moved.len(), 0);
+    // A merge without a branch on which side is smaller: the smaller
+    // head is written, kept when the heads differ, and its side advances
+    // (both sides, past a position held by both).
+    let (mut a, mut b, mut n) = (0usize, 0usize, 0usize);
+    while a < sorted.len() && b < moved.len() {
+        let (x, y) = (sorted[a], moved[b] + p);
+        out[n] = x.min(y);
+        n += (x != y) as usize;
+        a += (x <= y) as usize;
+        b += (y <= x) as usize;
+        if n > cap {
+            return None;
         }
     }
-    out.extend(moved);
+    for v in sorted[a..].iter().copied().chain(moved[b..].iter().map(|v| v + p)) {
+        out[n] = v;
+        n += 1;
+    }
+    out.truncate(n);
+    (n <= cap).then_some(())
+}
+
+/// The number of set bits of [`diff_words`]`(bits, p, records)`, counted
+/// in one pass without writing the diff, or `None` as soon as it passes
+/// `cap`. Word `i` of the diff is `bits[i]` against `bits` moved up by
+/// `p`: `bits[i - q] << r` plus the top `r` bits of `bits[i - q - 1]`.
+fn diff_count(bits: &[u64], p: u32, records: u32, cap: usize) -> Option<usize> {
+    let (q, r) = ((p / 64) as usize, p % 64);
+    let n = bits.len();
+    debug_assert!(q < n, "a period is below the record count");
+    // `w >> (64 - r)`, zero at `r = 0` without an out-of-range shift.
+    let carry = move |w: u64| (w >> 1) >> (63 - r);
+    let word =
+        |i: usize| bits[i] ^ (bits[i - q] << r) ^ if i > q { carry(bits[i - q - 1]) } else { 0 };
+    // Below `q` words nothing has moved in; the last word is masked to
+    // the frame below, so the blocks cover `q..n - 1`.
+    let mut count = bits[..q].iter().map(|w| w.count_ones() as usize).sum::<usize>();
+    let mut i = q;
+    if i < n - 1 {
+        count += word(i).count_ones() as usize;
+        i += 1;
+    }
+    while i < n - 1 {
+        let end = (i + 32).min(n - 1);
+        count += bits[i..end]
+            .iter()
+            .zip(&bits[i - q..end - q])
+            .zip(&bits[i - q - 1..end - q - 1])
+            .map(|((&w, &a), &b)| (w ^ (a << r) ^ carry(b)).count_ones() as usize)
+            .sum::<usize>();
+        if count > cap {
+            return None;
+        }
+        i = end;
+    }
+    count += (word(n - 1) & low_mask(records as u64 - 64 * (n as u64 - 1))).count_ones() as usize;
+    (count <= cap).then_some(count)
 }
 
 /// The inverse of [`diff_words`]: turns diff positions back into
@@ -486,6 +560,70 @@ fn for_each_run_varint(sorted: &[u32], mut f: impl FnMut(u64)) {
     }
 }
 
+/// [`varint_len`] of a `u32`, by comparisons alone, so that sums of it
+/// vectorise.
+fn varint_len32(v: u32) -> u32 {
+    1 + (v >> 7 != 0) as u32 + (v >> 14 != 0) as u32 + (v >> 21 != 0) as u32 + (v >> 28 != 0) as u32
+}
+
+/// Bytes of the gap encoding of an ascending list ([`for_each_gap`]).
+fn gaps_len(sorted: &[u32]) -> usize {
+    let Some(&first) = sorted.first() else { return 0 };
+    let rest: u32 = sorted.iter().zip(&sorted[1..]).map(|(&a, &b)| varint_len32(b - a - 1)).sum();
+    (varint_len32(first) + rest) as usize
+}
+
+/// The byte lengths of the runs and the array encodings of `sorted`. The
+/// array's are its gaps'. The runs encoding writes the same gap for a
+/// single element plus a zero length (one byte more), and for a run of
+/// `len` at step `s` its first gap, `len - 1` and `s - 1` once where the
+/// array repeats `s - 1` for every element after the first — so it is
+/// the array's length, corrected run by run.
+fn runs_and_array_len(sorted: &[u32]) -> (usize, usize) {
+    let array = gaps_len(sorted);
+    let mut runs = array + sorted.len();
+    let mut k = 0usize;
+    while let Some(&[a, b, c]) = sorted.get(k..k + 3) {
+        if b - a != c - b {
+            k += 1;
+            continue;
+        }
+        let mut end = k + 3;
+        while sorted.get(end).is_some_and(|&v| v - sorted[end - 1] == b - a) {
+            end += 1;
+        }
+        let (len, step_len) = (end - k, varint_len32(b - a - 1) as usize);
+        runs = runs + varint_len((len - 1) as u64) + step_len - len - (len - 1) * step_len;
+        k = end;
+    }
+    (runs, array)
+}
+
+/// Calls `f` with the distance from every element of `sorted` to each
+/// of the eight after it, up to [`MAX_PERIOD`], element by element: the
+/// eight lags of one element are distinct (they ascend), so counting
+/// them never waits on a counter just written.
+fn for_each_lag(sorted: &[u32], mut f: impl FnMut(u32)) {
+    for (i, &from) in sorted.iter().enumerate() {
+        let next = &sorted[i + 1..sorted.len().min(i + 9)];
+        match <&[u32; 8]>::try_from(next) {
+            // All eight in range, no test per lag: 77–97 % of the
+            // elements the builder counts on gcc, mcf, gzip and parser,
+            // and `PostingBuilder::frame` 5–8 % faster (2 vCPUs) than
+            // with the general loop alone.
+            Ok(next) if next[7] - from <= MAX_PERIOD => next.iter().for_each(|&to| f(to - from)),
+            _ => {
+                for &to in next {
+                    if to - from > MAX_PERIOD {
+                        break;
+                    }
+                    f(to - from);
+                }
+            }
+        }
+    }
+}
+
 /// Calls `f` with every varint of the gap encoding of an ascending
 /// index stream: each index as its distance from one past the previous.
 fn for_each_gap(indices: impl Iterator<Item = u32>, mut f: impl FnMut(u64)) {
@@ -522,6 +660,124 @@ fn decode_pxor(body: &[u8], records: u32, words: &mut Vec<u64>) -> Option<()> {
     Some(())
 }
 
+/// The number of members [`decode_pxor`] reconstructs from `body`,
+/// counted without reconstructing: `None` on exactly the bodies it
+/// refuses. Membership at `i` is membership at `i - p` toggled by a diff
+/// at `i`, so each residue class mod `p` is a chain of its own, switched
+/// on by one diff in it and off by the next. A diff that switches its
+/// class on adds the class positions from it to the end of the frame; the
+/// next one takes its own such tail away again, leaving the gap between
+/// the two divided by `p`.
+fn pxor_cardinality(body: &[u8], records: u32) -> Option<u64> {
+    let mut pos = 0usize;
+    let p = get_varint(body, &mut pos)?;
+    if p == 0 || p > MAX_PERIOD as u64 || p >= records as u64 {
+        return None;
+    }
+    let p = p as u32;
+    // The on/off bit of each class: in one register for periods up to
+    // 64 (98–100 % of the periodic-XOR postings on gcc, mcf, gzip and
+    // parser, and `FramePostings::decode` 6–10 % faster (2 vCPUs) than
+    // with the array alone), in an array beyond.
+    let (mut narrow, mut wide) = (0u64, [0u64; MAX_PERIOD as usize / 64]);
+    // With the last position at `last_q·p + last_c`, a diff at `q·p + c`
+    // has `last_q - q + 1` positions of its class from it on, one fewer
+    // when its class lies past `last_c`.
+    let (last_q, last_c) = ((records - 1) / p, (records - 1) % p);
+    // `v / p` and `v % p` by one multiply: the high word of `v·m`, with
+    // `m = ⌊(2⁶⁴ - 1) / p⌋`, is the quotient or one less.
+    let m = u64::MAX / p as u64;
+    let (mut count, mut next_min) = (0i64, 0u64);
+    while pos < body.len() {
+        let v = next_min.checked_add(get_varint(body, &mut pos)?)?;
+        if v >= records as u64 {
+            return None;
+        }
+        next_min = v + 1;
+        let q = ((v as u128 * m as u128) >> 64) as u32;
+        let c = v as u32 - q * p;
+        let short = (c >= p) as u32;
+        let (q, c) = (q + short, c - short * p);
+        let tail = (last_q - q + 1 - (c > last_c) as u32) as i64;
+        let on = if p <= 64 {
+            narrow ^= 1 << c;
+            narrow >> c
+        } else {
+            let word = &mut wide[(c / 64) as usize];
+            *word ^= 1 << (c % 64);
+            *word >> (c % 64)
+        };
+        // Plus when this diff switched its class on, minus when off.
+        count += tail * (2 * (on & 1) as i64 - 1);
+    }
+    Some(count as u64)
+}
+
+/// Reads the next run of a runs body (`gap, len-1[, step-1]`), or the
+/// next element of an array body (`gap`: a run of one), at `*pos`, with
+/// the smallest index it may start at `next_min`: its start, `len - 1`
+/// and step. `None` on a truncated or overlong varint, or a field past
+/// `u32`.
+fn read_run(kind: u8, body: &[u8], pos: &mut usize, next_min: u64) -> Option<(u32, u32, u32)> {
+    let gap = get_varint(body, pos)?;
+    let (len_m1, step) = match kind {
+        KIND_RUNS => {
+            let len_m1 = get_varint(body, pos)?;
+            let step = match len_m1 {
+                0 => 1,
+                _ => get_varint(body, pos)?.checked_add(1)?,
+            };
+            (len_m1, step)
+        }
+        _ => (0, 1),
+    };
+    let start = next_min.checked_add(gap)?;
+    if start > u32::MAX as u64 || step > u32::MAX as u64 || len_m1 >= u32::MAX as u64 {
+        return None;
+    }
+    Some((start as u32, len_m1 as u32, step as u32))
+}
+
+/// Validates a runs or array body as the element walk of
+/// [`Posting::iter`] does: its first `cardinality` elements are there,
+/// below `records` and strictly ascending (bytes after them are never
+/// read). A run is checked whole, not element by element: its elements
+/// ascend from a start above every earlier index until the first that
+/// reaches `records`, which lies past the frame, or wrapped below its
+/// predecessor.
+fn validate_varints(
+    kind: u8,
+    body: &[u8],
+    records: u32,
+    cardinality: u32,
+) -> Result<(), &'static str> {
+    const PAST_FRAME: &str = "posting index past frame records";
+    let records = records as u64;
+    let (mut pos, mut next_min, mut left) = (0usize, 0u64, cardinality as u64);
+    while left > 0 {
+        let (start, len_m1, step) =
+            read_run(kind, body, &mut pos, next_min).ok_or("malformed posting container")?;
+        let (start, len_m1, step) = (start as u64, len_m1 as u64, step as u64);
+        if start >= records {
+            return Err(PAST_FRAME);
+        }
+        // Of the run's further elements, the walk reaches `left - 1`.
+        let more = len_m1.min(left - 1);
+        let last = start + more * step;
+        if last >= records {
+            let first_out = start + (records - start).div_ceil(step) * step;
+            return Err(if first_out > u32::MAX as u64 {
+                "posting indices not strictly ascending"
+            } else {
+                PAST_FRAME
+            });
+        }
+        next_min = last + 1;
+        left -= more + 1;
+    }
+    Ok(())
+}
+
 /// The verdict on a word-shaped container holding `total` set bits,
 /// `in_range` of them below the frame's record count, against its
 /// declared cardinality. An element-by-element walk that stops at the
@@ -545,6 +801,58 @@ fn check_bit_counts(in_range: u64, total: u64, cardinality: u32) -> Result<(), &
     Ok(())
 }
 
+/// Body bytes a [`Posting`] holds in place: with the length and the tag,
+/// the 24 bytes a `Vec` header takes anyway (`examples/index_split.rs`
+/// prints the share of bodies per container kind that fit).
+pub const INLINE_BODY: usize = 22;
+
+/// A container body, inline up to [`INLINE_BODY`] bytes and on the heap
+/// beyond: building or loading a posting allocates only for long bodies.
+#[derive(Clone)]
+enum Body {
+    Inline(u8, [u8; INLINE_BODY]),
+    Heap(Box<[u8]>),
+}
+
+const _: () = assert!(std::mem::size_of::<Body>() == std::mem::size_of::<Vec<u8>>());
+
+impl Body {
+    fn new(bytes: &[u8]) -> Body {
+        if bytes.len() <= INLINE_BODY {
+            let mut inline = [0u8; INLINE_BODY];
+            inline[..bytes.len()].copy_from_slice(bytes);
+            Body::Inline(bytes.len() as u8, inline)
+        } else {
+            Body::Heap(bytes.into())
+        }
+    }
+}
+
+impl std::ops::Deref for Body {
+    type Target = [u8];
+
+    fn deref(&self) -> &[u8] {
+        match self {
+            Body::Inline(len, bytes) => &bytes[..*len as usize],
+            Body::Heap(bytes) => bytes,
+        }
+    }
+}
+
+impl PartialEq for Body {
+    fn eq(&self, other: &Body) -> bool {
+        **self == **other
+    }
+}
+
+impl Eq for Body {}
+
+impl std::fmt::Debug for Body {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        (**self).fmt(f)
+    }
+}
+
 /// One posting: the set of frame-local record indices matching a
 /// `(dim, key)` pair, held in its smallest container encoding.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -559,7 +867,7 @@ pub struct Posting {
     /// Record count of the owning frame — needed to bound the
     /// periodic-XOR reconstruction; known externally, so never wired.
     records: u32,
-    body: Vec<u8>,
+    body: Body,
 }
 
 /// Scratch for choosing and encoding one posting's container, reused
@@ -572,15 +880,15 @@ struct ContainerEncoder {
     /// The sparse route's candidate being scored ([`diff_sorted`]).
     candidate: Vec<u32>,
     /// The dense route: the posting's membership as words, and
-    /// [`diff_words`] of it at the best period so far and at the
-    /// candidate being scored.
+    /// [`diff_words`] of it at the winning period.
     bits: Vec<u64>,
-    best_words: Vec<u64>,
-    candidate_words: Vec<u64>,
+    winner_diff: Vec<u64>,
     /// Lag histogram over `1..=MAX_PERIOD`; all zero between postings.
     lag_counts: Vec<u32>,
     /// The distinct lags `lag_counts` currently counts.
     lags_seen: Vec<u32>,
+    /// The winning container's body, before it moves into its posting.
+    body: Vec<u8>,
 }
 
 impl ContainerEncoder {
@@ -610,56 +918,54 @@ impl ContainerEncoder {
         debug_assert!(sorted.windows(2).all(|w| w[0] < w[1]));
         debug_assert!(sorted.last().is_none_or(|&v| v < records));
 
-        let mut runs_len = 0usize;
-        for_each_run_varint(sorted, |v| runs_len += varint_len(v));
-        let mut array_len = 0usize;
-        for_each_gap(sorted.iter().copied(), |v| array_len += varint_len(v));
+        let (runs_len, array_len) = runs_and_array_len(sorted);
         let bitset_len = records.div_ceil(8) as usize;
         let others = runs_len.min(array_len).min(bitset_len);
         let period = self.best_period(sorted, records, sparse, others);
-        let pxor_len = period.map_or(usize::MAX, |p| {
-            let mut len = varint_len(p as u64);
-            for_each_gap(self.diff.iter().copied(), |v| len += varint_len(v));
-            len
-        });
+        let pxor_len = period.map_or(usize::MAX, |p| varint_len(p as u64) + gaps_len(&self.diff));
 
         let best = others.min(pxor_len);
-        let mut body = Vec::with_capacity(best);
+        let body = &mut self.body;
+        body.clear();
         let kind = if runs_len == best {
-            for_each_run_varint(sorted, |v| put_varint(&mut body, v));
+            for_each_run_varint(sorted, |v| put_varint(body, v));
             KIND_RUNS
         } else if array_len == best {
-            for_each_gap(sorted.iter().copied(), |v| put_varint(&mut body, v));
+            for_each_gap(sorted.iter().copied(), |v| put_varint(body, v));
             KIND_ARRAY
         } else if let Some(p) = period.filter(|_| pxor_len == best) {
-            put_varint(&mut body, p as u64);
-            for_each_gap(self.diff.iter().copied(), |v| put_varint(&mut body, v));
+            put_varint(body, p as u64);
+            for_each_gap(self.diff.iter().copied(), |v| put_varint(body, v));
             KIND_PXOR
         } else {
-            body.resize(bitset_len, 0);
-            for &v in sorted {
-                body[(v >> 3) as usize] |= 1 << (v & 7);
-            }
+            set_words(sorted, records, &mut self.bits);
+            body.extend(self.bits.iter().flat_map(|w| w.to_le_bytes()).take(bitset_len));
             KIND_BITSET
         };
         debug_assert_eq!(body.len(), best);
+        let body = Body::new(body);
         Posting { dim, key, cardinality: sorted.len() as u32, kind, records, body }
     }
 
     /// The period whose periodic-XOR diff set is smallest, if a
     /// plausible period exists and its body could be `limit` bytes or
-    /// fewer (every diff position costs a byte or more, so a period whose
-    /// diff count alone passes the other containers is dropped unsized);
-    /// leaves the diff positions in `self.diff`.
+    /// fewer; leaves the diff positions in `self.diff`.
     ///
-    /// Candidates are the four most frequent lags (recurring element
-    /// distances over a prefix of the set; count descending, then
-    /// period ascending); the winner is the candidate with the fewest
+    /// Candidates are the four most frequent lags (see
+    /// [`Self::top_lags`]); the winner is the candidate with the fewest
     /// diff positions, ties toward the shorter period — fully
     /// deterministic, so writer-inline and offline-scan index builds
     /// stay byte-identical. A candidate's diff set comes from the merge
     /// over the index list (`sparse`) or from the word kernel over the
     /// frame; they are the same set.
+    ///
+    /// A candidate is scored only up to the most diff positions it may
+    /// have and still be chosen: a body within `limit` (every position
+    /// costs a byte or more), and fewer positions than the best so far
+    /// (as many, with a shorter period). Dropping the candidates that
+    /// overrun `limit` picks the same period: when the best one overruns
+    /// it, so does every other, which has more positions or a period as
+    /// long.
     fn best_period(
         &mut self,
         sorted: &[u32],
@@ -670,68 +976,67 @@ impl ContainerEncoder {
         if sorted.len() < 8 || records < 16 {
             return None;
         }
-        self.lag_counts.resize(MAX_PERIOD as usize + 1, 0);
-        let m = sorted.len().min(512);
-        for k in 1..=8usize.min(m - 1) {
-            for i in 0..m - k {
-                let d = sorted[i + k] - sorted[i];
-                if d <= MAX_PERIOD && d < records {
-                    if self.lag_counts[d as usize] == 0 {
-                        self.lags_seen.push(d);
-                    }
-                    self.lag_counts[d as usize] += 1;
+        let top = self.top_lags(&sorted[..sorted.len().min(512)]);
+        if !sparse && top[0].0 > 0 {
+            set_words(sorted, records, &mut self.bits);
+        }
+        let mut best: Option<(usize, u32)> = None;
+        for &(_, p) in top.iter().filter(|(count, _)| *count > 0) {
+            let Some(mut cap) = limit.checked_sub(varint_len(p as u64)) else { continue };
+            if let Some((diffs, best_p)) = best {
+                match if p < best_p { Some(diffs) } else { diffs.checked_sub(1) } {
+                    Some(room) => cap = cap.min(room),
+                    None => continue,
+                }
+            }
+            let diffs = if sparse {
+                diff_sorted(sorted, p, records, cap, &mut self.candidate)
+                    .map(|()| self.candidate.len())
+            } else {
+                diff_count(&self.bits, p, records, cap)
+            };
+            if let Some(diffs) = diffs {
+                best = Some((diffs, p));
+                if sparse {
+                    std::mem::swap(&mut self.diff, &mut self.candidate);
                 }
             }
         }
+        let (_, p) = best?;
+        if !sparse {
+            diff_words(&self.bits, p, records, &mut self.winner_diff);
+            self.diff.clear();
+            self.diff.extend(set_bits(self.winner_diff.iter().copied()));
+        }
+        Some(p)
+    }
+
+    /// The four most frequent lags of `prefix`, a sorted index list —
+    /// recurring distances up to [`MAX_PERIOD`] between each element and
+    /// the eight after it — best first: count descending, then lag
+    /// ascending, `(0, _)` for a slot no lag filled.
+    fn top_lags(&mut self, prefix: &[u32]) -> [(u32, u32); 4] {
+        self.lag_counts.resize(MAX_PERIOD as usize + 1, 0);
+        let (counts, seen) = (&mut self.lag_counts, &mut self.lags_seen);
+        for_each_lag(prefix, |lag| {
+            let count = &mut counts[lag as usize];
+            if *count == 0 {
+                seen.push(lag);
+            }
+            *count += 1;
+        });
         // Top four by insertion into a best-first array; `(0, _)` marks
         // an empty slot and loses to every counted lag.
         let mut top = [(0u32, 0u32); 4];
-        for p in self.lags_seen.drain(..) {
-            let mut cand = (std::mem::take(&mut self.lag_counts[p as usize]), p);
+        for lag in seen.drain(..) {
+            let mut cand = (std::mem::take(&mut counts[lag as usize]), lag);
             for slot in &mut top {
                 if cand.0 > slot.0 || (cand.0 == slot.0 && cand.1 < slot.1) {
                     std::mem::swap(slot, &mut cand);
                 }
             }
         }
-        if top[0].0 == 0 {
-            return None;
-        }
-
-        if !sparse {
-            self.bits.clear();
-            self.bits.resize(word_count(records), 0);
-            for &v in sorted {
-                self.bits[(v >> 6) as usize] |= 1 << (v & 63);
-            }
-        }
-        let mut best: Option<(u32, u32)> = None;
-        for &(_, p) in top.iter().filter(|(count, _)| *count > 0) {
-            let diffs = if sparse {
-                diff_sorted(sorted, p, records, &mut self.candidate);
-                self.candidate.len() as u32
-            } else {
-                diff_words(&self.bits, p, records, &mut self.candidate_words);
-                self.candidate_words.iter().map(|w| w.count_ones()).sum()
-            };
-            if best.is_none_or(|b| (diffs, p) < b) {
-                best = Some((diffs, p));
-                if sparse {
-                    std::mem::swap(&mut self.diff, &mut self.candidate);
-                } else {
-                    std::mem::swap(&mut self.best_words, &mut self.candidate_words);
-                }
-            }
-        }
-        let (diffs, p) = best?;
-        if varint_len(p as u64) + diffs as usize > limit {
-            return None;
-        }
-        if !sparse {
-            self.diff.clear();
-            self.diff.extend(set_bits(self.best_words.iter().copied()));
-        }
-        Some(p)
+        top
     }
 }
 
@@ -785,21 +1090,26 @@ impl Posting {
     }
 
     /// Validates a container body: every index strictly ascending,
-    /// below `records`, and exactly `cardinality` of them. The varint
-    /// containers are walked element by element; the word-shaped ones
-    /// (bitset, reconstructed periodic-XOR) are ascending by
-    /// construction, so two popcounts settle the rest. `words` is
-    /// reconstruction scratch.
-    fn validate(&self, records: u32, words: &mut Vec<u64>) -> Result<(), &'static str> {
+    /// below `records`, and exactly `cardinality` of them, refusing with
+    /// the reason an element-by-element walk stops at. The varint
+    /// containers are walked a run at a time ([`validate_varints`]); a
+    /// bitset is ascending by construction, so two popcounts settle the
+    /// rest; a periodic-XOR body is counted from its diff positions
+    /// ([`pxor_cardinality`]), never rebuilt.
+    fn validate(&self, records: u32) -> Result<(), &'static str> {
         match self.kind {
             KIND_BITSET => {
-                let (mut in_range, mut total) = (0u64, 0u64);
-                for (i, chunk) in self.body.chunks(8).enumerate() {
-                    let w = le_word(chunk);
-                    total += w.count_ones() as u64;
-                    let valid = (records as u64).saturating_sub(64 * i as u64);
-                    in_range += (w & low_mask(valid)).count_ones() as u64;
-                }
+                let words = self.body.chunks_exact(8);
+                let tail = le_word(words.remainder()).count_ones() as u64;
+                let total = tail + words.map(|w| le_word(w).count_ones() as u64).sum::<u64>();
+                // The bits at and past `records`: a part of one byte,
+                // then whole bytes.
+                let rest = self.body.get(records as usize / 8..).unwrap_or_default();
+                let past = rest.iter().enumerate().map(|(i, &b)| match i {
+                    0 => (b >> (records % 8)).count_ones() as u64,
+                    _ => b.count_ones() as u64,
+                });
+                let in_range = total - past.sum::<u64>();
                 check_bit_counts(in_range, total, self.cardinality)?;
                 // One canonical length, so queries can OR the body
                 // word for word.
@@ -809,29 +1119,11 @@ impl Posting {
                 Ok(())
             }
             KIND_PXOR => {
-                decode_pxor(&self.body, records, words).ok_or("malformed posting container")?;
-                let total = words.iter().map(|w| w.count_ones() as u64).sum();
+                let total =
+                    pxor_cardinality(&self.body, records).ok_or("malformed posting container")?;
                 check_bit_counts(total, total, self.cardinality)
             }
-            _ => {
-                let mut prev: Option<u32> = None;
-                let mut n = 0u32;
-                for v in self.iter() {
-                    let v = v.ok_or("malformed posting container")?;
-                    if v >= records {
-                        return Err("posting index past frame records");
-                    }
-                    if prev.is_some_and(|p| p >= v) {
-                        return Err("posting indices not strictly ascending");
-                    }
-                    prev = Some(v);
-                    n += 1;
-                }
-                if n != self.cardinality {
-                    return Err("posting cardinality mismatch");
-                }
-                Ok(())
-            }
+            kind => validate_varints(kind, &self.body, records, self.cardinality),
         }
     }
 }
@@ -869,68 +1161,49 @@ impl Iterator for PostingIter<'_> {
         if self.emitted >= self.cardinality {
             return None;
         }
-        let item = match self.kind {
-            KIND_RUNS => {
-                if self.run_left > 0 {
+        let item =
+            match self.kind {
+                KIND_RUNS if self.run_left > 0 => {
                     let v = self.run_next;
                     self.run_left -= 1;
                     self.run_next = v.wrapping_add(self.run_step);
                     self.next_min = v.wrapping_add(1);
                     Some(v)
-                } else {
-                    (|| {
-                        let gap = get_varint(self.body, &mut self.pos)?;
-                        let len_m1 = get_varint(self.body, &mut self.pos)?;
-                        let step = if len_m1 > 0 {
-                            get_varint(self.body, &mut self.pos)?.checked_add(1)?
-                        } else {
-                            1
+                }
+                KIND_RUNS => read_run(KIND_RUNS, self.body, &mut self.pos, self.next_min as u64)
+                    .map(|(start, len_m1, step)| {
+                        self.run_left = len_m1;
+                        self.run_step = step;
+                        self.run_next = start.wrapping_add(step);
+                        self.next_min = start.wrapping_add(1);
+                        start
+                    }),
+                KIND_ARRAY => read_run(KIND_ARRAY, self.body, &mut self.pos, self.next_min as u64)
+                    .map(|(v, _, _)| {
+                        self.next_min = v.wrapping_add(1);
+                        v
+                    }),
+                _ => {
+                    // Bitset: scan forward from next_min for the next set bit.
+                    let bits = self.owned.as_deref().unwrap_or(self.body);
+                    let mut v = self.next_min;
+                    loop {
+                        let byte = match bits.get((v >> 3) as usize) {
+                            Some(&b) => b,
+                            None => break None,
                         };
-                        let start = (self.next_min as u64).checked_add(gap)?;
-                        if start > u32::MAX as u64
-                            || step > u32::MAX as u64
-                            || len_m1 >= u32::MAX as u64
-                        {
-                            return None;
+                        if byte >> (v & 7) == 0 {
+                            v = (v & !7) + 8;
+                            continue;
                         }
-                        self.run_left = len_m1 as u32;
-                        self.run_step = step as u32;
-                        self.run_next = (start as u32).wrapping_add(step as u32);
-                        self.next_min = (start as u32).wrapping_add(1);
-                        Some(start as u32)
-                    })()
-                }
-            }
-            KIND_ARRAY => (|| {
-                let gap = get_varint(self.body, &mut self.pos)?;
-                let v = (self.next_min as u64).checked_add(gap)?;
-                if v > u32::MAX as u64 {
-                    return None;
-                }
-                self.next_min = (v as u32).wrapping_add(1);
-                Some(v as u32)
-            })(),
-            _ => {
-                // Bitset: scan forward from next_min for the next set bit.
-                let bits = self.owned.as_deref().unwrap_or(self.body);
-                let mut v = self.next_min;
-                loop {
-                    let byte = match bits.get((v >> 3) as usize) {
-                        Some(&b) => b,
-                        None => break None,
-                    };
-                    if byte >> (v & 7) == 0 {
-                        v = (v & !7) + 8;
-                        continue;
+                        if byte & (1 << (v & 7)) != 0 {
+                            self.next_min = v + 1;
+                            break Some(v);
+                        }
+                        v += 1;
                     }
-                    if byte & (1 << (v & 7)) != 0 {
-                        self.next_min = v + 1;
-                        break Some(v);
-                    }
-                    v += 1;
                 }
-            }
-        };
+            };
         if item.is_none() {
             // Malformed: stop after reporting once.
             self.emitted = self.cardinality;
@@ -957,22 +1230,35 @@ struct KeySlot {
     start: u32,
 }
 
+/// A run of consecutive record indices filed under one slot.
+#[derive(Debug, Clone, Copy, Default)]
+struct Segment {
+    slot: u32,
+    first: u32,
+    last: u32,
+}
+
 /// The index sets of one wide dimension (pc buckets, address pages),
-/// grouped by key with a counting sort: every record files
-/// `(slot, index)` under its key's slot, then one scatter pass lays the
-/// indices out slot by slot. Records arrive in index order, so every
-/// group comes out ascending and nothing is sorted but the handful of
-/// distinct keys. All storage is flat, sized by the frame, and kept
-/// from frame to frame.
+/// grouped by key with a counting sort: records file their indices
+/// under their key's slot, then one scatter pass lays the indices out
+/// slot by slot. Records arrive in index order, so every group comes out
+/// ascending and nothing is sorted but the handful of distinct keys.
+/// Consecutive records mostly stay in one code bucket or page, so the
+/// indices are filed as segments of consecutive ones, and the open
+/// segment grows in place: a record that extends it writes nothing. All
+/// storage is flat, sized by the frame, and kept from frame to frame.
 #[derive(Debug, Default)]
 struct KeyGroups {
     slot_of: HashMap<u32, u32>,
     slots: Vec<KeySlot>,
-    /// `(slot, index)` in arrival order.
-    filed: Vec<(u32, u32)>,
-    /// The key and slot of the previous push (consecutive records
-    /// mostly stay in one code bucket or page).
-    recent: Option<(u32, u32)>,
+    /// Closed segments in arrival order.
+    filed: Vec<Segment>,
+    /// The key of the open segment, if one is open.
+    open_key: Option<u32>,
+    open: Segment,
+    /// Indices filed under the open key since it opened, the open
+    /// segment's included (added to its slot's count on close).
+    open_len: u32,
     /// Slots in ascending key order, and the indices grouped by slot.
     order: Vec<u32>,
     indices: Vec<u32>,
@@ -983,33 +1269,49 @@ impl KeyGroups {
         self.slot_of.clear();
         self.slots.clear();
         self.filed.clear();
-        self.recent = None;
+        self.open_key = None;
     }
 
     /// Files record `i` under `key`; `i` never decreases between calls.
     fn push(&mut self, key: u32, i: u32) {
-        let slot = match self.recent {
-            Some((k, slot)) if k == key => slot,
-            _ => {
-                let slot = *self.slot_of.entry(key).or_insert(self.slots.len() as u32);
-                if slot as usize == self.slots.len() {
-                    self.slots.push(KeySlot { key, len: 0, last: u32::MAX, start: 0 });
-                }
-                self.recent = Some((key, slot));
-                slot
+        if self.open_key == Some(key) {
+            let open = &mut self.open;
+            self.open_len += (i != open.last) as u32;
+            if i <= open.last + 1 {
+                open.last = i;
+                return;
             }
-        };
-        let s = &mut self.slots[slot as usize];
-        if s.last != i {
-            s.last = i;
-            s.len += 1;
-            self.filed.push((slot, i));
+            self.filed.push(*open);
+            *open = Segment { slot: open.slot, first: i, last: i };
+            return;
+        }
+        self.close();
+        let slot = *self.slot_of.entry(key).or_insert(self.slots.len() as u32);
+        if slot as usize == self.slots.len() {
+            self.slots.push(KeySlot { key, len: 0, last: u32::MAX, start: 0 });
+        }
+        if self.slots[slot as usize].last != i {
+            self.open_key = Some(key);
+            self.open = Segment { slot, first: i, last: i };
+            self.open_len = 1;
+        }
+    }
+
+    /// Files the open segment, if any.
+    fn close(&mut self) {
+        if self.open_key.take().is_some() {
+            let open = self.open;
+            let s = &mut self.slots[open.slot as usize];
+            s.len += self.open_len;
+            s.last = open.last;
+            self.filed.push(open);
         }
     }
 
     /// The frame's `(key, ascending indices)` groups in ascending key
     /// order.
     fn groups(&mut self) -> impl Iterator<Item = (u32, &[u32])> {
+        self.close();
         let slots = &mut self.slots;
         self.order.clear();
         self.order.extend(0..slots.len() as u32);
@@ -1020,13 +1322,17 @@ impl KeyGroups {
             start += slots[s as usize].len;
         }
         self.indices.clear();
-        self.indices.resize(self.filed.len(), 0);
+        self.indices.resize(start as usize, 0);
         // `last` has served its purpose; reuse it as the scatter cursor.
         slots.iter_mut().for_each(|s| s.last = s.start);
-        for &(slot, i) in &self.filed {
-            let s = &mut slots[slot as usize];
-            self.indices[s.last as usize] = i;
-            s.last += 1;
+        for seg in &self.filed {
+            let s = &mut slots[seg.slot as usize];
+            let at = s.last as usize;
+            let len = (seg.last - seg.first + 1) as usize;
+            for (out, i) in self.indices[at..at + len].iter_mut().zip(seg.first..) {
+                *out = i;
+            }
+            s.last += len as u32;
         }
         let (slots, indices) = (&self.slots, &self.indices);
         self.order.iter().map(move |&s| {
@@ -1036,10 +1342,31 @@ impl KeyGroups {
     }
 }
 
+/// Extraction's view of a record, per `(code, flags & 3)`: the address
+/// slots it owns (bits 0–1), its [`op_class`] (bits 2–4) and its [`site`]
+/// kind plus one, zero for none (bits 5–8) — three matches on the record
+/// shape as one lookup.
+static SHAPES: [u16; 1024] = {
+    let mut table = [0u16; 1024];
+    let mut i = 0;
+    while i < table.len() {
+        let (code, flags) = ((i >> 2) as u8, (i & 3) as u8);
+        let (mems, plains, _) = crate::codec::stream_shape(code, flags);
+        let site = match site::of(code) {
+            Some(kind) => kind + 1,
+            None => 0,
+        };
+        table[i] = (mems + plains) as u16 | (op_class::of(code) as u16) << 2 | (site as u16) << 5;
+        i += 1;
+    }
+    table
+};
+
 /// Inverts batches into [`FramePostings`]. Owns every scratch buffer of
 /// the build — the key grouping, the membership words and lag histogram
 /// of the container choice — so an index builder that keeps one of
-/// these across frames allocates only the postings it emits.
+/// these across frames allocates only the postings it emits (and their
+/// bodies too long to hold in place).
 #[derive(Debug, Default)]
 pub(crate) struct PostingBuilder {
     ops: [Vec<u32>; op_class::COUNT as usize],
@@ -1057,38 +1384,40 @@ impl PostingBuilder {
         self.ops.iter_mut().chain(&mut self.sites).for_each(Vec::clear);
         self.pcs.clear();
         self.pages.clear();
-        let codes = batch.codes();
-        let flags = batch.flag_bytes();
-        let pcs = batch.pcs();
         let addrs = batch.addrs();
         let mut ai = 0usize;
-        for i in 0..batch.len() {
-            let code = codes[i];
-            self.pcs.push(pcs[i] >> PC_BUCKET_SHIFT, i as u32);
-            self.ops[op_class::of(code) as usize].push(i as u32);
-            if let Some(kind) = site::of(code) {
-                self.sites[kind as usize].push(i as u32);
+        let columns = batch.codes().iter().zip(batch.flag_bytes()).zip(batch.pcs());
+        for (i, ((&code, &flags), &pc)) in columns.enumerate() {
+            let i = i as u32;
+            let shape = SHAPES[(code as usize) << 2 | (flags & 3) as usize];
+            self.pcs.push(pc >> PC_BUCKET_SHIFT, i);
+            self.ops[(shape >> 2 & 7) as usize].push(i);
+            if shape >> 5 != 0 {
+                self.sites[(shape >> 5) as usize - 1].push(i);
             }
-            let (mems, plains, _vals) = crate::codec::stream_shape(code, flags[i]);
-            for _ in 0..(mems + plains) {
-                self.pages.push(addrs[ai] >> PAGE_SHIFT, i as u32);
-                ai += 1;
+            for &addr in &addrs[ai..ai + (shape & 3) as usize] {
+                self.pages.push(addr >> PAGE_SHIFT, i);
             }
+            ai += (shape & 3) as usize;
         }
         debug_assert_eq!(ai, addrs.len(), "stream_shape must consume the whole addr stream");
 
         let encoder = &mut self.encoder;
-        let mut postings = Vec::new();
+        let (ops, sites) = (&self.ops, &self.sites);
+        let present = |sets: &[Vec<u32>]| sets.iter().filter(|s| !s.is_empty()).count();
+        let mut postings = Vec::with_capacity(
+            self.pcs.slots.len() + present(ops) + self.pages.slots.len() + present(sites),
+        );
         for (key, set) in self.pcs.groups() {
             postings.push(encoder.build(Dim::PcBucket, key, set, records));
         }
-        for (key, set) in self.ops.iter().enumerate().filter(|(_, s)| !s.is_empty()) {
+        for (key, set) in ops.iter().enumerate().filter(|(_, s)| !s.is_empty()) {
             postings.push(encoder.build(Dim::OpClass, key as u32, set, records));
         }
         for (key, set) in self.pages.groups() {
             postings.push(encoder.build(Dim::AddrPage, key, set, records));
         }
-        for (key, set) in self.sites.iter().enumerate().filter(|(_, s)| !s.is_empty()) {
+        for (key, set) in sites.iter().enumerate().filter(|(_, s)| !s.is_empty()) {
             postings.push(encoder.build(Dim::Site, key as u32, set, records));
         }
         FramePostings { postings }
@@ -1159,7 +1488,6 @@ impl FramePostings {
         }
         let mut postings = Vec::with_capacity(n as usize);
         let mut prev: Option<(u8, u32)> = None;
-        let mut words = Vec::new();
         for _ in 0..n {
             let dim_b = *bytes.get(*pos).ok_or("posting section truncated")?;
             *pos += 1;
@@ -1182,7 +1510,7 @@ impl FramePostings {
             if len > bytes.len() as u64 || end > bytes.len() {
                 return Err("posting body past section end");
             }
-            let body = bytes[*pos..end].to_vec();
+            let body = Body::new(&bytes[*pos..end]);
             *pos = end;
             if prev.is_some_and(|p| p >= (dim_b, key as u32)) {
                 return Err("postings not sorted by (dim, key)");
@@ -1196,7 +1524,7 @@ impl FramePostings {
                 records,
                 body,
             };
-            p.validate(records, &mut words)?;
+            p.validate(records)?;
             postings.push(p);
         }
         Ok(FramePostings { postings })
@@ -1343,7 +1671,7 @@ mod tests {
         let p = build(Dim::PcBucket, 7, sorted, records);
         let got: Vec<u32> = p.iter().map(|v| v.expect("well-formed")).collect();
         assert_eq!(got, sorted, "container {} mangled the set", p.container_kind());
-        p.validate(records, &mut Vec::new()).unwrap();
+        p.validate(records).unwrap();
         // Wire roundtrip through a frame section.
         let fp = FramePostings { postings: vec![p] };
         let mut bytes = Vec::new();
@@ -1397,7 +1725,7 @@ mod tests {
         assert_eq!(p.container_kind(), "pxor");
         assert!(p.body_len() <= 8, "two phases + a perturbation, got {}", p.body_len());
         assert_eq!(p.iter().map(|v| v.unwrap()).collect::<Vec<_>>(), set);
-        p.validate(2100, &mut Vec::new()).unwrap();
+        p.validate(2100).unwrap();
         // Wire roundtrip preserves the container choice.
         let fp = FramePostings { postings: vec![p] };
         let mut bytes = Vec::new();
@@ -1645,6 +1973,27 @@ mod tests {
             }
         }
 
+        /// Runs and array validation by walking every element.
+        pub fn validate_by_walk(p: &Posting, records: u32) -> Result<(), &'static str> {
+            let mut prev: Option<u32> = None;
+            let mut n = 0u32;
+            for v in p.iter() {
+                let v = v.ok_or("malformed posting container")?;
+                if v >= records {
+                    return Err("posting index past frame records");
+                }
+                if prev.is_some_and(|p| p >= v) {
+                    return Err("posting indices not strictly ascending");
+                }
+                prev = Some(v);
+                n += 1;
+            }
+            if n != p.cardinality {
+                return Err("posting cardinality mismatch");
+            }
+            Ok(())
+        }
+
         /// `clamp_range`, one record at a time.
         pub fn clamp_range(words: &mut [u64], records: u32, lo: u32, hi: u32) {
             for v in 0..records {
@@ -1749,6 +2098,13 @@ mod tests {
             prop_assert_eq!(&got, &expected, "diff positions, p={} records={}", p, records);
             let count: u32 = diff.iter().map(|w| w.count_ones()).sum();
             prop_assert_eq!(count as usize, expected.len());
+            let n = expected.len();
+            prop_assert_eq!(diff_count(&bits, p, records, n), Some(n), "p={} records={}", p, records);
+            if n > 0 {
+                prop_assert_eq!(diff_count(&bits, p, records, n - 1), None);
+                let mut capped = Vec::new();
+                prop_assert!(diff_sorted(&set, p, records, n - 1, &mut capped).is_none());
+            }
 
             let body = pxor_body(p as u64, &expected);
             let mut words = Vec::new();
@@ -1810,13 +2166,17 @@ mod tests {
             encoder.build(Dim::AddrPage, 1, &periodic_set(records, p, &[raw], terms, &[]), records);
             let posting = encoder.build(Dim::AddrPage, 2, &set, records);
             let (kind, body) = oracle::build(&set, records);
+            let (mut runs, mut array) = (Vec::new(), Vec::new());
+            for_each_run_varint(&set, |v| put_varint(&mut runs, v));
+            for_each_gap(set.iter().copied(), |v| put_varint(&mut array, v));
+            prop_assert_eq!(runs_and_array_len(&set), (runs.len(), array.len()));
             prop_assert_eq!(
-                (posting.kind, &posting.body),
-                (kind, &body),
+                (posting.kind, &posting.body[..]),
+                (kind, &body[..]),
                 "p={} records={} |set|={}", p, records, set.len()
             );
             prop_assert_eq!(posting.cardinality as usize, set.len());
-            posting.validate(records, &mut Vec::new()).unwrap();
+            posting.validate(records).unwrap();
             prop_assert_eq!(posting.iter().map(|v| v.unwrap()).collect::<Vec<_>>(), set);
         }
 
@@ -1840,7 +2200,7 @@ mod tests {
             let set = periodic_set(records, p, &phases, terms, &flips);
             prop_assume!(!set.is_empty());
             let mut merged = Vec::new();
-            diff_sorted(&set, p, records, &mut merged);
+            diff_sorted(&set, p, records, usize::MAX, &mut merged).expect("no cap");
             prop_assert_eq!(&merged, &oracle::diff_merge(&set, p, records), "p={}", p);
 
             let mut encoder = ContainerEncoder::default();
@@ -1882,6 +2242,97 @@ mod tests {
             got.clamp_range(lo, hi);
             prop_assert_eq!(&got.words, &expected, "clamp [{}, {}) of {}", lo, hi, records);
         }
+
+        /// Load kernel: the periodic-XOR count equals the popcount of
+        /// the reconstruction, and is `None` on exactly the bodies the
+        /// reconstruction refuses — any period of the probe's range, any
+        /// frame up to 64 k records, any diff list, and bodies cut short,
+        /// carrying an overlong or overflowing varint, reaching past the
+        /// frame or with a period out of range.
+        #[test]
+        fn pxor_count_equals_the_reconstructions_popcount(
+            records in 2u32..=65_536,
+            period in 1u32..=MAX_PERIOD,
+            diffs in prop_oneof![
+                proptest::collection::vec(any::<u32>(), 0usize..8),
+                proptest::collection::vec(any::<u32>(), 0usize..300),
+            ],
+            damage in 0u32..8,
+            raw in any::<u32>(),
+        ) {
+            let p = if period < records { period } else { 1 + period % (records - 1) };
+            let mut positions: Vec<u32> = diffs.iter().map(|d| d % records).collect();
+            positions.sort_unstable();
+            positions.dedup();
+            let mut body = pxor_body(p as u64, &positions);
+            let next_min = positions.last().map_or(0, |&v| v as u64 + 1);
+            match damage {
+                // Cut anywhere, inside a varint or between two.
+                1 => body.truncate(raw as usize % body.len()),
+                // A gap that never ends, or runs past 64 bits.
+                2 => body.push(0x80),
+                3 => body.extend([0xff; 9].into_iter().chain([0x02])),
+                // A gap whose position overflows, or lands past the frame.
+                4 => put_varint(&mut body, u64::MAX),
+                5 => put_varint(&mut body, records as u64 - next_min.min(records as u64) + raw as u64 % 3),
+                // A period of zero, of the frame or past the probe.
+                6 => body = pxor_body([0, records as u64, MAX_PERIOD as u64 + 1][raw as usize % 3], &positions),
+                // Well-formed: zero-length encodings of a gap are valid.
+                7 => body.extend([0x80, 0x00]),
+                _ => {}
+            }
+            let mut words = Vec::new();
+            let expected = decode_pxor(&body, records, &mut words)
+                .map(|()| words.iter().map(|w| w.count_ones() as u64).sum::<u64>());
+            prop_assert_eq!(
+                pxor_cardinality(&body, records),
+                expected,
+                "p={} records={} damage={} body={:?}", p, records, damage, body
+            );
+        }
+
+        /// The run-at-a-time walk of a runs or array body refuses what the
+        /// element walk refuses, with its reason, and accepts what it
+        /// accepts — on bodies of plausible and of hostile varints, cut
+        /// short or not, against every cardinality.
+        #[test]
+        fn varint_validation_matches_the_element_walk(
+            runs in any::<bool>(),
+            records in 1u32..20_000,
+            cardinality in 1u32..64,
+            values in proptest::collection::vec((0u32..6, any::<u32>()), 0usize..40),
+            cut in any::<bool>(),
+        ) {
+            let mut body = Vec::new();
+            for &(class, raw) in &values {
+                let v = match class {
+                    0 => raw as u64 % 4,
+                    1 => raw as u64 % 300,
+                    2 => raw as u64 % (records as u64 + 10),
+                    3 => u32::MAX as u64 - raw as u64 % 6,
+                    4 => raw as u64,
+                    _ => (1u64 << 32) + raw as u64 % 4,
+                };
+                put_varint(&mut body, v);
+            }
+            if cut {
+                body.push(0x80);
+            }
+            let kind = if runs { KIND_RUNS } else { KIND_ARRAY };
+            let posting = Posting {
+                dim: Dim::PcBucket,
+                key: 0,
+                cardinality,
+                kind,
+                records,
+                body: Body::new(&body),
+            };
+            prop_assert_eq!(
+                posting.validate(records),
+                oracle::validate_by_walk(&posting, records),
+                "kind={} records={} cardinality={} body={:?}", kind, records, cardinality, body
+            );
+        }
     }
 
     /// The set shapes the properties draw from reach every container
@@ -1904,7 +2355,8 @@ mod tests {
         assert_eq!(kind(&dense, 4097), "bitset");
     }
 
-    /// The period-header rejections of the reconstruction, old and new.
+    /// The period-header rejections of the reconstruction, old and new,
+    /// and of the count.
     #[test]
     fn malformed_pxor_headers_are_rejected_by_both() {
         let records = 1000u32;
@@ -1919,8 +2371,36 @@ mod tests {
         ] {
             assert!(decode_pxor(&body, records, &mut words).is_none(), "{body:?}");
             assert!(oracle::decode_pxor(&body, records).is_none(), "{body:?}");
+            assert!(pxor_cardinality(&body, records).is_none(), "{body:?}");
         }
         assert!(decode_pxor(&pxor_body(MAX_PERIOD as u64, &[1]), 5000, &mut words).is_some());
+    }
+
+    /// The one parse of a runs or array header, shared by the iterator
+    /// and the validator: it reads as many varints as the kind has, and
+    /// refuses a cut-short varint or a start, step or length past `u32`.
+    #[test]
+    fn run_headers_refuse_fields_past_u32() {
+        let max = u32::MAX as u64;
+        let read = |kind, fields: &[u64], next_min| {
+            let mut body = Vec::new();
+            fields.iter().for_each(|&f| put_varint(&mut body, f));
+            let mut pos = 0;
+            read_run(kind, &body, &mut pos, next_min).map(|run| (run, pos))
+        };
+        assert_eq!(read(KIND_RUNS, &[5, 2, 3], 10), Some(((15, 2, 4), 3)));
+        assert_eq!(read(KIND_RUNS, &[5, 0, 3], 10), Some(((15, 0, 1), 2)));
+        assert_eq!(read(KIND_ARRAY, &[5, 2, 3], 10), Some(((15, 0, 1), 1)));
+        assert_eq!(read(KIND_RUNS, &[0, 1, max - 1], 0).map(|r| r.0), Some((0, 1, u32::MAX)));
+        assert_eq!(read(KIND_RUNS, &[0, 1, max], 0), None);
+        assert_eq!(read(KIND_RUNS, &[0, 1, u64::MAX], 0), None);
+        assert_eq!(read(KIND_RUNS, &[0, max - 1, 0], 0).map(|r| r.0), Some((0, u32::MAX - 1, 1)));
+        assert_eq!(read(KIND_RUNS, &[0, max, 0], 0), None);
+        assert_eq!(read(KIND_ARRAY, &[max], 0).map(|r| r.0), Some((u32::MAX, 0, 1)));
+        assert_eq!(read(KIND_ARRAY, &[max], 1), None);
+        assert_eq!(read(KIND_ARRAY, &[1], u64::MAX), None);
+        assert_eq!(read(KIND_RUNS, &[5, 2], 0), None);
+        assert_eq!(read(KIND_ARRAY, &[], 0), None);
     }
 
     /// `encoded_len` is arithmetic; it must equal what `encode` appends.
@@ -1939,6 +2419,11 @@ mod tests {
             let mut out = Vec::new();
             put_varint(&mut out, v);
             assert_eq!(varint_len(v), out.len(), "varint_len({v})");
+        }
+        for shift in 0..32 {
+            for v in [1u32 << shift, (1u32 << shift) - 1, u32::MAX >> shift] {
+                assert_eq!(varint_len32(v) as usize, varint_len(v as u64), "varint_len32({v})");
+            }
         }
     }
 }

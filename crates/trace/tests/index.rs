@@ -298,6 +298,16 @@ fn every_posting_rejection_keeps_its_reason() {
             "posting index past frame records",
         ),
         (
+            "second run's tail past frame",
+            one(posting(0, 1, 6, RUNS, &[0, 2, 1, 80, 2, 9])),
+            "posting index past frame records",
+        ),
+        (
+            "run step lands on u32::MAX",
+            one(posting(0, 1, 2, RUNS, &[vec![5, 1], varint(u32::MAX as u64 - 6)].concat())),
+            "posting index past frame records",
+        ),
+        (
             "run step wraps below its start",
             one(posting(0, 1, 2, RUNS, &[vec![5, 1], varint(u32::MAX as u64 - 3)].concat())),
             "posting indices not strictly ascending",
@@ -370,6 +380,10 @@ fn every_posting_rejection_keeps_its_reason() {
     bad = sound.clone();
     bad[0] = b'Z';
     assert_eq!(rejection(&bad), "not an igm trace index (bad magic)");
+
+    // A run reaching past the frame after the declared cardinality is
+    // never walked that far, so it loads.
+    assert_eq!(rejection(&one(posting(0, 1, 5, RUNS, &[0, 2, 1, 80, 2, 9]))), "(loaded)");
 
     // Control: sound hand-built containers of every kind load, and
     // iterate to the sets they were built from.
