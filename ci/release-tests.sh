@@ -61,6 +61,10 @@ cargo test --release -q -p igm-runtime --test work_stealing
 # with the producer's sends and with helped turns.
 cargo test --release -q -p igm-lake --test lake
 cargo test --release -q -p igm-trace --lib postings
+# The fused codec walks against the four-pass oracle: hit-bit words,
+# worst-case escape buffers written by index, and the varint-terminator
+# scan that locates a section before it is decoded.
+cargo test --release -q -p igm-trace --lib codec
 cargo test --release -q -p igm-trace --test index
 cargo test --release -q -p igm-trace --test codec
 # The net protocol suite with its ignored test: the server's HELLO deadline

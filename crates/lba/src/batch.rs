@@ -230,6 +230,47 @@ impl TraceBatch {
         self.vals.push(v);
     }
 
+    /// Sizes the fixed columns to `records` records and hands them out for
+    /// writing by index (the trace codec's decoder, which knows a frame's
+    /// record count before it decodes a field). Slots the caller does not
+    /// overwrite hold unspecified (but valid) bytes: a decoder must write
+    /// every one, plus exactly the stream entries `codes` and `flags`
+    /// imply ([`raw_streams`](TraceBatch::raw_streams)). Dropping the
+    /// handle recounts the annotation records from `codes`, so
+    /// [`compressed_bytes`](TraceBatch::compressed_bytes) stays exact.
+    pub fn raw_records(&mut self, records: usize) -> RawRecords<'_> {
+        for col in [&mut self.codes, &mut self.addr_regs, &mut self.regs, &mut self.flags] {
+            col.resize(records, 0);
+        }
+        self.pcs.resize(records, 0);
+        RawRecords {
+            pcs: &mut self.pcs,
+            codes: &mut self.codes,
+            addr_regs: &mut self.addr_regs,
+            regs: &mut self.regs,
+            flags: &mut self.flags,
+            annots: &mut self.annots,
+        }
+    }
+
+    /// Sizes the shared streams to `addrs` address slots and `vals`
+    /// immediates and hands them out for writing by index, beside the
+    /// fixed columns they follow — the second half of
+    /// [`raw_records`](TraceBatch::raw_records), under the same contract.
+    pub fn raw_streams(&mut self, addrs: usize, vals: usize) -> RawStreams<'_> {
+        self.addrs.resize(addrs, 0);
+        self.sizes.resize(addrs, 0);
+        self.vals.resize(vals, 0);
+        RawStreams {
+            pcs: &self.pcs,
+            codes: &self.codes,
+            flags: &self.flags,
+            addrs: &mut self.addrs,
+            sizes: &mut self.sizes,
+            vals: &mut self.vals,
+        }
+    }
+
     // -- converters -----------------------------------------------------
 
     /// Appends one record, scattering its fields into the columns.
@@ -383,6 +424,49 @@ impl FromIterator<TraceEntry> for TraceBatch {
         b.extend_entries(iter);
         b
     }
+}
+
+/// A [`TraceBatch`]'s fixed columns, writable by index
+/// ([`TraceBatch::raw_records`]).
+#[derive(Debug)]
+pub struct RawRecords<'a> {
+    /// Program counters.
+    pub pcs: &'a mut [u32],
+    /// Field codes ([`igm_isa::codes`]); every one must be below
+    /// [`codes::COUNT`].
+    pub codes: &'a mut [u8],
+    /// Address-computation register sets.
+    pub addr_regs: &'a mut [u8],
+    /// Packed register operands.
+    pub regs: &'a mut [u8],
+    /// Optional-field flags.
+    pub flags: &'a mut [u8],
+    annots: &'a mut u32,
+}
+
+impl Drop for RawRecords<'_> {
+    fn drop(&mut self) {
+        *self.annots = self.codes.iter().filter(|&&c| codes::is_annotation(c)).count() as u32;
+    }
+}
+
+/// A [`TraceBatch`]'s shared streams, writable by index beside the fixed
+/// columns they follow ([`TraceBatch::raw_streams`]).
+#[derive(Debug)]
+pub struct RawStreams<'a> {
+    /// Program counters.
+    pub pcs: &'a [u32],
+    /// Field codes.
+    pub codes: &'a [u8],
+    /// Optional-field flags.
+    pub flags: &'a [u8],
+    /// The shared address stream.
+    pub addrs: &'a mut [u32],
+    /// Access-size codes, index-aligned with `addrs` (2 for plain
+    /// addresses).
+    pub sizes: &'a mut [u8],
+    /// The immediate stream.
+    pub vals: &'a mut [u32],
 }
 
 /// Sequential [`TraceEntry`] view over a [`TraceBatch`]'s columns.
@@ -613,6 +697,29 @@ mod tests {
         assert_eq!(batch.addrs.capacity(), addr_cap);
         batch.extend_entries(entries.iter().copied());
         assert_eq!(batch.to_entries(), entries);
+    }
+
+    #[test]
+    fn raw_columns_written_by_index_equal_the_pushed_batch() {
+        let want = TraceBatch::from_entries(&zoo());
+        // Start from a larger, unrelated batch: resizing must leave no
+        // stale length or annotation count behind.
+        let mut got = TraceBatch::from_entries(&[zoo(), zoo()].concat());
+        {
+            let r = got.raw_records(want.len());
+            r.pcs.copy_from_slice(want.pcs());
+            r.codes.copy_from_slice(want.codes());
+            r.addr_regs.copy_from_slice(want.addr_regs_bits());
+            r.regs.copy_from_slice(want.reg_bytes());
+            r.flags.copy_from_slice(want.flag_bytes());
+        }
+        let s = got.raw_streams(want.addrs().len(), want.vals().len());
+        assert_eq!(s.codes, want.codes());
+        s.addrs.copy_from_slice(want.addrs());
+        s.sizes.copy_from_slice(want.size_codes());
+        s.vals.copy_from_slice(want.vals());
+        assert_eq!(got, want);
+        assert_eq!(got.compressed_bytes(), want.compressed_bytes());
     }
 
     #[test]

@@ -30,7 +30,7 @@ pub mod etct;
 pub mod event;
 pub mod record;
 
-pub use batch::{Records, TraceBatch};
+pub use batch::{RawRecords, RawStreams, Records, TraceBatch};
 pub use etct::{Etct, EtctEntry, FieldSelect, IfEventConfig};
 pub use event::{
     extract_batch, extract_events, sweep_batch, CheckKind, DeliveredEvent, Event, EventBuf,

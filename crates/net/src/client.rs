@@ -5,7 +5,7 @@
 //! refuses either surfaces as [`NetError::Rejected`].
 
 use crate::wire::{
-    self, Fill, FinStats, MsgBuf, NetError, MSG_HEADER_BYTES, NET_VERSION, SPAN_PREFIX_BYTES,
+    self, Fill, FinStats, MsgBuf, NetError, CHUNK_HEAD_BYTES, NET_VERSION, SPAN_PREFIX_BYTES,
 };
 use igm_isa::TraceEntry;
 use igm_lba::{chunks, TraceBatch};
@@ -243,22 +243,25 @@ impl TraceForwarder {
             (Some(s), Some(_)) => Some(s.rec.now()),
             _ => None,
         };
+        // The whole chunk message is built in the one reused buffer: the
+        // frame is encoded behind room for the message header and span
+        // prefix, which are filled in once its length is known, and the
+        // message leaves in one write.
         self.frame.clear();
+        self.frame.resize(CHUNK_HEAD_BYTES, 0);
         let started = self.codec_metrics.start_encode();
         encode_frame_with(&mut self.predictors, &mut self.frame, batch);
         self.codec_metrics.stop_encode(started);
-        self.codec_metrics.count_frame(batch.len() as u64, self.frame.len() as u64);
+        let frame_len = self.frame.len() - CHUNK_HEAD_BYTES;
+        self.codec_metrics.count_frame(batch.len() as u64, frame_len as u64);
         self.wait_for_credit(tag)?;
         // Credit accounts the whole chunk payload — span prefix included
         // — matching the server's received-bytes ledger.
-        let payload_len = self.frame.len() + SPAN_PREFIX_BYTES;
-        let mut header = Vec::with_capacity(MSG_HEADER_BYTES + SPAN_PREFIX_BYTES);
-        wire::push_header(&mut header, wire::msg::CHUNK, payload_len);
-        wire::push_span_prefix(&mut header, tag);
-        self.push_bytes(&header)?;
-        let frame = std::mem::take(&mut self.frame);
-        let r = self.push_bytes(&frame);
-        self.frame = frame;
+        let payload_len = frame_len + SPAN_PREFIX_BYTES;
+        wire::put_chunk_head(&mut self.frame[..CHUNK_HEAD_BYTES], payload_len, tag);
+        let message = std::mem::take(&mut self.frame);
+        let r = self.push_bytes(&message);
+        self.frame = message;
         r?;
         if let (Some(s), Some(tag), Some(t0)) = (&self.spans, tag, send_start) {
             s.rec.record(s.ring, Stage::ClientSend, Track::Client(s.flow), tag, t0, s.rec.now());

@@ -301,18 +301,30 @@ pub fn hello_message(version: u32, codec: u32, session: &SessionConfig) -> Vec<u
     out
 }
 
-/// Appends the chunk span prefix: all-zero when the frame is
-/// unsampled, `flags` bit 0 plus the frame's flow/seq when it carries a
-/// tag.
-pub(crate) fn push_span_prefix(out: &mut Vec<u8>, tag: Option<FrameTag>) {
-    match tag {
-        Some(tag) => {
-            out.extend_from_slice(&[1, 0, 0, 0]);
-            out.extend_from_slice(&tag.flow.to_le_bytes());
-            out.extend_from_slice(&tag.seq.to_le_bytes());
-        }
-        None => out.extend_from_slice(&[0u8; SPAN_PREFIX_BYTES]),
+/// The chunk span prefix: all-zero when the frame is unsampled, `flags`
+/// bit 0 plus the frame's flow/seq when it carries a tag.
+fn span_prefix(tag: Option<FrameTag>) -> [u8; SPAN_PREFIX_BYTES] {
+    let mut prefix = [0u8; SPAN_PREFIX_BYTES];
+    if let Some(tag) = tag {
+        prefix[0] = 1;
+        prefix[4..8].copy_from_slice(&tag.flow.to_le_bytes());
+        prefix[8..].copy_from_slice(&tag.seq.to_le_bytes());
     }
+    prefix
+}
+
+/// Bytes of a chunk message ahead of its frame: the message header and
+/// the span prefix.
+pub(crate) const CHUNK_HEAD_BYTES: usize = MSG_HEADER_BYTES + SPAN_PREFIX_BYTES;
+
+/// Fills the [`CHUNK_HEAD_BYTES`] reserved ahead of a chunk's frame, once
+/// the frame is encoded: the header for a `payload_len`-byte payload (span
+/// prefix plus frame) and the span prefix.
+pub(crate) fn put_chunk_head(head: &mut [u8], payload_len: usize, tag: Option<FrameTag>) {
+    let len = u32::try_from(payload_len).expect("message fits u32 length");
+    head[0] = msg::CHUNK;
+    head[1..MSG_HEADER_BYTES].copy_from_slice(&len.to_le_bytes());
+    head[MSG_HEADER_BYTES..CHUNK_HEAD_BYTES].copy_from_slice(&span_prefix(tag));
 }
 
 /// Decodes a chunk span prefix (exactly [`SPAN_PREFIX_BYTES`] bytes).
@@ -713,22 +725,17 @@ mod tests {
 
     #[test]
     fn span_prefix_round_trips_sampled_and_unsampled() {
-        let mut out = Vec::new();
-        push_span_prefix(&mut out, None);
-        assert_eq!(out.len(), SPAN_PREFIX_BYTES);
-        assert_eq!(decode_span_prefix(&out).unwrap(), None);
+        assert_eq!(decode_span_prefix(&span_prefix(None)).unwrap(), None);
 
         let tag = FrameTag { flow: 0xDEAD_BEEF, seq: u64::MAX - 7 };
-        out.clear();
-        push_span_prefix(&mut out, Some(tag));
-        assert_eq!(out.len(), SPAN_PREFIX_BYTES);
+        let out = span_prefix(Some(tag));
         assert_eq!(decode_span_prefix(&out).unwrap(), Some(tag));
 
         // Hostile prefixes: bad flags, sampled bit with the null flow.
-        let mut bad = out.clone();
+        let mut bad = out;
         bad[0] = 2;
         assert!(matches!(decode_span_prefix(&bad), Err(NetError::Malformed(_))));
-        let mut null_flow = out.clone();
+        let mut null_flow = out;
         null_flow[4..8].fill(0);
         assert!(matches!(decode_span_prefix(&null_flow), Err(NetError::Malformed(_))));
     }

@@ -59,8 +59,9 @@ pub use capture::{
 };
 pub use codec::{
     checksum, decode_frame, decode_frame_with, decode_from_slice, encode_frame, encode_frame_with,
-    encode_to_vec, CodecMetrics, Predictors, TraceError, TraceReader, TraceWriter, CODEC_ID,
-    FORMAT_VERSION, FRAME_HEADER_BYTES, MAGIC, MAX_PAYLOAD_BYTES,
+    encode_to_vec, frame_columns, CodecMetrics, ColumnStats, FrameColumns, Predictors, TraceError,
+    TraceReader, TraceWriter, CODEC_ID, FORMAT_VERSION, FRAME_HEADER_BYTES, MAGIC,
+    MAX_PAYLOAD_BYTES,
 };
 pub use index::{IndexEntry, TraceIndex, INDEX_MAGIC, INDEX_VERSION};
 pub use ingest::{

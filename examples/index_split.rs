@@ -1,8 +1,11 @@
-//! Where the IGMX posting index spends its time: per benchmark tenant,
-//! the ns/record of the plain frame encode, the frame decode, the
-//! indexed write (the posting build is indexed − plain), the sidecar
-//! save and the sidecar load, then the container mix the build chose,
-//! with the share of bodies short enough to live inside their posting.
+//! Where the trace codec and the IGMX posting index spend their time: per
+//! benchmark tenant, the ns/record of the plain frame encode, the frame
+//! decode, the indexed write (the posting build is indexed − plain), the
+//! sidecar save and the sidecar load; then, per codec column (pc, static,
+//! address, value), the predictor hit rate and the escape bytes per
+//! record, with how many frames chose each address-escape base; then the
+//! container mix the index build chose, with the share of bodies short
+//! enough to live inside their posting.
 //!
 //! ```sh
 //! cargo run --release --example index_split            # N = 500000
@@ -15,13 +18,13 @@
 //! the host falls on all of them alike (the posting build is the
 //! difference of two of them). The loaded sidecar must equal the index
 //! the writer built, and the decoded stream the batches it came from;
-//! the example aborts otherwise. The container mix is exact (it depends
-//! only on the records), so two builds can `diff` that half of the
-//! output.
+//! the example aborts otherwise. The codec columns and the container mix
+//! are exact (they depend only on the records), so two builds can `diff`
+//! everything below the timing table.
 
 use igm::lba::{chunks, TraceBatch};
 use igm::trace::postings::INLINE_BODY;
-use igm::trace::{TraceIndex, TraceReader, TraceWriter};
+use igm::trace::{encode_frame, frame_columns, TraceIndex, TraceReader, TraceWriter};
 use igm::workload::Benchmark;
 use std::time::Instant;
 
@@ -69,6 +72,7 @@ fn main() {
         "tenant", "encode", "decode", "indexed", "build", "save", "load"
     );
     let mut mixes = Vec::new();
+    let mut splits = Vec::new();
     for bench in TENANTS {
         let mut batches = Vec::new();
         let mut source = chunks(bench.trace(n), CHUNK_BYTES);
@@ -133,6 +137,23 @@ fn main() {
             indexed - encode,
         );
 
+        // Per codec column: slots, hits, escape bytes; frames per address
+        // base (global, predicted).
+        let mut columns = [(0u64, 0u64, 0u64); 4];
+        let mut bases = [0u64; 2];
+        for batch in &batches {
+            let mut frame = Vec::new();
+            encode_frame(&mut frame, batch);
+            let split = frame_columns(&frame).expect("a frame just encoded");
+            for (sum, c) in columns.iter_mut().zip(split.columns) {
+                *sum = (sum.0 + c.slots, sum.1 + c.hits, sum.2 + c.escape_bytes);
+            }
+            if let Some(predicted) = split.predicted_base {
+                bases[predicted as usize] += 1;
+            }
+        }
+        splits.push((bench, columns, bases));
+
         // Per container kind: postings, indices held, body bytes, inline
         // bodies.
         let mut mix = [(0u64, 0u64, 0u64, 0u64); KINDS.len()];
@@ -144,6 +165,33 @@ fn main() {
             mix[k].3 += (p.body_len() <= INLINE_BODY) as u64;
         }
         mixes.push((bench, index.frames(), sidecar.len(), mix));
+    }
+
+    println!(
+        "codec columns: predictor hit rate / escape bytes per record, per column; \
+         frames per address-escape base"
+    );
+    println!(
+        "{:<8} {:>17} {:>17} {:>17} {:>17} {:>17}",
+        "tenant", "pc", "static", "address", "value", "global / predicted"
+    );
+    for (bench, columns, [global, predicted]) in splits {
+        let cells: Vec<String> = columns
+            .iter()
+            .map(|&(slots, hits, escapes)| {
+                let rate = 100.0 * hits as f64 / slots.max(1) as f64;
+                format!("{rate:.2}% {:.4}", escapes as f64 / n as f64)
+            })
+            .collect();
+        println!(
+            "{:<8} {:>17} {:>17} {:>17} {:>17} {:>17}",
+            bench.name(),
+            cells[0],
+            cells[1],
+            cells[2],
+            cells[3],
+            format!("{global} / {predicted}")
+        );
     }
 
     println!(
