@@ -56,9 +56,8 @@ use igm_isa::{
 /// [`clear`](TraceBatch::clear) retains every column's allocation, so one
 /// arena is refilled chunk after chunk on the steady-state path. Per-record
 /// [`TraceEntry`] access is a *view*: [`iter`](TraceBatch::iter)
-/// reassembles entries on the fly for compatibility consumers, while the
-/// hot paths ([`crate::extract_batch`], the codec) sweep the columns
-/// directly.
+/// reassembles entries on the fly for per-record consumers, while the hot
+/// paths ([`crate::extract_batch`], the codec) sweep the columns directly.
 ///
 /// # Example
 ///
@@ -379,7 +378,7 @@ impl TraceBatch {
     }
 
     /// Iterates the records as [`TraceEntry`] views, reassembled from the
-    /// columns (the compatibility bridge for per-record consumers).
+    /// columns (the bridge for per-record consumers).
     pub fn iter(&self) -> Records<'_> {
         Records { batch: self, i: 0, ai: 0, vi: 0 }
     }
@@ -396,25 +395,11 @@ impl From<Vec<TraceEntry>> for TraceBatch {
     }
 }
 
-impl From<&[TraceEntry]> for TraceBatch {
-    fn from(entries: &[TraceEntry]) -> TraceBatch {
-        TraceBatch::from_entries(entries)
-    }
-}
-
 impl<'a> IntoIterator for &'a TraceBatch {
     type Item = TraceEntry;
     type IntoIter = Records<'a>;
     fn into_iter(self) -> Records<'a> {
         self.iter()
-    }
-}
-
-impl IntoIterator for TraceBatch {
-    type Item = TraceEntry;
-    type IntoIter = std::vec::IntoIter<TraceEntry>;
-    fn into_iter(self) -> Self::IntoIter {
-        self.to_entries().into_iter()
     }
 }
 

@@ -27,9 +27,10 @@ pub fn compressed_size(entry: &TraceEntry) -> u32 {
 
 /// Groups a record stream into size-bounded batches for block transport.
 ///
-/// Each yielded batch occupies at most `max_bytes` of compressed-record
-/// space ([`compressed_size`]), except that a single record larger than
-/// `max_bytes` is yielded alone (so the iterator always makes progress).
+/// Each batch ([`Chunks::next_into_batch`]) occupies at most `max_bytes`
+/// of compressed-record space ([`compressed_size`]), except that a single
+/// record larger than `max_bytes` is yielded alone (so the chunker always
+/// makes progress).
 /// This is the producer-side "chunk extraction" used by the streaming
 /// runtime (`igm-runtime`): the application core fills a cache-line-sized
 /// batch locally and publishes it to the log channel in one operation,
@@ -39,12 +40,16 @@ pub fn compressed_size(entry: &TraceEntry) -> u32 {
 ///
 /// ```
 /// use igm_isa::{OpClass, Reg, TraceEntry};
-/// use igm_lba::record::chunks;
+/// use igm_lba::{record::chunks, TraceBatch};
 ///
 /// let rec = TraceEntry::op(0x1000, OpClass::ImmToReg { rd: Reg::Eax });
-/// let batches: Vec<Vec<TraceEntry>> = chunks([rec; 10], 4).collect();
-/// assert_eq!(batches.len(), 3); // 4 + 4 + 2 one-byte records
-/// assert_eq!(batches.iter().map(Vec::len).sum::<usize>(), 10);
+/// let mut chunker = chunks([rec; 10], 4);
+/// let mut batch = TraceBatch::new();
+/// let mut sizes = Vec::new();
+/// while chunker.next_into_batch(&mut batch) {
+///     sizes.push(batch.len());
+/// }
+/// assert_eq!(sizes, [4, 4, 2]); // one-byte records
 /// ```
 pub fn chunks<I>(records: I, max_bytes: u32) -> Chunks<I::IntoIter>
 where
@@ -54,7 +59,7 @@ where
     Chunks { inner: records.into_iter(), max_bytes, pending: None }
 }
 
-/// Iterator returned by [`chunks`].
+/// Chunker returned by [`chunks`].
 #[derive(Debug, Clone)]
 pub struct Chunks<I> {
     inner: I,
@@ -63,50 +68,20 @@ pub struct Chunks<I> {
     pending: Option<TraceEntry>,
 }
 
-/// A refillable chunk destination: the one chunking rule in
-/// [`Chunks::fill`] serves both the iterator's `Vec<TraceEntry>` chunks and
-/// the columnar [`TraceBatch`](crate::TraceBatch) arenas.
-trait ChunkDest {
-    fn clear(&mut self);
-    fn push(&mut self, e: TraceEntry);
-    fn is_empty(&self) -> bool;
-}
-
-impl ChunkDest for Vec<TraceEntry> {
-    fn clear(&mut self) {
-        Vec::clear(self);
-    }
-    fn push(&mut self, e: TraceEntry) {
-        Vec::push(self, e);
-    }
-    fn is_empty(&self) -> bool {
-        self.as_slice().is_empty()
-    }
-}
-
-impl ChunkDest for crate::TraceBatch {
-    fn clear(&mut self) {
-        crate::TraceBatch::clear(self);
-    }
-    fn push(&mut self, e: TraceEntry) {
-        crate::TraceBatch::push(self, &e);
-    }
-    fn is_empty(&self) -> bool {
-        crate::TraceBatch::is_empty(self)
-    }
-}
-
 impl<I: Iterator<Item = TraceEntry>> Chunks<I> {
-    /// The single copy of the size-bounded chunking rule: fills `batch`
-    /// (cleared first) with the next chunk, returning whether one was
-    /// produced. A record that does not fit is carried to the next call;
-    /// a single record larger than the whole budget is yielded alone.
-    fn fill<D: ChunkDest>(&mut self, batch: &mut D) -> bool {
+    /// Fills `batch` (cleared first) with the next size-bounded chunk,
+    /// returning whether one was produced — the one chunker of the
+    /// columnar record path: generators and the streaming producers build
+    /// their transport batches column-first, reusing one arena's capacity
+    /// across the whole stream. A record that does not fit is carried to
+    /// the next call; a single record larger than the whole budget is
+    /// yielded alone.
+    pub fn next_into_batch(&mut self, batch: &mut crate::TraceBatch) -> bool {
         batch.clear();
         let mut used = 0u32;
         if let Some(first) = self.pending.take() {
             used += compressed_size(&first);
-            batch.push(first);
+            batch.push(&first);
         }
         for entry in self.inner.by_ref() {
             let sz = compressed_size(&entry);
@@ -115,35 +90,12 @@ impl<I: Iterator<Item = TraceEntry>> Chunks<I> {
                 return true;
             }
             used += sz;
-            batch.push(entry);
+            batch.push(&entry);
             if used >= self.max_bytes {
                 return true;
             }
         }
         !batch.is_empty()
-    }
-
-    /// Fills `batch` (cleared first) with the next size-bounded chunk as a
-    /// structure-of-arrays [`TraceBatch`](crate::TraceBatch) — the native
-    /// producer of the columnar record path. Same chunking rule as the
-    /// `Iterator` impl (they share the implementation); generators and the
-    /// streaming producers feed the transport with batches built
-    /// column-first, reusing one arena's capacity across the whole stream.
-    pub fn next_into_batch(&mut self, batch: &mut crate::TraceBatch) -> bool {
-        self.fill(batch)
-    }
-}
-
-impl<I: Iterator<Item = TraceEntry>> Iterator for Chunks<I> {
-    type Item = Vec<TraceEntry>;
-
-    fn next(&mut self) -> Option<Vec<TraceEntry>> {
-        let mut batch = Vec::new();
-        if self.fill(&mut batch) {
-            Some(batch)
-        } else {
-            None
-        }
     }
 }
 
@@ -157,6 +109,38 @@ mod tests {
     use super::*;
     use igm_isa::{Annotation, MemRef, OpClass, Reg};
 
+    /// Every chunk of `recs`, drained through one reused batch.
+    fn drain(recs: &[TraceEntry], max_bytes: u32) -> Vec<Vec<TraceEntry>> {
+        let mut chunker = chunks(recs.iter().copied(), max_bytes);
+        let mut batch = crate::TraceBatch::new();
+        let mut out = Vec::new();
+        while chunker.next_into_batch(&mut batch) {
+            out.push(batch.to_entries());
+        }
+        out
+    }
+
+    /// The size rule spelled out once, independently of the chunker: a
+    /// chunk closes when the next record would overflow it or when it is
+    /// full, and never closes empty.
+    fn size_rule(recs: &[TraceEntry], max_bytes: u32) -> Vec<Vec<TraceEntry>> {
+        let mut out: Vec<Vec<TraceEntry>> = Vec::new();
+        let mut cur = Vec::new();
+        for &e in recs {
+            if !cur.is_empty() && batch_bytes(&cur) + compressed_size(&e) > max_bytes {
+                out.push(std::mem::take(&mut cur));
+            }
+            cur.push(e);
+            if batch_bytes(&cur) >= max_bytes {
+                out.push(std::mem::take(&mut cur));
+            }
+        }
+        if !cur.is_empty() {
+            out.push(cur);
+        }
+        out
+    }
+
     #[test]
     fn chunks_respect_byte_bound_and_preserve_order() {
         let mut recs = Vec::new();
@@ -166,7 +150,7 @@ mod tests {
                 recs.push(TraceEntry::annot(pc, Annotation::Free { base: pc }));
             }
         }
-        let batches: Vec<_> = chunks(recs.iter().copied(), 16).collect();
+        let batches = drain(&recs, 16);
         for b in &batches {
             assert!(!b.is_empty());
             assert!(batch_bytes(b) <= 16 || b.len() == 1, "oversized multi-record batch");
@@ -186,26 +170,26 @@ mod tests {
         recs
     }
 
-    /// Refilling one reused buffer yields the iterator's chunks, one for
-    /// one, and then reports the end of the stream. The reused buffer is
-    /// a `TraceBatch`: `next_into_batch` is the one refill path.
+    /// Refilling one reused batch yields the size rule's chunks, one for
+    /// one, and then reports the end of the stream with the batch empty.
     #[test]
     fn next_into_matches_iterator() {
         let recs = lock_stream();
-        let by_iter: Vec<_> = chunks(recs.iter().copied(), 12).collect();
-        let mut by_batch = chunks(recs.iter().copied(), 12);
-        let mut batch_buf = crate::TraceBatch::new();
-        for want in &by_iter {
-            assert!(by_batch.next_into_batch(&mut batch_buf), "chunk availability diverged");
-            assert_eq!(&batch_buf.to_entries(), want, "chunk contents diverged");
+        for max_bytes in [1, 8, 9, 12, 64, 1024] {
+            let mut chunker = chunks(recs.iter().copied(), max_bytes);
+            let mut batch = crate::TraceBatch::new();
+            for want in size_rule(&recs, max_bytes) {
+                assert!(chunker.next_into_batch(&mut batch), "chunk availability diverged");
+                assert_eq!(batch.to_entries(), want, "chunk contents diverged");
+            }
+            assert!(!chunker.next_into_batch(&mut batch), "chunk availability diverged");
+            assert!(batch.is_empty(), "an exhausted refill must leave the buffer empty");
         }
-        assert!(!by_batch.next_into_batch(&mut batch_buf), "chunk availability diverged");
-        assert!(batch_buf.is_empty(), "an exhausted refill must leave the buffer empty");
     }
 
-    /// A columnar refill is the iterator's `Vec` chunk in size too, and
-    /// clears what the buffer held before: a batch left full by another
-    /// stream refills to the same chunks as a fresh one.
+    /// A refill is the size rule's chunk in size too, and clears what the
+    /// batch held before: a batch left full by another stream refills to
+    /// the same chunks as a fresh one.
     #[test]
     fn next_into_batch_matches_next_into() {
         let recs = lock_stream();
@@ -214,7 +198,7 @@ mod tests {
         assert!(other.next_into_batch(&mut dirty));
         assert!(!dirty.is_empty());
         let mut by_batch = chunks(recs.iter().copied(), 12);
-        for want in chunks(recs.iter().copied(), 12) {
+        for want in size_rule(&recs, 12) {
             assert!(by_batch.next_into_batch(&mut dirty), "chunk availability diverged");
             assert_eq!(dirty.to_entries(), want, "chunk contents diverged");
             assert_eq!(dirty.compressed_bytes(), batch_bytes(&want));
@@ -226,7 +210,7 @@ mod tests {
     fn oversized_record_is_yielded_alone() {
         let big = TraceEntry::annot(1, Annotation::Malloc { base: 0x9000, size: 64 });
         let small = TraceEntry::op(2, OpClass::ImmToReg { rd: Reg::Eax });
-        let batches: Vec<_> = chunks([small, big, small], 4).collect();
+        let batches = drain(&[small, big, small], 4);
         assert_eq!(batches.len(), 3);
         assert_eq!(batches[1], vec![big]);
     }

@@ -22,7 +22,7 @@ pub struct Monitor<L: Lifeguard> {
     pipeline: DispatchPipeline,
     cost: CostSink,
     events: EventBuf,
-    /// Column conversion arena for the entry-slice compatibility paths.
+    /// Column arena [`Monitor::observe_all`] buffers its records in.
     batch: TraceBatch,
 }
 
@@ -79,22 +79,6 @@ impl<L: Lifeguard> Monitor<L> {
             (std::mem::take(&mut self.events), std::mem::take(&mut self.cost));
         self.observe_into(batch, &mut events, &mut cost);
         (self.events, self.cost) = (events, cost);
-    }
-
-    /// Observes a whole chunk of retired-instruction records held as an
-    /// entry slice (compatibility path: the records are scattered into a
-    /// reused column arena first).
-    pub fn observe_batch(&mut self, entries: &[TraceEntry]) {
-        let mut batch = std::mem::take(&mut self.batch);
-        batch.clear();
-        batch.extend_entries(entries.iter().copied());
-        self.observe_trace_batch(&batch);
-        self.batch = batch;
-    }
-
-    /// Observes one retired-instruction record.
-    pub fn observe(&mut self, entry: &TraceEntry) {
-        self.observe_batch(std::slice::from_ref(entry));
     }
 
     /// Observes a whole trace, buffering it column-first at

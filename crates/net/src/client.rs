@@ -12,8 +12,8 @@ use igm_lba::{chunks, TraceBatch};
 use igm_obs::{Histogram, MetricsRegistry};
 use igm_runtime::SessionConfig;
 use igm_span::{alloc_flow, FlightRecorder, FrameTag, Sampler, Stage, Track};
-use igm_trace::{encode_frame_with, CodecMetrics, Predictors, TraceReader, CODEC_ID};
-use std::io::{self, Read, Write};
+use igm_trace::{encode_frame_with, CodecMetrics, Predictors, CODEC_ID, MAX_FRAME_RECORDS};
+use std::io::{self, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -80,10 +80,10 @@ pub struct ForwarderReport {
 /// would write) and ships it inside a chunk message, spending the byte
 /// credits the server grants; when the allowance runs out the send
 /// *stalls* — counted in [`ForwarderStats::credit_stalls`] — until the
-/// pool drains and a grant arrives. Sources can be live record iterators
-/// ([`TraceForwarder::stream`]), pre-batched chunks
-/// ([`TraceForwarder::send_batch`]) or recorded trace streams
-/// ([`TraceForwarder::forward_reader`]).
+/// pool drains and a grant arrives. Sources are live record iterators
+/// ([`TraceForwarder::stream`]) or pre-batched chunks
+/// ([`TraceForwarder::send_batch`]); a recorded trace is forwarded
+/// frame for frame by sending each batch its reader decodes.
 pub struct TraceForwarder {
     stream: TcpStream,
     inbuf: MsgBuf,
@@ -230,10 +230,18 @@ impl TraceForwarder {
     }
 
     /// Sends one pre-batched chunk as one frame, waiting for credit if the
-    /// allowance is spent. An empty batch sends nothing.
+    /// allowance is spent. An empty batch sends nothing; a batch of more
+    /// than [`MAX_FRAME_RECORDS`] records is refused before it is encoded
+    /// (`InvalidInput`).
     pub fn send_batch(&mut self, batch: &TraceBatch) -> Result<(), NetError> {
         if batch.is_empty() {
             return Ok(());
+        }
+        if batch.len() > MAX_FRAME_RECORDS as usize {
+            return Err(NetError::Io(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                "batch exceeds the per-frame record bound",
+            )));
         }
         let tag = self.spans.as_mut().and_then(ClientSpans::tag_chunk);
         // `client_send` opens before the encode and closes when the last
@@ -283,22 +291,6 @@ impl TraceForwarder {
             self.send_batch(&batch)?;
         }
         Ok(())
-    }
-
-    /// Forwards a recorded trace stream chunk-for-chunk (each recorded
-    /// frame becomes one wire chunk, so the server reproduces the capture's
-    /// batch structure). Returns the records forwarded.
-    pub fn forward_reader<R: Read>(
-        &mut self,
-        reader: &mut TraceReader<R>,
-    ) -> Result<u64, NetError> {
-        let mut batch = TraceBatch::new();
-        let mut records = 0u64;
-        while reader.read_chunk_into_batch(&mut batch)? {
-            records += batch.len() as u64;
-            self.send_batch(&batch)?;
-        }
-        Ok(records)
     }
 
     /// Clean shutdown: sends `FIN` with the final lane stats, waits for

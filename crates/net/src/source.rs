@@ -8,7 +8,7 @@ use igm_lba::TraceBatch;
 use igm_runtime::ChannelStatsSnapshot;
 use igm_span::{FlightRecorder, FrameTag, Stage, Track};
 use igm_trace::{
-    decode_frame_with, CodecMetrics, LanePoll, Predictors, SourceStatus, TraceError, TraceSource,
+    decode_frame_with, CodecMetrics, Predictors, SourceStatus, TraceError, TraceSource,
 };
 use std::io::{self, Write};
 use std::net::TcpStream;
@@ -181,7 +181,7 @@ impl NetSource {
                         self.chunks += 1;
                         self.records += out.len() as u64;
                         self.inbuf.consume(range.end);
-                        return Ok(LanePoll::Delivered.into());
+                        return Ok(SourceStatus::Ready);
                     }
                     wire::msg::CHUNK => return Err(NetError::Malformed("chunk message after FIN")),
                     wire::msg::FIN => {
@@ -209,12 +209,12 @@ impl NetSource {
                 }
                 // Retire only after the FIN_ACK left the socket.
                 self.flush_outbox()?;
-                let poll = if self.outbox_drained() { LanePoll::Closed } else { LanePoll::Idle };
-                return Ok(poll.into());
+                let done = self.outbox_drained();
+                return Ok(if done { SourceStatus::Done } else { SourceStatus::Pending });
             }
             match self.inbuf.fill_from(&mut self.stream, READ_BUDGET_PER_POLL)? {
                 Fill::Bytes(_) => continue,
-                Fill::WouldBlock => return Ok(LanePoll::Idle.into()),
+                Fill::WouldBlock => return Ok(SourceStatus::Pending),
                 Fill::Eof => {
                     return Err(NetError::Disconnected(if self.inbuf.has_buffered() {
                         "connection closed inside a message"
@@ -231,10 +231,6 @@ impl TraceSource for NetSource {
     fn next_batch(&mut self, out: &mut TraceBatch) -> Result<SourceStatus, TraceError> {
         out.clear();
         self.poll(out).map_err(|e| self.fail(e))
-    }
-
-    fn wants_transport_feedback(&self) -> bool {
-        true
     }
 
     /// The last delivered chunk's wire span tag: the ingest lane pins it

@@ -596,9 +596,9 @@ pub(crate) enum Fill {
 
 /// The nonblocking message reassembly buffer both endpoints share: bytes
 /// are pulled off the socket as they arrive, complete messages are peeked
-/// and consumed in order, and partial messages wait for the next fill —
-/// the readiness-polling twin of `igm_trace::ingest`'s `LanePoll`
-/// classification, one level down (bytes instead of batches).
+/// and consumed in order, and partial messages wait for the next fill
+/// ([`Fill`] says whether bytes arrived, none are ready yet, or the peer
+/// closed).
 #[derive(Debug, Default)]
 pub(crate) struct MsgBuf {
     buf: Vec<u8>,

@@ -3,12 +3,14 @@
 //! mid-frame disconnect, a corrupt frame contained to its own lane, credit
 //! starvation/resume, and the tee-at-ingest artifact for remote lanes.
 
+use igm_isa::{OpClass, Reg, TraceEntry};
+use igm_lba::TraceBatch;
 use igm_lifeguards::LifeguardKind;
 use igm_net::wire::{self, msg};
 use igm_net::{IngestServer, NetError, NetServerConfig, TraceForwarder};
 use igm_obs::EventKind;
 use igm_runtime::{MonitorPool, PoolConfig, SessionConfig};
-use igm_trace::{encode_frame, TraceError, CODEC_ID};
+use igm_trace::{encode_frame, TraceError, CODEC_ID, MAX_FRAME_RECORDS};
 use igm_workload::Benchmark;
 use std::io::{self, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream};
@@ -375,6 +377,39 @@ fn credit_starvation_throttles_and_resumes() {
     let session = &report.ingest.sessions[0];
     assert_eq!(session.records, N);
     assert!(report.ingest.errors.is_empty());
+    pool.shutdown();
+}
+
+#[test]
+fn an_oversized_batch_is_refused_before_it_leaves_the_client() {
+    // A batch one record past the frame bound would be refused by the
+    // server's decoder; the forwarder refuses it before encoding, sends
+    // nothing, and the lane carries on.
+    let pool = MonitorPool::new(PoolConfig::with_workers(1));
+    let server = IngestServer::bind("127.0.0.1:0", &pool, NetServerConfig::default()).unwrap();
+    let addr = server.local_addr().unwrap();
+
+    const N: u64 = 2_000;
+    let client = std::thread::spawn(move || {
+        let cfg = session_cfg("oversized", LifeguardKind::AddrCheck);
+        let mut fwd = TraceForwarder::connect(addr, &cfg).unwrap();
+        let rec = TraceEntry::op(0x1000, OpClass::ImmToReg { rd: Reg::Eax });
+        let mut batch = TraceBatch::with_capacity(MAX_FRAME_RECORDS as usize + 1);
+        for _ in 0..=MAX_FRAME_RECORDS {
+            batch.push(&rec);
+        }
+        match fwd.send_batch(&batch) {
+            Err(NetError::Io(e)) => assert_eq!(e.kind(), io::ErrorKind::InvalidInput),
+            other => panic!("expected an InvalidInput refusal, got {other:?}"),
+        }
+        assert_eq!(fwd.stats().chunks, 0, "nothing was sent");
+        fwd.stream(Benchmark::Gzip.trace(N)).unwrap();
+        fwd.finish().unwrap()
+    });
+    let report = server.serve_connections(1);
+    let fwd_report = client.join().unwrap();
+    assert_eq!(fwd_report.server_records, N);
+    assert!(report.ingest.errors.is_empty(), "{:?}", report.ingest.errors);
     pool.shutdown();
 }
 

@@ -33,9 +33,8 @@ pub struct PoolStats {
 }
 
 impl PoolStats {
-    /// Registers the pool counter family on `registry`. These counters are
-    /// live regardless of the registry's timer switch — the pool's own
-    /// stats snapshot depends on them.
+    /// Registers the pool counter family on `registry`; the pool's own
+    /// stats snapshot reads them back.
     pub(crate) fn new(registry: &MetricsRegistry) -> PoolStats {
         PoolStats {
             records: registry

@@ -3,7 +3,7 @@
 //! contention, and backpressure engages at capacity.
 
 use igm_isa::{Annotation, OpClass, Reg, TraceEntry};
-use igm_lba::chunks;
+use igm_lba::{chunks, TraceBatch};
 use igm_lifeguards::LifeguardKind;
 use igm_runtime::{log_channel, MonitorPool, PoolConfig, SessionConfig};
 use std::time::Duration;
@@ -25,8 +25,10 @@ fn channel_preserves_the_stream_under_contention() {
     for (capacity, chunk, n) in [(16u32, 4u32, 20_000u32), (64, 16, 20_000), (256, 64, 50_000)] {
         let (tx, rx) = log_channel(capacity);
         let producer = std::thread::spawn(move || {
-            for batch in chunks((0..n).map(rec), chunk) {
-                tx.send_batch(batch).expect("consumer alive");
+            let mut chunker = chunks((0..n).map(rec), chunk);
+            let mut batch = TraceBatch::new();
+            while chunker.next_into_batch(&mut batch) {
+                tx.send_batch(std::mem::take(&mut batch)).expect("consumer alive");
             }
             // tx drops here, closing the channel.
         });
@@ -53,8 +55,10 @@ fn channel_preserves_the_stream_under_contention() {
 fn backpressure_engages_at_capacity() {
     let (tx, rx) = log_channel(32);
     let producer = std::thread::spawn(move || {
-        for batch in chunks((0..4_000).map(rec), 8) {
-            tx.send_batch(batch).expect("consumer alive");
+        let mut chunker = chunks((0..4_000).map(rec), 8);
+        let mut batch = TraceBatch::new();
+        while chunker.next_into_batch(&mut batch) {
+            tx.send_batch(std::mem::take(&mut batch)).expect("consumer alive");
         }
         tx.stats()
     });

@@ -60,7 +60,7 @@
 //! [`FORMAT_VERSION`]) followed by frames:
 //!
 //! ```text
-//! records      u32 LE   entries in this chunk (> 0)
+//! records      u32 LE   entries in this chunk (1 ..= MAX_FRAME_RECORDS)
 //! payload_len  u32 LE   encoded payload bytes (> 0)
 //! checksum     u32 LE   FNV-1a-32 over the payload bytes
 //! codec        u32 LE   payload codec, always CODEC_ID (2)
@@ -69,16 +69,16 @@
 //!
 //! A clean EOF at a frame boundary ends the trace; anything else —
 //! truncated header or payload, checksum mismatch, a codec word other
-//! than [`CODEC_ID`], zero-record or zero-length frames, trailing payload
-//! bytes, out-of-range field encodings, hit bits referencing predictor
-//! slots the frame never seeded — is a [`TraceError::Corrupt`] with the
-//! file offset. Because the decoder locates sections before it decodes
-//! them and walks two at once, a payload damaged in more than one place
-//! (or with a section that runs short) may report a different first
-//! reason than a section-by-section decode would; it is refused all the
-//! same. One frame per transport batch keeps capture and replay
-//! chunk-for-chunk identical with the live session that produced the
-//! file.
+//! than [`CODEC_ID`], zero-record or zero-length frames, a record count
+//! above [`MAX_FRAME_RECORDS`], trailing payload bytes, out-of-range
+//! field encodings, hit bits referencing predictor slots the frame never
+//! seeded — is a [`TraceError::Corrupt`] with the file offset. Because
+//! the decoder locates sections before it decodes them and walks two at
+//! once, a payload damaged in more than one place (or with a section that
+//! runs short) may report a different first reason than a
+//! section-by-section decode would; it is refused all the same. One frame
+//! per transport batch keeps capture and replay chunk-for-chunk identical
+//! with the live session that produced the file.
 
 use igm_isa::{codes, MemSize, Reg, TraceEntry};
 use igm_lba::{RawStreams, TraceBatch};
@@ -100,6 +100,14 @@ pub const CODEC_ID: u32 = 2;
 /// Upper bound accepted for one frame's payload, so a corrupt length field
 /// cannot drive a multi-gigabyte allocation before the checksum catches it.
 pub const MAX_PAYLOAD_BYTES: u32 = 64 * 1024 * 1024;
+
+/// Upper bound on one frame's record count (64 default 16 KiB transport
+/// chunks of one-byte records). The payload-length bound alone would let
+/// a header claim four records per payload byte — billions for a frame of
+/// all-hit bitmaps — and the decoder sizes its columns from the claim, so
+/// readers refuse a larger count before they allocate, and writers refuse
+/// to emit one.
+pub const MAX_FRAME_RECORDS: u32 = 1 << 20;
 
 /// Bytes of frame header preceding every frame payload (`records`,
 /// `payload_len`, `checksum`, `codec`, each `u32` LE).
@@ -1139,6 +1147,12 @@ fn decode_frame_payload(
 /// canonical frame encoder: [`TraceWriter::write_chunk_batch`] writes its
 /// output to the stream, and `igm-net` ships it verbatim inside chunk
 /// messages.
+///
+/// # Panics
+///
+/// If `batch` holds more than [`MAX_FRAME_RECORDS`] records: no reader
+/// would accept the frame. Callers that take batches from elsewhere check
+/// first, as the writer and `igm-net`'s forwarder do.
 pub fn encode_frame_with(p: &mut Predictors, out: &mut Vec<u8>, batch: &TraceBatch) {
     if batch.is_empty() {
         return;
@@ -1152,7 +1166,8 @@ pub fn encode_frame_with(p: &mut Predictors, out: &mut Vec<u8>, batch: &TraceBat
 /// Fills the header of `frame` — a header's room followed by the payload
 /// of `records` records — with its counts and the payload's checksum.
 fn seal_frame(frame: &mut [u8], records: usize) {
-    let records = u32::try_from(records).expect("batch fits a u32 record count");
+    assert!(records <= MAX_FRAME_RECORDS as usize, "batch exceeds the frame record bound");
+    let records = records as u32;
     let (header, payload) = frame.split_at_mut(FRAME_HEADER_BYTES);
     let len = u32::try_from(payload.len()).expect("frame payload fits a u32 length");
     let words = [records, len, checksum(payload), CODEC_ID];
@@ -1196,6 +1211,9 @@ pub(crate) fn validate_frame_header(
     // drive a multi-gigabyte allocation instead of a typed error.
     if (records as u64).div_ceil(8) * 2 > len as u64 {
         return corrupt("record count inconsistent with frame payload length");
+    }
+    if records > MAX_FRAME_RECORDS {
+        return corrupt("frame record count exceeds the format bound");
     }
     Ok((records, len, sum))
 }
@@ -1403,16 +1421,13 @@ impl CodecMetrics {
 // Writer / reader.
 // ---------------------------------------------------------------------------
 
-/// Streaming encoder: one [`TraceWriter::write_chunk`] call per transport
-/// batch produces one frame. The encode staging buffer and predictor
-/// tables are reused across chunks.
+/// Streaming encoder: one [`TraceWriter::write_chunk_batch`] call per
+/// transport batch produces one frame. The encode staging buffer and
+/// predictor tables are reused across chunks.
 #[derive(Debug)]
 pub struct TraceWriter<W: Write> {
     w: W,
     buf: Vec<u8>,
-    /// Conversion arena for the array-of-structs [`TraceWriter::write_chunk`]
-    /// compatibility path (reused across chunks).
-    scratch: TraceBatch,
     chunks: u64,
     records: u64,
     /// Frame bytes written after the file header (headers + payloads).
@@ -1438,7 +1453,6 @@ impl<W: Write> TraceWriter<W> {
         Ok(TraceWriter {
             w,
             buf: Vec::new(),
-            scratch: TraceBatch::new(),
             chunks: 0,
             records: 0,
             stream_bytes: 0,
@@ -1469,10 +1483,18 @@ impl<W: Write> TraceWriter<W> {
     /// Encodes one columnar [`TraceBatch`] as one frame — the canonical
     /// encoder: the batch's columns run through the frame codec straight
     /// onto the wire ([`encode_frame_with`]). An empty batch writes
-    /// nothing (the format has no empty frames).
+    /// nothing (the format has no empty frames); a batch of more than
+    /// [`MAX_FRAME_RECORDS`] records writes nothing and fails with
+    /// [`io::ErrorKind::InvalidInput`].
     pub fn write_chunk_batch(&mut self, batch: &TraceBatch) -> io::Result<()> {
         if batch.is_empty() {
             return Ok(());
+        }
+        if batch.len() > MAX_FRAME_RECORDS as usize {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                "batch exceeds the per-frame record bound",
+            ));
         }
         self.buf.clear();
         let started = self.metrics.start_encode();
@@ -1488,18 +1510,6 @@ impl<W: Write> TraceWriter<W> {
         self.records += batch.len() as u64;
         self.stream_bytes += self.buf.len() as u64;
         Ok(())
-    }
-
-    /// Encodes an array-of-structs `batch` as one frame (compatibility
-    /// wrapper: scatters the records into a reused column arena and
-    /// encodes that, so there is exactly one encoder).
-    pub fn write_chunk(&mut self, batch: &[TraceEntry]) -> io::Result<()> {
-        let mut scratch = std::mem::take(&mut self.scratch);
-        scratch.clear();
-        scratch.extend_entries(batch.iter().copied());
-        let r = self.write_chunk_batch(&scratch);
-        self.scratch = scratch;
-        r
     }
 
     /// Flushes and returns the underlying writer.
@@ -1545,16 +1555,13 @@ impl<W: Write> TraceWriter<W> {
 
 /// Streaming decoder over any [`Read`].
 ///
-/// [`TraceReader::read_chunk_into`] decodes one frame into a caller-owned,
-/// reusable buffer — the file-sourced twin of the runtime's batch-grain
-/// ingest path.
+/// [`TraceReader::read_chunk_into_batch`] decodes one frame into a
+/// caller-owned, reusable batch — the file-sourced twin of the runtime's
+/// batch-grain ingest path.
 #[derive(Debug)]
 pub struct TraceReader<R: Read> {
     r: R,
     buf: Vec<u8>,
-    /// Conversion arena for the array-of-structs
-    /// [`TraceReader::read_chunk_into`] compatibility path.
-    scratch: TraceBatch,
     offset: u64,
     chunks: u64,
     records: u64,
@@ -1586,7 +1593,6 @@ impl<R: Read> TraceReader<R> {
         Ok(TraceReader {
             r,
             buf: Vec::new(),
-            scratch: TraceBatch::new(),
             offset: 8,
             chunks: 0,
             records: 0,
@@ -1652,27 +1658,12 @@ impl<R: Read> TraceReader<R> {
         Ok(true)
     }
 
-    /// Decodes the next frame into an array-of-structs buffer
-    /// (compatibility wrapper over
-    /// [`TraceReader::read_chunk_into_batch`]: the columns are decoded
-    /// once, then viewed back out as entries).
-    pub fn read_chunk_into(&mut self, out: &mut Vec<TraceEntry>) -> Result<bool, TraceError> {
-        out.clear();
-        let mut scratch = std::mem::take(&mut self.scratch);
-        let r = self.read_chunk_into_batch(&mut scratch);
-        if let Ok(true) = r {
-            out.extend(scratch.iter());
-        }
-        self.scratch = scratch;
-        r
-    }
-
     /// Decodes the whole remaining stream, chunk structure flattened.
     pub fn read_all(&mut self) -> Result<Vec<TraceEntry>, TraceError> {
         let mut all = Vec::new();
-        let mut chunk = Vec::new();
-        while self.read_chunk_into(&mut chunk)? {
-            all.extend_from_slice(&chunk);
+        let mut chunk = TraceBatch::new();
+        while self.read_chunk_into_batch(&mut chunk)? {
+            all.extend(chunk.iter());
         }
         Ok(all)
     }

@@ -284,6 +284,11 @@ impl TraceIndex {
             if records == 0 {
                 return Err(corrupt("index entry with zero records"));
             }
+            // Postings and query frame sets are sized from the count, so a
+            // count no frame can carry is refused before it sizes either.
+            if records > crate::codec::MAX_FRAME_RECORDS {
+                return Err(corrupt("index entry record count exceeds the frame bound"));
+            }
             let fp = FramePostings::decode(&sections, &mut pos, records)
                 .map_err(|reason| TraceError::Corrupt { offset: pos as u64, reason })?;
             index.entries.push(IndexEntry { offset, first_record: index.total_records, records });

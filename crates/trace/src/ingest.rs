@@ -45,46 +45,16 @@ pub enum SourceStatus {
     Done,
 }
 
-/// One readiness poll of a nonblocking lane endpoint — the shared
-/// classification behind every readiness-polled [`TraceSource`]
-/// ([`PipeSource`] over an in-process pipe, `igm-net`'s socket lanes):
-/// the endpoint either delivered a whole batch into the caller's arena,
-/// had nothing available yet, or its peer is gone.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LanePoll {
-    /// A batch was delivered into the caller's arena.
-    Delivered,
-    /// Nothing available; poll again next turn.
-    Idle,
-    /// The endpoint is exhausted or its peer disconnected cleanly.
-    Closed,
-}
-
-impl From<LanePoll> for SourceStatus {
-    fn from(poll: LanePoll) -> SourceStatus {
-        match poll {
-            LanePoll::Delivered => SourceStatus::Ready,
-            LanePoll::Idle => SourceStatus::Pending,
-            LanePoll::Closed => SourceStatus::Done,
-        }
-    }
-}
-
 /// A pull-based supplier of record batches, polled by the [`Ingestor`].
 ///
 /// Implementations must not block: a source with nothing available
-/// returns [`SourceStatus::Pending`] and the ingest thread moves on.
+/// returns [`SourceStatus::Pending`] and the ingest thread moves on. The
+/// same three outcomes classify every readiness-polled endpoint
+/// ([`PipeSource`] over an in-process pipe, `igm-net`'s socket lanes): a
+/// whole batch delivered, nothing yet, or the peer gone.
 pub trait TraceSource: Send {
     /// Fills `out` (cleared by the callee) with the next columnar batch.
     fn next_batch(&mut self, out: &mut TraceBatch) -> Result<SourceStatus, TraceError>;
-
-    /// Whether this source consumes [`TraceSource::transport_feedback`].
-    /// The scheduler skips the per-turn occupancy snapshot entirely for
-    /// sources that do not (the default), keeping the hot local-ingest
-    /// loop free of flow-control overhead.
-    fn wants_transport_feedback(&self) -> bool {
-        false
-    }
 
     /// Transport feedback, called once per scheduling turn with the lane's
     /// log-channel occupancy snapshot and capacity. Flow-controlled
@@ -210,15 +180,14 @@ pub struct PipeSource {
 impl TraceSource for PipeSource {
     fn next_batch(&mut self, out: &mut TraceBatch) -> Result<SourceStatus, TraceError> {
         out.clear();
-        let poll = match self.rx.try_recv() {
+        Ok(match self.rx.try_recv() {
             Ok(batch) => {
                 *out = batch;
-                LanePoll::Delivered
+                SourceStatus::Ready
             }
-            Err(TryRecvError::Empty) => LanePoll::Idle,
-            Err(TryRecvError::Disconnected) => LanePoll::Closed,
-        };
-        Ok(poll.into())
+            Err(TryRecvError::Empty) => SourceStatus::Pending,
+            Err(TryRecvError::Disconnected) => SourceStatus::Done,
+        })
     }
 }
 
@@ -278,29 +247,30 @@ struct Lane {
     /// [`crate::CaptureSession`]s. The lane only polls it for a failed
     /// write each turn and flushes it at report collection.
     artifact: Option<FrameTee<Box<dyn Write + Send>>>,
-    /// Cached [`TraceSource::wants_transport_feedback`] (skips the
-    /// per-turn occupancy snapshot and virtual call for local sources).
-    wants_feedback: bool,
     /// A batch refused by backpressure, awaiting retry.
-    staged: Option<TraceBatch>,
-    /// When the staged batch was first refused (rides along so the retry
-    /// that finally publishes it can report the full deferred wait).
-    staged_at: Option<Instant>,
-    /// The staged batch's span tag (kept across retries so a deferred
-    /// frame publishes under the tag its origin stamped).
-    staged_tag: Option<igm_span::FrameTag>,
+    staged: Option<Deferred>,
     /// Pull staging arena: sources decode/chunk their columns straight
     /// into it, then ownership of the filled batch transfers to the log
     /// channel (the transport owns its batches); the lane refills the
     /// arena from the session's recycled spares.
     scratch: TraceBatch,
-    source_done: bool,
     /// Source exhausted and channel closed; the worker is draining in the
     /// background and the report is collected after the scheduling loop.
     closed: bool,
     stats: LaneStats,
     error: Option<TraceError>,
     obs: IngestObs,
+}
+
+/// A batch a full log channel refused, held on its lane for retry.
+struct Deferred {
+    batch: TraceBatch,
+    /// Kept across retries so a deferred frame publishes under the span
+    /// tag its origin stamped.
+    tag: Option<igm_span::FrameTag>,
+    /// When the batch was first refused, so the retry that finally
+    /// publishes it reports the whole deferred wait.
+    since: Option<Instant>,
 }
 
 /// Everything one [`Ingestor::run`] produced.
@@ -459,19 +429,14 @@ impl<'p> Ingestor<'p> {
         session: SessionHandle,
         artifact: Option<FrameTee<Box<dyn Write + Send>>>,
     ) {
-        let wants_feedback = source.wants_transport_feedback();
         self.obs.lanes_opened.inc();
         self.lanes.push(Lane {
             name,
             source,
             session: Some(session),
             artifact,
-            wants_feedback,
             staged: None,
-            staged_at: None,
-            staged_tag: None,
             scratch: TraceBatch::new(),
-            source_done: false,
             closed: false,
             stats: LaneStats::default(),
             error: None,
@@ -563,81 +528,60 @@ impl Lane {
     /// whether anything was published or the lane finished.
     fn turn(&mut self, budget: usize) -> bool {
         self.stats.turns += 1;
-        // Occupancy → credit hookup: hand flow-controlled sources the log
-        // channel's drain state once per turn, before pulling work, so a
-        // remote producer's credits track the pool's consumption. Local
-        // sources opt out (`wants_feedback` cached at registration), so
-        // the hot in-process loop never pays for the snapshot.
-        if self.wants_feedback {
-            if let Some(session) = self.session.as_ref() {
-                self.source
-                    .transport_feedback(&session.channel_stats(), session.channel_capacity_bytes());
-            }
+        // Occupancy → credit hookup: hand the source the log channel's
+        // drain state once per turn, before pulling work, so a remote
+        // producer's credits track the pool's consumption (local sources
+        // ignore it).
+        if let Some(session) = self.session.as_ref() {
+            self.source
+                .transport_feedback(&session.channel_stats(), session.channel_capacity_bytes());
         }
         // A frame the session's tee failed to write stopped the session's
         // monitoring there: retire the lane with the tee's error.
         if let Some(e) = self.artifact.as_ref().and_then(FrameTee::failure) {
-            self.fail(e);
-            self.source_done = true;
-            self.close();
-            return true;
+            return self.retire(Some(e));
         }
         let mut progress = false;
         for _ in 0..budget {
-            // Retry a backpressure-deferred batch before pulling new work
-            // (its span tag was staged with it).
-            let (batch, tag) = match self.staged.take() {
-                Some(b) => (b, self.staged_tag.take()),
-                None => {
-                    if self.source_done {
-                        self.close();
-                        return true;
-                    }
-                    match self.source.next_batch(&mut self.scratch) {
-                        Ok(SourceStatus::Ready) => {
-                            // Hand the filled arena to the channel and
-                            // refill the staging slot from the session's
-                            // recycled spares.
-                            let spare = self
-                                .session
-                                .as_ref()
-                                .map(SessionHandle::spare_batch)
-                                .unwrap_or_default();
-                            (
-                                std::mem::replace(&mut self.scratch, spare),
-                                self.source.take_span_tag(),
-                            )
-                        }
-                        Ok(SourceStatus::Pending) => {
-                            self.stats.pending_polls += 1;
-                            return progress;
-                        }
-                        Ok(SourceStatus::Done) => {
-                            self.source_done = true;
-                            self.close();
-                            return true;
-                        }
-                        Err(e) => {
-                            // A corrupt or failing source ends its lane;
-                            // the session is finalized with what it got.
-                            self.fail(e);
-                            self.source_done = true;
-                            self.close();
-                            return true;
+            // Retry a backpressure-deferred batch before pulling new work.
+            let deferred = match self.staged.take() {
+                Some(d) => d,
+                None => match self.source.next_batch(&mut self.scratch) {
+                    Ok(SourceStatus::Ready) => {
+                        // Hand the filled arena to the channel and refill
+                        // the staging slot from the session's recycled
+                        // spares.
+                        let spare = self
+                            .session
+                            .as_ref()
+                            .map(SessionHandle::spare_batch)
+                            .unwrap_or_default();
+                        Deferred {
+                            batch: std::mem::replace(&mut self.scratch, spare),
+                            tag: self.source.take_span_tag(),
+                            since: None,
                         }
                     }
-                }
+                    Ok(SourceStatus::Pending) => {
+                        self.stats.pending_polls += 1;
+                        return progress;
+                    }
+                    Ok(SourceStatus::Done) => return self.retire(None),
+                    // A corrupt or failing source ends its lane; the
+                    // session is finalized with what it got.
+                    Err(e) => return self.retire(Some(e)),
+                },
             };
-            if batch.is_empty() {
+            if deferred.batch.is_empty() {
                 continue;
             }
-            let records = batch.len() as u64;
+            let records = deferred.batch.len() as u64;
             let session = self.session.as_ref().expect("lane is open");
-            match session.try_send_batch_tagged(batch, tag) {
+            match session.try_send_batch_tagged(deferred.batch, deferred.tag) {
                 Ok(None) => {
                     // If this batch had been deferred, report how long it
                     // waited from first refusal to publication.
-                    self.obs.deferred_wait.stop(self.staged_at.take());
+                    self.obs.deferred_wait.stop(deferred.since);
                     self.stats.batches += 1;
                     self.stats.records += records;
                     progress = true;
@@ -646,11 +590,8 @@ impl Lane {
                     // Full channel: stage and let the other lanes run. The
                     // wait clock starts at the *first* refusal and keeps
                     // running across re-refusals.
-                    if self.staged_at.is_none() {
-                        self.staged_at = self.obs.deferred_wait.start();
-                    }
-                    self.staged = Some(refused);
-                    self.staged_tag = tag;
+                    let since = deferred.since.or_else(|| self.obs.deferred_wait.start());
+                    self.staged = Some(Deferred { batch: refused, tag: deferred.tag, since });
                     self.stats.deferred_sends += 1;
                     return progress;
                 }
@@ -662,6 +603,16 @@ impl Lane {
             }
         }
         progress
+    }
+
+    /// Ends the lane: records `err` if it failed, then closes its log
+    /// channel. Returns `true`, the turn's progress (the lane finished).
+    fn retire(&mut self, err: Option<TraceError>) -> bool {
+        if let Some(e) = err {
+            self.fail(e);
+        }
+        self.close();
+        true
     }
 
     /// Records the lane's error, unless it already failed for an earlier

@@ -18,8 +18,7 @@
 //!   [`igm_lba::TraceBatch`] layout: [`TraceWriter::write_chunk_batch`]
 //!   encodes straight from the columns and
 //!   [`TraceReader::read_chunk_into_batch`] decodes straight into them —
-//!   no intermediate `Vec<TraceEntry>` on either side (the entry-slice
-//!   APIs remain as thin conversion wrappers). Typical generated
+//!   no intermediate `Vec<TraceEntry>` on either side. Typical generated
 //!   workloads encode to ~1–1.5 bytes/record, ~20× under the in-memory
 //!   `size_of::<TraceEntry>()`.
 //! * [`capture`] — [`CaptureSession`] tees a live pool session's batches
@@ -61,12 +60,12 @@ pub use codec::{
     checksum, decode_frame, decode_frame_with, decode_from_slice, encode_frame, encode_frame_with,
     encode_to_vec, frame_columns, CodecMetrics, ColumnStats, FrameColumns, Predictors, TraceError,
     TraceReader, TraceWriter, CODEC_ID, FORMAT_VERSION, FRAME_HEADER_BYTES, MAGIC,
-    MAX_PAYLOAD_BYTES,
+    MAX_FRAME_RECORDS, MAX_PAYLOAD_BYTES,
 };
 pub use index::{IndexEntry, TraceIndex, INDEX_MAGIC, INDEX_VERSION};
 pub use ingest::{
-    batch_pipe, FileSource, IngestReport, Ingestor, IterSource, LanePoll, LaneStats, PassOutcome,
-    PipeSender, PipeSource, SourceStatus, TraceSource,
+    batch_pipe, FileSource, IngestReport, Ingestor, IterSource, LaneStats, PassOutcome, PipeSender,
+    PipeSource, SourceStatus, TraceSource,
 };
 pub use postings::{
     op_class, site, Dim, FramePostings, FrameSet, Posting, PAGE_SHIFT, PC_BUCKET_SHIFT,

@@ -6,9 +6,11 @@
 use igm_isa::{
     Annotation, CtrlOp, JumpTarget, MemRef, MemSize, OpClass, Reg, RegSet, TraceEntry, TraceOp,
 };
+use igm_lba::TraceBatch;
 use igm_trace::{
-    checksum, decode_frame, decode_from_slice, encode_frame, encode_to_vec, TraceError,
-    TraceReader, TraceWriter, CODEC_ID, FORMAT_VERSION, MAGIC,
+    checksum, decode_frame, decode_frame_with, decode_from_slice, encode_frame, encode_to_vec,
+    Predictors, TraceError, TraceReader, TraceWriter, CODEC_ID, FORMAT_VERSION, MAGIC,
+    MAX_FRAME_RECORDS,
 };
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -305,6 +307,42 @@ fn inflated_record_count_is_rejected_before_allocation() {
     }
 }
 
+/// Where and why a one-frame stream of `records` records over an all-hit
+/// payload (checksum re-sealed, length just enough for both hit bitmaps)
+/// is refused by the stream reader, checked to be what the one-frame
+/// decoder says of the same frame.
+fn all_hit_frame_refusal(records: u32) -> (u64, &'static str) {
+    let payload = vec![0xff; records.div_ceil(8) as usize * 2];
+    let stream = raw_stream_v2(records, &payload);
+    fn corrupt<T: std::fmt::Debug>(r: Result<T, TraceError>) -> (u64, &'static str) {
+        match r {
+            Err(TraceError::Corrupt { offset, reason }) => (offset, reason),
+            other => panic!("expected a corrupt frame, got {other:?}"),
+        }
+    }
+    let by_frame =
+        corrupt(decode_frame_with(&mut Predictors::new(), &stream[8..], 8, &mut TraceBatch::new()));
+    let mut reader = TraceReader::new(&stream[..]).unwrap();
+    let by_reader = corrupt(reader.read_chunk_into_batch(&mut TraceBatch::new()));
+    assert_eq!(by_reader, by_frame, "reader and frame decoder disagree");
+    by_reader
+}
+
+#[test]
+fn a_frame_over_the_record_bound_is_refused_at_its_header() {
+    // One record past the bound is a header fault, found before any
+    // column is sized; at the bound the same payload reaches the column
+    // decoder, which refuses its first hit (no slot is seeded yet).
+    assert_eq!(
+        all_hit_frame_refusal(MAX_FRAME_RECORDS + 1),
+        (8, "frame record count exceeds the format bound")
+    );
+    assert_eq!(
+        all_hit_frame_refusal(MAX_FRAME_RECORDS).1,
+        "pc hit references an unseeded predictor slot"
+    );
+}
+
 #[test]
 fn oversized_length_field_is_rejected_before_allocation() {
     let mut bytes = Vec::new();
@@ -327,7 +365,7 @@ fn empty_stream_and_empty_chunks() {
     assert_eq!(decode_from_slice(&bytes).unwrap(), Vec::<TraceEntry>::new());
     // Writer skips empty batches entirely.
     let mut w = TraceWriter::new(Vec::new()).unwrap();
-    w.write_chunk(&[]).unwrap();
+    w.write_chunk_batch(&TraceBatch::new()).unwrap();
     assert_eq!(w.chunks(), 0);
     let bytes = w.finish().unwrap();
     assert_eq!(decode_from_slice(&bytes).unwrap(), Vec::<TraceEntry>::new());
@@ -526,26 +564,40 @@ fn mixed_phases_roundtrip() {
 #[test]
 fn default_writer_emits_predicted_frames() {
     let mut w = TraceWriter::new(Vec::new()).unwrap();
-    w.write_chunk(&sample_entries()).unwrap();
+    w.write_chunk_batch(&TraceBatch::from_entries(&sample_entries())).unwrap();
     let bytes = w.finish().unwrap();
     assert_eq!(bytes[4..8], FORMAT_VERSION.to_le_bytes(), "file header version");
     assert_eq!(bytes[8 + 12..8 + 16], CODEC_ID.to_le_bytes(), "frame header codec word");
 }
 
 #[test]
+fn writer_refuses_a_batch_over_the_frame_record_bound() {
+    let rec = TraceEntry::op(0x1000, OpClass::ImmToReg { rd: Reg::Eax });
+    let mut batch = TraceBatch::with_capacity(MAX_FRAME_RECORDS as usize + 1);
+    for _ in 0..=MAX_FRAME_RECORDS {
+        batch.push(&rec);
+    }
+    let mut w = TraceWriter::new(Vec::new()).unwrap();
+    let err = w.write_chunk_batch(&batch).unwrap_err();
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
+    assert_eq!((w.chunks(), w.records()), (0, 0));
+    assert_eq!(w.finish().unwrap().len(), 8, "nothing past the file header");
+}
+
+#[test]
 fn reader_preserves_chunk_structure() {
     let entries = sample_entries();
     let mut w = TraceWriter::new(Vec::new()).unwrap();
-    w.write_chunk(&entries[..2]).unwrap();
-    w.write_chunk(&entries[2..]).unwrap();
+    w.write_chunk_batch(&TraceBatch::from_entries(&entries[..2])).unwrap();
+    w.write_chunk_batch(&TraceBatch::from_entries(&entries[2..])).unwrap();
     let bytes = w.finish().unwrap();
     let mut r = TraceReader::new(&bytes[..]).unwrap();
-    let mut chunk = Vec::new();
-    assert!(r.read_chunk_into(&mut chunk).unwrap());
-    assert_eq!(chunk, &entries[..2]);
-    assert!(r.read_chunk_into(&mut chunk).unwrap());
-    assert_eq!(chunk, &entries[2..]);
-    assert!(!r.read_chunk_into(&mut chunk).unwrap());
+    let mut chunk = TraceBatch::new();
+    assert!(r.read_chunk_into_batch(&mut chunk).unwrap());
+    assert_eq!(chunk.to_entries(), &entries[..2]);
+    assert!(r.read_chunk_into_batch(&mut chunk).unwrap());
+    assert_eq!(chunk.to_entries(), &entries[2..]);
+    assert!(!r.read_chunk_into_batch(&mut chunk).unwrap());
     assert!(chunk.is_empty(), "clean EOF leaves the buffer cleared");
     assert_eq!(r.chunks(), 2);
     assert_eq!(r.records(), 4);

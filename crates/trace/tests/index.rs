@@ -6,7 +6,7 @@ use igm_lifeguards::LifeguardKind;
 use igm_runtime::{MonitorPool, PoolConfig, SessionConfig};
 use igm_trace::{
     checksum, replay_window, TraceError, TraceIndex, TraceReader, TraceWriter, FRAME_HEADER_BYTES,
-    INDEX_VERSION,
+    INDEX_VERSION, MAX_FRAME_RECORDS,
 };
 use igm_workload::Benchmark;
 use std::io::Cursor;
@@ -198,6 +198,23 @@ fn rejection(sidecar: &[u8]) -> &'static str {
         Ok(_) => "(loaded)",
         Err(e) => panic!("unexpected error kind: {e:?}"),
     }
+}
+
+/// An entry claiming more records than any frame may carry is refused
+/// before its postings, or a query's frame set, are sized from the claim;
+/// an entry at the bound is not.
+#[test]
+fn an_entry_over_the_frame_record_bound_is_refused() {
+    let empty = section(0, &[]);
+    assert_eq!(rejection(&sidecar(&[MAX_FRAME_RECORDS], &empty)), "(loaded)");
+    assert_eq!(
+        rejection(&sidecar(&[MAX_FRAME_RECORDS + 1], &empty)),
+        "index entry record count exceeds the frame bound"
+    );
+    assert_eq!(
+        rejection(&sidecar(&[100, u32::MAX], &[empty.clone(), empty].concat())),
+        "index entry record count exceeds the frame bound"
+    );
 }
 
 /// A bitset body over `records` records with the given bits set.

@@ -42,8 +42,10 @@ fn main() {
     // it.
     let (pipe_tx, pipe_rx) = batch_pipe(8);
     let feeder = std::thread::spawn(move || {
-        for batch in igm::lba::chunks(MtBenchmark::Zchaff.trace(N), CHUNK) {
-            if pipe_tx.send(batch).is_err() {
+        let mut chunker = igm::lba::chunks(MtBenchmark::Zchaff.trace(N), CHUNK);
+        let mut batch = igm::lba::TraceBatch::new();
+        while chunker.next_into_batch(&mut batch) {
+            if pipe_tx.send(std::mem::take(&mut batch)).is_err() {
                 return;
             }
         }

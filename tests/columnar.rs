@@ -7,7 +7,7 @@
 
 use igm::isa::{Annotation, CtrlOp, JumpTarget, MemRef, MemSize, OpClass, Reg, RegSet, TraceEntry};
 use igm::lba::{batch_bytes, extract_batch, extract_events, EventBuf, TraceBatch};
-use igm::trace::{TraceReader, TraceWriter};
+use igm::trace::{encode_frame_with, Predictors, TraceReader, TraceWriter, FORMAT_VERSION, MAGIC};
 use proptest::prelude::*;
 
 fn reg() -> impl Strategy<Value = Reg> {
@@ -136,9 +136,10 @@ proptest! {
         }
     }
 
-    /// The codec's batch-native writer emits byte-identical frames to the
-    /// entry-slice writer, and the batch-native reader decodes them back
-    /// to the identical records (straight into columns, then viewed out).
+    /// The codec's writer emits exactly the file header followed by the
+    /// frames `encode_frame_with` appends over one `Predictors`, and the
+    /// reader decodes them back to the identical records (straight into
+    /// columns, then viewed out).
     #[test]
     fn codec_batch_path_equals_entry_path(
         entries in proptest::collection::vec(entry(), 1..200),
@@ -147,21 +148,22 @@ proptest! {
         let batch_chunks: Vec<TraceBatch> =
             entries.chunks(chunk).map(TraceBatch::from_entries).collect();
 
-        // Encode: columns vs entries, byte for byte.
-        let mut via_batch = TraceWriter::new(Vec::new()).unwrap();
+        // Encode: the writer's stream vs header + frames, byte for byte.
+        let mut writer = TraceWriter::new(Vec::new()).unwrap();
         for b in &batch_chunks {
-            via_batch.write_chunk_batch(b).unwrap();
+            writer.write_chunk_batch(b).unwrap();
         }
-        let via_batch = via_batch.finish().unwrap();
-        let mut via_entries = TraceWriter::new(Vec::new()).unwrap();
-        for c in entries.chunks(chunk) {
-            via_entries.write_chunk(c).unwrap();
+        let via_batch = writer.finish().unwrap();
+        let mut framed = MAGIC.to_vec();
+        framed.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
+        let mut predictors = Predictors::new();
+        for b in &batch_chunks {
+            encode_frame_with(&mut predictors, &mut framed, b);
         }
-        let via_entries = via_entries.finish().unwrap();
-        prop_assert_eq!(&via_batch, &via_entries, "encoders must agree byte-for-byte");
+        prop_assert_eq!(&via_batch, &framed, "writer must equal header + frames byte-for-byte");
 
-        // Decode: frames land directly in columns, identical to the
-        // entry-buffer path, chunk structure preserved.
+        // Decode: frames land directly in columns, chunk structure
+        // preserved.
         let mut reader = TraceReader::new(&via_batch[..]).unwrap();
         let mut decoded = TraceBatch::new();
         let mut round_tripped: Vec<TraceEntry> = Vec::new();

@@ -224,8 +224,11 @@ pub fn one_record_at_a_time(
 ) -> (Monitor<AnyLifeguard>, Vec<u64>) {
     let mut monitor = monitor(cfg);
     let mut seqs = Vec::new();
+    let mut batch = igm::lba::TraceBatch::new();
     for (i, e) in trace.iter().enumerate() {
-        monitor.observe(e);
+        batch.clear();
+        batch.push(e);
+        monitor.observe_trace_batch(&batch);
         seqs.resize(monitor.violations().len(), i as u64);
     }
     (monitor, seqs)

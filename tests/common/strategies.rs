@@ -270,8 +270,10 @@ pub fn ingest_tee(lanes: Vec<Lane>) -> Vec<Observed> {
             ingestor.add_source_teed(cfg.clone(), rx, sink).unwrap();
             let fed = trace.clone();
             feeders.push(std::thread::spawn(move || {
-                for batch in igm::lba::chunks(fed, chunk) {
-                    if tx.send(batch).is_err() {
+                let mut chunker = igm::lba::chunks(fed, chunk);
+                let mut batch = igm::lba::TraceBatch::new();
+                while chunker.next_into_batch(&mut batch) {
+                    if tx.send(std::mem::take(&mut batch)).is_err() {
                         return;
                     }
                 }

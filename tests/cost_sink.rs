@@ -154,12 +154,14 @@ fn one_thread_run(cfg: &SimConfig, premark: &[(u32, u32)], trace: &[TraceEntry])
     let (mut lifeguard, mut pipeline) = front(cfg, premark);
     let mut cosim = CoSim::new(cfg.system);
     let (mut events, mut cost) = (EventBuf::new(), CostSink::new());
-    for entries in chunks(trace.iter().copied(), 1_024) {
-        pipeline.dispatch_batch(&TraceBatch::from_entries(&entries), &mut events);
-        for (entry, evs) in entries.iter().zip(events.record_slices()) {
+    let mut chunker = chunks(trace.iter().copied(), 1_024);
+    let mut batch = TraceBatch::new();
+    while chunker.next_into_batch(&mut batch) {
+        pipeline.dispatch_batch(&batch, &mut events);
+        for (entry, evs) in batch.iter().zip(events.record_slices()) {
             cost.clear();
             lifeguard.handle_batch(evs, &mut cost);
-            cosim.step_record(entry, evs.len() as u32, cost.instrs(), cost.mem_vas());
+            cosim.step_record(&entry, evs.len() as u32, cost.instrs(), cost.mem_vas());
         }
     }
     SimReport {

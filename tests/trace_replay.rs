@@ -19,6 +19,7 @@ use common::strategies::{
 };
 use common::{one_record_at_a_time, session_cfg, workload_for};
 use igm::isa::{Annotation, CtrlOp, MemRef, OpClass, Reg, TraceEntry};
+use igm::lba::TraceBatch;
 use igm::lifeguards::LifeguardKind;
 use igm::runtime::{EpochConfig, MonitorPool, PipelineMode, PoolConfig, SessionConfig};
 use igm::trace::{
@@ -64,8 +65,10 @@ fn single_thread_ingestor_multiplexes_many_sources() {
     let recorded = igm::trace::encode_to_vec(TENANTS[0].trace(N), 4096);
     let (pipe_tx, pipe_rx) = batch_pipe(4);
     let feeder = std::thread::spawn(move || {
-        for batch in igm::lba::chunks(TENANTS[1].trace(N), 4096) {
-            if pipe_tx.send(batch).is_err() {
+        let mut chunker = igm::lba::chunks(TENANTS[1].trace(N), 4096);
+        let mut batch = TraceBatch::new();
+        while chunker.next_into_batch(&mut batch) {
+            if pipe_tx.send(std::mem::take(&mut batch)).is_err() {
                 return;
             }
         }
@@ -218,8 +221,14 @@ fn teed_frames_match_a_calling_thread_writer_while_the_producer_helps() {
             std::env::temp_dir().join(format!("igm-helped-tee-{}-{attempt}", std::process::id()));
         let mut lake = capture_to_lake(&pool, tenants[0].0.clone(), &dir).unwrap();
         let mut plain = CaptureSession::new(&pool, tenants[1].0.clone(), Vec::new()).unwrap();
-        let batches = |trace: &[TraceEntry]| -> Vec<Vec<TraceEntry>> {
-            igm::lba::chunks(trace.iter().copied(), chunk).collect()
+        let batches = |trace: &[TraceEntry]| -> Vec<TraceBatch> {
+            let mut chunker = igm::lba::chunks(trace.iter().copied(), chunk);
+            let mut batch = TraceBatch::new();
+            let mut out = Vec::new();
+            while chunker.next_into_batch(&mut batch) {
+                out.push(batch.clone());
+            }
+            out
         };
         let (a, b) = (batches(&tenants[0].1), batches(&tenants[1].1));
         for i in 0..a.len().max(b.len()) {
