@@ -20,6 +20,10 @@
 #   unresolved  neither. The run-order-sensitive setup_s rows of
 #               net_loopback, paced_detect and cosim_figures are always
 #               unresolved.
+# A metric whose interquartile range on one side is at least twice the
+# other side's is also marked `noisy:<side>` (parent or head): host load
+# that landed on one side's runs, whose ratio deserves a rerun before it is
+# read. The mark changes no verdict.
 # The metrics the harness declares exact (benchmark/src/metrics.rs) are
 # per-layer ones, reported only by traced runs, so every workload also gets
 # one traced pair (seed 1); its exact metrics must match bit for bit unless
@@ -28,13 +32,14 @@
 # The campaign ends by writing one JSON object, on one line, to
 # $PAIRED_DIR/campaign-<time>.json: both revisions (the working tree as
 # HEAD plus a hash of its diff), nproc and the CPU model, per workload and
-# metric both sides' median and quartiles, the pairs won and the verdict,
-# and the traced pair's exact metrics verbatim. A line of that form per
-# change is what BENCH_history.jsonl at the repository root collects.
+# metric both sides' median and quartiles, the pairs won, the verdict and
+# the noisy side (null when neither), and the traced pair's exact metrics
+# verbatim. A line of that form per change is what BENCH_history.jsonl at
+# the repository root collects.
 set -euo pipefail
 
 usage() {
-    sed -n '2,33p' "$0" | sed 's/^# \{0,1\}//' >&2
+    sed -n '2,38p' "$0" | sed 's/^# \{0,1\}//' >&2
     exit 2
 }
 
@@ -148,6 +153,15 @@ def quartiles(xs):
     q = statistics.quantiles(xs, n=4, method="inclusive") if len(xs) > 1 else [xs[0]] * 3
     return q[0], q[1], q[2]
 
+def noisy_side(pq, hq):
+    """The side whose interquartile range is at least twice the other's."""
+    p_iqr, h_iqr = pq[2] - pq[0], hq[2] - hq[0]
+    if h_iqr > 0 and h_iqr >= 2 * p_iqr:
+        return "head"
+    if p_iqr > 0 and p_iqr >= 2 * h_iqr:
+        return "parent"
+    return None
+
 campaign = {"parent": parent_rev, "head": head_rev, "nproc": int(nproc), "cpu": cpu,
             "pairs": int(npairs), "declared": sorted(declared), "workloads": {}}
 bad = False
@@ -186,12 +200,15 @@ for w in dict.fromkeys(k[0] for k in runs):
             verdict = "gain"
         else:
             verdict = "unresolved"
+        noisy = noisy_side(pq, hq)
         fmt = lambda q: "/".join(f"{x:.4g}" for x in q)
-        print(f"  {name:<44} {ratio:>7.3f} {fmt(pq):>33} {fmt(hq):>33} {wins:>3}/{len(pairs):<2}  {verdict}")
+        mark = f" noisy:{noisy}" if noisy else ""
+        print(f"  {name:<44} {ratio:>7.3f} {fmt(pq):>33} {fmt(hq):>33} {wins:>3}/{len(pairs):<2}  {verdict}{mark}")
         record["metrics"][name] = {
             "parent": {"q1": pq[0], "median": pq[1], "q3": pq[2]},
             "head": {"q1": hq[0], "median": hq[1], "q3": hq[2]},
-            "ratio": ratio, "wins": wins, "pairs": len(pairs), "verdict": verdict}
+            "ratio": ratio, "wins": wins, "pairs": len(pairs), "verdict": verdict,
+            "noisy": noisy}
     p, h = (traced[(w, side)]["metrics"] for side in ("parent", "head"))
     compared = sorted(n for n in exact if n in p and n in h)
     differs = [n for n in compared if p[n]["value"] != h[n]["value"]]

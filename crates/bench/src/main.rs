@@ -156,8 +156,8 @@ fn fig11(n: u64) {
         let steps = [
             AccelConfig::baseline(),
             AccelConfig::lma(),
-            AccelConfig::lma_it(ItConfig::taint_style()),
-            AccelConfig::full(ItConfig::taint_style()),
+            AccelConfig::lma_it(),
+            AccelConfig::full(),
         ];
         print!("{:<32}", kind.name());
         let mut last_label = String::new();
@@ -214,9 +214,10 @@ fn fig12_table(n: u64) {
             })
             .collect();
 
-        let it_band: Option<Vec<f64>> = kind
-            .it_config()
-            .map(|itc| Benchmark::ALL.iter().map(|b| it_reduction(b.trace(n), itc)).collect());
+        let it_band: Option<Vec<f64>> = kind.accel_support().it.then(|| {
+            let itc = ItConfig::for_etct(&kind.etct());
+            Benchmark::ALL.iter().map(|b| it_reduction(b.trace(n), itc)).collect()
+        });
 
         let if_band: Option<Vec<f64>> = kind.accel_support().idempotent_filter.then(|| {
             if kind == LifeguardKind::LockSet {
@@ -243,7 +244,7 @@ fn fig12_table(n: u64) {
 fn fig13(n: u64) {
     println!("=== Figure 13(a): IT-reduced propagation events (paper: 35.8%-82.0%) ===");
     for b in Benchmark::ALL {
-        let r = it_reduction(b.trace(n), ItConfig::taint_style());
+        let r = it_reduction(b.trace(n), ItConfig::default());
         println!("{:<8} {:>5.1}%", b.name(), r * 100.0);
     }
 
@@ -349,10 +350,10 @@ fn ablation(n: u64) {
     println!("=== Ablation 1: IT clean-%rs 'do nothing' optimization (§4.3) ===");
     println!("{:<10} {:>12} {:>12}", "benchmark", "with opt", "without");
     for b in [Benchmark::Crafty, Benchmark::Gcc, Benchmark::Gzip, Benchmark::Vortex] {
-        let with = it_reduction(b.trace(n), ItConfig::taint_style());
+        let with = it_reduction(b.trace(n), ItConfig::default());
         let without = it_reduction(
             b.trace(n),
-            ItConfig { clean_rs_do_nothing: false, ..ItConfig::taint_style() },
+            ItConfig { clean_rs_do_nothing: false, ..ItConfig::default() },
         );
         println!("{:<10} {:>11.1}% {:>11.1}%", b.name(), with * 100.0, without * 100.0);
     }
@@ -364,7 +365,7 @@ fn ablation(n: u64) {
     );
     for b in [Benchmark::Gcc, Benchmark::Parser, Benchmark::Gzip] {
         let stats = |conflict_detection| {
-            it_pass(b.trace(n), ItConfig { conflict_detection, ..ItConfig::taint_style() }).1
+            it_pass(b.trace(n), ItConfig { conflict_detection, ..ItConfig::default() }).1
         };
         let (on, off) = (stats(true), stats(false));
         println!(

@@ -1,25 +1,15 @@
 //! Per-experiment accelerator configurations.
 //!
-//! [`AccelConfig`] selects which of the three techniques are active,
+//! [`AccelConfig`] selects which of the three techniques are present,
 //! mirroring the BASE → LMA → LMA+IT → LMA+IT+IF progression of the paper's
 //! Figure 11. A lifeguard additionally masks the configuration by its own
 //! applicability row in Figure 2 (e.g. AddrCheck never uses IT); that
-//! masking lives in `igm-lifeguards`.
+//! masking lives in `igm-lifeguards`. How a present unit behaves is the
+//! lifeguard's to say, through its ETCT: the IT policy is
+//! [`ItConfig::for_etct`](crate::ItConfig::for_etct).
 
 use crate::filter::IfGeometry;
-use crate::it::ItConfig;
 use std::fmt;
-
-/// One of the paper's three techniques.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Technique {
-    /// Metadata-TLB + `LMA` instruction (metadata mapping).
-    Lma,
-    /// Inheritance Tracking (metadata updates).
-    It,
-    /// Idempotent Filters (metadata checks).
-    If,
-}
 
 /// Default M-TLB capacity used in the simulation studies. Figure 14 sweeps
 /// 16–256 entries; 64 captures most of the benefit for the flexible layout.
@@ -33,8 +23,9 @@ pub struct AccelConfig {
     pub lma: bool,
     /// M-TLB capacity in entries (only meaningful when `lma` is set).
     pub mtlb_entries: usize,
-    /// Inheritance Tracking policy, if enabled.
-    pub it: Option<ItConfig>,
+    /// Inheritance Tracking is present (its policy comes from the ETCT,
+    /// see [`ItConfig::for_etct`](crate::ItConfig::for_etct)).
+    pub it: bool,
     /// Idempotent Filter geometry, if enabled.
     pub if_geometry: Option<IfGeometry>,
 }
@@ -48,7 +39,7 @@ impl Default for AccelConfig {
 impl AccelConfig {
     /// The unaccelerated LBA baseline.
     pub fn baseline() -> AccelConfig {
-        AccelConfig { lma: false, mtlb_entries: DEFAULT_MTLB_ENTRIES, it: None, if_geometry: None }
+        AccelConfig { lma: false, mtlb_entries: DEFAULT_MTLB_ENTRIES, it: false, if_geometry: None }
     }
 
     /// LMA only.
@@ -57,8 +48,8 @@ impl AccelConfig {
     }
 
     /// LMA + Inheritance Tracking.
-    pub fn lma_it(it: ItConfig) -> AccelConfig {
-        AccelConfig { lma: true, it: Some(it), ..AccelConfig::baseline() }
+    pub fn lma_it() -> AccelConfig {
+        AccelConfig { lma: true, it: true, ..AccelConfig::baseline() }
     }
 
     /// LMA + Idempotent Filter (the paper's simulated 32-entry filter).
@@ -71,35 +62,21 @@ impl AccelConfig {
     }
 
     /// All three techniques.
-    pub fn full(it: ItConfig) -> AccelConfig {
-        AccelConfig {
-            lma: true,
-            it: Some(it),
-            if_geometry: Some(IfGeometry::isca08()),
-            ..AccelConfig::baseline()
-        }
-    }
-
-    /// Whether `t` is enabled.
-    pub fn has(&self, t: Technique) -> bool {
-        match t {
-            Technique::Lma => self.lma,
-            Technique::It => self.it.is_some(),
-            Technique::If => self.if_geometry.is_some(),
-        }
+    pub fn full() -> AccelConfig {
+        AccelConfig { it: true, ..AccelConfig::lma_if() }
     }
 
     /// Short label for experiment tables (`BASE`, `LMA`, `LMA+IT`,
     /// `LMA+IF`, `LMA+IT+IF`).
     pub fn label(&self) -> String {
-        if !self.lma && self.it.is_none() && self.if_geometry.is_none() {
+        if !self.lma && !self.it && self.if_geometry.is_none() {
             return "BASE".to_owned();
         }
         let mut parts = Vec::new();
         if self.lma {
             parts.push("LMA");
         }
-        if self.it.is_some() {
+        if self.it {
             parts.push("IT");
         }
         if self.if_geometry.is_some() {
@@ -123,17 +100,17 @@ mod tests {
     fn labels_match_figure11_bars() {
         assert_eq!(AccelConfig::baseline().label(), "BASE");
         assert_eq!(AccelConfig::lma().label(), "LMA");
-        assert_eq!(AccelConfig::lma_it(ItConfig::taint_style()).label(), "LMA+IT");
+        assert_eq!(AccelConfig::lma_it().label(), "LMA+IT");
         assert_eq!(AccelConfig::lma_if().label(), "LMA+IF");
-        assert_eq!(AccelConfig::full(ItConfig::taint_style()).label(), "LMA+IT+IF");
+        assert_eq!(AccelConfig::full().label(), "LMA+IT+IF");
     }
 
     #[test]
     fn has_reports_enabled_techniques() {
-        let c = AccelConfig::full(ItConfig::memcheck_style());
-        assert!(c.has(Technique::Lma) && c.has(Technique::It) && c.has(Technique::If));
+        let c = AccelConfig::full();
+        assert!(c.lma && c.it && c.if_geometry.is_some());
         let b = AccelConfig::baseline();
-        assert!(!b.has(Technique::Lma) && !b.has(Technique::It) && !b.has(Technique::If));
+        assert!(!b.lma && !b.it && b.if_geometry.is_none());
     }
 
     #[test]

@@ -50,7 +50,7 @@
 
 use crate::config::AccelConfig;
 use crate::filter::{IdempotentFilter, IfOutcome, IfStats};
-use crate::it::{InheritanceTracker, ItStats};
+use crate::it::{InheritanceTracker, ItConfig, ItStats};
 use igm_lba::{
     sweep_batch, DeliveredEvent, Etct, Event, EventBuf, EventSink, EventType, IfEventConfig,
     TraceBatch, NUM_EVENT_TYPES,
@@ -91,7 +91,7 @@ impl Default for DispatchStats {
 /// # Example
 ///
 /// ```
-/// use igm_core::{AccelConfig, DispatchPipeline, ItConfig};
+/// use igm_core::{AccelConfig, DispatchPipeline};
 /// use igm_lba::{Etct, EventBuf, EventType, TraceBatch};
 /// use igm_isa::{OpClass, MemRef, Reg, TraceEntry};
 ///
@@ -101,7 +101,9 @@ impl Default for DispatchStats {
 /// etct.register_plain(EventType::RegToMem);
 /// etct.register_plain(EventType::ImmToMem);
 ///
-/// let mut p = DispatchPipeline::new(etct, &AccelConfig::lma_it(ItConfig::taint_style()));
+/// // The ETCT registers no `CheckNonUnary`, so IT cleans non-unary
+/// // results silently (`ItConfig::for_etct`).
+/// let mut p = DispatchPipeline::new(etct, &AccelConfig::lma_it());
 /// // A load is absorbed by IT: nothing reaches the handler.
 /// let load = TraceEntry::op(0x1000, OpClass::MemToReg {
 ///     src: MemRef::word(0x9000), rd: Reg::Eax });
@@ -125,11 +127,13 @@ pub struct DispatchPipeline {
 }
 
 impl DispatchPipeline {
-    /// Builds a pipeline for a lifeguard's ETCT under `cfg`.
+    /// Builds a pipeline for a lifeguard's ETCT under `cfg`; the tracker,
+    /// when `cfg.it` is set, runs the ETCT's policy
+    /// ([`ItConfig::for_etct`]).
     pub fn new(etct: Etct, cfg: &AccelConfig) -> DispatchPipeline {
         DispatchPipeline {
+            it: cfg.it.then(|| InheritanceTracker::new(ItConfig::for_etct(&etct))),
             etct,
-            it: cfg.it.map(InheritanceTracker::new),
             filter: cfg.if_geometry.map(IdempotentFilter::new),
             stats: DispatchStats::default(),
         }
@@ -308,9 +312,8 @@ impl<F: FilterSlot> EventSink for ViaIt<'_, F> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::it::ItConfig;
     use igm_isa::{Annotation, MemRef, OpClass, Reg, TraceEntry};
-    use igm_lba::{EventType, IfEventConfig};
+    use igm_lba::{CheckKind, EventType, IfEventConfig, MetaSource};
 
     /// One record through the pipeline as a one-record batch, delivered
     /// events collected.
@@ -393,8 +396,7 @@ mod tests {
 
     #[test]
     fn it_absorbs_register_traffic_end_to_end() {
-        let mut p =
-            DispatchPipeline::new(taint_etct(), &AccelConfig::lma_it(ItConfig::taint_style()));
+        let mut p = DispatchPipeline::new(taint_etct(), &AccelConfig::lma_it());
         let a = MemRef::word(0xa0);
         let d = MemRef::word(0xd0);
         let seq = [
@@ -413,8 +415,7 @@ mod tests {
 
     #[test]
     fn annotations_flush_it_before_delivery() {
-        let mut p =
-            DispatchPipeline::new(taint_etct(), &AccelConfig::lma_it(ItConfig::taint_style()));
+        let mut p = DispatchPipeline::new(taint_etct(), &AccelConfig::lma_it());
         let a = MemRef::word(0xa0);
         collect(&mut p, &TraceEntry::op(1, OpClass::MemToReg { src: a, rd: Reg::Eax }));
         let out =
@@ -427,13 +428,31 @@ mod tests {
 
     #[test]
     fn unregistered_annotation_does_not_flush() {
-        let mut p =
-            DispatchPipeline::new(taint_etct(), &AccelConfig::lma_it(ItConfig::taint_style()));
+        let mut p = DispatchPipeline::new(taint_etct(), &AccelConfig::lma_it());
         let a = MemRef::word(0xa0);
         collect(&mut p, &TraceEntry::op(1, OpClass::MemToReg { src: a, rd: Reg::Eax }));
         // ThreadSwitch is unregistered for TaintCheck.
         let out = collect(&mut p, &TraceEntry::annot(2, Annotation::ThreadSwitch { tid: 1 }));
         assert!(out.is_empty());
+    }
+
+    #[test]
+    fn the_etct_decides_eager_nonunary_checks() {
+        let a = MemRef::word(0xa0);
+        let b = MemRef::word(0xb0);
+        let checks = |etct: Etct| {
+            let mut p = DispatchPipeline::new(etct, &AccelConfig::lma_it());
+            collect(&mut p, &TraceEntry::op(1, OpClass::MemToReg { src: a, rd: Reg::Eax }));
+            // add B, %eax: %eax inherits from A, so both sources are unclean.
+            let add = TraceEntry::op(2, OpClass::DestRegOpMem { src: b, rd: Reg::Eax });
+            let out: Vec<Event> = collect(&mut p, &add).into_iter().map(|d| d.event).collect();
+            (out, p.it_stats().unwrap().nonunary_checks)
+        };
+        let mut eager = taint_etct();
+        eager.register_plain(EventType::CheckNonUnary);
+        let check = |m| Event::Check { kind: CheckKind::NonUnaryInput, source: MetaSource::Mem(m) };
+        assert_eq!(checks(eager), (vec![check(b), check(a)], 2));
+        assert_eq!(checks(taint_etct()), (vec![], 0));
     }
 
     #[test]
@@ -454,8 +473,7 @@ mod tests {
     fn check_kind_gating_happens_before_it() {
         // TaintCheck registers jump-target checks but not addr-compute
         // checks; the latter never enter IT.
-        let mut p =
-            DispatchPipeline::new(taint_etct(), &AccelConfig::lma_it(ItConfig::taint_style()));
+        let mut p = DispatchPipeline::new(taint_etct(), &AccelConfig::lma_it());
         let load = TraceEntry::op(1, OpClass::MemToReg { src: MemRef::word(0x9000), rd: Reg::Eax })
             .with_addr_regs(igm_isa::RegSet::from_regs([Reg::Ebx]));
         let out = collect(&mut p, &load);
@@ -479,8 +497,8 @@ mod tests {
         for accel in [
             AccelConfig::baseline(),
             AccelConfig::lma_if(),
-            AccelConfig::lma_it(ItConfig::taint_style()),
-            AccelConfig::full(ItConfig::taint_style()),
+            AccelConfig::lma_it(),
+            AccelConfig::full(),
         ] {
             let mut per_record = DispatchPipeline::new(taint_etct(), &accel);
             let mut reference = Vec::new();

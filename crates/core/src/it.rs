@@ -21,7 +21,7 @@
 //! the store's event.
 
 use igm_isa::{MemRef, OpClass, Reg, NUM_REGS};
-use igm_lba::{CheckKind, Event, EventSink, EventType, MetaSource};
+use igm_lba::{CheckKind, Etct, Event, EventSink, EventType, MetaSource};
 
 /// Per-register inheritance state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -35,7 +35,7 @@ pub enum ItState {
     InLifeguard,
 }
 
-/// Lifeguard-selected IT policy knobs.
+/// IT policy knobs; a pipeline runs the policy its ETCT asks for ([`ItConfig::for_etct`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ItConfig {
     /// Deliver eager checks for possibly-unclean sources of non-unary
@@ -60,16 +60,19 @@ impl Default for ItConfig {
 }
 
 impl ItConfig {
-    /// The TaintCheck-style configuration (silent cleaning of non-unary
-    /// results).
-    pub fn taint_style() -> ItConfig {
-        ItConfig::default()
-    }
-
-    /// The MemCheck-style configuration (eager source checks on non-unary
-    /// operations).
-    pub fn memcheck_style() -> ItConfig {
-        ItConfig { nonunary_check: true, ..ItConfig::default() }
+    /// The policy a lifeguard's ETCT asks for, and the one place it is
+    /// decided: eager non-unary source checks exactly when the lifeguard
+    /// registers [`EventType::CheckNonUnary`] (MemCheck, property (a)),
+    /// silent cleaning otherwise (TaintCheck, property (b)). The
+    /// [`DispatchPipeline`](crate::DispatchPipeline) builds its tracker with
+    /// this policy whenever [`AccelConfig::it`](crate::AccelConfig::it) is
+    /// set, so a change to how a lifeguard uses IT (say, TaintCheck taking
+    /// eager checks) is an edit to its rows or to this rule.
+    pub fn for_etct(etct: &Etct) -> ItConfig {
+        ItConfig {
+            nonunary_check: etct.is_registered(EventType::CheckNonUnary),
+            ..ItConfig::default()
+        }
     }
 }
 
@@ -165,7 +168,7 @@ impl<S: EventSink> EventSink for Counting<'_, S> {
 /// use igm_isa::{MemRef, OpClass, Reg};
 /// use igm_lba::Event;
 ///
-/// let mut it = InheritanceTracker::new(ItConfig::taint_style());
+/// let mut it = InheritanceTracker::new(ItConfig::default());
 /// let mut out = Vec::new();
 /// // mov A, %eax  — absorbed; %eax now inherits from A.
 /// it.process(0x1000, Event::Prop(OpClass::MemToReg {
@@ -495,7 +498,7 @@ mod tests {
         let e = mem(0xe0);
         let f = mem(0xf0);
         let (eax, ecx) = (Reg::Eax, Reg::Ecx);
-        let mut it = InheritanceTracker::new(ItConfig::taint_style());
+        let mut it = InheritanceTracker::new(ItConfig::default());
         let mut delivered = Vec::new();
 
         // (1) mov A, %eax          mem_to_reg   -> IT(%eax)=addr(A)
@@ -538,7 +541,7 @@ mod tests {
 
     #[test]
     fn imm_to_reg_cleans() {
-        let mut it = InheritanceTracker::new(ItConfig::taint_style());
+        let mut it = InheritanceTracker::new(ItConfig::default());
         it.set(Reg::Eax, ItState::Addr(mem(0x10)));
         let evs = run(&mut it, 0, Event::Prop(OpClass::ImmToReg { rd: Reg::Eax }));
         assert!(evs.is_empty());
@@ -547,7 +550,7 @@ mod tests {
 
     #[test]
     fn reg_to_reg_copies_all_three_states() {
-        let mut it = InheritanceTracker::new(ItConfig::taint_style());
+        let mut it = InheritanceTracker::new(ItConfig::default());
         // Clean source.
         let evs = run(&mut it, 0, Event::Prop(OpClass::RegToReg { rs: Reg::Eax, rd: Reg::Ecx }));
         assert!(evs.is_empty());
@@ -567,7 +570,7 @@ mod tests {
     #[test]
     fn reg_to_mem_transforms_by_source_state() {
         let d = mem(0xd0);
-        let mut it = InheritanceTracker::new(ItConfig::taint_style());
+        let mut it = InheritanceTracker::new(ItConfig::default());
         // In-lifeguard source passes through unchanged.
         it.set(Reg::Eax, ItState::InLifeguard);
         let evs = run(&mut it, 0, Event::Prop(OpClass::RegToMem { rs: Reg::Eax, dst: d }));
@@ -577,7 +580,7 @@ mod tests {
     #[test]
     fn write_after_read_conflict_materializes_register_first() {
         let a = mem(0xa0);
-        let mut it = InheritanceTracker::new(ItConfig::taint_style());
+        let mut it = InheritanceTracker::new(ItConfig::default());
         // %eax inherits from A.
         run(&mut it, 1, Event::Prop(OpClass::MemToReg { src: a, rd: Reg::Eax }));
         // Store to A: must deliver mem_to_reg(A, %eax) *before* imm_to_mem(A).
@@ -595,7 +598,7 @@ mod tests {
 
     #[test]
     fn conflict_detects_partial_overlap() {
-        let mut it = InheritanceTracker::new(ItConfig::taint_style());
+        let mut it = InheritanceTracker::new(ItConfig::default());
         // %eax inherits from the 4 bytes at 0xa2 (unaligned).
         let a = MemRef::new(0xa2, MemSize::B4);
         run(&mut it, 1, Event::Prop(OpClass::MemToReg { src: a, rd: Reg::Eax }));
@@ -605,7 +608,7 @@ mod tests {
         assert_eq!(evs.len(), 2);
         assert_eq!(it.stats().conflict_events, 1);
         // A 1-byte store at 0xa6 does not overlap.
-        let mut it = InheritanceTracker::new(ItConfig::taint_style());
+        let mut it = InheritanceTracker::new(ItConfig::default());
         run(&mut it, 1, Event::Prop(OpClass::MemToReg { src: a, rd: Reg::Eax }));
         let evs =
             run(&mut it, 2, Event::Prop(OpClass::ImmToMem { dst: MemRef::new(0xa6, MemSize::B1) }));
@@ -617,7 +620,7 @@ mod tests {
     fn store_of_register_to_its_own_source_materializes_correctly() {
         // mov A, %eax; mov %eax, A-overlapping store.
         let a = mem(0xa0);
-        let mut it = InheritanceTracker::new(ItConfig::taint_style());
+        let mut it = InheritanceTracker::new(ItConfig::default());
         run(&mut it, 1, Event::Prop(OpClass::MemToReg { src: a, rd: Reg::Eax }));
         let evs = run(&mut it, 2, Event::Prop(OpClass::RegToMem { rs: Reg::Eax, dst: a }));
         // Conflict materializes %eax, then the store is delivered as
@@ -634,7 +637,7 @@ mod tests {
     #[test]
     fn clean_rs_do_nothing_preserves_dest_inheritance() {
         let a = mem(0xa0);
-        let mut it = InheritanceTracker::new(ItConfig::taint_style());
+        let mut it = InheritanceTracker::new(ItConfig::default());
         run(&mut it, 1, Event::Prop(OpClass::MemToReg { src: a, rd: Reg::Eax }));
         // add %ecx, %eax with clean %ecx: generic propagation leaves %eax's
         // metadata = metadata(A); the optimization keeps the inheritance.
@@ -647,7 +650,7 @@ mod tests {
     #[test]
     fn clean_rs_do_nothing_disabled_cleans_dest() {
         let a = mem(0xa0);
-        let cfg = ItConfig { clean_rs_do_nothing: false, ..ItConfig::taint_style() };
+        let cfg = ItConfig { clean_rs_do_nothing: false, ..ItConfig::default() };
         let mut it = InheritanceTracker::new(cfg);
         run(&mut it, 1, Event::Prop(OpClass::MemToReg { src: a, rd: Reg::Eax }));
         run(&mut it, 2, Event::Prop(OpClass::DestRegOpReg { rs: Reg::Ecx, rd: Reg::Eax }));
@@ -658,7 +661,8 @@ mod tests {
     fn memcheck_style_delivers_eager_source_checks() {
         let a = mem(0xa0);
         let b = mem(0xb0);
-        let mut it = InheritanceTracker::new(ItConfig::memcheck_style());
+        let mut it =
+            InheritanceTracker::new(ItConfig { nonunary_check: true, ..ItConfig::default() });
         run(&mut it, 1, Event::Prop(OpClass::MemToReg { src: a, rd: Reg::Eax }));
         // add B, %eax: both the memory source B and the inherited source A
         // must be checked before cleaning the destination.
@@ -678,7 +682,7 @@ mod tests {
     fn dest_mem_op_reg_with_unclean_source_cleans_memory() {
         let a = mem(0xa0);
         let d = mem(0xd0);
-        let mut it = InheritanceTracker::new(ItConfig::taint_style());
+        let mut it = InheritanceTracker::new(ItConfig::default());
         run(&mut it, 1, Event::Prop(OpClass::MemToReg { src: a, rd: Reg::Eax }));
         let evs = run(&mut it, 2, Event::Prop(OpClass::DestMemOpReg { rs: Reg::Eax, dst: d }));
         assert_eq!(evs, vec![Event::Prop(OpClass::ImmToMem { dst: d })]);
@@ -687,7 +691,7 @@ mod tests {
     #[test]
     fn dest_mem_op_reg_with_clean_source_does_nothing() {
         let d = mem(0xd0);
-        let mut it = InheritanceTracker::new(ItConfig::taint_style());
+        let mut it = InheritanceTracker::new(ItConfig::default());
         let evs = run(&mut it, 2, Event::Prop(OpClass::DestMemOpReg { rs: Reg::Eax, dst: d }));
         assert!(evs.is_empty());
     }
@@ -695,7 +699,7 @@ mod tests {
     #[test]
     fn other_flushes_relevant_registers_then_delivers() {
         let a = mem(0xa0);
-        let mut it = InheritanceTracker::new(ItConfig::taint_style());
+        let mut it = InheritanceTracker::new(ItConfig::default());
         run(&mut it, 1, Event::Prop(OpClass::MemToReg { src: a, rd: Reg::Eax }));
         let other = OpClass::Other {
             reads: RegSet::from_regs([Reg::Eax, Reg::Ecx]),
@@ -722,7 +726,7 @@ mod tests {
     #[test]
     fn check_events_resolve_through_table() {
         let a = mem(0xa0);
-        let mut it = InheritanceTracker::new(ItConfig::taint_style());
+        let mut it = InheritanceTracker::new(ItConfig::default());
         // Clean register: check discarded.
         let evs = run(
             &mut it,
@@ -759,7 +763,7 @@ mod tests {
 
     #[test]
     fn mem_source_checks_pass_through() {
-        let mut it = InheritanceTracker::new(ItConfig::taint_style());
+        let mut it = InheritanceTracker::new(ItConfig::default());
         let ev = Event::Check { kind: CheckKind::FormatString, source: MetaSource::Mem(mem(0x40)) };
         let evs = run(&mut it, 0, ev);
         assert_eq!(evs, vec![ev]);
@@ -767,14 +771,14 @@ mod tests {
 
     #[test]
     fn non_prop_events_pass_through() {
-        let mut it = InheritanceTracker::new(ItConfig::taint_style());
+        let mut it = InheritanceTracker::new(ItConfig::default());
         let ev = Event::MemRead(mem(0x40));
         assert_eq!(run(&mut it, 0, ev), vec![ev]);
     }
 
     #[test]
     fn flush_all_materializes_everything() {
-        let mut it = InheritanceTracker::new(ItConfig::taint_style());
+        let mut it = InheritanceTracker::new(ItConfig::default());
         it.set(Reg::Eax, ItState::Addr(mem(0x10)));
         it.set(Reg::Ecx, ItState::InLifeguard);
         let mut out = Vec::new();
@@ -810,7 +814,7 @@ mod tests {
 
     #[test]
     fn prop_reduction_statistic() {
-        let mut it = InheritanceTracker::new(ItConfig::taint_style());
+        let mut it = InheritanceTracker::new(ItConfig::default());
         assert_eq!(it.stats().prop_reduction(), 0.0);
         run(&mut it, 0, Event::Prop(OpClass::ImmToReg { rd: Reg::Eax }));
         run(&mut it, 0, Event::Prop(OpClass::ImmToMem { dst: mem(0x40) }));

@@ -44,7 +44,7 @@ pub mod filter;
 pub mod it;
 pub mod mtlb;
 
-pub use config::{AccelConfig, Technique};
+pub use config::AccelConfig;
 pub use dispatch::{DispatchPipeline, DispatchStats};
 pub use filter::{IdempotentFilter, IfGeometry, IfOutcome, IfStats};
 pub use it::{InheritanceTracker, ItConfig, ItState, ItStats};

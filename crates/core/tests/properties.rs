@@ -312,7 +312,7 @@ proptest! {
     fn it_with_clean_rs_optimization_is_bounded(
         steps in proptest::collection::vec(arb_step(), 1..120)
     ) {
-        let cfg = ItConfig::taint_style();
+        let cfg = ItConfig::default();
         let (sw_it, _) = run_it_path(&steps, cfg, Semantics::PessimisticUnary);
         let (lo, _) = run_baseline(&steps, Semantics::PessimisticUnary);
         let (hi, _) = run_baseline(&steps, Semantics::Generic);

@@ -11,7 +11,7 @@
 //! and system calls invalidate the whole filter (paper §5).
 
 use crate::allocs::Allocs;
-use crate::cost::{CostSink, MetaMap, SOFTWARE_MAP_INSTRS};
+use crate::cost::{CostSink, MetaMap};
 use crate::violation::{Reporting, Reports, Violation};
 use crate::{Lifeguard, LifeguardKind, Row, PLAIN};
 use igm_core::AccelConfig;
@@ -273,13 +273,10 @@ impl Lifeguard for AddrCheck {
     }
 }
 
-/// The paper's baseline mapping cost is visible in this module's handlers:
-/// exported for the documentation tests.
-pub const ACCESS_CHECK_FAST_PATH_INSTRS: u32 = SOFTWARE_MAP_INSTRS + 6;
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cost::SOFTWARE_MAP_INSTRS;
     use igm_isa::MemSize;
 
     fn ev(pc: u32, event: Event) -> DeliveredEvent {

@@ -11,8 +11,11 @@
 //! Each lifeguard declares its ETCT once, as the `ROWS` list in its module.
 //! A row is a registered event type, its Idempotent Filter fields (§5) and
 //! whether a pipelined spine may skip it. The ETCT, the IT and IF columns
-//! above, the IT policy and spine elision are all derived from the rows, so
-//! a lifeguard's semantics toward the accelerators are edited there only.
+//! above and spine elision are all derived from the rows, so a lifeguard's
+//! semantics toward the accelerators are edited there only. The IT policy
+//! is read off the ETCT the rows build ([`igm_core::ItConfig::for_etct`]:
+//! eager non-unary checks exactly when `CheckNonUnary` is registered);
+//! [`AccelConfig`] only says whether the IT unit is present.
 //!
 //! Each lifeguard is an ordinary software program running on the lifeguard
 //! core: its handlers do *real* metadata work against `igm-shadow` maps (so
@@ -48,7 +51,7 @@ pub use taint_detailed::TaintCheckDetailed;
 pub use violation::Violation;
 
 use crate::violation::{Reporting, Reports};
-use igm_core::{AccelConfig, ItConfig};
+use igm_core::AccelConfig;
 use igm_lba::{DeliveredEvent, Etct, EventType, FieldSelect, IfEventConfig, NUM_EVENT_TYPES};
 use std::fmt;
 
@@ -178,23 +181,15 @@ impl LifeguardKind {
         }
     }
 
-    /// The IT policy when IT applies (else `None`): eager non-unary checks
-    /// ([`ItConfig::memcheck_style`]) exactly if `CheckNonUnary` is registered.
-    pub fn it_config(self) -> Option<ItConfig> {
-        self.accel_support().it.then(|| ItConfig {
-            nonunary_check: self.rows().iter().any(|r| r.event == EventType::CheckNonUnary),
-            ..ItConfig::default()
-        })
-    }
-
-    /// Masks a requested configuration by this lifeguard's Figure 2 row and
-    /// substitutes the lifeguard's own IT policy.
+    /// Masks a requested configuration by this lifeguard's Figure 2 row.
+    /// The IT policy is not part of it: the pipeline derives that from the
+    /// ETCT ([`igm_core::ItConfig::for_etct`]).
     pub fn mask_config(self, requested: &AccelConfig) -> AccelConfig {
         let support = self.accel_support();
         AccelConfig {
             lma: requested.lma && support.lma,
             mtlb_entries: requested.mtlb_entries,
-            it: requested.it.and(self.it_config()),
+            it: requested.it && support.it,
             if_geometry: requested.if_geometry.filter(|_| support.idempotent_filter),
         }
     }
@@ -383,6 +378,7 @@ impl Lifeguard for AnyLifeguard {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use igm_core::ItConfig;
 
     #[test]
     fn figure2_matrix() {
@@ -403,19 +399,28 @@ mod tests {
 
     #[test]
     fn mask_config_respects_support() {
-        let full = AccelConfig::full(ItConfig::taint_style());
+        let full = AccelConfig::full();
         let m = LifeguardKind::AddrCheck.mask_config(&full);
-        assert!(m.lma && m.it.is_none() && m.if_geometry.is_some());
+        assert!(m.lma && !m.it && m.if_geometry.is_some());
         let m = LifeguardKind::TaintCheck.mask_config(&full);
-        assert!(m.lma && m.it.is_some() && m.if_geometry.is_none());
+        assert!(m.lma && m.it && m.if_geometry.is_none());
         let m = LifeguardKind::MemCheck.mask_config(&full);
-        assert!(m.it.unwrap().nonunary_check, "MemCheck uses eager checks");
+        assert!(m.lma && m.it && m.if_geometry.is_some());
+    }
+
+    #[test]
+    fn it_policy_from_the_etct_is_eager_only_for_memcheck() {
+        for k in LifeguardKind::ALL {
+            let it = ItConfig::for_etct(&k.etct());
+            assert_eq!(it.nonunary_check, k == LifeguardKind::MemCheck, "{k}");
+            assert_eq!(it, ItConfig { nonunary_check: it.nonunary_check, ..ItConfig::default() });
+        }
     }
 
     #[test]
     fn build_constructs_every_lifeguard() {
         for k in LifeguardKind::ALL {
-            let any = k.build_any(&AccelConfig::full(ItConfig::taint_style()));
+            let any = k.build_any(&AccelConfig::full());
             assert_eq!(any.kind(), k);
             assert!(any.etct().registered_count() > 0);
             let copy = any.clone();
@@ -456,15 +461,17 @@ mod tests {
         use igm_lba::{CheckKind, Event, MetaSource};
         use LifeguardKind::*;
         let support = |it, idempotent_filter| AccelSupport { it, idempotent_filter, lma: true };
+        let eager = ItConfig { nonunary_check: true, ..ItConfig::default() };
         for (kind, want_support, want_it) in [
             (AddrCheck, support(false, true), None),
-            (MemCheck, support(true, true), Some(ItConfig::memcheck_style())),
-            (TaintCheck, support(true, false), Some(ItConfig::taint_style())),
-            (TaintCheckDetailed, support(true, false), Some(ItConfig::taint_style())),
+            (MemCheck, support(true, true), Some(eager)),
+            (TaintCheck, support(true, false), Some(ItConfig::default())),
+            (TaintCheckDetailed, support(true, false), Some(ItConfig::default())),
             (LockSet, support(false, true), None),
         ] {
             assert_eq!(kind.accel_support(), want_support, "{kind}");
-            assert_eq!(kind.it_config(), want_it, "{kind}");
+            let it = kind.accel_support().it.then(|| ItConfig::for_etct(&kind.etct()));
+            assert_eq!(it, want_it, "{kind}");
             assert_eq!(kind.spine_elides_any(), kind != LockSet, "{kind}");
         }
 

@@ -154,7 +154,6 @@ impl<L: Lifeguard> Monitor<L> {
 mod tests {
     use super::*;
     use crate::TaintCheck;
-    use igm_core::ItConfig;
     use igm_isa::asm::{Addressing, ProgramBuilder};
     use igm_isa::{Annotation, Machine, MemSize, Reg};
 
@@ -171,7 +170,7 @@ mod tests {
         m.feed_input(&0x0804_800cu32.to_le_bytes()); // target: the halt
         m.run().unwrap();
 
-        for accel in [AccelConfig::baseline(), AccelConfig::full(ItConfig::taint_style())] {
+        for accel in [AccelConfig::baseline(), AccelConfig::full()] {
             let mut mon = Monitor::new(TaintCheck::new(&accel), &accel);
             mon.observe_all(m.trace().iter().copied());
             assert_eq!(
@@ -192,7 +191,7 @@ mod tests {
         p.halt();
         let mut m = Machine::new(p.build());
         m.run().unwrap();
-        for accel in [AccelConfig::baseline(), AccelConfig::full(ItConfig::taint_style())] {
+        for accel in [AccelConfig::baseline(), AccelConfig::full()] {
             let mut mon = Monitor::new(TaintCheck::new(&accel), &accel);
             mon.observe_all(m.trace().iter().copied());
             assert!(mon.violations().is_empty());

@@ -20,15 +20,19 @@
 //! | 6    | `FIN_ACK` | server → client | records the server ingested on this lane, `u64` |
 //! | 7    | `ERROR`   | server → client | reason string (`u16` len + UTF-8), sent before close on a rejected handshake |
 //!
-//! The `HELLO` session spec carries everything
-//! [`SessionConfig`] holds — tenant name,
-//! requested [`LifeguardKind`], accelerator configuration, synthetic-mode
-//! flag and premarked regions — so a server-side session reproduces the
-//! client's local configuration exactly (the loopback-equivalence
-//! guarantee rests on this). The version must be [`NET_VERSION`] and the
-//! trace codec word [`igm_trace::CODEC_ID`], the codec every `CHUNK`
-//! frame carries; the server refuses anything else with a typed
-//! [`NetError::VersionMismatch`] or [`NetError::UnsupportedCodec`].
+//! The `HELLO` session spec carries everything [`SessionConfig`] holds, in
+//! this order: tenant name (`u16` length + UTF-8), [`LifeguardKind`] (`u8`),
+//! synthetic-mode flag, LMA flag, M-TLB entries (`u32`), IT present/absent
+//! byte, IF present byte (then entries, ways, `u32` each) and premarked
+//! regions (`u32` count, then base and length, `u32` each). A server-side
+//! session thus reproduces the client's local configuration exactly (the
+//! loopback-equivalence guarantee rests on this). IT is only a switch: the
+//! server's pipeline takes the IT policy from the lifeguard's ETCT
+//! ([`igm_core::ItConfig::for_etct`]), as a local one does. The version
+//! must be [`NET_VERSION`] and the trace codec word
+//! [`igm_trace::CODEC_ID`], the codec every `CHUNK` frame carries; the
+//! server refuses anything else with a typed [`NetError::VersionMismatch`]
+//! or [`NetError::UnsupportedCodec`].
 //!
 //! # Credit rules
 //!
@@ -64,7 +68,7 @@
 //! frame. Credit accounts the *whole* chunk payload (prefix included), so
 //! both sides' byte ledgers agree.
 
-use igm_core::{AccelConfig, IfGeometry, ItConfig};
+use igm_core::{AccelConfig, IfGeometry};
 use igm_lifeguards::LifeguardKind;
 use igm_runtime::SessionConfig;
 use igm_span::FrameTag;
@@ -77,7 +81,7 @@ use std::ops::Range;
 pub const NET_MAGIC: [u8; 4] = *b"IGMN";
 
 /// The protocol version — the only one either side speaks.
-pub const NET_VERSION: u32 = 3;
+pub const NET_VERSION: u32 = 4;
 
 /// Fixed length of the span-provenance prefix opening every `CHUNK`
 /// payload (flags `u8`, 3 pad bytes, flow `u32` LE, seq `u64` LE).
@@ -273,15 +277,7 @@ pub fn hello_message(version: u32, codec: u32, session: &SessionConfig) -> Vec<u
     body.push(session.synthetic_workload as u8);
     body.push(session.accel.lma as u8);
     body.extend_from_slice(&(session.accel.mtlb_entries as u32).to_le_bytes());
-    match &session.accel.it {
-        Some(it) => {
-            body.push(1);
-            body.push(it.nonunary_check as u8);
-            body.push(it.clean_rs_do_nothing as u8);
-            body.push(it.conflict_detection as u8);
-        }
-        None => body.push(0),
-    }
+    body.push(session.accel.it as u8);
     match &session.accel.if_geometry {
         Some(geo) => {
             body.push(1);
@@ -491,15 +487,7 @@ pub fn decode_hello(payload: &[u8]) -> Result<SessionConfig, NetError> {
     if mtlb_entries == 0 || mtlb_entries > MAX_MTLB_ENTRIES {
         return Err(NetError::Malformed("M-TLB capacity outside the protocol bound"));
     }
-    let it = if r.bool()? {
-        Some(ItConfig {
-            nonunary_check: r.bool()?,
-            clean_rs_do_nothing: r.bool()?,
-            conflict_detection: r.bool()?,
-        })
-    } else {
-        None
-    };
+    let it = r.bool()?;
     let if_geometry = if r.bool()? {
         let entries = r.u32()? as usize;
         let ways = r.u32()? as usize;
@@ -707,20 +695,23 @@ mod tests {
 
     #[test]
     fn hello_round_trips_every_field() {
-        let mut cfg = SessionConfig::new("tenant-a", LifeguardKind::TaintCheck)
-            .accel(AccelConfig::full(ItConfig::taint_style()))
-            .premark(&[(0x1000, 0x40), (0x9000, 0x2000)]);
-        cfg.synthetic_workload = true;
-        let hello = hello_message(NET_VERSION, CODEC_ID, &cfg);
-        assert_eq!(hello[0], msg::HELLO);
-        let len = u32::from_le_bytes(hello[1..5].try_into().unwrap()) as usize;
-        assert_eq!(hello.len(), MSG_HEADER_BYTES + len);
-        let decoded = decode_hello(&hello[MSG_HEADER_BYTES..]).unwrap();
-        assert_eq!(decoded.name, cfg.name);
-        assert_eq!(decoded.lifeguard, cfg.lifeguard);
-        assert_eq!(decoded.accel, cfg.accel);
-        assert_eq!(decoded.synthetic_workload, cfg.synthetic_workload);
-        assert_eq!(decoded.premark, cfg.premark);
+        // The IT switch both ways: on with the filter, off without it.
+        for accel in [AccelConfig::full(), AccelConfig::lma()] {
+            let mut cfg = SessionConfig::new("tenant-a", LifeguardKind::TaintCheck)
+                .accel(accel)
+                .premark(&[(0x1000, 0x40), (0x9000, 0x2000)]);
+            cfg.synthetic_workload = true;
+            let hello = hello_message(NET_VERSION, CODEC_ID, &cfg);
+            assert_eq!(hello[0], msg::HELLO);
+            let len = u32::from_le_bytes(hello[1..5].try_into().unwrap()) as usize;
+            assert_eq!(hello.len(), MSG_HEADER_BYTES + len);
+            let decoded = decode_hello(&hello[MSG_HEADER_BYTES..]).unwrap();
+            assert_eq!(decoded.name, cfg.name);
+            assert_eq!(decoded.lifeguard, cfg.lifeguard);
+            assert_eq!(decoded.accel, cfg.accel);
+            assert_eq!(decoded.synthetic_workload, cfg.synthetic_workload);
+            assert_eq!(decoded.premark, cfg.premark);
+        }
     }
 
     #[test]
@@ -744,13 +735,13 @@ mod tests {
     fn hello_version_and_magic_are_enforced() {
         let cfg = SessionConfig::new("t", LifeguardKind::AddrCheck);
         // Every version but the current one is refused, the retired v2
-        // included, and the refusal names what this side speaks.
-        for bad in [1, 2, NET_VERSION + 1, 99] {
+        // and v3 included, and the refusal names what this side speaks.
+        for bad in [1, 2, 3, NET_VERSION + 1, 99] {
             let hello = hello_message(bad, CODEC_ID, &cfg);
             match decode_hello(&hello[MSG_HEADER_BYTES..]) {
                 Err(e @ NetError::VersionMismatch { theirs }) => {
                     assert_eq!(theirs, bad);
-                    assert!(e.to_string().contains("speaks 3"), "{e}");
+                    assert!(e.to_string().contains("speaks 4"), "{e}");
                 }
                 other => panic!("version {bad}: expected mismatch, got {other:?}"),
             }
@@ -766,9 +757,9 @@ mod tests {
         // The admitted range is the single version NET_VERSION.
         let hello = hello_message(NET_VERSION, CODEC_ID, &cfg);
         assert_eq!(decode_hello(&hello[MSG_HEADER_BYTES..]).unwrap().name, "peer");
-        // Its neighbours on both sides are refused, and the refusal
-        // names the peer's version.
-        for bad in [NET_VERSION - 1, NET_VERSION + 1] {
+        // Its neighbours on both sides are refused (below it v3, which also
+        // sent an IT policy), and the refusal names the peer's version.
+        for bad in [3, NET_VERSION + 1] {
             let hello = hello_message(bad, CODEC_ID, &cfg);
             match decode_hello(&hello[MSG_HEADER_BYTES..]) {
                 Err(e @ NetError::VersionMismatch { theirs }) => {
@@ -847,7 +838,7 @@ mod tests {
         let mut cfg = SessionConfig::new("t", LifeguardKind::TaintCheck).accel(AccelConfig {
             lma: true,
             mtlb_entries: 0,
-            it: None,
+            it: false,
             if_geometry: None,
         });
         let hello = hello_message(NET_VERSION, CODEC_ID, &cfg);
@@ -866,7 +857,7 @@ mod tests {
             let cfg = SessionConfig::new("t", LifeguardKind::TaintCheck).accel(AccelConfig {
                 lma: true,
                 mtlb_entries: 64,
-                it: None,
+                it: false,
                 if_geometry: Some(geo),
             });
             let hello = hello_message(NET_VERSION, CODEC_ID, &cfg);

@@ -35,7 +35,7 @@ pub mod sweep;
 pub use igm_lifeguards::Monitor;
 pub use report::SimReport;
 
-use igm_core::{AccelConfig, ItConfig};
+use igm_core::AccelConfig;
 use igm_isa::TraceEntry;
 use igm_lba::{EventBuf, TraceBatch};
 use igm_lifeguards::{CostSink, LifeguardKind};
@@ -75,9 +75,12 @@ impl SimConfig {
         SimConfig::with_accel(lifeguard, AccelConfig::baseline())
     }
 
-    /// All applicable accelerators (the paper's optimized bars).
+    /// All applicable accelerators (the paper's optimized bars):
+    /// [`AccelConfig::full`] masked by the lifeguard's Figure 2 row. Where
+    /// IT applies, its policy is the lifeguard's own, read off its ETCT
+    /// ([`igm_core::ItConfig::for_etct`]).
     pub fn optimized(lifeguard: LifeguardKind) -> SimConfig {
-        SimConfig::with_accel(lifeguard, AccelConfig::full(ItConfig::taint_style()))
+        SimConfig::with_accel(lifeguard, AccelConfig::full())
     }
 
     /// A specific accelerator selection (for the Figure 11 progression).
@@ -237,15 +240,15 @@ impl Packet {
 mod tests {
     use super::*;
     use crate::sweep::*;
-    use igm_core::IfGeometry;
+    use igm_core::{IfGeometry, ItConfig};
 
     #[test]
     fn masked_config_is_applied() {
         let cfg = SimConfig::optimized(LifeguardKind::AddrCheck);
-        assert!(cfg.accel.it.is_none(), "AddrCheck never uses IT");
+        assert!(!cfg.accel.it, "AddrCheck never uses IT");
         assert!(cfg.accel.if_geometry.is_some());
         let cfg = SimConfig::optimized(LifeguardKind::TaintCheck);
-        assert!(cfg.accel.it.is_some());
+        assert!(cfg.accel.it);
         assert!(cfg.accel.if_geometry.is_none());
     }
 
@@ -314,8 +317,9 @@ mod tests {
         // Eager checks add deliveries, so MemCheck's reduction is lower
         // (Figure 12: 24.9-59.7% vs 37.4-74.4%).
         let b = Benchmark::Gcc;
-        let taint = it_reduction(b.trace(N), ItConfig::taint_style());
-        let mem = it_reduction(b.trace(N), ItConfig::memcheck_style());
+        let policy = |kind: LifeguardKind| ItConfig::for_etct(&kind.etct());
+        let taint = it_reduction(b.trace(N), policy(LifeguardKind::TaintCheck));
+        let mem = it_reduction(b.trace(N), policy(LifeguardKind::MemCheck));
         assert!(mem <= taint, "memcheck {mem:.2} vs taint {taint:.2}");
     }
 

@@ -18,8 +18,9 @@ fn main() {
 
     println!("workload: {b}, {n} records\n");
 
-    let it = it_reduction(b.trace(n), ItConfig::taint_style());
-    let it_eager = it_reduction(b.trace(n), ItConfig::memcheck_style());
+    let policy = |kind: LifeguardKind| ItConfig::for_etct(&kind.etct());
+    let it = it_reduction(b.trace(n), policy(LifeguardKind::TaintCheck));
+    let it_eager = it_reduction(b.trace(n), policy(LifeguardKind::MemCheck));
     println!("Inheritance Tracking");
     println!("  propagation events removed (TaintCheck policy): {:5.1}%", it * 100.0);
     println!("  with eager checks         (MemCheck policy)  : {:5.1}%", it_eager * 100.0);

@@ -5,7 +5,7 @@
 //! cargo run --example quickstart
 //! ```
 
-use igm::accel::{AccelConfig, ItConfig};
+use igm::accel::AccelConfig;
 use igm::isa::asm::{Addressing, ProgramBuilder};
 use igm::isa::{Annotation, Machine, MemSize, Reg};
 use igm::lifeguards::TaintCheck;
@@ -26,7 +26,7 @@ fn main() {
     machine.run().expect("the supplied target is inside the program");
 
     // Monitor the trace with TaintCheck, all accelerators on.
-    let accel = AccelConfig::full(ItConfig::taint_style());
+    let accel = AccelConfig::full();
     let mut monitor = Monitor::new(TaintCheck::new(&accel), &accel);
     monitor.observe_all(machine.trace().iter().copied());
 

@@ -60,8 +60,8 @@ struct StagedPipeline {
 impl StagedPipeline {
     fn new(etct: Etct, cfg: &AccelConfig) -> StagedPipeline {
         StagedPipeline {
+            it: cfg.it.then(|| InheritanceTracker::new(ItConfig::for_etct(&etct))),
             etct,
-            it: cfg.it.map(InheritanceTracker::new),
             filter: cfg.if_geometry.map(IdempotentFilter::new),
             stats: DispatchStats::default(),
         }
@@ -127,9 +127,8 @@ impl StagedPipeline {
 
 /// baseline, IT only, IF only, full — unmasked, so every ETCT meets every
 /// unit whether or not the paper pairs them.
-fn accel_matrix(kind: LifeguardKind) -> [AccelConfig; 4] {
-    let it = kind.it_config().unwrap_or_else(ItConfig::taint_style);
-    [AccelConfig::baseline(), AccelConfig::lma_it(it), AccelConfig::lma_if(), AccelConfig::full(it)]
+fn accel_matrix() -> [AccelConfig; 4] {
+    [AccelConfig::baseline(), AccelConfig::lma_it(), AccelConfig::lma_if(), AccelConfig::full()]
 }
 
 /// Runs `trace` through the fused sweep in `chunk`-record batches and
@@ -137,7 +136,7 @@ fn accel_matrix(kind: LifeguardKind) -> [AccelConfig; 4] {
 fn assert_fused_equals_staged(what: &str, trace: &[TraceEntry], chunk: usize) {
     for kind in LifeguardKind::ALL {
         let etct = kind.build_any(&AccelConfig::baseline()).etct();
-        for accel in accel_matrix(kind) {
+        for accel in accel_matrix() {
             let label = format!("{what} / {kind} ETCT / {}", accel.label());
             let mut staged = StagedPipeline::new(etct.clone(), &accel);
             let mut fused = DispatchPipeline::new(etct.clone(), &accel);

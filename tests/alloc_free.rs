@@ -15,7 +15,7 @@
 //! instead, between two points at which the pool is quiescent, and
 //! [`SERIAL`] keeps the other tests from allocating meanwhile.
 
-use igm::accel::{AccelConfig, DispatchPipeline, ItConfig};
+use igm::accel::{AccelConfig, DispatchPipeline};
 use igm::isa::{MemRef, OpClass, Reg, TraceEntry};
 use igm::lba::{EventBuf, TraceBatch};
 use igm::lifeguards::{CostSink, Lifeguard, LifeguardKind, Monitor};
@@ -122,7 +122,7 @@ fn steady_state_columnar_dispatch_allocates_nothing() {
     let _serial = serial();
     let batch = TraceBatch::from_entries(&steady_batch(2_048));
     for kind in LifeguardKind::ALL {
-        for accel in [AccelConfig::baseline(), AccelConfig::full(ItConfig::taint_style())] {
+        for accel in [AccelConfig::baseline(), AccelConfig::full()] {
             let mut monitor = Monitor::build(kind, &accel, false, &[(HEAP, 0x1000)]);
             let mut cost = CostSink::new();
             let mut events = EventBuf::new();
@@ -319,7 +319,7 @@ fn instrumented_dispatch_stays_allocation_free() {
     let entries = steady_batch(2_048);
     let batch = TraceBatch::from_entries(&entries);
     let kind = LifeguardKind::TaintCheck;
-    let accel = AccelConfig::full(ItConfig::taint_style());
+    let accel = AccelConfig::full();
     let mut lifeguard = kind.build_any(&accel);
     lifeguard.premark_region(HEAP, 0x1000);
     let mut pipeline = DispatchPipeline::new(lifeguard.etct(), &kind.mask_config(&accel));
@@ -393,7 +393,7 @@ fn premarking_allocates_by_distinguished_chunks_not_by_bytes() {
     let regions = igm::workload::Benchmark::Mcf.profile().premark_regions();
     assert!(regions.contains(&MMAP), "mcf's loader regions include the mmap region");
     for kind in [LifeguardKind::AddrCheck, LifeguardKind::MemCheck] {
-        for accel in [AccelConfig::baseline(), AccelConfig::full(ItConfig::taint_style())] {
+        for accel in [AccelConfig::baseline(), AccelConfig::full()] {
             let what = format!("{kind} / {}", accel.label());
             let mut lifeguard = kind.build_any(&accel);
             let before = thread_bytes();

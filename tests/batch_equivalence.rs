@@ -11,7 +11,7 @@
 //! One generated trace in four is annotation-dense, so batches also cross
 //! IT flushes and IF invalidations many times over.
 
-use igm::accel::{AccelConfig, DispatchPipeline, ItConfig};
+use igm::accel::{AccelConfig, DispatchPipeline};
 use igm::isa::{Annotation, CtrlOp, JumpTarget, MemRef, MemSize, Reg, TraceEntry};
 use igm::lba::{DeliveredEvent, EventBuf, TraceBatch};
 use igm::lifeguards::{CostSink, Lifeguard, LifeguardKind};
@@ -107,7 +107,7 @@ fn with_pcs(mut trace: Vec<TraceEntry>) -> Vec<TraceEntry> {
 }
 
 fn accel_configs() -> [AccelConfig; 3] {
-    [AccelConfig::baseline(), AccelConfig::lma_if(), AccelConfig::full(ItConfig::taint_style())]
+    [AccelConfig::baseline(), AccelConfig::lma_if(), AccelConfig::full()]
 }
 
 proptest! {

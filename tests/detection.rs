@@ -2,7 +2,7 @@
 //! accelerator configuration — acceleration may drop redundant work but
 //! never a true violation (the framework's soundness contract).
 
-use igm::accel::{AccelConfig, ItConfig};
+use igm::accel::AccelConfig;
 use igm::isa::asm::{Addressing, Cond, ProgramBuilder};
 use igm::isa::{Annotation, Machine, MemSize, Reg, TraceEntry};
 use igm::lifeguards::{
@@ -18,8 +18,8 @@ fn all_configs() -> Vec<AccelConfig> {
         AccelConfig::baseline(),
         AccelConfig::lma(),
         AccelConfig::lma_if(),
-        AccelConfig::lma_it(ItConfig::taint_style()),
-        AccelConfig::full(ItConfig::taint_style()),
+        AccelConfig::lma_it(),
+        AccelConfig::full(),
     ]
 }
 

@@ -15,7 +15,7 @@
 mod common;
 
 use common::strategies::{self as s, Observed};
-use igm::accel::{AccelConfig, ItConfig};
+use igm::accel::AccelConfig;
 use igm::isa::TraceEntry;
 use igm::lba::{extract_events, Etct, Event};
 use igm::lifeguards::{LifeguardKind, Violation};
@@ -119,13 +119,12 @@ const STRATEGIES: [Strategy; 9] = [
 /// The accelerator configurations, as requested; each lifeguard masks
 /// them to its Figure 2 row.
 fn configs() -> [(&'static str, AccelConfig); 5] {
-    let it = ItConfig::taint_style();
     [
         ("base", AccelConfig::baseline()),
         ("lma", AccelConfig::lma()),
         ("lma_if", AccelConfig::lma_if()),
-        ("lma_it", AccelConfig::lma_it(it)),
-        ("full", AccelConfig::full(it)),
+        ("lma_it", AccelConfig::lma_it()),
+        ("full", AccelConfig::full()),
     ]
 }
 

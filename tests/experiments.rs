@@ -21,8 +21,8 @@ fn techniques_compose_monotonically() {
         let steps = [
             AccelConfig::baseline(),
             AccelConfig::lma(),
-            AccelConfig::lma_it(ItConfig::taint_style()),
-            AccelConfig::full(ItConfig::taint_style()),
+            AccelConfig::lma_it(),
+            AccelConfig::full(),
         ];
         let slowdowns: Vec<f64> = steps
             .iter()
@@ -84,7 +84,7 @@ fn mcf_overhead_is_smallest() {
 #[test]
 fn it_reduction_band_holds_across_suite() {
     for b in Benchmark::ALL {
-        let r = it_reduction(b.trace(N), ItConfig::taint_style());
+        let r = it_reduction(b.trace(N), ItConfig::default());
         assert!((0.30..=0.95).contains(&r), "{b}: {r:.2}");
     }
 }

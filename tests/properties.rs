@@ -2,7 +2,7 @@
 //! the same lifeguard verdicts under every accelerator configuration, or a
 //! stated relation to them.
 
-use igm::accel::{AccelConfig, ItConfig};
+use igm::accel::AccelConfig;
 use igm::isa::asm::{Addressing, BinOp, ProgramBuilder, SelfOp};
 use igm::isa::{Annotation, Machine, MemSize, Reg, TraceEntry};
 use igm::lifeguards::{Lifeguard, MemCheck, TaintCheck, Violation};
@@ -148,8 +148,8 @@ proptest! {
         let base = identity(taint_verdicts(&trace, &AccelConfig::baseline()));
         for accel in [
             AccelConfig::lma(),
-            AccelConfig::lma_it(ItConfig::taint_style()),
-            AccelConfig::full(ItConfig::taint_style()),
+            AccelConfig::lma_it(),
+            AccelConfig::full(),
         ] {
             let got = identity(taint_verdicts(&trace, &accel));
             prop_assert_eq!(&base, &got, "config {}", accel.label());
@@ -180,12 +180,12 @@ proptest! {
         let (base_access, base_uninit) = split(memcheck_verdicts(&trace, &AccelConfig::baseline()));
         for accel in [
             AccelConfig::lma(),
-            AccelConfig::lma_it(ItConfig::memcheck_style()),
-            AccelConfig::full(ItConfig::memcheck_style()),
+            AccelConfig::lma_it(),
+            AccelConfig::full(),
         ] {
             let (access, uninit) = split(memcheck_verdicts(&trace, &accel));
             prop_assert_eq!(&base_access, &access, "config {}", accel.label());
-            if accel.it.is_none() {
+            if !accel.it {
                 prop_assert_eq!(base_uninit, uninit, "config {}", accel.label());
             } else {
                 let label = accel.label();

@@ -13,7 +13,7 @@
 mod common;
 
 use common::strategies::{assert_matches_monitor, pipelined, Observed};
-use igm::accel::{AccelConfig, ItConfig};
+use igm::accel::AccelConfig;
 use igm::isa::{Annotation, MemRef, OpClass, Reg, TraceEntry};
 use igm::lifeguards::{LifeguardKind, Violation};
 use igm::runtime::{
@@ -72,7 +72,7 @@ fn epoch_parallel_taintcheck_matches_sequential_monitor() {
 
     // With IT on, every epoch job replays from a clone of the dispatch
     // pipeline taken at its boundary, so IT state crosses the cuts intact.
-    let it = baseline.clone().accel(AccelConfig::full(ItConfig::taint_style()));
+    let it = baseline.clone().accel(AccelConfig::full());
     let (violations, _) =
         assert_pipelined_matches_sequential(&it, &trace, 4, EpochConfig::fixed(1_000), send);
     assert!(violations.len() >= 20, "planted chains must fire with IT on");
