@@ -21,9 +21,12 @@
 #               net_loopback, paced_detect and cosim_figures are always
 #               unresolved.
 # A metric whose interquartile range on one side is at least twice the
-# other side's is also marked `noisy:<side>` (parent or head): host load
-# that landed on one side's runs, whose ratio deserves a rerun before it is
-# read. The mark changes no verdict.
+# other side's, and at least 2 % of that side's median, is also marked
+# `noisy:<side>` (parent or head): host load that landed on one side's
+# runs, whose ratio deserves a rerun before it is read. The floor keeps a
+# fixed-rate or near-constant metric, whose ranges are a fraction of a
+# percent, from being marked for a ratio of two tiny ranges. The mark
+# changes no verdict.
 # The metrics the harness declares exact (benchmark/src/metrics.rs) are
 # per-layer ones, reported only by traced runs, so every workload also gets
 # one traced pair (seed 1); its exact metrics must match bit for bit unless
@@ -39,7 +42,7 @@
 set -euo pipefail
 
 usage() {
-    sed -n '2,38p' "$0" | sed 's/^# \{0,1\}//' >&2
+    sed -n '2,41p' "$0" | sed 's/^# \{0,1\}//' >&2
     exit 2
 }
 
@@ -153,12 +156,15 @@ def quartiles(xs):
     q = statistics.quantiles(xs, n=4, method="inclusive") if len(xs) > 1 else [xs[0]] * 3
     return q[0], q[1], q[2]
 
+NOISY_FLOOR = 0.02
+
 def noisy_side(pq, hq):
-    """The side whose interquartile range is at least twice the other's."""
+    """The side whose interquartile range is at least twice the other's and
+    at least NOISY_FLOOR of its own median."""
     p_iqr, h_iqr = pq[2] - pq[0], hq[2] - hq[0]
-    if h_iqr > 0 and h_iqr >= 2 * p_iqr:
+    if h_iqr > 0 and h_iqr >= 2 * p_iqr and h_iqr >= NOISY_FLOOR * abs(hq[1]):
         return "head"
-    if p_iqr > 0 and p_iqr >= 2 * h_iqr:
+    if p_iqr > 0 and p_iqr >= 2 * h_iqr and p_iqr >= NOISY_FLOOR * abs(pq[1]):
         return "parent"
     return None
 

@@ -1,33 +1,34 @@
 //! Per-experiment accelerator configurations.
 //!
-//! [`AccelConfig`] selects which of the three techniques are present,
-//! mirroring the BASE → LMA → LMA+IT → LMA+IT+IF progression of the paper's
-//! Figure 11. A lifeguard additionally masks the configuration by its own
-//! applicability row in Figure 2 (e.g. AddrCheck never uses IT); that
-//! masking lives in `igm-lifeguards`. How a present unit behaves is the
+//! [`AccelConfig`] says which of the three units are present, mirroring the
+//! BASE → LMA → LMA+IT → LMA+IT+IF progression of the paper's Figure 11.
+//! The units' sizes are the paper's design points: a
+//! [`DEFAULT_MTLB_ENTRIES`]-entry M-TLB and the 32-entry fully associative
+//! filter of [`IfGeometry::isca08`](crate::IfGeometry::isca08); only the
+//! Figure 13 and 14 sweeps (`igm-sim`) vary them. A lifeguard additionally
+//! masks the configuration by its own applicability row in Figure 2 (e.g.
+//! AddrCheck never uses IT), which is an `AccelConfig` too; that masking
+//! lives in `igm-lifeguards`. How a present unit behaves is the
 //! lifeguard's to say, through its ETCT: the IT policy is
 //! [`ItConfig::for_etct`](crate::ItConfig::for_etct).
 
-use crate::filter::IfGeometry;
 use std::fmt;
 
-/// Default M-TLB capacity used in the simulation studies. Figure 14 sweeps
-/// 16–256 entries; 64 captures most of the benefit for the flexible layout.
+/// The M-TLB capacity of every accelerated run. Figure 14 sweeps 16–256
+/// entries; 64 captures most of the benefit for the flexible layout.
 pub const DEFAULT_MTLB_ENTRIES: usize = 64;
 
-/// Which accelerators a simulation run enables.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// Which accelerators a run enables.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct AccelConfig {
     /// Handlers translate through the M-TLB (`lma`) instead of the
     /// five-instruction software walk.
     pub lma: bool,
-    /// M-TLB capacity in entries (only meaningful when `lma` is set).
-    pub mtlb_entries: usize,
     /// Inheritance Tracking is present (its policy comes from the ETCT,
     /// see [`ItConfig::for_etct`](crate::ItConfig::for_etct)).
     pub it: bool,
-    /// Idempotent Filter geometry, if enabled.
-    pub if_geometry: Option<IfGeometry>,
+    /// The Idempotent Filter is present.
+    pub idempotent_filter: bool,
 }
 
 impl Default for AccelConfig {
@@ -39,7 +40,7 @@ impl Default for AccelConfig {
 impl AccelConfig {
     /// The unaccelerated LBA baseline.
     pub fn baseline() -> AccelConfig {
-        AccelConfig { lma: false, mtlb_entries: DEFAULT_MTLB_ENTRIES, it: false, if_geometry: None }
+        AccelConfig { lma: false, it: false, idempotent_filter: false }
     }
 
     /// LMA only.
@@ -52,37 +53,28 @@ impl AccelConfig {
         AccelConfig { lma: true, it: true, ..AccelConfig::baseline() }
     }
 
-    /// LMA + Idempotent Filter (the paper's simulated 32-entry filter).
+    /// LMA + Idempotent Filter.
     pub fn lma_if() -> AccelConfig {
-        AccelConfig {
-            lma: true,
-            if_geometry: Some(IfGeometry::isca08()),
-            ..AccelConfig::baseline()
-        }
+        AccelConfig { lma: true, idempotent_filter: true, ..AccelConfig::baseline() }
     }
 
     /// All three techniques.
     pub fn full() -> AccelConfig {
-        AccelConfig { it: true, ..AccelConfig::lma_if() }
+        AccelConfig { lma: true, it: true, idempotent_filter: true }
     }
 
     /// Short label for experiment tables (`BASE`, `LMA`, `LMA+IT`,
     /// `LMA+IF`, `LMA+IT+IF`).
     pub fn label(&self) -> String {
-        if !self.lma && !self.it && self.if_geometry.is_none() {
-            return "BASE".to_owned();
+        let parts: Vec<&str> = [(self.lma, "LMA"), (self.it, "IT"), (self.idempotent_filter, "IF")]
+            .into_iter()
+            .filter_map(|(on, name)| on.then_some(name))
+            .collect();
+        if parts.is_empty() {
+            "BASE".to_owned()
+        } else {
+            parts.join("+")
         }
-        let mut parts = Vec::new();
-        if self.lma {
-            parts.push("LMA");
-        }
-        if self.it {
-            parts.push("IT");
-        }
-        if self.if_geometry.is_some() {
-            parts.push("IF");
-        }
-        parts.join("+")
     }
 }
 
@@ -108,9 +100,9 @@ mod tests {
     #[test]
     fn has_reports_enabled_techniques() {
         let c = AccelConfig::full();
-        assert!(c.lma && c.it && c.if_geometry.is_some());
+        assert!(c.lma && c.it && c.idempotent_filter);
         let b = AccelConfig::baseline();
-        assert!(!b.lma && !b.it && b.if_geometry.is_none());
+        assert!(!b.lma && !b.it && !b.idempotent_filter);
     }
 
     #[test]

@@ -49,7 +49,7 @@
 //! `tests/accel_oracle.rs`).
 
 use crate::config::AccelConfig;
-use crate::filter::{IdempotentFilter, IfOutcome, IfStats};
+use crate::filter::{IdempotentFilter, IfGeometry, IfOutcome, IfStats};
 use crate::it::{InheritanceTracker, ItConfig, ItStats};
 use igm_lba::{
     sweep_batch, DeliveredEvent, Etct, Event, EventBuf, EventSink, EventType, IfEventConfig,
@@ -129,12 +129,14 @@ pub struct DispatchPipeline {
 impl DispatchPipeline {
     /// Builds a pipeline for a lifeguard's ETCT under `cfg`; the tracker,
     /// when `cfg.it` is set, runs the ETCT's policy
-    /// ([`ItConfig::for_etct`]).
+    /// ([`ItConfig::for_etct`]), and the filter, when
+    /// `cfg.idempotent_filter` is set, has the paper's geometry
+    /// ([`IfGeometry::isca08`]).
     pub fn new(etct: Etct, cfg: &AccelConfig) -> DispatchPipeline {
         DispatchPipeline {
             it: cfg.it.then(|| InheritanceTracker::new(ItConfig::for_etct(&etct))),
             etct,
-            filter: cfg.if_geometry.map(IdempotentFilter::new),
+            filter: cfg.idempotent_filter.then(|| IdempotentFilter::new(IfGeometry::isca08())),
             stats: DispatchStats::default(),
         }
     }

@@ -52,12 +52,12 @@ impl AddrCheck {
         ShadowLayout::for_coverage(12, 8, ElemSize::B1).expect("constant layout is valid")
     }
 
-    /// Builds AddrCheck under `cfg` (only the `lma` and `mtlb_entries`
-    /// fields are relevant; IT never applies).
+    /// Builds AddrCheck under `cfg` (only the `lma` field is relevant; IT
+    /// never applies).
     pub fn new(cfg: &AccelConfig) -> AddrCheck {
         let shadow = TwoLevelShadow::new(Self::layout(), 0);
         AddrCheck {
-            meta: MetaMap::new(shadow, cfg.lma.then_some(cfg.mtlb_entries)),
+            meta: MetaMap::new(shadow, cfg.lma),
             allocs: Allocs::default(),
             page_acc: vec![0u8; PAGE_COUNT / 8].into_boxed_slice(),
             violations: Reports::default(),

@@ -9,6 +9,7 @@
 //! eight IA32 instructions with the software two-level walk — five of them
 //! metadata *mapping* — versus four with the `LMA` instruction.
 
+use igm_core::config::DEFAULT_MTLB_ENTRIES;
 use igm_core::MetadataTlb;
 use igm_shadow::TwoLevelShadow;
 
@@ -128,11 +129,11 @@ pub struct MetaMap {
 }
 
 impl MetaMap {
-    /// Wraps `shadow`; `mtlb_entries` of `Some(n)` enables `LMA`
-    /// translation through an M-TLB with `n` entries.
-    pub fn new(shadow: TwoLevelShadow, mtlb_entries: Option<usize>) -> MetaMap {
-        let mtlb = mtlb_entries.map(|n| {
-            let mut t = MetadataTlb::new(n);
+    /// Wraps `shadow`; `lma` enables `LMA` translation through an M-TLB of
+    /// [`DEFAULT_MTLB_ENTRIES`] entries.
+    pub fn new(shadow: TwoLevelShadow, lma: bool) -> MetaMap {
+        let mtlb = lma.then(|| {
+            let mut t = MetadataTlb::new(DEFAULT_MTLB_ENTRIES);
             t.lma_config(*shadow.layout());
             t
         });
@@ -200,13 +201,13 @@ mod tests {
     use super::*;
     use igm_shadow::ShadowLayout;
 
-    fn map_with(mtlb: Option<usize>) -> MetaMap {
-        MetaMap::new(TwoLevelShadow::new(ShadowLayout::taintcheck_fig7(), 0), mtlb)
+    fn map_with(lma: bool) -> MetaMap {
+        MetaMap::new(TwoLevelShadow::new(ShadowLayout::taintcheck_fig7(), 0), lma)
     }
 
     #[test]
     fn software_walk_costs_five_instructions_and_one_load() {
-        let mut m = map_with(None);
+        let mut m = map_with(false);
         let mut c = CostSink::new();
         let va = m.map(0xb3fb_703a, &mut c);
         assert_eq!(c.instrs(), SOFTWARE_MAP_INSTRS as u64);
@@ -216,7 +217,7 @@ mod tests {
 
     #[test]
     fn lma_hit_costs_one_instruction() {
-        let mut m = map_with(Some(16));
+        let mut m = map_with(true);
         let mut c = CostSink::new();
         m.map(0xb3fb_703a, &mut c); // cold miss
         assert_eq!(c.instrs(), 1 + MISS_HANDLER_INSTRS as u64);
@@ -239,18 +240,18 @@ mod tests {
             c.instr(NLBA_INSTRS);
             c.instrs()
         };
-        let mut soft = map_with(None);
+        let mut soft = map_with(false);
         assert_eq!(handler(&mut soft), 8); // Figure 7 left: 8 instructions
-        let mut hw = map_with(Some(16));
+        let mut hw = map_with(true);
         let _warm = handler(&mut hw); // cold
         assert_eq!(handler(&mut hw), 4); // Figure 7 right: 4 instructions
     }
 
     #[test]
     fn discarding_sink_drops_charges_but_still_touches_chunks() {
-        for mtlb in [None, Some(16)] {
-            let mut recorded = map_with(mtlb);
-            let mut discarded = map_with(mtlb);
+        for lma in [false, true] {
+            let mut recorded = map_with(lma);
+            let mut discarded = map_with(lma);
             let mut rec = CostSink::new();
             let mut dis = CostSink::discarding();
             // Two chunks, first-touch order b3fb then 0804, one re-touch.

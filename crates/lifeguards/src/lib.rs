@@ -119,17 +119,6 @@ pub enum LifeguardKind {
     LockSet,
 }
 
-/// Which accelerators apply to a lifeguard (the paper's Figure 2 matrix).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct AccelSupport {
-    /// Inheritance Tracking applies.
-    pub it: bool,
-    /// Idempotent Filters apply.
-    pub idempotent_filter: bool,
-    /// The Metadata-TLB applies (true for every studied lifeguard).
-    pub lma: bool,
-}
-
 impl LifeguardKind {
     /// All five lifeguards in the paper's presentation order.
     pub const ALL: [LifeguardKind; 5] = [
@@ -170,14 +159,16 @@ impl LifeguardKind {
         etct
     }
 
-    /// The Figure 2 row, derived from the ETCT rows: IT applies when some
-    /// propagation event is registered, the IF when some row is cacheable.
-    pub fn accel_support(self) -> AccelSupport {
+    /// The Figure 2 row: every unit that applies to this lifeguard,
+    /// derived from the ETCT rows. The M-TLB applies to every studied
+    /// lifeguard, IT when some propagation event is registered, the IF when
+    /// some row is cacheable.
+    pub fn accel_support(self) -> AccelConfig {
         let rows = self.rows();
-        AccelSupport {
+        AccelConfig {
+            lma: true,
             it: rows.iter().any(|r| r.event.is_propagation()),
             idempotent_filter: rows.iter().any(|r| r.if_cfg.cacheable),
-            lma: true,
         }
     }
 
@@ -188,9 +179,8 @@ impl LifeguardKind {
         let support = self.accel_support();
         AccelConfig {
             lma: requested.lma && support.lma,
-            mtlb_entries: requested.mtlb_entries,
             it: requested.it && support.it,
-            if_geometry: requested.if_geometry.filter(|_| support.idempotent_filter),
+            idempotent_filter: requested.idempotent_filter && support.idempotent_filter,
         }
     }
 
@@ -401,11 +391,31 @@ mod tests {
     fn mask_config_respects_support() {
         let full = AccelConfig::full();
         let m = LifeguardKind::AddrCheck.mask_config(&full);
-        assert!(m.lma && !m.it && m.if_geometry.is_some());
+        assert!(m.lma && !m.it && m.idempotent_filter);
         let m = LifeguardKind::TaintCheck.mask_config(&full);
-        assert!(m.lma && m.it && m.if_geometry.is_none());
+        assert!(m.lma && m.it && !m.idempotent_filter);
         let m = LifeguardKind::MemCheck.mask_config(&full);
-        assert!(m.lma && m.it && m.if_geometry.is_some());
+        assert!(m.lma && m.it && m.idempotent_filter);
+    }
+
+    #[test]
+    fn mask_config_is_the_fieldwise_and_with_the_figure2_row() {
+        for k in LifeguardKind::ALL {
+            let support = k.accel_support();
+            for bits in 0..8u8 {
+                let requested = AccelConfig {
+                    lma: bits & 1 != 0,
+                    it: bits & 2 != 0,
+                    idempotent_filter: bits & 4 != 0,
+                };
+                let want = AccelConfig {
+                    lma: requested.lma && support.lma,
+                    it: requested.it && support.it,
+                    idempotent_filter: requested.idempotent_filter && support.idempotent_filter,
+                };
+                assert_eq!(k.mask_config(&requested), want, "{k} under {requested}");
+            }
+        }
     }
 
     #[test]
@@ -460,7 +470,7 @@ mod tests {
         use igm_isa::{Annotation, MemRef, OpClass, Reg, RegSet};
         use igm_lba::{CheckKind, Event, MetaSource};
         use LifeguardKind::*;
-        let support = |it, idempotent_filter| AccelSupport { it, idempotent_filter, lma: true };
+        let support = |it, idempotent_filter| AccelConfig { lma: true, it, idempotent_filter };
         let eager = ItConfig { nonunary_check: true, ..ItConfig::default() };
         for (kind, want_support, want_it) in [
             (AddrCheck, support(false, true), None),

@@ -164,10 +164,7 @@ impl LockSet {
     /// Builds LockSet under `cfg`.
     pub fn new(cfg: &AccelConfig) -> LockSet {
         LockSet {
-            meta: MetaMap::new(
-                TwoLevelShadow::new(Self::layout(), 0),
-                cfg.lma.then_some(cfg.mtlb_entries),
-            ),
+            meta: MetaMap::new(TwoLevelShadow::new(Self::layout(), 0), cfg.lma),
             registry: LocksetRegistry::new(),
             thread_sets: HashMap::new(),
             thread_locks: HashMap::new(),

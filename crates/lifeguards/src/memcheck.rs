@@ -60,10 +60,7 @@ impl MemCheck {
     /// Builds MemCheck under `cfg`.
     pub fn new(cfg: &AccelConfig) -> MemCheck {
         MemCheck {
-            meta: MetaMap::new(
-                TwoLevelShadow::new(Self::layout(), 0),
-                cfg.lma.then_some(cfg.mtlb_entries),
-            ),
+            meta: MetaMap::new(TwoLevelShadow::new(Self::layout(), 0), cfg.lma),
             regs: RegMeta::new(0xf), // registers are defined at program start
             allocs: Allocs::default(),
             violations: Reports::default(),

@@ -54,10 +54,7 @@ impl TaintCheck {
     /// Builds TaintCheck under `cfg`.
     pub fn new(cfg: &AccelConfig) -> TaintCheck {
         TaintCheck {
-            meta: MetaMap::new(
-                TwoLevelShadow::new(Self::layout(), 0),
-                cfg.lma.then_some(cfg.mtlb_entries),
-            ),
+            meta: MetaMap::new(TwoLevelShadow::new(Self::layout(), 0), cfg.lma),
             regs: RegMeta::new(0),
             violations: Reports::default(),
             tainted_bytes: 0,

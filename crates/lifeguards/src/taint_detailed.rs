@@ -68,10 +68,7 @@ impl TaintCheckDetailed {
     /// Builds the lifeguard under `cfg`.
     pub fn new(cfg: &AccelConfig) -> TaintCheckDetailed {
         TaintCheckDetailed {
-            meta: MetaMap::new(
-                TwoLevelShadow::new(Self::layout(), 0),
-                cfg.lma.then_some(cfg.mtlb_entries),
-            ),
+            meta: MetaMap::new(TwoLevelShadow::new(Self::layout(), 0), cfg.lma),
             regs: RegMeta::new(0),
             violations: Reports::default(),
         }

@@ -22,17 +22,20 @@
 //!
 //! The `HELLO` session spec carries everything [`SessionConfig`] holds, in
 //! this order: tenant name (`u16` length + UTF-8), [`LifeguardKind`] (`u8`),
-//! synthetic-mode flag, LMA flag, M-TLB entries (`u32`), IT present/absent
-//! byte, IF present byte (then entries, ways, `u32` each) and premarked
-//! regions (`u32` count, then base and length, `u32` each). A server-side
-//! session thus reproduces the client's local configuration exactly (the
-//! loopback-equivalence guarantee rests on this). IT is only a switch: the
-//! server's pipeline takes the IT policy from the lifeguard's ETCT
-//! ([`igm_core::ItConfig::for_etct`]), as a local one does. The version
-//! must be [`NET_VERSION`] and the trace codec word
-//! [`igm_trace::CODEC_ID`], the codec every `CHUNK` frame carries; the
-//! server refuses anything else with a typed [`NetError::VersionMismatch`]
-//! or [`NetError::UnsupportedCodec`].
+//! synthetic-mode flag, the three accelerator switches of [`AccelConfig`]
+//! (LMA, IT, IF; one 0/1 byte each) and premarked regions (`u32` count,
+//! then base and length, `u32` each). A server-side session thus
+//! reproduces the client's local configuration exactly (the
+//! loopback-equivalence guarantee rests on this). The switches carry no
+//! sizes or policy: a present unit has the paper's size (the 64-entry
+//! M-TLB, the 32-entry filter) and the IT policy comes from the
+//! lifeguard's ETCT ([`igm_core::ItConfig::for_etct`]), on the server as
+//! in a local session. The only client-sized inputs are the tenant name
+//! (at most [`MAX_NAME_BYTES`]) and the premarked regions (at most
+//! [`MAX_PREMARK_REGIONS`]). The version must be [`NET_VERSION`] and the
+//! trace codec word [`igm_trace::CODEC_ID`], the codec every `CHUNK` frame
+//! carries; the server refuses anything else with a typed
+//! [`NetError::VersionMismatch`] or [`NetError::UnsupportedCodec`].
 //!
 //! # Credit rules
 //!
@@ -68,7 +71,7 @@
 //! frame. Credit accounts the *whole* chunk payload (prefix included), so
 //! both sides' byte ledgers agree.
 
-use igm_core::{AccelConfig, IfGeometry};
+use igm_core::AccelConfig;
 use igm_lifeguards::LifeguardKind;
 use igm_runtime::SessionConfig;
 use igm_span::FrameTag;
@@ -81,7 +84,7 @@ use std::ops::Range;
 pub const NET_MAGIC: [u8; 4] = *b"IGMN";
 
 /// The protocol version — the only one either side speaks.
-pub const NET_VERSION: u32 = 4;
+pub const NET_VERSION: u32 = 5;
 
 /// Fixed length of the span-provenance prefix opening every `CHUNK`
 /// payload (flags `u8`, 3 pad bytes, flow `u32` LE, seq `u64` LE).
@@ -120,14 +123,6 @@ pub const MAX_NAME_BYTES: usize = 256;
 
 /// Most premarked regions accepted in a handshake.
 pub const MAX_PREMARK_REGIONS: usize = 65_536;
-
-/// Largest M-TLB capacity a handshake may request (the paper sweeps
-/// 16–256 entries; this leaves three orders of magnitude of headroom
-/// while keeping a hostile value from driving a huge allocation).
-pub const MAX_MTLB_ENTRIES: usize = 1 << 20;
-
-/// Largest idempotent-filter entry count a handshake may request.
-pub const MAX_IF_ENTRIES: usize = 1 << 20;
 
 /// Errors produced by the protocol layer.
 #[derive(Debug)]
@@ -276,16 +271,8 @@ pub fn hello_message(version: u32, codec: u32, session: &SessionConfig) -> Vec<u
     body.push(lifeguard_code(session.lifeguard));
     body.push(session.synthetic_workload as u8);
     body.push(session.accel.lma as u8);
-    body.extend_from_slice(&(session.accel.mtlb_entries as u32).to_le_bytes());
     body.push(session.accel.it as u8);
-    match &session.accel.if_geometry {
-        Some(geo) => {
-            body.push(1);
-            body.extend_from_slice(&(geo.entries as u32).to_le_bytes());
-            body.extend_from_slice(&(geo.ways as u32).to_le_bytes());
-        }
-        None => body.push(0),
-    }
+    body.push(session.accel.idempotent_filter as u8);
     body.extend_from_slice(&(session.premark.len() as u32).to_le_bytes());
     for (base, len) in &session.premark {
         body.extend_from_slice(&base.to_le_bytes());
@@ -478,31 +465,7 @@ pub fn decode_hello(payload: &[u8]) -> Result<SessionConfig, NetError> {
     let lifeguard =
         lifeguard_from_code(r.u8()?).ok_or(NetError::Malformed("lifeguard kind out of range"))?;
     let synthetic = r.bool()?;
-    let lma = r.bool()?;
-    let mtlb_entries = r.u32()? as usize;
-    // The accelerator constructors assert their geometry (positive M-TLB
-    // capacity, power-of-two filter shapes) — a hostile handshake must
-    // become a typed rejection here, not a panic or an outsized
-    // allocation inside the shared pool (lane containment).
-    if mtlb_entries == 0 || mtlb_entries > MAX_MTLB_ENTRIES {
-        return Err(NetError::Malformed("M-TLB capacity outside the protocol bound"));
-    }
-    let it = r.bool()?;
-    let if_geometry = if r.bool()? {
-        let entries = r.u32()? as usize;
-        let ways = r.u32()? as usize;
-        if !entries.is_power_of_two() || entries > MAX_IF_ENTRIES {
-            return Err(NetError::Malformed(
-                "idempotent-filter entries outside the protocol bound",
-            ));
-        }
-        if ways != 0 && (!ways.is_power_of_two() || ways > entries) {
-            return Err(NetError::Malformed("idempotent-filter associativity is invalid"));
-        }
-        Some(IfGeometry { entries, ways })
-    } else {
-        None
-    };
+    let accel = AccelConfig { lma: r.bool()?, it: r.bool()?, idempotent_filter: r.bool()? };
     let regions = r.u32()? as usize;
     if regions > MAX_PREMARK_REGIONS {
         return Err(NetError::Malformed("premark region count exceeds the protocol bound"));
@@ -512,12 +475,7 @@ pub fn decode_hello(payload: &[u8]) -> Result<SessionConfig, NetError> {
         premark.push((r.u32()?, r.u32()?));
     }
     r.finish()?;
-    let mut cfg = SessionConfig::new(name, lifeguard).accel(AccelConfig {
-        lma,
-        mtlb_entries,
-        it,
-        if_geometry,
-    });
+    let mut cfg = SessionConfig::new(name, lifeguard).accel(accel);
     cfg.synthetic_workload = synthetic;
     cfg.premark = premark;
     Ok(cfg)
@@ -690,13 +648,17 @@ const COMPACT_THRESHOLD_BYTES: usize = 16 * 1024;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use igm_core::AccelConfig;
     use igm_trace::CODEC_ID;
 
     #[test]
     fn hello_round_trips_every_field() {
-        // The IT switch both ways: on with the filter, off without it.
-        for accel in [AccelConfig::full(), AccelConfig::lma()] {
+        // All eight combinations of the three accelerator switches.
+        for bits in 0..8u8 {
+            let accel = AccelConfig {
+                lma: bits & 1 != 0,
+                it: bits & 2 != 0,
+                idempotent_filter: bits & 4 != 0,
+            };
             let mut cfg = SessionConfig::new("tenant-a", LifeguardKind::TaintCheck)
                 .accel(accel)
                 .premark(&[(0x1000, 0x40), (0x9000, 0x2000)]);
@@ -734,14 +696,14 @@ mod tests {
     #[test]
     fn hello_version_and_magic_are_enforced() {
         let cfg = SessionConfig::new("t", LifeguardKind::AddrCheck);
-        // Every version but the current one is refused, the retired v2
-        // and v3 included, and the refusal names what this side speaks.
-        for bad in [1, 2, 3, NET_VERSION + 1, 99] {
+        // Every version but the current one is refused, the retired v2,
+        // v3 and v4 included, and the refusal names what this side speaks.
+        for bad in [1, 2, 3, 4, NET_VERSION + 1, 99] {
             let hello = hello_message(bad, CODEC_ID, &cfg);
             match decode_hello(&hello[MSG_HEADER_BYTES..]) {
                 Err(e @ NetError::VersionMismatch { theirs }) => {
                     assert_eq!(theirs, bad);
-                    assert!(e.to_string().contains("speaks 4"), "{e}");
+                    assert!(e.to_string().contains("speaks 5"), "{e}");
                 }
                 other => panic!("version {bad}: expected mismatch, got {other:?}"),
             }
@@ -757,9 +719,10 @@ mod tests {
         // The admitted range is the single version NET_VERSION.
         let hello = hello_message(NET_VERSION, CODEC_ID, &cfg);
         assert_eq!(decode_hello(&hello[MSG_HEADER_BYTES..]).unwrap().name, "peer");
-        // Its neighbours on both sides are refused (below it v3, which also
-        // sent an IT policy), and the refusal names the peer's version.
-        for bad in [3, NET_VERSION + 1] {
+        // Its neighbours on both sides are refused (below it v4, which also
+        // sent the M-TLB and filter sizes), and the refusal names the
+        // peer's version.
+        for bad in [4, NET_VERSION + 1] {
             let hello = hello_message(bad, CODEC_ID, &cfg);
             match decode_hello(&hello[MSG_HEADER_BYTES..]) {
                 Err(e @ NetError::VersionMismatch { theirs }) => {
@@ -833,37 +796,20 @@ mod tests {
     }
 
     #[test]
-    fn hello_rejects_hostile_accelerator_geometry() {
-        // Zero M-TLB capacity (would assert in MetadataTlb::new)…
-        let mut cfg = SessionConfig::new("t", LifeguardKind::TaintCheck).accel(AccelConfig {
-            lma: true,
-            mtlb_entries: 0,
-            it: false,
-            if_geometry: None,
-        });
+    fn hello_rejects_a_switch_byte_out_of_range() {
+        let cfg = SessionConfig::new("t", LifeguardKind::TaintCheck).accel(AccelConfig::full());
         let hello = hello_message(NET_VERSION, CODEC_ID, &cfg);
-        assert!(matches!(decode_hello(&hello[MSG_HEADER_BYTES..]), Err(NetError::Malformed(_))));
-        // …an absurd M-TLB capacity (would drive a huge allocation)…
-        cfg.accel.mtlb_entries = u32::MAX as usize;
-        let hello = hello_message(NET_VERSION, CODEC_ID, &cfg);
-        assert!(matches!(decode_hello(&hello[MSG_HEADER_BYTES..]), Err(NetError::Malformed(_))));
-        // …and non-power-of-two / oversized-way filter geometry.
-        for geo in [
-            IfGeometry { entries: 0, ways: 0 },
-            IfGeometry { entries: 48, ways: 0 },
-            IfGeometry { entries: 32, ways: 3 },
-            IfGeometry { entries: 32, ways: 64 },
-        ] {
-            let cfg = SessionConfig::new("t", LifeguardKind::TaintCheck).accel(AccelConfig {
-                lma: true,
-                mtlb_entries: 64,
-                it: false,
-                if_geometry: Some(geo),
-            });
-            let hello = hello_message(NET_VERSION, CODEC_ID, &cfg);
+        // With no premarked regions the three switch bytes sit just before
+        // the `u32` region count that ends the payload.
+        let switches = hello.len() - 4 - 3;
+        assert_eq!(hello[switches..switches + 3], [1, 1, 1]);
+        for i in switches..switches + 3 {
+            let mut bad = hello.clone();
+            bad[i] = 2;
             assert!(
-                matches!(decode_hello(&hello[MSG_HEADER_BYTES..]), Err(NetError::Malformed(_))),
-                "geometry {geo:?} must be refused"
+                matches!(decode_hello(&bad[MSG_HEADER_BYTES..]), Err(NetError::Malformed(_))),
+                "switch byte {} of 2 must be refused",
+                i - switches
             );
         }
     }

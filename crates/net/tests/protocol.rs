@@ -94,9 +94,9 @@ fn serve_raw_hellos(hellos: &'static [(u32, u32)]) -> igm_net::NetServerReport {
 
 #[test]
 fn version_mismatch_is_rejected_with_a_typed_error() {
-    // A future version, the retired v2 (no span prefix on chunks) and v3
-    // (an IT policy in the HELLO).
-    let report = serve_raw_hellos(&[(99, CODEC_ID), (2, CODEC_ID), (3, CODEC_ID)]);
+    // A future version, the retired v2 (no span prefix on chunks), v3
+    // (an IT policy in the HELLO) and v4 (M-TLB and filter sizes in it).
+    let report = serve_raw_hellos(&[(99, CODEC_ID), (2, CODEC_ID), (3, CODEC_ID), (4, CODEC_ID)]);
     let mut theirs: Vec<u32> = report
         .rejected
         .iter()
@@ -106,7 +106,7 @@ fn version_mismatch_is_rejected_with_a_typed_error() {
         })
         .collect();
     theirs.sort_unstable();
-    assert_eq!(theirs, [2, 3, 99]);
+    assert_eq!(theirs, [2, 3, 4, 99]);
 }
 
 #[test]

@@ -5,8 +5,13 @@
 //! §6.1 surveys two organizations (Figure 6):
 //!
 //! * the **one-level** design — a single contiguous region addressed by
-//!   scale-and-offset ([`OneLevelShadow`]); simple but viable only for
-//!   metadata smaller than the data and wasteful for sparse address spaces;
+//!   scale-and-offset (`meta_va = base + (app_addr >> scale)`). Its mapping
+//!   is one shift and one add, but it is viable only for metadata no larger
+//!   than the data, reserves its whole region up front (512 MB of lifeguard
+//!   address space at 1 bit per application byte, 4 GB at 8 bits) however
+//!   sparse the application's footprint, and clashes with the lifeguard's
+//!   own memory when both share an address space. The paper therefore
+//!   leaves it aside, and so does this crate;
 //! * the **two-level** design — a page-table-like level-1 index of lazily
 //!   allocated level-2 chunks ([`TwoLevelShadow`]); flexible and
 //!   space-efficient, and the baseline configuration of the paper.
@@ -37,15 +42,13 @@
 //! chunk states operation by operation.
 
 pub mod layout;
-pub mod one_level;
 pub mod regmeta;
 pub mod sizing;
 pub mod two_level;
 
 pub use layout::ShadowLayout;
-pub use one_level::OneLevelShadow;
 pub use regmeta::RegMeta;
-pub use sizing::{choose_level1_bits, footprint_pages, SizingPolicy};
+pub use sizing::{choose_level1_bits, footprint_pages};
 pub use two_level::TwoLevelShadow;
 
 /// Base of the simulated lifeguard-space region holding the level-1 table.

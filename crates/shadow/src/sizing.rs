@@ -15,22 +15,16 @@ use std::ops::RangeInclusive;
 /// Application page size used for footprint measurement.
 pub const APP_PAGE_BYTES: u64 = 4096;
 
-/// The acceptance policy for a candidate level-1 width.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SizingPolicy {
-    /// Maximum tolerated relative growth of metadata space over the perfect
-    /// (page-granular) footprint. Paper value: 0.10.
-    pub max_growth: f64,
-    /// Maximum tolerated absolute metadata space as a fraction of the 2^32
-    /// application space. Paper value: 0.01.
-    pub max_abs_fraction: f64,
-}
+/// Maximum tolerated relative growth of metadata space over the perfect
+/// (page-granular) footprint (the paper's 10 %).
+const MAX_GROWTH: f64 = 0.10;
 
-impl Default for SizingPolicy {
-    fn default() -> SizingPolicy {
-        SizingPolicy { max_growth: 0.10, max_abs_fraction: 0.01 }
-    }
-}
+/// Maximum tolerated absolute metadata space as a fraction of the 2^32
+/// application space (the paper's 1 %).
+const MAX_ABS_FRACTION: f64 = 0.01;
+
+/// The level-1 widths considered, narrowest first.
+const CANDIDATE_BITS: RangeInclusive<u8> = 8..=20;
 
 /// Collects the set of touched 4 KiB application pages from an address
 /// iterator (the footprint measurement pass of the profiling study).
@@ -54,28 +48,24 @@ pub fn metadata_bytes_for(pages: &BTreeSet<u32>, level1_bits: u8) -> u64 {
     chunks * span_pages * APP_PAGE_BYTES
 }
 
-/// Chooses the smallest level-1 width in `candidates` whose space cost meets
-/// `policy`; falls back to the largest candidate when none qualifies.
+/// Chooses the smallest level-1 width in 8..=20 whose space cost meets the
+/// paper's policy (growth under 10 % or at most 1 % of the 2^32 space);
+/// falls back to 20 bits when none qualifies.
 ///
-/// Larger level-1 widths always qualify eventually because chunk span
-/// approaches the page size, so the fallback only triggers for extreme
-/// candidate ranges.
-pub fn choose_level1_bits(
-    pages: &BTreeSet<u32>,
-    candidates: RangeInclusive<u8>,
-    policy: SizingPolicy,
-) -> u8 {
+/// At 20 bits a chunk spans one page, so the metadata equals the perfect
+/// footprint and the growth bound always holds: the fallback is never taken.
+pub fn choose_level1_bits(pages: &BTreeSet<u32>) -> u8 {
     assert!(!pages.is_empty(), "footprint must be non-empty");
     let perfect = pages.len() as u64 * APP_PAGE_BYTES;
-    let growth_bound = (perfect as f64 * (1.0 + policy.max_growth)) as u64;
-    let abs_bound = ((1u64 << 32) as f64 * policy.max_abs_fraction) as u64;
-    for bits in candidates.clone() {
-        let used = metadata_bytes_for(pages, bits);
-        if used <= growth_bound || used <= abs_bound {
-            return bits;
-        }
-    }
-    *candidates.end()
+    let growth_bound = (perfect as f64 * (1.0 + MAX_GROWTH)) as u64;
+    let abs_bound = ((1u64 << 32) as f64 * MAX_ABS_FRACTION) as u64;
+    CANDIDATE_BITS
+        .into_iter()
+        .find(|&bits| {
+            let used = metadata_bytes_for(pages, bits);
+            used <= growth_bound || used <= abs_bound
+        })
+        .unwrap_or(*CANDIDATE_BITS.end())
 }
 
 #[cfg(test)]
@@ -122,7 +112,7 @@ mod tests {
     #[test]
     fn choose_picks_small_width_for_sparse_layout() {
         let pages = sparse_footprint();
-        let bits = choose_level1_bits(&pages, 8..=20, SizingPolicy::default());
+        let bits = choose_level1_bits(&pages);
         // Three clustered regions: even very coarse chunks stay under the
         // 1%-of-2^32 absolute bound (3 chunks of 16 MB = 48 MB > 42.9 MB at
         // 8 bits, but 3 x 8 MB = 24 MB at 9 bits qualifies).
@@ -140,22 +130,13 @@ mod tests {
         for p in 0..(64 * 1024 * 1024 / 4096) {
             pages.insert(0x0900_0000 / 4096 + p);
         }
-        let bits = choose_level1_bits(&pages, 8..=20, SizingPolicy::default());
+        let bits = choose_level1_bits(&pages);
         assert_eq!(bits, 8);
-    }
-
-    #[test]
-    fn strict_policy_pushes_width_up() {
-        let pages = sparse_footprint();
-        let strict = SizingPolicy { max_growth: 0.0, max_abs_fraction: 0.0 };
-        let bits = choose_level1_bits(&pages, 8..=20, strict);
-        let loose = choose_level1_bits(&pages, 8..=20, SizingPolicy::default());
-        assert!(bits >= loose);
     }
 
     #[test]
     #[should_panic(expected = "non-empty")]
     fn empty_footprint_panics() {
-        let _ = choose_level1_bits(&BTreeSet::new(), 8..=20, SizingPolicy::default());
+        let _ = choose_level1_bits(&BTreeSet::new());
     }
 }

@@ -281,17 +281,6 @@ impl TwoLevelShadow {
         if len == 0 {
             return;
         }
-        let off_bits = self.layout.offset_bits() as u32;
-        if start.checked_add(len - 1).is_none() {
-            // Wrap-around keeps the per-element loop and its modular
-            // addressing.
-            let first = (start >> off_bits) as u64;
-            let last = (start as u64 + len as u64 - 1) >> off_bits;
-            for e in first..=last {
-                self.set_elem_u64((e << off_bits) as u32, v);
-            }
-            return;
-        }
         let size = self.layout.elem_size().bytes() as usize;
         let chunk_bytes = self.layout.chunk_bytes() as usize;
         let pattern = v.to_le_bytes();
@@ -434,19 +423,15 @@ impl TwoLevelShadow {
         Some(((bit / 8) as usize, (bit % 8) as u32))
     }
 
-    /// Whether the packed fast paths apply: a bit-packed layout and a range
-    /// that does not wrap the 32-bit application space (wrap-around keeps
-    /// the per-byte loop so its modular semantics are preserved).
-    fn packed_range_fast(&self, start: u32, len: u32) -> bool {
-        matches!(self.layout.bits_per_app_byte(), 1 | 2 | 4 | 8)
-            && start.checked_add(len - 1).is_some()
-    }
-
     /// The bit range, within its chunk's packed bitstring, of the `n`
     /// application bytes at `a` (one [`segments`] item): the app byte at
     /// chunk-relative offset `o` owns bits `[o*bits, (o+1)*bits)`.
     fn bit_range(&self, a: u32, n: u64) -> (u64, u64) {
         let bits = self.layout.bits_per_app_byte() as u64;
+        debug_assert!(
+            matches!(bits, 1 | 2 | 4 | 8),
+            "packed range operations require 1/2/4/8 metadata bits per application byte"
+        );
         let bit0 = (a as u64 & (self.layout.chunk_app_span() - 1)) * bits;
         (bit0, bit0 + n * bits)
     }
@@ -468,15 +453,6 @@ impl TwoLevelShadow {
             return;
         }
         let bits = self.layout.bits_per_app_byte();
-        if !self.packed_range_fast(start, len) {
-            let mask = low_mask(bits.min(8));
-            for i in 0..len {
-                let a = start.wrapping_add(i);
-                let old = self.packed_get(a);
-                self.packed_set(a, (old & !clear & mask) | (set & mask));
-            }
-            return;
-        }
         // The packed metadata of a chunk is one contiguous bitstring, so a
         // range is a head partial byte, a run of fill bytes, and a tail
         // partial byte.
@@ -498,18 +474,6 @@ impl TwoLevelShadow {
             return 0;
         }
         let bits = self.layout.bits_per_app_byte();
-        if !self.packed_range_fast(start, len) {
-            let v = v & low_mask(bits.min(8));
-            let mut changed = 0;
-            for i in 0..len {
-                let a = start.wrapping_add(i);
-                if self.packed_get(a) != v {
-                    self.packed_set(a, v);
-                    changed += 1;
-                }
-            }
-            return changed;
-        }
         let fill = fill_byte(v, bits);
         let chunk_bytes = self.layout.chunk_bytes() as usize;
         let mut changed = 0;
@@ -532,11 +496,6 @@ impl TwoLevelShadow {
             return 0;
         }
         let bits = self.layout.bits_per_app_byte();
-        if !self.packed_range_fast(start, len) {
-            let v = v & low_mask(bits.min(8));
-            return (0..len).filter(|i| self.packed_get(start.wrapping_add(*i)) != v).count()
-                as u64;
-        }
         let fill = fill_byte(v, bits);
         segments(self.layout, start, len).map(|(a, n)| self.count_ne(a, n, fill)).sum()
     }
@@ -554,9 +513,6 @@ impl TwoLevelShadow {
         if len == 0 {
             return true;
         }
-        if !self.packed_range_fast(start, len) {
-            return (0..len).all(|i| self.packed_get(start.wrapping_add(i)) == v);
-        }
         let bits = self.layout.bits_per_app_byte();
         self.packed_check(start, len, fill_byte(v, bits), 0xff)
     }
@@ -569,9 +525,6 @@ impl TwoLevelShadow {
             return true;
         }
         let bits = self.layout.bits_per_app_byte();
-        if !self.packed_range_fast(start, len) {
-            return (0..len).all(|i| self.packed_get(start.wrapping_add(i)) & bit == bit);
-        }
         self.packed_check(start, len, 0xff, fill_byte(bit, bits))
     }
 
@@ -596,9 +549,6 @@ impl TwoLevelShadow {
         if len == 0 {
             return false;
         }
-        if !self.packed_range_fast(start, len) {
-            return (0..len).any(|i| self.packed_get(start.wrapping_add(i)) == v);
-        }
         let fill = fill_byte(v, self.layout.bits_per_app_byte());
         segments(self.layout, start, len).any(|(a, n)| self.count_ne(a, n, fill) < n)
     }
@@ -617,18 +567,25 @@ impl TwoLevelShadow {
     }
 }
 
-/// Cuts the non-wrapping application range `[start, start+len)` at chunk
-/// boundaries: each item is the first address and the byte count of the
-/// part inside one chunk.
+/// Cuts the application range `[start, start+len)` at chunk boundaries:
+/// each item is the first address and the byte count of the part inside one
+/// chunk. A range that wraps the 32-bit space continues modularly at
+/// address 0 (2^32 is a chunk boundary, spans being powers of two), so its
+/// chunks come in the order a per-byte walk meets them. Such a range is
+/// also cut at every half chunk: no item covers a chunk whole, so a chunk
+/// it reaches is backed once one of its values changes, as the per-byte
+/// walk leaves it, instead of becoming uniform.
 fn segments(layout: ShadowLayout, start: u32, len: u32) -> impl Iterator<Item = (u32, u64)> {
-    let span = layout.chunk_app_span();
     let end = start as u64 + len as u64;
+    let span = layout.chunk_app_span();
+    let piece = if end > 1 << 32 { (span / 2).max(1) } else { span };
     let mut a = start as u64;
     std::iter::from_fn(move || {
         if a >= end {
             return None;
         }
-        let seg_end = ((a & !(span - 1)) + span).min(end);
+        let seg_end = ((a & !(piece - 1)) + piece).min(end);
+        // Past 2^32 the truncating cast wraps the address.
         let seg = (a as u32, seg_end - a);
         a = seg_end;
         Some(seg)

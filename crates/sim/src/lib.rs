@@ -246,10 +246,10 @@ mod tests {
     fn masked_config_is_applied() {
         let cfg = SimConfig::optimized(LifeguardKind::AddrCheck);
         assert!(!cfg.accel.it, "AddrCheck never uses IT");
-        assert!(cfg.accel.if_geometry.is_some());
+        assert!(cfg.accel.idempotent_filter);
         let cfg = SimConfig::optimized(LifeguardKind::TaintCheck);
         assert!(cfg.accel.it);
-        assert!(cfg.accel.if_geometry.is_none());
+        assert!(!cfg.accel.idempotent_filter);
     }
 
     #[test]

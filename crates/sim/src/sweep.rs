@@ -28,7 +28,7 @@ use igm_isa::TraceEntry;
 use igm_lba::{extract_events, Event, IfEventConfig};
 use igm_lifeguards::LifeguardKind;
 use igm_shadow::layout::ElemSize;
-use igm_shadow::{choose_level1_bits, footprint_pages, ShadowLayout, SizingPolicy, TwoLevelShadow};
+use igm_shadow::{choose_level1_bits, footprint_pages, ShadowLayout, TwoLevelShadow};
 use std::collections::BTreeSet;
 
 /// One Inheritance Tracking pass over a trace: the fraction of propagation
@@ -158,6 +158,6 @@ pub fn mtlb_flexible(
     if footprint.is_empty() {
         return None;
     }
-    let bits = choose_level1_bits(footprint, 8..=20, SizingPolicy::default());
+    let bits = choose_level1_bits(footprint);
     Some((bits, mtlb_miss_rate(trace, bits, entries)))
 }

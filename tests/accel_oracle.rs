@@ -62,7 +62,7 @@ impl StagedPipeline {
         StagedPipeline {
             it: cfg.it.then(|| InheritanceTracker::new(ItConfig::for_etct(&etct))),
             etct,
-            filter: cfg.if_geometry.map(IdempotentFilter::new),
+            filter: cfg.idempotent_filter.then(|| IdempotentFilter::new(IfGeometry::isca08())),
             stats: DispatchStats::default(),
         }
     }
