@@ -1,11 +1,12 @@
 //! The client side: [`TraceForwarder`] ships a live record stream or a
-//! recorded trace stream to a remote [`IngestServer`](crate::IngestServer),
-//! honoring the server's byte credits. It speaks one protocol version
+//! recorded trace stream to a remote [`IngestServer`](crate::IngestServer)
+//! over a nonblocking socket whose writes wait while the server's TCP
+//! receive window is shut. It speaks one protocol version
 //! ([`NET_VERSION`]) and one trace codec ([`CODEC_ID`]); a server that
 //! refuses either surfaces as [`NetError::Rejected`].
 
 use crate::wire::{
-    self, Fill, FinStats, MsgBuf, NetError, CHUNK_HEAD_BYTES, NET_VERSION, SPAN_PREFIX_BYTES,
+    self, Fill, Message, MsgBuf, NetError, CHUNK_HEAD_BYTES, NET_VERSION, SPAN_PREFIX_BYTES,
 };
 use igm_isa::TraceEntry;
 use igm_lba::{chunks, TraceBatch};
@@ -52,14 +53,15 @@ pub struct ForwarderStats {
     pub chunks: u64,
     /// Records encoded into them.
     pub records: u64,
-    /// Credit-accounted frame bytes sent.
+    /// Chunk payload bytes sent (span prefix plus frame).
     pub frame_bytes: u64,
-    /// Sends that found the credit allowance exhausted and had to wait for
-    /// a grant — the remote analogue of the SPSC channel's producer
-    /// stalls: each one means the server-side log channel (and behind it,
-    /// a lifeguard) was the bottleneck.
+    /// Chunk messages whose write found the server's TCP receive window
+    /// shut (the byte credit the receiver grants) and had to wait — the
+    /// remote analogue of the SPSC channel's producer stalls: each one
+    /// means the server-side log channel (and behind it, a lifeguard) was
+    /// the bottleneck.
     pub credit_stalls: u64,
-    /// Wall-clock nanoseconds spent waiting for credit.
+    /// Wall-clock nanoseconds those writes waited.
     pub credit_stall_nanos: u64,
 }
 
@@ -77,20 +79,18 @@ pub struct ForwarderReport {
 ///
 /// The forwarder encodes every batch as a standard `igm-trace` codec
 /// frame (the same bytes a [`CaptureSession`](igm_trace::CaptureSession)
-/// would write) and ships it inside a chunk message, spending the byte
-/// credits the server grants; when the allowance runs out the send
-/// *stalls* — counted in [`ForwarderStats::credit_stalls`] — until the
-/// pool drains and a grant arrives. Sources are live record iterators
+/// would write) and ships it inside a chunk message; when the server's
+/// receive window is shut the send *stalls* — counted in
+/// [`ForwarderStats::credit_stalls`] — until the pool drains and the
+/// server reads again. Sources are live record iterators
 /// ([`TraceForwarder::stream`]) or pre-batched chunks
 /// ([`TraceForwarder::send_batch`]); a recorded trace is forwarded
 /// frame for frame by sending each batch its reader decodes.
 pub struct TraceForwarder {
     stream: TcpStream,
     inbuf: MsgBuf,
-    /// Remaining credit in frame bytes. Signed: the protocol lets one
-    /// in-flight frame overdraw the allowance so frames larger than the
-    /// window still make progress.
-    credit: i64,
+    /// Set once the server's `WELCOME` arrives.
+    welcomed: bool,
     chunk_bytes: u32,
     frame: Vec<u8>,
     stats: ForwarderStats,
@@ -158,7 +158,7 @@ impl TraceForwarder {
         let mut fwd = TraceForwarder {
             stream,
             inbuf: MsgBuf::new(),
-            credit: 0,
+            welcomed: false,
             chunk_bytes: cfg.chunk_bytes,
             frame: Vec::new(),
             stats: ForwarderStats::default(),
@@ -170,32 +170,31 @@ impl TraceForwarder {
         };
         let hello = wire::hello_message(NET_VERSION, CODEC_ID, session);
         fwd.push_bytes(&hello)?;
-        // The WELCOME carries the initial allowance; harvest() records it
-        // as a plain credit grant.
         let deadline = Instant::now() + HANDSHAKE_TIMEOUT;
-        while fwd.credit == 0 {
+        while !fwd.welcomed {
             if !fwd.harvest()? && Instant::now() >= deadline {
                 return Err(NetError::Io(io::Error::new(
                     io::ErrorKind::TimedOut,
                     "timed out waiting for the server handshake",
                 )));
             }
-            if fwd.credit == 0 {
+            if !fwd.welcomed {
                 std::thread::sleep(Duration::from_micros(100));
             }
         }
         Ok(fwd)
     }
 
-    /// Publishes this forwarder's credit-stall durations to `registry` as
-    /// the `igm_net_credit_stall_nanos` histogram (e.g. the co-located
+    /// Publishes this forwarder's credit-stall durations (waits for the
+    /// server's TCP receive window) to `registry` as the
+    /// `igm_net_credit_stall_nanos` histogram (e.g. the co-located
     /// pool's registry in a loopback deployment, or a client-side registry
     /// served by its own [`StatsServer`](igm_obs::StatsServer)), together
     /// with the `igm_codec_*` byte counters and encode-latency histogram.
     pub fn attach_metrics(&mut self, registry: &MetricsRegistry) {
         self.stall_hist = registry.histogram(
             "igm_net_credit_stall_nanos",
-            "Wall-clock wait for a server credit grant, per stall",
+            "Wall-clock wait for the server's TCP receive window, per stalled chunk",
         );
         self.codec_metrics = CodecMetrics::register(registry);
     }
@@ -229,10 +228,10 @@ impl TraceForwarder {
         self.chunk_bytes
     }
 
-    /// Sends one pre-batched chunk as one frame, waiting for credit if the
-    /// allowance is spent. An empty batch sends nothing; a batch of more
-    /// than [`MAX_FRAME_RECORDS`] records is refused before it is encoded
-    /// (`InvalidInput`).
+    /// Sends one pre-batched chunk as one frame, waiting while the
+    /// server's receive window is shut. An empty batch sends nothing; a
+    /// batch of more than [`MAX_FRAME_RECORDS`] records is refused before
+    /// it is encoded (`InvalidInput`).
     pub fn send_batch(&mut self, batch: &TraceBatch) -> Result<(), NetError> {
         if batch.is_empty() {
             return Ok(());
@@ -245,8 +244,9 @@ impl TraceForwarder {
         }
         let tag = self.spans.as_mut().and_then(ClientSpans::tag_chunk);
         // `client_send` opens before the encode and closes when the last
-        // byte hits the socket, so a credit stall nests inside it — the
-        // waterfall shows where the send window went.
+        // byte hits the socket, so a credit stall (the write waiting for
+        // the receive window) nests inside it — the waterfall shows where
+        // the send window went.
         let send_start = match (&self.spans, tag) {
             (Some(s), Some(_)) => Some(s.rec.now()),
             _ => None,
@@ -262,19 +262,24 @@ impl TraceForwarder {
         self.codec_metrics.stop_encode(started);
         let frame_len = self.frame.len() - CHUNK_HEAD_BYTES;
         self.codec_metrics.count_frame(batch.len() as u64, frame_len as u64);
-        self.wait_for_credit(tag)?;
-        // Credit accounts the whole chunk payload — span prefix included
-        // — matching the server's received-bytes ledger.
         let payload_len = frame_len + SPAN_PREFIX_BYTES;
         wire::put_chunk_head(&mut self.frame[..CHUNK_HEAD_BYTES], payload_len, tag);
         let message = std::mem::take(&mut self.frame);
         let r = self.push_bytes(&message);
         self.frame = message;
-        r?;
+        if let Some(start) = r? {
+            let stalled = start.elapsed().as_nanos() as u64;
+            self.stats.credit_stalls += 1;
+            self.stats.credit_stall_nanos += stalled;
+            self.stall_hist.record(stalled);
+            if let (Some(s), Some(tag)) = (&self.spans, tag) {
+                let (track, t0) = (Track::Client(s.flow), s.rec.stamp(start));
+                s.rec.record(s.ring, Stage::CreditStall, track, tag, t0, s.rec.now());
+            }
+        }
         if let (Some(s), Some(tag), Some(t0)) = (&self.spans, tag, send_start) {
             s.rec.record(s.ring, Stage::ClientSend, Track::Client(s.flow), tag, t0, s.rec.now());
         }
-        self.credit -= payload_len as i64;
         self.stats.chunks += 1;
         self.stats.records += batch.len() as u64;
         self.stats.frame_bytes += payload_len as u64;
@@ -293,16 +298,12 @@ impl TraceForwarder {
         Ok(())
     }
 
-    /// Clean shutdown: sends `FIN` with the final lane stats, waits for
-    /// the server's `FIN_ACK`, and reports both sides' counts.
+    /// Clean shutdown: sends `FIN` with the record count sent, waits for
+    /// the server's `FIN_ACK`, and reports both sides' counts. The wait
+    /// covers the server draining what the socket buffers still hold
+    /// ahead of the `FIN`.
     pub fn finish(mut self) -> Result<ForwarderReport, NetError> {
-        let fin = wire::fin_message(&FinStats {
-            chunks: self.stats.chunks,
-            records: self.stats.records,
-            frame_bytes: self.stats.frame_bytes,
-            credit_stalls: self.stats.credit_stalls,
-        });
-        self.push_bytes(&fin)?;
+        self.push_bytes(&wire::fin_message(self.stats.records))?;
         let deadline = Instant::now() + HANDSHAKE_TIMEOUT;
         loop {
             if let Some(records) = self.fin_ack {
@@ -333,30 +334,6 @@ impl TraceForwarder {
         }
     }
 
-    /// Blocks (polling) until the credit allowance is positive. A stall
-    /// on a sampled frame leaves a `credit_stall` stage under `tag`.
-    fn wait_for_credit(&mut self, tag: Option<FrameTag>) -> Result<(), NetError> {
-        self.harvest()?;
-        if self.credit > 0 {
-            return Ok(());
-        }
-        self.stats.credit_stalls += 1;
-        let start = Instant::now();
-        while self.credit <= 0 {
-            if !self.harvest()? {
-                std::thread::sleep(Duration::from_micros(50));
-            }
-        }
-        let stalled = start.elapsed().as_nanos() as u64;
-        self.stats.credit_stall_nanos += stalled;
-        self.stall_hist.record(stalled);
-        if let (Some(s), Some(tag)) = (&self.spans, tag) {
-            let track = Track::Client(s.flow);
-            s.rec.record(s.ring, Stage::CreditStall, track, tag, s.rec.stamp(start), s.rec.now());
-        }
-        Ok(())
-    }
-
     /// Drains whatever server messages are available without blocking.
     /// Returns whether anything was processed.
     fn harvest(&mut self) -> Result<bool, NetError> {
@@ -364,22 +341,10 @@ impl TraceForwarder {
         loop {
             while let Some((ty, range)) = self.inbuf.peek_message()? {
                 let payload_end = range.end;
-                match ty {
-                    wire::msg::WELCOME => {
-                        let grant = wire::decode_welcome(self.inbuf.bytes(range))?;
-                        self.credit += grant as i64;
-                    }
-                    wire::msg::CREDIT => {
-                        let grant = wire::decode_credit(self.inbuf.bytes(range))?;
-                        self.credit += grant as i64;
-                    }
-                    wire::msg::FIN_ACK => {
-                        self.fin_ack = Some(wire::decode_fin_ack(self.inbuf.bytes(range))?);
-                    }
-                    wire::msg::ERROR => {
-                        let reason = wire::decode_error(self.inbuf.bytes(range))?;
-                        return Err(NetError::Rejected(reason));
-                    }
+                match wire::decode_message(ty, self.inbuf.bytes(range))? {
+                    Message::Welcome => self.welcomed = true,
+                    Message::FinAck { records } => self.fin_ack = Some(records),
+                    Message::Error(reason) => return Err(NetError::Rejected(reason)),
                     _ => return Err(NetError::Malformed("unexpected message type from server")),
                 }
                 self.inbuf.consume(payload_end);
@@ -399,16 +364,19 @@ impl TraceForwarder {
         }
     }
 
-    /// Writes all of `bytes` on the nonblocking socket, harvesting server
-    /// messages while the send buffer is full (so a credit grant can never
-    /// deadlock against a large in-flight chunk).
-    fn push_bytes(&mut self, bytes: &[u8]) -> Result<(), NetError> {
+    /// Writes all of `bytes` on the nonblocking socket. While the send
+    /// buffer is full (the server's receive window is shut) it harvests
+    /// server messages, so a server that closed or sent `ERROR` still
+    /// surfaces, and returns when the write first had to wait.
+    fn push_bytes(&mut self, bytes: &[u8]) -> Result<Option<Instant>, NetError> {
         let mut sent = 0usize;
+        let mut blocked_since = None;
         while sent < bytes.len() {
             match self.stream.write(&bytes[sent..]) {
                 Ok(0) => return Err(NetError::Disconnected("socket closed while sending")),
                 Ok(n) => sent += n,
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+                    blocked_since.get_or_insert_with(Instant::now);
                     self.harvest()?;
                     std::thread::sleep(Duration::from_micros(50));
                 }
@@ -416,6 +384,6 @@ impl TraceForwarder {
                 Err(e) => return Err(NetError::Io(e)),
             }
         }
-        Ok(())
+        Ok(blocked_since)
     }
 }

@@ -16,7 +16,7 @@
 //!   [`LifeguardKind`](igm_lifeguards::LifeguardKind) and accelerator
 //!   configuration, premarked regions), chunk messages carrying the
 //!   existing `igm-trace` codec **frames verbatim**, a clean-shutdown
-//!   `FIN` with final lane stats, and typed [`NetError`]s for version
+//!   `FIN` with the record count sent, and typed [`NetError`]s for version
 //!   mismatch, corruption and truncation.
 //! * [`server`] — [`IngestServer`]: one thread accepts N tenant
 //!   connections and plugs each into the shared multiplexed
@@ -27,15 +27,15 @@
 //! * [`client`] — [`TraceForwarder`]: ships a live record stream or a
 //!   recorded trace stream, one codec frame per chunk message.
 //!
-//! **Credit-based backpressure.** The server grants byte credits sized
-//! from each tenant's log-channel occupancy (the same byte accounting the
-//! SPSC transport already keeps): as the pool drains a channel, grants
-//! flow; when a slow lifeguard lets the channel fill, the grants stop and
-//! the remote producer *stalls* — mirroring the paper's bounded in-cache
-//! log buffer, where a full buffer stalls the application core rather
-//! than growing without bound. Client-side stalls are counted
-//! ([`ForwarderStats::credit_stalls`]), server-side refusals appear as the
-//! lane's `deferred_sends`.
+//! **Backpressure is TCP's.** When a slow lifeguard lets a tenant's log
+//! channel fill, the ingest lane stages its refused batch and stops
+//! reading that tenant's socket; the kernel's receive buffer fills, TCP
+//! closes its window, and the remote producer's write *stalls* —
+//! mirroring the paper's bounded in-cache log buffer, where a full buffer
+//! stalls the application core rather than growing without bound. The
+//! receive window is the byte credit the server grants. Client-side stalls
+//! are counted ([`ForwarderStats::credit_stalls`]), server-side refusals
+//! appear as the lane's `deferred_sends`.
 //!
 //! Because a forwarded stream reaches the pool as the same frames with
 //! the same batch boundaries and the same session configuration as a
@@ -52,4 +52,4 @@ pub mod wire;
 pub use client::{ForwarderConfig, ForwarderReport, ForwarderStats, TraceForwarder};
 pub use server::{IngestServer, NetServerConfig, NetServerReport};
 pub use source::NetSource;
-pub use wire::{FinStats, NetError, MAX_MESSAGE_BYTES, NET_MAGIC, NET_VERSION, SPAN_PREFIX_BYTES};
+pub use wire::{NetError, MAX_MESSAGE_BYTES, NET_MAGIC, NET_VERSION, SPAN_PREFIX_BYTES};

@@ -3,7 +3,7 @@
 //! [`Ingestor`].
 
 use crate::source::NetSource;
-use crate::wire::{self, Fill, MsgBuf, NetError};
+use crate::wire::{self, Fill, Message, MsgBuf, NetError};
 use igm_obs::{Counter, EventKind, EventRing};
 use igm_runtime::MonitorPool;
 use igm_span::FlightRecorder;
@@ -16,23 +16,13 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Server construction parameters.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct NetServerConfig {
-    /// Per-connection credit window in wire (frame) bytes: the initial
-    /// `WELCOME` grant and the target outstanding allowance. Bounds the
-    /// server's per-lane buffering to roughly this plus one frame.
-    pub credit_window: u32,
     /// Tee-at-ingest: when set, every accepted lane's record stream is
     /// also captured to `<dir>/<tenant>.igmt` (standard trace frames, one
     /// per wire chunk), so remote tenants leave on-disk artifacts exactly
     /// like local capture sessions.
     pub tee_dir: Option<PathBuf>,
-}
-
-impl Default for NetServerConfig {
-    fn default() -> NetServerConfig {
-        NetServerConfig { credit_window: 256 * 1024, tee_dir: None }
-    }
 }
 
 /// How long a connection may take to deliver its `HELLO` before it is
@@ -87,17 +77,18 @@ impl Pending {
         }
         match self.inbuf.peek_message() {
             Err(e) => HandshakeStep::Fail(e),
-            Ok(Some((ty, range))) if ty == wire::msg::HELLO => {
-                let decoded = wire::decode_hello(self.inbuf.bytes(range.clone()));
-                match decoded {
-                    Ok(cfg) => {
+            Ok(Some((ty, range))) => {
+                match wire::decode_message(ty, self.inbuf.bytes(range.clone())) {
+                    Ok(Message::Hello(cfg)) => {
                         self.inbuf.consume(range.end);
                         HandshakeStep::Ready(cfg)
+                    }
+                    Ok(_) => {
+                        HandshakeStep::Fail(NetError::Malformed("first message is not a HELLO"))
                     }
                     Err(e) => HandshakeStep::Fail(e),
                 }
             }
-            Ok(Some(_)) => HandshakeStep::Fail(NetError::Malformed("first message is not a HELLO")),
             Ok(None) if Instant::now() >= self.deadline => HandshakeStep::Fail(NetError::Io(
                 io::Error::new(io::ErrorKind::TimedOut, "handshake timed out"),
             )),
@@ -181,7 +172,6 @@ impl<'p> IngestServer<'p> {
         pool: &'p MonitorPool,
         cfg: NetServerConfig,
     ) -> io::Result<IngestServer<'p>> {
-        assert!(cfg.credit_window > 0, "a zero credit window would deadlock every client");
         let listener = TcpListener::bind(addr)?;
         listener.set_nonblocking(true)?;
         let ingestor = Ingestor::new(pool);
@@ -211,8 +201,8 @@ impl<'p> IngestServer<'p> {
 
     /// Serves exactly `connections` handshake resolutions — accepted
     /// lanes plus rejections — then drives every accepted lane to
-    /// completion and returns the combined report. Accepting, handshaking,
-    /// credit flow and record multiplexing all run on the calling thread.
+    /// completion and returns the combined report. Accepting, handshaking
+    /// and record multiplexing all run on the calling thread.
     pub fn serve_connections(mut self, connections: usize) -> NetServerReport {
         loop {
             let mut progress = false;
@@ -313,7 +303,6 @@ impl<'p> IngestServer<'p> {
         let peer = conn.peer;
         let source = NetSource::new(
             conn.stream,
-            self.cfg.credit_window as u64,
             conn.inbuf,
             self.codec_metrics.clone(),
             Arc::clone(&self.recorder),

@@ -1,11 +1,8 @@
 //! The server-side socket lane: a readiness-polled
 //! [`TraceSource`] over one client connection.
 
-use crate::wire::{
-    self, lane_error, Fill, FinStats, MsgBuf, NetError, MSG_HEADER_BYTES, SPAN_PREFIX_BYTES,
-};
+use crate::wire::{self, lane_error, Fill, Message, MsgBuf, NetError, MSG_HEADER_BYTES};
 use igm_lba::TraceBatch;
-use igm_runtime::ChannelStatsSnapshot;
 use igm_span::{FlightRecorder, FrameTag, Stage, Track};
 use igm_trace::{
     decode_frame_with, CodecMetrics, Predictors, SourceStatus, TraceError, TraceSource,
@@ -14,46 +11,30 @@ use std::io::{self, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
 
-/// Wire-credit bytes granted per compressed-model byte of log-channel
-/// room. The channel accounts occupancy in the paper's compressed-record
-/// model (1 B per instruction record); frames run ~1–2 B per record on
-/// loopy code and several times that when most fields escape, so an
-/// unscaled grant would under-fill the channel several-fold and throttle
-/// a healthy producer.
-/// The scale errs high — the channel's own byte-accounted refusal (the
-/// staged-batch backstop) still bounds server memory when the estimate is
-/// generous.
-const MODEL_TO_WIRE_SCALE: u64 = 8;
-
 /// Bytes read from the socket per scheduling poll, so one fast client
-/// cannot pin the ingest thread inside a single lane turn.
+/// cannot pin the ingest thread inside a single lane turn. With the one
+/// message a poll may leave partly buffered, this bounds the lane's
+/// user-space buffering.
 const READ_BUDGET_PER_POLL: usize = 256 * 1024;
 
 /// One accepted connection, adapted to the ingest front-end: chunk
 /// messages decode (via the shared codec) into the lane's batch arena;
-/// credit grants ride back on the same socket, sized from the tenant's
-/// log-channel occupancy ([`TraceSource::transport_feedback`]); `FIN`
-/// retires the lane cleanly after a `FIN_ACK`. All socket traffic is
+/// `FIN` retires the lane cleanly after a `FIN_ACK`. All socket traffic is
 /// nonblocking: the source reports [`SourceStatus::Pending`] instead of
-/// ever stalling the shared ingest thread.
+/// ever stalling the shared ingest thread. Backpressure is the socket's:
+/// while the lane's log channel is full the lane stops polling this
+/// source, so its receive buffer fills and TCP stalls the client.
 pub struct NetSource {
     stream: TcpStream,
     inbuf: MsgBuf,
-    /// Credit/FIN_ACK bytes not yet accepted by the (nonblocking) socket.
+    /// `WELCOME`/`FIN_ACK` bytes not yet accepted by the (nonblocking)
+    /// socket.
     outbox: Vec<u8>,
     out_sent: usize,
-    /// Target outstanding-credit window in wire bytes.
-    window: u64,
-    /// Cumulative credit granted (the initial `WELCOME` included).
-    granted: u64,
-    /// Cumulative chunk payload bytes received.
-    received: u64,
     chunks: u64,
     records: u64,
-    fin: Option<FinStats>,
-    /// A write-side failure noticed during feedback, surfaced on the next
-    /// poll (polls are the lane's error channel).
-    deferred_error: Option<NetError>,
+    /// Set once the client's `FIN` arrived.
+    fin: bool,
     /// Decoder predictor tables, persistent across this lane's frames.
     predictors: Box<Predictors>,
     /// Shared codec byte counters / decode-latency histogram.
@@ -72,11 +53,9 @@ pub struct NetSource {
 impl NetSource {
     /// Adapts an accepted, handshaken connection. `inbuf` carries any
     /// bytes the handshake reader buffered past the `HELLO`; the `WELCOME`
-    /// (granting `window` initial credit bytes) is queued for the first
-    /// poll's flush.
+    /// is queued for the first poll's flush.
     pub(crate) fn new(
         stream: TcpStream,
-        window: u64,
         inbuf: MsgBuf,
         metrics: CodecMetrics,
         recorder: Arc<FlightRecorder>,
@@ -87,15 +66,11 @@ impl NetSource {
         Ok(NetSource {
             stream,
             inbuf,
-            outbox: wire::welcome_message(window),
+            outbox: wire::welcome_message(),
             out_sent: 0,
-            window,
-            granted: window,
-            received: 0,
             chunks: 0,
             records: 0,
-            fin: None,
-            deferred_error: None,
+            fin: false,
             predictors: Box::new(Predictors::new()),
             metrics,
             recorder,
@@ -118,7 +93,7 @@ impl NetSource {
     fn flush_outbox(&mut self) -> Result<(), NetError> {
         while self.out_sent < self.outbox.len() {
             match self.stream.write(&self.outbox[self.out_sent..]) {
-                Ok(0) => return Err(NetError::Disconnected("socket closed while granting credit")),
+                Ok(0) => return Err(NetError::Disconnected("socket closed while replying")),
                 Ok(n) => self.out_sent += n,
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(()),
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
@@ -140,26 +115,18 @@ impl NetSource {
 
     /// The poll body, in [`NetError`] terms (mapped by the trait impl).
     fn poll(&mut self, out: &mut TraceBatch) -> Result<SourceStatus, NetError> {
-        if let Some(e) = self.deferred_error.take() {
-            return Err(e);
-        }
         loop {
             self.flush_outbox()?;
             if let Some((ty, range)) = self.inbuf.peek_message()? {
-                match ty {
-                    wire::msg::CHUNK if self.fin.is_none() => {
-                        let payload_at = self.inbuf.stream_pos() + MSG_HEADER_BYTES as u64;
-                        let payload = self.inbuf.bytes(range.clone());
-                        // Credit is accounted in whole chunk payload bytes
-                        // (span prefix included), matching the client's
-                        // ledger.
-                        let payload_bytes = payload.len() as u64;
-                        if payload.len() < SPAN_PREFIX_BYTES {
-                            return Err(NetError::Malformed("chunk shorter than the span prefix"));
-                        }
-                        let (prefix, frame) = payload.split_at(SPAN_PREFIX_BYTES);
-                        let tag = wire::decode_span_prefix(prefix)?;
-                        let frame_at = payload_at + SPAN_PREFIX_BYTES as u64;
+                let payload_at = self.inbuf.stream_pos() + MSG_HEADER_BYTES as u64;
+                // The decoded message borrows the buffer until this
+                // statement ends; it is consumed after.
+                let delivered = match wire::decode_message(ty, self.inbuf.bytes(range.clone()))? {
+                    Message::Chunk { .. } if self.fin => {
+                        return Err(NetError::Malformed("chunk message after FIN"))
+                    }
+                    Message::Chunk { tag, frame } => {
+                        let frame_at = payload_at + wire::SPAN_PREFIX_BYTES as u64;
                         let span = tag.map(|tag| (tag, self.recorder.now()));
                         let started = self.metrics.start_decode();
                         decode_frame_with(&mut self.predictors, frame, frame_at, out)?;
@@ -177,33 +144,32 @@ impl NetSource {
                             );
                             self.pending_tag = Some(tag);
                         }
-                        self.received += payload_bytes;
                         self.chunks += 1;
                         self.records += out.len() as u64;
-                        self.inbuf.consume(range.end);
-                        return Ok(SourceStatus::Ready);
+                        true
                     }
-                    wire::msg::CHUNK => return Err(NetError::Malformed("chunk message after FIN")),
-                    wire::msg::FIN => {
-                        let stats = wire::decode_fin(self.inbuf.bytes(range.clone()))?;
-                        if stats.records != self.records {
+                    Message::Fin { records } => {
+                        if records != self.records {
                             return Err(NetError::Malformed(
                                 "FIN record count disagrees with received records",
                             ));
                         }
-                        self.fin = Some(stats);
-                        self.inbuf.consume(range.end);
-                        let ack = wire::fin_ack_message(self.records);
-                        self.outbox.extend_from_slice(&ack);
-                        continue;
+                        self.fin = true;
+                        self.outbox.extend_from_slice(&wire::fin_ack_message(self.records));
+                        false
                     }
-                    wire::msg::HELLO => {
+                    Message::Hello(_) => {
                         return Err(NetError::Malformed("second handshake on an open lane"))
                     }
                     _ => return Err(NetError::Malformed("unexpected message type from client")),
+                };
+                self.inbuf.consume(range.end);
+                if delivered {
+                    return Ok(SourceStatus::Ready);
                 }
+                continue;
             }
-            if self.fin.is_some() {
+            if self.fin {
                 if self.inbuf.has_buffered() {
                     return Err(NetError::Malformed("data after FIN"));
                 }
@@ -239,31 +205,5 @@ impl TraceSource for NetSource {
     /// flow/seq.
     fn take_span_tag(&mut self) -> Option<FrameTag> {
         self.pending_tag.take()
-    }
-
-    /// The occupancy → credit hookup: the lane's log-channel drain state
-    /// arrives once per scheduling turn, and the grant keeps the client's
-    /// outstanding credit tracking `min(window, room)` — a full channel
-    /// (slow lifeguard) freezes the grants, so the remote producer
-    /// throttles instead of ballooning server memory.
-    fn transport_feedback(&mut self, occupancy: &ChannelStatsSnapshot, capacity_bytes: u32) {
-        if self.fin.is_some() || self.deferred_error.is_some() {
-            return;
-        }
-        let room = capacity_bytes.saturating_sub(occupancy.used_bytes) as u64;
-        let target = self.window.min(room * MODEL_TO_WIRE_SCALE);
-        let outstanding = self.granted.saturating_sub(self.received);
-        let grant = target.saturating_sub(outstanding);
-        // Batch small grants (quarter-window quantum) so a draining
-        // channel does not turn into a credit message per record; an empty
-        // allowance is always refilled immediately, whatever its size.
-        if grant > 0 && (outstanding == 0 || grant >= self.window / 4) {
-            self.granted += grant;
-            let msg = wire::credit_message(grant);
-            self.outbox.extend_from_slice(&msg);
-        }
-        if let Err(e) = self.flush_outbox() {
-            self.deferred_error = Some(e);
-        }
     }
 }

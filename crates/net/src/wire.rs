@@ -13,12 +13,14 @@
 //! | type | name      | direction       | payload |
 //! |------|-----------|-----------------|---------|
 //! | 1    | `HELLO`   | client → server | magic `IGMN`, version `u32`, trace codec `u32`, tenant session spec (below) |
-//! | 2    | `WELCOME` | server → client | initial credit `u64` |
+//! | 2    | `WELCOME` | server → client | empty: the handshake is accepted |
 //! | 3    | `CHUNK`   | client → server | 16-byte span prefix, then one `igm-trace` codec **frame, verbatim** (header + payload) |
-//! | 4    | `CREDIT`  | server → client | additional credit bytes granted, `u64` |
-//! | 5    | `FIN`     | client → server | final client lane stats: chunks, records, frame bytes, credit stalls (`u64` each) |
+//! | 5    | `FIN`     | client → server | records the client sent on this lane, `u64` |
 //! | 6    | `FIN_ACK` | server → client | records the server ingested on this lane, `u64` |
 //! | 7    | `ERROR`   | server → client | reason string (`u16` len + UTF-8), sent before close on a rejected handshake |
+//!
+//! Type 4 is unassigned (it carried the retired credit grants of v5); like
+//! every other unknown type it is refused from either side.
 //!
 //! The `HELLO` session spec carries everything [`SessionConfig`] holds, in
 //! this order: tenant name (`u16` length + UTF-8), [`LifeguardKind`] (`u8`),
@@ -37,19 +39,15 @@
 //! carries; the server refuses anything else with a typed
 //! [`NetError::VersionMismatch`] or [`NetError::UnsupportedCodec`].
 //!
-//! # Credit rules
+//! # Backpressure
 //!
-//! Credit is accounted in **chunk payload bytes** (the verbatim frame
-//! bytes). `WELCOME` grants the initial window; each `CREDIT` grants more.
-//! A client may start sending a chunk whenever its remaining credit is
-//! positive — credit may go negative by at most one frame (the classic
-//! "overdraft one message" rule), which guarantees progress for frames
-//! larger than the window while bounding server-side buffering to the
-//! window plus one frame. The server sizes grants from the tenant's log
-//! channel *occupancy* (capacity − used bytes): a full channel — a slow
-//! lifeguard — stops the grants, throttling the remote producer exactly
-//! like the paper's bounded in-cache log buffer throttles the application
-//! core.
+//! The socket carries it; the protocol adds none. A full log channel stops
+//! the server's lane from reading its socket (the lane retries its staged
+//! batch before it polls again), the kernel's receive buffer fills, TCP
+//! closes its window, and the client's nonblocking write waits — the
+//! paper's full log buffer stalling the application core, stretched across
+//! hosts. Server-side user-space buffering per lane stays below one poll's
+//! read budget plus one message (at most [`MAX_MESSAGE_BYTES`]).
 //!
 //! # Span provenance
 //!
@@ -68,8 +66,7 @@
 //! wire so the server-side stages (`server_ingest`, `channel_wait`,
 //! `dispatch`, …) chain under the same flow/seq as the client-side ones
 //! (`client_send`, `credit_stall`) — one causally-joined waterfall per
-//! frame. Credit accounts the *whole* chunk payload (prefix included), so
-//! both sides' byte ledgers agree.
+//! frame.
 
 use igm_core::AccelConfig;
 use igm_lifeguards::LifeguardKind;
@@ -84,7 +81,7 @@ use std::ops::Range;
 pub const NET_MAGIC: [u8; 4] = *b"IGMN";
 
 /// The protocol version — the only one either side speaks.
-pub const NET_VERSION: u32 = 5;
+pub const NET_VERSION: u32 = 6;
 
 /// Fixed length of the span-provenance prefix opening every `CHUNK`
 /// payload (flags `u8`, 3 pad bytes, flow `u32` LE, seq `u64` LE).
@@ -104,13 +101,11 @@ pub const MAX_MESSAGE_BYTES: u32 =
 pub mod msg {
     /// Client handshake (magic, version, tenant session spec).
     pub const HELLO: u8 = 1;
-    /// Server handshake acceptance, carrying the initial credit grant.
+    /// Server handshake acceptance (no payload).
     pub const WELCOME: u8 = 2;
     /// A span prefix, then one codec frame, verbatim.
     pub const CHUNK: u8 = 3;
-    /// Additional credit bytes granted.
-    pub const CREDIT: u8 = 4;
-    /// Clean client shutdown, carrying final lane stats.
+    /// Clean client shutdown, carrying the record count sent.
     pub const FIN: u8 = 5;
     /// Server acknowledgement of FIN, carrying ingested-record count.
     pub const FIN_ACK: u8 = 6;
@@ -311,7 +306,7 @@ pub(crate) fn put_chunk_head(head: &mut [u8], payload_len: usize, tag: Option<Fr
 }
 
 /// Decodes a chunk span prefix (exactly [`SPAN_PREFIX_BYTES`] bytes).
-pub(crate) fn decode_span_prefix(bytes: &[u8]) -> Result<Option<FrameTag>, NetError> {
+fn decode_span_prefix(bytes: &[u8]) -> Result<Option<FrameTag>, NetError> {
     debug_assert_eq!(bytes.len(), SPAN_PREFIX_BYTES);
     match bytes[0] {
         0 => Ok(None),
@@ -336,42 +331,21 @@ fn u64_message(ty: u8, v: u64) -> Vec<u8> {
     out
 }
 
-/// Encodes a `WELCOME` carrying the initial credit grant.
-pub(crate) fn welcome_message(initial_credit: u64) -> Vec<u8> {
-    u64_message(msg::WELCOME, initial_credit)
+/// Encodes a `WELCOME` (no payload).
+pub(crate) fn welcome_message() -> Vec<u8> {
+    let mut out = Vec::with_capacity(MSG_HEADER_BYTES);
+    push_header(&mut out, msg::WELCOME, 0);
+    out
 }
 
-/// Encodes a `CREDIT` grant.
-pub(crate) fn credit_message(grant: u64) -> Vec<u8> {
-    u64_message(msg::CREDIT, grant)
+/// Encodes a `FIN` carrying the client-side sent-record count.
+pub(crate) fn fin_message(records: u64) -> Vec<u8> {
+    u64_message(msg::FIN, records)
 }
 
 /// Encodes a `FIN_ACK` carrying the server-side ingested-record count.
 pub(crate) fn fin_ack_message(records: u64) -> Vec<u8> {
     u64_message(msg::FIN_ACK, records)
-}
-
-/// The client-side lane counters a `FIN` carries.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FinStats {
-    /// Chunk messages sent.
-    pub chunks: u64,
-    /// Records encoded into them.
-    pub records: u64,
-    /// Frame (credit-accounted) bytes sent.
-    pub frame_bytes: u64,
-    /// Times the client stalled waiting for credit.
-    pub credit_stalls: u64,
-}
-
-/// Encodes a `FIN`.
-pub(crate) fn fin_message(stats: &FinStats) -> Vec<u8> {
-    let mut out = Vec::with_capacity(MSG_HEADER_BYTES + 32);
-    push_header(&mut out, msg::FIN, 32);
-    for v in [stats.chunks, stats.records, stats.frame_bytes, stats.credit_stalls] {
-        out.extend_from_slice(&v.to_le_bytes());
-    }
-    out
 }
 
 /// Encodes an `ERROR` (handshake rejection).
@@ -488,41 +462,55 @@ fn decode_u64(payload: &[u8]) -> Result<u64, NetError> {
     Ok(v)
 }
 
-/// Decodes a `WELCOME` payload (initial credit).
-pub(crate) fn decode_welcome(payload: &[u8]) -> Result<u64, NetError> {
-    decode_u64(payload)
-}
-
-/// Decodes a `CREDIT` payload (grant bytes).
-pub(crate) fn decode_credit(payload: &[u8]) -> Result<u64, NetError> {
-    decode_u64(payload)
-}
-
-/// Decodes a `FIN_ACK` payload (server-side record count).
-pub(crate) fn decode_fin_ack(payload: &[u8]) -> Result<u64, NetError> {
-    decode_u64(payload)
-}
-
-/// Decodes a `FIN` payload.
-pub(crate) fn decode_fin(payload: &[u8]) -> Result<FinStats, NetError> {
-    let mut r = Reader { bytes: payload, pos: 0 };
-    let stats = FinStats {
-        chunks: r.u64()?,
-        records: r.u64()?,
-        frame_bytes: r.u64()?,
-        credit_stalls: r.u64()?,
-    };
-    r.finish()?;
-    Ok(stats)
-}
-
 /// Decodes an `ERROR` payload (the rejection reason).
-pub(crate) fn decode_error(payload: &[u8]) -> Result<String, NetError> {
+fn decode_error(payload: &[u8]) -> Result<String, NetError> {
     let mut r = Reader { bytes: payload, pos: 0 };
     let len = r.u16()? as usize;
     let reason = String::from_utf8_lossy(r.take(len)?).into_owned();
     r.finish()?;
     Ok(reason)
+}
+
+/// One decoded message. Each endpoint refuses the variants that may not
+/// reach it.
+#[derive(Debug)]
+pub(crate) enum Message<'a> {
+    Hello(SessionConfig),
+    Welcome,
+    /// The span prefix's tag and the verbatim codec frame behind it.
+    Chunk {
+        tag: Option<FrameTag>,
+        frame: &'a [u8],
+    },
+    Fin {
+        records: u64,
+    },
+    FinAck {
+        records: u64,
+    },
+    Error(String),
+}
+
+/// Decodes one message peeked by [`MsgBuf::peek_message`]: its type and
+/// payload. An unknown type (the retired `CREDIT` 4 included) is
+/// [`NetError::Malformed`].
+pub(crate) fn decode_message(ty: u8, payload: &[u8]) -> Result<Message<'_>, NetError> {
+    Ok(match ty {
+        msg::HELLO => Message::Hello(decode_hello(payload)?),
+        msg::WELCOME if payload.is_empty() => Message::Welcome,
+        msg::WELCOME => return Err(NetError::Malformed("WELCOME carries a payload")),
+        msg::CHUNK => {
+            if payload.len() < SPAN_PREFIX_BYTES {
+                return Err(NetError::Malformed("chunk shorter than the span prefix"));
+            }
+            let (prefix, frame) = payload.split_at(SPAN_PREFIX_BYTES);
+            Message::Chunk { tag: decode_span_prefix(prefix)?, frame }
+        }
+        msg::FIN => Message::Fin { records: decode_u64(payload)? },
+        msg::FIN_ACK => Message::FinAck { records: decode_u64(payload)? },
+        msg::ERROR => Message::Error(decode_error(payload)?),
+        _ => return Err(NetError::Malformed("unknown message type")),
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -696,14 +684,14 @@ mod tests {
     #[test]
     fn hello_version_and_magic_are_enforced() {
         let cfg = SessionConfig::new("t", LifeguardKind::AddrCheck);
-        // Every version but the current one is refused, the retired v2,
-        // v3 and v4 included, and the refusal names what this side speaks.
-        for bad in [1, 2, 3, 4, NET_VERSION + 1, 99] {
+        // Every version but the current one is refused, the retired v2 to
+        // v5 included, and the refusal names what this side speaks.
+        for bad in [1, 2, 3, 4, 5, NET_VERSION + 1, 99] {
             let hello = hello_message(bad, CODEC_ID, &cfg);
             match decode_hello(&hello[MSG_HEADER_BYTES..]) {
                 Err(e @ NetError::VersionMismatch { theirs }) => {
                     assert_eq!(theirs, bad);
-                    assert!(e.to_string().contains("speaks 5"), "{e}");
+                    assert!(e.to_string().contains("speaks 6"), "{e}");
                 }
                 other => panic!("version {bad}: expected mismatch, got {other:?}"),
             }
@@ -719,10 +707,9 @@ mod tests {
         // The admitted range is the single version NET_VERSION.
         let hello = hello_message(NET_VERSION, CODEC_ID, &cfg);
         assert_eq!(decode_hello(&hello[MSG_HEADER_BYTES..]).unwrap().name, "peer");
-        // Its neighbours on both sides are refused (below it v4, which also
-        // sent the M-TLB and filter sizes), and the refusal names the
-        // peer's version.
-        for bad in [4, NET_VERSION + 1] {
+        // Its neighbours on both sides are refused (below it v5, which also
+        // granted credit), and the refusal names the peer's version.
+        for bad in [5, NET_VERSION + 1] {
             let hello = hello_message(bad, CODEC_ID, &cfg);
             match decode_hello(&hello[MSG_HEADER_BYTES..]) {
                 Err(e @ NetError::VersionMismatch { theirs }) => {
@@ -747,19 +734,89 @@ mod tests {
         }
     }
 
+    /// Splits one whole encoded message into its type and payload.
+    fn decode(message: &[u8]) -> Result<Message<'_>, NetError> {
+        decode_message(message[0], &message[MSG_HEADER_BYTES..])
+    }
+
     #[test]
     fn control_messages_round_trip() {
-        let w = welcome_message(4096);
-        assert_eq!(decode_welcome(&w[MSG_HEADER_BYTES..]).unwrap(), 4096);
-        let c = credit_message(777);
-        assert_eq!(decode_credit(&c[MSG_HEADER_BYTES..]).unwrap(), 777);
-        let stats = FinStats { chunks: 3, records: 4096, frame_bytes: 17_000, credit_stalls: 2 };
-        let f = fin_message(&stats);
-        assert_eq!(decode_fin(&f[MSG_HEADER_BYTES..]).unwrap(), stats);
-        let a = fin_ack_message(4096);
-        assert_eq!(decode_fin_ack(&a[MSG_HEADER_BYTES..]).unwrap(), 4096);
-        let e = error_message("nope");
-        assert_eq!(decode_error(&e[MSG_HEADER_BYTES..]).unwrap(), "nope");
+        let w = welcome_message();
+        assert_eq!(w.len(), MSG_HEADER_BYTES);
+        assert!(matches!(decode(&w), Ok(Message::Welcome)));
+        assert!(matches!(decode(&fin_message(4096)), Ok(Message::Fin { records: 4096 })));
+        assert!(matches!(decode(&fin_ack_message(4095)), Ok(Message::FinAck { records: 4095 })));
+        match decode(&error_message("nope")) {
+            Ok(Message::Error(reason)) => assert_eq!(reason, "nope"),
+            other => panic!("expected an ERROR, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_welcome_with_a_payload_is_malformed() {
+        let mut w = Vec::new();
+        push_header(&mut w, msg::WELCOME, 8);
+        w.extend_from_slice(&4096u64.to_le_bytes());
+        assert!(matches!(decode(&w), Err(NetError::Malformed("WELCOME carries a payload"))));
+    }
+
+    #[test]
+    fn a_type_4_message_is_refused() {
+        // Type 4 was v5's CREDIT grant: a u64 of bytes.
+        let credit = u64_message(4, 4096);
+        assert!(matches!(decode(&credit), Err(NetError::Malformed("unknown message type"))));
+    }
+
+    /// One valid instance of every v6 message.
+    fn every_message() -> Vec<Vec<u8>> {
+        let cfg = SessionConfig::new("tenant", LifeguardKind::MemCheck)
+            .accel(AccelConfig::full())
+            .premark(&[(0x1000, 0x40), (0x9000, 0x2000)]);
+        let mut chunk = vec![0u8; CHUNK_HEAD_BYTES];
+        chunk.extend_from_slice(&[0xA5; 8]);
+        let tag = Some(FrameTag { flow: 9, seq: 3 });
+        put_chunk_head(&mut chunk[..CHUNK_HEAD_BYTES], SPAN_PREFIX_BYTES + 8, tag);
+        vec![
+            hello_message(NET_VERSION, CODEC_ID, &cfg),
+            welcome_message(),
+            chunk,
+            fin_message(4096),
+            fin_ack_message(4096),
+            error_message("tenant quota exceeded"),
+        ]
+    }
+
+    /// Reassembles `bytes` and decodes the whole message they hold, if
+    /// any: whether one was there.
+    fn read(bytes: &[u8]) -> Result<bool, NetError> {
+        let mut buf = MsgBuf::new();
+        buf.fill_from(&mut &bytes[..], usize::MAX).unwrap();
+        match buf.peek_message()? {
+            Some((ty, range)) => decode_message(ty, buf.bytes(range)).map(|_| true),
+            None => Ok(false),
+        }
+    }
+
+    #[test]
+    fn every_flip_and_truncation_decodes_or_is_a_typed_error() {
+        // Each decoder reached through `peek_message` either accepts a
+        // damaged message or refuses it with a NetError; a panic fails the
+        // test. Every strict prefix is an incomplete message.
+        let mut cases = 0;
+        for message in every_message() {
+            assert!(read(&message).unwrap(), "the undamaged message decodes");
+            for i in 0..message.len() {
+                for mask in [0x01, 0x80, 0xFF] {
+                    let mut bad = message.clone();
+                    bad[i] ^= mask;
+                    let _ = read(&bad);
+                    cases += 1;
+                }
+                assert!(!read(&message[..i]).unwrap(), "a {i}-byte prefix is incomplete");
+                cases += 1;
+            }
+        }
+        assert!(cases > 500, "{cases} damaged messages");
     }
 
     #[test]
@@ -767,7 +824,7 @@ mod tests {
         // Feed 10k messages such that a partial tail is buffered at every
         // fill (so the exact-empty reset never fires): the consumed
         // prefix must be compacted away instead of growing forever.
-        let msg = credit_message(7);
+        let msg = fin_ack_message(7);
         let k = 10_000usize;
         let mut stream = Vec::with_capacity(k * msg.len());
         for _ in 0..k {
@@ -817,8 +874,8 @@ mod tests {
     #[test]
     fn msgbuf_reassembles_split_messages() {
         let mut buf = MsgBuf::new();
-        let msg1 = credit_message(1);
-        let msg2 = credit_message(2);
+        let msg1 = fin_ack_message(1);
+        let msg2 = fin_ack_message(2);
         let mut bytes = msg1.clone();
         bytes.extend_from_slice(&msg2);
         // Feed in awkward splits.
@@ -827,11 +884,17 @@ mod tests {
             let _ = buf.fill_from(&mut r, usize::MAX).unwrap();
         }
         let (ty, range) = buf.peek_message().unwrap().unwrap();
-        assert_eq!(ty, msg::CREDIT);
-        assert_eq!(decode_credit(buf.bytes(range.clone())).unwrap(), 1);
+        assert_eq!(ty, msg::FIN_ACK);
+        assert!(matches!(
+            decode_message(ty, buf.bytes(range.clone())),
+            Ok(Message::FinAck { records: 1 })
+        ));
         buf.consume(range.end);
-        let (_, range) = buf.peek_message().unwrap().unwrap();
-        assert_eq!(decode_credit(buf.bytes(range.clone())).unwrap(), 2);
+        let (ty, range) = buf.peek_message().unwrap().unwrap();
+        assert!(matches!(
+            decode_message(ty, buf.bytes(range.clone())),
+            Ok(Message::FinAck { records: 2 })
+        ));
         buf.consume(range.end);
         assert!(buf.peek_message().unwrap().is_none());
         assert!(!buf.has_buffered());

@@ -1,7 +1,9 @@
 //! The wire protocol's unhappy paths, exercised over real loopback
 //! sockets: version mismatch, a peer that never sends its `HELLO`,
-//! mid-frame disconnect, a corrupt frame contained to its own lane, credit
-//! starvation/resume, and the tee-at-ingest artifact for remote lanes.
+//! mid-frame disconnect, a corrupt frame contained to its own lane, a full
+//! log channel throttling a remote producer and resuming it, a peer that
+//! stops reading stalling the forwarder's writes, and the tee-at-ingest
+//! artifact for remote lanes.
 
 use igm_isa::{OpClass, Reg, TraceEntry};
 use igm_lba::TraceBatch;
@@ -12,9 +14,10 @@ use igm_obs::EventKind;
 use igm_runtime::{MonitorPool, PoolConfig, SessionConfig};
 use igm_trace::{encode_frame, TraceError, CODEC_ID, MAX_FRAME_RECORDS};
 use igm_workload::Benchmark;
-use std::io::{self, Write};
-use std::net::{Shutdown, SocketAddr, TcpStream};
-use std::sync::mpsc;
+use std::io::{self, Read, Write};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
 fn session_cfg(name: &str, kind: LifeguardKind) -> SessionConfig {
@@ -45,7 +48,7 @@ impl RawClient {
 
     /// Ends the client's side of the conversation: the server reads
     /// everything sent and then the end of the stream, and whatever it
-    /// sends back (a handshake reply, credit grants, an `ERROR`) is read
+    /// sends back (a handshake reply, an `ERROR`) is read
     /// out until it closes. Closing with those bytes unread would reset
     /// the connection instead, and a reset can overtake the data in
     /// flight: the server would fail the lane on the reset, not on what
@@ -95,8 +98,15 @@ fn serve_raw_hellos(hellos: &'static [(u32, u32)]) -> igm_net::NetServerReport {
 #[test]
 fn version_mismatch_is_rejected_with_a_typed_error() {
     // A future version, the retired v2 (no span prefix on chunks), v3
-    // (an IT policy in the HELLO) and v4 (M-TLB and filter sizes in it).
-    let report = serve_raw_hellos(&[(99, CODEC_ID), (2, CODEC_ID), (3, CODEC_ID), (4, CODEC_ID)]);
+    // (an IT policy in the HELLO), v4 (M-TLB and filter sizes in it) and
+    // v5 (credit grants).
+    let report = serve_raw_hellos(&[
+        (99, CODEC_ID),
+        (2, CODEC_ID),
+        (3, CODEC_ID),
+        (4, CODEC_ID),
+        (5, CODEC_ID),
+    ]);
     let mut theirs: Vec<u32> = report
         .rejected
         .iter()
@@ -106,7 +116,7 @@ fn version_mismatch_is_rejected_with_a_typed_error() {
         })
         .collect();
     theirs.sort_unstable();
-    assert_eq!(theirs, [2, 3, 4, 99]);
+    assert_eq!(theirs, [2, 3, 4, 5, 99]);
 }
 
 #[test]
@@ -350,13 +360,12 @@ fn corrupt_frame_fails_only_its_lane() {
 
 #[test]
 fn credit_starvation_throttles_and_resumes() {
-    // A tiny channel (512 model bytes) and a tiny credit window (4 KB)
-    // against 30k records: the forwarder must stall on credit many times
-    // and still deliver everything once the pool drains.
+    // A tiny channel (512 model bytes) against 30k records: the lane keeps
+    // finding it full and stops reading its socket, and everything still
+    // arrives once the pool drains.
     let pool =
         MonitorPool::new(PoolConfig { channel_capacity_bytes: 512, ..PoolConfig::with_workers(1) });
-    let cfg = NetServerConfig { credit_window: 4 * 1024, ..NetServerConfig::default() };
-    let server = IngestServer::bind("127.0.0.1:0", &pool, cfg).unwrap();
+    let server = IngestServer::bind("127.0.0.1:0", &pool, NetServerConfig::default()).unwrap();
     let addr = server.local_addr().unwrap();
 
     const N: u64 = 30_000;
@@ -370,15 +379,86 @@ fn credit_starvation_throttles_and_resumes() {
     let fwd_report = client.join().unwrap();
 
     assert_eq!(fwd_report.server_records, N, "every record must arrive despite starvation");
-    assert!(
-        fwd_report.stats.credit_stalls > 0,
-        "a 4 KB window against a 512-byte channel must stall the producer"
-    );
-    assert!(fwd_report.stats.credit_stall_nanos > 0);
     let session = &report.ingest.sessions[0];
     assert_eq!(session.records, N);
     assert!(report.ingest.errors.is_empty());
     pool.shutdown();
+}
+
+/// Reads one whole message off a blocking socket: its type and payload.
+fn read_message(stream: &mut TcpStream) -> (u8, Vec<u8>) {
+    let mut head = [0u8; 5];
+    stream.read_exact(&mut head).unwrap();
+    let len = u32::from_le_bytes(head[1..].try_into().unwrap()) as usize;
+    let mut payload = vec![0u8; len];
+    stream.read_exact(&mut payload).unwrap();
+    (head[0], payload)
+}
+
+#[test]
+fn a_peer_that_stops_reading_stalls_the_forwarder() {
+    // A raw peer welcomes the client and then reads nothing until the
+    // forwarder's chunk count has stood still for a while: the socket
+    // buffers filled, TCP shut the window, and the forwarder's write is
+    // waiting. The forwarder streams until one chunk stalled (or a cap far
+    // past any socket buffer), and every record still arrives.
+    const STILL: Duration = Duration::from_millis(200);
+    const BYTE_CAP: u64 = 64 << 20;
+    let sent = Arc::new(AtomicU64::new(0));
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let peer = {
+        let sent = Arc::clone(&sent);
+        std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().unwrap();
+            assert_eq!(read_message(&mut stream).0, msg::HELLO);
+            stream.write_all(&[msg::WELCOME, 0, 0, 0, 0]).unwrap();
+            let deadline = Instant::now() + Duration::from_secs(10);
+            let (mut last, mut since) = (u64::MAX, Instant::now());
+            while since.elapsed() < STILL && Instant::now() < deadline {
+                std::thread::sleep(Duration::from_millis(10));
+                let now = sent.load(Ordering::Relaxed);
+                if now != last {
+                    (last, since) = (now, Instant::now());
+                }
+            }
+            let mut records = 0u64;
+            loop {
+                match read_message(&mut stream) {
+                    (msg::CHUNK, payload) => {
+                        // A frame header opens with its record count.
+                        let frame = &payload[wire::SPAN_PREFIX_BYTES..];
+                        records += u64::from(u32::from_le_bytes(frame[..4].try_into().unwrap()));
+                    }
+                    (msg::FIN, payload) => {
+                        assert_eq!(payload, records.to_le_bytes(), "FIN carries the record count");
+                        let mut ack = vec![msg::FIN_ACK, 8, 0, 0, 0];
+                        ack.extend_from_slice(&records.to_le_bytes());
+                        stream.write_all(&ack).unwrap();
+                        break;
+                    }
+                    (ty, _) => panic!("unexpected message type {ty}"),
+                }
+            }
+            drain_until_closed(stream);
+            records
+        })
+    };
+
+    let cfg = session_cfg("stalled", LifeguardKind::AddrCheck);
+    let mut fwd = TraceForwarder::connect(addr, &cfg).unwrap();
+    let batch: TraceBatch = Benchmark::Gzip.trace(16 * 1024).collect();
+    while fwd.stats().credit_stalls == 0 && fwd.stats().frame_bytes < BYTE_CAP {
+        fwd.send_batch(&batch).unwrap();
+        sent.store(fwd.stats().chunks, Ordering::Relaxed);
+    }
+    let report = fwd.finish().unwrap();
+    let received = peer.join().unwrap();
+
+    assert!(report.stats.credit_stalls > 0, "a peer that stops reading must stall the producer");
+    assert!(report.stats.credit_stall_nanos > 0);
+    assert_eq!(report.server_records, report.stats.records);
+    assert_eq!(received, report.stats.records, "every record must arrive");
 }
 
 #[test]
@@ -419,7 +499,7 @@ fn teed_remote_lane_leaves_a_replayable_artifact() {
     let dir = std::env::temp_dir().join(format!("igm_net_tee_{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let pool = MonitorPool::new(PoolConfig::with_workers(2));
-    let cfg = NetServerConfig { tee_dir: Some(dir.clone()), ..NetServerConfig::default() };
+    let cfg = NetServerConfig { tee_dir: Some(dir.clone()) };
     let server = IngestServer::bind("127.0.0.1:0", &pool, cfg).unwrap();
     let addr = server.local_addr().unwrap();
 

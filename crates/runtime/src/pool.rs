@@ -715,7 +715,6 @@ impl MonitorPool {
             shared: Arc::clone(&self.shared),
             done: done_rx,
             chunk_bytes: self.chunk_bytes,
-            channel_capacity_bytes: self.channel_capacity_bytes,
             spans,
         }
     }
@@ -837,7 +836,6 @@ pub struct SessionHandle {
     shared: Arc<PoolShared>,
     done: Receiver<SessionReport>,
     chunk_bytes: u32,
-    channel_capacity_bytes: u32,
     /// Span origin for frames this handle publishes.
     spans: SessionSpans,
 }
@@ -869,15 +867,6 @@ impl SessionHandle {
     /// bytes (what [`SessionHandle::stream`] batches at).
     pub fn chunk_bytes(&self) -> u32 {
         self.chunk_bytes
-    }
-
-    /// The session's log-channel capacity in compressed-record bytes — the
-    /// denominator of the occupancy accounting
-    /// ([`SessionHandle::channel_stats`] `used_bytes` / this), which
-    /// flow-controlled ingest front-ends (`igm-net`) turn into send
-    /// credits for remote producers.
-    pub fn channel_capacity_bytes(&self) -> u32 {
-        self.channel_capacity_bytes
     }
 
     /// Publishes one pre-batched chunk of records, waiting out

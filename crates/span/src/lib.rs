@@ -80,7 +80,8 @@ pub fn alloc_flow() -> u32 {
 pub enum Stage {
     /// Client side: one frame encoded and pushed onto the socket.
     ClientSend = 0,
-    /// Client side: the forwarder stalled waiting for wire credit.
+    /// Client side: the forwarder's write waited for the server's TCP
+    /// receive window.
     CreditStall = 1,
     /// Server side: the frame decoded off the wire into a batch arena.
     ServerIngest = 2,

@@ -12,7 +12,10 @@
 //! Backpressure is per source: a batch refused by a full log channel is
 //! *staged* on its lane and retried next turn, so one slow tenant defers
 //! only itself while the thread keeps servicing the others — the software
-//! analogue of per-core log buffers sharing one transport fabric. A pass
+//! analogue of per-core log buffers sharing one transport fabric. A lane
+//! holding a staged batch does not poll its source, so a readiness-polled
+//! source's own transport carries the stall back to its producer (for
+//! `igm-net`'s socket lanes, TCP's receive window). A pass
 //! on which every lane is deferred or pending does not idle the thread:
 //! [`Ingestor::run`] spends it on one lifeguard turn of the pool
 //! ([`MonitorPool::help`]) and sleeps only when there is none to run.
@@ -27,7 +30,7 @@ use crate::tee::FrameTee;
 use igm_isa::TraceEntry;
 use igm_lba::{Chunks, TraceBatch};
 use igm_obs::{Counter, EventKind, EventRing, Histogram};
-use igm_runtime::{ChannelStatsSnapshot, MonitorPool, SessionConfig, SessionHandle, SessionReport};
+use igm_runtime::{MonitorPool, SessionConfig, SessionHandle, SessionReport};
 use std::fs::File;
 use std::io::{BufReader, Read, Write};
 use std::path::Path;
@@ -55,12 +58,6 @@ pub enum SourceStatus {
 pub trait TraceSource: Send {
     /// Fills `out` (cleared by the callee) with the next columnar batch.
     fn next_batch(&mut self, out: &mut TraceBatch) -> Result<SourceStatus, TraceError>;
-
-    /// Transport feedback, called once per scheduling turn with the lane's
-    /// log-channel occupancy snapshot and capacity. Flow-controlled
-    /// sources (`igm-net`'s socket lanes) turn the channel's drain into
-    /// send credits for their remote producer; everything else ignores it.
-    fn transport_feedback(&mut self, _occupancy: &ChannelStatsSnapshot, _capacity_bytes: u32) {}
 
     /// The span tag of the batch the last `next_batch` call delivered,
     /// taken at most once per batch. Sources whose frames arrive with a
@@ -528,14 +525,6 @@ impl Lane {
     /// whether anything was published or the lane finished.
     fn turn(&mut self, budget: usize) -> bool {
         self.stats.turns += 1;
-        // Occupancy → credit hookup: hand the source the log channel's
-        // drain state once per turn, before pulling work, so a remote
-        // producer's credits track the pool's consumption (local sources
-        // ignore it).
-        if let Some(session) = self.session.as_ref() {
-            self.source
-                .transport_feedback(&session.channel_stats(), session.channel_capacity_bytes());
-        }
         // A frame the session's tee failed to write stopped the session's
         // monitoring there: retire the lane with the tee's error.
         if let Some(e) = self.artifact.as_ref().and_then(FrameTee::failure) {

@@ -3,9 +3,10 @@
 //!
 //! Each "remote" application connects with a `TraceForwarder`, handshakes
 //! its tenant configuration (lifeguard, accelerators, premarked regions),
-//! and streams its record log as codec frames under the server's byte
-//! credits — the software analogue of the paper's application-core →
-//! lifeguard-core log transport, stretched across a socket. The server
+//! and streams its record log as codec frames, its writes held back by the
+//! server's TCP receive window while the pool cannot keep up — the
+//! software analogue of the paper's application-core → lifeguard-core log
+//! transport, stretched across a socket. The server
 //! thread accepts all four connections and multiplexes them through the
 //! shared `Ingestor` into the pool. One tenant carries a buggy epilogue;
 //! the example re-runs it locally and aborts unless the network path
@@ -98,7 +99,8 @@ fn main() {
                 let mut fwd = TraceForwarder::connect_with(addr, &tenant_cfg(bench, kind), fcfg)
                     .expect("connect");
                 // Loopback co-location: the clients' credit-stall
-                // histogram lands on the same stats endpoint as the pool,
+                // histogram (writes waiting for the server's receive
+                // window) lands on the same stats endpoint as the pool,
                 // and each forwarder is a span origin on the pool's
                 // flight recorder — sampled frames chain client and
                 // server stages under one flow.
@@ -125,7 +127,7 @@ fn main() {
         drop(fwd); // abrupt disconnect, no FIN
     });
 
-    // One thread: accept, handshake, credit flow, multiplexed ingest.
+    // One thread: accept, handshake, multiplexed ingest.
     let report = server.serve_connections(clients.len() + 1);
     let client_reports: Vec<_> = clients.into_iter().map(|c| c.join().unwrap()).collect();
     flaky.join().unwrap();

@@ -46,10 +46,10 @@
 //!   carrying the codec's frames verbatim, the multi-tenant
 //!   [`net::IngestServer`] (one thread accepts N connections and plugs
 //!   each into the shared `Ingestor` as a readiness-polled socket lane)
-//!   and the [`net::TraceForwarder`] client, with credit-based
-//!   backpressure sized from the pool's log-channel occupancy — a remote
-//!   run reproduces the local run's violations and dispatch stats
-//!   exactly.
+//!   and the [`net::TraceForwarder`] client; backpressure is TCP's (a
+//!   full log channel stops its lane reading the socket, and the client's
+//!   write waits for the receive window) — a remote run reproduces the
+//!   local run's violations and dispatch stats exactly.
 //! * [`obs`] — the unified observability layer: a lock-free
 //!   [`obs::MetricsRegistry`] of sharded counters, gauges and log₂-bucketed
 //!   latency histograms instrumented through every layer above (dispatch
