@@ -301,6 +301,70 @@ fn missing_or_damaged_sidecars_heal_byte_identically() {
     assert_eq!(lake.traces()[0].index.total_records(), 2_000);
 }
 
+/// FNV-1a-32, the checksum of trace format 2 and IGMX 2.
+fn fnv1a(bytes: &[u8]) -> u32 {
+    bytes.iter().fold(0x811c_9dc5, |h, &b| (h ^ b as u32).wrapping_mul(0x0100_0193))
+}
+
+/// A version-3 trace and sidecar are served beside a version-2 pair, which
+/// the lake lists as skipped for its version: the old sidecar is refused
+/// at its header, so the lake tries to rebuild it from the trace, whose
+/// header is refused too — never a checksum mismatch.
+#[test]
+fn version_2_traces_are_skipped_for_their_version() {
+    let dir = std::env::temp_dir().join(format!("igm-lake-v2-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let mut writer = igm_trace::TraceWriter::with_index(Vec::new()).unwrap();
+    let mut chunker = igm_lba::chunks(Benchmark::Gzip.trace(2_000), 2_048);
+    let mut batch = TraceBatch::new();
+    while chunker.next_into_batch(&mut batch) {
+        writer.write_chunk_batch(&batch).unwrap();
+    }
+    let mut sidecar = Vec::new();
+    writer.take_index().unwrap().save(&mut sidecar).unwrap();
+    let stream = writer.finish().unwrap();
+
+    // The same records as version 2 wrote them: version and codec words 2,
+    // each frame and the sidecar sealed with FNV-1a-32.
+    let mut old = stream.clone();
+    old[4..8].copy_from_slice(&2u32.to_le_bytes());
+    let mut at = 8;
+    while at < old.len() {
+        let len = u32::from_le_bytes(old[at + 4..at + 8].try_into().unwrap()) as usize;
+        let sum = fnv1a(&old[at + 16..at + 16 + len]);
+        old[at + 8..at + 12].copy_from_slice(&sum.to_le_bytes());
+        old[at + 12..at + 16].copy_from_slice(&2u32.to_le_bytes());
+        at += 16 + len;
+    }
+    let mut old_sidecar = sidecar.clone();
+    old_sidecar[4..8].copy_from_slice(&2u32.to_le_bytes());
+    let end = old_sidecar.len() - 4;
+    let sum = fnv1a(&old_sidecar[16..end]);
+    old_sidecar[end..].copy_from_slice(&sum.to_le_bytes());
+
+    std::fs::write(dir.join("current.igmt"), &stream).unwrap();
+    std::fs::write(dir.join("current.igmx"), &sidecar).unwrap();
+    std::fs::write(dir.join("old.igmt"), &old).unwrap();
+    std::fs::write(dir.join("old.igmx"), &old_sidecar).unwrap();
+    let lake = TraceLake::open(&dir).unwrap();
+    match lake.skipped() {
+        [(stem, why)] => {
+            assert_eq!(stem, "old");
+            assert!(why.contains("version 2"), "{why}");
+            assert!(!why.contains("checksum"), "{why}");
+        }
+        other => panic!("expected the version-2 trace alone skipped, got {other:?}"),
+    }
+    assert_eq!(lake.traces().len(), 1);
+    assert_eq!(lake.traces()[0].stem, "current");
+    assert!(!lake.traces()[0].rebuilt, "the version-3 sidecar loads as it is");
+    let hits = lake.query(None, &LakeQuery::new(), 10).unwrap();
+    assert_eq!(hits.matched, 2_000);
+    assert_eq!(std::fs::read(dir.join("old.igmx")).unwrap(), old_sidecar, "left as found");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// A sidecar whose directory still points inside the trace file, but
 /// whose trace has since grown or lost its tail, is stale: the check is
 /// that the last indexed frame ends exactly at EOF.

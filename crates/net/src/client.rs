@@ -60,8 +60,18 @@ pub struct ForwarderStats {
     /// remote analogue of the SPSC channel's producer stalls: each one
     /// means the server-side log channel (and behind it, a lifeguard) was
     /// the bottleneck.
+    ///
+    /// A lower bound on how often the receiver held the producer back: a
+    /// write can also end because the kernel grew the send buffer
+    /// (autotuning, up to `tcp_wmem`'s maximum) while the receiver still
+    /// read nothing, and the chunks that fit into the grown buffer count
+    /// no stall although the window stays shut.
     pub credit_stalls: u64,
-    /// Wall-clock nanoseconds those writes waited.
+    /// Wall-clock nanoseconds those writes waited. Each write counts only
+    /// its own wait, which ends when the kernel takes the bytes — read by
+    /// the receiver or released by send-buffer autotuning — so this
+    /// undercounts how long the receiver held the producer back while
+    /// autotuning still has room.
     pub credit_stall_nanos: u64,
 }
 

@@ -724,11 +724,18 @@ mod tests {
     #[test]
     fn hello_rejects_an_unknown_trace_codec() {
         let cfg = SessionConfig::new("t", LifeguardKind::AddrCheck);
-        // The retired delta codec 1 is as unknown as any other id.
-        for bad in [0, 1, 7] {
+        // The retired delta codec 1 and codec 2 (FNV-1a-32 frame
+        // checksums) are as unknown as any other id, and the refusal
+        // names both sides' codecs.
+        for bad in [0, 1, 2, 7] {
             let hello = hello_message(NET_VERSION, bad, &cfg);
             match decode_hello(&hello[MSG_HEADER_BYTES..]) {
-                Err(NetError::UnsupportedCodec { theirs }) => assert_eq!(theirs, bad),
+                Err(e @ NetError::UnsupportedCodec { theirs }) => {
+                    assert_eq!(theirs, bad);
+                    let text = e.to_string();
+                    assert!(text.contains(&format!("codec {bad} ")), "{text}");
+                    assert!(text.contains("speaks codec 3"), "{text}");
+                }
                 other => panic!("codec {bad}: expected unsupported codec, got {other:?}"),
             }
         }

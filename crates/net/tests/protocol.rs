@@ -122,9 +122,12 @@ fn version_mismatch_is_rejected_with_a_typed_error() {
 #[test]
 fn unknown_trace_codec_is_rejected_with_a_typed_error() {
     // Right protocol version, but a trace codec this side does not speak —
-    // one it has never heard of, and the retired delta codec 1: the HELLO
-    // must be refused before any lane exists.
-    let report = serve_raw_hellos(&[(wire::NET_VERSION, 7), (wire::NET_VERSION, 1)]);
+    // one it has never heard of, the retired delta codec 1 and codec 2
+    // (FNV-1a-32 frame checksums): the HELLO must be refused before any
+    // lane exists, and a codec-2 peer never gets to send a frame whose
+    // checksum this side would call a mismatch.
+    let report =
+        serve_raw_hellos(&[(wire::NET_VERSION, 7), (wire::NET_VERSION, 1), (wire::NET_VERSION, 2)]);
     let mut theirs: Vec<u32> = report
         .rejected
         .iter()
@@ -134,7 +137,7 @@ fn unknown_trace_codec_is_rejected_with_a_typed_error() {
         })
         .collect();
     theirs.sort_unstable();
-    assert_eq!(theirs, [1, 7]);
+    assert_eq!(theirs, [1, 2, 7]);
 }
 
 #[test]

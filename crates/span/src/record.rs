@@ -13,10 +13,11 @@
 
 use std::fmt;
 
-/// FNV-1a-32 over a byte string — the same hash the trace codec uses
-/// for frame checksums, reused here to hash names into stable ids.
-/// Duplicated (eight lines) rather than depended on: `igm-span` is the
-/// workspace's zero-dependency vocabulary crate.
+/// FNV-1a-32 over a byte string, hashing names into stable ids. The trace
+/// codec's frame checksum is a different function (eight word lanes, since
+/// trace format 3); record ids keep FNV-1a-32, so every id ever derived
+/// from a name stays the same. `igm-span` is the workspace's
+/// zero-dependency vocabulary crate, so the eight lines live here.
 pub fn name_hash(bytes: &[u8]) -> u32 {
     let mut h: u32 = 0x811c_9dc5;
     for &b in bytes {

@@ -225,7 +225,7 @@ impl LakeArtifact {
 /// Opens a *lake* capture: the trace is written to `<dir>/<stem>.igmt`
 /// with the posting index built inline, frame by frame on the pumping
 /// thread ([`TraceWriter::with_index`](crate::TraceWriter::with_index)), the
-/// `IGMX` v2 sidecar is saved as `<dir>/<stem>.igmx` on finish, and the
+/// `IGMX` v3 sidecar is saved as `<dir>/<stem>.igmx` on finish, and the
 /// session's durable trace id is set to
 /// [`igm_span::trace_id`]`(stem)` — so every violation the session
 /// attributes carries a [`igm_span::RecordId`] that a

@@ -62,10 +62,18 @@
 //! ```text
 //! records      u32 LE   entries in this chunk (1 ..= MAX_FRAME_RECORDS)
 //! payload_len  u32 LE   encoded payload bytes (> 0)
-//! checksum     u32 LE   FNV-1a-32 over the payload bytes
-//! codec        u32 LE   payload codec, always CODEC_ID (2)
+//! checksum     u32 LE   checksum() over the payload bytes
+//! codec        u32 LE   payload codec, always CODEC_ID (3)
 //! payload      payload_len bytes
 //! ```
+//!
+//! The checksum runs eight lanes over the payload's little-endian 32-bit
+//! words and folds them, the last partial block's words and the length
+//! word by word ([`checksum`]), so any change confined to one aligned
+//! word — every single-byte change — is caught. It replaced version 2's
+//! per-byte FNV-1a-32, one serial multiply per byte, and is the only
+//! change from version 2 to 3: a version-2 file is refused at its header
+//! ([`TraceError::UnsupportedVersion`]), never as a checksum mismatch.
 //!
 //! A clean EOF at a frame boundary ends the trace; anything else —
 //! truncated header or payload, checksum mismatch, a codec word other
@@ -91,11 +99,11 @@ use std::time::Instant;
 pub const MAGIC: [u8; 4] = *b"IGMT";
 
 /// The trace format version — the only one this crate reads or writes.
-pub const FORMAT_VERSION: u32 = 2;
+pub const FORMAT_VERSION: u32 = 3;
 
 /// The payload codec identifier every frame header carries (and every
 /// `igm-net` `HELLO` names): the value-predicted column codec.
-pub const CODEC_ID: u32 = 2;
+pub const CODEC_ID: u32 = 3;
 
 /// Upper bound accepted for one frame's payload, so a corrupt length field
 /// cannot drive a multi-gigabyte allocation before the checksum catches it.
@@ -219,25 +227,111 @@ fn popcount(bits: &[u8]) -> usize {
     bits.iter().map(|b| b.count_ones() as usize).sum()
 }
 
-/// FNV-1a-32 over `bytes` — cheap, dependency-free, and plenty to catch
-/// the torn writes and bit rot the framing guards against (it is not a
-/// cryptographic integrity check).
+/// The frame and sidecar checksum of `bytes` — cheap, dependency-free,
+/// and plenty to catch the torn writes and bit rot the framing guards
+/// against (it is not a cryptographic integrity check).
+///
+/// Eight independent lanes each take every eighth little-endian 32-bit
+/// word of the 32-byte blocks through an FNV-1a-style step (xor, multiply
+/// by the FNV prime, rotate), so the loop carries eight short chains
+/// instead of FNV-1a's one multiply per byte. The lanes, the zero-padded
+/// words of the last partial block and the byte length are then folded
+/// into one value, word by word with the same step. Every step is a
+/// bijection in the word it takes, so a change confined to one aligned
+/// word — every single-byte change among them — always changes the result.
 pub fn checksum(bytes: &[u8]) -> u32 {
-    fnv1a(0x811c_9dc5, bytes)
+    let mut sum = Checksum::new();
+    sum.update(bytes);
+    sum.finish()
 }
 
 /// [`checksum`] of the concatenation of `parts`, without concatenating.
 pub(crate) fn checksum_parts(parts: &[&[u8]]) -> u32 {
-    parts.iter().fold(0x811c_9dc5, |h, part| fnv1a(h, part))
+    let mut sum = Checksum::new();
+    parts.iter().for_each(|part| sum.update(part));
+    sum.finish()
 }
 
-/// FNV-1a-32 continued from the state `h` over `bytes`.
-fn fnv1a(mut h: u32, bytes: &[u8]) -> u32 {
-    for &b in bytes {
-        h ^= b as u32;
-        h = h.wrapping_mul(0x0100_0193);
+/// Bytes of one checksum block: a 32-bit word for each of the lanes.
+const SUM_BLOCK: usize = 32;
+
+/// One checksum step: the FNV-1a multiply over a whole word, then a
+/// rotation. Each step is a bijection of `h` for a fixed `w` and of `w`
+/// for a fixed `h`, so a change confined to one word changes every later
+/// state. The rotation feeds the product's high bits back to the low
+/// ones: without it a flip of a word's top bit would pass through every
+/// later multiply as a flip of the top bit alone, and two of them would
+/// cancel.
+#[inline(always)]
+fn sum_step(h: u32, w: u32) -> u32 {
+    (h ^ w).wrapping_mul(0x0100_0193).rotate_left(13)
+}
+
+/// The streaming form of [`checksum`]: [`Checksum::update`] with the
+/// bytes in any number of parts, split anywhere, then
+/// [`Checksum::finish`] — the same value as one call over their
+/// concatenation. A part that ends inside a block leaves its bytes in
+/// `tail` until the block fills.
+#[derive(Debug, Clone)]
+pub(crate) struct Checksum {
+    lanes: [u32; 8],
+    /// The bytes of the current partial block.
+    tail: [u8; SUM_BLOCK],
+    tail_len: usize,
+    len: u64,
+}
+
+impl Checksum {
+    /// A checksum over no bytes yet.
+    pub(crate) fn new() -> Checksum {
+        // The FNV offset basis, distinct per lane.
+        let lanes = std::array::from_fn(|i| 0x811c_9dc5 ^ (i as u32).wrapping_mul(0x9e37_79b9));
+        Checksum { lanes, tail: [0; SUM_BLOCK], tail_len: 0, len: 0 }
     }
-    h
+
+    /// Continues the checksum over `bytes`.
+    pub(crate) fn update(&mut self, mut bytes: &[u8]) {
+        self.len += bytes.len() as u64;
+        if self.tail_len > 0 {
+            let take = bytes.len().min(SUM_BLOCK - self.tail_len);
+            self.tail[self.tail_len..self.tail_len + take].copy_from_slice(&bytes[..take]);
+            self.tail_len += take;
+            bytes = &bytes[take..];
+            if self.tail_len < SUM_BLOCK {
+                return;
+            }
+            let block = self.tail;
+            self.blocks(&block);
+            self.tail_len = 0;
+        }
+        let whole = bytes.len() - bytes.len() % SUM_BLOCK;
+        self.blocks(&bytes[..whole]);
+        self.tail[..bytes.len() - whole].copy_from_slice(&bytes[whole..]);
+        self.tail_len = bytes.len() - whole;
+    }
+
+    /// Runs the lanes over `bytes`, a whole number of blocks.
+    fn blocks(&mut self, bytes: &[u8]) {
+        let mut lanes = self.lanes;
+        for block in bytes.chunks_exact(SUM_BLOCK) {
+            for (lane, word) in lanes.iter_mut().zip(block.chunks_exact(4)) {
+                *lane =
+                    sum_step(*lane, u32::from_le_bytes(word.try_into().expect("a 4-byte word")));
+            }
+        }
+        self.lanes = lanes;
+    }
+
+    /// The checksum of every byte given to [`Checksum::update`].
+    pub(crate) fn finish(&self) -> u32 {
+        let mut tail = [0u8; SUM_BLOCK];
+        tail[..self.tail_len].copy_from_slice(&self.tail[..self.tail_len]);
+        let words = tail[..self.tail_len.div_ceil(4) * 4]
+            .chunks_exact(4)
+            .map(|word| u32::from_le_bytes(word.try_into().expect("a 4-byte word")));
+        let len = [self.len as u32, (self.len >> 32) as u32];
+        self.lanes.into_iter().chain(words).chain(len).fold(0x811c_9dc5, sum_step)
+    }
 }
 
 /// Per-chunk delta-coder state (both streams reset at chunk boundaries).
@@ -2437,6 +2531,77 @@ mod tests {
             assert_eq!(&decode(&mut dec, &frame).unwrap(), part);
         }
         assert_eq!((enc.gen, dec.gen), (3, 3), "the frames crossed the wrap");
+    }
+
+    /// The streaming checksum over `parts`, one `update` per part.
+    fn streamed(parts: &[&[u8]]) -> u32 {
+        let mut sum = Checksum::new();
+        parts.iter().for_each(|part| sum.update(part));
+        sum.finish()
+    }
+
+    fn bytes_of(seed: u64, len: usize) -> Vec<u8> {
+        let mut rng = Rng(seed);
+        (0..len).map(|_| rng.next() as u8).collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn streaming_the_checksum_in_three_parts_equals_one_shot(
+            seed in any::<u64>(),
+            len in 0usize..300,
+            a in any::<u32>(),
+            b in any::<u32>(),
+        ) {
+            let buf = bytes_of(seed, len);
+            let (a, b) = (a as usize % (len + 1), b as usize % (len + 1));
+            let (lo, hi) = (a.min(b), a.max(b));
+            let (x, y, z) = (&buf[..lo], &buf[lo..hi], &buf[hi..]);
+            let whole = checksum(&buf);
+            prop_assert_eq!(streamed(&[x, y, z]), whole);
+            prop_assert_eq!(checksum_parts(&[x, y, z]), whole);
+            prop_assert_eq!(streamed(&[&buf[..lo], &buf[lo..]]), whole);
+        }
+    }
+
+    #[test]
+    fn every_split_of_a_short_buffer_streams_to_the_one_shot_checksum() {
+        // Cuts at every offset of buffers up to three blocks long: inside
+        // a word, inside a block, and on both boundaries.
+        for len in [0, 1, 3, 4, 31, 32, 33, 64, 95, 97] {
+            let buf = bytes_of(len as u64, len);
+            let whole = checksum(&buf);
+            for lo in 0..=len {
+                for hi in lo..=len {
+                    let parts = [&buf[..lo], &buf[lo..hi], &buf[hi..]];
+                    assert_eq!(streamed(&parts), whole, "len {len} cut at {lo}, {hi}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn the_checksum_covers_the_length_and_both_top_bits_of_a_word_pair() {
+        // Trailing zero bytes are still bytes.
+        let sums: Vec<u32> = (0..70).map(|len| checksum(&vec![0u8; len])).collect();
+        for (i, a) in sums.iter().enumerate() {
+            assert!(!sums[i + 1..].contains(a), "zero runs of {i} bytes and longer collide");
+        }
+        // A pure multiply would carry a word's top-bit flip to the top bit
+        // of the result and no further, so any two would cancel; every pair
+        // of top-bit flips over eight blocks must show.
+        let buf = bytes_of(7, 256);
+        let whole = checksum(&buf);
+        for i in (3..buf.len()).step_by(4) {
+            for j in (i + 4..buf.len()).step_by(4) {
+                let mut bad = buf.clone();
+                bad[i] ^= 0x80;
+                bad[j] ^= 0x80;
+                assert_ne!(checksum(&bad), whole, "top bits of words at {i} and {j}");
+            }
+        }
     }
 
     #[test]

@@ -23,7 +23,7 @@
 //! record-range window and decodes only the frames the window touches —
 //! the prefix is never decoded.
 
-use crate::codec::{checksum_parts, TraceError, FRAME_HEADER_BYTES, MAGIC};
+use crate::codec::{checksum_parts, Checksum, TraceError, FRAME_HEADER_BYTES, MAGIC};
 use crate::postings::{FramePostings, PostingBuilder};
 use igm_lba::TraceBatch;
 use std::fs::File;
@@ -33,8 +33,9 @@ use std::path::Path;
 /// The four magic bytes opening every index sidecar.
 pub const INDEX_MAGIC: [u8; 4] = *b"IGMX";
 
-/// The sidecar format version: a directory plus per-frame posting lists.
-pub const INDEX_VERSION: u32 = 2;
+/// The sidecar format version — the only one this crate reads or writes:
+/// a directory plus per-frame posting lists under the lane checksum.
+pub const INDEX_VERSION: u32 = 3;
 
 /// One frame's directory entry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -194,26 +195,36 @@ impl TraceIndex {
 
     /// Serializes the index: `IGMX`, version, frame count, one `(offset
     /// u64, records u32)` LE pair per frame, a `u64` posting-section
-    /// length and each frame's encoded [`FramePostings`], then an
-    /// FNV-1a-32 checksum covering entry and posting bytes both.
+    /// length and each frame's encoded [`FramePostings`], then the
+    /// frames' [`checksum`](crate::checksum) (eight word lanes) over the
+    /// entry, length and posting bytes, streamed over the three in place.
     pub fn save<W: Write>(&self, mut w: W) -> io::Result<()> {
         let mut entries = Vec::with_capacity(self.entries.len() * 12);
         for e in &self.entries {
             entries.extend_from_slice(&e.offset.to_le_bytes());
             entries.extend_from_slice(&e.records.to_le_bytes());
         }
-        let mut sections = Vec::new();
-        for p in &self.postings {
-            p.encode(&mut sections);
-        }
-        let len = (sections.len() as u64).to_le_bytes();
+        let len = self.posting_bytes().to_le_bytes();
         w.write_all(&INDEX_MAGIC)?;
         w.write_all(&INDEX_VERSION.to_le_bytes())?;
         w.write_all(&(self.entries.len() as u64).to_le_bytes())?;
-        w.write_all(&entries)?;
-        w.write_all(&len)?;
-        w.write_all(&sections)?;
-        w.write_all(&checksum_parts(&[&entries, &len, &sections]).to_le_bytes())?;
+        let mut sum = Checksum::new();
+        for bytes in [&entries[..], &len] {
+            sum.update(bytes);
+            w.write_all(bytes)?;
+        }
+        // One frame's section at a time, summed and written while it is
+        // still in cache.
+        let (mut section, mut written) = (Vec::new(), 0u64);
+        for p in &self.postings {
+            section.clear();
+            p.encode(&mut section);
+            sum.update(&section);
+            w.write_all(&section)?;
+            written += section.len() as u64;
+        }
+        debug_assert_eq!(written.to_le_bytes(), len, "posting_bytes disagrees with encode");
+        w.write_all(&sum.finish().to_le_bytes())?;
         w.flush()
     }
 

@@ -391,7 +391,7 @@ impl<'p> Ingestor<'p> {
     /// Like [`Ingestor::add_source_teed`], but the tee writer also builds
     /// each frame's posting index inline, on the same pumping thread
     /// ([`TraceWriter::with_index`](crate::TraceWriter::with_index)), and
-    /// the `IGMX` v2 sidecar is saved to `sidecar` when the report is
+    /// the `IGMX` v3 sidecar is saved to `sidecar` when the report is
     /// collected, for a cleanly flushed trace only — so a remote or piped
     /// tenant's artifact lands lake-queryable, with no offline scan
     /// needed.

@@ -75,7 +75,9 @@
 //! kernels are property-tested against.
 
 use igm_lba::TraceBatch;
+use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
+use std::hash::{BuildHasher, Hasher};
 
 /// A query dimension of the posting index.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -530,33 +532,40 @@ const KIND_PXOR: u8 = 3;
 /// Longest period the periodic-XOR probe considers.
 const MAX_PERIOD: u32 = 4096;
 
+/// The strided runs of `sorted`, front to back, as `(first, step, len)`:
+/// a run needs at least three same-step terms (pairs cost as much as two
+/// singletons and can split a longer run behind them), and every element
+/// no run takes is a run of one at step 1.
+fn strided_runs(sorted: &[u32]) -> impl Iterator<Item = (u32, u32, u32)> + '_ {
+    let mut k = 0usize;
+    std::iter::from_fn(move || {
+        let &first = sorted.get(k)?;
+        let (step, len) = match sorted.get(k..k + 3) {
+            Some(&[a, b, c]) if b - a == c - b => {
+                let mut end = k + 3;
+                while sorted.get(end).is_some_and(|&v| v - sorted[end - 1] == b - a) {
+                    end += 1;
+                }
+                (b - a, end - k)
+            }
+            _ => (1, 1),
+        };
+        k += len;
+        Some((first, step, len as u32))
+    })
+}
+
 /// Calls `f` with every varint of the strided-run encoding of `sorted`,
-/// in wire order: per run `gap, len-1[, step-1]`. A run needs at least
-/// three same-step terms (pairs cost as much as two singletons and can
-/// split a longer run behind them).
+/// in wire order: per run `gap, len-1[, step-1]`.
 fn for_each_run_varint(sorted: &[u32], mut f: impl FnMut(u64)) {
     let mut next_min = 0u32;
-    let mut k = 0usize;
-    while k < sorted.len() {
-        let (step, len) =
-            if k + 2 < sorted.len() && sorted[k + 1] - sorted[k] == sorted[k + 2] - sorted[k + 1] {
-                let step = sorted[k + 1] - sorted[k];
-                let mut len = 3usize;
-                while k + len < sorted.len() && sorted[k + len] - sorted[k + len - 1] == step {
-                    len += 1;
-                }
-                (step, len)
-            } else {
-                (1, 1)
-            };
-        let start = sorted[k];
-        f((start - next_min) as u64);
+    for (first, step, len) in strided_runs(sorted) {
+        f((first - next_min) as u64);
         f((len - 1) as u64);
         if len > 1 {
             f((step - 1) as u64);
         }
-        next_min = start + step * (len as u32 - 1) + 1;
-        k += len;
+        next_min = first + step * (len - 1) + 1;
     }
 }
 
@@ -573,28 +582,28 @@ fn gaps_len(sorted: &[u32]) -> usize {
     (varint_len32(first) + rest) as usize
 }
 
-/// The byte lengths of the runs and the array encodings of `sorted`. The
-/// array's are its gaps'. The runs encoding writes the same gap for a
-/// single element plus a zero length (one byte more), and for a run of
-/// `len` at step `s` its first gap, `len - 1` and `s - 1` once where the
-/// array repeats `s - 1` for every element after the first — so it is
-/// the array's length, corrected run by run.
-fn runs_and_array_len(sorted: &[u32]) -> (usize, usize) {
-    let array = gaps_len(sorted);
-    let mut runs = array + sorted.len();
-    let mut k = 0usize;
-    while let Some(&[a, b, c]) = sorted.get(k..k + 3) {
-        if b - a != c - b {
-            k += 1;
-            continue;
+/// The byte lengths of the runs and the array encodings of `sorted`, as
+/// far as a choice against a bitset of `bitset` bytes needs them: the
+/// array's exact up to `bitset` and `bitset + 1` past it, the runs' exact
+/// up to the smaller of the two and one more past that. Runs win ties
+/// with the array and both win ties with the bitset, so the capped
+/// lengths make the same choice. The array is its gaps', at least a byte
+/// per element. The runs walk stops at the first run that takes it past
+/// its cap, so a set the array or the bitset wins is walked only that far.
+fn runs_and_array_len(sorted: &[u32], bitset: usize) -> (usize, usize) {
+    let array = if sorted.len() > bitset { bitset + 1 } else { gaps_len(sorted).min(bitset + 1) };
+    let cap = array.min(bitset);
+    let mut runs = 0usize;
+    let mut next_min = 0u32;
+    for (first, step, len) in strided_runs(sorted) {
+        runs += varint_len32(first - next_min) as usize + varint_len32(len - 1) as usize;
+        if len > 1 {
+            runs += varint_len32(step - 1) as usize;
         }
-        let mut end = k + 3;
-        while sorted.get(end).is_some_and(|&v| v - sorted[end - 1] == b - a) {
-            end += 1;
+        if runs > cap {
+            return (cap + 1, array);
         }
-        let (len, step_len) = (end - k, varint_len32(b - a - 1) as usize);
-        runs = runs + varint_len((len - 1) as u64) + step_len - len - (len - 1) * step_len;
-        k = end;
+        next_min = first + step * (len - 1) + 1;
     }
     (runs, array)
 }
@@ -885,7 +894,8 @@ struct ContainerEncoder {
     winner_diff: Vec<u64>,
     /// Lag histogram over `1..=MAX_PERIOD`; all zero between postings.
     lag_counts: Vec<u32>,
-    /// The distinct lags `lag_counts` currently counts.
+    /// The distinct lags `lag_counts` counts, in order of first sighting,
+    /// at the front of room for every lag.
     lags_seen: Vec<u32>,
     /// The winning container's body, before it moves into its posting.
     body: Vec<u8>,
@@ -918,8 +928,8 @@ impl ContainerEncoder {
         debug_assert!(sorted.windows(2).all(|w| w[0] < w[1]));
         debug_assert!(sorted.last().is_none_or(|&v| v < records));
 
-        let (runs_len, array_len) = runs_and_array_len(sorted);
         let bitset_len = records.div_ceil(8) as usize;
+        let (runs_len, array_len) = runs_and_array_len(sorted, bitset_len);
         let others = runs_len.min(array_len).min(bitset_len);
         let period = self.best_period(sorted, records, sparse, others);
         let pxor_len = period.map_or(usize::MAX, |p| varint_len(p as u64) + gaps_len(&self.diff));
@@ -1017,19 +1027,28 @@ impl ContainerEncoder {
     /// ascending, `(0, _)` for a slot no lag filled.
     fn top_lags(&mut self, prefix: &[u32]) -> [(u32, u32); 4] {
         self.lag_counts.resize(MAX_PERIOD as usize + 1, 0);
+        // Room for every distinct lag, so a first sighting is recorded by
+        // a store that always happens and a cursor that moves only then.
+        self.lags_seen.resize(MAX_PERIOD as usize + 1, 0);
         let (counts, seen) = (&mut self.lag_counts, &mut self.lags_seen);
+        let mut distinct = 0usize;
         for_each_lag(prefix, |lag| {
             let count = &mut counts[lag as usize];
-            if *count == 0 {
-                seen.push(lag);
-            }
+            seen[distinct] = lag;
+            distinct += (*count == 0) as usize;
             *count += 1;
         });
         // Top four by insertion into a best-first array; `(0, _)` marks
-        // an empty slot and loses to every counted lag.
+        // an empty slot and loses to every counted lag. A lag that does
+        // not beat the fourth slot cannot enter, so it only clears its
+        // counter.
         let mut top = [(0u32, 0u32); 4];
-        for lag in seen.drain(..) {
+        for &lag in &seen[..distinct] {
             let mut cand = (std::mem::take(&mut counts[lag as usize]), lag);
+            let last = top[3];
+            if cand.0 < last.0 || (cand.0 == last.0 && cand.1 > last.1) {
+                continue;
+            }
             for slot in &mut top {
                 if cand.0 > slot.0 || (cand.0 == slot.0 && cand.1 < slot.1) {
                     std::mem::swap(slot, &mut cand);
@@ -1218,6 +1237,56 @@ impl Iterator for PostingIter<'_> {
 // Per-frame posting sets.
 // ---------------------------------------------------------------------------
 
+/// [`KeyGroups::slot_of`]'s hasher: one folded 64 × 64 → 128-bit multiply
+/// of the key under two secret words. SipHash costs several times that
+/// for a 32-bit key, and an unkeyed multiply lets a producer choose pcs or
+/// pages that collide; the secret is drawn from the standard library's
+/// random hash keys, afresh for every builder.
+#[derive(Debug, Clone, Copy)]
+struct SlotHash([u64; 2]);
+
+impl Default for SlotHash {
+    fn default() -> SlotHash {
+        let random = RandomState::new();
+        SlotHash([random.hash_one(0u8), random.hash_one(1u8) | 1])
+    }
+}
+
+impl BuildHasher for SlotHash {
+    type Hasher = SlotHasher;
+
+    fn build_hasher(&self) -> SlotHasher {
+        SlotHasher { secret: self.0, hash: 0 }
+    }
+}
+
+/// One [`SlotHash`] hashing: the fold of the last word written.
+struct SlotHasher {
+    secret: [u64; 2],
+    hash: u64,
+}
+
+impl Hasher for SlotHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(self.hash.rotate_left(8) ^ b as u64);
+        }
+    }
+
+    fn write_u32(&mut self, key: u32) {
+        self.write_u64(key as u64);
+    }
+
+    fn write_u64(&mut self, word: u64) {
+        let product = (word ^ self.secret[0]) as u128 * self.secret[1] as u128;
+        self.hash = product as u64 ^ (product >> 64) as u64;
+    }
+
+    fn finish(&self) -> u64 {
+        self.hash
+    }
+}
+
 /// One key of a [`KeyGroups`] frame.
 #[derive(Debug, Clone, Copy)]
 struct KeySlot {
@@ -1249,7 +1318,7 @@ struct Segment {
 /// storage is flat, sized by the frame, and kept from frame to frame.
 #[derive(Debug, Default)]
 struct KeyGroups {
-    slot_of: HashMap<u32, u32>,
+    slot_of: HashMap<u32, u32, SlotHash>,
     slots: Vec<KeySlot>,
     /// Closed segments in arrival order.
     filed: Vec<Segment>,
@@ -2169,7 +2238,16 @@ mod tests {
             let (mut runs, mut array) = (Vec::new(), Vec::new());
             for_each_run_varint(&set, |v| put_varint(&mut runs, v));
             for_each_gap(set.iter().copied(), |v| put_varint(&mut array, v));
-            prop_assert_eq!(runs_and_array_len(&set), (runs.len(), array.len()));
+            // Exact within the caps, one past them beyond: against this
+            // frame's bitset, and against no bitset at all.
+            let (runs, array) = (runs.len(), array.len());
+            for bitset in [records.div_ceil(8) as usize, usize::MAX / 2] {
+                let capped = array.min(bitset + 1);
+                prop_assert_eq!(
+                    runs_and_array_len(&set, bitset),
+                    (runs.min(capped.min(bitset) + 1), capped)
+                );
+            }
             prop_assert_eq!(
                 (posting.kind, &posting.body[..]),
                 (kind, &body[..]),

@@ -171,7 +171,7 @@ fn raw_stream_codec(records: u32, payload: &[u8], sum: u32, codec: u32) -> Vec<u
 }
 
 /// A hand-built, correctly checksummed frame.
-fn raw_stream_v2(records: u32, payload: &[u8]) -> Vec<u8> {
+fn raw_stream(records: u32, payload: &[u8]) -> Vec<u8> {
     raw_stream_codec(records, payload, checksum(payload), CODEC_ID)
 }
 
@@ -188,15 +188,16 @@ fn bad_magic_is_rejected() {
 
 #[test]
 fn future_version_is_rejected() {
-    // A future version, and the retired version 1 (12-byte frame headers).
-    for version in [99u32, 1] {
+    // A future version, the retired version 1 (12-byte frame headers) and
+    // the retired version 2 (FNV-1a-32 frame checksums).
+    for version in [99u32, 1, 2] {
         let mut bytes = Vec::new();
         bytes.extend_from_slice(&MAGIC);
         bytes.extend_from_slice(&version.to_le_bytes());
         match TraceReader::new(&bytes[..]) {
             Err(e @ TraceError::UnsupportedVersion(v)) => {
                 assert_eq!(v, version);
-                assert!(e.to_string().contains("speaks only 2"), "{e}");
+                assert!(e.to_string().contains("speaks only 3"), "{e}");
             }
             other => panic!("version {version}: expected refusal, got {:?}", other.err()),
         }
@@ -233,7 +234,7 @@ fn checksum_mismatch_reports_payload_offset() {
 
 #[test]
 fn zero_record_frame_is_corrupt() {
-    let bytes = raw_stream_v2(0, &IMM_TO_EBX);
+    let bytes = raw_stream(0, &IMM_TO_EBX);
     match decode_from_slice(&bytes) {
         Err(TraceError::Corrupt { reason, .. }) => assert!(reason.contains("zero-record")),
         other => panic!("expected zero-record error, got {other:?}"),
@@ -242,7 +243,7 @@ fn zero_record_frame_is_corrupt() {
 
 #[test]
 fn zero_length_payload_is_corrupt() {
-    let bytes = raw_stream_v2(3, &[]);
+    let bytes = raw_stream(3, &[]);
     match decode_from_slice(&bytes) {
         Err(TraceError::Corrupt { reason, .. }) => assert!(reason.contains("zero-length")),
         other => panic!("expected zero-length error, got {other:?}"),
@@ -267,7 +268,7 @@ fn truncated_header_and_payload_are_corrupt() {
 #[test]
 fn unknown_tag_is_corrupt_even_with_valid_checksum() {
     // A static escape naming record code 26, which does not exist.
-    let bytes = raw_stream_v2(1, &[0x00, 0x00, 0x00, 26]);
+    let bytes = raw_stream(1, &[0x00, 0x00, 0x00, 26]);
     match decode_from_slice(&bytes) {
         Err(TraceError::Corrupt { reason, .. }) => assert!(reason.contains("unknown record tag")),
         other => panic!("expected unknown-tag error, got {other:?}"),
@@ -278,7 +279,7 @@ fn unknown_tag_is_corrupt_even_with_valid_checksum() {
 fn out_of_range_register_is_corrupt() {
     // A static escape for ImmToReg (code 0) with register index 9:
     // `9 << 5` as a two-byte varint.
-    let bytes = raw_stream_v2(1, &[0x00, 0x00, 0x00, 0xa0, 0x02]);
+    let bytes = raw_stream(1, &[0x00, 0x00, 0x00, 0xa0, 0x02]);
     match decode_from_slice(&bytes) {
         Err(TraceError::Corrupt { reason, .. }) => assert!(reason.contains("register")),
         other => panic!("expected register-range error, got {other:?}"),
@@ -288,7 +289,7 @@ fn out_of_range_register_is_corrupt() {
 #[test]
 fn trailing_payload_bytes_are_corrupt() {
     // One valid ImmToReg record plus a stray byte, checksummed correctly.
-    let bytes = raw_stream_v2(1, &[IMM_TO_EBX.as_slice(), &[0xee]].concat());
+    let bytes = raw_stream(1, &[IMM_TO_EBX.as_slice(), &[0xee]].concat());
     match decode_from_slice(&bytes) {
         Err(TraceError::Corrupt { reason, .. }) => assert!(reason.contains("trailing")),
         other => panic!("expected trailing-bytes error, got {other:?}"),
@@ -300,7 +301,7 @@ fn inflated_record_count_is_rejected_before_allocation() {
     // Valid 4-byte payload and checksum, but a record count (the header
     // is not checksummed) that no 4-byte payload could hold: must be a
     // typed error, not a huge `Vec::reserve`.
-    let bytes = raw_stream_v2(u32::MAX, &IMM_TO_EBX);
+    let bytes = raw_stream(u32::MAX, &IMM_TO_EBX);
     match decode_from_slice(&bytes) {
         Err(TraceError::Corrupt { reason, .. }) => assert!(reason.contains("inconsistent")),
         other => panic!("expected count-consistency error, got {other:?}"),
@@ -313,7 +314,7 @@ fn inflated_record_count_is_rejected_before_allocation() {
 /// decoder says of the same frame.
 fn all_hit_frame_refusal(records: u32) -> (u64, &'static str) {
     let payload = vec![0xff; records.div_ceil(8) as usize * 2];
-    let stream = raw_stream_v2(records, &payload);
+    let stream = raw_stream(records, &payload);
     fn corrupt<T: std::fmt::Debug>(r: Result<T, TraceError>) -> (u64, &'static str) {
         match r {
             Err(TraceError::Corrupt { offset, reason }) => (offset, reason),
@@ -378,12 +379,13 @@ fn empty_stream_and_empty_chunks() {
 
 #[test]
 fn unknown_codec_id_in_frame_header_is_corrupt() {
-    // Ids this side never spoke, and the retired delta codec 1 — in a file
-    // and in a single frame (the `igm-net` chunk path).
+    // Ids this side never spoke, the retired delta codec 1 and codec 2
+    // (FNV-1a-32 checksums) — in a file and in a single frame (the
+    // `igm-net` chunk path).
     let batch = sample_entries().into_iter().collect();
     let mut frame = Vec::new();
     encode_frame(&mut frame, &batch);
-    for codec in [7, 0, 1] {
+    for codec in [7, 0, 1, 2] {
         let bytes = raw_stream_codec(1, &IMM_TO_EBX, checksum(&IMM_TO_EBX), codec);
         match decode_from_slice(&bytes) {
             Err(TraceError::Corrupt { offset: 8, reason }) => assert!(reason.contains("codec id")),
@@ -401,7 +403,7 @@ fn unknown_codec_id_in_frame_header_is_corrupt() {
 fn pc_hit_on_unseeded_predictor_slot_is_corrupt() {
     // Record 0 claims a pc predictor hit, but no escape ever seeded the
     // table — a decoder that trusted it would read uninitialized state.
-    let bytes = raw_stream_v2(1, &[0x01, 0x00]);
+    let bytes = raw_stream(1, &[0x01, 0x00]);
     match decode_from_slice(&bytes) {
         Err(TraceError::Corrupt { reason, .. }) => assert!(reason.contains("unseeded")),
         other => panic!("expected unseeded-slot error, got {other:?}"),
@@ -412,7 +414,7 @@ fn pc_hit_on_unseeded_predictor_slot_is_corrupt() {
 fn static_hit_on_unseeded_predictor_slot_is_corrupt() {
     // pc misses (escape: delta 0), then the static column claims a hit on
     // a table nothing seeded.
-    let bytes = raw_stream_v2(1, &[0x00, 0x00, 0x01]);
+    let bytes = raw_stream(1, &[0x00, 0x00, 0x01]);
     match decode_from_slice(&bytes) {
         Err(TraceError::Corrupt { reason, .. }) => assert!(reason.contains("unseeded")),
         other => panic!("expected unseeded-slot error, got {other:?}"),
@@ -422,7 +424,7 @@ fn static_hit_on_unseeded_predictor_slot_is_corrupt() {
 #[test]
 fn nonzero_bitmap_padding_is_corrupt() {
     // One record, but a hit bit set past it in the bitmap's padding.
-    let bytes = raw_stream_v2(1, &[0x02, 0x00]);
+    let bytes = raw_stream(1, &[0x02, 0x00]);
     match decode_from_slice(&bytes) {
         Err(TraceError::Corrupt { reason, .. }) => assert!(reason.contains("padding")),
         other => panic!("expected bitmap-padding error, got {other:?}"),
@@ -433,7 +435,7 @@ fn nonzero_bitmap_padding_is_corrupt() {
 fn payload_ending_inside_a_bitmap_is_corrupt() {
     // pc bitmap + escape consume both bytes; the static bitmap read runs
     // off the end of the payload.
-    let bytes = raw_stream_v2(1, &[0x00, 0x00]);
+    let bytes = raw_stream(1, &[0x00, 0x00]);
     match decode_from_slice(&bytes) {
         Err(TraceError::Corrupt { reason, .. }) => assert!(reason.contains("bitmap")),
         other => panic!("expected truncated-bitmap error, got {other:?}"),

@@ -72,8 +72,9 @@ fn sidecar_round_trips_and_rejects_damage() {
     let mut bad = sidecar.clone();
     bad[0] = b'Z';
     assert!(matches!(TraceIndex::load(&bad[..]), Err(TraceError::Corrupt { .. })));
-    // Wrong version: a future one, and the retired directory-only v1.
-    for version in [INDEX_VERSION + 1, 1] {
+    // Wrong version: a future one, the retired directory-only v1 and v2
+    // (FNV-1a-32 checksum).
+    for version in [INDEX_VERSION + 1, 1, 2] {
         let mut bad = sidecar.clone();
         bad[4..8].copy_from_slice(&version.to_le_bytes());
         assert!(
@@ -91,6 +92,93 @@ fn sidecar_round_trips_and_rejects_damage() {
         let bad = &sidecar[..sidecar.len() - cut];
         assert!(matches!(TraceIndex::load(bad), Err(TraceError::Corrupt { .. })));
     }
+}
+
+/// A gcc stream of `n` records in 2 KiB chunks, and its sidecar.
+fn gcc(n: u64) -> (Vec<u8>, Vec<u8>) {
+    let mut w = TraceWriter::with_index(Vec::new()).unwrap();
+    let mut chunker = igm_lba::chunks(Benchmark::Gcc.trace(n), 2_048);
+    let mut batch = TraceBatch::new();
+    while chunker.next_into_batch(&mut batch) {
+        w.write_chunk_batch(&batch).unwrap();
+    }
+    let index = w.take_index().expect("index tracking requested");
+    let mut sidecar = Vec::new();
+    index.save(&mut sidecar).unwrap();
+    (w.finish().unwrap(), sidecar)
+}
+
+#[test]
+fn every_byte_flip_of_a_real_frame_and_sidecar_changes_the_checksum() {
+    let (stream, sidecar) = gcc(3_000);
+    let payload_len = u32::from_le_bytes(stream[12..16].try_into().unwrap()) as usize;
+    let payload = &stream[8 + FRAME_HEADER_BYTES..8 + FRAME_HEADER_BYTES + payload_len];
+    for (what, bytes) in [("gcc frame payload", payload), ("gcc sidecar", &sidecar[..])] {
+        let whole = checksum(bytes);
+        let mut bad = bytes.to_vec();
+        for at in 0..bad.len() {
+            for flip in [0x01, 0x80, 0xff] {
+                bad[at] ^= flip;
+                assert_ne!(checksum(&bad), whole, "{what}: byte {at} ^ {flip:#04x} went unseen");
+                bad[at] ^= flip;
+            }
+        }
+    }
+}
+
+/// FNV-1a-32, the checksum of trace format 2 and IGMX 2.
+fn fnv1a(bytes: &[u8]) -> u32 {
+    bytes.iter().fold(0x811c_9dc5, |h, &b| (h ^ b as u32).wrapping_mul(0x0100_0193))
+}
+
+/// `stream` and `sidecar` as version 2 wrote them: the same bytes under
+/// version and codec 2, each frame and the sidecar sealed with FNV-1a-32.
+fn version_2(stream: &[u8], sidecar: &[u8]) -> (Vec<u8>, Vec<u8>) {
+    let mut old = stream.to_vec();
+    old[4..8].copy_from_slice(&2u32.to_le_bytes());
+    let mut at = 8;
+    while at < old.len() {
+        let len = u32::from_le_bytes(old[at + 4..at + 8].try_into().unwrap()) as usize;
+        let payload = at + FRAME_HEADER_BYTES..at + FRAME_HEADER_BYTES + len;
+        let sum = fnv1a(&old[payload.clone()]);
+        old[at + 8..at + 12].copy_from_slice(&sum.to_le_bytes());
+        old[at + 12..at + 16].copy_from_slice(&2u32.to_le_bytes());
+        at = payload.end;
+    }
+    let mut old_sidecar = sidecar.to_vec();
+    old_sidecar[4..8].copy_from_slice(&2u32.to_le_bytes());
+    let end = old_sidecar.len() - 4;
+    let sum = fnv1a(&old_sidecar[16..end]);
+    old_sidecar[end..].copy_from_slice(&sum.to_le_bytes());
+    (old, old_sidecar)
+}
+
+#[test]
+fn version_2_streams_and_sidecars_are_refused_by_version_not_checksum() {
+    let (stream, sidecar) = gcc(3_000);
+    let (old, old_sidecar) = version_2(&stream, &sidecar);
+    assert_eq!((old.len(), old_sidecar.len()), (stream.len(), sidecar.len()));
+    match TraceReader::new(&old[..]) {
+        Err(e @ TraceError::UnsupportedVersion(2)) => {
+            assert!(e.to_string().contains("version 2"), "{e}")
+        }
+        other => panic!("a version-2 stream: expected a version refusal, got {:?}", other.err()),
+    }
+    match TraceIndex::scan_records(&old[..]) {
+        Err(TraceError::UnsupportedVersion(2)) => {}
+        other => panic!("a version-2 stream: expected a version refusal, got {other:?}"),
+    }
+    match TraceIndex::load(&old_sidecar[..]) {
+        Err(e @ TraceError::UnsupportedVersion(2)) => {
+            assert!(e.to_string().contains("version 2"), "{e}")
+        }
+        other => panic!("a version-2 sidecar: expected a version refusal, got {other:?}"),
+    }
+    // Only the version word stands between the old sidecar and a
+    // checksum mismatch: the old seal does not pass for the new one.
+    let mut relabelled = old_sidecar.clone();
+    relabelled[4..8].copy_from_slice(&INDEX_VERSION.to_le_bytes());
+    assert_eq!(rejection(&relabelled), "index sidecar checksum mismatch");
 }
 
 /// Damage the posting section but *repair the checksum*, so only the
@@ -174,7 +262,7 @@ fn section(n: u64, postings: &[Vec<u8>]) -> Vec<u8> {
     out
 }
 
-/// A v2 sidecar over frames of the given record counts, checksum valid,
+/// A sidecar over frames of the given record counts, checksum valid,
 /// so only structural validation stands between it and the caller.
 fn sidecar(frames: &[u32], sections: &[u8]) -> Vec<u8> {
     let mut body = Vec::new();

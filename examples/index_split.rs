@@ -1,11 +1,12 @@
 //! Where the trace codec and the IGMX posting index spend their time: per
 //! benchmark tenant, the ns/record of the plain frame encode, the frame
 //! decode, the indexed write (the posting build is indexed − plain), the
-//! sidecar save and the sidecar load; then, per codec column (pc, static,
-//! address, value), the predictor hit rate and the escape bytes per
-//! record, with how many frames chose each address-escape base; then the
-//! container mix the index build chose, with the share of bodies short
-//! enough to live inside their posting.
+//! sidecar save, the sidecar load and the checksum of every frame payload
+//! plus the sidecar; then, per codec column (pc, static, address, value),
+//! the predictor hit rate and the escape bytes per record, with how many
+//! frames chose each address-escape base; then the container mix the
+//! index build chose, with the share of bodies short enough to live
+//! inside their posting; then a digest of each tenant's posting bytes.
 //!
 //! ```sh
 //! cargo run --release --example index_split            # N = 500000
@@ -18,13 +19,17 @@
 //! the host falls on all of them alike (the posting build is the
 //! difference of two of them). The loaded sidecar must equal the index
 //! the writer built, and the decoded stream the batches it came from;
-//! the example aborts otherwise. The codec columns and the container mix
-//! are exact (they depend only on the records), so two builds can `diff`
-//! everything below the timing table.
+//! the example aborts otherwise. The codec columns, the container mix and
+//! the posting digests are exact (they depend only on the records), so two
+//! builds can `diff` everything below the timing table. The digest is an
+//! FNV-1a-64 of every frame's encoded postings, which no format version
+//! word or checksum touches: equal digests mean byte-identical postings.
 
 use igm::lba::{chunks, TraceBatch};
 use igm::trace::postings::INLINE_BODY;
-use igm::trace::{encode_frame, frame_columns, TraceIndex, TraceReader, TraceWriter};
+use igm::trace::{
+    checksum, encode_frame, frame_columns, TraceIndex, TraceReader, TraceWriter, FRAME_HEADER_BYTES,
+};
 use igm::workload::Benchmark;
 use std::time::Instant;
 
@@ -45,6 +50,27 @@ fn time<T>(records: u64, f: impl FnOnce() -> T) -> f64 {
     let started = Instant::now();
     std::hint::black_box(f());
     started.elapsed().as_nanos() as f64 / records as f64
+}
+
+/// The payload of every frame of a trace stream.
+fn payloads(stream: &[u8]) -> Vec<&[u8]> {
+    let mut out = Vec::new();
+    let mut at = 8;
+    while at < stream.len() {
+        let len = u32::from_le_bytes(stream[at + 4..at + 8].try_into().unwrap()) as usize;
+        let start = at + FRAME_HEADER_BYTES;
+        out.push(&stream[start..start + len]);
+        at = start + len;
+    }
+    out
+}
+
+/// FNV-1a-64 of `bytes`, with their length.
+fn digest(bytes: &[u8]) -> (usize, u64) {
+    let hash = bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    });
+    (bytes.len(), hash)
 }
 
 fn write(
@@ -68,10 +94,11 @@ fn main() {
     };
     println!("index split: {n} records per tenant, 16 KiB chunks, best of {PASSES}, ns/record");
     println!(
-        "{:<8} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8}",
-        "tenant", "encode", "decode", "indexed", "build", "save", "load"
+        "{:<8} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8}",
+        "tenant", "encode", "decode", "indexed", "build", "save", "load", "checksum"
     );
     let mut mixes = Vec::new();
+    let mut digests = Vec::new();
     let mut splits = Vec::new();
     for bench in TENANTS {
         let mut batches = Vec::new();
@@ -117,7 +144,10 @@ fn main() {
             "{bench:?}: the loaded sidecar differs from the built index"
         );
 
-        let mut best = [f64::INFINITY; 5];
+        let frames = payloads(&bytes);
+        let sums = || frames.iter().fold(checksum(&sidecar), |acc, p| acc ^ checksum(p));
+
+        let mut best = [f64::INFINITY; 6];
         for _ in 0..PASSES {
             let passes = [
                 time(n, encode),
@@ -125,17 +155,23 @@ fn main() {
                 time(n, indexed),
                 time(n, || save(&index)),
                 time(n, || load(&sidecar)),
+                time(n, sums),
             ];
             for (best, pass) in best.iter_mut().zip(passes) {
                 *best = best.min(pass);
             }
         }
-        let [encode, decode, indexed, save, load] = best;
+        let [encode, decode, indexed, save, load, sums] = best;
         println!(
-            "{:<8} {encode:>8.1} {decode:>8.1} {indexed:>8.1} {:>8.1} {save:>8.1} {load:>8.1}",
+            "{:<8} {encode:>8.1} {decode:>8.1} {indexed:>8.1} {:>8.1} {save:>8.1} {load:>8.1} \
+             {sums:>8.2}",
             bench.name(),
             indexed - encode,
         );
+
+        let mut postings = Vec::new();
+        index.frame_postings().iter().for_each(|f| f.encode(&mut postings));
+        digests.push((bench, digest(&postings)));
 
         // Per codec column: slots, hits, escape bytes; frames per address
         // base (global, predicted).
@@ -218,5 +254,10 @@ fn main() {
             cells[2],
             cells[3]
         );
+    }
+
+    println!("posting digests: bytes / FNV-1a-64 of every frame's encoded postings");
+    for (bench, (len, hash)) in digests {
+        println!("{:<8} {len:>9} {hash:#018x}", bench.name());
     }
 }
